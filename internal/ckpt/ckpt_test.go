@@ -154,8 +154,8 @@ func TestPropertySizeMonotone(t *testing.T) {
 // GobSize to the buffered encoder it replaced: the size it reports must
 // be exactly the length of the real encoded stream. A guest snapshot —
 // the most structurally involved gob value in the tree — is used as the
-// probe. (It used to compare against guest.EncodeImage, which was a
-// single gob stream at the time; the image format is now sectioned —
+// probe. (It used to compare against the guest image encoder, which was
+// a single gob stream at the time; the image format is now sectioned —
 // several independent gob streams plus a trailer — so the reference is
 // a direct buffered encode of the same value, which is exactly what
 // GobSize's counting writer replaced.)

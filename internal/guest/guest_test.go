@@ -338,11 +338,11 @@ func TestSnapshotRestoreMidPingPong(t *testing.T) {
 	// Coordinated checkpoint of both guests.
 	r.freeze(r.osA, r.pA)
 	r.freeze(r.osB, r.pB)
-	imgA, err := EncodeImage(r.osA.Snapshot())
+	imgA, err := EncodeImagePayload(r.osA.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	imgB, err := EncodeImage(r.osB.Snapshot())
+	imgB, err := EncodeImagePayload(r.osB.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,11 +353,11 @@ func TestSnapshotRestoreMidPingPong(t *testing.T) {
 	r.k.RunFor(30 * sim.Second)
 
 	// Restore both from their images.
-	snapA, err := DecodeImage(imgA)
+	snapA, err := DecodeImagePayload(imgA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapB, err := DecodeImage(imgB)
+	snapB, err := DecodeImagePayload(imgB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,11 +485,11 @@ func TestImageRoundTripPreservesLog(t *testing.T) {
 	r := newRig(t)
 	r.osA.Logf("before checkpoint")
 	r.osA.Freeze()
-	img, err := EncodeImage(r.osA.Snapshot())
+	img, err := EncodeImagePayload(r.osA.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := DecodeImage(img)
+	snap, err := DecodeImagePayload(img)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,6 +91,7 @@ func (a *API) Listen(port uint16) {
 type Process struct {
 	pid      PID
 	prog     Program
+	api      API // handed to every Next call; bound once at creation
 	cur      Op
 	last     Result
 	exited   bool
@@ -144,7 +145,11 @@ type OS struct {
 	wallClock func() sim.Time
 	cpuFactor float64 // >1 = slower than native (para-virt overhead)
 
-	procs   map[PID]*Process
+	// procs holds every process in PID order. PIDs are monotonic, so
+	// Spawn appends; Restore rebuilds it from the snapshot, which is
+	// written in PID order. The scheduler, Freeze/Thaw and Snapshot walk
+	// it directly: their orderings are replay-relevant.
+	procs   []*Process
 	nextPID PID
 	fds     map[int]tcp.ConnKey
 	nextFD  int
@@ -190,7 +195,6 @@ func New(k *sim.Kernel, stack *tcp.Stack, wallClock func() sim.Time, cpuFactor f
 		stack:        stack,
 		wallClock:    wallClock,
 		cpuFactor:    cpuFactor,
-		procs:        make(map[PID]*Process),
 		nextPID:      1,
 		fds:          make(map[int]tcp.ConnKey),
 		nextFD:       3,
@@ -252,31 +256,31 @@ func (o *OS) WatchdogTimeouts() int { return o.wdTimeouts }
 func (o *OS) Spawn(prog Program) PID {
 	pid := o.nextPID
 	o.nextPID++
-	p := &Process{pid: pid, prog: prog, timerLeft: -1}
-	o.procs[pid] = p
+	o.addProc(&Process{pid: pid, prog: prog, timerLeft: -1})
 	o.schedulePump()
 	return pid
 }
 
-// Proc returns the process with the given PID.
-func (o *OS) Proc(pid PID) (*Process, bool) {
-	p, ok := o.procs[pid]
-	return p, ok
+// addProc appends p, whose PID must exceed every existing one, and binds
+// its syscall surface.
+func (o *OS) addProc(p *Process) {
+	p.api = API{os: o, proc: p}
+	o.procs = append(o.procs, p)
 }
 
-// Procs returns all processes in PID order.
-func (o *OS) Procs() []*Process {
-	pids := make([]PID, 0, len(o.procs))
-	for pid := range o.procs {
-		pids = append(pids, pid)
+// Proc returns the process with the given PID.
+func (o *OS) Proc(pid PID) (*Process, bool) {
+	i := sort.Search(len(o.procs), func(i int) bool { return o.procs[i].pid >= pid })
+	if i < len(o.procs) && o.procs[i].pid == pid {
+		return o.procs[i], true
 	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
-	out := make([]*Process, len(pids))
-	for i, pid := range pids {
-		out[i] = o.procs[pid]
-	}
-	return out
+	return nil, false
 }
+
+// Procs returns all processes in PID order, without copying or sorting:
+// the slice is a view of the OS's own process table. Callers must not
+// modify it; it does not grow with later Spawns.
+func (o *OS) Procs() []*Process { return o.procs[:len(o.procs):len(o.procs)] }
 
 // SetExitNotify installs fn to be called whenever a process exits (nil
 // clears it). This is the event-driven alternative to polling AllExited
@@ -352,7 +356,10 @@ func (o *OS) pump() {
 	}
 	for {
 		progress := false
-		for _, p := range o.Procs() {
+		// n is fixed per pass: a process spawned mid-pass is first
+		// driven on the next pass.
+		n := len(o.procs)
+		for _, p := range o.procs[:n] {
 			if o.drive(p) {
 				progress = true
 			}
@@ -381,7 +388,7 @@ func (o *OS) drive(p *Process) bool {
 			p.timerFired = false
 			advanced = true
 		}
-		op := p.prog.Next(&API{os: o, proc: p}, p.last)
+		op := p.prog.Next(&p.api, p.last)
 		p.last = Result{}
 		if op == nil {
 			p.exited = true
@@ -416,10 +423,9 @@ func (o *OS) Freeze() {
 	}
 	o.jiffiesAccum += o.kernel.Now() - o.runningSince
 	o.frozen = true
-	// PID order, not map order: cancelling timers touches kernel state,
-	// and replay requires the same touch sequence every run (dvclint:
-	// mapiter).
-	for _, p := range o.Procs() {
+	// PID order: cancelling timers touches kernel state, and replay
+	// requires the same touch sequence every run.
+	for _, p := range o.procs {
 		if p.timer.Pending() {
 			p.timerLeft = p.timer.When() - o.kernel.Now()
 			p.timer.Stop()
@@ -443,9 +449,9 @@ func (o *OS) Thaw() {
 	}
 	o.frozen = false
 	o.runningSince = o.kernel.Now()
-	// PID order, not map order: armTimer schedules kernel events, whose
-	// sequence numbers (the event-queue tiebreak) must be reproducible.
-	for _, p := range o.Procs() {
+	// PID order: armTimer schedules kernel events, whose sequence
+	// numbers (the event-queue tiebreak) must be reproducible.
+	for _, p := range o.procs {
 		if p.timerLeft >= 0 {
 			left := p.timerLeft
 			p.timerLeft = -1

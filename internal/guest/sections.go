@@ -224,6 +224,11 @@ func decodeImageSections(img payload.Bytes) (*Snapshot, error) {
 		if err := dec(idx, &ps); err != nil {
 			return nil, err
 		}
+		// Restore rebuilds the process table in image order, which
+		// must therefore be PID order (Snapshot writes it so).
+		if p > 0 && ps.PID <= snap.Procs[p-1].PID {
+			return nil, fmt.Errorf("guest: image process %d out of PID order", ps.PID)
+		}
 		snap.Procs = append(snap.Procs, ps)
 		idx++
 	}

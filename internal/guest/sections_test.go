@@ -93,6 +93,16 @@ func TestDecodeRejectsCorruptImage(t *testing.T) {
 	if _, err := DecodeImagePayload(payload.Wrap(flat)); err == nil {
 		t.Fatal("bad magic decoded")
 	}
+	// Restore rebuilds the process table in image order, so the decoder
+	// rejects processes out of PID order.
+	swapped := sectionedSnap()
+	swapped.Procs[0], swapped.Procs[1] = swapped.Procs[1], swapped.Procs[0]
+	if img, err = EncodeImagePayload(swapped); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeImagePayload(img); err == nil {
+		t.Fatal("image with processes out of PID order decoded")
+	}
 }
 
 // TestEncodeDeterministic pins the property the content-addressed store

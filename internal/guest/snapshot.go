@@ -2,7 +2,6 @@ package guest
 
 import (
 	"io"
-	"sort"
 
 	"dvc/internal/netsim"
 	"dvc/internal/payload"
@@ -69,7 +68,7 @@ func (o *OS) Snapshot() *Snapshot {
 	for port, q := range o.accepts {
 		s.Accepts[port] = append([]tcp.ConnKey(nil), q...)
 	}
-	for _, p := range o.Procs() {
+	for _, p := range o.procs {
 		s.Procs = append(s.Procs, ProcSnapshot{
 			PID:       p.pid,
 			Prog:      p.prog,
@@ -86,6 +85,8 @@ func (o *OS) Snapshot() *Snapshot {
 // Restore rebuilds a frozen OS from a snapshot on the given fabric. The
 // caller injects the (new) node's wall clock and CPU factor — those are
 // host properties, not guest state — then calls Thaw to resume.
+// snap.Procs must be in PID order, as Snapshot writes it and the image
+// decoder checks.
 func Restore(k *sim.Kernel, fabric *netsim.Fabric, snap *Snapshot, wallClock func() sim.Time, cpuFactor float64) *OS {
 	if cpuFactor <= 0 {
 		cpuFactor = snap.CPUFactor
@@ -95,7 +96,7 @@ func Restore(k *sim.Kernel, fabric *netsim.Fabric, snap *Snapshot, wallClock fun
 		stack:        tcp.RestoreStack(k, fabric, snap.Stack),
 		wallClock:    wallClock,
 		cpuFactor:    cpuFactor,
-		procs:        make(map[PID]*Process, len(snap.Procs)),
+		procs:        make([]*Process, 0, len(snap.Procs)),
 		nextPID:      snap.NextPID,
 		fds:          make(map[int]tcp.ConnKey, len(snap.FDs)),
 		nextFD:       snap.NextFD,
@@ -122,7 +123,7 @@ func Restore(k *sim.Kernel, fabric *netsim.Fabric, snap *Snapshot, wallClock fun
 		o.accepts[port] = append([]tcp.ConnKey(nil), q...)
 	}
 	for _, ps := range snap.Procs {
-		o.procs[ps.PID] = &Process{
+		o.addProc(&Process{
 			pid:       ps.PID,
 			prog:      ps.Prog,
 			cur:       ps.Cur,
@@ -130,7 +131,7 @@ func Restore(k *sim.Kernel, fabric *netsim.Fabric, snap *Snapshot, wallClock fun
 			exited:    ps.Exited,
 			exitCode:  ps.ExitCode,
 			timerLeft: ps.TimerLeft,
-		}
+		})
 	}
 	// Re-register listener accept callbacks and connection callbacks.
 	for _, port := range o.listens {
@@ -185,33 +186,8 @@ func EncodeImageStream(snap *Snapshot, w io.Writer) error {
 	return encodeImageSections(snap, w)
 }
 
-// EncodeImage is EncodeImagePayload flattened to one contiguous slice,
-// for callers (tests, size probes) that want plain bytes.
-func EncodeImage(snap *Snapshot) ([]byte, error) {
-	img, err := EncodeImagePayload(snap)
-	if err != nil {
-		return nil, err
-	}
-	return img.Flatten(), nil
-}
-
 // DecodeImagePayload reverses EncodeImagePayload, streaming each
 // section's decode over the rope's chunks without flattening them first.
 func DecodeImagePayload(img payload.Bytes) (*Snapshot, error) {
 	return decodeImageSections(img)
-}
-
-// DecodeImage reverses EncodeImage.
-func DecodeImage(img []byte) (*Snapshot, error) {
-	return DecodeImagePayload(payload.Wrap(img))
-}
-
-// SortedPIDs is a helper for deterministic iteration in tests.
-func (s *Snapshot) SortedPIDs() []PID {
-	pids := make([]PID, len(s.Procs))
-	for i, p := range s.Procs {
-		pids[i] = p.PID
-	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
-	return pids
 }

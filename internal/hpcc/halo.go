@@ -29,13 +29,31 @@ type Halo struct {
 	StartJiff, EndJiff sim.Time
 }
 
+// haloZeros is the shared body of every halo message up to its size. No
+// receiver reads halo bodies, so instead of zero-filling two fresh buffers
+// per round every rank sends a clipped slice of this array. That is the one
+// sanctioned exception to payload's fresh-buffer-per-message convention:
+// nothing ever writes the array (payload contract rule 1), so it is safe to
+// share across kernels, partitioned-engine workers and concurrent fleet
+// trials, which only read it. gob flattens the bytes, so images and digests
+// are the same as with fresh buffers.
+var haloZeros [64 << 10]byte
+
+// haloBody returns a read-only zero body of n bytes.
+func haloBody(n int) []byte {
+	if n > len(haloZeros) {
+		return make([]byte, n)
+	}
+	return haloZeros[:n:n]
+}
+
 // NewHalo constructs the kernel.
 func NewHalo(rounds int, period sim.Time, msgBytes int) *Halo {
 	return &Halo{Rounds: rounds, Period: period, MsgBytes: msgBytes}
 }
 
 // Step implements mpi.App.
-func (h *Halo) Step(c *mpi.Ctx, prev mpi.Op) mpi.Op {
+func (h *Halo) Step(c mpi.Ctx, prev mpi.Op) mpi.Op {
 	rt := c.RT
 	if rt.Size < 2 {
 		h.Finished = true
@@ -58,10 +76,10 @@ func (h *Halo) Step(c *mpi.Ctx, prev mpi.Op) mpi.Op {
 			return mpi.Compute(h.Period)
 		case 2:
 			h.PC = 3
-			return mpi.Send(right, 5, make([]byte, h.MsgBytes))
+			return mpi.Send(right, 5, haloBody(h.MsgBytes))
 		case 3:
 			h.PC = 4
-			return mpi.Send(left, 6, make([]byte, h.MsgBytes))
+			return mpi.Send(left, 6, haloBody(h.MsgBytes))
 		case 4:
 			h.PC = 5
 			return mpi.Recv(left, 5)

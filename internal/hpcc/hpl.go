@@ -81,7 +81,7 @@ func (h *HPL) localRowsBelow(me, size, k int) []int {
 }
 
 // Step implements mpi.App.
-func (h *HPL) Step(c *mpi.Ctx, prev mpi.Op) mpi.Op {
+func (h *HPL) Step(c mpi.Ctx, prev mpi.Op) mpi.Op {
 	rt := c.RT
 	me, size := rt.Me, rt.Size
 	for {

@@ -63,7 +63,7 @@ const (
 )
 
 // Step implements mpi.App.
-func (p *PTRANS) Step(c *mpi.Ctx, prev mpi.Op) mpi.Op {
+func (p *PTRANS) Step(c mpi.Ctx, prev mpi.Op) mpi.Op {
 	rt := c.RT
 	me, size := rt.Me, rt.Size
 	for {

@@ -81,7 +81,7 @@ func (ra *RandomAccess) owner(idx, size int) int {
 }
 
 // Step implements mpi.App.
-func (ra *RandomAccess) Step(c *mpi.Ctx, prev mpi.Op) mpi.Op {
+func (ra *RandomAccess) Step(c mpi.Ctx, prev mpi.Op) mpi.Op {
 	rt := c.RT
 	me, size := rt.Me, rt.Size
 	for {

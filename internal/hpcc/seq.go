@@ -79,7 +79,7 @@ func NewPingPong(msgBytes, iters int) *PingPong {
 }
 
 // Step implements mpi.App.
-func (p *PingPong) Step(c *mpi.Ctx, prev mpi.Op) mpi.Op {
+func (p *PingPong) Step(c mpi.Ctx, prev mpi.Op) mpi.Op {
 	rt := c.RT
 	if rt.Me > 1 {
 		return nil

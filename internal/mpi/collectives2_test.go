@@ -19,7 +19,7 @@ type gatherApp struct {
 	OK bool
 }
 
-func (a *gatherApp) Step(c *Ctx, prev Op) Op {
+func (a *gatherApp) Step(c Ctx, prev Op) Op {
 	rt := c.RT
 	const root = 1
 	switch a.PC {
@@ -65,7 +65,7 @@ type scatterApp struct {
 	OK bool
 }
 
-func (a *scatterApp) Step(c *Ctx, prev Op) Op {
+func (a *scatterApp) Step(c Ctx, prev Op) Op {
 	rt := c.RT
 	switch a.PC {
 	case 0:
@@ -106,7 +106,7 @@ type allgatherApp struct {
 	OK bool
 }
 
-func (a *allgatherApp) Step(c *Ctx, prev Op) Op {
+func (a *allgatherApp) Step(c Ctx, prev Op) Op {
 	rt := c.RT
 	switch a.PC {
 	case 0:

@@ -11,7 +11,9 @@ import (
 // netsim -> receiver). The budget per payload byte is roughly:
 //
 //	1.0  the sender's application buffer (built fresh per message, by
-//	     construction of the workload)
+//	     construction of this test's workload; the hpcc halo kernel
+//	     instead shares one never-written zero body, the contract's one
+//	     sanctioned exception, and costs 0 here)
 //	1.0  the receiver-side flatten when a multi-segment message is
 //	     delivered to the application as one contiguous []byte
 //	  ~  simulation bookkeeping (segment descriptors, events, gob)

@@ -31,7 +31,7 @@ type streamApp struct {
 	Done     bool
 }
 
-func (a *streamApp) Step(c *Ctx, prev Op) Op {
+func (a *streamApp) Step(c Ctx, prev Op) Op {
 	rt := c.RT
 	if a.I >= a.Rounds {
 		a.Done = true

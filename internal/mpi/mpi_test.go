@@ -70,7 +70,7 @@ type barrierApp struct {
 	I      int
 }
 
-func (a *barrierApp) Step(c *Ctx, prev Op) Op {
+func (a *barrierApp) Step(c Ctx, prev Op) Op {
 	if a.I < a.Rounds {
 		a.I++
 		return NewBarrier()
@@ -99,7 +99,7 @@ type ringApp struct {
 	Token int
 }
 
-func (a *ringApp) Step(c *Ctx, prev Op) Op {
+func (a *ringApp) Step(c Ctx, prev Op) Op {
 	rt := c.RT
 	next := (rt.Me + 1) % rt.Size
 	from := (rt.Me - 1 + rt.Size) % rt.Size
@@ -149,7 +149,7 @@ type bcastApp struct {
 	OK bool
 }
 
-func (a *bcastApp) Step(c *Ctx, prev Op) Op {
+func (a *bcastApp) Step(c Ctx, prev Op) Op {
 	rt := c.RT
 	const root = 2
 	switch a.PC {
@@ -188,7 +188,7 @@ type allreduceApp struct {
 	Got float64
 }
 
-func (a *allreduceApp) Step(c *Ctx, prev Op) Op {
+func (a *allreduceApp) Step(c Ctx, prev Op) Op {
 	rt := c.RT
 	switch a.PC {
 	case 0:
@@ -218,7 +218,7 @@ type alltoallApp struct {
 	OK bool
 }
 
-func (a *alltoallApp) Step(c *Ctx, prev Op) Op {
+func (a *alltoallApp) Step(c Ctx, prev Op) Op {
 	rt := c.RT
 	switch a.PC {
 	case 0:
@@ -262,7 +262,7 @@ type computeApp struct {
 	Phase int
 }
 
-func (a *computeApp) Step(c *Ctx, prev Op) Op {
+func (a *computeApp) Step(c Ctx, prev Op) Op {
 	if a.I >= a.Steps {
 		return nil
 	}
@@ -300,7 +300,7 @@ type bigBcastApp struct {
 	OK      bool
 }
 
-func (a *bigBcastApp) Step(c *Ctx, prev Op) Op {
+func (a *bigBcastApp) Step(c Ctx, prev Op) Op {
 	switch a.PC {
 	case 0:
 		a.PC = 1

@@ -54,7 +54,8 @@ func (rt *Runtime) Fail(format string, args ...any) {
 }
 
 // Ctx gives an application access to its rank state plus the guest
-// syscall surface (clocks, logging) during a Step call. It must not be
+// syscall surface (clocks, logging) during a Step call. It is passed by
+// value, so stepping an App allocates nothing for it, and it must not be
 // retained across steps.
 type Ctx struct {
 	RT  *Runtime
@@ -63,13 +64,13 @@ type Ctx struct {
 
 // WallClock returns the host wall-clock reading (jumps across VM
 // save/restore — what HPL's timers see).
-func (c *Ctx) WallClock() sim.Time { return c.api.WallClock() }
+func (c Ctx) WallClock() sim.Time { return c.api.WallClock() }
 
 // Jiffies returns guest-monotonic time.
-func (c *Ctx) Jiffies() sim.Time { return c.api.Jiffies() }
+func (c Ctx) Jiffies() sim.Time { return c.api.Jiffies() }
 
 // Log writes to the guest kernel log.
-func (c *Ctx) Log(format string, args ...any) { c.api.Log(format, args...) }
+func (c Ctx) Log(format string, args ...any) { c.api.Log(format, args...) }
 
 // App is an MPI application: each step returns the next MPI operation
 // (nil = finished). The completed previous operation is passed back so
@@ -78,7 +79,7 @@ func (c *Ctx) Log(format string, args ...any) { c.api.Log(format, args...) }
 // Implementations must be pure data and gob-registered: they are part of
 // the VM image.
 type App interface {
-	Step(c *Ctx, prev Op) Op
+	Step(c Ctx, prev Op) Op
 }
 
 // Op is a resumable MPI operation. step is called with the result of the
@@ -125,7 +126,7 @@ func (d *Driver) Next(api *guest.API, res guest.Result) guest.Op {
 			if !d.R.Ready {
 				d.Cur = &initOp{}
 			} else {
-				d.Cur = d.App.Step(&Ctx{RT: d.R, api: api}, d.Last)
+				d.Cur = d.App.Step(Ctx{RT: d.R, api: api}, d.Last)
 				d.Last = nil
 				if d.Cur == nil {
 					api.Exit(0)

@@ -14,10 +14,14 @@
 // under two rules the simulation already enforces:
 //
 //  1. Chunks are never mutated after entering a Bytes. Producers build a
-//     fresh buffer per message (the hpcc kernels all do); consumers treat
-//     received data as read-only. Flatten of a single-chunk rope returns
-//     the chunk itself with capacity clipped to its length, so an
-//     append by the consumer copies instead of growing into shared space.
+//     fresh buffer per message; consumers treat received data as
+//     read-only. The one sanctioned exception is a shared body that is
+//     never written: the hpcc halo kernel sends capacity-clipped slices
+//     of one package-level zero array, which is safe across kernels and
+//     goroutines because every holder only reads it. Flatten of a
+//     single-chunk rope returns the chunk itself with capacity clipped to
+//     its length, so an append by the consumer copies instead of growing
+//     into shared space.
 //  2. All access happens on one kernel's event loop. Simulation state is
 //     single-threaded by design (one sim.Kernel per trial, kernels never
 //     cross goroutines — the dvclint noconcurrency rule and the

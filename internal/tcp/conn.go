@@ -126,7 +126,7 @@ func (c *Conn) RTO() sim.Time { return c.rto }
 // Write queues data for transmission without copying it: the slice's
 // chunks enter the send queue by reference, so the caller hands over
 // visibility of data under the payload package's immutability contract
-// (build a fresh buffer per message; never mutate it afterwards). Write
+// (nobody mutates it afterwards). Write
 // never blocks; the guest layer is responsible for modelling
 // back-pressure via SendBacklog.
 func (c *Conn) Write(data []byte) error {

@@ -109,7 +109,7 @@ func NewBSPApp(work sim.Time) *BSPApp {
 }
 
 // Step implements mpi.App.
-func (a *BSPApp) Step(c *mpi.Ctx, prev mpi.Op) mpi.Op {
+func (a *BSPApp) Step(c mpi.Ctx, prev mpi.Op) mpi.Op {
 	for {
 		if a.I >= a.Slices {
 			a.Done = true
