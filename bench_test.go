@@ -117,9 +117,9 @@ func BenchmarkE13LiveMigration(b *testing.B) {
 	runExperimentBench(b, "E13", 0)
 }
 
-// BenchmarkE14IncrementalCheckpoints compares full, incremental and
-// consolidated checkpoint policies (extension).
-func BenchmarkE14IncrementalCheckpoints(b *testing.B) {
+// BenchmarkE14DeltaCheckpoints compares full-image and delta-epoch
+// checkpoint policies (extension).
+func BenchmarkE14DeltaCheckpoints(b *testing.B) {
 	runExperimentBench(b, "E14", 0)
 }
 

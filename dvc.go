@@ -363,9 +363,9 @@ func (s *Simulation) CheckpointGenerations(vc *VirtualCluster) []int {
 	return s.co.Generations(vc.Name())
 }
 
-// PruneCheckpoints deletes stored generations beyond the newest keep,
-// preserving incremental chains the kept generations depend on. It
-// returns the number of image objects removed.
+// PruneCheckpoints deletes stored generations beyond the newest keep.
+// Every generation is self-contained, so the kept ones still restore.
+// It returns the number of image objects removed.
 func (s *Simulation) PruneCheckpoints(vc *VirtualCluster, keep int) int {
 	return s.co.PruneGenerations(vc.Name(), keep)
 }

@@ -38,7 +38,7 @@ func ByName(name string) *Analyzer {
 //     to fleet entry points must not capture kernel-reaching state.
 //  2. Results merge in index order. fleet.Map returns results indexed by
 //     trial number, and all aggregation happens on the caller's goroutine
-//     after Map returns — so tables, checks and spliced traces are
+//     after Map returns — so tables, checks and merged traces are
 //     byte-identical to a serial loop regardless of worker count.
 //
 // dvc/internal/sim/partition is absent under the same sanction, for the

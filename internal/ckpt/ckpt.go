@@ -160,12 +160,23 @@ func Estimates(fp Footprint, bw float64) []Estimate {
 // so buffering the whole encoding (the pre-rewrite bytes.Buffer) spent
 // an allocation proportional to the state being measured on every E5
 // probe, for bytes that were thrown away immediately.
+//
+// The value is encoded twice on one encoder and only the second message
+// counts. The first message also carries gob's type descriptors, whose
+// wire ids come from a process-global counter, so its length depends on
+// what the process happened to encode first. The second message holds
+// the values only: its size is a property of the state alone.
 func GobSize(v any) (int64, error) {
 	var cw countingWriter
-	if err := gob.NewEncoder(&cw).Encode(v); err != nil {
+	enc := gob.NewEncoder(&cw)
+	if err := enc.Encode(v); err != nil {
 		return 0, fmt.Errorf("ckpt: measuring state: %w", err)
 	}
-	return int64(cw), nil
+	first := cw
+	if err := enc.Encode(v); err != nil {
+		return 0, fmt.Errorf("ckpt: measuring state: %w", err)
+	}
+	return int64(cw - first), nil
 }
 
 // countingWriter discards bytes and counts them.

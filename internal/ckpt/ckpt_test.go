@@ -151,14 +151,15 @@ func TestPropertySizeMonotone(t *testing.T) {
 }
 
 // TestGobSizeMatchesEncodedLength pins the counting-writer rewrite of
-// GobSize to the buffered encoder it replaced: the size it reports must
-// be exactly the length of the real encoded stream. A guest snapshot —
-// the most structurally involved gob value in the tree — is used as the
-// probe. (It used to compare against the guest image encoder, which was
-// a single gob stream at the time; the image format is now sectioned —
-// several independent gob streams plus a trailer — so the reference is
-// a direct buffered encode of the same value, which is exactly what
-// GobSize's counting writer replaced.)
+// GobSize to a buffered encoder: the size it reports must be exactly the
+// length of the real encoded value message, the second message of a
+// stream that encodes the value twice (the first also carries the type
+// descriptors). A guest snapshot — the most structurally involved gob
+// value in the tree — is used as the probe. (It used to compare against
+// the guest image encoder, which was a single gob stream at the time;
+// the image format is now sectioned — several independent gob streams
+// plus a trailer — so the reference is a direct buffered encode of the
+// same value.)
 func TestGobSizeMatchesEncodedLength(t *testing.T) {
 	snap := &guest.Snapshot{
 		NextPID: 7,
@@ -170,14 +171,19 @@ func TestGobSizeMatchesEncodedLength(t *testing.T) {
 		Stack:   &tcp.StackSnapshot{NextPort: 40000},
 	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	first := buf.Len()
+	if err := enc.Encode(snap); err != nil {
 		t.Fatal(err)
 	}
 	size, err := GobSize(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if size != int64(buf.Len()) {
-		t.Fatalf("GobSize=%d, encoded stream is %d bytes", size, buf.Len())
+	if want := int64(buf.Len() - first); size != want {
+		t.Fatalf("GobSize=%d, encoded value message is %d bytes", size, want)
 	}
 }

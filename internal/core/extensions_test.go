@@ -113,66 +113,6 @@ func TestLiveMigrateHotGuestHitsRoundCap(t *testing.T) {
 	}
 }
 
-func TestIncrementalCheckpointsShrinkAndRestore(t *testing.T) {
-	cfg := DefaultNTPLSC()
-	cfg.ContinueAfterSave = true
-	cfg.Incremental = true
-	tb := newTestbed(t, 24, map[string]int{"alpha": 4}, cfg)
-	vc := tb.allocate(t, "inc", 2, guest.WatchdogConfig{})
-	vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(6000, 20*sim.Millisecond, 1024) })
-	for _, d := range vc.Domains() {
-		d.SetDirtyRate(2e6)
-	}
-	tb.k.RunFor(sim.Second)
-
-	var gens []*CheckpointResult
-	for i := 0; i < 3; i++ {
-		var res *CheckpointResult
-		tb.co.Checkpoint(vc, func(r *CheckpointResult) { res = r })
-		// Wait just past completion so the next increment stays small.
-		for res == nil {
-			tb.k.RunFor(sim.Second)
-		}
-		tb.k.RunFor(5 * sim.Second)
-		if !res.OK {
-			t.Fatalf("checkpoint %d: %+v", i, res)
-		}
-		gens = append(gens, res)
-	}
-	// Generation 0 is full; later generations are small increments.
-	if gens[0].Images[0].Incremental {
-		t.Fatal("generation 0 should be full")
-	}
-	if !gens[1].Images[0].Incremental || !gens[2].Images[0].Incremental {
-		t.Fatal("later generations should be incremental")
-	}
-	fullSize := gens[0].Images[0].SizeBytes()
-	incSize := gens[1].Images[0].SizeBytes()
-	if incSize*4 > fullSize {
-		t.Fatalf("incremental image %d not much smaller than full %d", incSize, fullSize)
-	}
-	if gens[1].StoreTime >= gens[0].StoreTime {
-		t.Fatalf("incremental store time %v not below full %v", gens[1].StoreTime, gens[0].StoreTime)
-	}
-
-	// Crash-recover from the newest (incremental) generation: the chain
-	// must stage and the job must still verify.
-	vc.PhysicalNodes()[0].Fail()
-	tb.k.RunFor(2 * sim.Second)
-	vc.Teardown()
-	targets := tb.site.UpNodes("alpha")[:2]
-	var rr *RestoreResult
-	tb.co.RestoreVC(vc, gens[2].Generation, targets, func(r *RestoreResult) { rr = r })
-	tb.k.RunFor(5 * sim.Minute)
-	if rr == nil || !rr.OK {
-		t.Fatalf("chain restore: %+v", rr)
-	}
-	js := tb.runJob(t, vc, time60())
-	if !js.AllOK() {
-		t.Fatalf("job after chain restore: %+v", js)
-	}
-}
-
 func TestNodeCrashDuringSaveFailsCheckpointCleanly(t *testing.T) {
 	tb := newTestbed(t, 41, map[string]int{"alpha": 3}, DefaultNTPLSC())
 	vc := tb.allocate(t, "cs", 3, guest.WatchdogConfig{})

@@ -69,30 +69,13 @@ type LSCConfig struct {
 	// destroyed by the save and restored from the image).
 	ContinueAfterSave bool
 
-	// Incremental enables page-level incremental checkpoints: after a
-	// full base image, subsequent generations transfer only the pages
-	// dirtied since the previous checkpoint. Restores stage the whole
-	// chain. (Extension; see experiment E14.)
-	Incremental bool
-	// FullEvery consolidates with a full image every N generations
-	// (0 = only generation 0 is full).
-	FullEvery int
-
 	// Delta switches every generation to content-addressed delta epochs
 	// (vm.CaptureDeltaImage + storage.WriteDelta): each epoch is
-	// self-contained — restores stage exactly one image, no chain — and
-	// the store transfers only chunks it has not seen, so steady-state
-	// epochs cost the dirtied chunks plus manifest metadata. Takes
-	// precedence over Incremental/FullEvery.
+	// self-contained — restores stage exactly one image — and the store
+	// transfers only chunks it has not seen, so steady-state epochs cost
+	// the dirtied chunks plus manifest metadata. (Extension; see
+	// experiment E14.)
 	Delta bool
-}
-
-// isFullGeneration decides whether generation gen writes a full image.
-func (cfg LSCConfig) isFullGeneration(gen int) bool {
-	if !cfg.Incremental || gen == 0 {
-		return true
-	}
-	return cfg.FullEvery > 0 && gen%cfg.FullEvery == 0
 }
 
 // DefaultNaiveLSC returns the naive coordinator's calibration. The write
@@ -335,23 +318,19 @@ func (c *Coordinator) attempt(vc *VirtualCluster, res *CheckpointResult, attempt
 // afterPaused captures and stores images, then resumes or cycles.
 func (c *Coordinator) afterPaused(vc *VirtualCluster, res *CheckpointResult, firstPause sim.Time, done func(*CheckpointResult)) {
 	k := c.mgr.kernel
-	// Capture every paused domain (full or incremental per the policy).
-	full := c.cfg.isFullGeneration(res.Generation)
+	// Capture every paused domain (full or delta per the policy).
 	for _, d := range vc.domains {
 		if d.State() != vm.StatePaused {
 			continue
 		}
 		var img *vm.Image
 		var err error
-		switch {
-		case c.cfg.Delta:
+		if c.cfg.Delta {
 			// Self-contained content-addressed epoch; the capture folds
 			// the dirt and re-marks, so the MarkClean below is a no-op.
 			img, err = d.CaptureDeltaImage()
-		case full:
+		} else {
 			img, err = d.CaptureImage()
-		default:
-			img, err = d.CaptureIncrementalImage()
 		}
 		if err != nil {
 			c.finishFail(res, err.Error(), done)
@@ -535,59 +514,25 @@ func (c *Coordinator) RestoreVC(vc *VirtualCluster, gen int, placement []*phys.N
 	for i := 0; i < vc.spec.Nodes; i++ {
 		i := i
 		name := fmt.Sprintf("%s-vm%02d", vc.spec.Name, i)
-		// Incremental generations restore from a chain: the full base
-		// plus every increment up to gen. Each element is staged
-		// (charged); the newest image carries the functional state.
-		chain := c.chainKeys(vc.spec.Name, gen, name)
-		pending := len(chain)
-		for _, key := range chain {
-			key := key
-			c.mgr.store.Read(key, func(img *vm.Image, err error) {
-				if err != nil && !failed {
-					failed = true
-					res.Reason = err.Error()
-				}
-				if key == chain[len(chain)-1] {
-					images[i] = img
-				}
-				pending--
-				if pending != 0 {
+		// Every stored image is self-contained: one read per domain.
+		c.mgr.store.Read(imageKey(vc.spec.Name, gen, name), func(img *vm.Image, err error) {
+			if err != nil && !failed {
+				failed = true
+				res.Reason = err.Error()
+			}
+			images[i] = img
+			reads--
+			if reads == 0 {
+				res.StageTime = k.Now() - stageStart
+				if failed {
+					res.FinishedAt = k.Now()
+					done(res)
 					return
 				}
-				reads--
-				if reads == 0 {
-					res.StageTime = k.Now() - stageStart
-					if failed {
-						res.FinishedAt = k.Now()
-						done(res)
-						return
-					}
-					c.materialize(vc, images, placement, res, done)
-				}
-			})
-		}
+				c.materialize(vc, images, placement, res, done)
+			}
+		})
 	}
-}
-
-// chainKeys lists the storage keys needed to restore generation gen of
-// one domain: walking back from gen through incremental images to the
-// most recent full base. Delta objects (non-nil store manifest) are
-// self-contained — the walk stops at them immediately, so a delta
-// restore stages exactly one image.
-func (c *Coordinator) chainKeys(vcName string, gen int, domain string) []string {
-	base := gen
-	for base > 0 {
-		obj, ok := c.mgr.store.Stat(imageKey(vcName, base, domain))
-		if !ok || !obj.Image.Incremental || obj.Manifest != nil {
-			break
-		}
-		base--
-	}
-	keys := make([]string, 0, gen-base+1)
-	for g := base; g <= gen; g++ {
-		keys = append(keys, imageKey(vcName, g, domain))
-	}
-	return keys
 }
 
 func (c *Coordinator) materialize(vc *VirtualCluster, images []*vm.Image, placement []*phys.Node, res *RestoreResult, done func(*RestoreResult)) {

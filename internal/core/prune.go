@@ -9,8 +9,7 @@ import (
 
 // Checkpoint-store hygiene: a periodically checkpointed long job writes a
 // new generation every interval; old generations are useless once newer
-// ones exist — except that incremental chains must stay intact back to
-// the newest kept generation's full base.
+// ones exist.
 
 // Generations lists the checkpoint generations stored for a VC, sorted.
 func (c *Coordinator) Generations(vcName string) []int {
@@ -36,10 +35,10 @@ func (c *Coordinator) Generations(vcName string) []int {
 	return gens
 }
 
-// PruneGenerations deletes stored generations beyond the newest `keep`,
-// preserving any older generations that kept incremental chains still
-// depend on. It returns the number of image objects deleted. Deletion is
-// a metadata operation on the store (no transfer time).
+// PruneGenerations deletes stored generations beyond the newest `keep`
+// and returns the number of image objects deleted. Every stored image is
+// self-contained, so nothing older than the kept generations is needed.
+// Deletion is a metadata operation on the store (no transfer time).
 func (c *Coordinator) PruneGenerations(vcName string, keep int) int {
 	if keep < 1 {
 		keep = 1
@@ -48,58 +47,17 @@ func (c *Coordinator) PruneGenerations(vcName string, keep int) int {
 	if len(gens) <= keep {
 		return 0
 	}
-	kept := gens[len(gens)-keep:]
-	oldestKept := kept[0]
-
-	// A kept incremental generation needs its chain: find, per domain,
-	// the full base at or below the oldest kept generation.
-	prefix := fmt.Sprintf("lsc/%s/", vcName)
-	needed := map[string]bool{}
-	domainSet := map[string]bool{}
-	for _, key := range c.mgr.store.Keys(prefix) {
-		rest := strings.TrimPrefix(key, prefix)
-		if _, domain, ok := strings.Cut(rest, "/"); ok {
-			domainSet[domain] = true
-		}
-	}
-	// Sorted domain order: pruning reads and deletes store objects, and
-	// those effects must replay identically run to run (dvclint: mapiter).
-	domains := make([]string, 0, len(domainSet))
-	for domain := range domainSet {
-		domains = append(domains, domain)
-	}
-	sort.Strings(domains)
-	for _, domain := range domains {
-		base := oldestKept
-		for base > 0 {
-			obj, ok := c.mgr.store.Stat(imageKey(vcName, base, domain))
-			if !ok || !obj.Image.Incremental || obj.Manifest != nil {
-				// Full images and self-contained delta epochs end the
-				// chain: nothing older is needed.
-				break
-			}
-			base--
-		}
-		for g := base; g <= oldestKept; g++ {
-			needed[imageKey(vcName, g, domain)] = true
-		}
-	}
-
+	// Keys come back sorted, so deletion order replays identically run
+	// to run (dvclint: mapiter).
 	deleted := 0
 	for _, g := range gens[:len(gens)-keep] {
-		for _, domain := range domains {
-			key := imageKey(vcName, g, domain)
-			if needed[key] || !c.mgr.store.Has(key) {
-				continue
-			}
+		for _, key := range c.mgr.store.Keys(imageKey(vcName, g, "")) {
 			c.mgr.store.Delete(key)
 			deleted++
 		}
 	}
-	if deleted > 0 {
-		// Deleting delta epochs only drops chunk references; reclaim the
-		// now-unreferenced chunks (no-op for full/incremental objects).
-		c.mgr.store.GC()
-	}
+	// Deleting delta epochs only drops chunk references; reclaim the
+	// now-unreferenced chunks (no-op for full images).
+	c.mgr.store.GC()
 	return deleted
 }

@@ -30,12 +30,10 @@ func takeGens(t *testing.T, tb *testbed, vc *VirtualCluster, n int) []*Checkpoin
 	return out
 }
 
-func newPruneBed(t *testing.T, incremental bool, fullEvery int) (*testbed, *VirtualCluster) {
+func newPruneBed(t *testing.T) (*testbed, *VirtualCluster) {
 	t.Helper()
 	cfg := DefaultNTPLSC()
 	cfg.ContinueAfterSave = true
-	cfg.Incremental = incremental
-	cfg.FullEvery = fullEvery
 	tb := newTestbed(t, 31, map[string]int{"alpha": 4}, cfg)
 	vc := tb.allocate(t, "pr", 2, guest.WatchdogConfig{})
 	vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(20000, 20*sim.Millisecond, 512) })
@@ -47,7 +45,7 @@ func newPruneBed(t *testing.T, incremental bool, fullEvery int) (*testbed, *Virt
 }
 
 func TestGenerationsListing(t *testing.T) {
-	tb, vc := newPruneBed(t, false, 0)
+	tb, vc := newPruneBed(t)
 	takeGens(t, tb, vc, 3)
 	gens := tb.co.Generations("pr")
 	if len(gens) != 3 || gens[0] != 0 || gens[2] != 2 {
@@ -59,7 +57,7 @@ func TestGenerationsListing(t *testing.T) {
 }
 
 func TestPruneKeepsNewestFullGenerations(t *testing.T) {
-	tb, vc := newPruneBed(t, false, 0)
+	tb, vc := newPruneBed(t)
 	takeGens(t, tb, vc, 4)
 	deleted := tb.co.PruneGenerations("pr", 2)
 	if deleted != 4 { // 2 old generations x 2 domains
@@ -85,45 +83,5 @@ func TestPruneKeepsNewestFullGenerations(t *testing.T) {
 	}
 	if !tb.runJob(t, vc, time60()).AllOK() {
 		t.Fatal("job failed after pruned restore")
-	}
-}
-
-func TestPrunePreservesIncrementalChain(t *testing.T) {
-	tb, vc := newPruneBed(t, true, 0) // gen 0 full, everything after incremental
-	takeGens(t, tb, vc, 4)
-	// Keeping only the newest (incremental) generation must preserve its
-	// whole chain back to the full base at gen 0 — nothing is deletable.
-	if deleted := tb.co.PruneGenerations("pr", 1); deleted != 0 {
-		t.Fatalf("prune broke a live chain: deleted %d", deleted)
-	}
-	if gens := tb.co.Generations("pr"); len(gens) != 4 {
-		t.Fatalf("chain shrunk: %v", gens)
-	}
-}
-
-func TestPruneWithConsolidationDropsOldChains(t *testing.T) {
-	tb, vc := newPruneBed(t, true, 2) // full at gens 0, 2; incremental at 1, 3
-	takeGens(t, tb, vc, 4)
-	// Keep the last two generations (2=full, 3=incremental): gens 0-1 go.
-	deleted := tb.co.PruneGenerations("pr", 2)
-	if deleted != 4 {
-		t.Fatalf("deleted %d, want 4", deleted)
-	}
-	gens := tb.co.Generations("pr")
-	if len(gens) != 2 || gens[0] != 2 {
-		t.Fatalf("kept %v", gens)
-	}
-	// Restore the kept incremental generation.
-	vc.PhysicalNodes()[1].Fail()
-	tb.k.RunFor(2 * sim.Second)
-	vc.Teardown()
-	var rr *RestoreResult
-	tb.co.RestoreVC(vc, 3, tb.site.UpNodes("alpha")[:2], func(r *RestoreResult) { rr = r })
-	tb.k.RunFor(5 * sim.Minute)
-	if rr == nil || !rr.OK {
-		t.Fatalf("restore after consolidated prune: %+v", rr)
-	}
-	if !tb.runJob(t, vc, time60()).AllOK() {
-		t.Fatal("job failed")
 	}
 }

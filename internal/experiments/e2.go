@@ -47,7 +47,7 @@ func runE2(opts Options) *Result {
 
 	// Bulk trials with continuous halo traffic, fanned across the fleet
 	// pool; aggregation walks the results in trial order, so the table —
-	// and with tracing on, the spliced JSONL — is byte-identical to the
+	// and with tracing on, the merged JSONL — is byte-identical to the
 	// serial loop at any Options.Parallel.
 	bulk := row{name: "halo-26", trials: volume}
 	for _, r := range forEachTrial(opts, volume, func(trial int, tr *obs.Tracer) lscTrialResult {

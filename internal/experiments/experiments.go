@@ -31,7 +31,7 @@ type Options struct {
 	// run (internal/obs). One tracer may span every trial of an
 	// experiment; virtual time restarts per trial and the exporters
 	// re-sort. Under parallel trial execution each trial records into a
-	// private child tracer and the children are spliced back in trial
+	// private child tracer and the children are merged back in trial
 	// order, so the trace bytes do not depend on Parallel. Experiments
 	// that do not support tracing ignore it.
 	Tracer *obs.Tracer
@@ -73,9 +73,9 @@ func (o Options) workers() int {
 // byte-identical output to a serial for-loop.
 //
 // Each invocation receives a private child tracer (nil when opts.Tracer
-// is nil); after all trials finish the children are spliced back into
-// opts.Tracer in trial order, preserving the byte-identical JSONL replay
-// contract under parallelism.
+// is nil); after all trials finish the children are merged back into
+// opts.Tracer one at a time in trial order, preserving the
+// byte-identical JSONL replay contract under parallelism.
 //
 // fn must be self-contained: build your own bed/kernel from the trial's
 // seed, trace only through tr, and return all measurements — never write
@@ -87,7 +87,9 @@ func forEachTrial[T any](opts Options, n int, fn func(trial int, tr *obs.Tracer)
 		children[i] = opts.Tracer.Child()
 		return fn(i, children[i])
 	})
-	opts.Tracer.Splice(children...)
+	for _, c := range children {
+		opts.Tracer.Merge(c)
+	}
 	return out
 }
 

@@ -11,7 +11,7 @@ import (
 // experiment writing through the streaming JSONL sink must externalize
 // byte-identical output to the memory-backed tracer, at any Parallel
 // value, while retaining no records — peak tracer memory is the sink's
-// fixed buffer plus the currently-splicing child, not the full trace.
+// fixed buffer plus the child being merged, not the full trace.
 
 // e2Streamed runs the scaled-down traced E2 with a streaming JSONL sink
 // (deliberately tiny buffer to force many mid-run flushes) and returns
@@ -74,7 +74,7 @@ func TestStreamingSinkMatchesMemorySink(t *testing.T) {
 }
 
 // TestStreamedRegistryMatchesMemory: the registry and series travel the
-// same splice path as records; streaming must not change them.
+// same merge path as records; streaming must not change them.
 func TestStreamedRegistryMatchesMemory(t *testing.T) {
 	const seed = 20070917
 	memTr := obs.NewTracer()

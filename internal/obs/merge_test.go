@@ -110,8 +110,7 @@ func TestMergeDeterministic(t *testing.T) {
 	}
 }
 
-// TestMergeNilSafety: nil parents and nil children are inert, matching
-// Splice.
+// TestMergeNilSafety: nil parents and nil children are inert.
 func TestMergeNilSafety(t *testing.T) {
 	var nilT *Tracer
 	nilT.Merge(NewTracer()) // must not panic

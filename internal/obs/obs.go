@@ -372,10 +372,10 @@ func (t *Tracer) counter(ts sim.Time, typ EventType, node, dom, name string, v f
 // parallel trial. A nil (disabled) parent returns a nil child, so
 // untraced runs stay untraced all the way down. Children are independent
 // single-threaded tracers; after the trial completes, hand them back to
-// the parent with Splice in trial order. Children buffer in memory by
-// design — splicing needs the whole trial in order — so the parent's
-// sink (streaming or otherwise) sees one trial at a time, in trial
-// order.
+// the parent with Merge, one child per call in trial order. Children
+// buffer in memory by design — merging needs the whole trial — so the
+// parent's sink (streaming or otherwise) sees one trial at a time, in
+// trial order.
 func (t *Tracer) Child() *Tracer {
 	if t == nil {
 		return nil
@@ -383,61 +383,23 @@ func (t *Tracer) Child() *Tracer {
 	return NewTracer()
 }
 
-// Splice appends each child's records to t in argument order, exactly as
-// if every event had been emitted directly on t: sequence numbers are
-// re-assigned densely in splice order and span references (Begin's
-// self-reference, End's back-reference) are remapped by the same offset,
-// so begin/end pairing — and therefore the exporters' byte output — is
-// preserved. Child registries merge in the same order: counters add,
-// gauges take the later child's value (last-write-wins, as a serial run
-// would), histograms append their observations. Child series rows append
-// in the same order.
-//
-// This is what keeps the JSONL replay contract byte-identical under
-// parallel trial execution: trials record into private children
-// concurrently, and the parent splices them back in trial-index order,
-// reproducing the emission order of the serial loop — and with a
-// streaming parent sink the records flow straight out, so the parent
-// never holds more than the sink's fixed buffer. Nil children (from a
-// disabled parent, or trials skipped by a panic) are ignored; calling
-// Splice on a nil tracer is a no-op. Children must be memory-backed
-// (Child guarantees this).
-func (t *Tracer) Splice(children ...*Tracer) {
-	if t == nil {
-		return
-	}
-	for _, c := range children {
-		if c == nil {
-			continue
-		}
-		if c.mem == nil {
-			panic("obs: Splice child is not memory-backed; children must come from Child()")
-		}
-		off := t.next
-		for i := range c.mem.recs {
-			r := c.mem.recs[i]
-			r.Seq += off
-			if r.Ph == PhaseBegin || r.Ph == PhaseEnd {
-				r.Span += off
-			}
-			t.write(&r)
-		}
-		t.next = off + uint64(len(c.mem.recs))
-		t.reg.merge(c.reg)
-		t.series.Merge(c.series)
-	}
-}
-
 // Merge interleaves the children's records into t ordered by
 // (virtual time, child index, child sequence) — the canonical ordering
 // of a partitioned run, where each child is one partition's private
-// tracer. Unlike Splice (which concatenates whole children), Merge
-// produces the single global schedule: records of different partitions
-// sort by timestamp, ties break on the stable partition index given by
-// argument order, and each partition's own emission order is preserved.
-// That triple is a pure function of the simulation, never of goroutine
-// arrival order, which is what keeps partitioned traces byte-identical
-// to each other at any worker count.
+// tracer. Merge produces the single global schedule: records of
+// different partitions sort by timestamp, ties break on the stable
+// partition index given by argument order, and each partition's own
+// emission order is preserved. That triple is a pure function of the
+// simulation, never of goroutine arrival order, which is what keeps
+// partitioned traces byte-identical to each other at any worker count.
+//
+// Merge of a single child appends that child whole, exactly as if every
+// event had been emitted directly on t. Parallel trials rely on this:
+// each trial records into a private child concurrently, and the parent
+// merges them back one child per call in trial-index order, reproducing
+// the emission order of the serial loop — and with a streaming parent
+// sink the records flow straight out, so the parent never holds more
+// than the sink's fixed buffer.
 //
 // Sequence numbers are re-assigned densely in merge order and span
 // references are remapped through a per-child table (a Begin's new seq
@@ -446,10 +408,10 @@ func (t *Tracer) Splice(children ...*Tracer) {
 // precedes its End in the merged stream because each child's timestamps
 // are non-decreasing — true of a partition tracer, whose records carry
 // its own kernel's monotone clock. Child registries and series merge in
-// argument order, exactly as Splice merges them: counters add, gauges
-// last-write-wins in partition order, histograms append, series rows
-// append. Nil children are ignored; Merge on a nil tracer is a no-op.
-// Children must be memory-backed (Child guarantees this).
+// argument order: counters add, gauges last-write-wins in argument order
+// (as a serial run would), histograms append, series rows append. Nil
+// children (from a disabled parent) are ignored; Merge on a nil tracer
+// is a no-op. Children must be memory-backed (Child guarantees this).
 func (t *Tracer) Merge(children ...*Tracer) {
 	if t == nil {
 		return

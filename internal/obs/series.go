@@ -80,7 +80,7 @@ func (s *Series) Sample(ts sim.Time, r *Registry) {
 }
 
 // Merge appends another series' rows to this one in their recorded
-// order, remapping columns by name — the series half of Tracer.Splice.
+// order, remapping columns by name — the series half of Tracer.Merge.
 // Nil receivers and children are inert.
 func (s *Series) Merge(c *Series) {
 	if s == nil || c == nil {

@@ -287,13 +287,14 @@ func TestSpliceIntoStreamingParent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Streaming parent; two children spliced in order.
+	// Streaming parent; two children merged one at a time, in order.
 	var got bytes.Buffer
 	parent := NewTracerWithSink(NewJSONLSink(&got, 128))
 	c1, c2 := parent.Child(), parent.Child()
 	emitFixture(c1)
 	emitFixture(c2)
-	parent.Splice(c1, c2)
+	parent.Merge(c1)
+	parent.Merge(c2)
 	if err := parent.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -310,10 +311,10 @@ func TestSpliceRejectsStreamingChild(t *testing.T) {
 	bad := NewTracerWithSink(NewJSONLSink(&bytes.Buffer{}, 0))
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Splice accepted a non-memory child")
+			t.Fatal("Merge accepted a non-memory child")
 		}
 	}()
-	parent.Splice(bad)
+	parent.Merge(bad)
 }
 
 func TestDecodeJSONLStreams(t *testing.T) {

@@ -25,8 +25,9 @@ func emitTrial(tr *Tracer, trial int) {
 }
 
 // TestSpliceMatchesSerialEmission: recording N trials into per-trial
-// child tracers and splicing them back in trial order must produce the
-// exact bytes (JSONL) and registry snapshot of recording the same trials
+// child tracers and merging them back one child per call in trial order
+// (the splice forEachTrial performs) must produce the exact bytes
+// (JSONL) and registry snapshot of recording the same trials
 // sequentially into one tracer — the property that keeps parallel trial
 // execution byte-identical to the serial loop.
 func TestSpliceMatchesSerialEmission(t *testing.T) {
@@ -43,7 +44,9 @@ func TestSpliceMatchesSerialEmission(t *testing.T) {
 		children[i] = parent.Child()
 		emitTrial(children[i], i)
 	}
-	parent.Splice(children...)
+	for _, c := range children {
+		parent.Merge(c)
+	}
 
 	var a, b bytes.Buffer
 	if err := serial.WriteJSONL(&a); err != nil {
@@ -95,25 +98,28 @@ func TestSpliceNilSafety(t *testing.T) {
 	if nilT.Child() != nil {
 		t.Fatal("nil.Child() must be nil")
 	}
-	nilT.Splice(NewTracer()) // must not panic
+	nilT.Merge(NewTracer()) // must not panic
 
 	parent := NewTracer()
 	c := parent.Child()
 	emitTrial(c, 0)
-	parent.Splice(nil, c, nil) // nil children skipped
+	for _, child := range []*Tracer{nil, c, nil} {
+		parent.Merge(child) // nil children skipped
+	}
 	if parent.Len() != c.Len() {
 		t.Fatalf("splice with nil children recorded %d, want %d", parent.Len(), c.Len())
 	}
 }
 
 // TestSpliceInterleavedWithDirectEmission: records emitted directly on
-// the parent before and after a splice keep a single dense seq space.
+// the parent before and after a single-child merge keep a single dense
+// seq space.
 func TestSpliceInterleavedWithDirectEmission(t *testing.T) {
 	parent := NewTracer()
 	parent.Emit(0, EvVMBoot, "n0", "vm0", "boot")
 	c := parent.Child()
 	emitTrial(c, 1)
-	parent.Splice(c)
+	parent.Merge(c)
 	parent.Emit(sim.Hour, EvVMDestroy, "n0", "vm0", "destroy")
 	for i, r := range parent.Records() {
 		if r.Seq != uint64(i) {

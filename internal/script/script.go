@@ -169,7 +169,7 @@ func (in *Interpreter) cmdCluster(args []string) error {
 
 func (in *Interpreter) cmdLSC(args []string) error {
 	if len(args) < 1 {
-		return in.errf("usage: lsc ntp|naive [continue] [incremental]")
+		return in.errf("usage: lsc ntp|naive [continue]")
 	}
 	var cfg dvc.LSCConfig
 	switch args[0] {
@@ -184,8 +184,6 @@ func (in *Interpreter) cmdLSC(args []string) error {
 		switch opt {
 		case "continue":
 			cfg.ContinueAfterSave = true
-		case "incremental":
-			cfg.Incremental = true
 		default:
 			return in.errf("unknown LSC option %q", opt)
 		}

@@ -27,7 +27,6 @@ func deltaImg(name string, lineage uint64, versions []uint32, parts ...[]byte) *
 		RAMBytes:     pt.RAM,
 		Data:         data,
 		Checksum:     crc32.ChecksumIEEE(data.Flatten()),
-		Incremental:  true,
 		PayloadBytes: 1,
 		Pages:        pt,
 	}

@@ -49,9 +49,7 @@ type Object struct {
 	StoredAt sim.Time
 
 	// Manifest is non-nil for delta objects (WriteDelta): the modelled
-	// chunk references this object holds in the shared pool. A non-nil
-	// manifest means the object is self-contained — restore needs no
-	// prior generation.
+	// chunk references this object holds in the shared pool.
 	Manifest []payload.ChunkRef
 	// blobs are the functional rope chunks, in order, for reassembly.
 	blobs []payload.ChunkID

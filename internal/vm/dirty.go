@@ -4,7 +4,7 @@ import (
 	"dvc/internal/sim"
 )
 
-// Dirty-page modelling: live migration and incremental checkpointing both
+// Dirty-page modelling: live migration and delta checkpointing both
 // depend on how fast a guest rewrites its memory. The model is the
 // standard one from the live-migration literature: a guest dirties pages
 // at a writable-working-set rate while it runs, saturating at its RAM
@@ -54,10 +54,11 @@ func (d *Domain) DirtyBytesSince(mark sim.Time) int64 {
 	return dirty
 }
 
-// MarkClean records the current active time as the last full-capture
-// mark and returns it (incremental checkpointing calls this after each
-// successful capture). The interval's dirt is folded into the page
-// table first, so chunk versions stay in step with the byte model.
+// MarkClean records the current active time as the last capture mark
+// and returns it (checkpointing calls this after each successful
+// capture, live migration at each pre-copy round). The interval's
+// dirt is folded into the page table first, so chunk versions stay in
+// step with the byte model.
 func (d *Domain) MarkClean() sim.Time {
 	d.ensurePages().advance(d.DirtyBytesSince(d.cleanMark))
 	d.cleanMark = d.activeTime()
@@ -68,29 +69,13 @@ func (d *Domain) MarkClean() sim.Time {
 // never captured).
 func (d *Domain) CleanMark() sim.Time { return d.cleanMark }
 
-// CaptureIncrementalImage captures a paused domain as an incremental
-// image against the last MarkClean: the functional payload is complete
-// (restores never need to replay a chain functionally), but the modelled
-// transfer size is only the dirty pages plus page-table metadata.
-func (d *Domain) CaptureIncrementalImage() (*Image, error) {
-	img, err := d.CaptureImage()
-	if err != nil {
-		return nil, err
-	}
-	dirty := d.DirtyBytesSince(d.cleanMark)
-	meta := d.ram / 512 // one 8-byte entry per 4 KiB page
-	img.Incremental = true
-	img.PayloadBytes = dirty + meta
-	return img, nil
-}
-
 // CaptureDeltaImage captures a paused domain as a self-contained
 // content-addressed delta epoch. The functional payload is the complete
-// image (a restore needs exactly this one image, no chain), and
+// image (a restore needs exactly this one image), and
 // Image.Pages carries the chunk-identity manifest of all of RAM — the
 // storage layer transfers only the chunks it has not seen, so the
 // modelled wire cost of the epoch is the dirtied chunks plus manifest
-// metadata. Unlike CaptureIncrementalImage, the capture itself folds
+// metadata (one 8-byte entry per 4 KiB page). The capture itself folds
 // the interval's dirt into the page table and re-marks: the table in
 // the image must describe the captured state exactly, or the store
 // would dedup chunks that in fact changed. A MarkClean immediately
@@ -104,7 +89,6 @@ func (d *Domain) CaptureDeltaImage() (*Image, error) {
 	pt := d.ensurePages()
 	pt.advance(dirty)
 	d.cleanMark = d.activeTime()
-	img.Incremental = true
 	img.PayloadBytes = dirty + d.ram/512
 	img.Pages = pt.Clone()
 	return img, nil

@@ -108,15 +108,13 @@ type Image struct {
 	// image must fail loudly, not resurrect a damaged guest.
 	Checksum uint32
 
-	// Incremental images carry only the pages dirtied since the last
-	// capture; PayloadBytes is their modelled transfer size.
-	Incremental  bool
-	PayloadBytes int64
-
 	// Pages is the modelled chunk-identity table at capture time, set by
 	// CaptureDeltaImage. It is what storage.WriteDelta dedups on, and it
 	// rides in the image so a restored domain keeps its chunk lineage.
-	Pages *PageTable
+	// PayloadBytes is a delta image's modelled size: the pages dirtied
+	// since the last capture plus page-table metadata.
+	Pages        *PageTable
+	PayloadBytes int64
 }
 
 // imageChecksum computes the IEEE CRC-32 of a rope without flattening
@@ -159,10 +157,10 @@ func (img *Image) Verify() error {
 
 // SizeBytes returns the modelled on-disk image size. A full whole-VM
 // checkpoint writes every page of guest RAM — this is the overhead the
-// paper concedes to VM-level checkpointing (§2); incremental images
-// write only dirty pages.
+// paper concedes to VM-level checkpointing (§2); delta images write
+// only dirty pages.
 func (img *Image) SizeBytes() int64 {
-	if img.Incremental {
+	if img.Pages != nil {
 		return img.PayloadBytes
 	}
 	return img.RAMBytes
