@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -20,10 +17,8 @@ import (
 // dispatched, with the full stack — TCP, netsim, guest scheduling, VM
 // lifecycle, storage transfers — generating the events. This is the
 // number the slab kernel exists to improve; BenchmarkKernelChurn isolates
-// the event path, this keeps it in context.
-//
-// With DVC_BENCH_JSON=<path> the result is appended to the BENCH_kernel
-// JSON artifact. Run alone (it is deliberately heavy):
+// the event path, this keeps it in context. Run alone (it is
+// deliberately heavy):
 //
 //	go test -run '^$' -bench BenchmarkE2EventRate -benchtime 1x ./internal/experiments
 func BenchmarkE2EventRate(b *testing.B) {
@@ -54,25 +49,4 @@ func BenchmarkE2EventRate(b *testing.B) {
 	eventsPerSec := float64(totalEvents) / totalWall.Seconds()
 	b.ReportMetric(nsPerEvent, "ns/event")
 	b.ReportMetric(eventsPerSec/1e6, "Mevents/s")
-
-	if path := os.Getenv("DVC_BENCH_JSON"); path != "" {
-		doc := struct {
-			Benchmark   string  `json:"benchmark"`
-			N           int     `json:"n"`
-			Events      uint64  `json:"events"`
-			NsPerEvent  float64 `json:"ns_per_event"`
-			EventsPerS  float64 `json:"events_per_s"`
-			WallSeconds float64 `json:"wall_s"`
-		}{"BenchmarkE2EventRate", b.N, totalEvents, nsPerEvent, eventsPerSec, totalWall.Seconds()}
-		data, err := json.Marshal(doc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer f.Close()
-		fmt.Fprintf(f, "%s\n", data)
-	}
 }

@@ -56,6 +56,8 @@ func TestOutputGoesToWriter(t *testing.T) {
 func TestE3ConsistentCut(t *testing.T)   { expectOK(t, "E3", 0) }
 func TestE5CheckpointCosts(t *testing.T) { expectOK(t, "E5", 0) }
 func TestE12Infiniband(t *testing.T)     { expectOK(t, "E12", 0) }
+func TestSCALESubstrate(t *testing.T)    { expectOK(t, "SCALE", 0) }
+func TestPSCALEPartitioned(t *testing.T) { expectOK(t, "PSCALE", 0) }
 
 func TestE1NaiveScaling(t *testing.T) {
 	if testing.Short() {
@@ -208,6 +210,11 @@ var goldenDigests = map[string]string{
 	"E15": "ddeaa8bd7f451e1e7f42ef2b9d12797f534734ebdd1eb30416d05d4ce3e40f67",
 	"A1":  "9bdcc1132b3a335ea2d1ae43a6b681128771692480ae834b1251a33c49f5b108",
 	"A2":  "bba4419c0f63839fcb271f9fc9c47c65070d5be8c83f33ef742ff83bb0c77621",
+	// SCALE and PSCALE at their default shapes (26 and 260 nodes; 260
+	// nodes in 2 datacenters). Their tables hold simulated quantities
+	// only, never wall clock.
+	"SCALE":  "6549f3a6a27006958d68b1cc0ecb9c663c66bbda8904d35a38f0a9a16029701a",
+	"PSCALE": "4db038c6475df0fc4643ef84f74d39be310a759a3f4b027c8baaefff1a79932a",
 }
 
 func TestDeterministicResults(t *testing.T) {

@@ -100,10 +100,28 @@ func lscEventDigest(t *testing.T, seed int64) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// firstReplay is the digest of the first run of a replay pair at
+// refSeed, memoized so TestSeedReplayDigestsMatchPinnedBaseline checks
+// the pinned values against that run instead of making a third. kind is
+// "metrics", "trace" or "event".
+func firstReplay(t *testing.T, kind string) string {
+	return cached("replay/"+kind, func() string {
+		switch kind {
+		case "metrics":
+			return e2MetricsDigest(t, refSeed)
+		case "trace":
+			d, _ := e2TraceDigest(t, refSeed)
+			return d
+		default:
+			return lscEventDigest(t, refSeed)
+		}
+	})
+}
+
 // TestSeedReplayMetricsDigest: same seed, twice, byte-identical metrics.
 func TestSeedReplayMetricsDigest(t *testing.T) {
-	const seed = 20070917 // CLUSTER 2007
-	first := e2MetricsDigest(t, seed)
+	const seed = refSeed
+	first := firstReplay(t, "metrics")
 	second := e2MetricsDigest(t, seed)
 	if first != second {
 		t.Fatalf("E2 serialized metrics diverged between two runs with seed %d:\n  run 1: %s\n  run 2: %s",
@@ -136,9 +154,9 @@ func e2TraceDigest(t *testing.T, seed int64) (string, []byte) {
 // must diverge, proving the trace observes the run rather than a
 // constant schedule.
 func TestSeedReplayTraceDigest(t *testing.T) {
-	const seed = 20070917
-	first, raw := e2TraceDigest(t, seed)
-	second, _ := e2TraceDigest(t, seed)
+	const seed = refSeed
+	first := firstReplay(t, "trace")
+	second, raw := e2TraceDigest(t, seed)
 	if first != second {
 		t.Fatalf("JSONL trace diverged between two runs with seed %d:\n  run 1: %s\n  run 2: %s",
 			seed, first, second)
@@ -172,8 +190,8 @@ func TestSeedReplayTraceDigest(t *testing.T) {
 // event digests; a different seed must (overwhelmingly) diverge, proving
 // the digest actually observes the run.
 func TestSeedReplayEventDigest(t *testing.T) {
-	const seed = 20070917
-	first := lscEventDigest(t, seed)
+	const seed = refSeed
+	first := firstReplay(t, "event")
 	second := lscEventDigest(t, seed)
 	if first != second {
 		t.Fatalf("event digest diverged between two runs with seed %d:\n  run 1: %s\n  run 2: %s",
@@ -206,14 +224,13 @@ const (
 // self-consistent across two runs — they equal the recorded pre-rewrite
 // baseline, proving the data-plane rewrite is behaviour-preserving.
 func TestSeedReplayDigestsMatchPinnedBaseline(t *testing.T) {
-	const seed = 20070917
-	if got := e2MetricsDigest(t, seed); got != pinnedE2MetricsDigest {
+	if got := firstReplay(t, "metrics"); got != pinnedE2MetricsDigest {
 		t.Errorf("E2 metrics digest moved off the pinned baseline:\n  got  %s\n  want %s", got, pinnedE2MetricsDigest)
 	}
-	if got, _ := e2TraceDigest(t, seed); got != pinnedE2TraceDigest {
+	if got := firstReplay(t, "trace"); got != pinnedE2TraceDigest {
 		t.Errorf("E2 JSONL trace digest moved off the pinned baseline:\n  got  %s\n  want %s", got, pinnedE2TraceDigest)
 	}
-	if got := lscEventDigest(t, seed); got != pinnedLSCEventDigest {
+	if got := firstReplay(t, "event"); got != pinnedLSCEventDigest {
 		t.Errorf("LSC event digest moved off the pinned baseline:\n  got  %s\n  want %s", got, pinnedLSCEventDigest)
 	}
 }

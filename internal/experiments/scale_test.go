@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -107,12 +105,9 @@ func substrateBytesPerNode(spec ScaleSpec) float64 {
 // BenchmarkScale is the E2-shaped workload on the generated 26/260/2600
 // node topologies: wall-clock ns per kernel event (must stay flat-ish as
 // the substrate grows 100x) and resident bytes per node. The 2x flatness
-// gate runs inside the benchmark, so the CI scale-bench step fails if
-// idle substrate leaks into the event path; dvcbench gates bytes_per_node
-// across commits.
-//
-// With DVC_BENCH_JSON=<path> each shape appends one record to the
-// BENCH_scale artifact:
+// gate runs inside the benchmark, so a CI run at -benchtime 1x fails if
+// idle substrate leaks into the event path; TestSubstrateBytesPerNode
+// gates bytes per node. Run:
 //
 //	go test -run '^$' -bench BenchmarkScale -benchtime 1x ./internal/experiments
 func BenchmarkScale(b *testing.B) {
@@ -141,32 +136,35 @@ func BenchmarkScale(b *testing.B) {
 			nsPerEvent[spec.Nodes()] = ns
 			b.ReportMetric(ns, "ns/event")
 			b.ReportMetric(bytesPerNode, "bytes/node")
-
-			if path := os.Getenv("DVC_BENCH_JSON"); path != "" {
-				doc := struct {
-					Benchmark    string  `json:"benchmark"`
-					N            int     `json:"n"`
-					Events       uint64  `json:"events"`
-					NsPerEvent   float64 `json:"ns_per_event"`
-					BytesPerNode float64 `json:"bytes_per_node"`
-					WallSeconds  float64 `json:"wall_s"`
-				}{fmt.Sprintf("BenchmarkScale/n%d", spec.Nodes()), spec.Nodes(), totalEvents, ns, bytesPerNode, totalWall.Seconds()}
-				data, err := json.Marshal(doc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-				if err != nil {
-					b.Fatal(err)
-				}
-				fmt.Fprintf(f, "%s\n", data)
-				f.Close()
-			}
 		})
 	}
 	// The acceptance gate: a 100x bigger idle substrate may not slow the
 	// fixed-size workload's event dispatch more than 2x.
 	if base, big := nsPerEvent[26], nsPerEvent[2600]; base > 0 && big > 2*base {
 		b.Fatalf("ns/event not flat: %.0f at 26 nodes vs %.0f at 2600 (>2x)", base, big)
+	}
+}
+
+// maxSubstrateBytesPerNode bounds substrateBytesPerNode per scale shape:
+// the figures recorded when the delta-checkpoint chunk pool landed
+// (807/583/529 B), plus 15%, rounded down.
+var maxSubstrateBytesPerNode = map[int]float64{26: 928, 260: 670, 2600: 607}
+
+// TestSubstrateBytesPerNode is the resident-memory gate for the generated
+// substrate: a per-node field or index that grows every host trips it
+// long before it shows in wall clock.
+func TestSubstrateBytesPerNode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates heap figures")
+	}
+	// Warm up once so lazy initialisation is not billed to the first
+	// shape.
+	substrateBytesPerNode(scaleShapes[0])
+	for _, spec := range scaleShapes {
+		got, limit := substrateBytesPerNode(spec), maxSubstrateBytesPerNode[spec.Nodes()]
+		t.Logf("%s: %.0f bytes/node (gate %.0f)", spec, got, limit)
+		if got > limit {
+			t.Errorf("%s substrate holds %.0f bytes/node, gate is %.0f", spec, got, limit)
+		}
 	}
 }

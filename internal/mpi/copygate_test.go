@@ -21,9 +21,10 @@ import (
 // The pre-rewrite path measured ~6.6 alloc_B/payload_B for bulk
 // transfers and ~10.8 for small messages (extra copies in mpi framing,
 // the tcp send queue, the receive queue, and per-segment data copies).
-// The gates sit at half those figures so any reintroduced full-payload
-// copy (+1.0) trips them with margin, while leaving headroom over the
-// measured post-rewrite values (~2.1 bulk, ~3.5 small).
+// The gates sit 15% above the post-rewrite figures (2.05 bulk, 3.50
+// small), rounded down to two decimals, so any reintroduced full-payload
+// copy (+1.0) trips them. The allocation-free guest pump has since
+// brought the measured values to ~2.0 and ~3.1.
 func TestSendRecvCopyCount(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
@@ -33,8 +34,8 @@ func TestSendRecvCopyCount(t *testing.T) {
 		rounds, msgBytes int
 		maxAllocPerByte  float64
 	}{
-		{"bulk256KB", 64, 256 << 10, 3.2},
-		{"small4KB", 2048, 4 << 10, 5.3},
+		{"bulk256KB", 64, 256 << 10, 2.35},
+		{"small4KB", 2048, 4 << 10, 4.02},
 	}
 	// Warm up once so lazy initialisation (gob type registry, fabric
 	// tables) is not billed to the measured run.

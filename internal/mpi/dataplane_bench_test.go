@@ -2,9 +2,7 @@ package mpi
 
 import (
 	"encoding/gob"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -76,9 +74,7 @@ func runStream(tb testing.TB, rounds, msgBytes int) uint64 {
 // bytes the Go runtime allocates per payload byte moved. The application
 // buffer itself costs 1 B/B by construction (the sender materialises each
 // message), so the data plane's own tax is alloc_B_per_payload_B - 1.
-//
-// With DVC_BENCH_JSON=<path> each sub-benchmark appends a JSON line to
-// the BENCH_dataplane artifact. Run:
+// TestSendRecvCopyCount gates the allocation ratio. Run:
 //
 //	go test -run '^$' -bench BenchmarkDataPlaneThroughput -benchmem ./internal/mpi
 func BenchmarkDataPlaneThroughput(b *testing.B) {
@@ -109,34 +105,6 @@ func BenchmarkDataPlaneThroughput(b *testing.B) {
 			mbps := float64(payload) / 1e6 / wall.Seconds()
 			b.ReportMetric(allocPerByte, "alloc_B/payload_B")
 			b.ReportMetric(mbps, "payload_MB/s")
-			writeDataplaneJSON(b, "BenchmarkDataPlaneThroughput/"+bc.name, payload, allocated, allocPerByte, mbps)
 		})
 	}
-}
-
-// writeDataplaneJSON appends one benchmark record to the DVC_BENCH_JSON
-// artifact (same convention as BENCH_kernel.json / BENCH_fleet.json).
-func writeDataplaneJSON(b *testing.B, name string, payload, allocated uint64, allocPerByte, mbps float64) {
-	path := os.Getenv("DVC_BENCH_JSON")
-	if path == "" {
-		return
-	}
-	doc := struct {
-		Benchmark    string  `json:"benchmark"`
-		N            int     `json:"n"`
-		PayloadBytes uint64  `json:"payload_bytes"`
-		AllocBytes   uint64  `json:"alloc_bytes"`
-		AllocPerByte float64 `json:"alloc_b_per_payload_b"`
-		PayloadMBps  float64 `json:"payload_mb_per_s"`
-	}{name, b.N, payload, allocated, allocPerByte, mbps}
-	data, err := json.Marshal(doc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "%s\n", data)
 }

@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
-	"os"
 	"testing"
 	"time"
 )
@@ -26,15 +23,13 @@ func BenchmarkTracerDisabled(b *testing.B) {
 }
 
 // BenchmarkTracerEnabled measures the enabled path into the memory sink:
-// one instant with one attribute per op. With DVC_BENCH_JSON set the
-// ns/record and allocs/record land in the BENCH_obs artifact.
+// one instant with one attribute per op.
 func BenchmarkTracerEnabled(b *testing.B) {
 	tr := NewTracer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Emit(1, EvTCPRetransmit, "n0", "d0", "rexmit", Str("conn", "c0"))
 	}
-	reportObsBenchJSON(b, "TracerEnabled")
 }
 
 // BenchmarkTracerEnabledSpan measures a Begin/End pair on the enabled
@@ -46,7 +41,6 @@ func BenchmarkTracerEnabledSpan(b *testing.B) {
 		id := tr.Begin(1, EvLSCEpoch, "", "t", "epoch")
 		tr.End(2, id)
 	}
-	reportObsBenchJSON(b, "TracerEnabledSpan")
 }
 
 // BenchmarkTracerStreaming measures the full streaming pipeline: emit →
@@ -61,7 +55,6 @@ func BenchmarkTracerStreaming(b *testing.B) {
 	if err := tr.Flush(); err != nil {
 		b.Fatal(err)
 	}
-	reportObsBenchJSON(b, "TracerStreaming")
 }
 
 // TestTracerDisabledZeroAlloc pins the nil-path allocation count so a
@@ -133,28 +126,4 @@ func TestTracerMemoryBounded(t *testing.T) {
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// reportObsBenchJSON appends one benchmark record to the DVC_BENCH_JSON
-// artifact (BENCH_obs.json in CI): ns and heap bytes per record.
-func reportObsBenchJSON(b *testing.B, name string) {
-	path := os.Getenv("DVC_BENCH_JSON")
-	if path == "" {
-		return
-	}
-	doc := struct {
-		Benchmark string  `json:"benchmark"`
-		N         int     `json:"n"`
-		NsPerOp   float64 `json:"ns_per_op"`
-	}{name, b.N, float64(b.Elapsed().Nanoseconds()) / float64(b.N)}
-	data, err := json.Marshal(doc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "%s\n", data)
 }

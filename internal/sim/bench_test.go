@@ -1,21 +1,12 @@
 package sim
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // BenchmarkKernelChurn measures the kernel's raw event path: schedule an
 // event, let it fire, schedule the next — the shape of every hot loop in
 // the simulator (TCP transmissions, scheduler pumps, netsim deliveries).
 // A quarter of the scheduled events are cancelled before firing to
 // exercise the dead-entry path. The per-op unit is one scheduled event.
-//
-// With DVC_BENCH_JSON=<path> the result is appended to the BENCH_kernel
-// JSON artifact (see reportBenchJSON).
 func BenchmarkKernelChurn(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel(1)
@@ -27,7 +18,6 @@ func BenchmarkKernelChurn(b *testing.B) {
 		k.After(Time(i), fn)
 	}
 	k.Run()
-	allocs := startAllocCount()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h := k.After(Time(i%64), fn)
@@ -43,7 +33,6 @@ func BenchmarkKernelChurn(b *testing.B) {
 	if fired == 0 {
 		b.Fatal("no events fired")
 	}
-	reportBenchJSON(b, "BenchmarkKernelChurn", allocs.perOp(b.N))
 }
 
 // BenchmarkTimerRearm measures the rearm-in-place fast path: one pinned
@@ -62,7 +51,6 @@ func BenchmarkTimerRearm(b *testing.B) {
 		k.After(Time(i+1), fn)
 	}
 	tm.Reset(32)
-	allocs := startAllocCount()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tm.Reset(Time(i%64 + 1))
@@ -70,8 +58,6 @@ func BenchmarkTimerRearm(b *testing.B) {
 			k.Step()
 		}
 	}
-	b.StopTimer()
-	reportBenchJSON(b, "BenchmarkTimerRearm", allocs.perOp(b.N))
 }
 
 // TestKernelChurnZeroAllocs is the CI allocation gate: the steady-state
@@ -112,47 +98,4 @@ func TestKernelChurnZeroAllocs(t *testing.T) {
 	if avg > 0 {
 		t.Fatalf("timer rearm allocates %.2f allocs/op, want 0", avg)
 	}
-}
-
-// allocCount snapshots the allocator so benchmarks can report allocs/op
-// into the JSON artifact (testing only prints them with -benchmem; the
-// artifact needs them machine-readable).
-type allocCount struct{ start uint64 }
-
-func startAllocCount() allocCount {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return allocCount{start: m.Mallocs}
-}
-
-func (a allocCount) perOp(n int) float64 {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return float64(m.Mallocs-a.start) / float64(n)
-}
-
-// reportBenchJSON appends this benchmark's ns/op and allocs/op into the
-// shared JSON artifact named by DVC_BENCH_JSON. Each benchmark writes one
-// JSON object per line; the CI step assembles BENCH_kernel.json from them.
-func reportBenchJSON(b *testing.B, name string, allocsPerOp float64) {
-	path := os.Getenv("DVC_BENCH_JSON")
-	if path == "" {
-		return
-	}
-	doc := struct {
-		Benchmark   string  `json:"benchmark"`
-		N           int     `json:"n"`
-		NsPerOp     float64 `json:"ns_per_op"`
-		AllocsPerOp float64 `json:"allocs_per_op"`
-	}{name, b.N, float64(b.Elapsed().Nanoseconds()) / float64(b.N), allocsPerOp}
-	data, err := json.Marshal(doc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "%s\n", data)
 }

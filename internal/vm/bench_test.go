@@ -2,9 +2,7 @@ package vm
 
 import (
 	"encoding/gob"
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 
 	"dvc/internal/clock"
@@ -68,56 +66,59 @@ func benchCluster(tb testing.TB, doms, stateBytes int) []*Domain {
 	return out
 }
 
+// The LSC save-set shape: eight domains, each holding 1 MiB of guest
+// state.
+const (
+	saveSetDomains    = 8
+	saveSetStateBytes = 1 << 20
+)
+
+// captureSaveSet captures an image of every domain in set and returns the
+// functional image bytes of the whole save set.
+func captureSaveSet(tb testing.TB, set []*Domain) int64 {
+	var total int64
+	for _, d := range set {
+		img, err := d.CaptureImage()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		total += int64(img.Data.Len())
+	}
+	return total
+}
+
 // BenchmarkLSCSaveSet measures one coordinated LSC save set: capture an
 // image of every paused domain in the virtual cluster, exactly as the
 // Coordinator's save phase does once per epoch. The interesting numbers
 // are B/op and allocs/op per epoch: the pre-rewrite capture path encoded
 // each guest into a scratch buffer and then took an exact-size defensive
 // copy of the whole image, so every epoch allocated (and memmoved) every
-// image twice.
-//
-// With DVC_BENCH_JSON=<path> the result is appended to the
-// BENCH_dataplane artifact. Run:
+// image twice. TestLSCSaveSetImageBytes gates the image bytes. Run:
 //
 //	go test -run '^$' -bench BenchmarkLSCSaveSet -benchmem ./internal/vm
 func BenchmarkLSCSaveSet(b *testing.B) {
-	const doms = 8
-	const stateBytes = 1 << 20
-	set := benchCluster(b, doms, stateBytes)
+	set := benchCluster(b, saveSetDomains, saveSetStateBytes)
 	var imageBytes int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		imageBytes = 0
-		for _, d := range set {
-			img, err := d.CaptureImage()
-			if err != nil {
-				b.Fatal(err)
-			}
-			imageBytes += imageLen(img)
-		}
+		imageBytes = captureSaveSet(b, set)
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(imageBytes)/float64(doms), "imgB/domain")
-
-	if path := os.Getenv("DVC_BENCH_JSON"); path != "" {
-		doc := struct {
-			Benchmark  string `json:"benchmark"`
-			N          int    `json:"n"`
-			Domains    int    `json:"domains"`
-			ImageBytes int64  `json:"image_bytes_per_epoch"`
-		}{"BenchmarkLSCSaveSet", b.N, doms, imageBytes}
-		data, err := json.Marshal(doc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer f.Close()
-		fmt.Fprintf(f, "%s\n", data)
-	}
+	b.ReportMetric(float64(imageBytes)/saveSetDomains, "imgB/domain")
 }
 
-// imageLen reports the functional image payload length.
-func imageLen(img *Image) int64 { return int64(img.Data.Len()) }
+// maxSaveSetImageBytes bounds one save set's image bytes: the 8401808 B
+// recorded when delta checkpoints landed, plus 15%, rounded down. It is a bound, not a pin: gob numbers wire types from a
+// process-global counter in first-encode order, so the encoded length
+// moves with whatever the test binary happened to encode first.
+const maxSaveSetImageBytes = 9662079
+
+// TestLSCSaveSetImageBytes is the image-size gate for one LSC save set
+// of BenchmarkLSCSaveSet's shape.
+func TestLSCSaveSetImageBytes(t *testing.T) {
+	got := captureSaveSet(t, benchCluster(t, saveSetDomains, saveSetStateBytes))
+	t.Logf("save set of %d domains: %d image bytes (gate %d)", saveSetDomains, got, maxSaveSetImageBytes)
+	if got > maxSaveSetImageBytes {
+		t.Fatalf("one save set captured %d image bytes, gate is %d", got, maxSaveSetImageBytes)
+	}
+}
