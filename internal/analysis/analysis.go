@@ -7,7 +7,7 @@
 // host clock, explicit *rand.Rand plumbing instead of the global source,
 // sorted map iteration wherever order can leak into event scheduling or
 // output, no hidden concurrency inside the deterministic core, and
-// gob-safe checkpoint state. This package turns each convention into a
+// codec-safe checkpoint state. This package turns each convention into a
 // static analyzer:
 //
 //	nowallclock   - no time.Now/Sleep/After/... inside simulation packages
@@ -16,7 +16,7 @@
 //	noconcurrency - no goroutines/channels/sync in the deterministic core
 //	gobsafe       - no silently-dropped or unencodable checkpoint fields
 //	snapshotstate - whole-graph reachability from //dvc:checkpoint-root
-//	                types and gob.Register payloads; also generates the
+//	                types and imgcodec.Register payloads; also generates the
 //	                committed STATE_MANIFEST.txt golden file
 //	noalloc       - no allocating constructs in //dvc:hotpath functions
 //	fleetscope    - fleet worker closures must not capture kernel state

@@ -18,8 +18,8 @@ const (
 
 	// CheckpointRootDirective marks a type as a checkpoint root: the
 	// snapshotstate analyzer computes the full reachability closure of
-	// its field graph and holds every reachable field to the gob
-	// round-trip rules, and the driver emits the closure as
+	// its field graph and holds every reachable field to the image
+	// codec's round-trip rules, and dvclint emits the closure as
 	// STATE_MANIFEST.txt:
 	//
 	//	//dvc:checkpoint-root

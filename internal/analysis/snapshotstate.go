@@ -10,41 +10,39 @@ import (
 )
 
 // SnapshotState is the whole-type-graph checkpoint analyzer. Where
-// gobsafe vets the static type at each encoding/gob call site,
-// snapshotstate starts from the *declared* checkpoint roots — types
-// marked with a //dvc:checkpoint-root directive (guest.Snapshot,
-// tcp.StackSnapshot, vm.Image, ...) plus every type registered with
-// gob.Register (the concrete payloads that travel behind interface
-// fields) — and computes the full reachability closure of their field
-// graphs through structs, pointers, slices, arrays and maps. Every
-// field in the closure must round-trip through gob: no unexported
-// fields (silently dropped, including unexported embedded types, which
-// gobsafe's call-site walk exempts), no func or chan anywhere in a
-// field's type.
+// gobsafe vets the static type at each codec call site, snapshotstate
+// starts from the *declared* checkpoint roots — types marked with a
+// //dvc:checkpoint-root directive (guest.Snapshot, tcp.StackSnapshot,
+// vm.Image, ...) plus every type registered with imgcodec.Register (the
+// concrete payloads that travel behind interface fields) — and computes
+// the full reachability closure of their field graphs through structs,
+// pointers, slices, arrays and maps. Every field in the closure must
+// round-trip through the image codec: no unexported fields (including
+// unexported embedded types, which gobsafe's call-site walk exempts), no
+// func or chan anywhere in a field's type.
 //
 // The point of the closure view: checkpoint state accretes far from the
 // encode call. A field added to tcp.ConnSnapshot is serialized because
-// guest.Snapshot reaches it, even though no gob call in internal/tcp
+// guest.Snapshot reaches it, even though no codec call in internal/tcp
 // ever mentions it — a call-site analyzer never sees it. The closure is
 // also what the driver emits as STATE_MANIFEST.txt (see StateManifest),
 // so every (type, field) that participates in a checkpoint is visible
 // in review when it changes.
 //
-// Types that implement GobEncoder/BinaryMarshaler own their wire format
-// and terminate the walk, as in gobsafe. Interface-typed fields cannot
-// be traversed statically; their concrete payloads are covered by the
-// gob.Register roots instead.
+// Types the codec encodes natively (payload.Bytes) terminate the walk.
+// Interface-typed fields cannot be traversed statically; their concrete
+// payloads are covered by the imgcodec.Register roots instead.
 var SnapshotState = &Analyzer{
 	Name: "snapshotstate",
 	Doc: "compute the reachability closure of declared checkpoint roots " +
-		"(//dvc:checkpoint-root types and gob.Register payloads) and flag " +
-		"fields gob would drop or reject anywhere in it",
+		"(//dvc:checkpoint-root types and imgcodec.Register payloads) and flag " +
+		"fields the image codec would reject anywhere in it",
 	Run: runSnapshotState,
 }
 
 // stateRoot is one entry point into the checkpoint state graph.
 type stateRoot struct {
-	pos  token.Pos // where to report problems: the root declaration or gob call
+	pos  token.Pos // where to report problems: the root declaration or Register call
 	name string    // display name for diagnostics
 	typ  types.Type
 }
@@ -60,7 +58,7 @@ func runSnapshotState(pass *Pass) error {
 
 // collectStateRoots gathers the package's checkpoint roots: type
 // declarations carrying //dvc:checkpoint-root and the static types of
-// gob.Register/RegisterName payloads. The result is in source order
+// imgcodec.Register payloads. The result is in source order
 // (declarations first), which makes diagnostic order deterministic.
 func collectStateRoots(info *types.Info, files []*ast.File) []stateRoot {
 	var roots []stateRoot
@@ -88,26 +86,8 @@ func collectStateRoots(info *types.Info, files []*ast.File) []stateRoot {
 			if !ok || isConversion(info, call) {
 				return true
 			}
-			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			obj, ok := info.Uses[sel.Sel].(*types.Func)
-			if !ok || obj.Pkg() == nil || obj.Pkg().Path() != "encoding/gob" {
-				return true
-			}
-			var arg ast.Expr
-			switch obj.Name() {
-			case "Register":
-				if len(call.Args) == 1 {
-					arg = call.Args[0]
-				}
-			case "RegisterName":
-				if len(call.Args) == 2 {
-					arg = call.Args[1]
-				}
-			}
-			if arg == nil {
+			c, arg, ok := codecPayload(info, call)
+			if !ok || c != imageCodec || !isRegisterCall(call) {
 				return true
 			}
 			if t := info.TypeOf(arg); t != nil {
@@ -117,6 +97,13 @@ func collectStateRoots(info *types.Info, files []*ast.File) []stateRoot {
 		})
 	}
 	return roots
+}
+
+// isRegisterCall reports whether a codec entry point (see codecPayload)
+// is a Register call.
+func isRegisterCall(call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "Register"
 }
 
 // typeDisplayName names a root type for diagnostics ("*HPL" -> "HPL").
@@ -147,7 +134,7 @@ func walkStateGraph(t types.Type, report func(path, problem string), entries map
 			}
 			visited[t] = true
 		}
-		if hasCustomWireFormat(t) {
+		if imageCodec.ownsFormat(t) {
 			return
 		}
 		named, _ := t.(*types.Named)
@@ -181,28 +168,28 @@ func walkStateGraph(t types.Type, report func(path, problem string), entries map
 			if entries != nil {
 				line := fieldPath + "\t" + types.TypeString(f.Type(), nil)
 				if isIface {
-					line += "\t(interface: concrete payloads are gob.Register roots)"
+					line += "\t(interface: concrete payloads are imgcodec.Register roots)"
 				}
 				entries[line] = true
 			}
 			if !f.Exported() {
 				if f.Embedded() {
 					if report != nil {
-						report(fieldPath, "is an unexported embedded field, which gob silently drops (promote it to an exported field or type)")
+						report(fieldPath, "is an unexported embedded field, which the image codec rejects (promote it to an exported field or type)")
 					}
 				} else if report != nil {
-					report(fieldPath, "is unexported: gob silently drops it, so this state would not survive save/restore (export it, or give the type a custom wire format)")
+					report(fieldPath, "is unexported: the image codec rejects it, so this state would not survive save/restore (export it)")
 				}
 				continue
 			}
-			if bad, kind := containsBadKind(f.Type(), make(map[types.Type]bool)); bad {
+			if bad, kind := containsBadKind(imageCodec, f.Type(), make(map[types.Type]bool)); bad {
 				if report != nil {
-					report(fieldPath, fmt.Sprintf("contains a %s, which gob cannot encode: checkpointing would fail or restore nil", kind))
+					report(fieldPath, fmt.Sprintf("contains a %s, which imgcodec cannot encode: checkpointing would fail or restore nil", kind))
 				}
 				continue
 			}
 			if isIface {
-				continue // opaque: concrete payloads enter via gob.Register roots
+				continue // opaque: concrete payloads enter via imgcodec.Register roots
 			}
 			walk(f.Type())
 		}
@@ -235,7 +222,7 @@ func StateManifest(pkgs []*Package) []byte {
 	var b strings.Builder
 	b.WriteString("# STATE_MANIFEST.txt — checkpoint state closure, generated by dvclint.\n")
 	b.WriteString("# Every (type, field) below participates in a checkpoint image: it is\n")
-	b.WriteString("# reachable from a //dvc:checkpoint-root type or a gob.Register payload.\n")
+	b.WriteString("# reachable from a //dvc:checkpoint-root type or an imgcodec.Register payload.\n")
 	b.WriteString("# Regenerate with: go run ./cmd/dvclint -write-manifest STATE_MANIFEST.txt ./...\n")
 	b.WriteString("# CI diffs this file; review changes as checkpoint-format changes.\n")
 	b.WriteString("\n[roots]\n")

@@ -1,6 +1,6 @@
 // Fixture proving snapshotstate's closure is a strict superset of
-// gobsafe's call-site view. The only gob call site here encodes a value
-// of static type any, so gobsafe has nothing to walk and reports
+// gobsafe's call-site view. The only codec call site here encodes a
+// value of static type any, so gobsafe has nothing to walk and reports
 // nothing; snapshotstate starts from the declared root and still finds
 // the nested unexported field. The comparison test
 // (TestSnapshotStateCatchesWhatGobsafeMisses) runs both analyzers over
@@ -8,10 +8,7 @@
 // deliberately carries no want comments.
 package gobgap
 
-import (
-	"bytes"
-	"encoding/gob"
-)
+import "dvc/internal/imgcodec"
 
 // Image is checkpoint state: Save is always called with an *Image.
 //
@@ -20,17 +17,13 @@ type Image struct {
 	Header Header
 }
 
-// Header hides a field gob will silently drop.
+// Header hides a field the image codec cannot carry.
 type Header struct {
 	Version int
 	dirty   bool
 }
 
-// Save erases the payload's static type before gob ever sees it.
+// Save erases the payload's static type before the codec ever sees it.
 func Save(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return imgcodec.Append(nil, v)
 }

@@ -1,11 +1,14 @@
 // Fixture for the gobsafe analyzer: checkpoint payload types must not
-// have unexported fields (gob drops them silently) or func/chan fields
-// (gob cannot encode them).
+// have unexported fields (gob drops them silently, imgcodec rejects
+// them) or func/chan fields (neither can encode them).
 package gobsafe
 
 import (
 	"bytes"
 	"encoding/gob"
+
+	"dvc/internal/imgcodec"
+	"dvc/internal/payload"
 )
 
 // Snapshot mirrors a guest checkpoint image: all exported, gob-safe.
@@ -37,7 +40,8 @@ type Nested struct {
 	}
 }
 
-// SelfMarshal controls its own wire format, so field rules do not apply.
+// SelfMarshal controls its own gob wire format, so gob's field rules do
+// not apply; the image codec ignores GobEncode and walks it anyway.
 type SelfMarshal struct {
 	secret int
 }
@@ -52,6 +56,38 @@ func register() {
 	gob.Register(&Nested{})      // want `field Nested\.Inner contains a func \(via Callback\)`
 	gob.Register(&SelfMarshal{})
 	gob.RegisterName("hidden", Hidden{}) // want `gob silently drops unexported field Hidden\.cursor` `gob silently drops unexported field Hidden\.pending`
+}
+
+// Keyed has a map key the image codec cannot order; gob takes it.
+type Keyed struct {
+	ByPair map[[2]int]string
+}
+
+// Ropes are the image codec's native type: nothing to walk.
+type Message struct {
+	Tag  int
+	Body payload.Bytes
+}
+
+func registerImage() {
+	imgcodec.Register(&Snapshot{})
+	imgcodec.Register(&Message{})
+	imgcodec.Register(&Hidden{})      // want `imgcodec rejects unexported field Hidden\.cursor` `imgcodec rejects unexported field Hidden\.pending`
+	imgcodec.Register(&Unencodable{}) // want `field Unencodable\.Resume contains a func, which imgcodec cannot encode` `field Unencodable\.Wake contains a chan`
+	imgcodec.Register(&SelfMarshal{}) // want `imgcodec rejects unexported field SelfMarshal\.secret`
+	imgcodec.Register(&Keyed{})       // want `field Keyed\.ByPair contains a map keyed by \[2\]int, which imgcodec cannot encode`
+	gob.Register(&Keyed{})
+}
+
+func encodeImage(buf *bytes.Buffer, snap *Snapshot, h *Hidden) error {
+	b, err := imgcodec.Append(nil, snap)
+	if err != nil {
+		return err
+	}
+	if err := imgcodec.Decode(b, h); err != nil { // want `imgcodec rejects unexported field Hidden\.cursor` `imgcodec rejects unexported field Hidden\.pending`
+		return err
+	}
+	return imgcodec.Encode(buf, h) // want `imgcodec rejects unexported field Hidden\.cursor` `imgcodec rejects unexported field Hidden\.pending`
 }
 
 func encode(buf *bytes.Buffer, snap *Snapshot, h *Hidden) error {

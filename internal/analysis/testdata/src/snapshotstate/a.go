@@ -1,11 +1,16 @@
 // Fixture for the snapshotstate analyzer: reachability closure from
-// //dvc:checkpoint-root types and gob.Register payloads, across nested
-// structs, unexported embedding, map values, slices and pointers.
-// Diagnostics land on the root declaration (or the gob.Register call),
-// naming the reached field.
+// //dvc:checkpoint-root types and imgcodec.Register payloads, across
+// nested structs, unexported embedding, map values, slices and pointers.
+// Diagnostics land on the root declaration (or the imgcodec.Register
+// call), naming the reached field.
 package snapshotstate
 
-import "encoding/gob"
+import (
+	"encoding/gob"
+
+	"dvc/internal/imgcodec"
+	"dvc/internal/payload"
+)
 
 // Inner is reached through Root.Nested; its unexported field is two
 // levels away from the root.
@@ -36,7 +41,8 @@ type Row struct {
 	tag  byte
 }
 
-// Blob owns its wire format; the walk must stop at it.
+// Blob owns its gob wire format, which the image codec does not use:
+// the walk goes on into it.
 type Blob struct{ raw []byte }
 
 func (b Blob) GobEncode() ([]byte, error) { return b.raw, nil }
@@ -46,9 +52,10 @@ func (b *Blob) GobDecode(p []byte) error  { b.raw = append(b.raw[:0], p...); ret
 // here, in field-walk order.
 //
 //dvc:checkpoint-root
-type Root struct { // want `Inner\.state is unexported` `Leaf\.meta is unexported` `Deep\.base is an unexported embedded field` `Row\.tag is unexported` `Root\.Signal contains a chan` `Root\.hidden is unexported`
+type Root struct { // want `Blob\.raw is unexported` `Inner\.state is unexported` `Leaf\.meta is unexported` `Deep\.base is an unexported embedded field` `Row\.tag is unexported` `Root\.Signal contains a chan` `Root\.hidden is unexported`
 	Name    string
 	Data    Blob
+	Rope    payload.Bytes // encoded natively; the walk stops here
 	Nested  Inner
 	Table   map[string]Leaf
 	Items   []*Deep
@@ -57,7 +64,7 @@ type Root struct { // want `Inner\.state is unexported` `Leaf\.meta is unexporte
 	hidden  int
 }
 
-// CleanRoot's closure is entirely gob-safe: no diagnostics.
+// CleanRoot's closure is entirely encodable: no diagnostics.
 //
 //dvc:checkpoint-root
 type CleanRoot struct {
@@ -67,13 +74,17 @@ type CleanRoot struct {
 	Self *CleanRoot
 }
 
-// RegisteredPayload becomes a root through gob.Register, not a
+// RegisteredPayload becomes a root through imgcodec.Register, not a
 // directive; the problem is reported at the Register call.
 type RegisteredPayload struct {
 	Kind  string
 	cache []byte
 }
 
+// GobOnly is registered with gob alone, so it is not image state.
+type GobOnly struct{ cache []byte }
+
 func init() {
-	gob.Register(RegisteredPayload{}) // want `RegisteredPayload\.cache is unexported`
+	imgcodec.Register(RegisteredPayload{}) // want `RegisteredPayload\.cache is unexported`
+	gob.Register(GobOnly{})
 }

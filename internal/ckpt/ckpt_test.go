@@ -154,12 +154,9 @@ func TestPropertySizeMonotone(t *testing.T) {
 // GobSize to a buffered encoder: the size it reports must be exactly the
 // length of the real encoded value message, the second message of a
 // stream that encodes the value twice (the first also carries the type
-// descriptors). A guest snapshot — the most structurally involved gob
-// value in the tree — is used as the probe. (It used to compare against
-// the guest image encoder, which was a single gob stream at the time;
-// the image format is now sectioned — several independent gob streams
-// plus a trailer — so the reference is a direct buffered encode of the
-// same value.)
+// descriptors). A guest snapshot — a structurally involved value with
+// maps, slices and nested pointers — is used as the probe, encoded
+// directly (guest images use their own codec, internal/imgcodec).
 func TestGobSizeMatchesEncodedLength(t *testing.T) {
 	snap := &guest.Snapshot{
 		NextPID: 7,

@@ -47,17 +47,13 @@ func e2MetricsDigest(t *testing.T, seed int64) string {
 // the final virtual clock, the checkpoint's timing metrics, and the
 // decoded content of every captured image.
 //
-// Image payload *bytes* — and their encoded *lengths* — are deliberately
-// not hashed. gob writes map entries in Go's randomized map order, so two
-// encodings of the same guest state are content-equivalent but not
-// byte-equal; and gob assigns wire type ids from a process-global counter
-// in first-encode order, so even the encoded length of an image depends
-// on what else the process happened to gob-encode first (running E5's
-// GobSize probes before this test shifts every later type id). Nothing in
-// the simulation consumes either: transfer time uses the modelled sizes
-// (RAMBytes / PayloadBytes) and restore decodes the content. So replay
-// determinism is judged on what the kernel and the restored guest can
-// observe: decode each image and hash the guest state it carries.
+// Image payload *bytes* and encoded *lengths* are deliberately not
+// hashed: nothing in the simulation consumes them (transfer time uses the
+// modelled sizes, RAMBytes / PayloadBytes, and restore decodes the
+// content), and the image format may change without changing a run. So
+// this digest judges what the kernel and the restored guest can observe:
+// decode each image and hash the guest state it carries.
+// TestSeedReplayImageBytes covers the bytes themselves.
 func lscEventDigest(t *testing.T, seed int64) string {
 	t.Helper()
 	const nodes = 8
@@ -202,6 +198,57 @@ func TestSeedReplayEventDigest(t *testing.T) {
 	}
 }
 
+// lscImageBytesDigest checkpoints an HPL job once and hashes the raw
+// bytes of every captured image. It also returns the largest HPL.Rows
+// map it decoded: map order is what could make equal state encode to
+// different bytes, so the test must capture a map with several entries.
+func lscImageBytesDigest(t *testing.T, seed int64) (string, int) {
+	t.Helper()
+	const nodes = 4
+	b := newBed(seed, map[string]int{"alpha": nodes}, core.DefaultNTPLSC(), true)
+	vc := b.allocate("imgbytes", nodes, guest.WatchdogConfig{})
+	vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHPL(64, 42, 5.7e-6) })
+	b.k.RunFor(2 * sim.Second)
+	res := b.checkpointOnce(vc, 10*sim.Minute)
+	if res == nil || !res.OK {
+		t.Fatalf("HPL checkpoint failed: %+v", res)
+	}
+	h := sha256.New()
+	rows := 0
+	for _, img := range res.Images {
+		fmt.Fprintf(h, "img %s %d\n", img.DomainName, img.Data.Len())
+		for _, c := range img.Data.Chunks() {
+			h.Write(c)
+		}
+		snap, err := guest.DecodeImagePayload(img.Data)
+		if err != nil {
+			t.Fatalf("decoding image for %s: %v", img.DomainName, err)
+		}
+		for _, p := range snap.Procs {
+			if d, ok := p.Prog.(*mpi.Driver); ok {
+				if hpl, ok := d.App.(*hpcc.HPL); ok && len(hpl.Rows) > rows {
+					rows = len(hpl.Rows)
+				}
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), rows
+}
+
+// TestSeedReplayImageBytes: same seed, twice, byte-identical image
+// payloads. The image codec orders map entries by key and writes no
+// process-global type ids, so the encoded bytes — not just the decoded
+// content lscEventDigest hashes — are a pure function of guest state.
+func TestSeedReplayImageBytes(t *testing.T) {
+	first, rows := lscImageBytesDigest(t, refSeed)
+	if rows < 2 {
+		t.Fatalf("largest captured HPL.Rows map has %d entries; the test needs a map whose order could vary", rows)
+	}
+	if second, _ := lscImageBytesDigest(t, refSeed); second != first {
+		t.Fatalf("image bytes diverged between two runs with seed %d:\n  run 1: %s\n  run 2: %s", refSeed, first, second)
+	}
+}
+
 // Pinned baseline digests for seed 20070917, recorded before the
 // zero-copy data-plane rewrite (chunked payload ropes, ring-buffered TCP
 // queues, streaming image encode). The rewrite is required to preserve
@@ -209,8 +256,7 @@ func TestSeedReplayEventDigest(t *testing.T) {
 // ordering, same serialized tables and traces, and the same decoded
 // image content — so all three digests must match the pre-rewrite
 // values bit for bit. (The LSC digest judges images by decoded content,
-// not encoded bytes or lengths; see lscEventDigest for why gob's
-// process-global type-id counter makes anything else order-sensitive.)
+// not encoded bytes or lengths; see lscEventDigest.)
 // If a future change moves one of these, it changed
 // simulation-visible behaviour and the new value must be justified and
 // re-pinned here (cf. the queue_depth note for the PR 4 event path).

@@ -1,22 +1,22 @@
 package guest
 
 import (
-	"encoding/gob"
 	"fmt"
 	"testing"
 
+	"dvc/internal/imgcodec"
 	"dvc/internal/netsim"
 	"dvc/internal/sim"
 	"dvc/internal/tcp"
 )
 
 func init() {
-	gob.Register(&computeProg{})
-	gob.Register(&pingProg{})
-	gob.Register(&echoProg{})
-	gob.Register(&clockProg{})
-	gob.Register(&listenTwiceProg{})
-	gob.Register(&apiProbeProg{})
+	imgcodec.Register(&computeProg{})
+	imgcodec.Register(&pingProg{})
+	imgcodec.Register(&echoProg{})
+	imgcodec.Register(&clockProg{})
+	imgcodec.Register(&listenTwiceProg{})
+	imgcodec.Register(&apiProbeProg{})
 }
 
 // computeProg computes for a fixed duration N times, then exits 0.
@@ -176,7 +176,7 @@ type rig struct {
 	pA, pB *netsim.Port
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	k := sim.NewKernel(7)
 	f := netsim.NewFabric(k)

@@ -1,8 +1,7 @@
 package guest
 
 import (
-	"encoding/gob"
-
+	"dvc/internal/imgcodec"
 	"dvc/internal/netsim"
 	"dvc/internal/payload"
 	"dvc/internal/sim"
@@ -10,7 +9,7 @@ import (
 )
 
 // Op is a blocking guest operation. Concrete op types are pure data and
-// gob-registered: an in-progress operation is part of the VM image.
+// imgcodec-registered: an in-progress operation is part of the VM image.
 type Op interface {
 	// start arms the operation (timers, writes, connection setup).
 	start(o *OS, p *Process)
@@ -19,12 +18,12 @@ type Op interface {
 }
 
 func init() {
-	gob.Register(&ComputeOp{})
-	gob.Register(&SleepOp{})
-	gob.Register(&SendOp{})
-	gob.Register(&RecvOp{})
-	gob.Register(&ConnectOp{})
-	gob.Register(&AcceptOp{})
+	imgcodec.Register(&ComputeOp{})
+	imgcodec.Register(&SleepOp{})
+	imgcodec.Register(&SendOp{})
+	imgcodec.Register(&RecvOp{})
+	imgcodec.Register(&ConnectOp{})
+	imgcodec.Register(&AcceptOp{})
 }
 
 // ComputeOp burns CPU for the given nominal duration. The actual duration
@@ -76,7 +75,7 @@ func (op *SleepOp) poll(o *OS, p *Process) (Result, bool) {
 //
 // Data is a payload rope handed to the transport by reference: no byte
 // is copied between the program and the TCP send queue. The rope is
-// gob-encodable (an op not yet polled is part of the VM image) and
+// encodable (an op not yet polled is part of the VM image) and
 // subject to the payload immutability contract — programs build a fresh
 // buffer per message.
 type SendOp struct {

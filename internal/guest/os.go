@@ -46,8 +46,8 @@ type Result struct {
 // next operation, or nil when the program is done (exit status via
 // API.Exit or implicit success).
 //
-// Implementations must be pure data (gob-encodable): every field is part
-// of the VM image.
+// Implementations must be pure data (imgcodec-encodable): every field
+// is part of the VM image.
 type Program interface {
 	Next(api *API, res Result) Op
 }

@@ -2,41 +2,58 @@ package guest
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"sort"
 
+	"dvc/internal/imgcodec"
 	"dvc/internal/payload"
 	"dvc/internal/sim"
 	"dvc/internal/tcp"
 )
 
 // Sectioned image format. A checkpoint image is a sequence of
-// independently gob-encoded sections followed by a binary trailer:
+// independently encoded sections (internal/imgcodec) followed by a
+// binary trailer:
 //
 //	section 0              imageMeta (fixed header: counts + scalar OS state)
 //	sections 1..NumProcs   one ProcSnapshot each
 //	section NumProcs+1     fdTable (FD and accept maps flattened to sorted slices)
 //	then ceil(NumLog/256)  log groups of logGroupSize LogEntries each
 //	last section           stackSection (the TCP stack)
-//	trailer                per-section uint32 LE lengths, uint32 LE count, "DVC2"
+//	trailer                per-section uint32 LE lengths, uint32 LE count,
+//	                       uint64 LE schema hash, "DVC3"
 //
-// Why sections instead of one gob stream: content-addressed dedup needs
-// unchanged state to re-encode to byte-identical chunks. One
-// whole-snapshot encoder makes every byte downstream of the first
-// changed field differ; per-section encoders restart gob's type-id
-// numbering and wire state at each boundary, and Writer.Seal aligns
-// chunk boundaries with section boundaries, so an idle process, a full
-// log group or a quiet TCP stack contributes the exact same chunks —
-// and the same payload.ChunkIDs — epoch after epoch. Maps are flattened
-// to key-sorted slices before encoding because gob serialises maps in
-// random iteration order, which would randomise the bytes (and defeat
-// dedup) even for identical contents.
+// Why sections: content-addressed dedup needs unchanged state to
+// re-encode to byte-identical chunks. Each section is one codec value
+// written in one Write, and Writer.Seal aligns chunk boundaries with
+// section boundaries, so an idle process, a full log group or a quiet
+// TCP stack contributes the exact same chunks — and the same
+// payload.ChunkIDs — epoch after epoch. The codec writes no type
+// descriptors and orders map entries by key, so the image bytes are a
+// pure function of the guest state. Each section also decodes on its
+// own, which is what lets a reader (and the fuzzer) reject a damaged
+// section without trusting its neighbours.
+//
+// The schema hash covers the wire layout of the fixed section types; a
+// build whose layout differs rejects the image instead of misreading it.
+// Interface payloads (programs, ops) carry their own plan hashes.
 const (
-	imageMagic   = "DVC2"
+	imageMagic   = "DVC3"
 	logGroupSize = 256
+	trailerFixed = 16 // count + schema hash + magic
 )
+
+// schemaHash identifies the wire layout of the sections' root types.
+var schemaHash = mustSchemaHash()
+
+func mustSchemaHash() uint64 {
+	h, err := imgcodec.SchemaHash(&imageMeta{}, &ProcSnapshot{}, &fdTable{}, &[]LogEntry{}, &stackSection{})
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
 
 // imageMeta is section 0 of every image: the scalar OS state plus the
 // counts that size the variable sections.
@@ -76,7 +93,7 @@ type acceptEntry struct {
 }
 
 // stackSection wraps the stack pointer so a nil stack (hand-built test
-// snapshots) round-trips as gob's omitted-field zero value.
+// snapshots) round-trips as nil.
 //
 //dvc:checkpoint-root
 type stackSection struct {
@@ -110,7 +127,7 @@ func (s *sectionWriter) end() {
 func encodeImageSections(snap *Snapshot, w io.Writer) error {
 	sw := &sectionWriter{w: w}
 	section := func(v any) error {
-		if err := gob.NewEncoder(sw).Encode(v); err != nil {
+		if err := imgcodec.Encode(sw, v); err != nil {
 			return fmt.Errorf("guest: encoding image: %w", err)
 		}
 		sw.end()
@@ -154,11 +171,12 @@ func encodeImageSections(snap *Snapshot, w io.Writer) error {
 		return err
 	}
 
-	trailer := make([]byte, 0, 4*len(sw.lens)+8)
+	trailer := make([]byte, 0, 4*len(sw.lens)+trailerFixed)
 	for _, l := range sw.lens {
 		trailer = binary.LittleEndian.AppendUint32(trailer, uint32(l))
 	}
 	trailer = binary.LittleEndian.AppendUint32(trailer, uint32(len(sw.lens)))
+	trailer = binary.LittleEndian.AppendUint64(trailer, schemaHash)
 	trailer = append(trailer, imageMagic...)
 	if _, err := w.Write(trailer); err != nil {
 		return fmt.Errorf("guest: encoding image trailer: %w", err)
@@ -169,23 +187,27 @@ func encodeImageSections(snap *Snapshot, w io.Writer) error {
 	return nil
 }
 
-// decodeImageSections parses a sectioned image back into a Snapshot,
-// streaming each section's decode over the rope without flattening it.
+// decodeImageSections parses a sectioned image back into a Snapshot.
+// Sections are decoded one at a time, each from its own bytes (a
+// section that sits in one rope chunk is read in place).
 func decodeImageSections(img payload.Bytes) (*Snapshot, error) {
 	total := img.Len()
-	if total < 8 {
+	if total < trailerFixed {
 		return nil, fmt.Errorf("guest: image too short (%d bytes)", total)
 	}
-	tail := img.Slice(total-8, total).Flatten()
-	if string(tail[4:8]) != imageMagic {
-		return nil, fmt.Errorf("guest: bad image magic %q", tail[4:8])
+	tail := img.Slice(total-trailerFixed, total).Flatten()
+	if string(tail[12:16]) != imageMagic {
+		return nil, fmt.Errorf("guest: bad image magic %q", tail[12:16])
+	}
+	if h := binary.LittleEndian.Uint64(tail[4:12]); h != schemaHash {
+		return nil, fmt.Errorf("guest: image schema %016x, this build reads %016x", h, schemaHash)
 	}
 	count := int(binary.LittleEndian.Uint32(tail[:4]))
-	trailerLen := 8 + 4*count
-	if count < 3 || trailerLen > total {
+	if count < 3 || count > (total-trailerFixed)/4 {
 		return nil, fmt.Errorf("guest: corrupt image trailer (%d sections in %d bytes)", count, total)
 	}
-	lenBytes := img.Slice(total-trailerLen, total-8).Flatten()
+	trailerLen := trailerFixed + 4*count
+	lenBytes := img.Slice(total-trailerLen, total-trailerFixed).Flatten()
 	offs := make([]int, count+1)
 	for i := 0; i < count; i++ {
 		offs[i+1] = offs[i] + int(binary.LittleEndian.Uint32(lenBytes[4*i:]))
@@ -194,7 +216,7 @@ func decodeImageSections(img payload.Bytes) (*Snapshot, error) {
 		return nil, fmt.Errorf("guest: image sections cover %d bytes, want %d", offs[count], total-trailerLen)
 	}
 	dec := func(i int, v any) error {
-		if err := gob.NewDecoder(payload.NewReader(img.Slice(offs[i], offs[i+1]))).Decode(v); err != nil {
+		if err := imgcodec.Decode(img.Slice(offs[i], offs[i+1]).Flatten(), v); err != nil {
 			return fmt.Errorf("guest: decoding image section %d: %w", i, err)
 		}
 		return nil
@@ -203,6 +225,9 @@ func decodeImageSections(img payload.Bytes) (*Snapshot, error) {
 	var meta imageMeta
 	if err := dec(0, &meta); err != nil {
 		return nil, err
+	}
+	if meta.NumProcs < 0 || meta.NumProcs > count || meta.NumLog < 0 || meta.NumLog > count*logGroupSize {
+		return nil, fmt.Errorf("guest: image header claims %d processes and %d log entries in %d sections", meta.NumProcs, meta.NumLog, count)
 	}
 	numGroups := (meta.NumLog + logGroupSize - 1) / logGroupSize
 	if count != 3+meta.NumProcs+numGroups {
@@ -237,8 +262,7 @@ func decodeImageSections(img payload.Bytes) (*Snapshot, error) {
 		return nil, err
 	}
 	idx++
-	// Empty maps stay nil, matching gob's omitted-empty-field behaviour
-	// in the pre-sectioned format.
+	// Empty maps stay nil, as the codec decodes every empty map.
 	if len(fd.FDs) > 0 {
 		snap.FDs = make(map[int]tcp.ConnKey, len(fd.FDs))
 		for _, e := range fd.FDs {
@@ -258,6 +282,9 @@ func decodeImageSections(img payload.Bytes) (*Snapshot, error) {
 		}
 		snap.Log = append(snap.Log, group...)
 		idx++
+	}
+	if len(snap.Log) != meta.NumLog {
+		return nil, fmt.Errorf("guest: image log has %d entries, header says %d", len(snap.Log), meta.NumLog)
 	}
 	var ss stackSection
 	if err := dec(idx, &ss); err != nil {

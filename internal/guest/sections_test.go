@@ -3,6 +3,7 @@ package guest
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dvc/internal/payload"
@@ -93,6 +94,11 @@ func TestDecodeRejectsCorruptImage(t *testing.T) {
 	if _, err := DecodeImagePayload(payload.Wrap(flat)); err == nil {
 		t.Fatal("bad magic decoded")
 	}
+	flat = img.AppendTo(nil)
+	flat[len(flat)-5] ^= 1 // a schema hash from another build
+	if _, err := DecodeImagePayload(payload.Wrap(flat)); err == nil || !strings.Contains(err.Error(), "schema") {
+		t.Fatalf("image with a foreign schema hash: %v", err)
+	}
 	// Restore rebuilds the process table in image order, so the decoder
 	// rejects processes out of PID order.
 	swapped := sectionedSnap()
@@ -108,7 +114,7 @@ func TestDecodeRejectsCorruptImage(t *testing.T) {
 // TestEncodeDeterministic pins the property the content-addressed store
 // depends on: encoding the same snapshot twice yields byte-identical
 // chunks — including the FD and accept tables, which live in maps and
-// would encode in random order if gob serialised them directly.
+// are flattened to key-sorted slices.
 func TestEncodeDeterministic(t *testing.T) {
 	snap := sectionedSnap()
 	a, b := chunkIDsOf(t, snap), chunkIDsOf(t, snap)
@@ -124,27 +130,38 @@ func TestEncodeDeterministic(t *testing.T) {
 
 // TestUnchangedSectionsShareChunks is the cross-epoch dedup property:
 // changing one process's state must change only that process's section
-// chunk (plus the trailer chunk, whose section-length table records the
-// section's new size), leaving every other chunk — and its ChunkID —
-// identical.
+// chunk (plus the trailer chunk when the section's size changes, since
+// the trailer's length table records it), leaving every other chunk —
+// and its ChunkID — identical.
 func TestUnchangedSectionsShareChunks(t *testing.T) {
 	base := sectionedSnap()
 	ids0 := chunkIDsOf(t, base)
-
-	mod := sectionedSnap()
-	mod.Procs[1].ExitCode = 7
-	mod.Procs[1].Exited = true
-	ids1 := chunkIDsOf(t, mod)
-	if len(ids0) != len(ids1) {
-		t.Fatalf("chunk counts differ: %d vs %d", len(ids0), len(ids1))
-	}
-	diff := 0
-	for i := range ids0 {
-		if ids0[i] != ids1[i] {
-			diff++
+	changed := func(ids []payload.ChunkID) int {
+		t.Helper()
+		if len(ids) != len(ids0) {
+			t.Fatalf("chunk counts differ: %d vs %d", len(ids0), len(ids))
 		}
+		diff := 0
+		for i := range ids0 {
+			if ids0[i] != ids[i] {
+				diff++
+			}
+		}
+		return diff
 	}
-	if diff != 2 {
+
+	// A same-size change (fixed-width fields) leaves the trailer alone.
+	same := sectionedSnap()
+	same.Procs[1].ExitCode = 7
+	same.Procs[1].Exited = true
+	if diff := changed(chunkIDsOf(t, same)); diff != 1 {
+		t.Fatalf("one same-size process change touched %d of %d chunks, want 1 (proc section)", diff, len(ids0))
+	}
+	// A change that grows the section also rewrites the length table.
+	mod := sectionedSnap()
+	mod.Procs[1].ExitCode = 700
+	mod.Procs[1].Exited = true
+	if diff := changed(chunkIDsOf(t, mod)); diff != 2 {
 		t.Fatalf("one changed process touched %d of %d chunks, want 2 (proc section + trailer)", diff, len(ids0))
 	}
 
@@ -153,17 +170,7 @@ func TestUnchangedSectionsShareChunks(t *testing.T) {
 	// groups are immutable.
 	grown := sectionedSnap()
 	grown.Log = append(grown.Log, LogEntry{Jiffies: 301, Wall: 301, Msg: "more"})
-	ids2 := chunkIDsOf(t, grown)
-	if len(ids2) != len(ids0) {
-		t.Fatalf("chunk counts differ after log append: %d vs %d", len(ids2), len(ids0))
-	}
-	diff = 0
-	for i := range ids0 {
-		if ids0[i] != ids2[i] {
-			diff++
-		}
-	}
-	if diff != 3 {
+	if diff := changed(chunkIDsOf(t, grown)); diff != 3 {
 		t.Fatalf("log append touched %d chunks, want 3 (meta + tail group + trailer)", diff)
 	}
 }

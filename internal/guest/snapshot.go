@@ -12,7 +12,7 @@ import (
 // ProcSnapshot is the pure-data image of one process.
 type ProcSnapshot struct {
 	PID       PID
-	Prog      Program // gob interface: concrete programs must be registered
+	Prog      Program // interface: concrete programs must be imgcodec-registered
 	Cur       Op      // in-flight operation, if any
 	Last      Result
 	Exited    bool
@@ -21,7 +21,7 @@ type ProcSnapshot struct {
 }
 
 // Snapshot is the pure-data image of a whole guest OS: the payload of a
-// whole-VM checkpoint. Everything in it round-trips through encoding/gob;
+// whole-VM checkpoint. Everything in it round-trips through the image codec;
 // the checkpoint-root directive puts its full field closure under
 // snapshotstate's reachability check and into STATE_MANIFEST.txt.
 //
@@ -160,9 +160,7 @@ func Restore(k *sim.Kernel, fabric *netsim.Fabric, snap *Snapshot, wallClock fun
 // growing the scratch buffer, once copying it out — every LSC epoch for
 // every VM in the set. The returned rope owns fresh chunks (images are
 // retained by the store, so there is nothing to recycle) and is
-// immutable per the payload contract. A fresh gob.Encoder per call is
-// required: gob emits type descriptors once per encoder stream, and
-// images must be self-describing.
+// immutable per the payload contract.
 func EncodeImagePayload(snap *Snapshot) (payload.Bytes, error) {
 	w := payload.NewWriter(0)
 	if err := EncodeImageStream(snap, w); err != nil {
@@ -178,7 +176,7 @@ func EncodeImagePayload(snap *Snapshot) (payload.Bytes, error) {
 // a second pass after the encode.
 //
 // The stream is the sectioned format (see sections.go): independently
-// gob-encoded sections with a length trailer, so unchanged OS state
+// encoded sections with a length trailer, so unchanged OS state
 // re-encodes to byte-identical — and content-addressably dedupable —
 // chunks. A writer that implements Seal() (payload.Writer) gets its
 // chunk boundaries aligned with the section boundaries.
@@ -186,8 +184,8 @@ func EncodeImageStream(snap *Snapshot, w io.Writer) error {
 	return encodeImageSections(snap, w)
 }
 
-// DecodeImagePayload reverses EncodeImagePayload, streaming each
-// section's decode over the rope's chunks without flattening them first.
+// DecodeImagePayload reverses EncodeImagePayload, decoding one section
+// at a time. Hostile input yields an error, never a panic.
 func DecodeImagePayload(img payload.Bytes) (*Snapshot, error) {
 	return decodeImageSections(img)
 }

@@ -40,7 +40,7 @@ func TestHaloRoundAllocations(t *testing.T) {
 		return n
 	}
 	// Warm up past connection setup and the first rounds, so lazy
-	// initialisation (timers, rings, gob registry) is not billed.
+	// initialisation (timers, rings, codec plans) is not billed.
 	w.k.RunFor(sim.Second)
 	before := rounds()
 	var ms runtime.MemStats

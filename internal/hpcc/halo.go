@@ -1,14 +1,13 @@
 package hpcc
 
 import (
-	"encoding/gob"
-
+	"dvc/internal/imgcodec"
 	"dvc/internal/mpi"
 	"dvc/internal/sim"
 )
 
 func init() {
-	gob.Register(&Halo{})
+	imgcodec.Register(&Halo{})
 }
 
 // Halo is a ring halo-exchange kernel: every Period, each rank computes
@@ -35,8 +34,8 @@ type Halo struct {
 // sanctioned exception to payload's fresh-buffer-per-message convention:
 // nothing ever writes the array (payload contract rule 1), so it is safe to
 // share across kernels, partitioned-engine workers and concurrent fleet
-// trials, which only read it. gob flattens the bytes, so images and digests
-// are the same as with fresh buffers.
+// trials, which only read it. Images carry the bytes, not the sharing, so
+// images and digests are the same as with fresh buffers.
 var haloZeros [64 << 10]byte
 
 // haloBody returns a read-only zero body of n bytes.

@@ -1,15 +1,15 @@
 package hpcc
 
 import (
-	"encoding/gob"
 	"math"
 
+	"dvc/internal/imgcodec"
 	"dvc/internal/mpi"
 	"dvc/internal/sim"
 )
 
 func init() {
-	gob.Register(&HPL{})
+	imgcodec.Register(&HPL{})
 }
 
 // HPL is the High-Performance Linpack workload: solve Ax=b by LU

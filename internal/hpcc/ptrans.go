@@ -1,15 +1,15 @@
 package hpcc
 
 import (
-	"encoding/gob"
 	"math"
 
+	"dvc/internal/imgcodec"
 	"dvc/internal/mpi"
 	"dvc/internal/sim"
 )
 
 func init() {
-	gob.Register(&PTRANS{})
+	imgcodec.Register(&PTRANS{})
 }
 
 // PTRANS is the HPCC parallel transpose: A ← βA + αAᵀ, repeated Reps

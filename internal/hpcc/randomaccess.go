@@ -2,14 +2,14 @@ package hpcc
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 
+	"dvc/internal/imgcodec"
 	"dvc/internal/mpi"
 	"dvc/internal/sim"
 )
 
 func init() {
-	gob.Register(&RandomAccess{})
+	imgcodec.Register(&RandomAccess{})
 }
 
 // RandomAccess is the HPCC GUPS kernel: every rank generates a

@@ -1,16 +1,15 @@
 package hpcc
 
 import (
-	"encoding/gob"
-
 	"dvc/internal/guest"
+	"dvc/internal/imgcodec"
 	"dvc/internal/mpi"
 	"dvc/internal/sim"
 )
 
 func init() {
-	gob.Register(&SeqJob{})
-	gob.Register(&PingPong{})
+	imgcodec.Register(&SeqJob{})
+	imgcodec.Register(&PingPong{})
 }
 
 // SeqJob is a single-node compute-bound job (a stand-in for the paper's

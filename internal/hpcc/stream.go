@@ -1,14 +1,13 @@
 package hpcc
 
 import (
-	"encoding/gob"
-
 	"dvc/internal/guest"
+	"dvc/internal/imgcodec"
 	"dvc/internal/sim"
 )
 
 func init() {
-	gob.Register(&Stream{})
+	imgcodec.Register(&Stream{})
 }
 
 // Stream is the HPCC STREAM memory-bandwidth kernel (Copy, Scale, Add,

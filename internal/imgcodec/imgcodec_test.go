@@ -1,0 +1,281 @@
+package imgcodec
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+
+	"dvc/internal/payload"
+)
+
+type shape interface{ area() int }
+
+type square struct{ Side int }
+
+func (s *square) area() int { return s.Side * s.Side }
+
+type notAShape struct{ N int }
+
+type kitchen struct {
+	B     bool
+	I8    int8
+	I     int
+	U16   uint16
+	U64   uint64
+	F32   float32
+	F64   float64
+	S     string
+	Raw   []byte
+	Fs    []float64
+	Us    []uint16
+	Arr   [3]int32
+	Ptr   *square
+	Nil   *square
+	M     map[int][]float64
+	SM    map[string]uint8
+	Rope  payload.Bytes
+	Shape shape
+	None  shape
+	Nest  []kitchenRow
+}
+
+type kitchenRow struct {
+	Name string
+	Vals []int64
+}
+
+type withHidden struct {
+	Visible int
+	hidden  int
+}
+
+type list struct {
+	V    int
+	Next *list
+}
+
+func init() {
+	Register(&square{})
+	Register(&notAShape{})
+}
+
+func fullKitchen() *kitchen {
+	return &kitchen{
+		B: true, I8: -7, I: -1 << 40, U16: 65535, U64: math.MaxUint64,
+		F32: 1.5, F64: math.Pi, S: "héllo",
+		Raw:   []byte{0, 1, 2, 255},
+		Fs:    []float64{math.Copysign(0, -1), math.Inf(1), 2.5},
+		Us:    []uint16{1, 300},
+		Arr:   [3]int32{-1, 0, 1 << 30},
+		Ptr:   &square{Side: 3},
+		M:     map[int][]float64{9: {1}, -2: {2, 3}, 4: nil},
+		SM:    map[string]uint8{"b": 2, "a": 1},
+		Rope:  payload.FromChunks([]byte("hello, "), []byte("world")),
+		Shape: &square{Side: 4},
+		Nest:  []kitchenRow{{Name: "r0", Vals: []int64{5, -5}}, {}},
+	}
+}
+
+func roundTrip(t *testing.T, in any, out any) []byte {
+	t.Helper()
+	b, err := Append(nil, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Decode(b, out); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func TestRoundTripAllKinds(t *testing.T) {
+	in := fullKitchen()
+	var out kitchen
+	roundTrip(t, in, &out)
+	want := fullKitchen()
+	want.M[4] = nil // empty map values decode as nil, as they were
+	want.Rope = payload.Wrap([]byte("hello, world"))
+	if !reflect.DeepEqual(&out, want) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", out, *want)
+	}
+	if !math.Signbit(out.Fs[0]) {
+		t.Fatal("-0 in a slice lost its sign")
+	}
+}
+
+// TestRopeRoundTrip: a rope travels as its content and decodes into one
+// fresh chunk that does not alias the encoded bytes.
+func TestRopeRoundTrip(t *testing.T) {
+	in := struct{ Body payload.Bytes }{payload.FromChunks([]byte("hello, "), []byte("world"))}
+	var out struct{ Body payload.Bytes }
+	b := roundTrip(t, &in, &out)
+	if !out.Body.Equal(in.Body) || out.Body.NumChunks() != 1 {
+		t.Fatalf("round trip: %v chunks=%d", out.Body, out.Body.NumChunks())
+	}
+	for i := range b {
+		b[i] = 'x'
+	}
+	if string(out.Body.Flatten()) != "hello, world" {
+		t.Fatal("decoded rope aliases the encoded bytes")
+	}
+}
+
+// TestEmptyDecodesNil: empty slices, maps and ropes decode as nil, and a
+// -0 struct field as +0 — the values the gob image decoded to.
+func TestEmptyDecodesNil(t *testing.T) {
+	in := &kitchen{Raw: []byte{}, Fs: []float64{}, Us: []uint16{}, M: map[int][]float64{}, SM: map[string]uint8{},
+		Rope: payload.FromChunks(), Nest: []kitchenRow{}, F64: math.Copysign(0, -1)}
+	var out kitchen
+	roundTrip(t, in, &out)
+	if !reflect.DeepEqual(out, kitchen{}) {
+		t.Fatalf("empty values: %+v", out)
+	}
+	if math.Signbit(out.F64) {
+		t.Fatal("-0 struct field decoded as -0, want +0")
+	}
+}
+
+// TestDeterministicBytes: map entries are written in key order, so equal
+// values always encode to equal bytes.
+func TestDeterministicBytes(t *testing.T) {
+	first, err := Append(nil, fullKitchen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		again, err := Append(nil, fullKitchen())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, again) {
+			t.Fatal("two encodes of equal values differ")
+		}
+	}
+}
+
+func TestRecursiveType(t *testing.T) {
+	in := &list{V: 1, Next: &list{V: 2, Next: &list{V: 3}}}
+	var out list
+	roundTrip(t, in, &out)
+	if !reflect.DeepEqual(&out, in) {
+		t.Fatalf("list round trip: %+v", out)
+	}
+}
+
+func TestEncodeErrors(t *testing.T) {
+	if _, err := Append(nil, &withHidden{}); err == nil || !strings.Contains(err.Error(), "unexported") {
+		t.Fatalf("unexported field: %v", err)
+	}
+	if _, err := Append(nil, &struct{ F func() }{}); err == nil {
+		t.Fatal("func field encoded")
+	}
+	if _, err := Append(nil, &struct{ M map[[2]int]int }{}); err == nil {
+		t.Fatal("map with array keys encoded")
+	}
+	type unregistered struct{ N int }
+	var s struct{ Any any }
+	s.Any = unregistered{1}
+	if _, err := Append(nil, &s); err == nil || !strings.Contains(err.Error(), "not registered") {
+		t.Fatalf("unregistered payload: %v", err)
+	}
+	if _, err := Append(nil, kitchen{}); err == nil {
+		t.Fatal("non-pointer accepted")
+	}
+}
+
+func TestDecodeErrors(t *testing.T) {
+	good, err := Append(nil, fullKitchen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out kitchen
+	for n := 0; n < len(good); n++ {
+		if err := Decode(good[:n], &out); err == nil {
+			t.Fatalf("decoded a %d-byte prefix of a %d-byte value", n, len(good))
+		}
+	}
+	if err := Decode(append(good, 0), &out); err == nil {
+		t.Fatal("trailing byte accepted")
+	}
+
+	cases := map[string]struct {
+		src []byte
+		v   any
+	}{
+		"bad bool":        {[]byte{2}, new(bool)},
+		"int8 overflow":   {binary.AppendVarint(nil, 300), new(int8)},
+		"uint16 overflow": {binary.AppendUvarint(nil, 1<<16), new(uint16)},
+		"huge slice":      {binary.AppendUvarint(nil, 1<<62), new([]int)},
+		"huge string":     {binary.AppendUvarint(nil, 1<<40), new(string)},
+		"huge map":        {binary.AppendUvarint(nil, 1<<40), new(map[int]int)},
+		"bad presence":    {[]byte{7}, new(*square)},
+		"unsorted map":    {[]byte{2, 4, 0, 2, 0}, new(map[int]int)},
+		"unregistered":    {append([]byte{3}, "xyz"...), new(shape)},
+		"plan hash":       {iface("dvc/internal/imgcodec.square", 0xdeadbeef, 1, 2), new(shape)},
+		"wrong interface": {iface("dvc/internal/imgcodec.notAShape", hash32(describe(reflect.TypeOf(&notAShape{}), nil)), 1, 2), new(shape)},
+	}
+	for name, c := range cases {
+		if err := Decode(c.src, c.v); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+}
+
+// iface hand-encodes an interface payload.
+func iface(name string, hash uint32, rest ...byte) []byte {
+	b := binary.AppendUvarint(nil, uint64(len(name)))
+	b = append(b, name...)
+	b = binary.LittleEndian.AppendUint32(b, hash)
+	return append(b, rest...)
+}
+
+// TestDepthLimit: a crafted chain of pointers deeper than maxDepth is
+// rejected rather than recursed.
+func TestDepthLimit(t *testing.T) {
+	var src []byte
+	for i := 0; i <= maxDepth+1; i++ {
+		src = append(src, 1, 0) // presence, V=0
+	}
+	src = append(src, 0)
+	var l list
+	if err := Decode(src[1:], &l); err == nil || !strings.Contains(err.Error(), "nesting") {
+		t.Fatalf("deep chain: %v", err)
+	}
+}
+
+func TestSchemaHashTracksLayout(t *testing.T) {
+	type v1 struct{ A, B int }
+	type v2 struct{ A, C int }
+	type v3 struct{ A, B int }
+	h1, _ := SchemaHash(&v1{})
+	h2, _ := SchemaHash(&v2{})
+	h3, _ := SchemaHash(&v3{})
+	if h1 == h2 || h1 != h3 {
+		t.Fatalf("schema hashes: v1 %x v2 %x v3 %x", h1, h2, h3)
+	}
+}
+
+func TestEncodeWritesOnce(t *testing.T) {
+	var w countingWriter
+	if err := Encode(&w, fullKitchen()); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := Append(nil, fullKitchen())
+	if w.writes != 1 || !bytes.Equal(w.buf, want) {
+		t.Fatalf("Encode made %d writes of %d bytes, want 1 of %d", w.writes, len(w.buf), len(want))
+	}
+}
+
+type countingWriter struct {
+	buf    []byte
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	w.buf = append(w.buf, p...)
+	return len(p), nil
+}

@@ -1,15 +1,14 @@
 package mpi
 
 import (
-	"encoding/gob"
-
 	"dvc/internal/guest"
+	"dvc/internal/imgcodec"
 )
 
 func init() {
-	gob.Register(&Gather{})
-	gob.Register(&Scatter{})
-	gob.Register(&Allgather{})
+	imgcodec.Register(&Gather{})
+	imgcodec.Register(&Scatter{})
+	imgcodec.Register(&Allgather{})
 }
 
 // Collective tags for the second collective family.

@@ -2,15 +2,16 @@ package mpi
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"testing"
+
+	"dvc/internal/imgcodec"
 )
 
 func init() {
-	gob.Register(&gatherApp{})
-	gob.Register(&scatterApp{})
-	gob.Register(&allgatherApp{})
+	imgcodec.Register(&gatherApp{})
+	imgcodec.Register(&scatterApp{})
+	imgcodec.Register(&allgatherApp{})
 }
 
 // gatherApp gathers rank-stamped blocks at root 1.

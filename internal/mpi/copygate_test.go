@@ -16,7 +16,7 @@ import (
 //	     sanctioned exception, and costs 0 here)
 //	1.0  the receiver-side flatten when a multi-segment message is
 //	     delivered to the application as one contiguous []byte
-//	  ~  simulation bookkeeping (segment descriptors, events, gob)
+//	  ~  simulation bookkeeping (segment descriptors, events, image codec)
 //
 // The pre-rewrite path measured ~6.6 alloc_B/payload_B for bulk
 // transfers and ~10.8 for small messages (extra copies in mpi framing,
@@ -37,7 +37,7 @@ func TestSendRecvCopyCount(t *testing.T) {
 		{"bulk256KB", 64, 256 << 10, 2.35},
 		{"small4KB", 2048, 4 << 10, 4.02},
 	}
-	// Warm up once so lazy initialisation (gob type registry, fabric
+	// Warm up once so lazy initialisation (codec plans, fabric
 	// tables) is not billed to the measured run.
 	runStream(t, 2, 4<<10)
 	for _, tc := range cases {

@@ -1,20 +1,20 @@
 package mpi
 
 import (
-	"encoding/gob"
 	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
 	"dvc/internal/guest"
+	"dvc/internal/imgcodec"
 	"dvc/internal/netsim"
 	"dvc/internal/sim"
 	"dvc/internal/tcp"
 )
 
 func init() {
-	gob.Register(&streamApp{})
+	imgcodec.Register(&streamApp{})
 }
 
 // streamApp is the data-plane benchmark workload: rank 0 streams Rounds

@@ -1,23 +1,23 @@
 package mpi
 
 import (
-	"encoding/gob"
 	"fmt"
 	"testing"
 
 	"dvc/internal/guest"
+	"dvc/internal/imgcodec"
 	"dvc/internal/netsim"
 	"dvc/internal/sim"
 	"dvc/internal/tcp"
 )
 
 func init() {
-	gob.Register(&barrierApp{})
-	gob.Register(&ringApp{})
-	gob.Register(&bcastApp{})
-	gob.Register(&allreduceApp{})
-	gob.Register(&alltoallApp{})
-	gob.Register(&computeApp{})
+	imgcodec.Register(&barrierApp{})
+	imgcodec.Register(&ringApp{})
+	imgcodec.Register(&bcastApp{})
+	imgcodec.Register(&allreduceApp{})
+	imgcodec.Register(&alltoallApp{})
+	imgcodec.Register(&computeApp{})
 }
 
 // world builds n guests on one Ethernet cluster and launches an app.
@@ -324,7 +324,7 @@ func (a *bigBcastApp) Step(c Ctx, prev Op) Op {
 	}
 }
 
-func init() { gob.Register(&bigBcastApp{}) }
+func init() { imgcodec.Register(&bigBcastApp{}) }
 
 func TestFloatBytesRoundTrip(t *testing.T) {
 	in := []float64{0, 1.5, -2.25, 3e300, -4e-300}

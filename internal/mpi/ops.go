@@ -2,23 +2,23 @@ package mpi
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"math"
 
 	"dvc/internal/guest"
+	"dvc/internal/imgcodec"
 	"dvc/internal/payload"
 	"dvc/internal/sim"
 )
 
 func init() {
-	gob.Register(&ComputeOp{})
-	gob.Register(&SendMsg{})
-	gob.Register(&RecvMsg{})
-	gob.Register(&Barrier{})
-	gob.Register(&Bcast{})
-	gob.Register(&Reduce{})
-	gob.Register(&Allreduce{})
-	gob.Register(&Alltoall{})
+	imgcodec.Register(&ComputeOp{})
+	imgcodec.Register(&SendMsg{})
+	imgcodec.Register(&RecvMsg{})
+	imgcodec.Register(&Barrier{})
+	imgcodec.Register(&Bcast{})
+	imgcodec.Register(&Reduce{})
+	imgcodec.Register(&Allreduce{})
+	imgcodec.Register(&Alltoall{})
 }
 
 // Message framing: an 16-byte header (tag, length) followed by the body.

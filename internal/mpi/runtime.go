@@ -17,17 +17,17 @@ package mpi
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 
 	"dvc/internal/guest"
+	"dvc/internal/imgcodec"
 	"dvc/internal/netsim"
 	"dvc/internal/sim"
 )
 
 func init() {
-	gob.Register(&Driver{})
-	gob.Register(&initOp{})
+	imgcodec.Register(&Driver{})
+	imgcodec.Register(&initOp{})
 }
 
 // Runtime is a rank's communication state. It is created by NewDriver and
@@ -76,8 +76,8 @@ func (c Ctx) Log(format string, args ...any) { c.api.Log(format, args...) }
 // (nil = finished). The completed previous operation is passed back so
 // the app can read its outputs (e.g. RecvMsg.Data).
 //
-// Implementations must be pure data and gob-registered: they are part of
-// the VM image.
+// Implementations must be pure data and imgcodec-registered: they are
+// part of the VM image.
 type App interface {
 	Step(c Ctx, prev Op) Op
 }

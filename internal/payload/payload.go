@@ -225,18 +225,6 @@ func (b Bytes) Equal(q Bytes) bool {
 	return true
 }
 
-// GobEncode implements gob.GobEncoder: a rope travels as its flattened
-// content, so checkpoint images stay self-describing byte strings.
-func (b Bytes) GobEncode() ([]byte, error) { return b.Flatten(), nil }
-
-// GobDecode implements gob.GobDecoder, wrapping the decoded content as a
-// single chunk. gob allocates a fresh slice per decoded value, so the
-// rope takes ownership without copying.
-func (b *Bytes) GobDecode(data []byte) error {
-	*b = Wrap(data)
-	return nil
-}
-
 // String renders a short diagnostic form (not the content).
 func (b Bytes) String() string {
 	return fmt.Sprintf("payload.Bytes{len=%d chunks=%d}", b.length, len(b.chunks))

@@ -2,8 +2,6 @@ package payload
 
 import (
 	"bytes"
-	"encoding/gob"
-	"io"
 	"math/rand"
 	"testing"
 )
@@ -218,53 +216,5 @@ func TestWriterTakeShrinksSparseTail(t *testing.T) {
 	}
 	if c := got.Chunks()[0]; cap(c) > 2*len(c) {
 		t.Fatalf("tail chunk pins cap=%d for len=%d", cap(c), len(c))
-	}
-}
-
-// TestReaderStreams verifies Reader yields the full content through
-// io.ReadAll and through small odd-sized reads.
-func TestReaderStreams(t *testing.T) {
-	content := []byte("0123456789abcdefghij")
-	r := FromChunks(content[:3], content[3:11], content[11:])
-	all, err := io.ReadAll(NewReader(r))
-	if err != nil || !bytes.Equal(all, content) {
-		t.Fatalf("ReadAll = %q, %v", all, err)
-	}
-	rd := NewReader(r)
-	var got []byte
-	buf := make([]byte, 7)
-	for {
-		n, err := rd.Read(buf)
-		got = append(got, buf[:n]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(got, content) {
-		t.Fatalf("chunked reads = %q", got)
-	}
-}
-
-// TestGobRoundTrip pins that a rope travels through gob as its content
-// and decodes without copying (single chunk, fresh backing).
-func TestGobRoundTrip(t *testing.T) {
-	type env struct {
-		Name string
-		Body Bytes
-	}
-	in := env{"x", FromChunks([]byte("hello, "), []byte("world"))}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
-		t.Fatal(err)
-	}
-	var out env
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if !out.Body.Equal(in.Body) || out.Body.NumChunks() != 1 {
-		t.Fatalf("round trip: %v chunks=%d", out.Body, out.Body.NumChunks())
 	}
 }

@@ -9,10 +9,8 @@ import "io"
 const DefaultChunkSize = 256 << 10
 
 // firstChunkSize is where small-write chunk sizing starts (it grows
-// geometrically up to the writer's chunkSize). Message-framed encoders
-// (gob) open with a handful of tiny descriptor writes before the bulk
-// payload arrives as one large write; starting small means those
-// openers neither zero nor pin a mostly-empty full-size chunk.
+// geometrically up to the writer's chunkSize), so a short sealed section
+// neither zeroes nor pins a mostly-empty full-size chunk.
 const firstChunkSize = 4 << 10
 
 // Writer accumulates written bytes into chunks and hands them over as a
@@ -24,9 +22,9 @@ const firstChunkSize = 4 << 10
 // chunking-agnostic): small writes coalesce into chunks of roughly
 // chunkSize, while any single write of at least chunkSize bytes becomes
 // its own exactly-sized chunk, copied once with no spare capacity — and
-// therefore no zeroing of memory the copy would overwrite anyway. gob
-// emits each message as one Write, so the bulk of a checkpoint image
-// takes that path.
+// therefore no zeroing of memory the copy would overwrite anyway. The
+// image codec writes each section as one Write, so a large section takes
+// that path.
 //
 // The zero value is ready to use (DefaultChunkSize granularity).
 type Writer struct {
@@ -149,37 +147,4 @@ func (w *Writer) Take() Bytes {
 	}
 	w.done, w.cur, w.length, w.grown = nil, nil, 0, 0
 	return out
-}
-
-// Reader streams a Bytes rope as an io.Reader without copying ahead of
-// the consumer's reads. It is the decode-side counterpart of Writer:
-// gob.NewDecoder(payload.NewReader(img)) decodes a chunked image without
-// first flattening it.
-type Reader struct {
-	b  Bytes
-	ci int // current chunk index
-	co int // offset within current chunk
-}
-
-var _ io.Reader = (*Reader)(nil)
-
-// NewReader returns a Reader over b starting at offset 0.
-func NewReader(b Bytes) *Reader { return &Reader{b: b} }
-
-// Read copies up to len(p) bytes into p, returning io.EOF at the end.
-func (r *Reader) Read(p []byte) (int, error) {
-	if r.ci >= len(r.b.chunks) {
-		return 0, io.EOF
-	}
-	total := 0
-	for total < len(p) && r.ci < len(r.b.chunks) {
-		c := r.b.chunks[r.ci]
-		n := copy(p[total:], c[r.co:])
-		total += n
-		r.co += n
-		if r.co == len(c) {
-			r.ci, r.co = r.ci+1, 0
-		}
-	}
-	return total, nil
 }

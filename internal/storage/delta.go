@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 
 	"dvc/internal/obs"
 	"dvc/internal/payload"
@@ -204,34 +203,21 @@ func (s *Store) reassemble(o *Object) (*vm.Image, error) {
 }
 
 // GC reclaims every pool chunk whose reference count has dropped to
-// zero and reports the modelled page chunks and bytes freed. Iteration
-// is in sorted chunk-identity order, so reclamation is deterministic.
+// zero and reports the modelled page chunks and bytes freed. It reclaims
+// in map order: the result is an integer sum and deletes commute, so the
+// order cannot show.
 func (s *Store) GC() (chunks int, bytes int64) {
-	dead := make([]payload.ChunkID, 0, 8)
 	for id, e := range s.chunks {
 		if e.refs == 0 {
-			dead = append(dead, id)
+			chunks++
+			bytes += e.size
+			delete(s.chunks, id)
 		}
 	}
-	sort.Slice(dead, func(i, j int) bool {
-		return string(dead[i][:]) < string(dead[j][:])
-	})
-	for _, id := range dead {
-		bytes += s.chunks[id].size
-		delete(s.chunks, id)
-	}
-	chunks = len(dead)
-	deadBlobs := make([]payload.ChunkID, 0, 8)
 	for id, e := range s.blobs {
 		if e.refs == 0 {
-			deadBlobs = append(deadBlobs, id)
+			delete(s.blobs, id)
 		}
-	}
-	sort.Slice(deadBlobs, func(i, j int) bool {
-		return string(deadBlobs[i][:]) < string(deadBlobs[j][:])
-	})
-	for _, id := range deadBlobs {
-		delete(s.blobs, id)
 	}
 	s.tracer.Inc("store.gc.chunks", float64(chunks))
 	s.tracer.Inc("store.gc.bytes", float64(bytes))

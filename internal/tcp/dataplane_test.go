@@ -2,10 +2,10 @@ package tcp
 
 import (
 	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 
+	"dvc/internal/imgcodec"
 	"dvc/internal/netsim"
 	"dvc/internal/payload"
 	"dvc/internal/sim"
@@ -217,20 +217,24 @@ func TestSnapshotRoundTripWithChunkedQueues(t *testing.T) {
 
 	// Round trip: restore (not attached to the fabric, so no traffic)
 	// and re-snapshot. Everything the image carries must survive.
-	gobLen := func(s *StackSnapshot) int {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(s); err != nil {
+	encoded := func(s *StackSnapshot) []byte {
+		b, err := imgcodec.Append(nil, s)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.Len()
+		return b
 	}
 	for _, snap := range []*StackSnapshot{snapA, snapB} {
 		again := RestoreStack(p.k, p.fabric, snap).Snapshot()
 		if !reflect.DeepEqual(snap, again) {
 			t.Fatalf("snapshot of restored stack %s differs from original snapshot", snap.Addr)
 		}
-		if a, b := gobLen(snap), gobLen(again); a != b {
-			t.Fatalf("encoded snapshot length changed across restore: %d -> %d", a, b)
+		a, b := encoded(snap), encoded(again)
+		if len(a) != len(b) {
+			t.Fatalf("encoded snapshot length changed across restore: %d -> %d", len(a), len(b))
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("encoded snapshot of restored stack %s differs from the original's", snap.Addr)
 		}
 	}
 

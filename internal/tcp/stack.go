@@ -12,7 +12,7 @@ import (
 // Stats are diagnostic data-plane counters. Unlike SegmentsSent/Rcvd
 // and the per-connection counters captured in StackSnapshot, Stats
 // deliberately stays OUT of the checkpoint image: adding fields here
-// must not change the gob encoding (and hence the byte size) of saved
+// must not change the encoding (and hence the byte size) of saved
 // VM images. Like the tracer, it is host-side observability that does
 // not travel with snapshots.
 type Stats struct {

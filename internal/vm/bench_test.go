@@ -1,19 +1,19 @@
 package vm
 
 import (
-	"encoding/gob"
 	"fmt"
 	"testing"
 
 	"dvc/internal/clock"
 	"dvc/internal/guest"
+	"dvc/internal/imgcodec"
 	"dvc/internal/netsim"
 	"dvc/internal/phys"
 	"dvc/internal/sim"
 )
 
 func init() {
-	gob.Register(&ballastProg{})
+	imgcodec.Register(&ballastProg{})
 }
 
 // ballastProg is a guest program whose only job is to give the VM image a
@@ -107,18 +107,16 @@ func BenchmarkLSCSaveSet(b *testing.B) {
 	b.ReportMetric(float64(imageBytes)/saveSetDomains, "imgB/domain")
 }
 
-// maxSaveSetImageBytes bounds one save set's image bytes: the 8401808 B
-// recorded when delta checkpoints landed, plus 15%, rounded down. It is a bound, not a pin: gob numbers wire types from a
-// process-global counter in first-encode order, so the encoded length
-// moves with whatever the test binary happened to encode first.
-const maxSaveSetImageBytes = 9662079
+// saveSetImageBytes pins one save set's image bytes exactly. The image
+// codec writes no type descriptors and orders map entries by key, so the
+// encoded length is a pure function of guest state.
+const saveSetImageBytes = 8390048
 
 // TestLSCSaveSetImageBytes is the image-size gate for one LSC save set
 // of BenchmarkLSCSaveSet's shape.
 func TestLSCSaveSetImageBytes(t *testing.T) {
 	got := captureSaveSet(t, benchCluster(t, saveSetDomains, saveSetStateBytes))
-	t.Logf("save set of %d domains: %d image bytes (gate %d)", saveSetDomains, got, maxSaveSetImageBytes)
-	if got > maxSaveSetImageBytes {
-		t.Fatalf("one save set captured %d image bytes, gate is %d", got, maxSaveSetImageBytes)
+	if got != saveSetImageBytes {
+		t.Fatalf("one save set captured %d image bytes, want exactly %d", got, saveSetImageBytes)
 	}
 }

@@ -1,11 +1,11 @@
 package vm
 
 import (
-	"encoding/gob"
 	"fmt"
 	"testing"
 
 	"dvc/internal/guest"
+	"dvc/internal/imgcodec"
 	"dvc/internal/netsim"
 	"dvc/internal/payload"
 	"dvc/internal/phys"
@@ -14,7 +14,7 @@ import (
 )
 
 func init() {
-	gob.Register(&workerProg{})
+	imgcodec.Register(&workerProg{})
 }
 
 // workerProg computes in rounds and records progress; used to watch

@@ -4,16 +4,16 @@
 package workload
 
 import (
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 
+	"dvc/internal/imgcodec"
 	"dvc/internal/mpi"
 	"dvc/internal/sim"
 )
 
 func init() {
-	gob.Register(&BSPApp{})
+	imgcodec.Register(&BSPApp{})
 }
 
 // JobSpec is one job in a trace.
