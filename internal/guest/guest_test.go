@@ -572,3 +572,60 @@ func (p *apiProbeProg) Next(api *API, res Result) Op {
 	api.Exit(0)
 	return nil
 }
+
+// TestReleaseFreesTimersAndIsIdempotent: Release leaves the guest's state
+// (its image) untouched, a second Release changes nothing, and the freed
+// kernel slots are what the next guest's timers reuse, so retiring one
+// guest and restoring its image does not grow the kernel's slab.
+func TestReleaseFreesTimersAndIsIdempotent(t *testing.T) {
+	r := newRig(t)
+	sa := tcp.NewStack(r.k, r.fabric, "gw", tcp.DefaultConfig())
+	pw := r.fabric.Attach("gw", "c", sa.Deliver)
+	wall := func() sim.Time { return r.k.Now() }
+	o := New(r.k, sa, wall, 1.0, DefaultWatchdog())
+	r.osB.Listen(7000)
+	r.osB.Spawn(&echoProg{Port: 7000, Size: 4096})
+	o.Spawn(&pingProg{Server: "gb", Port: 7000, Size: 4096, Rounds: 50})
+	o.Spawn(&computeProg{Dur: sim.Second, Rounds: 100})
+	r.k.RunFor(20 * sim.Millisecond) // mid-exchange: compute, watchdog and retransmit timers armed
+
+	r.freeze(o, pw)
+	before, err := EncodeImagePayload(o.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	slab, pending := r.k.SlabLen(), r.k.Pending()
+	o.Release()
+	if !o.Frozen() || r.k.SlabLen() != slab || r.k.Pending() != pending {
+		t.Fatalf("release: frozen %v, slab %d -> %d, pending %d -> %d",
+			o.Frozen(), slab, r.k.SlabLen(), pending, r.k.Pending())
+	}
+	o.Release()
+	after, err := EncodeImagePayload(o.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !after.Equal(before) {
+		t.Fatal("Release changed the guest's image")
+	}
+	if r.k.SlabLen() != slab || r.k.Pending() != pending {
+		t.Fatalf("second release: slab %d -> %d, pending %d -> %d", slab, r.k.SlabLen(), pending, r.k.Pending())
+	}
+
+	pw.Detach()
+	snap, err := DecodeImagePayload(before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o2 := Restore(r.k, r.fabric, snap, wall, 1.0)
+	r.fabric.Attach("gw", "c", o2.Stack().Deliver)
+	o2.Thaw()
+	if got := r.k.SlabLen(); got != slab {
+		t.Fatalf("restored guest grew the slab %d -> %d: released timers were not freed", slab, got)
+	}
+	r.k.RunFor(60 * sim.Second)
+	ping := o2.Procs()[0].Program().(*pingProg)
+	if ping.Done != 50 {
+		t.Fatalf("restored pinger completed %d rounds, want 50 (fail %q)", ping.Done, ping.Fail)
+	}
+}

@@ -151,7 +151,7 @@ type OS struct {
 	// it directly: their orderings are replay-relevant.
 	procs   []*Process
 	nextPID PID
-	fds     map[int]tcp.ConnKey
+	fds     map[int]fdBinding
 	nextFD  int
 	accepts map[uint16][]tcp.ConnKey // accepted, not yet Accept()ed
 	listens []uint16
@@ -196,7 +196,7 @@ func New(k *sim.Kernel, stack *tcp.Stack, wallClock func() sim.Time, cpuFactor f
 		wallClock:    wallClock,
 		cpuFactor:    cpuFactor,
 		nextPID:      1,
-		fds:          make(map[int]tcp.ConnKey),
+		fds:          make(map[int]fdBinding),
 		nextFD:       3,
 		accepts:      make(map[uint16][]tcp.ConnKey),
 		runningSince: k.Now(),
@@ -318,21 +318,37 @@ func (o *OS) wireConn(c *tcp.Conn) {
 	c.OnAck = func() { o.schedulePump() }
 }
 
-// conn resolves an fd to its connection.
-func (o *OS) conn(fd int) (*tcp.Conn, bool) {
-	key, ok := o.fds[fd]
-	if !ok {
-		return nil, false
-	}
-	return o.stack.Lookup(key)
+// fdBinding is one descriptor: the connection key, which the image
+// carries, and the connection it resolves to on this OS's stack, which is
+// runtime-only and rebuilt by Restore. A stack never rebinds a key (see
+// tcp.Stack.Lookup), so the cached pointer stays what a fresh lookup
+// would return.
+type fdBinding struct {
+	key  tcp.ConnKey
+	conn *tcp.Conn
 }
 
-// newFD binds a connection to a fresh descriptor.
+// conn resolves an fd to its connection.
+func (o *OS) conn(fd int) (*tcp.Conn, bool) {
+	e, ok := o.fds[fd]
+	if !ok || e.conn == nil {
+		return nil, false
+	}
+	return e.conn, true
+}
+
+// newFD binds a connection to a fresh descriptor, resolving it once.
 func (o *OS) newFD(key tcp.ConnKey) int {
 	fd := o.nextFD
 	o.nextFD++
-	o.fds[fd] = key
+	o.bindFD(fd, key)
 	return fd
+}
+
+// bindFD records fd -> key with the key's connection on this OS's stack.
+func (o *OS) bindFD(fd int, key tcp.ConnKey) {
+	c, _ := o.stack.Lookup(key)
+	o.fds[fd] = fdBinding{key: key, conn: c}
 }
 
 // schedulePump queues a scheduler pass. Pumping from a fresh event (rather
@@ -440,6 +456,28 @@ func (o *OS) Freeze() {
 		o.wdLeft = -1
 	}
 	o.stack.Freeze()
+}
+
+// Release retires the OS for good. It freezes the OS if it is still
+// running, then frees every kernel timer the OS owns: each process timer
+// in PID order, then the watchdog and the pump, and last its stack's
+// retransmit timers (tcp.Stack.Release). Each of those timers' callbacks
+// captures the OS, so until they are freed the kernel's slab keeps a
+// retired guest and its TCP stack reachable for the rest of the run (see
+// sim.Timer.Free). Freeing consumes no sequence number, so Release does
+// not change event order. Release is idempotent; a released OS must not
+// be thawed.
+func (o *OS) Release() {
+	o.Freeze()
+	for _, p := range o.procs {
+		p.timer.Free()
+		p.timer = nil
+	}
+	o.wdTimer.Free()
+	o.wdTimer = nil
+	o.pumpTimer.Free()
+	o.pumpTimer = nil
+	o.stack.Release()
 }
 
 // Thaw resumes a frozen OS, re-arming timers from remainders.

@@ -2,6 +2,7 @@ package guest
 
 import (
 	"io"
+	"sort"
 
 	"dvc/internal/netsim"
 	"dvc/internal/payload"
@@ -62,8 +63,8 @@ func (o *OS) Snapshot() *Snapshot {
 		CPUFactor: o.cpuFactor,
 		Stack:     o.stack.Snapshot(),
 	}
-	for fd, key := range o.fds {
-		s.FDs[fd] = key
+	for fd, e := range o.fds {
+		s.FDs[fd] = e.key
 	}
 	for port, q := range o.accepts {
 		s.Accepts[port] = append([]tcp.ConnKey(nil), q...)
@@ -98,7 +99,7 @@ func Restore(k *sim.Kernel, fabric *netsim.Fabric, snap *Snapshot, wallClock fun
 		cpuFactor:    cpuFactor,
 		procs:        make([]*Process, 0, len(snap.Procs)),
 		nextPID:      snap.NextPID,
-		fds:          make(map[int]tcp.ConnKey, len(snap.FDs)),
+		fds:          make(map[int]fdBinding, len(snap.FDs)),
 		nextFD:       snap.NextFD,
 		accepts:      make(map[uint16][]tcp.ConnKey, len(snap.Accepts)),
 		listens:      append([]uint16(nil), snap.Listens...),
@@ -116,8 +117,14 @@ func Restore(k *sim.Kernel, fabric *netsim.Fabric, snap *Snapshot, wallClock fun
 	// host-relative quantity the image cannot meaningfully carry across
 	// hosts.
 	o.wdLastWall = 0
-	for fd, key := range snap.FDs {
-		o.fds[fd] = key
+	// Sorted fds: bindFD resolves each key on the restored stack.
+	fds := make([]int, 0, len(snap.FDs))
+	for fd := range snap.FDs {
+		fds = append(fds, fd)
+	}
+	sort.Ints(fds)
+	for _, fd := range fds {
+		o.bindFD(fd, snap.FDs[fd])
 	}
 	for port, q := range snap.Accepts {
 		o.accepts[port] = append([]tcp.ConnKey(nil), q...)

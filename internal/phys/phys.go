@@ -59,9 +59,13 @@ type Node struct {
 	site *Site
 	idx  int32
 
-	onCrash  []func()
+	onCrash  []*crashHook
 	onRepair []func()
 }
+
+// crashHook is one OnCrash registration; its identity is what the
+// unregister func removes.
+type crashHook struct{ fn func() }
 
 // Stack returns the node's installed software stack label (empty =
 // unspecified). Jobs that need a particular stack can only run natively
@@ -95,9 +99,29 @@ func (n *Node) Clock() *clock.Clock { return n.site.clks[n.idx] }
 //dvc:hotpath
 func (n *Node) Up() bool { return n.site.up[n.idx] }
 
-// OnCrash registers a callback invoked when the node fails. The
-// hypervisor uses this to kill hosted domains.
-func (n *Node) OnCrash(fn func()) { n.onCrash = append(n.onCrash, fn) }
+// OnCrash registers a callback invoked when the node fails, after every
+// callback registered before it. The hypervisor uses this to kill hosted
+// domains. The returned unregister removes the callback, keeping the
+// others in registration order; an owner that dies before the node must
+// call it, or the node keeps whatever the callback captures reachable.
+// Unregister is idempotent; called from inside a crash callback, it takes
+// effect from the next Fail.
+func (n *Node) OnCrash(fn func()) (unregister func()) {
+	h := &crashHook{fn: fn}
+	n.onCrash = append(n.onCrash, h)
+	return func() {
+		for i, x := range n.onCrash {
+			if x == h {
+				// Copy into a fresh array: a Fail ranging over the old
+				// one is undisturbed, and no array the node keeps still
+				// holds the removed hook beyond its length.
+				rest := make([]*crashHook, 0, len(n.onCrash)-1)
+				n.onCrash = append(append(rest, n.onCrash[:i]...), n.onCrash[i+1:]...)
+				return
+			}
+		}
+	}
+}
 
 // OnRepair registers a callback invoked when the node comes back.
 func (n *Node) OnRepair(fn func()) { n.onRepair = append(n.onRepair, fn) }
@@ -108,8 +132,8 @@ func (n *Node) Fail() {
 		return
 	}
 	n.site.up[n.idx] = false
-	for _, fn := range n.onCrash {
-		fn()
+	for _, h := range n.onCrash {
+		h.fn()
 	}
 }
 

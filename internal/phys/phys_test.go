@@ -54,6 +54,38 @@ func TestNodesSortedAcrossClusters(t *testing.T) {
 	}
 }
 
+// TestOnCrashUnregister: unregistering keeps the other hooks in
+// registration order, is idempotent, drops the node's last reference to
+// the hook, and, called from inside a crash callback, takes effect from
+// the next Fail.
+func TestOnCrashUnregister(t *testing.T) {
+	k := sim.NewKernel(1)
+	s := DefaultSite(k)
+	n := s.AddCluster("a", 1, DefaultSpec(), netsim.EthernetGigE())[0]
+	var got string
+	var unC func()
+	n.OnCrash(func() { got += "a"; unC() })
+	unB := n.OnCrash(func() { got += "b" })
+	unC = n.OnCrash(func() { got += "c" })
+	unD := n.OnCrash(func() { got += "d" })
+	unB()
+	unB()
+	n.Fail()
+	if got != "acd" {
+		t.Fatalf("first crash ran %q, want acd", got)
+	}
+	n.Repair()
+	got = ""
+	n.Fail()
+	if got != "ad" {
+		t.Fatalf("second crash ran %q, want ad", got)
+	}
+	unD()
+	if len(n.onCrash) != 1 || cap(n.onCrash) != 1 {
+		t.Fatalf("hooks len %d cap %d after unregistering all but one", len(n.onCrash), cap(n.onCrash))
+	}
+}
+
 func TestFailAndRepairCallbacks(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := DefaultSite(k)

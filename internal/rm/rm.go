@@ -118,9 +118,9 @@ type Job struct {
 	// Execution state.
 	nodes []*phys.Node
 	// physical backend
-	oses  []*guest.OS
-	ports []*netsim.Port
-	pids  []guest.PID
+	oses      []*guest.OS
+	teardowns []func() // one per OS, from vm.NativeOS
+	pids      []guest.PID
 	// dvc backend
 	vc          *core.VirtualCluster
 	periodic    *core.Periodic
@@ -507,10 +507,10 @@ func (r *RM) start(j *Job, nodes []*phys.Node) {
 func (r *RM) startPhysical(j *Job) {
 	addrs := make([]netsim.Addr, j.Spec.Width)
 	j.oses = make([]*guest.OS, j.Spec.Width)
-	j.ports = make([]*netsim.Port, j.Spec.Width)
+	j.teardowns = make([]func(), j.Spec.Width)
 	for i, n := range j.nodes {
 		addrs[i] = netsim.Addr(fmt.Sprintf("%s-a%d-r%d", j.Spec.ID, j.Attempt, i))
-		j.oses[i], j.ports[i] = vm.NativeOS(r.kernel, r.site.Fabric, n, addrs[i], tcp.DefaultConfig(), guest.WatchdogConfig{})
+		j.oses[i], j.teardowns[i] = vm.NativeOS(r.kernel, r.site.Fabric, n, addrs[i], tcp.DefaultConfig(), guest.WatchdogConfig{})
 		j.oses[i].Stack().SetTracer(r.tracer, n.ID(), string(addrs[i]))
 	}
 	j.pids = mpi.Launch(j.oses, 7000, func(int) mpi.App { return workload.NewBSPApp(j.Spec.Work) })
@@ -597,15 +597,10 @@ func (r *RM) reapPhysical(j *Job) {
 }
 
 func (r *RM) teardownPhysical(j *Job) {
-	for i, o := range j.oses {
-		if o != nil {
-			o.Freeze()
-		}
-		if j.ports[i] != nil {
-			j.ports[i].Detach()
-		}
+	for _, teardown := range j.teardowns {
+		teardown()
 	}
-	j.oses, j.ports, j.pids = nil, nil, nil
+	j.oses, j.teardowns, j.pids = nil, nil, nil
 }
 
 // startPeriodicFor arms periodic checkpointing for a running DVC job. A

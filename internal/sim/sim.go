@@ -254,6 +254,12 @@ func (k *Kernel) Fired() uint64 { return k.fired }
 // must see load, not garbage awaiting collection.
 func (k *Kernel) Pending() int { return k.live }
 
+// SlabLen reports how many event slots the kernel has ever allocated: the
+// slab's length, which only grows. Freed slots are reused before the slab
+// grows, so a run whose components free what they retire holds it flat;
+// lifecycle tests gate on it.
+func (k *Kernel) SlabLen() int { return len(k.slab) }
+
 // deadEntries reports cancelled events still occupying heap entries
 // (exported to tests via export_test.go).
 func (k *Kernel) deadEntries() int { return k.dead }

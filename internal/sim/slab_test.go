@@ -324,17 +324,23 @@ func TestTimerStopAndRearm(t *testing.T) {
 	tm.Free() // double-free must be a no-op
 }
 
-// TestTimerFreeReleasesSlot: after Free the slot must be reusable by
-// ordinary events, and the freed timer must not be able to touch it.
+// TestTimerFreeReleasesSlot: freeing an armed timer disarms it without
+// consuming a seq, the slot must be reusable by ordinary events (the slab
+// does not grow), and the freed timer must not be able to touch it.
 func TestTimerFreeReleasesSlot(t *testing.T) {
 	k := NewKernel(1)
 	tm := NewTimer(k, func() {})
 	slot := tm.slot
+	tm.Reset(Second)
+	seq := k.seq
 	tm.Free()
+	if k.seq != seq || k.Pending() != 0 {
+		t.Fatalf("Free of an armed timer moved seq %d -> %d or left %d pending", seq, k.seq, k.Pending())
+	}
 	fired := false
 	h := k.After(Millisecond, func() { fired = true })
-	if h.slot != slot {
-		t.Fatalf("expected freed timer slot %d to be reused, got %d", slot, h.slot)
+	if h.slot != slot || k.SlabLen() != 1 {
+		t.Fatalf("expected freed timer slot %d to be reused, got %d (slab %d)", slot, h.slot, k.SlabLen())
 	}
 	if tm.Stop() {
 		t.Fatal("freed timer cancelled another event")

@@ -116,10 +116,14 @@ func (t *Timer) When() Time {
 }
 
 // Free disarms the timer and returns its slot to the kernel's pool. The
-// timer must not be used afterwards. Freeing is optional — a timer whose
-// owner lives as long as the kernel can simply be dropped — but components
-// that churn through owners (e.g. TCP connections) free their timers so
-// long runs do not grow the slab.
+// timer must not be used afterwards. Free consumes no sequence number, so
+// freeing never changes event order.
+//
+// Retire contract: a timer's slot holds its callback, and with it
+// everything the callback captures, for as long as the slot is pinned.
+// An owner that dies before its kernel must therefore Free every timer it
+// created (TCP connections on teardown, guest OSes on Release). Only a
+// timer whose owner lives as long as the kernel may simply be dropped.
 func (t *Timer) Free() {
 	if t == nil || t.slot < 0 {
 		return

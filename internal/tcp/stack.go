@@ -164,14 +164,28 @@ func (s *Stack) Conns() []*Conn {
 	return out
 }
 
-// Lookup finds a connection by key.
+// Lookup finds a connection by key. A key, once bound, stays bound to the
+// same *Conn for the stack's life: the table only inserts absent keys, and
+// a torn-down connection stays in it in the Closed or Reset state. Callers
+// may therefore cache the result (the guest's fd table does).
 func (s *Stack) Lookup(key ConnKey) (*Conn, bool) {
 	c, ok := s.conns[key]
 	return c, ok
 }
 
-// Drop removes a closed/reset connection from the table.
-func (s *Stack) Drop(key ConnKey) { delete(s.conns, key) }
+// Release retires the stack: it freezes it, then frees every
+// connection's retransmit timer in key order. A timer's kernel slot pins
+// its callback, which captures the connection and, through it, the
+// stack, so a stack retired before its kernel (a destroyed guest's) must
+// be released or it stays reachable for the rest of the run. A released
+// stack must not be thawed. Release is idempotent.
+func (s *Stack) Release() {
+	s.Freeze()
+	for _, c := range s.Conns() {
+		c.timer.Free()
+		c.timer = nil
+	}
+}
 
 func lessKey(a, b ConnKey) bool {
 	if a.LocalPort != b.LocalPort {

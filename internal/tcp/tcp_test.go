@@ -631,3 +631,54 @@ func TestConnStateStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestStackNeverRebindsAKey pins the invariant the guest's fd table
+// caches on: once a key is bound, Lookup returns the same *Conn for the
+// stack's life. Torn-down connections stay in the table, a SYN that
+// matches a dead connection's key goes to that connection, and Connect
+// never reuses a local port still in the table.
+func TestStackNeverRebindsAKey(t *testing.T) {
+	p := newPair(t, DefaultConfig())
+	bound := map[*Stack]map[ConnKey]*Conn{p.sa: {}, p.sb: {}}
+	check := func(when string) {
+		t.Helper()
+		for s, seen := range bound {
+			for _, c := range s.Conns() {
+				if prev, ok := seen[c.Key()]; ok && prev != c {
+					t.Fatalf("%s: %s rebound %v", when, s.Addr(), c.Key())
+				}
+				seen[c.Key()] = c
+			}
+			for key, c := range seen {
+				if got, ok := s.Lookup(key); !ok || got != c {
+					t.Fatalf("%s: %s lost or rebound %v", when, s.Addr(), key)
+				}
+			}
+		}
+	}
+	ca, cb := p.connect(t)
+	check("established")
+	ca.Abort()
+	p.k.RunFor(sim.Second)
+	if ca.State() != StateClosed || cb.State() != StateReset {
+		t.Fatalf("states %v/%v after abort, want Closed/Reset", ca.State(), cb.State())
+	}
+	check("reset")
+	// A fresh SYN on the dead connection's exact key.
+	p.sb.Deliver(netsim.Packet{Src: "A", Dst: "B", Size: HeaderSize, Payload: &Segment{
+		SrcPort: ca.Key().LocalPort, DstPort: 5000, Flags: FlagSYN,
+	}})
+	p.k.RunFor(sim.Second)
+	check("syn on a dead key")
+	// A new connection to the same service gets a new key.
+	cc, _ := p.connect(t)
+	if cc.Key() == ca.Key() {
+		t.Fatalf("Connect reused the dead key %v", ca.Key())
+	}
+	check("reconnect")
+	p.sa.Freeze()
+	p.sa.Thaw()
+	p.sa.Release()
+	p.sb.Release()
+	check("release")
+}

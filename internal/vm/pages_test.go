@@ -160,7 +160,6 @@ func TestCleanMarkSurvivesRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2.SetDirtyRate(10e6) // the rate is a workload property, not image state
 	if err := d2.Unpause(); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +209,6 @@ func TestDirtySaturationAfterRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2.SetDirtyRate(1e9)
 	if err := d2.Unpause(); err != nil {
 		t.Fatal(err)
 	}

@@ -115,6 +115,13 @@ type Image struct {
 	// since the last capture plus page-table metadata.
 	Pages        *PageTable
 	PayloadBytes int64
+
+	// DirtyRate is the domain's dirty-page rate override (SetDirtyRate)
+	// at capture. Like Pages it is host metadata outside Data: the rate
+	// models the workload the guest runs, so it travels with the image
+	// and a restored domain keeps it, but it is not guest state and adds
+	// nothing to the image bytes.
+	DirtyRate float64
 }
 
 // imageChecksum computes the IEEE CRC-32 of a rope without flattening
@@ -259,16 +266,19 @@ func (d *Domain) CaptureImage() (*Image, error) {
 		Data:       data,
 		CapturedAt: d.hv.kernel.Now(),
 		Checksum:   tee.crc,
+		DirtyRate:  d.dirtyRate,
 	}, nil
 }
 
-// Destroy tears the domain down, releasing its RAM and address.
+// Destroy tears the domain down, releasing its RAM and address. The
+// guest is released (guest.OS.Release), so the kernel keeps no timer of
+// a destroyed domain and the retired OS can be collected.
 func (d *Domain) Destroy() {
 	if d.state == StateDestroyed {
 		return
 	}
 	if d.os != nil {
-		d.os.Freeze()
+		d.os.Release()
 	}
 	if d.port != nil {
 		d.port.Detach()
@@ -423,7 +433,7 @@ func (h *Hypervisor) RestoreDomain(img *Image, wallClockOverride func() sim.Time
 	}
 	os := guest.Restore(h.kernel, h.fabric, snap, wall, h.cfg.CPUOverhead)
 	os.Stack().SetTracer(h.tracer, h.node.ID(), img.DomainName)
-	d := &Domain{name: img.DomainName, addr: img.Addr, ram: img.RAMBytes, hv: h, os: os, state: StatePaused}
+	d := &Domain{name: img.DomainName, addr: img.Addr, ram: img.RAMBytes, hv: h, os: os, state: StatePaused, dirtyRate: img.DirtyRate}
 	// The restored guest's active time continues from the snapshot's
 	// jiffies, and the image already holds everything written up to the
 	// capture: the clean mark survives the OS swap instead of resetting
@@ -462,15 +472,22 @@ func (h *Hypervisor) RestoreDuration(ram int64) sim.Time {
 }
 
 // NativeOS boots a bare-metal OS directly on a node (no virtualisation):
-// the baseline for experiment E7. The OS dies with the node. The returned
-// port lets the caller detach the address when the job is torn down.
-func NativeOS(k *sim.Kernel, fabric *netsim.Fabric, node *phys.Node, addr netsim.Addr, tcpCfg tcp.Config, wd guest.WatchdogConfig) (*guest.OS, *netsim.Port) {
+// the baseline for experiment E7. The OS freezes when the node crashes.
+// The returned teardown retires it when its job ends: it drops the crash
+// hook, releases the OS (guest.OS.Release) and detaches the address, so
+// neither the node nor the kernel keeps a torn-down OS reachable.
+// Teardown is idempotent.
+func NativeOS(k *sim.Kernel, fabric *netsim.Fabric, node *phys.Node, addr netsim.Addr, tcpCfg tcp.Config, wd guest.WatchdogConfig) (os *guest.OS, teardown func()) {
 	stack := tcp.NewStack(k, fabric, addr, tcpCfg)
 	port := fabric.Attach(addr, node.Cluster(), stack.Deliver)
-	os := guest.New(k, stack, node.Clock().Read, 1.0, wd)
-	node.OnCrash(func() {
+	os = guest.New(k, stack, node.Clock().Read, 1.0, wd)
+	unhook := node.OnCrash(func() {
 		os.Freeze()
 		port.SetUp(false)
 	})
-	return os, port
+	return os, func() {
+		unhook()
+		os.Release()
+		port.Detach()
+	}
 }
