@@ -12,8 +12,8 @@
 // dvclint is a multichecker in the golang.org/x/tools sense, built on the
 // repo's own dependency-free framework (internal/analysis). It enforces
 // the determinism invariants documented in DESIGN.md: nowallclock,
-// noglobalrand, mapiter, noconcurrency, gobsafe, snapshotstate, noalloc
-// and fleetscope. Findings can be waived line-by-line with a mandatory
+// noglobalrand, mapiter, noconcurrency, snapshotstate, noalloc and
+// fleetscope. Findings can be waived line-by-line with a mandatory
 // justification:
 //
 //	//lint:allow <analyzer>[,<analyzer>] <why this is safe>

@@ -69,7 +69,7 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (E1..E14, A1, A2) or \"all\"")
+		exp      = flag.String("exp", "all", "experiment id ("+strings.Join(dvc.ExperimentIDs(), ", ")+") or \"all\"")
 		seed     = flag.Int64("seed", 42, "simulation seed")
 		trials   = flag.Int("trials", 0, "trial count for statistical experiments (0 = default)")
 		full     = flag.Bool("full", false, "paper-scale parameters (slow: E2 runs >2000 trials)")
@@ -94,6 +94,9 @@ func run() int {
 		vms      = flag.Int("vm", 8, "scale mode: virtual-cluster width of the reference job")
 	)
 	flag.Parse()
+	if *trials < 0 {
+		return fail(fmt.Errorf("-trials %d: must not be negative", *trials))
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)

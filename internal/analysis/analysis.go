@@ -14,10 +14,10 @@
 //	noglobalrand  - no package-level math/rand (rand.Intn, rand.Seed, ...)
 //	mapiter       - no effectful iteration over maps in unspecified order
 //	noconcurrency - no goroutines/channels/sync in the deterministic core
-//	gobsafe       - no silently-dropped or unencodable checkpoint fields
-//	snapshotstate - whole-graph reachability from //dvc:checkpoint-root
-//	                types and imgcodec.Register payloads; also generates the
-//	                committed STATE_MANIFEST.txt golden file
+//	snapshotstate - no checkpoint field the image codec would reject,
+//	                anywhere reachable from //dvc:checkpoint-root types and
+//	                imgcodec payloads; also generates the committed
+//	                STATE_MANIFEST.txt golden file
 //	noalloc       - no allocating constructs in //dvc:hotpath functions
 //	fleetscope    - fleet worker closures must not capture kernel state
 //

@@ -51,9 +51,8 @@ func Run(t *testing.T, a *analysis.Analyzer, pkg string) {
 }
 
 // Load parses and type-checks the fixture package testdata/src/<pkg>,
-// for tests that need to run several analyzers over one fixture and
-// compare their outputs directly (e.g. proving snapshotstate's closure
-// covers findings gobsafe's call-site view misses) rather than match
+// for tests that need to inspect an analyzer's diagnostics directly
+// (e.g. which codec call sites snapshotstate reports) rather than match
 // // want comments.
 func Load(t *testing.T, pkg string) *analysis.Package {
 	t.Helper()

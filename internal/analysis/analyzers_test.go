@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
 	"strings"
 	"testing"
 
@@ -19,7 +20,6 @@ func TestNoWallClock(t *testing.T)   { analysistest.Run(t, analysis.NoWallClock,
 func TestNoGlobalRand(t *testing.T)  { analysistest.Run(t, analysis.NoGlobalRand, "noglobalrand") }
 func TestMapIter(t *testing.T)       { analysistest.Run(t, analysis.MapIter, "mapiter") }
 func TestNoConcurrency(t *testing.T) { analysistest.Run(t, analysis.NoConcurrency, "noconcurrency") }
-func TestGobSafe(t *testing.T)       { analysistest.Run(t, analysis.GobSafe, "gobsafe") }
 
 // The dvclint v2 analyzers: whole-type-graph reachability, hot-path
 // allocation, and fleet capture scope.
@@ -28,35 +28,91 @@ func TestSnapshotState(t *testing.T) { analysistest.Run(t, analysis.SnapshotStat
 func TestNoAlloc(t *testing.T)       { analysistest.Run(t, analysis.NoAlloc, "noalloc") }
 func TestFleetScope(t *testing.T)    { analysistest.Run(t, analysis.FleetScope, "fleetscope") }
 
-// TestSnapshotStateCatchesWhatGobsafeMisses is the ISSUE's acceptance
-// proof that the closure view strictly extends the call-site view: in
-// the gobgap fixture the only gob call encodes `any`, so gobsafe sees
-// nothing, while snapshotstate reaches the nested unexported field from
-// the declared root.
-func TestSnapshotStateCatchesWhatGobsafeMisses(t *testing.T) {
-	pkg := analysistest.Load(t, "gobgap")
-	gob, err := analysis.Run(pkg, []*analysis.Analyzer{analysis.GobSafe})
+// snapshotDiags runs snapshotstate over its fixture and returns a lookup
+// from a fragment of a source line (which must match exactly one line)
+// to the messages reported on that line.
+func snapshotDiags(t *testing.T) func(fragment string) []string {
+	t.Helper()
+	pkg := analysistest.Load(t, "snapshotstate")
+	diags, err := analysis.Run(pkg, []*analysis.Analyzer{analysis.SnapshotState})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gob) != 0 {
-		t.Fatalf("gobsafe unexpectedly found %d diagnostic(s) in gobgap: %v", len(gob), gob)
+	type key struct {
+		file string
+		line int
 	}
-	snap, err := analysis.Run(pkg, []*analysis.Analyzer{analysis.SnapshotState})
-	if err != nil {
-		t.Fatal(err)
+	byLine := make(map[key][]string)
+	for _, d := range diags {
+		p := pkg.Fset.Position(d.Pos)
+		byLine[key{p.Filename, p.Line}] = append(byLine[key{p.Filename, p.Line}], d.Message)
 	}
-	if len(snap) == 0 {
-		t.Fatal("snapshotstate found nothing in gobgap; the closure must reach Header.dirty")
+	return func(fragment string) []string {
+		t.Helper()
+		var at []key
+		for _, f := range pkg.Files {
+			name := pkg.Fset.Position(f.Pos()).Filename
+			src, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, line := range strings.Split(string(src), "\n") {
+				if strings.Contains(line, fragment) {
+					at = append(at, key{name, i + 1})
+				}
+			}
+		}
+		if len(at) != 1 {
+			t.Fatalf("fragment %q matches %d fixture lines, want 1", fragment, len(at))
+		}
+		return byLine[at[0]]
 	}
-	found := false
-	for _, d := range snap {
-		if strings.Contains(d.Message, "Header.dirty") {
-			found = true
+}
+
+// TestGobSafe checks that the call-site checks of the retired gobsafe
+// analyzer live on in snapshotstate: every imgcodec call its fixture
+// flagged is reported at the call, naming the same field, and a call
+// whose argument is interface-typed stays quiet.
+func TestGobSafe(t *testing.T) {
+	at := snapshotDiags(t)
+	for _, c := range []struct {
+		call string
+		want []string
+	}{
+		{"imgcodec.Register(&Hidden{})", []string{"Hidden.cursor", "Hidden.pending"}},
+		{"imgcodec.Register(&Unencodable{})", []string{"Unencodable.Resume contains a func", "Unencodable.Wake contains a chan"}},
+		{"imgcodec.Register(&SelfMarshal{})", []string{"SelfMarshal.secret"}},
+		{"imgcodec.Register(&Keyed{})", []string{"Keyed.ByPair contains a map keyed by [2]int"}},
+		{"err := imgcodec.Decode(b, h)", []string{"Hidden.cursor", "Hidden.pending"}},
+		{"err := imgcodec.Encode(buf, h)", []string{"Hidden.cursor", "Hidden.pending"}},
+		{"imgcodec.Append(nil, clean)", nil},
+		{"imgcodec.Append(nil, v)", nil},
+	} {
+		got := at(c.call)
+		if len(got) != len(c.want) {
+			t.Errorf("%s: got %d diagnostic(s) %q, want %d", c.call, len(got), got, len(c.want))
+			continue
+		}
+		for i, w := range c.want {
+			if !strings.Contains(got[i], w) {
+				t.Errorf("%s: diagnostic %d is %q, want it to name %q", c.call, i, got[i], w)
+			}
 		}
 	}
-	if !found {
-		t.Fatalf("snapshotstate diagnostics do not mention Header.dirty: %v", snap)
+}
+
+// TestSnapshotStateCatchesWhatGobsafeMisses proves the closure view
+// strictly extends the call-site view: the only codec call that writes
+// Image passes `any`, so the call reports nothing, while the declared
+// root still reaches the nested unexported field.
+func TestSnapshotStateCatchesWhatGobsafeMisses(t *testing.T) {
+	at := snapshotDiags(t)
+	if got := at("imgcodec.Append(nil, v)"); len(got) != 0 {
+		t.Fatalf("the interface-typed codec call unexpectedly reports %q", got)
+	}
+	got := at("type Image struct")
+	if len(got) != 1 || !strings.Contains(got[0], "Header.dirty") {
+		t.Fatalf("Image root reports %q, want one diagnostic naming Header.dirty", got)
 	}
 }
 
@@ -72,8 +128,8 @@ func TestByName(t *testing.T) {
 }
 
 func TestAllCount(t *testing.T) {
-	if got := len(analysis.All()); got != 8 {
-		t.Errorf("suite has %d analyzers, want 8 (five v1 checks plus snapshotstate, noalloc, fleetscope)", got)
+	if got := len(analysis.All()); got != 7 {
+		t.Errorf("suite has %d analyzers, want 7 (four v1 checks plus snapshotstate, noalloc, fleetscope)", got)
 	}
 }
 
@@ -87,11 +143,11 @@ func TestScoping(t *testing.T) {
 	if analysis.IsSimPackage("dvc/internal/fleet") {
 		t.Error("internal/fleet is the sanctioned concurrency package and must not be a sim package (see simPackages in rules.go)")
 	}
-	if got := len(analysis.AnalyzersFor("dvc/internal/core")); got != 8 {
-		t.Errorf("sim packages get all 8 analyzers, got %d", got)
+	if got := len(analysis.AnalyzersFor("dvc/internal/core")); got != 7 {
+		t.Errorf("sim packages get all 7 analyzers, got %d", got)
 	}
-	if got := len(analysis.AnalyzersFor("dvc/cmd/dvctrace")); got != 6 {
-		t.Errorf("cmd packages get 6 analyzers, got %d", got)
+	if got := len(analysis.AnalyzersFor("dvc/cmd/dvctrace")); got != 5 {
+		t.Errorf("cmd packages get 5 analyzers, got %d", got)
 	}
 	if !analysis.InModule("dvc") || !analysis.InModule("dvc/internal/sim") || analysis.InModule("fmt") {
 		t.Error("InModule misclassifies")

@@ -9,40 +9,41 @@ import (
 	"strings"
 )
 
-// SnapshotState is the whole-type-graph checkpoint analyzer. Where
-// gobsafe vets the static type at each codec call site, snapshotstate
-// starts from the *declared* checkpoint roots — types marked with a
-// //dvc:checkpoint-root directive (guest.Snapshot, tcp.StackSnapshot,
-// vm.Image, ...) plus every type registered with imgcodec.Register (the
-// concrete payloads that travel behind interface fields) — and computes
-// the full reachability closure of their field graphs through structs,
-// pointers, slices, arrays and maps. Every field in the closure must
-// round-trip through the image codec: no unexported fields (including
-// unexported embedded types, which gobsafe's call-site walk exempts), no
-// func or chan anywhere in a field's type.
+// SnapshotState is the checkpoint analyzer. It starts from the
+// checkpoint roots — types marked with a //dvc:checkpoint-root directive
+// (guest.Snapshot, tcp.StackSnapshot, vm.Image, ...), every type
+// registered with imgcodec.Register (the concrete payloads that travel
+// behind interface fields), and the static type of every non-interface
+// argument to imgcodec.Append, Encode and Decode — and computes the full
+// reachability closure of their field graphs through structs, pointers,
+// slices, arrays and maps. Every field in the closure must round-trip
+// through the image codec: no unexported fields (embedded ones
+// included), no func or chan anywhere in a field's type, and no map key
+// the codec cannot order.
 //
 // The point of the closure view: checkpoint state accretes far from the
 // encode call. A field added to tcp.ConnSnapshot is serialized because
 // guest.Snapshot reaches it, even though no codec call in internal/tcp
-// ever mentions it — a call-site analyzer never sees it. The closure is
-// also what the driver emits as STATE_MANIFEST.txt (see StateManifest),
-// so every (type, field) that participates in a checkpoint is visible
-// in review when it changes.
+// ever mentions it, and a codec call that passes an interface value
+// names no type at all. The closure is also what the driver emits as
+// STATE_MANIFEST.txt (see StateManifest), so every (type, field) that
+// participates in a checkpoint is visible in review when it changes.
 //
 // Types the codec encodes natively (payload.Bytes) terminate the walk.
-// Interface-typed fields cannot be traversed statically; their concrete
-// payloads are covered by the imgcodec.Register roots instead.
+// Interface-typed fields and arguments cannot be traversed statically;
+// their concrete payloads are covered by the imgcodec.Register roots
+// instead.
 var SnapshotState = &Analyzer{
 	Name: "snapshotstate",
-	Doc: "compute the reachability closure of declared checkpoint roots " +
-		"(//dvc:checkpoint-root types and imgcodec.Register payloads) and flag " +
+	Doc: "compute the reachability closure of checkpoint roots " +
+		"(//dvc:checkpoint-root types and imgcodec payloads) and flag " +
 		"fields the image codec would reject anywhere in it",
 	Run: runSnapshotState,
 }
 
 // stateRoot is one entry point into the checkpoint state graph.
 type stateRoot struct {
-	pos  token.Pos // where to report problems: the root declaration or Register call
+	pos  token.Pos // where to report problems: the root declaration or codec call
 	name string    // display name for diagnostics
 	typ  types.Type
 }
@@ -58,8 +59,9 @@ func runSnapshotState(pass *Pass) error {
 
 // collectStateRoots gathers the package's checkpoint roots: type
 // declarations carrying //dvc:checkpoint-root and the static types of
-// imgcodec.Register payloads. The result is in source order
-// (declarations first), which makes diagnostic order deterministic.
+// imgcodec.Register, Append, Encode and Decode arguments that are not
+// interfaces. The result is in source order (declarations first), which
+// makes diagnostic order deterministic.
 func collectStateRoots(info *types.Info, files []*ast.File) []stateRoot {
 	var roots []stateRoot
 	for _, f := range files {
@@ -83,27 +85,49 @@ func collectStateRoots(info *types.Info, files []*ast.File) []stateRoot {
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || isConversion(info, call) {
+			if !ok {
 				return true
 			}
-			c, arg, ok := codecPayload(info, call)
-			if !ok || c != imageCodec || !isRegisterCall(call) {
+			arg, ok := codecPayload(info, call)
+			if !ok {
 				return true
 			}
-			if t := info.TypeOf(arg); t != nil {
-				roots = append(roots, stateRoot{pos: call.Pos(), name: typeDisplayName(t), typ: t})
+			t := info.TypeOf(arg)
+			if t == nil {
+				return true
 			}
+			if _, isIface := t.Underlying().(*types.Interface); isIface {
+				return true // opaque: its concrete payloads are Register roots
+			}
+			roots = append(roots, stateRoot{pos: call.Pos(), name: typeDisplayName(t), typ: t})
 			return true
 		})
 	}
 	return roots
 }
 
-// isRegisterCall reports whether a codec entry point (see codecPayload)
-// is a Register call.
-func isRegisterCall(call *ast.CallExpr) bool {
+// codecPayload returns the argument whose type the image codec will
+// encode, if call is imgcodec.Register, Append, Encode or Decode.
+func codecPayload(info *types.Info, call *ast.CallExpr) (ast.Expr, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == "Register"
+	if !ok {
+		return nil, false
+	}
+	obj, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok || obj.Pkg() == nil || obj.Pkg().Path() != "dvc/internal/imgcodec" {
+		return nil, false
+	}
+	switch obj.Name() {
+	case "Register":
+		if len(call.Args) == 1 {
+			return call.Args[0], true
+		}
+	case "Append", "Encode", "Decode":
+		if len(call.Args) == 2 {
+			return call.Args[1], true
+		}
+	}
+	return nil, false
 }
 
 // typeDisplayName names a root type for diagnostics ("*HPL" -> "HPL").
@@ -134,7 +158,7 @@ func walkStateGraph(t types.Type, report func(path, problem string), entries map
 			}
 			visited[t] = true
 		}
-		if imageCodec.ownsFormat(t) {
+		if isImageCodecNative(t) {
 			return
 		}
 		named, _ := t.(*types.Named)
@@ -182,7 +206,7 @@ func walkStateGraph(t types.Type, report func(path, problem string), entries map
 				}
 				continue
 			}
-			if bad, kind := containsBadKind(imageCodec, f.Type(), make(map[types.Type]bool)); bad {
+			if bad, kind := containsBadKind(f.Type(), make(map[types.Type]bool)); bad {
 				if report != nil {
 					report(fieldPath, fmt.Sprintf("contains a %s, which imgcodec cannot encode: checkpointing would fail or restore nil", kind))
 				}
@@ -245,4 +269,65 @@ func sortedKeys(set map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+func deref(t types.Type) types.Type {
+	for {
+		p, ok := t.Underlying().(*types.Pointer)
+		if !ok {
+			return t
+		}
+		t = p.Elem()
+	}
+}
+
+// isImageCodecNative reports whether imgcodec encodes t itself rather
+// than field by field. Keep in step with the codec's native types
+// (internal/imgcodec).
+func isImageCodecNative(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Pkg() != nil &&
+		named.Obj().Pkg().Path() == "dvc/internal/payload" && named.Obj().Name() == "Bytes"
+}
+
+// containsBadKind reports whether t transitively contains a func or chan
+// (through pointers, slices, arrays, maps and struct fields), or a map
+// key the image codec cannot order, returning a description of the
+// offender.
+func containsBadKind(t types.Type, visited map[types.Type]bool) (bool, string) {
+	if visited[t] {
+		return false, ""
+	}
+	visited[t] = true
+	switch u := t.Underlying().(type) {
+	case *types.Signature:
+		return true, "func"
+	case *types.Chan:
+		return true, "chan"
+	case *types.Pointer:
+		return containsBadKind(u.Elem(), visited)
+	case *types.Slice:
+		return containsBadKind(u.Elem(), visited)
+	case *types.Array:
+		return containsBadKind(u.Elem(), visited)
+	case *types.Map:
+		if b, ok := u.Key().Underlying().(*types.Basic); !ok || b.Info()&(types.IsInteger|types.IsString) == 0 {
+			return true, "map keyed by " + types.TypeString(u.Key(), nil)
+		}
+		return containsBadKind(u.Elem(), visited)
+	case *types.Struct:
+		if isImageCodecNative(t) {
+			return false, ""
+		}
+		for i := 0; i < u.NumFields(); i++ {
+			f := u.Field(i)
+			if !f.Exported() && !f.Embedded() {
+				continue // reported separately by the unexported check
+			}
+			if bad, kind := containsBadKind(f.Type(), visited); bad {
+				return true, fmt.Sprintf("%s (via %s)", kind, f.Name())
+			}
+		}
+	}
+	return false, ""
 }

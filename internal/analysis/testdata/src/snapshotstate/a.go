@@ -1,11 +1,13 @@
 // Fixture for the snapshotstate analyzer: reachability closure from
-// //dvc:checkpoint-root types and imgcodec.Register payloads, across
-// nested structs, unexported embedding, map values, slices and pointers.
-// Diagnostics land on the root declaration (or the imgcodec.Register
-// call), naming the reached field.
+// //dvc:checkpoint-root types, imgcodec.Register payloads and the
+// concrete arguments of imgcodec.Append/Encode/Decode, across nested
+// structs, unexported embedding, map values, slices and pointers.
+// Diagnostics land on the root declaration (or the codec call), naming
+// the reached field.
 package snapshotstate
 
 import (
+	"bytes"
 	"encoding/gob"
 
 	"dvc/internal/imgcodec"
@@ -87,4 +89,74 @@ type GobOnly struct{ cache []byte }
 func init() {
 	imgcodec.Register(RegisteredPayload{}) // want `RegisteredPayload\.cache is unexported`
 	gob.Register(GobOnly{})
+}
+
+// Hidden loses state on every save/restore cycle.
+type Hidden struct {
+	PC      int
+	cursor  int
+	pending []string
+}
+
+// Unencodable cannot round-trip at all.
+type Unencodable struct {
+	Name   string
+	Resume func() error
+	Wake   chan int
+}
+
+// SelfMarshal owns a binary wire format, which the image codec ignores:
+// it walks the fields anyway.
+type SelfMarshal struct {
+	secret int
+}
+
+func (s SelfMarshal) MarshalBinary() ([]byte, error) { return []byte{byte(s.secret)}, nil }
+
+// Keyed has a map key the image codec cannot order.
+type Keyed struct {
+	ByPair map[[2]int]string
+}
+
+func registerImage() {
+	imgcodec.Register(&Hidden{})      // want `Hidden\.cursor is unexported` `Hidden\.pending is unexported`
+	imgcodec.Register(&Unencodable{}) // want `Unencodable\.Resume contains a func, which imgcodec cannot encode` `Unencodable\.Wake contains a chan`
+	imgcodec.Register(&SelfMarshal{}) // want `SelfMarshal\.secret is unexported`
+	imgcodec.Register(&Keyed{})       // want `Keyed\.ByPair contains a map keyed by \[2\]int, which imgcodec cannot encode`
+}
+
+// Concrete codec arguments are roots too, reported at the call.
+func encodeImage(buf *bytes.Buffer, clean *CleanRoot, h *Hidden) error {
+	b, err := imgcodec.Append(nil, clean)
+	if err != nil {
+		return err
+	}
+	if err := imgcodec.Decode(b, h); err != nil { // want `Hidden\.cursor is unexported` `Hidden\.pending is unexported`
+		return err
+	}
+	if err := imgcodec.Encode(buf, h); err != nil { // want `Hidden\.cursor is unexported` `Hidden\.pending is unexported`
+		return err
+	}
+	return imgcodec.Encode(buf, h) //lint:allow snapshotstate fixture proves the escape hatch works
+}
+
+// Image is checkpoint state, though the only codec call that writes it
+// (Save) erases its static type: the declared root still carries the
+// nested field to the analyzer.
+//
+//dvc:checkpoint-root
+type Image struct { // want `Header\.dirty is unexported`
+	Header Header
+}
+
+// Header hides a field the image codec cannot carry.
+type Header struct {
+	Version int
+	dirty   bool
+}
+
+// Save passes an interface value, which names no type to walk: the
+// call itself stays quiet.
+func Save(v any) ([]byte, error) {
+	return imgcodec.Append(nil, v)
 }

@@ -11,9 +11,7 @@
 package ckpt
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 
 	"dvc/internal/sim"
 )
@@ -149,42 +147,4 @@ func Estimates(fp Footprint, bw float64) []Estimate {
 		})
 	}
 	return out
-}
-
-// GobSize measures the actual encoded size of a value — used to ground
-// the LiveData estimate in the real application state rather than a
-// guess. (Our guest programs are pure data, so this is exactly what an
-// application-level checkpointer would write.)
-//
-// The encoder streams into a counting writer: only the size is wanted,
-// so buffering the whole encoding (the pre-rewrite bytes.Buffer) spent
-// an allocation proportional to the state being measured on every E5
-// probe, for bytes that were thrown away immediately.
-//
-// The value is encoded twice on one encoder and only the second message
-// counts. The first message also carries gob's type descriptors, whose
-// wire ids come from a process-global counter, so its length depends on
-// what the process happened to encode first. The second message holds
-// the values only: its size is a property of the state alone.
-func GobSize(v any) (int64, error) {
-	var cw countingWriter
-	enc := gob.NewEncoder(&cw)
-	if err := enc.Encode(v); err != nil {
-		return 0, fmt.Errorf("ckpt: measuring state: %w", err)
-	}
-	first := cw
-	if err := enc.Encode(v); err != nil {
-		return 0, fmt.Errorf("ckpt: measuring state: %w", err)
-	}
-	return int64(cw - first), nil
-}
-
-// countingWriter discards bytes and counts them.
-type countingWriter int64
-
-var _ io.Writer = (*countingWriter)(nil)
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	*w += countingWriter(len(p))
-	return len(p), nil
 }

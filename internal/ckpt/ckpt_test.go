@@ -1,14 +1,10 @@
 package ckpt
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 	"testing/quick"
 
-	"dvc/internal/guest"
 	"dvc/internal/sim"
-	"dvc/internal/tcp"
 )
 
 func TestSizeOrdering(t *testing.T) {
@@ -89,31 +85,6 @@ func TestEstimatesTimesScaleWithSize(t *testing.T) {
 	}
 }
 
-func TestGobSizeMeasuresRealState(t *testing.T) {
-	type appState struct {
-		Matrix []float64
-		K      int
-	}
-	fill := func(n int) []float64 {
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = 1.1 * float64(i+1)
-		}
-		return v
-	}
-	small, err := GobSize(&appState{Matrix: fill(100)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := GobSize(&appState{Matrix: fill(100000)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big <= small || big < 700000 {
-		t.Fatalf("gob sizes implausible: small=%d big=%d", small, big)
-	}
-}
-
 func TestMethodStrings(t *testing.T) {
 	want := map[Method]string{
 		AppLevel: "application", UserLevel: "user-level",
@@ -147,40 +118,5 @@ func TestPropertySizeMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestGobSizeMatchesEncodedLength pins the counting-writer rewrite of
-// GobSize to a buffered encoder: the size it reports must be exactly the
-// length of the real encoded value message, the second message of a
-// stream that encodes the value twice (the first also carries the type
-// descriptors). A guest snapshot — a structurally involved value with
-// maps, slices and nested pointers — is used as the probe, encoded
-// directly (guest images use their own codec, internal/imgcodec).
-func TestGobSizeMatchesEncodedLength(t *testing.T) {
-	snap := &guest.Snapshot{
-		NextPID: 7,
-		FDs:     map[int]tcp.ConnKey{3: {}},
-		NextFD:  4,
-		Accepts: map[uint16][]tcp.ConnKey{80: nil},
-		Listens: []uint16{80},
-		Jiffies: 12345,
-		Stack:   &tcp.StackSnapshot{NextPort: 40000},
-	}
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	first := buf.Len()
-	if err := enc.Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	size, err := GobSize(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := int64(buf.Len() - first); size != want {
-		t.Fatalf("GobSize=%d, encoded value message is %d bytes", size, want)
 	}
 }

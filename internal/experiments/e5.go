@@ -6,6 +6,7 @@ import (
 	"dvc/internal/ckpt"
 	"dvc/internal/guest"
 	"dvc/internal/hpcc"
+	"dvc/internal/imgcodec"
 	"dvc/internal/metrics"
 	"dvc/internal/mpi"
 	"dvc/internal/netsim"
@@ -47,11 +48,11 @@ func runE5(opts Options) *Result {
 		pids := mpi.Launch(oses, 6000, func(int) mpi.App { return hpcc.NewHPL(n, 42, rate) })
 		k.RunFor(10 * sim.Second) // ~half way
 		p, _ := oses[0].Proc(pids[0])
-		size, err := ckpt.GobSize(p.Program().(*mpi.Driver).App)
+		b, err := imgcodec.Append(nil, p.Program().(*mpi.Driver).App)
 		if err != nil {
 			panic(err)
 		}
-		return size
+		return int64(len(b))
 	}
 
 	type workloadCase struct {

@@ -27,11 +27,10 @@
 //	interface            registered name of the concrete type ("" for
 //	                     nil), its 32-bit plan hash (LE), then the value
 //
-// Decoded values follow encoding/gob's conventions — empty slices, maps
-// and ropes decode as nil, and a zero float struct field decodes as +0 —
-// so restored guests, and the replay digests pinned on them, match those
-// of the gob images this codec replaced. Decoded byte slices and ropes
-// are fresh copies; nothing aliases the source buffer.
+// Decoding conventions: empty slices, maps and ropes decode as nil, and a
+// zero float struct field, -0 included, decodes as +0. Restored guests,
+// and the replay digests pinned on them, depend on these. Decoded byte
+// slices and ropes are fresh copies; nothing aliases the source buffer.
 //
 // Decoding is bounded: every length prefix is checked against the bytes
 // that remain before anything is allocated, so hostile input yields an
@@ -394,8 +393,8 @@ func decFloat64(d *decoder, p unsafe.Pointer) {
 	}
 }
 
-// encFieldFloat32/64 encode a float struct field. gob omits a field equal
-// to zero, so -0 used to decode as +0; writing zero's bits keeps that.
+// encFieldFloat32/64 encode a float struct field, writing -0 as +0 (see
+// the decoding conventions in the package comment).
 func encFieldFloat32(e *encoder, p unsafe.Pointer) {
 	bits := *(*uint32)(p)
 	if *(*float32)(p) == 0 {

@@ -124,7 +124,7 @@ func TestRopeRoundTrip(t *testing.T) {
 }
 
 // TestEmptyDecodesNil: empty slices, maps and ropes decode as nil, and a
-// -0 struct field as +0 — the values the gob image decoded to.
+// -0 struct field as +0, as the package comment states.
 func TestEmptyDecodesNil(t *testing.T) {
 	in := &kitchen{Raw: []byte{}, Fs: []float64{}, Us: []uint16{}, M: map[int][]float64{}, SM: map[string]uint8{},
 		Rope: payload.FromChunks(), Nest: []kitchenRow{}, F64: math.Copysign(0, -1)}

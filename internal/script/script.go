@@ -23,6 +23,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -148,6 +149,9 @@ func (in *Interpreter) duration(s string) (dvc.Time, error) {
 	if err != nil {
 		return 0, in.errf("bad duration %q: %v", s, err)
 	}
+	if d < 0 {
+		return 0, in.errf("bad duration %q: negative", s)
+	}
 	return dvc.Time(d.Nanoseconds()), nil
 }
 
@@ -158,6 +162,9 @@ func (in *Interpreter) cmdCluster(args []string) error {
 	n, err := strconv.Atoi(args[1])
 	if err != nil || n <= 0 {
 		return in.errf("bad node count %q", args[1])
+	}
+	if in.sim.Site().Cluster(args[0]) != nil {
+		return in.errf("duplicate cluster %q", args[0])
 	}
 	in.sim.AddCluster(args[0], n)
 	if len(args) >= 3 {
@@ -242,48 +249,68 @@ func (in *Interpreter) cmdRun(args []string) error {
 	return nil
 }
 
-// makeApp parses a workload spec into a per-rank factory.
+// makeApp parses a workload spec into a per-rank factory. Arguments are
+// positional and optional; one that is given must parse and be in range.
 func (in *Interpreter) makeApp(kind string, args []string) (func(int) dvc.App, string, error) {
-	atoi := func(i, def int) int {
-		if i >= len(args) {
+	var bad error // the first argument that failed to parse
+	given := func(i int) bool { return i < len(args) && bad == nil }
+	intArg := func(i int, what string, def, least int) int {
+		if !given(i) {
 			return def
 		}
 		v, err := strconv.Atoi(args[i])
-		if err != nil {
-			return def
+		if err != nil || v < least {
+			bad = in.errf("run %s: bad %s %q (want an integer >= %d)", kind, what, args[i], least)
 		}
 		return v
 	}
+	durationArg := func(i int, def dvc.Time) dvc.Time {
+		if !given(i) {
+			return def
+		}
+		d, err := in.duration(args[i])
+		bad = err
+		return d
+	}
+	var (
+		app     func(int) dvc.App
+		desc    string
+		maxArgs int
+	)
 	switch kind {
 	case "halo":
-		rounds := atoi(0, 5000)
-		period := 20 * dvc.Millisecond
-		if len(args) >= 2 {
-			if d, err := in.duration(args[1]); err == nil {
-				period = d
-			}
-		}
-		msg := atoi(2, 2048)
-		return func(int) dvc.App { return dvc.NewHalo(rounds, period, msg) },
-			fmt.Sprintf("halo(rounds=%d, period=%v, msg=%dB)", rounds, period, msg), nil
+		rounds := intArg(0, "round count", 5000, 1)
+		period := durationArg(1, 20*dvc.Millisecond)
+		msg := intArg(2, "message size", 2048, 0)
+		app = func(int) dvc.App { return dvc.NewHalo(rounds, period, msg) }
+		desc, maxArgs = fmt.Sprintf("halo(rounds=%d, period=%v, msg=%dB)", rounds, period, msg), 3
 	case "hpl":
-		n := atoi(0, 128)
+		n := intArg(0, "matrix order", 128, 1)
 		gf := 2e-5
-		if len(args) >= 2 {
-			if v, err := strconv.ParseFloat(args[1], 64); err == nil {
-				gf = v
+		if given(1) {
+			v, err := strconv.ParseFloat(args[1], 64)
+			if err != nil || !(v > 0) || math.IsInf(v, 0) {
+				bad = in.errf("run hpl: bad GF/s %q (want a positive number)", args[1])
 			}
+			gf = v
 		}
-		return func(int) dvc.App { return dvc.NewHPL(n, 42, gf) },
-			fmt.Sprintf("hpl(N=%d, %g GF/s)", n, gf), nil
+		app = func(int) dvc.App { return dvc.NewHPL(n, 42, gf) }
+		desc, maxArgs = fmt.Sprintf("hpl(N=%d, %g GF/s)", n, gf), 2
 	case "ptrans":
-		n := atoi(0, 32)
-		reps := atoi(1, 500)
-		return func(int) dvc.App { return dvc.NewPTRANS(n, 42, reps, 10) },
-			fmt.Sprintf("ptrans(N=%d, reps=%d)", n, reps), nil
+		n := intArg(0, "matrix order", 32, 1)
+		reps := intArg(1, "repetition count", 500, 1)
+		app = func(int) dvc.App { return dvc.NewPTRANS(n, 42, reps, 10) }
+		desc, maxArgs = fmt.Sprintf("ptrans(N=%d, reps=%d)", n, reps), 2
 	default:
 		return nil, "", in.errf("unknown workload %q (halo|hpl|ptrans)", kind)
 	}
+	if bad != nil {
+		return nil, "", bad
+	}
+	if len(args) > maxArgs {
+		return nil, "", in.errf("run %s: at most %d argument(s), got %d", kind, maxArgs, len(args))
+	}
+	return app, desc, nil
 }
 
 func (in *Interpreter) cmdAdvance(args []string) error {

@@ -120,6 +120,33 @@ func TestScriptErrors(t *testing.T) {
 	}
 }
 
+// TestBadArgumentsAreLineErrors feeds each malformed command after a
+// valid three-line prelude: every one must stop the script with an error
+// naming line 4, never a panic, a silent default or a negative duration.
+func TestBadArgumentsAreLineErrors(t *testing.T) {
+	const prelude = "cluster alpha 4\nstart\nalloc j 2\n"
+	for _, cmd := range []string{
+		"run j hpl -4",
+		"run j hpl 64 0",
+		"run j hpl 64 fast",
+		"run j halo 10 20ms -1",
+		"run j halo abc",
+		"run j halo 10 soon",
+		"run j halo 10 -20ms",
+		"run j halo 10 20ms 64 extra",
+		"run j ptrans 0",
+		"run j ptrans 24 -5",
+		"cluster alpha 4",
+		"advance -5s",
+		"wait j -1s",
+	} {
+		_, err := run(t, 8, prelude+cmd+"\n")
+		if err == nil || !strings.HasPrefix(err.Error(), "line 4: ") {
+			t.Errorf("%q: err = %v, want a line 4 error", cmd, err)
+		}
+	}
+}
+
 func TestCommentsAndBlankLines(t *testing.T) {
 	if _, err := run(t, 6, "\n# just a comment\n\n"); err != nil {
 		t.Fatal(err)
