@@ -2,15 +2,15 @@ package payload
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 )
 
 // ChunkID is the stable content identity of one rope chunk: the SHA-256
-// of its bytes (ChunkIDOf) or of a synthetic preimage (DeriveChunkID).
-// Two chunks with equal content — across epochs, across VMs, across
-// stores — share one ChunkID, which is what makes the storage layer's
-// dedup a pure function of content rather than of write order.
+// of its bytes (ChunkIDOf). Two chunks with equal content — across
+// epochs, across VMs, across stores — share one ChunkID, which is what
+// makes the storage layer's blob dedup a pure function of content
+// rather than of write order. (Modelled RAM chunks are named
+// structurally instead, by vm.ChunkKey.)
 //
 // ChunkIDs are comparable with == and sort with bytes.Compare over
 // id[:]; deterministic iteration over a map keyed by ChunkID must sort
@@ -21,31 +21,6 @@ type ChunkID [32]byte
 //
 //dvc:hotpath
 func ChunkIDOf(chunk []byte) ChunkID { return sha256.Sum256(chunk) }
-
-// DeriveChunkID returns a synthetic chunk identity from a fixed-width
-// preimage: a domain-separation tag byte followed by three little-endian
-// uint64s. The modelled dirty-page machinery uses it to name page-range
-// chunks it never materialises (tag 'P' with the page lineage, index and
-// version; tag 'T'/'Z' for template and zero ranges), keeping identity
-// assignment allocation-free and independent of encoding byte layout.
-//
-//dvc:hotpath
-func DeriveChunkID(tag byte, a, b, c uint64) ChunkID {
-	var pre [25]byte
-	pre[0] = tag
-	binary.LittleEndian.PutUint64(pre[1:9], a)
-	binary.LittleEndian.PutUint64(pre[9:17], b)
-	binary.LittleEndian.PutUint64(pre[17:25], c)
-	return sha256.Sum256(pre[:])
-}
-
-// ChunkRef names one chunk of a manifest: its content identity plus its
-// size. Sizes ride along so accounting (logical bytes, transfer bytes)
-// never needs to resolve an ID against a store.
-type ChunkRef struct {
-	ID    ChunkID
-	Bytes int64
-}
 
 // String renders a short hex prefix for diagnostics.
 func (id ChunkID) String() string { return hex.EncodeToString(id[:6]) }

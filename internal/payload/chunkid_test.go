@@ -23,37 +23,12 @@ func TestChunkIDContentAddressed(t *testing.T) {
 	}
 }
 
-// TestDeriveChunkID pins domain separation: every component of the
-// preimage (tag and all three words) feeds the identity, and the
-// function is a pure function of its arguments.
-func TestDeriveChunkID(t *testing.T) {
-	base := DeriveChunkID('P', 1, 2, 3)
-	if base != DeriveChunkID('P', 1, 2, 3) {
-		t.Fatalf("DeriveChunkID not deterministic")
-	}
-	for _, alt := range []ChunkID{
-		DeriveChunkID('T', 1, 2, 3),
-		DeriveChunkID('P', 9, 2, 3),
-		DeriveChunkID('P', 1, 9, 3),
-		DeriveChunkID('P', 1, 2, 9),
-	} {
-		if alt == base {
-			t.Fatalf("preimage component did not change the ChunkID")
-		}
-	}
-	// Synthetic identities must not collide with the content hash of
-	// their own preimage-sized buffers by construction accident.
-	if DeriveChunkID('P', 0, 0, 0) == ChunkIDOf(make([]byte, 25)) {
-		t.Fatalf("tagged preimage collided with zero buffer hash")
-	}
-}
-
 // TestAppendChunkIDs checks that rope chunk identities line up with the
 // underlying chunk geometry and append to an existing slice.
 func TestAppendChunkIDs(t *testing.T) {
 	c1, c2 := []byte("alpha"), []byte("beta")
 	b := FromChunks(c1, c2)
-	ids := b.AppendChunkIDs([]ChunkID{DeriveChunkID('X', 0, 0, 0)})
+	ids := b.AppendChunkIDs([]ChunkID{ChunkIDOf([]byte("prefix"))})
 	if len(ids) != 3 {
 		t.Fatalf("got %d ids, want 3", len(ids))
 	}

@@ -8,14 +8,13 @@ import (
 	"dvc/internal/vm"
 )
 
-// Content-addressed delta path: WriteDelta stores an image as a chunk
-// manifest against a refcounted pool shared by every key in the store.
-// Chunks the pool already holds cost manifest metadata only — the
-// modelled wire bytes of an epoch are its genuinely new chunks. The
-// pool is two-level:
+// Delta path: WriteDelta stores an image against a refcounted chunk
+// pool shared by every key in the store. Chunks the pool already holds
+// cost manifest metadata only — the modelled wire bytes of an epoch are
+// its genuinely new chunks. The pool is two-level:
 //
-//   - modelled page chunks, keyed by the derived identities in
-//     Image.Pages (see vm.PageTable): these drive every observable
+//   - modelled page chunks, named by the structural keys of
+//     Image.Pages (vm.PageTable.Chunk): these drive every observable
 //     byte count (Sent, dedup stats, GC) and replay deterministically;
 //   - functional blobs, keyed by the content hash of the image's real
 //     rope chunks: these let Read reassemble a byte-identical image
@@ -26,10 +25,35 @@ import (
 // fully deduplicated epoch pays this metadata per chunk of guest RAM.
 const ManifestEntryBytes = 48
 
-// chunkEntry is one modelled page chunk in the shared pool.
+// chunkEntry is one shared (template or zero) page chunk in the pool.
 type chunkEntry struct {
 	size int64
 	refs int
+}
+
+// privateChunk is one retained version of a lineage's page chunk.
+type privateChunk struct {
+	version uint32
+	refs    int32
+	size    int64
+}
+
+// chunkPool holds the modelled page chunks. Private chunks live in a
+// dense table per lineage, indexed by chunk index; each slot lists the
+// versions still resident (one or two in steady state), so pin, release
+// and GC never hash. Template and zero chunks, shared across lineages,
+// sit in a small map.
+type chunkPool struct {
+	private  map[uint64][][]privateChunk
+	shared   map[vm.ChunkKey]*chunkEntry
+	resident int64 // modelled bytes held, referenced or not
+}
+
+func newChunkPool() *chunkPool {
+	return &chunkPool{
+		private: make(map[uint64][][]privateChunk),
+		shared:  make(map[vm.ChunkKey]*chunkEntry),
+	}
 }
 
 // blobEntry is one functional rope chunk in the shared pool.
@@ -42,9 +66,9 @@ type blobEntry struct {
 // manifest covers, how many actually crossed the wire, and the chunk
 // dedup split.
 type DeltaInfo struct {
-	Logical     int64 // bytes the manifest describes (all of guest RAM)
+	Logical     int64 // bytes the page table describes (all of guest RAM)
 	Sent        int64 // new chunk bytes + manifest metadata
-	Chunks      int   // manifest length
+	Chunks      int   // chunks in the page table
 	DedupChunks int   // chunks the pool already held
 	NewChunks   int   // chunks transferred
 }
@@ -65,41 +89,136 @@ func (s *Store) SetTracer(t *obs.Tracer) { s.tracer = t }
 // stores pay nothing for the delta path.
 func (s *Store) ensurePools() {
 	if s.chunks == nil {
-		s.chunks = make(map[payload.ChunkID]*chunkEntry)
+		s.chunks = newChunkPool()
 		s.blobs = make(map[payload.ChunkID]*blobEntry)
 	}
 }
 
-// pinManifest takes one reference on every chunk in the manifest,
-// admitting chunks the pool has not seen, and returns the transfer
-// summary. References are taken at admission — before the simulated
-// transfer completes — so a concurrent Delete of a prior generation can
-// never let GC reclaim chunks an in-flight write depends on.
-func (s *Store) pinManifest(manifest []payload.ChunkRef) DeltaInfo {
-	info := DeltaInfo{Chunks: len(manifest)}
-	for _, ref := range manifest {
-		info.Logical += ref.Bytes
-		if e, ok := s.chunks[ref.ID]; ok {
-			e.refs++
-			info.DedupChunks++
-			continue
-		}
-		s.chunks[ref.ID] = &chunkEntry{size: ref.Bytes, refs: 1}
-		info.NewChunks++
-		info.Sent += ref.Bytes
+// lineage returns the private-chunk slots of one lineage, grown to at
+// least n chunks.
+func (p *chunkPool) lineage(id uint64, n int) [][]privateChunk {
+	slots := p.private[id]
+	if len(slots) < n {
+		slots = append(slots, make([][]privateChunk, n-len(slots))...)
+		p.private[id] = slots
 	}
-	info.Sent += int64(len(manifest)) * ManifestEntryBytes
+	return slots
+}
+
+// pin takes one reference on every chunk of the table, admitting chunks
+// the pool has not seen, and returns the transfer summary. A resident
+// chunk dedups even at zero references (it stays until GC). References
+// are taken at admission — before the simulated transfer completes — so
+// a concurrent Delete of a prior generation can never let GC reclaim
+// chunks an in-flight write depends on.
+func (p *chunkPool) pin(pt *vm.PageTable) DeltaInfo {
+	info := DeltaInfo{Chunks: len(pt.Versions)}
+	var slots [][]privateChunk // this lineage's, fetched at its first private chunk
+	for ci := range pt.Versions {
+		key, size := pt.Chunk(ci)
+		info.Logical += size
+		if key.Kind == vm.PrivateChunk {
+			if slots == nil {
+				slots = p.lineage(pt.Lineage, len(pt.Versions))
+			}
+			if pinVersion(slots[ci], key.Version) {
+				info.DedupChunks++
+				continue
+			}
+			slots[ci] = append(slots[ci], privateChunk{version: key.Version, refs: 1, size: size})
+		} else {
+			if e, ok := p.shared[key]; ok {
+				e.refs++
+				info.DedupChunks++
+				continue
+			}
+			p.shared[key] = &chunkEntry{size: size, refs: 1}
+		}
+		info.NewChunks++
+		info.Sent += size
+		p.resident += size
+	}
+	info.Sent += int64(len(pt.Versions)) * ManifestEntryBytes
 	return info
 }
 
-// releaseManifest drops one reference per manifest chunk. Entries stay
-// resident at zero references until GC runs.
-func (s *Store) releaseManifest(manifest []payload.ChunkRef) {
-	for _, ref := range manifest {
-		if e, ok := s.chunks[ref.ID]; ok && e.refs > 0 {
-			e.refs--
+// pinVersion takes a reference on version v if the slot holds it.
+func pinVersion(slot []privateChunk, v uint32) bool {
+	for i := range slot {
+		if slot[i].version == v {
+			slot[i].refs++
+			return true
 		}
 	}
+	return false
+}
+
+// release drops the reference pin took for every chunk of the table.
+// Chunks stay resident at zero references until GC runs. Releasing a
+// chunk that holds no reference is a refcount invariant failure (a
+// double release) and panics.
+func (p *chunkPool) release(obj string, pt *vm.PageTable) {
+	slots := p.private[pt.Lineage]
+	for ci := range pt.Versions {
+		key, _ := pt.Chunk(ci)
+		if key.Kind == vm.PrivateChunk {
+			if ci < len(slots) && releaseVersion(slots[ci], key.Version) {
+				continue
+			}
+		} else if e, ok := p.shared[key]; ok && e.refs > 0 {
+			e.refs--
+			continue
+		}
+		panic(fmt.Sprintf("storage: object %q releases unpinned chunk %d %+v", obj, ci, key))
+	}
+}
+
+// releaseVersion drops a reference on version v if the slot holds one.
+func releaseVersion(slot []privateChunk, v uint32) bool {
+	for i := range slot {
+		if slot[i].version == v && slot[i].refs > 0 {
+			slot[i].refs--
+			return true
+		}
+	}
+	return false
+}
+
+// gc reclaims every zero-reference chunk and reports the chunks and
+// bytes freed. Private slots compact in place, keeping their capacity,
+// so a steady-state epoch allocates nothing per chunk; a lineage left
+// with no chunk at all is dropped. It walks maps in map order: the
+// result is an integer sum and deletes commute, so the order cannot
+// show.
+func (p *chunkPool) gc() (chunks int, bytes int64) {
+	for id, slots := range p.private {
+		live := 0
+		for ci, slot := range slots {
+			kept := slot[:0]
+			for _, c := range slot {
+				if c.refs == 0 {
+					chunks++
+					bytes += c.size
+					continue
+				}
+				kept = append(kept, c)
+			}
+			slots[ci] = kept
+			live += len(kept)
+		}
+		if live == 0 {
+			delete(p.private, id)
+		}
+	}
+	for key, e := range p.shared {
+		if e.refs == 0 {
+			chunks++
+			bytes += e.size
+			delete(p.shared, key)
+		}
+	}
+	p.resident -= bytes
+	return chunks, bytes
 }
 
 // pinBlobs admits the image's functional rope chunks into the blob pool
@@ -119,42 +238,49 @@ func (s *Store) pinBlobs(data payload.Bytes) []payload.ChunkID {
 	return ids
 }
 
-func (s *Store) releaseBlobs(ids []payload.ChunkID) {
+// releaseBlobs drops one reference per blob; like chunkPool.release it
+// panics on a blob that holds no reference.
+func (s *Store) releaseBlobs(obj string, ids []payload.ChunkID) {
 	for _, id := range ids {
-		if e, ok := s.blobs[id]; ok && e.refs > 0 {
-			e.refs--
+		e, ok := s.blobs[id]
+		if !ok || e.refs == 0 {
+			panic(fmt.Sprintf("storage: object %q releases unpinned blob %s", obj, id))
 		}
+		e.refs--
 	}
 }
 
 // releaseObject drops the pool references a stored object holds (no-op
 // for plain full-image objects).
 func (s *Store) releaseObject(o *Object) {
-	if o == nil || o.Manifest == nil {
+	if o == nil || o.Pages == nil {
 		return
 	}
-	s.releaseManifest(o.Manifest)
-	s.releaseBlobs(o.blobs)
+	s.chunks.release(o.Key, o.Pages)
+	s.releaseBlobs(o.Key, o.blobs)
 }
 
 // WriteDelta stores a delta image under key, transferring only the
-// chunks the store does not already hold. The image must carry a page
-// table (vm.CaptureDeltaImage); the returned DeltaInfo is computed at
-// admission, before the transfer completes. Overwrites release the
-// prior generation's chunk references at completion, exactly when the
-// new object replaces it.
+// chunks the store does not already hold. The image must carry a
+// well-formed page table (vm.CaptureDeltaImage), which the stored
+// object keeps to release its chunks later; the returned DeltaInfo is
+// computed at admission, before the transfer completes. Overwrites
+// release the prior generation's chunk references at completion,
+// exactly when the new object replaces it.
 func (s *Store) WriteDelta(key string, img *vm.Image, onDone func()) (DeltaInfo, error) {
 	if img.Pages == nil {
 		return DeltaInfo{}, fmt.Errorf("storage: WriteDelta %q: image has no page table", key)
 	}
+	if err := img.Pages.Validate(img.RAMBytes); err != nil {
+		return DeltaInfo{}, fmt.Errorf("storage: WriteDelta %q: %w", key, err)
+	}
 	s.ensurePools()
-	manifest := img.Pages.AppendManifest(nil)
-	info := s.pinManifest(manifest)
+	info := s.chunks.pin(img.Pages)
 	blobs := s.pinBlobs(img.Data)
 
 	// The stored object keeps the image metadata but not the rope: Read
-	// reassembles the bytes from the blob pool, proving the manifest
-	// path is functionally complete.
+	// reassembles the bytes from the blob pool, proving the delta path
+	// is functionally complete.
 	meta := *img
 	meta.Data = payload.Bytes{}
 
@@ -172,7 +298,7 @@ func (s *Store) WriteDelta(key string, img *vm.Image, onDone func()) (DeltaInfo,
 			Size:     info.Logical,
 			Image:    &meta,
 			StoredAt: s.kernel.Now(),
-			Manifest: manifest,
+			Pages:    img.Pages,
 			blobs:    blobs,
 		}
 		if onDone != nil {
@@ -202,17 +328,11 @@ func (s *Store) reassemble(o *Object) (*vm.Image, error) {
 	return &img, nil
 }
 
-// GC reclaims every pool chunk whose reference count has dropped to
-// zero and reports the modelled page chunks and bytes freed. It reclaims
-// in map order: the result is an integer sum and deletes commute, so the
-// order cannot show.
+// GC reclaims every pool chunk and blob whose reference count has
+// dropped to zero and reports the modelled page chunks and bytes freed.
 func (s *Store) GC() (chunks int, bytes int64) {
-	for id, e := range s.chunks {
-		if e.refs == 0 {
-			chunks++
-			bytes += e.size
-			delete(s.chunks, id)
-		}
+	if s.chunks != nil {
+		chunks, bytes = s.chunks.gc()
 	}
 	for id, e := range s.blobs {
 		if e.refs == 0 {
@@ -228,9 +348,8 @@ func (s *Store) GC() (chunks int, bytes int64) {
 // pool — the deduplicated footprint backing every delta object. Compare
 // with TotalBytes, which sums per-object logical sizes.
 func (s *Store) UniqueBytes() int64 {
-	var n int64
-	for _, e := range s.chunks {
-		n += e.size
+	if s.chunks == nil {
+		return 0
 	}
-	return n
+	return s.chunks.resident
 }

@@ -146,6 +146,21 @@ func TestWriteDeltaRequiresPages(t *testing.T) {
 	if _, err := s.WriteDelta("x", img("a", 100), nil); err == nil {
 		t.Fatal("WriteDelta accepted an image without a page table")
 	}
+	// A malformed table is rejected before it pins anything.
+	for name, mangle := range map[string]func(*vm.PageTable){
+		"zero chunk size":    func(p *vm.PageTable) { p.ChunkSize = 0 },
+		"truncated versions": func(p *vm.PageTable) { p.Versions = p.Versions[:3] },
+		"cursor past RAM":    func(p *vm.PageTable) { p.Cursor = 4 * p.RAM },
+	} {
+		bad := deltaImg("a", 1, make([]uint32, 8), []byte("x"))
+		mangle(bad.Pages)
+		if _, err := s.WriteDelta("x", bad, nil); err == nil {
+			t.Fatalf("%s: WriteDelta accepted a malformed page table", name)
+		}
+	}
+	if s.UniqueBytes() != 0 || s.DeltaWrites != 0 {
+		t.Fatalf("rejected writes left %d pool bytes, %d delta writes", s.UniqueBytes(), s.DeltaWrites)
+	}
 }
 
 func TestDeleteReleasesChunksAndGCReclaims(t *testing.T) {

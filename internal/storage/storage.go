@@ -48,9 +48,10 @@ type Object struct {
 	Image    *vm.Image
 	StoredAt sim.Time
 
-	// Manifest is non-nil for delta objects (WriteDelta): the modelled
-	// chunk references this object holds in the shared pool.
-	Manifest []payload.ChunkRef
+	// Pages is non-nil for delta objects (WriteDelta): the image's
+	// immutable page table, naming the modelled chunks this object
+	// holds references on in the shared pool.
+	Pages *vm.PageTable
 	// blobs are the functional rope chunks, in order, for reassembly.
 	blobs []payload.ChunkID
 }
@@ -72,9 +73,9 @@ type Store struct {
 	lastUpdate sim.Time
 	pending    *sim.Timer // completion event; rearmed in place per reschedule
 
-	// Content-addressed chunk pools shared by every delta object (see
-	// delta.go); nil until the first WriteDelta.
-	chunks map[payload.ChunkID]*chunkEntry
+	// Chunk pools shared by every delta object (see delta.go); nil
+	// until the first WriteDelta.
+	chunks *chunkPool
 	blobs  map[payload.ChunkID]*blobEntry
 	tracer *obs.Tracer
 
@@ -209,7 +210,7 @@ func (s *Store) Read(key string, onDone func(*vm.Image, error)) {
 	}
 	s.Reads++
 	s.BytesRead += uint64(obj.Size)
-	if obj.Manifest != nil {
+	if obj.Pages != nil {
 		// Delta object: reassemble the functional image from the blob
 		// pool now, at admission, so a Delete+GC racing the transfer
 		// cannot invalidate the bytes mid-read.

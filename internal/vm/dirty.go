@@ -72,7 +72,7 @@ func (d *Domain) CleanMark() sim.Time { return d.cleanMark }
 // CaptureDeltaImage captures a paused domain as a self-contained
 // content-addressed delta epoch. The functional payload is the complete
 // image (a restore needs exactly this one image), and
-// Image.Pages carries the chunk-identity manifest of all of RAM — the
+// Image.Pages carries the chunk-identity table of all of RAM — the
 // storage layer transfers only the chunks it has not seen, so the
 // modelled wire cost of the epoch is the dirtied chunks plus manifest
 // metadata (one 8-byte entry per 4 KiB page). The capture itself folds

@@ -1,9 +1,8 @@
 package vm
 
 import (
+	"fmt"
 	"hash/fnv"
-
-	"dvc/internal/payload"
 )
 
 // DeltaChunkBytes is the modelled page-chunk granularity of the
@@ -16,10 +15,10 @@ const DeltaChunkBytes = 1 << 20
 
 // PageTable is the modelled identity map of a domain's RAM: which
 // content each fixed-size chunk of guest memory holds, expressed as a
-// version counter per chunk. It is the source of the manifest the
-// storage layer dedups on — identities are *derived*, never hashed from
-// real bytes, so they are a pure function of (domain lineage, chunk
-// index, version) and replay deterministically:
+// version counter per chunk. It is what the storage layer dedups on:
+// chunk identities (Chunk) are structural keys, never hashed from real
+// bytes, so they are a pure function of (domain lineage, chunk index,
+// version) and replay deterministically:
 //
 //   - version 0 inside the template span: a 'T' chunk, shared by every
 //     domain booted from the same golden image (cross-VM dedup);
@@ -101,25 +100,77 @@ func (t *PageTable) chunkBytes(ci int) int64 {
 	return size
 }
 
-// AppendManifest appends one ChunkRef per RAM chunk to dst and returns
-// the result: the complete modelled manifest of the domain's memory at
-// the table's current versions.
-func (t *PageTable) AppendManifest(dst []payload.ChunkRef) []payload.ChunkRef {
-	for ci := range t.Versions {
-		off := int64(ci) * t.ChunkSize
-		size := t.chunkBytes(ci)
-		var id payload.ChunkID
-		switch {
-		case t.Versions[ci] == 0 && off+size <= t.Template:
-			id = payload.DeriveChunkID('T', uint64(off), uint64(size), 0)
-		case t.Versions[ci] == 0:
-			id = payload.DeriveChunkID('Z', uint64(size), 0, 0)
-		default:
-			id = payload.DeriveChunkID('P', t.Lineage, uint64(ci), uint64(t.Versions[ci]))
-		}
-		dst = append(dst, payload.ChunkRef{ID: id, Bytes: size})
+// ChunkKind is the identity namespace of a modelled RAM chunk.
+type ChunkKind uint32
+
+// The three chunk namespaces (see PageTable).
+const (
+	TemplateChunk ChunkKind = 'T'
+	ZeroChunk     ChunkKind = 'Z'
+	PrivateChunk  ChunkKind = 'P'
+)
+
+// ChunkKey is the structural identity of one modelled RAM chunk: two
+// chunks hold the same modelled content exactly when their keys are
+// equal. Only the fields of the key's kind are set:
+//
+//   - TemplateChunk: Offset and Size;
+//   - ZeroChunk: Size;
+//   - PrivateChunk: Lineage, Index and Version (the size is not part of
+//     a private identity; it rides alongside, as Chunk returns it).
+type ChunkKey struct {
+	Kind    ChunkKind
+	Version uint32
+	Lineage uint64
+	Index   int64
+	Offset  int64
+	Size    int64
+}
+
+// Chunk returns the identity and size of chunk ci at the table's current
+// version. This is the one place the template/zero/private rules live;
+// the storage pool calls it once per chunk to pin and to release.
+//
+//dvc:hotpath
+func (t *PageTable) Chunk(ci int) (ChunkKey, int64) {
+	off := int64(ci) * t.ChunkSize
+	size := t.chunkBytes(ci)
+	switch v := t.Versions[ci]; {
+	case v == 0 && off+size <= t.Template:
+		return ChunkKey{Kind: TemplateChunk, Offset: off, Size: size}, size
+	case v == 0:
+		return ChunkKey{Kind: ZeroChunk, Size: size}, size
+	default:
+		return ChunkKey{Kind: PrivateChunk, Version: v, Lineage: t.Lineage, Index: int64(ci)}, size
 	}
-	return dst
+}
+
+// Validate checks that the table is well formed for a domain of ram
+// bytes: a positive chunk size, one version per chunk of RAM, a
+// chunk-aligned template span inside RAM and a sweep cursor inside RAM.
+// Restore and the delta store reject any other table, so a corrupt or
+// hostile image cannot make a later sweep index past Versions or make
+// the chunk pool allocate beyond the table it was handed.
+func (t *PageTable) Validate(ram int64) error {
+	switch {
+	case t.ChunkSize <= 0:
+		return fmt.Errorf("vm: page table chunk size %d", t.ChunkSize)
+	case t.RAM != ram || ram <= 0:
+		return fmt.Errorf("vm: page table covers %d bytes of a %d-byte domain", t.RAM, ram)
+	}
+	n := t.RAM / t.ChunkSize
+	if t.RAM%t.ChunkSize != 0 {
+		n++
+	}
+	switch {
+	case int64(len(t.Versions)) != n:
+		return fmt.Errorf("vm: page table has %d versions for %d chunks", len(t.Versions), n)
+	case t.Template < 0 || t.Template > t.RAM || t.Template%t.ChunkSize != 0:
+		return fmt.Errorf("vm: page table template span %d not chunk-aligned within %d bytes", t.Template, t.RAM)
+	case t.Cursor < 0 || t.Cursor >= t.RAM:
+		return fmt.Errorf("vm: page table cursor %d outside %d bytes", t.Cursor, t.RAM)
+	}
+	return nil
 }
 
 // UntouchedBytes returns how much RAM is still at version 0 — the span

@@ -111,6 +111,8 @@ type Image struct {
 	// Pages is the modelled chunk-identity table at capture time, set by
 	// CaptureDeltaImage. It is what storage.WriteDelta dedups on, and it
 	// rides in the image so a restored domain keeps its chunk lineage.
+	// The table is immutable once captured: the store pins chunks by it
+	// at write and releases them by it at delete.
 	// PayloadBytes is a delta image's modelled size: the pages dirtied
 	// since the last capture plus page-table metadata.
 	Pages        *PageTable
@@ -422,6 +424,11 @@ func (h *Hypervisor) RestoreDomain(img *Image, wallClockOverride func() sim.Time
 	}
 	if err := img.Verify(); err != nil {
 		return nil, err
+	}
+	if img.Pages != nil {
+		if err := img.Pages.Validate(img.RAMBytes); err != nil {
+			return nil, fmt.Errorf("vm: restore %s: %w", img.DomainName, err)
+		}
 	}
 	snap, err := guest.DecodeImagePayload(img.Data)
 	if err != nil {
