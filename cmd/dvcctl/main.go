@@ -8,218 +8,72 @@
 //	dvcctl -scenario migrate      # move a live virtual cluster between clusters
 //	dvcctl -scenario livemigrate  # the same, with pre-copy
 //	dvcctl -scenario naive        # reproduce the naive coordinator's failure
-//	dvcctl -script plan.dvc       # run a scripted scenario ("-" = stdin)
+//	dvcctl -script plan.dvc       # run your own script ("-" = stdin)
 //
-// Flags -nodes and -seed size and seed the scenario. The script language
-// is documented in internal/script.
+// Each scenario is a script in internal/script/scenarios, embedded in the
+// binary and run through the same interpreter as -script; the script
+// fixes the cluster sizes. -seed seeds the simulation. The script
+// language is documented in internal/script.
+//
+// The exit status is 1 if the script fails (including a failed
+// assert-ok) and 2 for bad flags, an unknown scenario or an unreadable
+// script file.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"dvc"
 	"dvc/internal/script"
 )
 
-var out = os.Stdout
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dvcctl", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		scenario   = flag.String("scenario", "checkpoint", "checkpoint | recover | migrate | livemigrate | naive")
-		nodes      = flag.Int("nodes", 4, "virtual cluster size")
-		seed       = flag.Int64("seed", 42, "simulation seed")
-		scriptPath = flag.String("script", "", "run a scripted scenario from this file (\"-\" = stdin)")
+		scenario   = fs.String("scenario", "checkpoint", strings.Join(script.Scenarios(), " | "))
+		seed       = fs.Int64("seed", 42, "simulation seed")
+		scriptPath = fs.String("script", "", "run a script from this file (\"-\" = stdin) instead of a scenario")
 	)
-	flag.Parse()
-	dvc.WriteBanner(out)
-
-	if *scriptPath != "" {
-		runScript(*seed, *scriptPath)
-		return
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
 	}
 
-	switch *scenario {
-	case "checkpoint":
-		checkpointScenario(*seed, *nodes)
-	case "recover":
-		recoverScenario(*seed, *nodes)
-	case "migrate":
-		migrateScenario(*seed, *nodes)
-	case "livemigrate":
-		liveMigrateScenario(*seed, *nodes)
-	case "naive":
-		naiveScenario(*seed, *nodes)
-	default:
-		fmt.Fprintf(os.Stderr, "dvcctl: unknown scenario %q\n", *scenario)
-		os.Exit(2)
-	}
-}
-
-func runScript(seed int64, path string) {
-	var r io.Reader = os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
+	var src io.Reader
+	switch *scriptPath {
+	case "":
+		b, err := script.Scenario(*scenario)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dvcctl:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "dvcctl:", err)
+			return 2
+		}
+		src = bytes.NewReader(b)
+	case "-":
+		src = os.Stdin
+	default:
+		f, err := os.Open(*scriptPath)
+		if err != nil {
+			fmt.Fprintln(stderr, "dvcctl:", err)
+			return 2
 		}
 		defer f.Close()
-		r = f
+		src = f
 	}
-	if err := script.New(seed, out).Run(r); err != nil {
-		fmt.Fprintln(os.Stderr, "dvcctl:", err)
-		os.Exit(1)
+
+	dvc.WriteBanner(stdout)
+	if err := script.New(*seed, stdout).Run(src); err != nil {
+		fmt.Fprintln(stderr, "dvcctl:", err)
+		return 1
 	}
-}
-
-func say(s *dvc.Simulation, format string, args ...any) {
-	fmt.Fprintf(out, "[t=%8v] %s\n", s.Now(), fmt.Sprintf(format, args...))
-}
-
-func checkpointScenario(seed int64, nodes int) {
-	s := dvc.NewSimulation(seed)
-	s.AddCluster("alpha", nodes*2)
-	s.Start()
-	say(s, "site up: cluster alpha with %d nodes, NTP disciplining clocks", nodes*2)
-
-	vc := s.MustAllocate(dvc.VCSpec{Name: "job1", Nodes: nodes, VMRAM: 256 << 20})
-	say(s, "virtual cluster %q ready: %d Xen domains booted", vc.Name(), nodes)
-
-	vc.LaunchMPI(6000, func(int) dvc.App { return dvc.NewHPL(128, seed, 2e-5) })
-	say(s, "HPL (N=128) launched across %d ranks, completely unmodified", nodes)
-	s.RunFor(2 * dvc.Second)
-
-	res := s.MustCheckpoint(vc)
-	say(s, "LSC checkpoint gen %d: save skew %v (budget %v), downtime %v",
-		res.Generation, res.SaveSkew, dvc.TCPRetryBudget(), res.Downtime)
-
-	js := s.RunUntilJobDone(vc, 2*dvc.Hour)
-	say(s, "job finished: %d ok, %d failed", js.Succeeded, js.Failed)
-	if !js.AllOK() {
-		os.Exit(1)
-	}
-}
-
-func recoverScenario(seed int64, nodes int) {
-	s := dvc.NewSimulation(seed)
-	s.AddCluster("alpha", nodes*2+1)
-	s.Start()
-	cfg := dvc.NTPLSC()
-	cfg.ContinueAfterSave = true
-	s.SetLSC(cfg)
-
-	vc := s.MustAllocate(dvc.VCSpec{Name: "job1", Nodes: nodes, VMRAM: 256 << 20})
-	vc.LaunchMPI(6000, func(int) dvc.App { return dvc.NewHalo(6000, 20*dvc.Millisecond, 2048) })
-	say(s, "halo-exchange job running on %d VMs", nodes)
-	s.RunFor(2 * dvc.Second)
-
-	ck := s.MustCheckpoint(vc)
-	say(s, "checkpoint gen %d taken and staged to shared storage", ck.Generation)
-
-	victim := vc.PhysicalNodes()[0]
-	victim.Fail()
-	say(s, "NODE %s CRASHED (hosting %s)", victim.ID(), vc.Domains()[0].Name())
-	s.RunFor(5 * dvc.Second)
-
-	vc.Teardown()
-	targets := s.FreeNodes("alpha")[:nodes]
-	say(s, "restoring whole virtual cluster from gen %d onto fresh nodes", ck.Generation)
-	rr, err := s.Recover(vc, ck.Generation, targets)
-	if err != nil || !rr.OK {
-		say(s, "recovery failed: %v %v", err, rr)
-		os.Exit(1)
-	}
-	say(s, "restored in %v of staging; job resumes from checkpoint", rr.StageTime)
-
-	js := s.RunUntilJobDone(vc, 2*dvc.Hour)
-	say(s, "job finished after crash recovery: %d ok, %d failed", js.Succeeded, js.Failed)
-	if !js.AllOK() {
-		os.Exit(1)
-	}
-}
-
-func migrateScenario(seed int64, nodes int) {
-	s := dvc.NewSimulation(seed)
-	s.AddCluster("alpha", nodes)
-	s.AddCluster("beta", nodes)
-	s.Start()
-
-	vc := s.MustAllocate(dvc.VCSpec{Name: "job1", Nodes: nodes, VMRAM: 256 << 20, Clusters: []string{"alpha"}})
-	vc.LaunchMPI(6000, func(int) dvc.App { return dvc.NewHalo(6000, 20*dvc.Millisecond, 2048) })
-	say(s, "job running on cluster alpha")
-	s.RunFor(2 * dvc.Second)
-
-	say(s, "operator: migrate job1 to cluster beta (e.g. alpha drains for maintenance)")
-	res, err := s.Migrate(vc, s.FreeNodes("beta"))
-	if err != nil || !res.OK {
-		say(s, "migration failed: %v %v", err, res)
-		os.Exit(1)
-	}
-	say(s, "migrated: downtime %v; placement now %s...", res.Downtime, vc.PhysicalNodes()[0].ID())
-
-	js := s.RunUntilJobDone(vc, 2*dvc.Hour)
-	say(s, "job finished on beta: %d ok, %d failed", js.Succeeded, js.Failed)
-	if !js.AllOK() {
-		os.Exit(1)
-	}
-}
-
-func liveMigrateScenario(seed int64, nodes int) {
-	s := dvc.NewSimulation(seed)
-	s.AddCluster("alpha", nodes)
-	s.AddCluster("beta", nodes)
-	s.Start()
-
-	vc := s.MustAllocate(dvc.VCSpec{Name: "job1", Nodes: nodes, VMRAM: 256 << 20, Clusters: []string{"alpha"}})
-	vc.LaunchMPI(6000, func(int) dvc.App { return dvc.NewHalo(8000, 20*dvc.Millisecond, 2048) })
-	s.RunFor(2 * dvc.Second)
-	say(s, "job running on alpha; starting PRE-COPY live migration to beta")
-
-	res, err := s.LiveMigrate(vc, s.FreeNodes("beta"), dvc.DefaultLiveConfig())
-	if err != nil || !res.OK {
-		say(s, "live migration failed: %v %+v", err, res)
-		os.Exit(1)
-	}
-	say(s, "migrated after %d pre-copy rounds, %.1f GiB moved, total %v",
-		res.Rounds, float64(res.BytesCopied)/(1<<30), res.TotalTime)
-	say(s, "DOWNTIME was only %v (stop-and-copy would pause for the full image copy)", res.Downtime)
-
-	js := s.RunUntilJobDone(vc, 2*dvc.Hour)
-	say(s, "job finished on beta: %d ok, %d failed", js.Succeeded, js.Failed)
-	if !js.AllOK() {
-		os.Exit(1)
-	}
-}
-
-func naiveScenario(seed int64, nodes int) {
-	if nodes < 10 {
-		nodes = 12
-		fmt.Fprintln(out, "(naive scenario uses 12 nodes: the paper's failure regime)")
-	}
-	s := dvc.NewSimulation(seed)
-	s.AddCluster("alpha", nodes)
-	s.Start()
-	s.SetLSC(dvc.NaiveLSC())
-
-	vc := s.MustAllocate(dvc.VCSpec{Name: "job1", Nodes: nodes, VMRAM: 256 << 20})
-	vc.LaunchMPI(6000, func(int) dvc.App { return dvc.NewHalo(4000, 20*dvc.Millisecond, 2048) })
-	s.RunFor(2 * dvc.Second)
-	say(s, "issuing naive (serial terminal) coordinated save over %d VMs...", nodes)
-
-	res, err := s.Checkpoint(vc)
-	if err != nil {
-		say(s, "checkpoint error: %v", err)
-		os.Exit(1)
-	}
-	say(s, "save skew was %v against a TCP retry budget of %v", res.SaveSkew, dvc.TCPRetryBudget())
-	js := s.RunUntilJobDone(vc, dvc.Hour)
-	if js.AllOK() {
-		say(s, "this run survived — at %d nodes the paper saw ~90%% failures; try another -seed", nodes)
-	} else {
-		say(s, "JOB DIED: retransmission retries exhausted while peers were frozen (%d failed ranks)", js.Failed)
-		say(s, "this is §3.1's result: the naive approach is \"unreliable at best\"")
-	}
+	return 0
 }

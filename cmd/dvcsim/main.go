@@ -5,10 +5,10 @@
 //	dvcsim -list
 //	dvcsim -exp E1 [-seed 42] [-trials 20]
 //	dvcsim -exp all [-full] [-parallel 8]
-//	dvcsim -exp E2 -trials 1 -trace e2.jsonl -perfetto e2.json
+//	dvcsim -exp E2 -trials 1 -trace e2.jsonl
 //	dvcsim -exp E2 -report out/           # self-contained run artifact
-//	dvcsim -exp E2 -trace e2.jsonl -sample-every 10 -filter-type lsc,vm
 //	dvcsim -exp E2 -flight 2000           # ring buffer dumped on failure
+//	dvcsim -dc 1 -cluster 2 -host 4 -vm 4 # scale mode: generated topology
 //
 // Each experiment prints its table(s) followed by PASS/FAIL shape checks
 // against the paper's reported results. The exit status is non-zero if
@@ -26,10 +26,11 @@
 // With -trace a deterministic event trace of the run is streamed as
 // JSONL through a fixed-size buffer (same seed, same flags =>
 // byte-identical output), so tracer memory stays bounded no matter how
-// long the run is; convert offline with dvctrace -convert to view in
-// ui.perfetto.dev. -perfetto exports Chrome trace_events in-process
-// (this buffers the records in memory). Tracing also prints (or, with
-// -json, embeds) the counter-registry snapshot.
+// long the run is. dvctrace works on the recorded trace: -convert
+// exports Chrome trace_events for ui.perfetto.dev, and -query filters
+// and samples it deterministically (by type, node, domain, time window
+// or every Nth record). Tracing also prints (or, with -json, embeds) the
+// counter-registry snapshot.
 //
 // -report dir/ writes a self-contained run artifact: config.json (the
 // run's flags), results.json (tables + checks), registry.json,
@@ -37,14 +38,14 @@
 // series.jsonl (windowed registry metrics sampled on virtual time).
 //
 // -flight N retains the last N trace records in a ring buffer and dumps
-// them as JSONL when a shape check fails or the run panics — bounded
-// observability for runs too big to trace in full.
+// them as JSONL when a shape check fails, a scale run fails or the run
+// panics — bounded observability for runs too big to trace in full.
 //
-// -filter-type/-filter-node/-filter-dom/-sample-every narrow the
-// recorded stream deterministically (sampling is keyed on record
-// sequence numbers; span begin/end records always pass). The filter
-// applies to every sink, so filtered runs trade replay byte-identity
-// with unfiltered runs for volume.
+// -dc selects scale mode: it generates -dc datacenters of -cluster
+// clusters of -host hosts, drives one -vm wide LSC job over them and
+// prints throughput figures. Scale mode runs no paper experiment, so it
+// rejects the experiment flags (-exp, -trials, -full, -parallel,
+// -partitions, -json, -report) with exit status 2.
 package main
 
 import (
@@ -56,6 +57,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -65,37 +67,57 @@ import (
 
 // main delegates to run so deferred profile writers execute before the
 // process exits with run's status code.
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
+// experimentFlags are the flags scale mode rejects: it would ignore them.
+var experimentFlags = []string{"exp", "trials", "full", "parallel", "partitions", "json", "report"}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dvcsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "dvcsim:", err)
+		return 2
+	}
 	var (
-		exp      = flag.String("exp", "all", "experiment id ("+strings.Join(dvc.ExperimentIDs(), ", ")+") or \"all\"")
-		seed     = flag.Int64("seed", 42, "simulation seed")
-		trials   = flag.Int("trials", 0, "trial count for statistical experiments (0 = default)")
-		full     = flag.Bool("full", false, "paper-scale parameters (slow: E2 runs >2000 trials)")
-		parallel = flag.Int("parallel", 0, "worker pool size for independent trials (0 = one per core, 1 = serial); output is identical for any value")
-		parts    = flag.Int("partitions", 0, "partitioned simulation engine: bound on concurrent partition sub-kernels (0 = serial kernel); output is identical for any value")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		jsonOut  = flag.Bool("json", false, "emit results as JSON instead of tables")
-		traceOut = flag.String("trace", "", "stream a deterministic JSONL event trace to this file")
-		perfOut  = flag.String("perfetto", "", "write a Chrome/Perfetto trace_events JSON to this file (buffers records in memory)")
-		report   = flag.String("report", "", "write a self-contained run artifact into this directory")
-		flightN  = flag.Int("flight", 0, "retain the last N trace records; dumped on failed check or panic")
-		flightTo = flag.String("flight-out", "dvcsim-flight.jsonl", "flight-recorder dump path")
-		fTypes   = flag.String("filter-type", "", "record only these comma-separated event types/categories")
-		fNodes   = flag.String("filter-node", "", "record only these comma-separated nodes")
-		fDoms    = flag.String("filter-dom", "", "record only these comma-separated domains")
-		sampleN  = flag.Uint64("sample-every", 0, "record every Nth instant/counter record (seq%N==0); spans always pass")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		dcs      = flag.Int("dc", 0, "scale mode: generate this many datacenters (enables -cluster/-host/-vm)")
-		clusters = flag.Int("cluster", 10, "scale mode: clusters per datacenter")
-		hosts    = flag.Int("host", 26, "scale mode: hosts per cluster")
-		vms      = flag.Int("vm", 8, "scale mode: virtual-cluster width of the reference job")
+		exp      = fs.String("exp", "all", "experiment id ("+strings.Join(dvc.ExperimentIDs(), ", ")+") or \"all\"")
+		seed     = fs.Int64("seed", 42, "simulation seed")
+		trials   = fs.Int("trials", 0, "trial count for statistical experiments (0 = default)")
+		full     = fs.Bool("full", false, "paper-scale parameters (slow: E2 runs >2000 trials)")
+		parallel = fs.Int("parallel", 0, "worker pool size for independent trials (0 = one per core, 1 = serial); output is identical for any value")
+		parts    = fs.Int("partitions", 0, "partitioned simulation engine: bound on concurrent partition sub-kernels (0 = serial kernel); output is identical for any value")
+		list     = fs.Bool("list", false, "list experiments and exit")
+		jsonOut  = fs.Bool("json", false, "emit results as JSON instead of tables")
+		traceOut = fs.String("trace", "", "stream a deterministic JSONL event trace to this file")
+		report   = fs.String("report", "", "write a self-contained run artifact into this directory")
+		flightN  = fs.Int("flight", 0, "retain the last N trace records; dumped on failed check, failed scale run or panic")
+		flightTo = fs.String("flight-out", "dvcsim-flight.jsonl", "flight-recorder dump path")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf  = fs.String("memprofile", "", "write a heap profile to this file at exit")
+		dcs      = fs.Int("dc", 0, "scale mode: generate this many datacenters (enables -cluster/-host/-vm)")
+		clusters = fs.Int("cluster", 10, "scale mode: clusters per datacenter")
+		hosts    = fs.Int("host", 26, "scale mode: hosts per cluster")
+		vms      = fs.Int("vm", 8, "scale mode: virtual-cluster width of the reference job")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 	if *trials < 0 {
 		return fail(fmt.Errorf("-trials %d: must not be negative", *trials))
+	}
+	if *dcs > 0 {
+		var set []string
+		fs.Visit(func(f *flag.Flag) {
+			if slices.Contains(experimentFlags, f.Name) {
+				set = append(set, "-"+f.Name)
+			}
+		})
+		if len(set) > 0 {
+			return fail(fmt.Errorf("scale mode (-dc) runs no experiment; drop %s", strings.Join(set, " ")))
+		}
 	}
 
 	if *cpuProf != "" {
@@ -116,31 +138,31 @@ func run() int {
 		defer func() {
 			f, err := os.Create(*memProf)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "dvcsim:", err)
+				fmt.Fprintln(stderr, "dvcsim:", err)
 				return
 			}
 			runtime.GC() // up-to-date allocation statistics
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "dvcsim:", err)
+				fmt.Fprintln(stderr, "dvcsim:", err)
 			}
 			f.Close()
 		}()
 	}
 
 	if *list {
-		dvc.WriteBanner(os.Stdout)
+		dvc.WriteBanner(stdout)
 		for _, id := range dvc.ExperimentIDs() {
-			fmt.Printf("  %-4s %s\n", id, dvc.ExperimentTitle(id))
+			fmt.Fprintf(stdout, "  %-4s %s\n", id, dvc.ExperimentTitle(id))
 		}
 		return 0
 	}
 
-	opts := dvc.ExperimentOptions{Seed: *seed, Trials: *trials, Full: *full, Parallel: *parallel, Partitions: *parts, Out: os.Stdout}
+	opts := dvc.ExperimentOptions{Seed: *seed, Trials: *trials, Full: *full, Parallel: *parallel, Partitions: *parts, Out: stdout}
 	if *jsonOut {
 		opts.Out = nil // tables land in the JSON document instead
 	} else {
-		dvc.WriteBanner(os.Stdout)
-		fmt.Println()
+		dvc.WriteBanner(stdout)
+		fmt.Fprintln(stdout)
 	}
 
 	// Assemble the trace pipeline: every requested consumer becomes one
@@ -148,7 +170,6 @@ func run() int {
 	// identical stream.
 	var (
 		tracer  *dvc.Tracer
-		mem     *obs.MemorySink  // only when -perfetto needs the full stream
 		flight  *obs.FlightSink  // only with -flight
 		summary *obs.SummarySink // only with -report
 		sinks   []obs.Sink
@@ -174,26 +195,12 @@ func run() int {
 		closers = append(closers, f)
 		sinks = append(sinks, obs.NewJSONLSink(f, 0))
 	}
-	if *perfOut != "" {
-		mem = obs.NewMemorySink()
-		sinks = append(sinks, mem)
-	}
 	if *flightN > 0 {
 		flight = obs.NewFlightSink(*flightN)
 		sinks = append(sinks, flight)
 	}
 	if len(sinks) > 0 {
-		sink := obs.Tee(sinks...)
-		filter := obs.FilterConfig{
-			Types:  splitTypes(*fTypes),
-			Nodes:  splitList(*fNodes),
-			Doms:   splitList(*fDoms),
-			EveryN: *sampleN,
-		}
-		if len(filter.Types) > 0 || len(filter.Nodes) > 0 || len(filter.Doms) > 0 || filter.EveryN > 1 {
-			sink = obs.NewFilterSink(sink, filter)
-		}
-		tracer = obs.NewTracerWithSink(sink)
+		tracer = obs.NewTracerWithSink(obs.Tee(sinks...))
 		opts.Tracer = tracer
 	}
 
@@ -201,14 +208,23 @@ func run() int {
 	// the retained window is exactly what a crash investigation needs.
 	defer func() {
 		if r := recover(); r != nil {
-			dumpFlight(flight, *flightTo)
+			dumpFlight(flight, *flightTo, stderr)
 			panic(r)
 		}
 	}()
 
 	if *dcs > 0 {
 		spec := dvc.ScaleSpec{DCs: *dcs, ClustersPerDC: *clusters, HostsPerCluster: *hosts, VMs: *vms}
-		return runScaleMode(spec, *seed, tracer, closers)
+		ok, err := runScaleMode(stdout, spec, *seed, tracer, closers)
+		if err == nil && ok {
+			return 0
+		}
+		dumpFlight(flight, *flightTo, stderr)
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprintln(stderr, "dvcsim: scale run failed")
+		return 1
 	}
 
 	var results []*dvc.ExperimentResult
@@ -230,13 +246,6 @@ func run() int {
 		if err := tracer.Flush(); err != nil {
 			return fail(err)
 		}
-		if *perfOut != "" {
-			if err := writeFile(*perfOut, func(w io.Writer) error {
-				return obs.WritePerfettoRecords(w, mem.Records())
-			}); err != nil {
-				return fail(err)
-			}
-		}
 		if *report != "" {
 			if err := writeReport(*report, *exp, *seed, *trials, *full, *parallel, results, tracer, summary); err != nil {
 				return fail(err)
@@ -248,8 +257,8 @@ func run() int {
 			}
 		}
 		if !*jsonOut {
-			fmt.Println(tracer.Registry().Table().String())
-			fmt.Printf("dvcsim: %d trace events recorded\n\n", tracer.Len())
+			fmt.Fprintln(stdout, tracer.Registry().Table().String())
+			fmt.Fprintf(stdout, "dvcsim: %d trace events recorded\n\n", tracer.Len())
 		}
 	}
 
@@ -260,7 +269,7 @@ func run() int {
 		}
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		var err error
 		if tracer != nil {
@@ -277,12 +286,12 @@ func run() int {
 		}
 	}
 	if failed > 0 {
-		dumpFlight(flight, *flightTo)
-		fmt.Fprintf(os.Stderr, "dvcsim: %d shape check(s) FAILED\n", failed)
+		dumpFlight(flight, *flightTo, stderr)
+		fmt.Fprintf(stderr, "dvcsim: %d shape check(s) FAILED\n", failed)
 		return 1
 	}
 	if !*jsonOut {
-		fmt.Println("dvcsim: all shape checks passed")
+		fmt.Fprintln(stdout, "dvcsim: all shape checks passed")
 	}
 	return 0
 }
@@ -322,16 +331,14 @@ func writeReport(dir, exp string, seed int64, trials int, full bool, parallel in
 	return writeFile(filepath.Join(dir, "series.jsonl"), tracer.Series().WriteJSONL)
 }
 
-// dumpFlight writes the flight recorder's retained window, if one is
-// armed and has records.
 // runScaleMode generates a -dc/-cluster/-host topology, drives the
 // reference LSC workload over it end-to-end, and prints throughput
-// figures. Exit status is non-zero if the checkpoint or the job failed.
-func runScaleMode(spec dvc.ScaleSpec, seed int64, tracer *dvc.Tracer, closers []*os.File) int {
+// figures. ok is false if the checkpoint or the job failed.
+func runScaleMode(stdout io.Writer, spec dvc.ScaleSpec, seed int64, tracer *dvc.Tracer, closers []*os.File) (ok bool, err error) {
 	start := time.Now()
 	res, err := dvc.RunScale(seed, spec, tracer)
 	if err != nil {
-		return fail(err)
+		return false, err
 	}
 	wall := time.Since(start)
 
@@ -339,45 +346,43 @@ func runScaleMode(spec dvc.ScaleSpec, seed int64, tracer *dvc.Tracer, closers []
 	lines := strings.Split(strings.TrimRight(res.Inventory, "\n"), "\n")
 	const invHead = 4 // topology + leaf/spine/wan profile lines
 	if len(lines) > invHead+20 {
-		fmt.Println(strings.Join(lines[:invHead+20], "\n"))
-		fmt.Printf("... (%d more clusters)\n", len(lines)-invHead-20)
+		fmt.Fprintln(stdout, strings.Join(lines[:invHead+20], "\n"))
+		fmt.Fprintf(stdout, "... (%d more clusters)\n", len(lines)-invHead-20)
 	} else {
-		fmt.Println(strings.Join(lines, "\n"))
+		fmt.Fprintln(stdout, strings.Join(lines, "\n"))
 	}
-	fmt.Printf("scale: nodes=%d clusters=%d vms=%d sim=%v\n", res.Nodes, res.Clusters, res.VMs, res.SimTime)
-	fmt.Printf("scale: events=%d wall=%v ns/event=%.0f events/s=%.0f\n",
+	fmt.Fprintf(stdout, "scale: nodes=%d clusters=%d vms=%d sim=%v\n", res.Nodes, res.Clusters, res.VMs, res.SimTime)
+	fmt.Fprintf(stdout, "scale: events=%d wall=%v ns/event=%.0f events/s=%.0f\n",
 		res.Events, wall.Round(time.Millisecond),
 		float64(wall.Nanoseconds())/float64(res.Events),
 		float64(res.Events)/wall.Seconds())
-	fmt.Printf("scale: checkpoint=%v job=%v skew=%.2fms\n", res.CheckpointOK, res.JobOK, res.SaveSkew.Seconds()*1000)
+	fmt.Fprintf(stdout, "scale: checkpoint=%v job=%v skew=%.2fms\n", res.CheckpointOK, res.JobOK, res.SaveSkew.Seconds()*1000)
 
 	if tracer != nil {
 		if err := tracer.Flush(); err != nil {
-			return fail(err)
+			return false, err
 		}
-		fmt.Printf("dvcsim: %d trace events recorded\n", tracer.Len())
+		fmt.Fprintf(stdout, "dvcsim: %d trace events recorded\n", tracer.Len())
 	}
 	for _, f := range closers {
 		if err := f.Close(); err != nil {
-			return fail(err)
+			return false, err
 		}
 	}
-	if !res.OK() {
-		fmt.Fprintln(os.Stderr, "dvcsim: scale run failed")
-		return 1
-	}
-	return 0
+	return res.OK(), nil
 }
 
-func dumpFlight(flight *obs.FlightSink, path string) {
+// dumpFlight writes the flight recorder's retained window, if one is
+// armed and has records.
+func dumpFlight(flight *obs.FlightSink, path string, stderr io.Writer) {
 	if flight == nil || flight.Retained() == 0 {
 		return
 	}
 	if err := writeFile(path, flight.Dump); err != nil {
-		fmt.Fprintln(os.Stderr, "dvcsim: flight dump:", err)
+		fmt.Fprintln(stderr, "dvcsim: flight dump:", err)
 		return
 	}
-	fmt.Fprintf(os.Stderr, "dvcsim: flight recorder dumped %d of %d records to %s\n",
+	fmt.Fprintf(stderr, "dvcsim: flight recorder dumped %d of %d records to %s\n",
 		flight.Retained(), flight.Total(), path)
 }
 
@@ -392,36 +397,4 @@ func writeFile(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// splitList parses a comma-separated flag value, dropping empties.
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, v := range strings.Split(s, ",") {
-		if v = strings.TrimSpace(v); v != "" {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// splitTypes parses a comma-separated list of event types/categories.
-func splitTypes(s string) []obs.EventType {
-	parts := splitList(s)
-	if parts == nil {
-		return nil
-	}
-	out := make([]obs.EventType, len(parts))
-	for i, p := range parts {
-		out[i] = obs.EventType(p)
-	}
-	return out
-}
-
-func fail(err error) int {
-	fmt.Fprintln(os.Stderr, "dvcsim:", err)
-	return 2
 }

@@ -14,9 +14,12 @@
 //	dvctrace -convert e2.jsonl -o e2.json      # offline JSONL → Perfetto
 //	dvctrace -diff a.jsonl b.jsonl             # first divergent record
 //
-// Event-trace subcommands stream the input line at a time, so they work
-// on traces far larger than memory; only -convert materialises records
-// (the Perfetto metadata needs the full node/domain universe).
+// dvcsim records the full event stream; narrowing it (-query by type,
+// node, domain, time window or every Nth record) and exporting it for
+// Perfetto (-convert) happen here, offline. Event-trace subcommands
+// stream the input line at a time, so they work on traces far larger
+// than memory; only -convert materialises records (the Perfetto
+// metadata needs the full node/domain universe).
 //
 // -diff compares two traces byte-for-byte line by line and reports the
 // first divergent record — the debugging tool for the replay contract:
@@ -45,32 +48,43 @@ import (
 	"dvc/internal/workload"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dvctrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "dvctrace:", err)
+		return 1
+	}
 	var (
-		gen      = flag.Int("gen", 0, "generate a trace with this many jobs")
-		seed     = flag.Int64("seed", 42, "generation seed")
-		arrival  = flag.Duration("arrival", 30*time.Second, "mean inter-arrival time")
-		workMin  = flag.Duration("work-min", time.Minute, "minimum per-node work")
-		workMax  = flag.Duration("work-max", 10*time.Minute, "maximum per-node work")
-		validate = flag.String("validate", "", "validate a job trace file")
-		summary  = flag.String("summary", "", "summarise a job trace file")
-		stats    = flag.String("stats", "", "summarise an observability JSONL event trace (dvcsim -trace)")
-		query    = flag.String("query", "", "filter an event trace to stdout as JSONL")
-		spans    = flag.String("spans", "", "per-span-name duration percentiles for an event trace")
-		topK     = flag.Int("top", 0, "with -spans: only the K slowest span names by p99")
-		convert  = flag.String("convert", "", "convert an event trace to Perfetto trace_events JSON")
-		out      = flag.String("o", "", "with -convert: output path (default stdout)")
-		diff     = flag.Bool("diff", false, "compare two event traces: dvctrace -diff a.jsonl b.jsonl")
-		types    = flag.String("type", "", "with -query: comma-separated event types or categories (lsc, vm.pause)")
-		nodes    = flag.String("node", "", "with -query: comma-separated node names")
-		doms     = flag.String("dom", "", "with -query: comma-separated domain names")
-		from     = flag.Duration("from", 0, "with -query: keep records at or after this virtual time")
-		to       = flag.Duration("to", 0, "with -query: keep records at or before this virtual time (0 = unbounded)")
-		everyN   = flag.Uint64("every", 0, "with -query: keep every Nth instant/counter record (seq%N==0)")
+		gen      = fs.Int("gen", 0, "generate a trace with this many jobs")
+		seed     = fs.Int64("seed", 42, "generation seed")
+		arrival  = fs.Duration("arrival", 30*time.Second, "mean inter-arrival time")
+		workMin  = fs.Duration("work-min", time.Minute, "minimum per-node work")
+		workMax  = fs.Duration("work-max", 10*time.Minute, "maximum per-node work")
+		validate = fs.String("validate", "", "validate a job trace file")
+		summary  = fs.String("summary", "", "summarise a job trace file")
+		stats    = fs.String("stats", "", "summarise an observability JSONL event trace (dvcsim -trace)")
+		query    = fs.String("query", "", "filter an event trace to stdout as JSONL")
+		spans    = fs.String("spans", "", "per-span-name duration percentiles for an event trace")
+		topK     = fs.Int("top", 0, "with -spans: only the K slowest span names by p99")
+		convert  = fs.String("convert", "", "convert an event trace to Perfetto trace_events JSON")
+		out      = fs.String("o", "", "with -convert: output path (default stdout)")
+		diff     = fs.Bool("diff", false, "compare two event traces: dvctrace -diff a.jsonl b.jsonl")
+		types    = fs.String("type", "", "with -query: comma-separated event types or categories (lsc, vm.pause)")
+		nodes    = fs.String("node", "", "with -query: comma-separated node names")
+		doms     = fs.String("dom", "", "with -query: comma-separated domain names")
+		from     = fs.Duration("from", 0, "with -query: keep records at or after this virtual time")
+		to       = fs.Duration("to", 0, "with -query: keep records at or before this virtual time (0 = unbounded)")
+		everyN   = fs.Uint64("every", 0, "with -query: keep every Nth instant/counter record (seq%N==0)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	switch {
 	case *gen > 0:
@@ -79,7 +93,7 @@ func run() int {
 		cfg.WorkMin = sim.Duration(*workMin)
 		cfg.WorkMax = sim.Duration(*workMax)
 		trace := workload.Generate(rand.New(rand.NewSource(*seed)), cfg)
-		if err := workload.WriteTrace(os.Stdout, trace); err != nil {
+		if err := workload.WriteTrace(stdout, trace); err != nil {
 			return fail(err)
 		}
 	case *validate != "":
@@ -87,15 +101,15 @@ func run() int {
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Printf("ok: %d jobs\n", len(trace))
+		fmt.Fprintf(stdout, "ok: %d jobs\n", len(trace))
 	case *summary != "":
 		trace, err := load(*summary)
 		if err != nil {
 			return fail(err)
 		}
-		summarise(trace)
+		summarise(stdout, trace)
 	case *stats != "":
-		if err := eventStats(*stats); err != nil {
+		if err := eventStats(*stats, stdout); err != nil {
 			return fail(err)
 		}
 	case *query != "":
@@ -107,23 +121,23 @@ func run() int {
 			To:     sim.Duration(*to),
 			EveryN: *everyN,
 		}
-		if err := queryTrace(*query, cfg, os.Stdout); err != nil {
+		if err := queryTrace(*query, cfg, stdout); err != nil {
 			return fail(err)
 		}
 	case *spans != "":
-		if err := spanStats(*spans, *topK, os.Stdout); err != nil {
+		if err := spanStats(*spans, *topK, stdout); err != nil {
 			return fail(err)
 		}
 	case *convert != "":
-		if err := convertTrace(*convert, *out); err != nil {
+		if err := convertTrace(*convert, *out, stdout); err != nil {
 			return fail(err)
 		}
 	case *diff:
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "dvctrace: -diff needs exactly two trace files")
+		if fs.NArg() != 2 {
+			fmt.Fprintln(stderr, "dvctrace: -diff needs exactly two trace files")
 			return 2
 		}
-		same, err := diffTraces(flag.Arg(0), flag.Arg(1), os.Stdout)
+		same, err := diffTraces(fs.Arg(0), fs.Arg(1), stdout)
 		if err != nil {
 			return fail(err)
 		}
@@ -131,7 +145,7 @@ func run() int {
 			return 1
 		}
 	default:
-		flag.Usage()
+		fs.Usage()
 		return 2
 	}
 	return 0
@@ -146,9 +160,9 @@ func load(path string) ([]workload.JobSpec, error) {
 	return workload.ReadTrace(f)
 }
 
-func summarise(trace []workload.JobSpec) {
+func summarise(w io.Writer, trace []workload.JobSpec) {
 	if len(trace) == 0 {
-		fmt.Println("empty trace")
+		fmt.Fprintln(w, "empty trace")
 		return
 	}
 	var width, work metrics.Sample
@@ -168,8 +182,8 @@ func summarise(trace []workload.JobSpec) {
 		"metric", "min", "mean", "max")
 	tbl.Row("width", width.Min(), width.Mean(), width.Max())
 	tbl.Row("work (s)", work.Min(), work.Mean(), work.Max())
-	fmt.Print(tbl.String())
-	fmt.Printf("total demand: %.0f node-seconds\n", nodeSeconds)
+	fmt.Fprint(w, tbl.String())
+	fmt.Fprintf(w, "total demand: %.0f node-seconds\n", nodeSeconds)
 	// Sorted stack names: the summary must be byte-identical for the same
 	// trace, or diffing archived runs turns into noise (dvclint: mapiter).
 	names := make([]string, 0, len(stacks))
@@ -182,7 +196,7 @@ func summarise(trace []workload.JobSpec) {
 		if stack == "" {
 			stack = "(any)"
 		}
-		fmt.Printf("stack %-16s %d jobs\n", stack, n)
+		fmt.Fprintf(w, "stack %-16s %d jobs\n", stack, n)
 	}
 }
 
@@ -191,7 +205,7 @@ func summarise(trace []workload.JobSpec) {
 // spans (B/E records paired by span id). One record is held at a time —
 // traces larger than memory summarise fine. Output is sorted, so
 // identical traces summarise byte-identically.
-func eventStats(path string) error {
+func eventStats(path string, w io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -236,11 +250,11 @@ func eventStats(path string) error {
 	for _, typ := range types {
 		tbl.Row(typ, counts[typ])
 	}
-	fmt.Print(tbl.String())
+	fmt.Fprint(w, tbl.String())
 
 	if epochs.N() > 0 {
-		fmt.Printf("lsc epochs: %d complete (%d commit, %d abort)\n", epochs.N(), commits, aborts)
-		fmt.Printf("epoch duration  p50 %s  p90 %s  p99 %s  max %s\n",
+		fmt.Fprintf(w, "lsc epochs: %d complete (%d commit, %d abort)\n", epochs.N(), commits, aborts)
+		fmt.Fprintf(w, "epoch duration  p50 %s  p90 %s  p99 %s  max %s\n",
 			fmtDur(epochs.Percentile(50)), fmtDur(epochs.Percentile(90)),
 			fmtDur(epochs.Percentile(99)), fmtDur(epochs.Max()))
 	}
@@ -310,16 +324,15 @@ func spanStats(path string, top int, w io.Writer) error {
 }
 
 // convertTrace converts a JSONL event trace to Perfetto trace_events
-// JSON — byte-identical to what dvcsim's in-process exporter would have
-// produced for the same records, so runs can stream JSONL and convert
-// only the traces someone actually wants to look at.
-func convertTrace(path, outPath string) error {
+// JSON, to stdout unless outPath is set. Runs stream JSONL, so only the
+// traces someone actually wants to look at get converted.
+func convertTrace(path, outPath string, stdout io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	w := io.Writer(os.Stdout)
+	w := stdout
 	if outPath != "" {
 		of, err := os.Create(outPath)
 		if err != nil {
@@ -417,9 +430,4 @@ func splitTypes(s string) []obs.EventType {
 // fmtDur renders a duration sampled in seconds.
 func fmtDur(seconds float64) string {
 	return sim.Time(seconds * float64(sim.Second)).String()
-}
-
-func fail(err error) int {
-	fmt.Fprintln(os.Stderr, "dvctrace:", err)
-	return 1
 }

@@ -105,10 +105,8 @@ type (
 	// Tracer records a deterministic event/span trace (internal/obs).
 	Tracer = obs.Tracer
 	// Sink is the tracer's pluggable record pipeline: memory, streaming
-	// JSONL, flight recorder, filter/sample, or a tee of several.
+	// JSONL, flight recorder, summary, or a tee of several.
 	Sink = obs.Sink
-	// FilterConfig selects a deterministic subset of a record stream.
-	FilterConfig = obs.FilterConfig
 	// FlightSink is a fixed-size ring buffer of the most recent records.
 	FlightSink = obs.FlightSink
 	// SummarySink accumulates streaming per-type counts and span
@@ -151,8 +149,6 @@ var (
 	NewJSONLSink = obs.NewJSONLSink
 	// NewFlightSink creates a fixed-size flight recorder.
 	NewFlightSink = obs.NewFlightSink
-	// NewFilterSink wraps a sink with a deterministic filter/sampler.
-	NewFilterSink = obs.NewFilterSink
 	// NewSummarySink creates a streaming trace summariser.
 	NewSummarySink = obs.NewSummarySink
 	// TeeSinks fans records out to several sinks in order.

@@ -10,14 +10,15 @@ import (
 // TestConvertJSONLMatchesGolden pins the offline conversion pipeline:
 // stream the golden trace as JSONL (what a JSONLSink run would leave on
 // disk), convert it with ConvertJSONL, and require byte-equality with
-// both the in-process exporter and the committed golden file. This is
-// the contract that lets dvcsim stop holding records for Perfetto —
-// dvctrace -convert reproduces the exact same bytes after the fact.
+// both the exporter run over the in-memory records and the committed
+// golden file. This is the contract that lets dvcsim never hold records
+// for Perfetto — dvctrace -convert reproduces the exact same bytes after
+// the fact.
 func TestConvertJSONLMatchesGolden(t *testing.T) {
 	tr := goldenTrace()
 
 	var inProcess bytes.Buffer
-	if err := tr.WritePerfetto(&inProcess); err != nil {
+	if err := WritePerfettoRecords(&inProcess, tr.Records()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -62,7 +63,7 @@ func TestConvertJSONLStreamedInput(t *testing.T) {
 	mem.Emit(1000, EvVMPause, "nodeB", "vm1", "pause")
 	mem.End(4000, ep2, Str("outcome", "commit"))
 	var want bytes.Buffer
-	if err := mem.WritePerfetto(&want); err != nil {
+	if err := WritePerfettoRecords(&want, mem.Records()); err != nil {
 		t.Fatal(err)
 	}
 

@@ -165,14 +165,14 @@ type Tracer struct {
 
 // NewTracer creates an enabled tracer buffering records in memory (a
 // MemorySink), with an empty registry and series — the default for tests
-// and for runs that export Perfetto in-process.
+// and for trial tracers that Merge into a parent.
 func NewTracer() *Tracer { return NewTracerWithSink(NewMemorySink()) }
 
 // NewTracerWithSink creates an enabled tracer forwarding records to
 // sink. With any sink other than a MemorySink the tracer retains no
-// records: Records returns nil and the exporters that need the full
-// stream (WriteJSONL, WritePerfetto) report an error — stream the JSONL
-// through a JSONLSink and convert offline with dvctrace instead.
+// records: Records returns nil and WriteJSONL reports an error — stream
+// the JSONL through a JSONLSink and convert offline with dvctrace
+// instead.
 func NewTracerWithSink(sink Sink) *Tracer {
 	t := &Tracer{sink: sink, reg: NewRegistry(), series: NewSeries()}
 	if m, ok := sink.(*MemorySink); ok {

@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"strings"
@@ -44,23 +43,10 @@ type pfDoc struct {
 	DisplayTimeUnit string    `json:"displayTimeUnit"`
 }
 
-// WritePerfetto writes the trace as Chrome/Perfetto trace_events JSON,
-// loadable in ui.perfetto.dev or chrome://tracing. Like WriteJSONL this
-// needs the full record stream, so only a memory-backed tracer can
-// export; streaming runs convert their JSONL offline with
-// dvctrace -convert (ConvertJSONL), which produces the same bytes.
-func (t *Tracer) WritePerfetto(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	if t.mem == nil {
-		return fmt.Errorf("obs: tracer is not memory-backed; convert the streamed JSONL with dvctrace -convert")
-	}
-	return WritePerfettoRecords(w, t.mem.recs)
-}
-
-// WritePerfettoRecords writes a record slice as trace_events JSON — the
-// same bytes Tracer.WritePerfetto produces for the same records.
+// WritePerfettoRecords writes a record slice as Chrome/Perfetto
+// trace_events JSON, loadable in ui.perfetto.dev or chrome://tracing.
+// Runs stream JSONL and convert it offline with dvctrace -convert
+// (ConvertJSONL), which produces the same bytes.
 func WritePerfettoRecords(w io.Writer, recs []Record) error {
 	doc := pfDoc{TraceEvents: perfettoEvents(recs), DisplayTimeUnit: "ms"}
 	bw := bufio.NewWriter(w)

@@ -31,7 +31,7 @@ func goldenTrace() *Tracer {
 
 func TestPerfettoGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := goldenTrace().WritePerfetto(&buf); err != nil {
+	if err := WritePerfettoRecords(&buf, goldenTrace().Records()); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join("testdata", "perfetto_golden.json")
@@ -54,7 +54,7 @@ func TestPerfettoGolden(t *testing.T) {
 
 func TestPerfettoValidAndSorted(t *testing.T) {
 	var buf bytes.Buffer
-	if err := goldenTrace().WritePerfetto(&buf); err != nil {
+	if err := WritePerfettoRecords(&buf, goldenTrace().Records()); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

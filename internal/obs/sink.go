@@ -147,10 +147,11 @@ func (s *FlightSink) Dump(w io.Writer) error {
 	return bw.Flush()
 }
 
-// FilterConfig selects a deterministic subset of a record stream. All
-// predicates are pure functions of the record itself — matching never
-// consults a clock, a random source, or any out-of-band state — so the
-// same stream filters to the same subset on every run.
+// FilterConfig selects a deterministic subset of a record stream
+// (dvctrace -query applies it to a recorded trace). All predicates are
+// pure functions of the record itself — matching never consults a
+// clock, a random source, or any out-of-band state — so the same stream
+// filters to the same subset on every run.
 type FilterConfig struct {
 	// Types keeps only records whose event type matches one entry
 	// exactly, or whose category (the dotted prefix: "lsc" matches
@@ -215,28 +216,6 @@ func containsString(set []string, s string) bool {
 	}
 	return false
 }
-
-// FilterSink forwards the records matching cfg to the next sink.
-type FilterSink struct {
-	cfg  FilterConfig
-	next Sink
-}
-
-// NewFilterSink wraps next with a deterministic filter/sampler.
-func NewFilterSink(next Sink, cfg FilterConfig) *FilterSink {
-	return &FilterSink{cfg: cfg, next: next}
-}
-
-// WriteRecord forwards matching records.
-func (s *FilterSink) WriteRecord(r *Record) error {
-	if !s.cfg.Match(r) {
-		return nil
-	}
-	return s.next.WriteRecord(r)
-}
-
-// Flush flushes the wrapped sink.
-func (s *FilterSink) Flush() error { return s.next.Flush() }
 
 // teeSink fans each record out to several sinks in order.
 type teeSink struct {

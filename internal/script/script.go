@@ -1,7 +1,9 @@
-// Package script implements dvcctl's scripted orchestration mode: a tiny
+// Package script implements dvcctl's orchestration language: a tiny
 // line-oriented command language for driving DVC scenarios — build
 // clusters, allocate virtual clusters, run workloads, checkpoint, crash
-// nodes, migrate, restore — deterministically and reproducibly.
+// nodes, migrate, restore — deterministically and reproducibly. The
+// scenarios dvcctl ships live in scenarios/*.dvc, embedded in the
+// binary (Scenarios, Scenario).
 //
 //	# build the site
 //	cluster alpha 4 rhel4-mpich
@@ -21,15 +23,40 @@ package script
 
 import (
 	"bufio"
+	"embed"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
+	"path"
 	"strconv"
 	"strings"
 	"time"
 
 	"dvc"
 )
+
+//go:embed scenarios/*.dvc
+var scenarios embed.FS
+
+// Scenarios lists the names of the embedded scenarios, sorted.
+func Scenarios() []string {
+	files, _ := fs.Glob(scenarios, "scenarios/*.dvc") // the pattern is valid
+	names := make([]string, len(files))
+	for i, f := range files {
+		names[i] = strings.TrimSuffix(path.Base(f), ".dvc")
+	}
+	return names
+}
+
+// Scenario returns the source of the named embedded scenario.
+func Scenario(name string) ([]byte, error) {
+	src, err := scenarios.ReadFile("scenarios/" + name + ".dvc")
+	if err != nil {
+		return nil, fmt.Errorf("unknown scenario %q (want one of %s)", name, strings.Join(Scenarios(), ", "))
+	}
+	return src, nil
+}
 
 // Interpreter executes one script against a fresh simulation.
 type Interpreter struct {
@@ -84,6 +111,9 @@ func (in *Interpreter) exec(cmd string, args []string) error {
 	case "cluster":
 		return in.cmdCluster(args)
 	case "start":
+		if len(args) != 0 {
+			return in.errf("usage: start")
+		}
 		in.sim.Start()
 		in.say("site started (NTP disciplining clocks)")
 		return nil
@@ -104,7 +134,7 @@ func (in *Interpreter) exec(cmd string, args []string) error {
 	case "repair":
 		return in.cmdCrash(args, true)
 	case "teardown":
-		vc, err := in.vc(args, 1)
+		vc, err := in.vc(args, 1, 1)
 		if err != nil {
 			return err
 		}
@@ -118,7 +148,7 @@ func (in *Interpreter) exec(cmd string, args []string) error {
 	case "status":
 		return in.cmdStatus(args)
 	case "assert-ok":
-		vc, err := in.vc(args, 1)
+		vc, err := in.vc(args, 1, 1)
 		if err != nil {
 			return err
 		}
@@ -133,9 +163,14 @@ func (in *Interpreter) exec(cmd string, args []string) error {
 	}
 }
 
-func (in *Interpreter) vc(args []string, want int) (*dvc.VirtualCluster, error) {
-	if len(args) < want {
-		return nil, in.errf("expected at least %d argument(s)", want)
+// vc checks that a command got between least and most arguments and
+// resolves the first one to a virtual cluster.
+func (in *Interpreter) vc(args []string, least, most int) (*dvc.VirtualCluster, error) {
+	switch {
+	case len(args) < least:
+		return nil, in.errf("expected at least %d argument(s), got %d", least, len(args))
+	case len(args) > most:
+		return nil, in.errf("expected at most %d argument(s), got %d", most, len(args))
 	}
 	vc, ok := in.vcs[args[0]]
 	if !ok {
@@ -234,7 +269,7 @@ func placementString(vc *dvc.VirtualCluster) string {
 }
 
 func (in *Interpreter) cmdRun(args []string) error {
-	vc, err := in.vc(args, 2)
+	vc, err := in.vc(args, 2, math.MaxInt) // makeApp bounds the workload's arguments
 	if err != nil {
 		return err
 	}
@@ -327,7 +362,7 @@ func (in *Interpreter) cmdAdvance(args []string) error {
 }
 
 func (in *Interpreter) cmdCheckpoint(args []string) error {
-	vc, err := in.vc(args, 1)
+	vc, err := in.vc(args, 1, 1)
 	if err != nil {
 		return err
 	}
@@ -344,7 +379,7 @@ func (in *Interpreter) cmdCheckpoint(args []string) error {
 }
 
 func (in *Interpreter) cmdMigrate(cmd string, args []string) error {
-	vc, err := in.vc(args, 2)
+	vc, err := in.vc(args, 2, 2)
 	if err != nil {
 		return err
 	}
@@ -388,7 +423,7 @@ func (in *Interpreter) cmdCrash(args []string, repair bool) error {
 }
 
 func (in *Interpreter) cmdRestore(args []string) error {
-	vc, err := in.vc(args, 3)
+	vc, err := in.vc(args, 3, 3)
 	if err != nil {
 		return err
 	}
@@ -409,7 +444,7 @@ func (in *Interpreter) cmdRestore(args []string) error {
 }
 
 func (in *Interpreter) cmdWait(args []string) error {
-	vc, err := in.vc(args, 1)
+	vc, err := in.vc(args, 1, 2)
 	if err != nil {
 		return err
 	}
@@ -427,7 +462,7 @@ func (in *Interpreter) cmdWait(args []string) error {
 }
 
 func (in *Interpreter) cmdStatus(args []string) error {
-	vc, err := in.vc(args, 1)
+	vc, err := in.vc(args, 1, 1)
 	if err != nil {
 		return err
 	}

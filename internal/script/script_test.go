@@ -14,91 +14,44 @@ func run(t *testing.T, seed int64, src string) (string, error) {
 	return out.String(), err
 }
 
-func TestCheckpointScenarioScript(t *testing.T) {
-	out, err := run(t, 1, `
-# quickstart scenario
-cluster alpha 4
-start
-alloc job1 4
-run job1 hpl 128 2e-5
-advance 2s
-checkpoint job1
-wait job1 2h
-assert-ok job1
-`)
+// runScenario runs an embedded scenario at dvcctl's default seed and
+// checks that its narration contains every wanted line fragment.
+func runScenario(t *testing.T, name string, want ...string) {
+	t.Helper()
+	src, err := Scenario(name)
 	if err != nil {
-		t.Fatalf("script failed: %v\n%s", err, out)
+		t.Fatal(err)
 	}
-	for _, want := range []string{"cluster alpha: 4 nodes", "job1 ready", "checkpoint gen 0", "all 4 ranks succeeded"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
+	out, err := run(t, 42, string(src))
+	if err != nil {
+		t.Fatalf("%s: script failed: %v\n%s", name, err, out)
+	}
+	for _, w := range want {
+		if !strings.Contains(out, w) {
+			t.Fatalf("%s: output missing %q:\n%s", name, w, out)
 		}
 	}
 }
 
+func TestCheckpointScenarioScript(t *testing.T) {
+	runScenario(t, "checkpoint",
+		"cluster alpha: 8 nodes", "job1 ready", "checkpoint gen 0: skew 2.139274ms", "all 4 ranks succeeded")
+}
+
 func TestCrashRecoveryScript(t *testing.T) {
-	out, err := run(t, 2, `
-cluster alpha 6
-start
-lsc ntp continue
-alloc job1 3
-run job1 halo 6000 20ms 1024
-advance 2s
-checkpoint job1
-crash alpha-n01
-advance 5s
-teardown job1
-restore job1 0 alpha
-wait job1 2h
-assert-ok job1
-`)
-	if err != nil {
-		t.Fatalf("script failed: %v\n%s", err, out)
-	}
-	if !strings.Contains(out, "NODE alpha-n01 CRASHED") || !strings.Contains(out, "restored from gen 0") {
-		t.Fatalf("narrative missing:\n%s", out)
-	}
+	runScenario(t, "recover",
+		"NODE alpha-n00 CRASHED", "restored from gen 0", "all 4 ranks succeeded")
 }
 
 func TestMigrationScripts(t *testing.T) {
-	out, err := run(t, 3, `
-cluster alpha 2
-cluster beta 2
-start
-alloc job1 2 clusters=alpha
-run job1 halo 4000 20ms 1024
-advance 1s
-migrate job1 beta
-wait job1 2h
-assert-ok job1
-status job1
-`)
-	if err != nil {
-		t.Fatalf("script failed: %v\n%s", err, out)
-	}
-	if !strings.Contains(out, "migrated to beta") || !strings.Contains(out, "placement=[beta-n00 beta-n01]") {
-		t.Fatalf("migration narrative missing:\n%s", out)
-	}
+	runScenario(t, "migrate",
+		"migrated to beta: downtime 10.752957671s", "placement=[beta-n00 beta-n01 beta-n02 beta-n03]",
+		"all 4 ranks succeeded")
 }
 
 func TestLiveMigrateScript(t *testing.T) {
-	out, err := run(t, 4, `
-cluster alpha 2
-cluster beta 2
-start
-alloc job1 2 clusters=alpha
-run job1 halo 5000 20ms 1024
-advance 1s
-livemigrate job1 beta
-wait job1 2h
-assert-ok job1
-`)
-	if err != nil {
-		t.Fatalf("script failed: %v\n%s", err, out)
-	}
-	if !strings.Contains(out, "live-migrated to beta") {
-		t.Fatalf("live migration narrative missing:\n%s", out)
-	}
+	runScenario(t, "livemigrate",
+		"live-migrated to beta: downtime 780.074139ms after 3 rounds", "all 4 ranks succeeded")
 }
 
 func TestScriptErrors(t *testing.T) {
@@ -139,6 +92,15 @@ func TestBadArgumentsAreLineErrors(t *testing.T) {
 		"cluster alpha 4",
 		"advance -5s",
 		"wait j -1s",
+		"start now",
+		"checkpoint j extra",
+		"teardown j extra",
+		"status j extra",
+		"assert-ok j extra",
+		"migrate j alpha extra",
+		"livemigrate j alpha extra",
+		"restore j 0 alpha extra",
+		"wait j 2h extra",
 	} {
 		_, err := run(t, 8, prelude+cmd+"\n")
 		if err == nil || !strings.HasPrefix(err.Error(), "line 4: ") {
