@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"dvc/internal/guest"
@@ -110,11 +111,10 @@ func TestDeltaCheckpointEpochsDedupAndRestore(t *testing.T) {
 	}
 }
 
-// TestDeltaRestoreByteIdenticalToFull is the acceptance proof: an image
-// written through WriteDelta and read back from the chunk pool is
-// byte-identical — same payload bytes, same decoded guest state — to a
-// full image captured at the same paused instant, and it restores to a
-// running domain.
+// TestDeltaRestoreByteIdenticalToFull is the acceptance proof: a delta
+// image written to the store and read back is byte-identical — same
+// payload bytes, same decoded guest state — to a full image captured at
+// the same paused instant, and it restores to a running domain.
 func TestDeltaRestoreByteIdenticalToFull(t *testing.T) {
 	tb := newTestbed(t, 26, map[string]int{"alpha": 2}, DefaultNTPLSC())
 	vc := tb.allocate(t, "bi", 1, guest.WatchdogConfig{})
@@ -123,11 +123,11 @@ func TestDeltaRestoreByteIdenticalToFull(t *testing.T) {
 	if err := d.Pause(); err != nil {
 		t.Fatal(err)
 	}
-	full, err := d.CaptureImage()
+	full, err := d.Capture(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, err := d.CaptureDeltaImage()
+	delta, err := d.Capture(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestDeltaRestoreByteIdenticalToFull(t *testing.T) {
 		t.Fatal("delta capture's functional payload differs from the full capture")
 	}
 
-	if _, err := tb.store.WriteDelta("bi/0", delta, nil); err != nil {
+	if _, err := tb.store.Write("bi/0", delta, nil); err != nil {
 		t.Fatal(err)
 	}
 	tb.k.RunFor(sim.Minute)
@@ -147,7 +147,7 @@ func TestDeltaRestoreByteIdenticalToFull(t *testing.T) {
 		t.Fatal(gotErr)
 	}
 	if !got.Data.Equal(full.Data) {
-		t.Fatal("reassembled delta image is not byte-identical to the full image")
+		t.Fatal("read-back delta image is not byte-identical to the full image")
 	}
 	sf, err := guest.DecodeImagePayload(full.Data)
 	if err != nil {
@@ -224,5 +224,83 @@ func TestLiveMigrateDeltaSkipsUntouchedRAM(t *testing.T) {
 	js := tb.runJob(t, vc, time60())
 	if !js.AllOK() {
 		t.Fatalf("job after delta live migration: %+v", js)
+	}
+}
+
+// TestFullCycleKeepsPageTable: a full-image save/restore cycle hands the
+// page table across like a delta one, so a later delta live migration
+// knows every chunk was written. A 4 x 256 MiB VC at the default dirty
+// rate dirties all of RAM in 30 s; a full checkpoint then must not
+// reset the restored tables to boot state, or the migration would skip
+// nearly all of RAM as "never written".
+func TestFullCycleKeepsPageTable(t *testing.T) {
+	tb := newTestbed(t, 31, map[string]int{"alpha": 4, "beta": 4}, DefaultNTPLSC())
+	vc, err := tb.mgr.Allocate(VCSpec{Name: "cyc", Nodes: 4, VMRAM: testVMRAM, Clusters: []string{"alpha"}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.k.RunFor(vm.DefaultXenConfig().BootTime + 30*sim.Second)
+	var res *CheckpointResult
+	tb.co.Checkpoint(vc, func(r *CheckpointResult) { res = r })
+	for res == nil {
+		tb.k.RunFor(sim.Second)
+	}
+	if !res.OK {
+		t.Fatalf("full checkpoint: %+v", res)
+	}
+	for _, img := range res.Images {
+		if img.Delta || img.Pages == nil {
+			t.Fatalf("full capture of %s: delta=%v pages=%v", img.DomainName, img.Delta, img.Pages != nil)
+		}
+	}
+	if want := int64(vc.Spec().Nodes) * testVMRAM; res.LogicalBytes != want || res.SentBytes != want {
+		t.Fatalf("full epoch logical %d sent %d, want %d each", res.LogicalBytes, res.SentBytes, want)
+	}
+
+	cfg := DefaultLiveConfig()
+	cfg.Delta = true
+	var lm *LiveMigrationResult
+	if err := tb.co.LiveMigrate(vc, tb.site.UpNodes("beta"), cfg, func(r *LiveMigrationResult) { lm = r }); err != nil {
+		t.Fatal(err)
+	}
+	tb.k.RunFor(10 * sim.Minute)
+	if lm == nil || !lm.OK {
+		t.Fatalf("delta live migration: %+v", lm)
+	}
+	if lm.BytesSkipped != 0 {
+		t.Fatalf("migration skipped %d bytes as never written; every chunk was dirtied before the full checkpoint", lm.BytesSkipped)
+	}
+}
+
+// unregisteredApp is an MPI app whose type was never passed to
+// imgcodec.Register, so no image of a guest running it can be encoded.
+type unregisteredApp struct{ *hpcc.Halo }
+
+// TestFailedCaptureReleasesVC: when a capture fails, the coordinator
+// resumes the paused domains and hands the VC back Ready, exactly as
+// for an incomplete save set, instead of leaving it paused for good.
+func TestFailedCaptureReleasesVC(t *testing.T) {
+	tb := newTestbed(t, 5, map[string]int{"alpha": 2}, DefaultNTPLSC())
+	vc := tb.allocate(t, "bad", 2, guest.WatchdogConfig{})
+	vc.LaunchMPI(6000, func(int) mpi.App {
+		return unregisteredApp{hpcc.NewHalo(6000, 20*sim.Millisecond, 1024)}
+	})
+	tb.k.RunFor(sim.Second)
+	var res *CheckpointResult
+	tb.co.Checkpoint(vc, func(r *CheckpointResult) { res = r })
+	for res == nil {
+		tb.k.RunFor(sim.Second)
+	}
+	if res.OK || !strings.Contains(res.Reason, "is not registered") {
+		t.Fatalf("checkpoint of an unencodable guest: %+v", res)
+	}
+	tb.k.RunFor(sim.Minute)
+	if vc.State() != VCReady {
+		t.Fatalf("VC %v after the failed capture, want Ready", vc.State())
+	}
+	for _, d := range vc.Domains() {
+		if d.State() != vm.StateRunning {
+			t.Fatalf("domain %s %v after the failed capture, want Running", d.Name(), d.State())
+		}
 	}
 }

@@ -218,18 +218,12 @@ func (c *Coordinator) liveFinal(vc *VirtualCluster, residuals []liveResidual, ta
 		}
 	}
 	// Capture the functional state now (it is what the target resumes).
-	// The delta path captures delta images so the restored domains keep
-	// their chunk lineage: the next checkpoint epoch at the destination
+	// Every image carries its page table, so the restored domains keep
+	// their chunk lineage: the next delta epoch at the destination
 	// dedups against everything transferred before the move.
 	images := make([]*vm.Image, len(vc.domains))
 	for i, d := range vc.domains {
-		var img *vm.Image
-		var err error
-		if delta {
-			img, err = d.CaptureDeltaImage()
-		} else {
-			img, err = d.CaptureImage()
-		}
+		img, err := d.Capture(delta)
 		if err != nil {
 			res.Reason = err.Error()
 			res.TotalTime = k.Now() - start

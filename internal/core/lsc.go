@@ -69,8 +69,8 @@ type LSCConfig struct {
 	// destroyed by the save and restored from the image).
 	ContinueAfterSave bool
 
-	// Delta switches every generation to content-addressed delta epochs
-	// (vm.CaptureDeltaImage + storage.WriteDelta): each epoch is
+	// Delta switches every generation to delta epochs (vm.Image.Delta,
+	// pinned in the store's chunk pool by storage.Write): each epoch is
 	// self-contained — restores stage exactly one image — and the store
 	// transfers only chunks it has not seen, so steady-state epochs cost
 	// the dirtied chunks plus manifest metadata. (Extension; see
@@ -118,8 +118,9 @@ type CheckpointResult struct {
 	Downtime   sim.Time // first pause to last resume
 	FinishedAt sim.Time
 
-	// Delta-path accounting (LSCConfig.Delta): manifest-covered bytes,
-	// bytes that actually crossed the wire, and dedup hits across the set.
+	// Store accounting across the set: object-covered bytes, bytes that
+	// actually crossed the wire (equal for full images), and delta
+	// dedup hits.
 	LogicalBytes int64
 	SentBytes    int64
 	DedupChunks  int
@@ -323,25 +324,16 @@ func (c *Coordinator) afterPaused(vc *VirtualCluster, res *CheckpointResult, fir
 		if d.State() != vm.StatePaused {
 			continue
 		}
-		var img *vm.Image
-		var err error
-		if c.cfg.Delta {
-			// Self-contained content-addressed epoch; the capture folds
-			// the dirt and re-marks, so the MarkClean below is a no-op.
-			img, err = d.CaptureDeltaImage()
-		} else {
-			img, err = d.CaptureImage()
-		}
+		img, err := d.Capture(c.cfg.Delta)
 		if err != nil {
-			c.finishFail(res, err.Error(), done)
-			return
+			res.Reason = err.Error()
+			break
 		}
-		d.MarkClean()
 		res.Images = append(res.Images, img)
 	}
 	if res.Reason != "" {
-		// Incomplete set: release the paused VMs back (the job will have
-		// died anyway) and report failure.
+		// Incomplete set or failed capture: release the paused VMs back
+		// (the job will have died anyway) and report failure.
 		for _, d := range vc.domains {
 			if d.State() == vm.StatePaused {
 				_ = d.Unpause()
@@ -372,18 +364,14 @@ func (c *Coordinator) afterPaused(vc *VirtualCluster, res *CheckpointResult, fir
 				c.afterStored(vc, res, firstPause, done)
 			}
 		}
-		if c.cfg.Delta {
-			info, err := c.mgr.store.WriteDelta(key, img, onWritten)
-			if err != nil {
-				c.finishFail(res, err.Error(), done)
-				return
-			}
-			res.LogicalBytes += info.Logical
-			res.SentBytes += info.Sent
-			res.DedupChunks += info.DedupChunks
-			continue
+		info, err := c.mgr.store.Write(key, img, onWritten)
+		if err != nil {
+			c.finishFail(res, err.Error(), done)
+			return
 		}
-		c.mgr.store.Write(key, img, onWritten)
+		res.LogicalBytes += info.Logical
+		res.SentBytes += info.Sent
+		res.DedupChunks += info.DedupChunks
 	}
 }
 

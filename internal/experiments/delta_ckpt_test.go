@@ -64,16 +64,8 @@ func TestDeltaCheckpointDefaultDirtyRate(t *testing.T) {
 				t.Fatalf("epoch %d failed: %+v", i, r)
 			}
 			last = r
-			epoch := int64(0)
-			if delta {
-				epoch = r.SentBytes
-				o.logical += r.LogicalBytes
-			} else {
-				for _, img := range r.Images {
-					epoch += img.SizeBytes()
-				}
-				o.logical += epoch
-			}
+			epoch := r.SentBytes
+			o.logical += r.LogicalBytes
 			o.sent += epoch
 			if i == 0 {
 				o.firstEpoch = epoch

@@ -155,16 +155,8 @@ func runE14(opts Options) *Result {
 				panic("E14b checkpoint failed: " + r.Reason)
 			}
 			gens = append(gens, r)
-			epoch := int64(0)
-			if delta {
-				epoch = r.SentBytes
-				o.logical += r.LogicalBytes
-			} else {
-				for _, img := range r.Images {
-					epoch += img.SizeBytes()
-				}
-				o.logical += epoch
-			}
+			epoch := r.SentBytes
+			o.logical += r.LogicalBytes
 			o.sent += epoch
 			if i == 0 {
 				o.firstEpoch = epoch

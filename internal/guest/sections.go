@@ -24,16 +24,15 @@ import (
 //	trailer                per-section uint32 LE lengths, uint32 LE count,
 //	                       uint64 LE schema hash, "DVC3"
 //
-// Why sections: content-addressed dedup needs unchanged state to
-// re-encode to byte-identical chunks. Each section is one codec value
-// written in one Write, and Writer.Seal aligns chunk boundaries with
-// section boundaries, so an idle process, a full log group or a quiet
-// TCP stack contributes the exact same chunks — and the same
-// payload.ChunkIDs — epoch after epoch. The codec writes no type
-// descriptors and orders map entries by key, so the image bytes are a
-// pure function of the guest state. Each section also decodes on its
-// own, which is what lets a reader (and the fuzzer) reject a damaged
-// section without trusting its neighbours.
+// Why sections: each section is one codec value written in one Write,
+// and Writer.Seal aligns chunk boundaries with section boundaries, so a
+// section never shares a chunk with its neighbours and a section that
+// fits one chunk decodes in place, without being copied out of the
+// rope. The codec writes no type descriptors and orders map entries by
+// key, so the image bytes — and an unchanged section's chunks, epoch
+// after epoch — are a pure function of the guest state. Each section
+// also decodes on its own, which is what lets a reader (and the fuzzer)
+// reject a damaged section without trusting its neighbours.
 //
 // The schema hash covers the wire layout of the fixed section types; a
 // build whose layout differs rejects the image instead of misreading it.

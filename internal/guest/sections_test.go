@@ -1,6 +1,7 @@
 package guest
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
@@ -43,13 +44,13 @@ func sectionedSnap() *Snapshot {
 	}
 }
 
-func chunkIDsOf(t *testing.T, snap *Snapshot) []payload.ChunkID {
+func chunksOf(t *testing.T, snap *Snapshot) [][]byte {
 	t.Helper()
 	img, err := EncodeImagePayload(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return img.AppendChunkIDs(nil)
+	return img.Chunks()
 }
 
 func TestSectionedRoundTrip(t *testing.T) {
@@ -111,39 +112,38 @@ func TestDecodeRejectsCorruptImage(t *testing.T) {
 	}
 }
 
-// TestEncodeDeterministic pins the property the content-addressed store
-// depends on: encoding the same snapshot twice yields byte-identical
-// chunks — including the FD and accept tables, which live in maps and
+// TestEncodeDeterministic pins the replay property: encoding the same
+// snapshot twice yields byte-identical chunks — including the FD and accept tables, which live in maps and
 // are flattened to key-sorted slices.
 func TestEncodeDeterministic(t *testing.T) {
 	snap := sectionedSnap()
-	a, b := chunkIDsOf(t, snap), chunkIDsOf(t, snap)
+	a, b := chunksOf(t, snap), chunksOf(t, snap)
 	if len(a) != len(b) {
 		t.Fatalf("chunk counts differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if !bytes.Equal(a[i], b[i]) {
 			t.Fatalf("chunk %d differs between identical encodes", i)
 		}
 	}
 }
 
-// TestUnchangedSectionsShareChunks is the cross-epoch dedup property:
+// TestUnchangedSectionsShareChunks is the section-locality property:
 // changing one process's state must change only that process's section
 // chunk (plus the trailer chunk when the section's size changes, since
-// the trailer's length table records it), leaving every other chunk —
-// and its ChunkID — identical.
+// the trailer's length table records it), leaving every other chunk
+// byte-identical.
 func TestUnchangedSectionsShareChunks(t *testing.T) {
 	base := sectionedSnap()
-	ids0 := chunkIDsOf(t, base)
-	changed := func(ids []payload.ChunkID) int {
+	chunks0 := chunksOf(t, base)
+	changed := func(chunks [][]byte) int {
 		t.Helper()
-		if len(ids) != len(ids0) {
-			t.Fatalf("chunk counts differ: %d vs %d", len(ids0), len(ids))
+		if len(chunks) != len(chunks0) {
+			t.Fatalf("chunk counts differ: %d vs %d", len(chunks0), len(chunks))
 		}
 		diff := 0
-		for i := range ids0 {
-			if ids0[i] != ids[i] {
+		for i := range chunks0 {
+			if !bytes.Equal(chunks0[i], chunks[i]) {
 				diff++
 			}
 		}
@@ -154,15 +154,15 @@ func TestUnchangedSectionsShareChunks(t *testing.T) {
 	same := sectionedSnap()
 	same.Procs[1].ExitCode = 7
 	same.Procs[1].Exited = true
-	if diff := changed(chunkIDsOf(t, same)); diff != 1 {
-		t.Fatalf("one same-size process change touched %d of %d chunks, want 1 (proc section)", diff, len(ids0))
+	if diff := changed(chunksOf(t, same)); diff != 1 {
+		t.Fatalf("one same-size process change touched %d of %d chunks, want 1 (proc section)", diff, len(chunks0))
 	}
 	// A change that grows the section also rewrites the length table.
 	mod := sectionedSnap()
 	mod.Procs[1].ExitCode = 700
 	mod.Procs[1].Exited = true
-	if diff := changed(chunkIDsOf(t, mod)); diff != 2 {
-		t.Fatalf("one changed process touched %d of %d chunks, want 2 (proc section + trailer)", diff, len(ids0))
+	if diff := changed(chunksOf(t, mod)); diff != 2 {
+		t.Fatalf("one changed process touched %d of %d chunks, want 2 (proc section + trailer)", diff, len(chunks0))
 	}
 
 	// Appending to the log re-encodes only the open tail group (plus the
@@ -170,7 +170,7 @@ func TestUnchangedSectionsShareChunks(t *testing.T) {
 	// groups are immutable.
 	grown := sectionedSnap()
 	grown.Log = append(grown.Log, LogEntry{Jiffies: 301, Wall: 301, Msg: "more"})
-	if diff := changed(chunkIDsOf(t, grown)); diff != 3 {
+	if diff := changed(chunksOf(t, grown)); diff != 3 {
 		t.Fatalf("log append touched %d chunks, want 3 (meta + tail group + trailer)", diff)
 	}
 }

@@ -184,9 +184,9 @@ func EncodeImagePayload(snap *Snapshot) (payload.Bytes, error) {
 //
 // The stream is the sectioned format (see sections.go): independently
 // encoded sections with a length trailer, so unchanged OS state
-// re-encodes to byte-identical — and content-addressably dedupable —
-// chunks. A writer that implements Seal() (payload.Writer) gets its
-// chunk boundaries aligned with the section boundaries.
+// re-encodes to byte-identical chunks. A writer that implements Seal()
+// (payload.Writer) gets its chunk boundaries aligned with the section
+// boundaries, which lets the decoder read a one-chunk section in place.
 func EncodeImageStream(snap *Snapshot, w io.Writer) error {
 	return encodeImageSections(snap, w)
 }

@@ -7,7 +7,7 @@
 // wire: the reader must know the static type, as the sectioned image
 // format does. So every encoding is self-contained — two encodings of
 // equal values are equal bytes, whatever else the process encoded first
-// — which is what lets content-addressed dedup find unchanged state.
+// — which is what makes image bytes replay deterministically.
 //
 // Wire format, by kind:
 //

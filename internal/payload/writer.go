@@ -73,8 +73,7 @@ func (w *Writer) Write(p []byte) (int, error) {
 			// Small-write chunks grow geometrically from firstChunkSize
 			// up to chunkSize, so short streams stay cheap without
 			// penalising long ones. The counter resets at every
-			// Seal/Take so chunk geometry — and therefore chunk content
-			// identity — is local to a sealed section.
+			// Seal/Take so chunk geometry is local to a sealed section.
 			size := w.chunkSize
 			if n := w.grown; n < 7 {
 				if g := firstChunkSize << uint(n); g < size {
@@ -106,12 +105,13 @@ func (w *Writer) Len() int { return w.length }
 
 // Seal closes the partially filled chunk (shrunk to its exact size) and
 // restarts geometric sizing, so the next write opens a fresh chunk at
-// firstChunkSize. Sealing at a logical section boundary makes each
-// section's chunking a pure function of that section's bytes: an
-// unchanged section re-encoded later produces byte-identical chunks —
-// and therefore identical ChunkIDs — no matter what preceded it in the
-// stream. That is the property content-addressed checkpoint dedup
-// rests on.
+// firstChunkSize. Sealing at a logical section boundary means no chunk
+// straddles two sections, and each section's chunking is a pure
+// function of that section's bytes, no matter what preceded it in the
+// stream. A section that fits in one chunk (shorter than firstChunkSize,
+// or written in one Write of at least chunkSize) therefore decodes in
+// place: Slice(...).Flatten() of a single chunk returns the chunk
+// itself, with no copy.
 func (w *Writer) Seal() {
 	if len(w.cur) > 0 {
 		c := w.cur

@@ -10,7 +10,7 @@ import (
 )
 
 // deltaEpochAllocs measures the allocations of one steady-state delta
-// epoch on a guest of the given chunk count: WriteDelta, run the
+// epoch on a guest of the given chunk count: a delta Write, run the
 // transfer, Delete the previous generation, GC. A sixteen-chunk template
 // stays untouched, the next half of RAM is rewritten every epoch and the
 // rest stays zero, so every chunk kind is pinned, released and
@@ -33,13 +33,13 @@ func deltaEpochAllocs(chunks int) float64 {
 		imgs[i] = &vm.Image{
 			DomainName: "a", Addr: "x", RAMBytes: pt.RAM,
 			Data: payload.FromChunks(data), Checksum: crc32.ChecksumIEEE(data),
-			PayloadBytes: 1, Pages: &pt,
+			PayloadBytes: 1, Pages: &pt, Delta: true,
 		}
 	}
 	keys := [2]string{"ckpt/a/0", "ckpt/a/1"}
 	epoch := 0
 	step := func() {
-		if _, err := s.WriteDelta(keys[epoch%2], imgs[epoch], nil); err != nil {
+		if _, err := s.Write(keys[epoch%2], imgs[epoch], nil); err != nil {
 			panic(err)
 		}
 		k.Run()

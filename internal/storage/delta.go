@@ -4,21 +4,16 @@ import (
 	"fmt"
 
 	"dvc/internal/obs"
-	"dvc/internal/payload"
 	"dvc/internal/vm"
 )
 
-// Delta path: WriteDelta stores an image against a refcounted chunk
+// Delta path: Write stores a delta image against a refcounted chunk
 // pool shared by every key in the store. Chunks the pool already holds
 // cost manifest metadata only — the modelled wire bytes of an epoch are
-// its genuinely new chunks. The pool is two-level:
-//
-//   - modelled page chunks, named by the structural keys of
-//     Image.Pages (vm.PageTable.Chunk): these drive every observable
-//     byte count (Sent, dedup stats, GC) and replay deterministically;
-//   - functional blobs, keyed by the content hash of the image's real
-//     rope chunks: these let Read reassemble a byte-identical image
-//     and are never traced (their sizes depend on encoding details).
+// its genuinely new chunks. Chunks are named by the structural keys of
+// Image.Pages (vm.PageTable.Chunk), never by hashing bytes, so every
+// observable byte count (Sent, dedup stats, GC) replays
+// deterministically.
 
 // ManifestEntryBytes is the modelled wire cost of one manifest entry:
 // a 32-byte chunk identity, an 8-byte length, and framing slack. Even a
@@ -56,43 +51,9 @@ func newChunkPool() *chunkPool {
 	}
 }
 
-// blobEntry is one functional rope chunk in the shared pool.
-type blobEntry struct {
-	data []byte
-	refs int
-}
-
-// DeltaInfo summarises one WriteDelta: how many modelled bytes the
-// manifest covers, how many actually crossed the wire, and the chunk
-// dedup split.
-type DeltaInfo struct {
-	Logical     int64 // bytes the page table describes (all of guest RAM)
-	Sent        int64 // new chunk bytes + manifest metadata
-	Chunks      int   // chunks in the page table
-	DedupChunks int   // chunks the pool already held
-	NewChunks   int   // chunks transferred
-}
-
-// DedupRatio returns Logical/Sent (1 when nothing was saved).
-func (d DeltaInfo) DedupRatio() float64 {
-	if d.Sent <= 0 {
-		return 1
-	}
-	return float64(d.Logical) / float64(d.Sent)
-}
-
 // SetTracer attaches an observability tracer (nil disables). The store
 // feeds registry counters under store.delta.* and store.gc.*.
 func (s *Store) SetTracer(t *obs.Tracer) { s.tracer = t }
-
-// ensurePools lazily allocates the chunk pools so plain full-image
-// stores pay nothing for the delta path.
-func (s *Store) ensurePools() {
-	if s.chunks == nil {
-		s.chunks = newChunkPool()
-		s.blobs = make(map[payload.ChunkID]*blobEntry)
-	}
-}
 
 // lineage returns the private-chunk slots of one lineage, grown to at
 // least n chunks.
@@ -111,8 +72,8 @@ func (p *chunkPool) lineage(id uint64, n int) [][]privateChunk {
 // are taken at admission — before the simulated transfer completes — so
 // a concurrent Delete of a prior generation can never let GC reclaim
 // chunks an in-flight write depends on.
-func (p *chunkPool) pin(pt *vm.PageTable) DeltaInfo {
-	info := DeltaInfo{Chunks: len(pt.Versions)}
+func (p *chunkPool) pin(pt *vm.PageTable) WriteInfo {
+	info := WriteInfo{Chunks: len(pt.Versions)}
 	var slots [][]privateChunk // this lineage's, fetched at its first private chunk
 	for ci := range pt.Versions {
 		key, size := pt.Chunk(ci)
@@ -221,123 +182,11 @@ func (p *chunkPool) gc() (chunks int, bytes int64) {
 	return chunks, bytes
 }
 
-// pinBlobs admits the image's functional rope chunks into the blob pool
-// and returns their identities in rope order.
-func (s *Store) pinBlobs(data payload.Bytes) []payload.ChunkID {
-	chunks := data.Chunks()
-	ids := make([]payload.ChunkID, 0, len(chunks))
-	for _, c := range chunks {
-		id := payload.ChunkIDOf(c)
-		if e, ok := s.blobs[id]; ok {
-			e.refs++
-		} else {
-			s.blobs[id] = &blobEntry{data: c, refs: 1}
-		}
-		ids = append(ids, id)
-	}
-	return ids
-}
-
-// releaseBlobs drops one reference per blob; like chunkPool.release it
-// panics on a blob that holds no reference.
-func (s *Store) releaseBlobs(obj string, ids []payload.ChunkID) {
-	for _, id := range ids {
-		e, ok := s.blobs[id]
-		if !ok || e.refs == 0 {
-			panic(fmt.Sprintf("storage: object %q releases unpinned blob %s", obj, id))
-		}
-		e.refs--
-	}
-}
-
-// releaseObject drops the pool references a stored object holds (no-op
-// for plain full-image objects).
-func (s *Store) releaseObject(o *Object) {
-	if o == nil || o.Pages == nil {
-		return
-	}
-	s.chunks.release(o.Key, o.Pages)
-	s.releaseBlobs(o.Key, o.blobs)
-}
-
-// WriteDelta stores a delta image under key, transferring only the
-// chunks the store does not already hold. The image must carry a
-// well-formed page table (vm.CaptureDeltaImage), which the stored
-// object keeps to release its chunks later; the returned DeltaInfo is
-// computed at admission, before the transfer completes. Overwrites
-// release the prior generation's chunk references at completion,
-// exactly when the new object replaces it.
-func (s *Store) WriteDelta(key string, img *vm.Image, onDone func()) (DeltaInfo, error) {
-	if img.Pages == nil {
-		return DeltaInfo{}, fmt.Errorf("storage: WriteDelta %q: image has no page table", key)
-	}
-	if err := img.Pages.Validate(img.RAMBytes); err != nil {
-		return DeltaInfo{}, fmt.Errorf("storage: WriteDelta %q: %w", key, err)
-	}
-	s.ensurePools()
-	info := s.chunks.pin(img.Pages)
-	blobs := s.pinBlobs(img.Data)
-
-	// The stored object keeps the image metadata but not the rope: Read
-	// reassembles the bytes from the blob pool, proving the delta path
-	// is functionally complete.
-	meta := *img
-	meta.Data = payload.Bytes{}
-
-	s.DeltaWrites++
-	s.BytesWritten += uint64(info.Sent)
-	s.tracer.Inc("store.delta.writes", 1)
-	s.tracer.Inc("store.delta.logical_bytes", float64(info.Logical))
-	s.tracer.Inc("store.delta.sent_bytes", float64(info.Sent))
-	s.tracer.Inc("store.delta.dedup_chunks", float64(info.DedupChunks))
-
-	s.begin(info.Sent, func() {
-		s.releaseObject(s.objects[key])
-		s.objects[key] = &Object{
-			Key:      key,
-			Size:     info.Logical,
-			Image:    &meta,
-			StoredAt: s.kernel.Now(),
-			Pages:    img.Pages,
-			blobs:    blobs,
-		}
-		if onDone != nil {
-			onDone()
-		}
-	})
-	return info, nil
-}
-
-// reassemble rebuilds a delta object's image from the blob pool. Done
-// at read admission: once the rope references the blob slices, a
-// concurrent Delete+GC cannot pull the bytes out from under the read.
-func (s *Store) reassemble(o *Object) (*vm.Image, error) {
-	parts := make([][]byte, len(o.blobs))
-	for i, id := range o.blobs {
-		e, ok := s.blobs[id]
-		if !ok {
-			return nil, fmt.Errorf("storage: object %q references missing blob %s", o.Key, id)
-		}
-		parts[i] = e.data
-	}
-	img := *o.Image
-	img.Data = payload.FromChunks(parts...)
-	if err := img.Verify(); err != nil {
-		return nil, fmt.Errorf("storage: object %q: %w", o.Key, err)
-	}
-	return &img, nil
-}
-
-// GC reclaims every pool chunk and blob whose reference count has
-// dropped to zero and reports the modelled page chunks and bytes freed.
+// GC reclaims every pool chunk whose reference count has dropped to
+// zero and reports the modelled chunks and bytes freed.
 func (s *Store) GC() (chunks int, bytes int64) {
 	if s.chunks != nil {
 		chunks, bytes = s.chunks.gc()
-	}
-	for id, e := range s.blobs {
-		if e.refs == 0 {
-			delete(s.blobs, id)
-		}
 	}
 	s.tracer.Inc("store.gc.chunks", float64(chunks))
 	s.tracer.Inc("store.gc.bytes", float64(bytes))

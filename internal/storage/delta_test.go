@@ -2,6 +2,7 @@ package storage
 
 import (
 	"hash/crc32"
+	"reflect"
 	"testing"
 
 	"dvc/internal/payload"
@@ -10,8 +11,8 @@ import (
 )
 
 // deltaImg builds a delta image with an explicit page-table state. The
-// functional payload is a small multi-chunk rope so reads exercise
-// reassembly; the modelled side is entirely the versions slice.
+// functional payload is a small multi-chunk rope; the modelled side is
+// entirely the versions slice.
 func deltaImg(name string, lineage uint64, versions []uint32, parts ...[]byte) *vm.Image {
 	data := payload.FromChunks(parts...)
 	pt := &vm.PageTable{
@@ -29,6 +30,7 @@ func deltaImg(name string, lineage uint64, versions []uint32, parts ...[]byte) *
 		Checksum:     crc32.ChecksumIEEE(data.Flatten()),
 		PayloadBytes: 1,
 		Pages:        pt,
+		Delta:        true,
 	}
 }
 
@@ -40,7 +42,7 @@ func TestWriteDeltaDedupAcrossEpochs(t *testing.T) {
 	// template offsets and ONE shared zero identity — the six untouched
 	// non-template chunks dedup against each other inside the manifest.
 	v0 := make([]uint32, 8)
-	info0, err := s.WriteDelta("ckpt/a/0", deltaImg("a", 1, v0, []byte("epoch0")), nil)
+	info0, err := s.Write("ckpt/a/0", deltaImg("a", 1, v0, []byte("epoch0")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func TestWriteDeltaDedupAcrossEpochs(t *testing.T) {
 	// Epoch 1: two chunks dirtied — only they cross the wire.
 	v1 := append([]uint32(nil), v0...)
 	v1[0], v1[1] = 1, 1
-	info1, err := s.WriteDelta("ckpt/a/1", deltaImg("a", 1, v1, []byte("epoch1")), nil)
+	info1, err := s.Write("ckpt/a/1", deltaImg("a", 1, v1, []byte("epoch1")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,13 +85,13 @@ func TestWriteDeltaCrossVMDedup(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := newStore(k, 1000e6, 0)
 	v := make([]uint32, 8)
-	if _, err := s.WriteDelta("ckpt/a/0", deltaImg("a", 1, v, []byte("a")), nil); err != nil {
+	if _, err := s.Write("ckpt/a/0", deltaImg("a", 1, v, []byte("a")), nil); err != nil {
 		t.Fatal(err)
 	}
 	k.Run()
 	// A second untouched VM shares every template and zero chunk: its
 	// first epoch costs manifest metadata only.
-	infoB, err := s.WriteDelta("ckpt/b/0", deltaImg("b", 2, v, []byte("b")), nil)
+	infoB, err := s.Write("ckpt/b/0", deltaImg("b", 2, v, []byte("b")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +102,11 @@ func TestWriteDeltaCrossVMDedup(t *testing.T) {
 	// Once each VM dirties a chunk, the new chunks are private.
 	va := append([]uint32(nil), v...)
 	va[3] = 1
-	infoA, err := s.WriteDelta("ckpt/a/1", deltaImg("a", 1, va, []byte("a1")), nil)
+	infoA, err := s.Write("ckpt/a/1", deltaImg("a", 1, va, []byte("a1")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	infoB2, err := s.WriteDelta("ckpt/b/1", deltaImg("b", 2, va, []byte("b1")), nil)
+	infoB2, err := s.Write("ckpt/b/1", deltaImg("b", 2, va, []byte("b1")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +116,13 @@ func TestWriteDeltaCrossVMDedup(t *testing.T) {
 	}
 }
 
+// TestDeltaReadReassemblesByteIdentical: a delta object reads back the
+// bytes and page table it was written with.
 func TestDeltaReadReassemblesByteIdentical(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := newStore(k, 1000e6, 0)
-	orig := deltaImg("a", 1, make([]uint32, 4), []byte("first chunk "), []byte("second"), []byte(" third"))
-	if _, err := s.WriteDelta("ckpt/a/0", orig, nil); err != nil {
+	orig := deltaImg("a", 1, []uint32{0, 3, 0, 1}, []byte("first chunk "), []byte("second"), []byte(" third"))
+	if _, err := s.Write("ckpt/a/0", orig, nil); err != nil {
 		t.Fatal(err)
 	}
 	k.Run()
@@ -130,23 +134,57 @@ func TestDeltaReadReassemblesByteIdentical(t *testing.T) {
 		t.Fatal(gotErr)
 	}
 	if !got.Data.Equal(orig.Data) {
-		t.Fatal("reassembled image differs from the written one")
+		t.Fatal("read image differs from the written one")
 	}
 	if err := got.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if got.Pages == nil || got.Pages.Lineage != 1 {
-		t.Fatalf("reassembled image lost its page table: %+v", got.Pages)
+	if !got.Delta || !reflect.DeepEqual(got.Pages, orig.Pages) {
+		t.Fatalf("read image lost its page table: %+v", got.Pages)
 	}
 }
 
+// TestFullWriteSendsAllRAM: a full image transfers, and covers, all of
+// its RAM, pins nothing, and reads back the same image.
+func TestFullWriteSendsAllRAM(t *testing.T) {
+	k := sim.NewKernel(1)
+	s := newStore(k, 1000e6, 0)
+	full := deltaImg("a", 1, []uint32{0, 3, 0, 1}, []byte("full "), []byte("image"))
+	full.Delta = false
+	info, err := s.Write("ckpt/a/0", full, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (WriteInfo{Logical: full.RAMBytes, Sent: full.RAMBytes}); info != want {
+		t.Fatalf("full write info %+v, want %+v", info, want)
+	}
+	k.Run()
+	if s.Writes != 1 || s.DeltaWrites != 0 || s.BytesWritten != uint64(full.RAMBytes) || s.UniqueBytes() != 0 {
+		t.Fatalf("stats: writes=%d delta_writes=%d bytes=%d pool=%d", s.Writes, s.DeltaWrites, s.BytesWritten, s.UniqueBytes())
+	}
+	var got *vm.Image
+	s.Read("ckpt/a/0", func(i *vm.Image, err error) { got = i })
+	k.Run()
+	if got == nil || !got.Data.Equal(full.Data) || got.Verify() != nil || !reflect.DeepEqual(got.Pages, full.Pages) {
+		t.Fatalf("full image did not read back intact: %+v", got)
+	}
+	s.Delete("ckpt/a/0")
+	if chunks, _ := s.GC(); chunks != 0 {
+		t.Fatalf("deleting a full image freed %d pool chunks", chunks)
+	}
+}
+
+// TestWriteDeltaRequiresPages: Write rejects a delta image with a
+// missing or malformed page table before it pins anything, leaving the
+// pool and DeltaWrites untouched.
 func TestWriteDeltaRequiresPages(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := newStore(k, 1000e6, 0)
-	if _, err := s.WriteDelta("x", img("a", 100), nil); err == nil {
-		t.Fatal("WriteDelta accepted an image without a page table")
+	bare := img("a", 100)
+	bare.Delta = true
+	if _, err := s.Write("x", bare, nil); err == nil {
+		t.Fatal("Write accepted a delta image without a page table")
 	}
-	// A malformed table is rejected before it pins anything.
 	for name, mangle := range map[string]func(*vm.PageTable){
 		"zero chunk size":    func(p *vm.PageTable) { p.ChunkSize = 0 },
 		"truncated versions": func(p *vm.PageTable) { p.Versions = p.Versions[:3] },
@@ -154,12 +192,13 @@ func TestWriteDeltaRequiresPages(t *testing.T) {
 	} {
 		bad := deltaImg("a", 1, make([]uint32, 8), []byte("x"))
 		mangle(bad.Pages)
-		if _, err := s.WriteDelta("x", bad, nil); err == nil {
-			t.Fatalf("%s: WriteDelta accepted a malformed page table", name)
+		if _, err := s.Write("x", bad, nil); err == nil {
+			t.Fatalf("%s: Write accepted a malformed page table", name)
 		}
 	}
-	if s.UniqueBytes() != 0 || s.DeltaWrites != 0 {
-		t.Fatalf("rejected writes left %d pool bytes, %d delta writes", s.UniqueBytes(), s.DeltaWrites)
+	k.Run()
+	if s.UniqueBytes() != 0 || s.DeltaWrites != 0 || s.BytesWritten != 0 || s.Has("x") {
+		t.Fatalf("rejected writes left %d pool bytes, %d delta writes, %d bytes written", s.UniqueBytes(), s.DeltaWrites, s.BytesWritten)
 	}
 }
 
@@ -169,8 +208,8 @@ func TestDeleteReleasesChunksAndGCReclaims(t *testing.T) {
 	v0 := make([]uint32, 8)
 	v1 := append([]uint32(nil), v0...)
 	v1[0] = 1
-	s.WriteDelta("ckpt/a/0", deltaImg("a", 1, v0, []byte("e0")), nil)
-	s.WriteDelta("ckpt/a/1", deltaImg("a", 1, v1, []byte("e1")), nil)
+	s.Write("ckpt/a/0", deltaImg("a", 1, v0, []byte("e0")), nil)
+	s.Write("ckpt/a/1", deltaImg("a", 1, v1, []byte("e1")), nil)
 	k.Run()
 
 	// Epoch 0's chunks are all still referenced by epoch 1 except the
@@ -203,13 +242,13 @@ func TestDeleteDuringInFlightDelta(t *testing.T) {
 	s := newStore(k, 10e6, 0) // slow store: transfers stay in flight
 	v0 := make([]uint32, 8)
 	v0[2] = 1 // epoch 0 has a private chunk of its own
-	info0, _ := s.WriteDelta("ckpt/a/0", deltaImg("a", 1, v0, []byte("e0")), nil)
+	info0, _ := s.Write("ckpt/a/0", deltaImg("a", 1, v0, []byte("e0")), nil)
 	k.Run()
 
 	v1 := append([]uint32(nil), v0...)
 	v1[2] = 2
 	done := false
-	info1, err := s.WriteDelta("ckpt/a/1", deltaImg("a", 1, v1, []byte("e1")), func() { done = true })
+	info1, err := s.Write("ckpt/a/1", deltaImg("a", 1, v1, []byte("e1")), func() { done = true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,9 +292,9 @@ func TestOverwriteDeltaReleasesPriorGeneration(t *testing.T) {
 	s := newStore(k, 1000e6, 0)
 	v0 := make([]uint32, 4)
 	v1 := []uint32{1, 1, 0, 0}
-	s.WriteDelta("ckpt/a", deltaImg("a", 1, v0, []byte("gen0")), nil)
+	s.Write("ckpt/a", deltaImg("a", 1, v0, []byte("gen0")), nil)
 	k.Run()
-	s.WriteDelta("ckpt/a", deltaImg("a", 1, v1, []byte("gen1")), nil)
+	s.Write("ckpt/a", deltaImg("a", 1, v1, []byte("gen1")), nil)
 	k.Run()
 	// Gen0's boot versions of chunks 0 and 1 are unreferenced now.
 	if chunks, bytes := s.GC(); chunks != 2 || bytes != 2<<20 {

@@ -26,8 +26,8 @@ func newOracle(t *testing.T) *oraclePool {
 	return &oraclePool{t: t, chunks: map[vm.ChunkKey]*chunkEntry{}, objects: map[string]*vm.PageTable{}}
 }
 
-func (o *oraclePool) pin(pt *vm.PageTable) DeltaInfo {
-	info := DeltaInfo{Chunks: len(pt.Versions)}
+func (o *oraclePool) pin(pt *vm.PageTable) WriteInfo {
+	info := WriteInfo{Chunks: len(pt.Versions)}
 	for ci := range pt.Versions {
 		key, size := pt.Chunk(ci)
 		info.Logical += size
@@ -104,13 +104,14 @@ func pagesImg(name string, pt *vm.PageTable, data []byte) *vm.Image {
 		Checksum:     crc32.ChecksumIEEE(data),
 		PayloadBytes: 1,
 		Pages:        pt,
+		Delta:        true,
 	}
 }
 
 // TestChunkPoolMatchesOracle drives the store and the oracle through
-// seeded random sequences of WriteDelta (overwrites included, often
+// seeded random sequences of delta Writes (overwrites included, often
 // while the previous write to the key is still in flight), transfer
-// progress, Delete and GC, and compares DeltaInfo, GC results and
+// progress, Delete and GC, and compares WriteInfo, GC results and
 // UniqueBytes after every step. Two lineages share the template chunks;
 // the second has a short tail chunk; untouched chunks repeat the zero
 // identity within one table; and tables revert to earlier versions, so
@@ -148,12 +149,12 @@ func TestChunkPoolMatchesOracle(t *testing.T) {
 				d.history = append(d.history, pt)
 				key := fmt.Sprintf("ckpt/%s/%d", d.name, rng.Intn(3))
 				want := o.pin(pt)
-				got, err := s.WriteDelta(key, pagesImg(d.name, pt, []byte(where)), func() { o.install(key, pt) })
+				got, err := s.Write(key, pagesImg(d.name, pt, []byte(where)), func() { o.install(key, pt) })
 				if err != nil {
 					t.Fatalf("%s: %v", where, err)
 				}
 				if got != want {
-					t.Fatalf("%s: WriteDelta %s = %+v, oracle %+v", where, key, got, want)
+					t.Fatalf("%s: Write %s = %+v, oracle %+v", where, key, got, want)
 				}
 			case op < 7: // let transfers progress
 				k.RunFor(sim.Time(rng.Intn(400)) * sim.Millisecond)
@@ -196,23 +197,16 @@ func TestReleaseUnpinnedChunkPanics(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := newStore(k, 1000e6, 0)
 	v := []uint32{0, 0, 1, 0}
-	if _, err := s.WriteDelta("ckpt/a/0", deltaImg("a", 1, v, []byte("e0")), nil); err != nil {
+	if _, err := s.Write("ckpt/a/0", deltaImg("a", 1, v, []byte("e0")), nil); err != nil {
 		t.Fatal(err)
 	}
 	k.Run()
 	obj, _ := s.Stat("ckpt/a/0")
 	s.Delete("ckpt/a/0")
-	for name, release := range map[string]func(){
-		"chunk": func() { s.chunks.release(obj.Key, obj.Pages) },
-		"blob":  func() { s.releaseBlobs(obj.Key, obj.blobs) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("double release of a %s did not panic", name)
-				}
-			}()
-			release()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("double release of a chunk did not panic")
+		}
+	}()
+	s.chunks.release(obj.Key, obj.Image.Pages)
 }

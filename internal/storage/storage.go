@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"dvc/internal/obs"
-	"dvc/internal/payload"
 	"dvc/internal/sim"
 	"dvc/internal/vm"
 )
@@ -41,19 +40,16 @@ func DefaultConfig() Config {
 	}
 }
 
-// Object is one stored image with its metadata.
+// Object is one stored image with its metadata. The image is kept as
+// written: its rope and page table are immutable, so a Delete+GC racing
+// a read cannot hurt the bytes the read returns. A delta object
+// (Image.Delta) holds references on the modelled chunks its table
+// names in the shared pool.
 type Object struct {
 	Key      string
 	Size     int64
 	Image    *vm.Image
 	StoredAt sim.Time
-
-	// Pages is non-nil for delta objects (WriteDelta): the image's
-	// immutable page table, naming the modelled chunks this object
-	// holds references on in the shared pool.
-	Pages *vm.PageTable
-	// blobs are the functional rope chunks, in order, for reassembly.
-	blobs []payload.ChunkID
 }
 
 type transfer struct {
@@ -73,10 +69,9 @@ type Store struct {
 	lastUpdate sim.Time
 	pending    *sim.Timer // completion event; rearmed in place per reschedule
 
-	// Chunk pools shared by every delta object (see delta.go); nil
-	// until the first WriteDelta.
+	// Chunk pool shared by every delta object (see delta.go); nil
+	// until the first delta write.
 	chunks *chunkPool
-	blobs  map[payload.ChunkID]*blobEntry
 	tracer *obs.Tracer
 
 	// Stats
@@ -182,20 +177,73 @@ func (s *Store) begin(size int64, onDone func()) {
 	})
 }
 
+// WriteInfo summarises one Write: how many modelled bytes the object
+// covers, how many actually crossed the wire, and the chunk dedup split
+// (zero for a full image).
+type WriteInfo struct {
+	Logical     int64 // bytes the object describes (all of guest RAM)
+	Sent        int64 // bytes transferred
+	Chunks      int   // chunks in the page table
+	DedupChunks int   // chunks the pool already held
+	NewChunks   int   // chunks transferred
+}
+
+// DedupRatio returns Logical/Sent (1 when nothing was saved).
+func (w WriteInfo) DedupRatio() float64 {
+	if w.Sent <= 0 {
+		return 1
+	}
+	return float64(w.Logical) / float64(w.Sent)
+}
+
 // Write stores an image under key, calling onDone when the transfer
-// completes. Overwrites are allowed (new checkpoint generation under the
-// same key replaces the old).
-func (s *Store) Write(key string, img *vm.Image, onDone func()) {
-	size := img.SizeBytes()
-	s.Writes++
-	s.BytesWritten += uint64(size)
-	s.begin(size, func() {
-		s.releaseObject(s.objects[key]) // overwriting a delta object frees its chunk refs
-		s.objects[key] = &Object{Key: key, Size: size, Image: img, StoredAt: s.kernel.Now()}
+// completes. A full image sends all of its RAM. A delta image
+// (Image.Delta) must carry a well-formed page table; the store pins its
+// chunks and transfers only those it does not already hold plus
+// manifest metadata. The returned WriteInfo is computed at admission,
+// before the transfer completes. Overwrites are allowed (new checkpoint
+// generation under the same key replaces the old, releasing its chunk
+// references at completion, exactly when the new object replaces it).
+func (s *Store) Write(key string, img *vm.Image, onDone func()) (WriteInfo, error) {
+	if img.RAMBytes < 0 {
+		return WriteInfo{}, fmt.Errorf("storage: write %q: image of %d bytes", key, img.RAMBytes)
+	}
+	info := WriteInfo{Logical: img.RAMBytes, Sent: img.RAMBytes}
+	if img.Delta {
+		if img.Pages == nil {
+			return WriteInfo{}, fmt.Errorf("storage: write %q: delta image has no page table", key)
+		}
+		if err := img.Pages.Validate(img.RAMBytes); err != nil {
+			return WriteInfo{}, fmt.Errorf("storage: write %q: %w", key, err)
+		}
+		if s.chunks == nil {
+			s.chunks = newChunkPool()
+		}
+		info = s.chunks.pin(img.Pages)
+		s.DeltaWrites++
+		s.tracer.Inc("store.delta.writes", 1)
+		s.tracer.Inc("store.delta.logical_bytes", float64(info.Logical))
+		s.tracer.Inc("store.delta.sent_bytes", float64(info.Sent))
+		s.tracer.Inc("store.delta.dedup_chunks", float64(info.DedupChunks))
+	} else {
+		s.Writes++
+	}
+	s.BytesWritten += uint64(info.Sent)
+	s.begin(info.Sent, func() {
+		s.releaseObject(s.objects[key])
+		s.objects[key] = &Object{Key: key, Size: info.Logical, Image: img, StoredAt: s.kernel.Now()}
 		if onDone != nil {
 			onDone()
 		}
 	})
+	return info, nil
+}
+
+// releaseObject drops the pool references a stored delta object holds.
+func (s *Store) releaseObject(o *Object) {
+	if o != nil && o.Image.Delta {
+		s.chunks.release(o.Key, o.Image.Pages)
+	}
 }
 
 // Read fetches an image by key, calling onDone with it (or an error) when
@@ -210,17 +258,7 @@ func (s *Store) Read(key string, onDone func(*vm.Image, error)) {
 	}
 	s.Reads++
 	s.BytesRead += uint64(obj.Size)
-	if obj.Pages != nil {
-		// Delta object: reassemble the functional image from the blob
-		// pool now, at admission, so a Delete+GC racing the transfer
-		// cannot invalidate the bytes mid-read.
-		img, err := s.reassemble(obj)
-		s.begin(obj.Size, func() { onDone(img, err) })
-		return
-	}
-	s.begin(obj.Size, func() {
-		onDone(obj.Image, nil)
-	})
+	s.begin(obj.Size, func() { onDone(obj.Image, nil) })
 }
 
 // Has reports whether key exists.
@@ -237,8 +275,7 @@ func (s *Store) Stat(key string) (*Object, bool) {
 
 // Delete removes an object (metadata operation, instantaneous). Delta
 // objects release their chunk references; the chunks themselves stay
-// resident until GC runs, so in-flight reads that already reassembled
-// keep their bytes.
+// resident until GC runs.
 func (s *Store) Delete(key string) {
 	s.releaseObject(s.objects[key])
 	delete(s.objects, key)

@@ -78,7 +78,7 @@ const (
 func captureSaveSet(tb testing.TB, set []*Domain) int64 {
 	var total int64
 	for _, d := range set {
-		img, err := d.CaptureImage()
+		img, err := d.Capture(false)
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -55,41 +55,23 @@ func (d *Domain) DirtyBytesSince(mark sim.Time) int64 {
 }
 
 // MarkClean records the current active time as the last capture mark
-// and returns it (checkpointing calls this after each successful
-// capture, live migration at each pre-copy round). The interval's
-// dirt is folded into the page table first, so chunk versions stay in
-// step with the byte model.
+// and returns it (live migration calls this at each pre-copy round;
+// Capture marks on its own). The interval's dirt is folded into the
+// page table first, so chunk versions stay in step with the byte model.
 func (d *Domain) MarkClean() sim.Time {
-	d.ensurePages().advance(d.DirtyBytesSince(d.cleanMark))
-	d.cleanMark = d.activeTime()
+	d.fold()
 	return d.cleanMark
+}
+
+// fold advances the page table by the dirt since the clean mark,
+// re-marks, and returns the dirt folded.
+func (d *Domain) fold() int64 {
+	dirty := d.DirtyBytesSince(d.cleanMark)
+	d.ensurePages().advance(dirty)
+	d.cleanMark = d.activeTime()
+	return dirty
 }
 
 // CleanMark returns the active-time mark of the last capture (zero if
 // never captured).
 func (d *Domain) CleanMark() sim.Time { return d.cleanMark }
-
-// CaptureDeltaImage captures a paused domain as a self-contained
-// content-addressed delta epoch. The functional payload is the complete
-// image (a restore needs exactly this one image), and
-// Image.Pages carries the chunk-identity table of all of RAM — the
-// storage layer transfers only the chunks it has not seen, so the
-// modelled wire cost of the epoch is the dirtied chunks plus manifest
-// metadata (one 8-byte entry per 4 KiB page). The capture itself folds
-// the interval's dirt into the page table and re-marks: the table in
-// the image must describe the captured state exactly, or the store
-// would dedup chunks that in fact changed. A MarkClean immediately
-// after is therefore a no-op.
-func (d *Domain) CaptureDeltaImage() (*Image, error) {
-	img, err := d.CaptureImage()
-	if err != nil {
-		return nil, err
-	}
-	dirty := d.DirtyBytesSince(d.cleanMark)
-	pt := d.ensurePages()
-	pt.advance(dirty)
-	d.cleanMark = d.activeTime()
-	img.PayloadBytes = dirty + d.ram/512
-	img.Pages = pt.Clone()
-	return img, nil
-}

@@ -64,7 +64,7 @@ func TestIncrementalImageSize(t *testing.T) {
 	d.MarkClean()
 	e.k.RunFor(5 * sim.Second) // 50 MB dirty
 	d.Pause()
-	img, err := d.CaptureDeltaImage()
+	img, err := d.Capture(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +80,15 @@ func TestIncrementalImageSize(t *testing.T) {
 		t.Fatalf("delta image not self-contained: %v", err)
 	}
 	// A full image of the same domain is the whole RAM.
-	full, err := d.CaptureImage()
+	full, err := d.Capture(false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.SizeBytes() != 1<<30 {
 		t.Fatalf("full size %d", full.SizeBytes())
+	}
+	if full.Pages == nil {
+		t.Fatal("full image carries no page table")
 	}
 	if img.SizeBytes() >= full.SizeBytes() {
 		t.Fatal("delta image not smaller than full")

@@ -6,7 +6,7 @@ import (
 )
 
 // DeltaChunkBytes is the modelled page-chunk granularity of the
-// content-addressed checkpoint path: guest RAM is named in 1 MiB ranges,
+// delta checkpoint path: guest RAM is named in 1 MiB ranges,
 // each carrying a version counter bumped when the dirty sweep touches
 // it. Coarser than a 4 KiB page (keeping tables small at multi-GiB
 // guests), fine enough that one epoch's dirt maps to a proportional
@@ -27,7 +27,7 @@ const DeltaChunkBytes = 1 << 20
 //   - version >= 1: a 'P' chunk private to this domain's lineage —
 //     re-dirtying bumps the version and mints a fresh identity.
 //
-// The table travels inside delta images (Image.Pages) so a restored
+// The table travels inside every image (Image.Pages) so a restored
 // domain keeps its chunk lineage and the next epoch dedups against the
 // prior one, on whichever node it lands.
 type PageTable struct {
@@ -207,6 +207,6 @@ func (d *Domain) ensurePages() *PageTable {
 }
 
 // UntouchedBytes reports how much of the domain's RAM has never been
-// dirtied (per the page table, i.e. as of the last MarkClean or delta
+// dirtied (per the page table, i.e. as of the last MarkClean or
 // capture).
 func (d *Domain) UntouchedBytes() int64 { return d.ensurePages().UntouchedBytes() }

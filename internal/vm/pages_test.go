@@ -121,7 +121,7 @@ func TestDeltaImageCarriesManifest(t *testing.T) {
 	d.MarkClean()
 	e.k.RunFor(5 * sim.Second)
 	d.Pause()
-	img, err := d.CaptureDeltaImage()
+	img, err := d.Capture(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestCleanMarkSurvivesRestore(t *testing.T) {
 	d.MarkClean()
 	e.k.RunFor(30 * sim.Second) // plenty of pre-capture history
 	d.Pause()
-	img, err := d.CaptureDeltaImage()
+	img, err := d.Capture(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestCleanMarkSurvivesRestore(t *testing.T) {
 	// The chunk lineage crossed the restore: the next delta epoch dedups
 	// against the pre-restore epochs.
 	d2.Pause()
-	img2, err := d2.CaptureDeltaImage()
+	img2, err := d2.Capture(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestDirtySaturationAfterRestore(t *testing.T) {
 	d.MarkClean()
 	e.k.RunFor(sim.Second)
 	d.Pause()
-	img, err := d.CaptureDeltaImage()
+	img, err := d.Capture(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestRestoreRejectsMalformedPageTable(t *testing.T) {
 	d.SetDirtyRate(10e6)
 	e.k.RunFor(5 * sim.Second)
 	d.Pause()
-	img, err := d.CaptureDeltaImage()
+	img, err := d.Capture(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestRestoreRejectsMalformedPageTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d2.CaptureDeltaImage(); err != nil {
+	if _, err := d2.Capture(true); err != nil {
 		t.Fatal(err)
 	}
 }

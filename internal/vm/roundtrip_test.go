@@ -20,53 +20,57 @@ var domainHostOnly = map[string]string{
 	"pausedAt": "host time of the pause that preceded the capture",
 }
 
-// TestDomainRoundTripsThroughImage captures a domain on the delta path,
-// which records everything a restore needs, restores it, and compares
-// every Domain field not on the host-only list.
+// TestDomainRoundTripsThroughImage captures a domain, full and delta,
+// restores it, and compares every Domain field not on the host-only
+// list: either capture records everything a restore needs.
 func TestDomainRoundTripsThroughImage(t *testing.T) {
-	e, d := bootedDomain(t)
-	d.SetDirtyRate(12e6)
-	d.MarkClean()
-	e.k.RunFor(3 * sim.Second)
-	if err := d.Pause(); err != nil {
-		t.Fatal(err)
-	}
-	img, err := d.CaptureDeltaImage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Destroy()
-	d2, err := e.hv(0).RestoreDomain(img, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	typ := reflect.TypeOf(Domain{})
 	for name := range domainHostOnly {
 		if _, ok := typ.FieldByName(name); !ok {
 			t.Errorf("host-only list names %q, which Domain does not have", name)
 		}
 	}
-	before, after := reflect.ValueOf(d).Elem(), reflect.ValueOf(d2).Elem()
-	for i := 0; i < typ.NumField(); i++ {
-		f := typ.Field(i)
-		if _, hostOnly := domainHostOnly[f.Name]; hostOnly {
-			continue
-		}
-		a, b := fieldValue(before, i), fieldValue(after, i)
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("Domain.%s is %v before save, %v after restore: carry it in vm.Image or list it as host-only", f.Name, a, b)
-		}
+	for _, delta := range []bool{true, false} {
+		mode := map[bool]string{true: "delta", false: "full"}[delta]
+		t.Run(mode, func(t *testing.T) {
+			e, d := bootedDomain(t)
+			d.SetDirtyRate(12e6)
+			d.MarkClean()
+			e.k.RunFor(3 * sim.Second)
+			if err := d.Pause(); err != nil {
+				t.Fatal(err)
+			}
+			img, err := d.Capture(delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Destroy()
+			d2, err := e.hv(0).RestoreDomain(img, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, after := reflect.ValueOf(d).Elem(), reflect.ValueOf(d2).Elem()
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				if _, hostOnly := domainHostOnly[f.Name]; hostOnly {
+					continue
+				}
+				a, b := fieldValue(before, i), fieldValue(after, i)
+				if !reflect.DeepEqual(a, b) {
+					t.Errorf("Domain.%s is %v before save, %v after restore: carry it in vm.Image or list it as host-only", f.Name, a, b)
+				}
+			}
+		})
 	}
 }
 
-// TestFullImageCarriesDirtyRate: the full-image path, which has no page
-// table, still hands the dirty-rate override across a restore.
+// TestFullImageCarriesDirtyRate: the full-image path also hands the
+// dirty-rate override across a restore.
 func TestFullImageCarriesDirtyRate(t *testing.T) {
 	e, d := bootedDomain(t)
 	d.SetDirtyRate(-1) // write-quiescent
 	d.Pause()
-	img, err := d.CaptureImage()
+	img, err := d.Capture(false)
 	if err != nil {
 		t.Fatal(err)
 	}

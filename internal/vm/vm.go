@@ -6,7 +6,7 @@
 // The capability the paper builds on (§1): "The Xen virtual machine
 // provides the ability to pause, save, and restart the virtual OS,
 // including the state of all processes running within that OS."
-// CaptureImage produces exactly that — a byte image of the entire guest
+// Domain.Capture produces exactly that — a byte image of the entire guest
 // (processes mid-operation, sockets with retransmission state, kernel
 // log) that can be restored on any node of any cluster.
 package vm
@@ -108,15 +108,18 @@ type Image struct {
 	// image must fail loudly, not resurrect a damaged guest.
 	Checksum uint32
 
-	// Pages is the modelled chunk-identity table at capture time, set by
-	// CaptureDeltaImage. It is what storage.WriteDelta dedups on, and it
-	// rides in the image so a restored domain keeps its chunk lineage.
-	// The table is immutable once captured: the store pins chunks by it
-	// at write and releases them by it at delete.
-	// PayloadBytes is a delta image's modelled size: the pages dirtied
-	// since the last capture plus page-table metadata.
+	// Pages is the modelled chunk-identity table at capture time; every
+	// captured image carries one, so a restored domain keeps its chunk
+	// lineage. The table is immutable once captured: the store pins
+	// chunks by it at write and releases them by it at delete.
+	// PayloadBytes is the modelled size of the pages dirtied since the
+	// last capture plus page-table metadata.
 	Pages        *PageTable
 	PayloadBytes int64
+	// Delta marks a delta epoch: SizeBytes is PayloadBytes instead of
+	// all of RAM, and storage.Write pins the table's chunks in the
+	// shared pool. Like DirtyRate it is host metadata outside Data.
+	Delta bool
 
 	// DirtyRate is the domain's dirty-page rate override (SetDirtyRate)
 	// at capture. Like Pages it is host metadata outside Data: the rate
@@ -152,8 +155,7 @@ func (t *crcTee) Write(p []byte) (int, error) {
 }
 
 // Seal forwards section boundaries to the payload writer, so image
-// chunk boundaries — and with them chunk content identity — line up
-// with the guest encoder's sections.
+// chunk boundaries line up with the guest encoder's sections.
 func (t *crcTee) Seal() { t.w.Seal() }
 
 // Verify recomputes the payload checksum.
@@ -169,7 +171,7 @@ func (img *Image) Verify() error {
 // paper concedes to VM-level checkpointing (§2); delta images write
 // only dirty pages.
 func (img *Image) SizeBytes() int64 {
-	if img.Pages != nil {
+	if img.Delta {
 		return img.PayloadBytes
 	}
 	return img.RAMBytes
@@ -241,7 +243,7 @@ func (d *Domain) Unpause() error {
 	return nil
 }
 
-// CaptureImage snapshots a paused domain into an image. Capture itself is
+// Capture snapshots a paused domain into an image. Capture itself is
 // state copying; the time to dump the image to disk or the wire is
 // charged by the caller via SaveDuration (hypervisors overlap dumps
 // across nodes, so pacing belongs to the orchestration layer).
@@ -250,7 +252,13 @@ func (d *Domain) Unpause() error {
 // pre-rewrite path encoded into a scratch buffer and took an exact-size
 // defensive copy of the whole image, so every LSC epoch allocated (and
 // memmoved) every image twice.
-func (d *Domain) CaptureImage() (*Image, error) {
+//
+// Every capture is also a clean mark: the interval's dirt is folded
+// into the page table, and the image carries a copy of the table, so a
+// restored domain keeps its chunk lineage whichever way it was saved.
+// The functional payload is always the complete guest; delta only
+// decides how the image is sized and stored (Image.Delta).
+func (d *Domain) Capture(delta bool) (*Image, error) {
 	if d.state != StatePaused {
 		return nil, fmt.Errorf("vm: capture %s: domain is %v, must be paused", d.name, d.state)
 	}
@@ -259,16 +267,20 @@ func (d *Domain) CaptureImage() (*Image, error) {
 		return nil, fmt.Errorf("vm: capture %s: %w", d.name, err)
 	}
 	data := tee.w.Take()
+	dirty := d.fold()
 	d.hv.trace(obs.EvVMSave, d.name, "save", obs.Int("ram", d.ram))
 	d.hv.tracer.Inc("vm.saves", 1)
 	return &Image{
-		DomainName: d.name,
-		Addr:       d.addr,
-		RAMBytes:   d.ram,
-		Data:       data,
-		CapturedAt: d.hv.kernel.Now(),
-		Checksum:   tee.crc,
-		DirtyRate:  d.dirtyRate,
+		DomainName:   d.name,
+		Addr:         d.addr,
+		RAMBytes:     d.ram,
+		Data:         data,
+		CapturedAt:   d.hv.kernel.Now(),
+		Checksum:     tee.crc,
+		Pages:        d.pages.Clone(),
+		PayloadBytes: dirty + d.ram/512,
+		Delta:        delta,
+		DirtyRate:    d.dirtyRate,
 	}, nil
 }
 
@@ -445,9 +457,9 @@ func (h *Hypervisor) RestoreDomain(img *Image, wallClockOverride func() sim.Time
 	// jiffies, and the image already holds everything written up to the
 	// capture: the clean mark survives the OS swap instead of resetting
 	// to boot, so post-restore dirty accounting does not re-count the
-	// whole pre-capture history. Delta images also hand their chunk
-	// lineage across, cloned so later sweeps never mutate the stored
-	// image's table.
+	// whole pre-capture history. The image also hands its chunk lineage
+	// across, cloned so later sweeps never mutate the stored image's
+	// table.
 	d.cleanMark = os.Jiffies()
 	d.pages = img.Pages.Clone()
 	d.port = h.fabric.Attach(img.Addr, h.node.Cluster(), os.Stack().Deliver)

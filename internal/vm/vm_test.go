@@ -166,7 +166,7 @@ func TestCaptureRequiresPause(t *testing.T) {
 	var d *Domain
 	e.hv(0).CreateDomain("vm0", "vm0", 1<<30, guest.WatchdogConfig{}, func(dom *Domain) { d = dom })
 	e.k.RunFor(30 * sim.Second)
-	if _, err := d.CaptureImage(); err == nil {
+	if _, err := d.Capture(false); err == nil {
 		t.Fatal("capture of running domain accepted")
 	}
 }
@@ -187,7 +187,7 @@ func TestSaveRestoreOnDifferentNode(t *testing.T) {
 	if err := d.Pause(); err != nil {
 		t.Fatal(err)
 	}
-	img, err := d.CaptureImage()
+	img, err := d.Capture(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestRestoreRejectsAttachedAddress(t *testing.T) {
 	e.hv(0).CreateDomain("vm0", "vm0", 1<<30, guest.WatchdogConfig{}, func(dom *Domain) { d = dom })
 	e.k.RunFor(30 * sim.Second)
 	d.Pause()
-	img, _ := d.CaptureImage()
+	img, _ := d.Capture(false)
 	// Original still attached: restore elsewhere must fail.
 	if _, err := e.hv(1).RestoreDomain(img, nil); err == nil {
 		t.Fatal("restore with address still attached accepted")
@@ -346,7 +346,7 @@ func TestRestoreAcrossClusters(t *testing.T) {
 	})
 	k.RunFor(40 * sim.Second)
 	d.Pause()
-	img, err := d.CaptureImage()
+	img, err := d.Capture(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestImagePayloadIsSelfContained(t *testing.T) {
 	})
 	e.k.RunFor(30 * sim.Second)
 	d.Pause()
-	img, err := d.CaptureImage()
+	img, err := d.Capture(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestCorruptedImageRefusedAtRestore(t *testing.T) {
 	})
 	e.k.RunFor(30 * sim.Second)
 	d.Pause()
-	img, err := d.CaptureImage()
+	img, err := d.Capture(false)
 	if err != nil {
 		t.Fatal(err)
 	}
