@@ -4,7 +4,7 @@
 //
 //	dvcsim -list
 //	dvcsim -exp E1 [-seed 42] [-trials 20]
-//	dvcsim -exp all [-full] [-parallel 8]
+//	dvcsim -exp all [-full]
 //	dvcsim -exp E2 -trials 1 -trace e2.jsonl
 //	dvcsim -exp E2 -report out/           # self-contained run artifact
 //	dvcsim -exp E2 -flight 2000           # ring buffer dumped on failure
@@ -14,14 +14,11 @@
 // against the paper's reported results. The exit status is non-zero if
 // any check fails.
 //
-// Independent trials fan out across a worker pool (-parallel; default one
-// worker per core). Every table, check and trace byte is identical for
-// any -parallel value — only wall-clock time changes. -partitions N
-// selects the partitioned simulation engine (one sub-kernel per
-// topology zone under conservative-lookahead sync, N bounding how many
-// run concurrently); output is likewise identical for any value,
-// including 0 (the serial kernel). -cpuprofile and -memprofile write
-// pprof profiles of the run.
+// Independent trials fan out across a worker pool of GOMAXPROCS workers
+// (GOMAXPROCS=1 runs them inline). Every table, check and trace byte is
+// identical for any pool size — only wall-clock time changes. PSCALE
+// runs on the partitioned engine, one sub-kernel per datacenter.
+// -cpuprofile and -memprofile write pprof profiles of the run.
 //
 // With -trace a deterministic event trace of the run is streamed as
 // JSONL through a fixed-size buffer (same seed, same flags =>
@@ -44,8 +41,8 @@
 // -dc selects scale mode: it generates -dc datacenters of -cluster
 // clusters of -host hosts, drives one -vm wide LSC job over them and
 // prints throughput figures. Scale mode runs no paper experiment, so it
-// rejects the experiment flags (-exp, -trials, -full, -parallel,
-// -partitions, -json, -report) with exit status 2.
+// rejects the experiment flags (-exp, -trials, -full, -json, -report)
+// with exit status 2.
 package main
 
 import (
@@ -70,7 +67,7 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // experimentFlags are the flags scale mode rejects: it would ignore them.
-var experimentFlags = []string{"exp", "trials", "full", "parallel", "partitions", "json", "report"}
+var experimentFlags = []string{"exp", "trials", "full", "json", "report"}
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dvcsim", flag.ContinueOnError)
@@ -84,8 +81,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed     = fs.Int64("seed", 42, "simulation seed")
 		trials   = fs.Int("trials", 0, "trial count for statistical experiments (0 = default)")
 		full     = fs.Bool("full", false, "paper-scale parameters (slow: E2 runs >2000 trials)")
-		parallel = fs.Int("parallel", 0, "worker pool size for independent trials (0 = one per core, 1 = serial); output is identical for any value")
-		parts    = fs.Int("partitions", 0, "partitioned simulation engine: bound on concurrent partition sub-kernels (0 = serial kernel); output is identical for any value")
 		list     = fs.Bool("list", false, "list experiments and exit")
 		jsonOut  = fs.Bool("json", false, "emit results as JSON instead of tables")
 		traceOut = fs.String("trace", "", "stream a deterministic JSONL event trace to this file")
@@ -157,7 +152,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	opts := dvc.ExperimentOptions{Seed: *seed, Trials: *trials, Full: *full, Parallel: *parallel, Partitions: *parts, Out: stdout}
+	opts := dvc.ExperimentOptions{Seed: *seed, Trials: *trials, Full: *full, Out: stdout}
 	if *jsonOut {
 		opts.Out = nil // tables land in the JSON document instead
 	} else {
@@ -247,7 +242,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		if *report != "" {
-			if err := writeReport(*report, *exp, *seed, *trials, *full, *parallel, results, tracer, summary); err != nil {
+			if err := writeReport(*report, *exp, *seed, *trials, *full, results, tracer, summary); err != nil {
 				return fail(err)
 			}
 		}
@@ -300,7 +295,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // already-streamed trace.jsonl: config, results (tables + checks),
 // registry snapshot, streaming trace summary and the windowed metric
 // series. Every file's bytes are a pure function of the run.
-func writeReport(dir, exp string, seed int64, trials int, full bool, parallel int,
+func writeReport(dir, exp string, seed int64, trials int, full bool,
 	results []*dvc.ExperimentResult, tracer *dvc.Tracer, summary *obs.SummarySink) error {
 	writeJSON := func(name string, v any) error {
 		return writeFile(filepath.Join(dir, name), func(w io.Writer) error {
@@ -314,8 +309,7 @@ func writeReport(dir, exp string, seed int64, trials int, full bool, parallel in
 		Seed       int64  `json:"seed"`
 		Trials     int    `json:"trials,omitempty"`
 		Full       bool   `json:"full,omitempty"`
-		Parallel   int    `json:"parallel,omitempty"`
-	}{exp, seed, trials, full, parallel}
+	}{exp, seed, trials, full}
 	if err := writeJSON("config.json", cfg); err != nil {
 		return err
 	}

@@ -54,6 +54,24 @@ func TestNegativeTrialsExit2(t *testing.T) {
 	}
 }
 
+// TestUnknownFlagsExit2: the trial pool follows GOMAXPROCS and PSCALE
+// always runs one worker per datacenter, so neither pool size is a flag;
+// setting one is a usage error, reported before anything runs.
+func TestUnknownFlagsExit2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-exp", "E1", "-partitions", "2"},
+		{"-exp", "E1", "-parallel", "2"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: ran anyway:\n%s", args, stdout.String())
+		}
+	}
+}
+
 // TestScaleModeRejectsExperimentFlags: scale mode runs no experiment, so
 // each experiment flag set beside -dc is a usage error, reported before
 // anything runs.
@@ -63,8 +81,6 @@ func TestScaleModeRejectsExperimentFlags(t *testing.T) {
 		{"-exp", "E1"},
 		{"-trials", "3"},
 		{"-full"},
-		{"-parallel", "2"},
-		{"-partitions", "2"},
 		{"-json"},
 		{"-report", t.TempDir()},
 	} {

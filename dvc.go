@@ -98,7 +98,10 @@ type (
 	Image = vm.Image
 	// JobSpec is one resource-manager job.
 	JobSpec = workload.JobSpec
-	// ExperimentOptions configures a paper-experiment run.
+	// ExperimentOptions configures a paper-experiment run: only what the
+	// run computes (seed, trial count, paper scale), plus where tables
+	// and the trace go. Independent trials fan out across GOMAXPROCS
+	// workers, and output is identical at any pool size.
 	ExperimentOptions = experiments.Options
 	// ExperimentResult is a paper-experiment outcome with shape checks.
 	ExperimentResult = experiments.Result

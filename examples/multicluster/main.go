@@ -40,14 +40,23 @@ func main() {
 	h := vc.RankApps()[0].(*hpcc.HPL)
 	fmt.Printf("HPL across clusters: residual=%.3g passed=%v wall=%v\n",
 		h.Residual, h.Passed, h.WallTime())
+	if !h.Passed {
+		log.Fatal("HPL verification failed across clusters")
+	}
 
 	// And the spanning VC is still checkpointable as one unit.
 	s.RunFor(dvc.Second)
 	vc2 := s.MustAllocate(dvc.VCSpec{Name: "wide2", Nodes: 10, VMRAM: 256 << 20})
 	vc2.LaunchMPI(6000, func(int) dvc.App { return dvc.NewHalo(3000, 20*dvc.Millisecond, 2048) })
 	s.RunFor(2 * dvc.Second)
-	res := s.MustCheckpoint(vc2)
+	res, err := s.Checkpoint(vc2)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("cross-cluster checkpoint: skew=%v ok=%v\n", res.SaveSkew, res.OK)
+	if !res.OK {
+		log.Fatalf("cross-cluster checkpoint failed: %s", res.Reason)
+	}
 	if !s.RunUntilJobDone(vc2, 2*dvc.Hour).AllOK() {
 		log.Fatal("checkpointed spanning job failed")
 	}

@@ -54,6 +54,9 @@ func main() {
 	}
 	h := vc.RankApps()[0].(*hpcc.HPL)
 	fmt.Printf("HPL finished: residual=%.3g passed=%v\n", h.Residual, h.Passed)
+	if !h.Passed {
+		log.Fatal("HPL verification failed after restore")
+	}
 	fmt.Printf("reported wall time %v vs CPU time %v — the gap is the frozen interval\n",
 		h.WallTime(), h.CPUTime())
 }

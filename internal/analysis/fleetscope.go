@@ -10,9 +10,9 @@ import (
 // are embarrassingly parallel and each worker owns its trial's entire
 // simulation world), and until now the rule "kernels never cross
 // goroutines" lived in a comment in rules.go. This analyzer checks it:
-// a function literal passed to a fleet entry point (fleet.Map,
-// fleet.ForEach, or the experiments wrapper forEachTrial) must not
-// capture a variable whose type reaches simulation kernel state —
+// a function literal passed to a fleet entry point (fleet.Map, the
+// experiments wrapper forEachTrial, or partition.Coordinator.Run) must
+// not capture a variable whose type reaches simulation kernel state —
 // sim.Kernel, sim.Timer, or math/rand.Rand, directly or through struct
 // fields, pointers, slices, arrays or maps.
 //
@@ -28,7 +28,7 @@ import (
 // rule via their receiver.
 var FleetScope = &Analyzer{
 	Name: "fleetscope",
-	Doc: "closures passed to fleet.Map/ForEach must not capture kernel " +
+	Doc: "closures passed to fleet.Map/forEachTrial must not capture kernel " +
 		"state (sim.Kernel, sim.Timer, *rand.Rand) across goroutines",
 	Run: runFleetScope,
 }

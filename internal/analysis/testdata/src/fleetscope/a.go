@@ -46,10 +46,10 @@ func good(cfg config, seeds []int64) []int {
 
 type harness struct{ K *sim.Kernel }
 
-func (h *harness) run(trial int) {}
+func (h *harness) run(trial int) int { return trial }
 
-func badMethodValue(h *harness) {
-	fleet.ForEach(2, 4, h.run) // want `method value h\.run .* reaches kernel state`
+func badMethodValue(h *harness) []int {
+	return fleet.Map(2, 4, h.run) // want `method value h\.run .* reaches kernel state`
 }
 
 // badPartitionDriver: a driver closure handed to the partition

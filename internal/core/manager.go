@@ -401,14 +401,3 @@ func (vc *VirtualCluster) RankApps() []mpi.App {
 	}
 	return out
 }
-
-// NodeIDs returns the sorted node IDs of a placement (handy for logs and
-// deterministic test output).
-func NodeIDs(nodes []*phys.Node) []string {
-	ids := make([]string, len(nodes))
-	for i, n := range nodes {
-		ids[i] = n.ID()
-	}
-	sort.Strings(ids)
-	return ids
-}

@@ -152,7 +152,7 @@ func runA2(opts Options) *Result {
 	// Flatten the (residual, trial) sweep and fan it across the fleet
 	// pool; each residual's NTP config lives once and is shared read-only
 	// by its trial closures. Aggregation walks the results in the serial
-	// loop's order, so the table is identical at any Options.Parallel.
+	// loop's order, so the table is identical at any pool size.
 	type a2Spec struct {
 		seed int64
 		o    bedOptions

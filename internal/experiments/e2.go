@@ -48,10 +48,10 @@ func runE2(opts Options) *Result {
 	// Bulk trials with continuous halo traffic, fanned across the fleet
 	// pool; aggregation walks the results in trial order, so the table —
 	// and with tracing on, the merged JSONL — is byte-identical to the
-	// serial loop at any Options.Parallel.
+	// serial loop at any pool size.
 	bulk := row{name: "halo-26", trials: volume}
 	for _, r := range forEachTrial(opts, volume, func(trial int, tr *obs.Tracer) lscTrialResult {
-		return lscTrialT(opts.Seed+int64(trial), nodes, lsc, true, tr, opts.Partitions)
+		return lscTrialT(opts.Seed+int64(trial), nodes, lsc, true, tr)
 	}) {
 		if !r.ok {
 			bulk.failures++
@@ -109,7 +109,7 @@ func runE2(opts Options) *Result {
 		}
 	}
 	hpccOuts := forEachTrial(opts, len(specs), func(i int, tr *obs.Tracer) hpccTrialResult {
-		return hpccLSCTrial(specs[i].seed, nodes, lsc, true, specs[i].makeApp, tr, opts.Partitions)
+		return hpccLSCTrial(specs[i].seed, nodes, lsc, true, specs[i].makeApp, tr)
 	})
 	ptransFail, hplFail := 0, 0
 	var ptransSkew, hplSkew metrics.Sample
@@ -160,8 +160,8 @@ type hpccTrialResult struct {
 // mid-run, then require successful completion AND numerical verification.
 // It is self-contained (own kernel, own tracer) so the fleet pool can run
 // many of these concurrently.
-func hpccLSCTrial(seed int64, nodes int, lsc core.LSCConfig, ntp bool, makeApp func(int) mpi.App, tr *obs.Tracer, partitions int) hpccTrialResult {
-	b := makeBed(seed, bedOptions{clusters: map[string]int{"alpha": nodes}, lsc: lsc, ntp: ntp, tracer: tr, partitions: partitions})
+func hpccLSCTrial(seed int64, nodes int, lsc core.LSCConfig, ntp bool, makeApp func(int) mpi.App, tr *obs.Tracer) hpccTrialResult {
+	b := makeBed(seed, bedOptions{clusters: map[string]int{"alpha": nodes}, lsc: lsc, ntp: ntp, tracer: tr})
 	vc := b.allocate("t", nodes, guest.WatchdogConfig{})
 	vc.LaunchMPI(6000, makeApp)
 	b.k.RunFor(2 * sim.Second)

@@ -2,14 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"dvc/internal/obs"
 )
 
-// The equivalence tests (parallel pool, partitioned engine, streaming
-// sink) all compare against one serial reference run of the scaled-down
-// traced E2, and two of them against one streamed run at Parallel 4.
+// The equivalence tests (parallel pool, streaming sink) all compare
+// against one serial reference run of the scaled-down traced E2, and two
+// of them against one streamed run on a 4-worker pool.
 // Every run is deterministic, so each shared run is made once per test
 // binary and memoized.
 
@@ -27,13 +28,15 @@ type e2Run struct {
 	registry string
 }
 
-// e2Traced runs the scaled-down E2 into tr on the selected trial pool
-// and engine. streamed is the buffer tr's streaming sink writes to, or
-// nil for a memory tracer, whose trace is serialized after the run.
-func e2Traced(t *testing.T, parallel, partitions int, tr *obs.Tracer, streamed *bytes.Buffer) *e2Run {
+// e2Traced runs the scaled-down E2 into tr with GOMAXPROCS set to procs,
+// which sizes the trial pool (1 = the inline serial loop). streamed is
+// the buffer tr's streaming sink writes to, or nil for a memory tracer,
+// whose trace is serialized after the run.
+func e2Traced(t *testing.T, procs int, tr *obs.Tracer, streamed *bytes.Buffer) *e2Run {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	var tbl bytes.Buffer
-	res, err := Run("E2", Options{Seed: refSeed, Trials: 2, Parallel: parallel, Partitions: partitions, Out: &tbl, Tracer: tr})
+	res, err := Run("E2", Options{Seed: refSeed, Trials: 2, Out: &tbl, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,23 +54,22 @@ func e2Traced(t *testing.T, parallel, partitions int, tr *obs.Tracer, streamed *
 }
 
 // e2Memory runs the scaled-down E2 with a memory tracer.
-func e2Memory(t *testing.T, parallel, partitions int) *e2Run {
+func e2Memory(t *testing.T, procs int) *e2Run {
 	t.Helper()
-	return e2Traced(t, parallel, partitions, obs.NewTracer(), nil)
+	return e2Traced(t, procs, obs.NewTracer(), nil)
 }
 
-// e2Streamed runs the scaled-down E2 on the serial engine with a
-// streaming JSONL sink (deliberately tiny buffer to force many mid-run
-// flushes).
-func e2Streamed(t *testing.T, parallel, bufSize int) *e2Run {
+// e2Streamed runs the scaled-down E2 with a streaming JSONL sink
+// (deliberately tiny buffer to force many mid-run flushes).
+func e2Streamed(t *testing.T, procs, bufSize int) *e2Run {
 	t.Helper()
 	var out bytes.Buffer
-	return e2Traced(t, parallel, 0, obs.NewTracerWithSink(obs.NewJSONLSink(&out, bufSize)), &out)
+	return e2Traced(t, procs, obs.NewTracerWithSink(obs.NewJSONLSink(&out, bufSize)), &out)
 }
 
 // sameE2 requires got to externalize exactly what want did: tables,
 // shape checks, JSONL trace and registry snapshot. label names got's
-// engine in failure messages.
+// pool in failure messages.
 func sameE2(t *testing.T, label string, want, got *e2Run) {
 	t.Helper()
 	if !bytes.Equal(want.tables, got.tables) {
@@ -87,13 +89,12 @@ func sameE2(t *testing.T, label string, want, got *e2Run) {
 	}
 }
 
-// e2Serial is the shared reference: serial pool, serial kernel, memory
-// tracer.
+// e2Serial is the shared reference: serial pool, memory tracer.
 func e2Serial(t *testing.T) *e2Run {
-	return cached("e2/serial", func() *e2Run { return e2Memory(t, 1, 0) })
+	return cached("e2/serial", func() *e2Run { return e2Memory(t, 1) })
 }
 
-// e2StreamedParallel is the shared streamed run at Parallel 4.
+// e2StreamedParallel is the shared streamed run on a 4-worker pool.
 func e2StreamedParallel(t *testing.T) *e2Run {
 	return cached("e2/streamed-p4", func() *e2Run { return e2Streamed(t, 4, 4096) })
 }

@@ -30,26 +30,11 @@ type Options struct {
 	// Tracer, when non-nil, records a deterministic event trace of the
 	// run (internal/obs). One tracer may span every trial of an
 	// experiment; virtual time restarts per trial and the exporters
-	// re-sort. Under parallel trial execution each trial records into a
-	// private child tracer and the children are merged back in trial
-	// order, so the trace bytes do not depend on Parallel. Experiments
-	// that do not support tracing ignore it.
+	// re-sort. Each trial records into a private child tracer and the
+	// children are merged back in trial order, so the trace bytes do not
+	// depend on how many workers ran the trials. Experiments that do not
+	// support tracing ignore it.
 	Tracer *obs.Tracer
-	// Parallel bounds the worker pool for independent trials
-	// (internal/fleet). 0 = one worker per core (GOMAXPROCS); 1 = run
-	// trials inline on the calling goroutine. Every table, shape check
-	// and trace byte is identical for any value — only wall-clock time
-	// changes.
-	Parallel int
-	// Partitions selects the partitioned simulation engine
-	// (internal/sim/partition): 0 = the plain serial kernel; > 0 = gated
-	// execution, with the value bounding how many partition sub-kernels
-	// run concurrently. Logical partitioning is fixed by the topology
-	// (one partition per datacenter/zone), never by this knob, so every
-	// table, trace byte and digest is identical at any value — including
-	// 0, because single-zone beds self-gate through a window that
-	// provably preserves the serial schedule (partition.Single).
-	Partitions int
 }
 
 func (o Options) out() io.Writer {
@@ -59,16 +44,9 @@ func (o Options) out() io.Writer {
 	return o.Out
 }
 
-// workers resolves the Parallel option to a concrete pool size.
-func (o Options) workers() int {
-	if o.Parallel > 0 {
-		return o.Parallel
-	}
-	return fleet.DefaultWorkers()
-}
-
 // forEachTrial is the shared parallel trial loop: it runs fn for trials
-// 0..n-1 across the fleet pool and returns the results indexed by trial,
+// 0..n-1 across the fleet pool (one worker per GOMAXPROCS; GOMAXPROCS=1
+// is the inline serial loop) and returns the results indexed by trial,
 // so callers aggregate with an ordinary index-ordered loop and produce
 // byte-identical output to a serial for-loop.
 //
@@ -83,7 +61,7 @@ func (o Options) workers() int {
 // goroutine; `go test -race ./...` enforces this).
 func forEachTrial[T any](opts Options, n int, fn func(trial int, tr *obs.Tracer) T) []T {
 	children := make([]*obs.Tracer, n)
-	out := fleet.Map(opts.workers(), n, func(i int) T {
+	out := fleet.Map(0, n, func(i int) T {
 		children[i] = opts.Tracer.Child()
 		return fn(i, children[i])
 	})

@@ -10,7 +10,6 @@ import (
 	"dvc/internal/obs"
 	"dvc/internal/phys"
 	"dvc/internal/sim"
-	"dvc/internal/sim/partition"
 	"dvc/internal/storage"
 	"dvc/internal/tcp"
 	"dvc/internal/vm"
@@ -41,12 +40,6 @@ type bedOptions struct {
 	tcpCfg   *tcp.Config         // nil = default transport
 	profile  *netsim.LinkProfile // nil = gigabit Ethernet
 	tracer   *obs.Tracer         // nil = tracing off
-	// partitions > 0 runs the bed on the partitioned engine. A bed is a
-	// single zone — one logical partition — so the kernel self-gates
-	// through partition.Single, which provably preserves the serial
-	// schedule; the option exists to exercise the gated engine end to
-	// end (Options.Partitions plumbs through here).
-	partitions int
 }
 
 // probeInterval is the kernel probe's sampling period on traced beds.
@@ -56,11 +49,6 @@ const probeInterval = 500 * sim.Millisecond
 // order for determinism.
 func makeBed(seed int64, o bedOptions) *bed {
 	k := sim.NewKernel(seed)
-	if o.partitions > 0 {
-		// One-zone bed on the partitioned engine: self-gate with the leaf
-		// link latency as the (irrelevant to the schedule) lookahead.
-		partition.Single(k, netsim.EthernetGigE().Latency)
-	}
 	ntpCfg := clock.DefaultNTPConfig()
 	if o.ntpCfg != nil {
 		ntpCfg = *o.ntpCfg
@@ -208,14 +196,13 @@ type lscTrialResult struct {
 }
 
 func lscTrial(seed int64, nodes int, lsc core.LSCConfig, ntp bool) lscTrialResult {
-	return lscTrialT(seed, nodes, lsc, ntp, nil, 0)
+	return lscTrialT(seed, nodes, lsc, ntp, nil)
 }
 
 // lscTrialT is lscTrial with an optional tracer (one tracer can span many
-// trials; each trial restarts virtual time and the exporters handle it)
-// and an engine selector (partitions, see Options.Partitions).
-func lscTrialT(seed int64, nodes int, lsc core.LSCConfig, ntp bool, tr *obs.Tracer, partitions int) lscTrialResult {
-	b := makeBed(seed, bedOptions{clusters: map[string]int{"alpha": nodes}, lsc: lsc, ntp: ntp, tracer: tr, partitions: partitions})
+// trials; each trial restarts virtual time and the exporters handle it).
+func lscTrialT(seed int64, nodes int, lsc core.LSCConfig, ntp bool, tr *obs.Tracer) lscTrialResult {
+	b := makeBed(seed, bedOptions{clusters: map[string]int{"alpha": nodes}, lsc: lsc, ntp: ntp, tracer: tr})
 	vc := b.allocate("t", nodes, guest.WatchdogConfig{})
 	// Enough halo rounds to keep traffic flowing through the longest
 	// plausible save window (~30 s of 20 ms rounds).

@@ -7,22 +7,22 @@ import (
 )
 
 // These tests enforce the fleet determinism contract end to end: running
-// an experiment with any Options.Parallel value must produce bytes
+// an experiment on a trial pool of any size must produce bytes
 // identical to the serial loop — tables, shape checks, the JSONL event
 // trace, and the counter registry. The mechanism under test is the pair
 // of structural properties internal/fleet and forEachTrial guarantee:
 // kernels never cross goroutines, and results (and child traces) merge
 // in trial-index order on the caller's goroutine.
 
-// TestParallelMatchesSerial: same seed, Parallel=1 (inline, no
-// goroutines) vs Parallel=4 (worker pool) — every external byte must
+// TestParallelMatchesSerial: same seed, GOMAXPROCS=1 (inline, no
+// goroutines) vs GOMAXPROCS=4 (4-worker pool) — every external byte must
 // match.
 func TestParallelMatchesSerial(t *testing.T) {
-	sameE2(t, "parallel=4", e2Serial(t), e2Memory(t, 4, 0))
+	sameE2(t, "4 workers", e2Serial(t), e2Memory(t, 4))
 }
 
 // BenchmarkParallelSpeedup measures E2 at trials=8 with a serial pool
-// (Parallel=1) against one worker per core, and reports the wall-clock
+// (GOMAXPROCS=1) against one worker per core, and reports the wall-clock
 // speedup. On a single-core runner the speedup is ~1.0 by construction;
 // the acceptance target (≥2× on a 4-core runner) is read from the
 // reported metric, not asserted here.
@@ -33,9 +33,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 func BenchmarkParallelSpeedup(b *testing.B) {
 	const seed, trials = 20070917, 8
 	workers := runtime.NumCPU()
-	run := func(parallel int) time.Duration {
+	run := func(procs int) time.Duration {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		start := time.Now()
-		if _, err := Run("E2", Options{Seed: seed, Trials: trials, Parallel: parallel}); err != nil {
+		if _, err := Run("E2", Options{Seed: seed, Trials: trials}); err != nil {
 			b.Fatal(err)
 		}
 		return time.Since(start)

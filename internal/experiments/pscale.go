@@ -215,9 +215,8 @@ func RunScalePartitioned(seed int64, spec ScaleSpec, workers int, tr *obs.Tracer
 }
 
 // runPScaleExp is the registry wrapper: the 260-node two-DC shape by
-// default, plus the 2600-node ten-DC shape with -full. Options.Partitions
-// bounds sub-kernel concurrency (0 = one worker per partition); the
-// output is identical at any value.
+// default, plus the 2600-node ten-DC shape with -full, each with one
+// worker per datacenter.
 func runPScaleExp(opts Options) *Result {
 	res := &Result{}
 	shapes := []ScaleSpec{
@@ -229,7 +228,7 @@ func runPScaleExp(opts Options) *Result {
 	tbl := metrics.NewTable("PSCALE: an 8-VM LSC job per datacenter on the partitioned engine",
 		"topology", "nodes", "parts", "lookahead.ms", "events", "xdc.pkts", "barriers", "ckpt", "job")
 	for _, sp := range shapes {
-		r, err := RunScalePartitioned(opts.Seed, sp, opts.Partitions, opts.Tracer)
+		r, err := RunScalePartitioned(opts.Seed, sp, 0, opts.Tracer)
 		if err != nil {
 			res.check(fmt.Sprintf("%s runs", sp), false, "%v", err)
 			continue

@@ -8,8 +8,8 @@ import (
 
 // These tests pin the streaming half of the replay contract: a traced
 // experiment writing through the streaming JSONL sink must externalize
-// byte-identical output to the memory-backed tracer, at any Parallel
-// value, while retaining no records — peak tracer memory is the sink's
+// byte-identical output to the memory-backed tracer, at any pool size,
+// while retaining no records — peak tracer memory is the sink's
 // fixed buffer plus the child being merged, not the full trace.
 
 // TestStreamingSinkMatchesMemorySink: the memory tracer's WriteJSONL and
@@ -22,18 +22,18 @@ func TestStreamingSinkMatchesMemorySink(t *testing.T) {
 	}
 
 	for _, c := range []struct {
-		parallel int
-		run      *e2Run
+		procs int
+		run   *e2Run
 	}{{1, e2Streamed(t, 1, 4096)}, {4, e2StreamedParallel(t)}} {
-		parallel, tr := c.parallel, c.run.tr
-		diffTraces(t, fmt.Sprintf("parallel=%d: memory vs streamed", parallel), mem.trace, c.run.trace)
+		procs, tr := c.procs, c.run.tr
+		diffTraces(t, fmt.Sprintf("GOMAXPROCS=%d: memory vs streamed", procs), mem.trace, c.run.trace)
 		// The bounded-memory half of the contract: the streaming tracer
 		// must not have retained the record stream.
 		if tr.Records() != nil {
-			t.Fatalf("parallel=%d: streaming tracer retained %d records", parallel, len(tr.Records()))
+			t.Fatalf("GOMAXPROCS=%d: streaming tracer retained %d records", procs, len(tr.Records()))
 		}
 		if tr.Len() != mem.tr.Len() {
-			t.Fatalf("parallel=%d: streamed %d records, memory run recorded %d", parallel, tr.Len(), mem.tr.Len())
+			t.Fatalf("GOMAXPROCS=%d: streamed %d records, memory run recorded %d", procs, tr.Len(), mem.tr.Len())
 		}
 	}
 }

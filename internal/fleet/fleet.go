@@ -21,7 +21,7 @@
 // executes, never *what* it computes or the order in which its result is
 // observed. The serial-vs-parallel equivalence test in
 // internal/experiments enforces this end to end (identical tables, check
-// results and JSONL trace bytes for Parallel=1 vs Parallel=N).
+// results and JSONL trace bytes at GOMAXPROCS=1 and GOMAXPROCS=4).
 package fleet
 
 import (
@@ -127,13 +127,4 @@ func Map[T any](workers, n int, fn func(trial int) T) []T {
 		panic(first)
 	}
 	return out
-}
-
-// ForEach is Map for closures without a result: it runs fn for every
-// trial index with the same pooling, ordering and panic semantics.
-func ForEach(workers, n int, fn func(trial int)) {
-	Map(workers, n, func(i int) struct{} {
-		fn(i)
-		return struct{}{}
-	})
 }

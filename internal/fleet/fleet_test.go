@@ -115,16 +115,6 @@ func TestMapPanicSerialPath(t *testing.T) {
 	})
 }
 
-func TestForEach(t *testing.T) {
-	var counts [10]atomic.Int32
-	ForEach(4, 10, func(i int) { counts[i].Add(1) })
-	for i := range counts {
-		if c := counts[i].Load(); c != 1 {
-			t.Errorf("trial %d ran %d times, want 1", i, c)
-		}
-	}
-}
-
 func TestDefaultWorkersPositive(t *testing.T) {
 	if DefaultWorkers() < 1 {
 		t.Fatalf("DefaultWorkers() = %d", DefaultWorkers())

@@ -60,7 +60,7 @@ func (s *MemorySink) Records() []Record { return s.recs }
 // run from the memory sink to the streaming sink changes peak tracer
 // memory from O(records) to O(bufSize) without moving a single output
 // byte — the sink-equivalence tests in internal/experiments prove this
-// on a full E2 run at several -parallel values.
+// on a full E2 run at several trial-pool sizes.
 type JSONLSink struct {
 	bw  *bufio.Writer
 	enc *json.Encoder

@@ -2,7 +2,10 @@
 // decomposed into partitions (one per datacenter/fabric zone), each
 // owning a complete self-contained sub-simulation — its own sim.Kernel,
 // RNG, site slice, and tracer child — and the partitions are
-// synchronized with a conservative time-window protocol.
+// synchronized with a conservative time-window protocol. Only
+// multi-datacenter runs use it (experiments.RunScalePartitioned, the
+// PSCALE experiment); a single-zone bed has nothing to partition and
+// runs on the plain serial kernel.
 //
 // # Protocol
 //
@@ -376,27 +379,4 @@ func (c *Coordinator) releaseSlot() {
 	if c.sem != nil {
 		<-c.sem
 	}
-}
-
-// Single installs a degenerate single-partition gate on k: every finite
-// request is granted need + max(lookahead, 1) immediately and nothing is
-// ever injected; an empty queue (need == sim.MaxTime) closes the gate,
-// which is exactly the serial kernel's queue-drained return — with no
-// neighbors there is nothing to wait for. It exercises the gated kernel
-// arithmetic a real coordinator does while provably preserving the
-// serial schedule: the engine behind `-partitions` on single-zone
-// topologies, and the baseline the equivalence tests compare against.
-func Single(k *sim.Kernel, lookahead sim.Time) {
-	if lookahead < 1 {
-		lookahead = 1
-	}
-	k.SetGate(func(need sim.Time) (sim.Time, bool) {
-		if need == sim.MaxTime {
-			return 0, false
-		}
-		if need > sim.MaxTime-lookahead {
-			return sim.MaxTime, true
-		}
-		return need + lookahead, true
-	}, 0)
 }

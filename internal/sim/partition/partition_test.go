@@ -212,39 +212,3 @@ func TestDriverPanicPropagates(t *testing.T) {
 		t.Fatalf("DroppedClosed = %d, want 1", st.DroppedClosed)
 	}
 }
-
-// TestSingleMatchesUngated: the degenerate one-partition gate preserves
-// the serial schedule exactly — fired counts, event times, and the
-// RunUntil clock jump.
-func TestSingleMatchesUngated(t *testing.T) {
-	script := func(k *sim.Kernel) []sim.Time {
-		var fired []sim.Time
-		var tick func()
-		n := 0
-		tick = func() {
-			fired = append(fired, k.Now())
-			if n++; n < 10 {
-				k.After(7, tick)
-			}
-		}
-		k.After(3, tick)
-		k.RunFor(20) // partial drain + clock jump
-		fired = append(fired, k.Now())
-		k.Run() // drain the rest
-		fired = append(fired, k.Now())
-		return fired
-	}
-	plain := sim.NewKernel(42)
-	base := script(plain)
-
-	gated := sim.NewKernel(42)
-	partition.Single(gated, 350*sim.Microsecond)
-	got := script(gated)
-
-	if !reflect.DeepEqual(base, got) {
-		t.Fatalf("Single-gated schedule diverged:\nungated: %v\ngated:   %v", base, got)
-	}
-	if plain.Fired() != gated.Fired() {
-		t.Fatalf("fired counts diverged: %d vs %d", plain.Fired(), gated.Fired())
-	}
-}

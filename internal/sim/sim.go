@@ -171,10 +171,6 @@ func (k *Kernel) SetGate(g Gate, granted Time) {
 	k.granted = granted
 }
 
-// Granted reports the current exclusive execution horizon of a gated
-// kernel (meaningless when no gate is installed).
-func (k *Kernel) Granted() Time { return k.granted }
-
 // admit blocks in the gate until the earliest pending event lies inside
 // the granted horizon. It reports false when the gate closed the run —
 // no event may ever execute again.
