@@ -47,7 +47,6 @@ import (
 	"dvc/internal/obs"
 	"dvc/internal/phys"
 	"dvc/internal/sim"
-	"dvc/internal/storage"
 	"dvc/internal/tcp"
 	"dvc/internal/vm"
 	"dvc/internal/workload"
@@ -107,17 +106,6 @@ type (
 	ExperimentResult = experiments.Result
 	// Tracer records a deterministic event/span trace (internal/obs).
 	Tracer = obs.Tracer
-	// Sink is the tracer's pluggable record pipeline: memory, streaming
-	// JSONL, flight recorder, summary, or a tee of several.
-	Sink = obs.Sink
-	// FlightSink is a fixed-size ring buffer of the most recent records.
-	FlightSink = obs.FlightSink
-	// SummarySink accumulates streaming per-type counts and span
-	// percentiles without retaining records.
-	SummarySink = obs.SummarySink
-	// Series is a windowed time-series of registry metrics sampled by
-	// the kernel probe.
-	Series = obs.Series
 )
 
 // Workload constructors re-exported for applications.
@@ -145,62 +133,33 @@ var (
 	// NewTracer creates an event/span recorder for SetTracer or
 	// ExperimentOptions.Tracer.
 	NewTracer = obs.NewTracer
-	// NewTracerWithSink creates a tracer that forwards records to a
-	// custom sink instead of buffering them in memory.
-	NewTracerWithSink = obs.NewTracerWithSink
-	// NewJSONLSink creates a streaming JSONL sink with a fixed buffer.
-	NewJSONLSink = obs.NewJSONLSink
-	// NewFlightSink creates a fixed-size flight recorder.
-	NewFlightSink = obs.NewFlightSink
-	// NewSummarySink creates a streaming trace summariser.
-	NewSummarySink = obs.NewSummarySink
-	// TeeSinks fans records out to several sinks in order.
-	TeeSinks = obs.Tee
 )
 
 // Simulation bundles a complete DVC environment: event kernel, physical
 // site, shared checkpoint store, DVC manager and LSC coordinator.
 type Simulation struct {
-	kernel *sim.Kernel
-	site   *phys.Site
-	store  *storage.Store
-	mgr    *core.Manager
-	co     *core.Coordinator
-	lsc    core.LSCConfig
-
+	env     *core.Env
 	started bool
 }
 
 // NewSimulation creates an environment seeded for reproducibility, with
 // the NTP-scheduled LSC coordinator.
 func NewSimulation(seed int64) *Simulation {
-	k := sim.NewKernel(seed)
-	site := phys.NewSite(k, clock.DefaultConfig(), clock.DefaultNTPConfig())
-	store := storage.New(k, storage.DefaultConfig())
-	mgr := core.NewManager(k, site, store, vm.DefaultXenConfig())
-	lsc := core.DefaultNTPLSC()
-	return &Simulation{
-		kernel: k,
-		site:   site,
-		store:  store,
-		mgr:    mgr,
-		co:     core.NewCoordinator(mgr, lsc),
-		lsc:    lsc,
-	}
+	site := phys.NewSite(sim.NewKernel(seed), clock.DefaultConfig(), clock.DefaultNTPConfig())
+	return &Simulation{env: core.NewEnv(site, core.DefaultNTPLSC())}
 }
 
 // SetLSC replaces the checkpoint coordinator configuration (e.g. with
 // NaiveLSC() to reproduce the paper's failure mode).
 func (s *Simulation) SetLSC(cfg LSCConfig) {
-	s.lsc = cfg
-	s.co = core.NewCoordinator(s.mgr, cfg)
+	s.env.Coord = core.NewCoordinator(s.env.Manager, cfg)
 }
 
 // AddCluster creates a physical cluster of n gigabit-Ethernet nodes.
 // Call before Start.
 func (s *Simulation) AddCluster(name string, n int) []*Node {
-	nodes := s.site.AddCluster(name, n, phys.DefaultSpec(), netsim.EthernetGigE())
-	s.mgr.AdoptNodes()
+	nodes := s.env.Site.AddCluster(name, n, phys.DefaultSpec(), netsim.EthernetGigE())
+	s.env.Manager.AdoptNodes()
 	return nodes
 }
 
@@ -208,7 +167,7 @@ func (s *Simulation) AddCluster(name string, n int) []*Node {
 // exist first.
 func (s *Simulation) Start() {
 	if !s.started {
-		s.site.NTP.Start()
+		s.env.Site.NTP.Start()
 		s.started = true
 	}
 }
@@ -219,47 +178,30 @@ func (s *Simulation) Start() {
 // untraced hot paths pay only a nil check). Note the probe schedules
 // ordinary kernel events, so a traced run's event schedule differs from
 // an untraced one; any two traced runs with the same seed are identical.
-func (s *Simulation) SetTracer(t *Tracer) {
-	s.mgr.SetTracer(t)
-	if t != nil {
-		obs.StartKernelProbe(s.kernel, t, 500*Millisecond)
-	}
-}
+func (s *Simulation) SetTracer(t *Tracer) { s.env.SetTracer(t) }
 
 // Now returns the current virtual time.
-func (s *Simulation) Now() Time { return s.kernel.Now() }
+func (s *Simulation) Now() Time { return s.env.Kernel.Now() }
 
 // RunFor advances the simulation by d.
-func (s *Simulation) RunFor(d Time) { s.kernel.RunFor(d) }
+func (s *Simulation) RunFor(d Time) { s.env.Kernel.RunFor(d) }
 
 // RunUntil advances the simulation to the absolute time t.
-func (s *Simulation) RunUntil(t Time) { s.kernel.RunUntil(t) }
+func (s *Simulation) RunUntil(t Time) { s.env.Kernel.RunUntil(t) }
 
 // Manager exposes the DVC control plane for advanced use.
-func (s *Simulation) Manager() *core.Manager { return s.mgr }
+func (s *Simulation) Manager() *core.Manager { return s.env.Manager }
 
 // Coordinator exposes the LSC coordinator for advanced use.
-func (s *Simulation) Coordinator() *core.Coordinator { return s.co }
+func (s *Simulation) Coordinator() *core.Coordinator { return s.env.Coord }
 
 // Site exposes the physical site (nodes, clocks, fault injection).
-func (s *Simulation) Site() *phys.Site { return s.site }
+func (s *Simulation) Site() *phys.Site { return s.env.Site }
 
 // Allocate places and boots a virtual cluster, running the simulation
 // until it is ready.
 func (s *Simulation) Allocate(spec VCSpec) (*VirtualCluster, error) {
-	ready := false
-	vc, err := s.mgr.Allocate(spec, func(*core.VirtualCluster) { ready = true; s.kernel.Halt() })
-	if err != nil {
-		return nil, err
-	}
-	deadline := s.kernel.Now() + 10*Minute
-	for !ready && s.kernel.Now() < deadline {
-		s.kernel.RunUntil(deadline)
-	}
-	if !ready {
-		return nil, fmt.Errorf("dvc: %s did not become ready", spec.Name)
-	}
-	return vc, nil
+	return s.env.Allocate(spec, 10*Minute)
 }
 
 // MustAllocate is Allocate, panicking on error (for examples and tests).
@@ -274,18 +216,7 @@ func (s *Simulation) MustAllocate(spec VCSpec) *VirtualCluster {
 // Checkpoint takes one coordinated LSC checkpoint of the VC, running the
 // simulation until it completes.
 func (s *Simulation) Checkpoint(vc *VirtualCluster) (*CheckpointResult, error) {
-	var res *CheckpointResult
-	if err := s.co.Checkpoint(vc, func(r *core.CheckpointResult) { res = r; s.kernel.Halt() }); err != nil {
-		return nil, err
-	}
-	deadline := s.kernel.Now() + Hour
-	for res == nil && s.kernel.Now() < deadline {
-		s.kernel.RunUntil(deadline)
-	}
-	if res == nil {
-		return nil, fmt.Errorf("dvc: checkpoint of %s never completed", vc.Name())
-	}
-	return res, nil
+	return s.env.Checkpoint(vc, Hour)
 }
 
 // MustCheckpoint is Checkpoint, panicking on error or failed checkpoint.
@@ -303,18 +234,7 @@ func (s *Simulation) MustCheckpoint(vc *VirtualCluster) *CheckpointResult {
 // Migrate moves a running VC onto targets via checkpoint/restore, running
 // the simulation until it completes.
 func (s *Simulation) Migrate(vc *VirtualCluster, targets []*Node) (*CheckpointResult, error) {
-	var res *CheckpointResult
-	if err := s.co.Migrate(vc, targets, func(r *core.CheckpointResult) { res = r; s.kernel.Halt() }); err != nil {
-		return nil, err
-	}
-	deadline := s.kernel.Now() + Hour
-	for res == nil && s.kernel.Now() < deadline {
-		s.kernel.RunUntil(deadline)
-	}
-	if res == nil {
-		return nil, fmt.Errorf("dvc: migration of %s never completed", vc.Name())
-	}
-	return res, nil
+	return s.env.Migrate(vc, targets, Hour)
 }
 
 // LiveMigrate moves a running VC onto targets with pre-copy: memory
@@ -322,18 +242,7 @@ func (s *Simulation) Migrate(vc *VirtualCluster, targets []*Node) (*CheckpointRe
 // happens inside the coordinated pause. Downtime is typically a small
 // fraction of Migrate's stop-and-copy.
 func (s *Simulation) LiveMigrate(vc *VirtualCluster, targets []*Node, cfg LiveConfig) (*LiveMigrationResult, error) {
-	var res *LiveMigrationResult
-	if err := s.co.LiveMigrate(vc, targets, cfg, func(r *core.LiveMigrationResult) { res = r; s.kernel.Halt() }); err != nil {
-		return nil, err
-	}
-	deadline := s.kernel.Now() + Hour
-	for res == nil && s.kernel.Now() < deadline {
-		s.kernel.RunUntil(deadline)
-	}
-	if res == nil {
-		return nil, fmt.Errorf("dvc: live migration of %s never completed", vc.Name())
-	}
-	return res, nil
+	return s.env.LiveMigrate(vc, targets, cfg, Hour)
 }
 
 // DefaultLiveConfig returns standard pre-copy bounds.
@@ -343,30 +252,21 @@ func DefaultLiveConfig() LiveConfig { return core.DefaultLiveConfig() }
 // domains were destroyed (e.g. by a node crash). Call vc.Teardown first
 // if remnants are still running.
 func (s *Simulation) Recover(vc *VirtualCluster, generation int, targets []*Node) (*RestoreResult, error) {
-	var res *RestoreResult
-	s.co.RestoreVC(vc, generation, targets, func(r *core.RestoreResult) { res = r; s.kernel.Halt() })
-	deadline := s.kernel.Now() + Hour
-	for res == nil && s.kernel.Now() < deadline {
-		s.kernel.RunUntil(deadline)
-	}
-	if res == nil {
-		return nil, fmt.Errorf("dvc: recovery of %s never completed", vc.Name())
-	}
-	return res, nil
+	return s.env.Recover(vc, generation, targets, Hour)
 }
 
 // CheckpointGenerations lists the stored checkpoint generations of a VC
 // (the image catalog — the paper's "image management capability to track
 // the correct staging and restart of images").
 func (s *Simulation) CheckpointGenerations(vc *VirtualCluster) []int {
-	return s.co.Generations(vc.Name())
+	return s.env.Coord.Generations(vc.Name())
 }
 
 // PruneCheckpoints deletes stored generations beyond the newest keep.
 // Every generation is self-contained, so the kept ones still restore.
 // It returns the number of image objects removed.
 func (s *Simulation) PruneCheckpoints(vc *VirtualCluster, keep int) int {
-	return s.co.PruneGenerations(vc.Name(), keep)
+	return s.env.Coord.PruneGenerations(vc.Name(), keep)
 }
 
 // RunUntilJobDone advances the simulation until the VC's job finishes
@@ -375,35 +275,15 @@ func (s *Simulation) PruneCheckpoints(vc *VirtualCluster, keep int) int {
 // so the simulation stops at the exact completion instant instead of
 // the next one-second poll boundary.
 func (s *Simulation) RunUntilJobDone(vc *VirtualCluster, limit Time) JobStatus {
-	deadline := s.kernel.Now() + limit
-	notify := func(fn func()) {
-		for _, os := range vc.OSes() {
-			if os != nil {
-				os.SetExitNotify(fn)
-			}
-		}
-	}
-	defer notify(nil)
-	for {
-		js := vc.JobStatus()
-		if js.Done() && vc.State() == core.VCReady {
-			return js
-		}
-		if s.kernel.Now() >= deadline {
-			return vc.JobStatus()
-		}
-		// Re-arm each pass: a restore mid-wait replaces the guest OSes.
-		notify(s.kernel.Halt)
-		s.kernel.RunUntil(deadline)
-	}
+	return s.env.RunUntilJobDone(vc, limit)
 }
 
 // FreeNodes returns healthy nodes of a cluster (all clusters if name is
 // empty) that are not hosting any domain.
 func (s *Simulation) FreeNodes(cluster string) []*Node {
 	var out []*Node
-	for _, n := range s.site.UpNodes(cluster) {
-		if h, ok := s.mgr.Hypervisor(n.ID()); ok && len(h.Domains()) == 0 {
+	for _, n := range s.env.Site.UpNodes(cluster) {
+		if h, ok := s.env.Manager.Hypervisor(n.ID()); ok && len(h.Domains()) == 0 {
 			out = append(out, n)
 		}
 	}

@@ -34,9 +34,8 @@ func newTestbed(t *testing.T, seed int64, clusters map[string]int, lsc LSCConfig
 		}
 	}
 	site.NTP.Start()
-	store := storage.New(k, storage.DefaultConfig())
-	mgr := NewManager(k, site, store, vm.DefaultXenConfig())
-	return &testbed{k: k, site: site, store: store, mgr: mgr, co: NewCoordinator(mgr, lsc)}
+	e := NewEnv(site, lsc)
+	return &testbed{k: k, site: site, store: e.Store, mgr: e.Manager, co: e.Coord}
 }
 
 // allocate boots a VC and runs until it is ready.

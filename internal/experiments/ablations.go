@@ -5,10 +5,7 @@ import (
 
 	"dvc/internal/clock"
 	"dvc/internal/core"
-	"dvc/internal/guest"
-	"dvc/internal/hpcc"
 	"dvc/internal/metrics"
-	"dvc/internal/mpi"
 	"dvc/internal/obs"
 	"dvc/internal/sim"
 	"dvc/internal/tcp"
@@ -17,37 +14,6 @@ import (
 func init() {
 	register("A1", "Ablation: the TCP retry budget sets the LSC failure cliff", runA1)
 	register("A2", "Ablation: how much clock error NTP-scheduled LSC tolerates", runA2)
-}
-
-// lscTrialWith is lscTrial with custom transport/clock configuration.
-func lscTrialWith(seed int64, nodes int, o bedOptions) lscTrialResult {
-	b := makeBed(seed, o)
-	vc := b.allocate("t", nodes, guest.WatchdogConfig{})
-	vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(1500, 20*sim.Millisecond, 4096) })
-	b.k.RunFor(2 * sim.Second)
-	res := b.checkpointOnce(vc, 10*sim.Minute)
-	out := lscTrialResult{}
-	if res == nil {
-		out.reason = "checkpoint never completed"
-		return out
-	}
-	out.skew = res.SaveSkew
-	out.downtime = res.Downtime
-	out.attempts = res.Attempts
-	if !res.OK {
-		out.reason = res.Reason
-		return out
-	}
-	if err := core.InspectImages(res.Images); err != nil {
-		out.reason = err.Error()
-		return out
-	}
-	if !b.runJob(vc, 2*sim.Hour).AllOK() {
-		out.reason = "job failed after restore"
-		return out
-	}
-	out.ok = true
-	return out
 }
 
 // runA1 ablates the design constant DESIGN.md calls out: LSC's entire
@@ -84,25 +50,16 @@ func runA1(opts Options) *Result {
 		for trial := 0; trial < trials; trial++ {
 			specs = append(specs, a1Spec{
 				seed: opts.Seed + int64(retries*1000+trial),
-				o: bedOptions{
-					clusters: map[string]int{"alpha": nodes},
-					lsc:      core.DefaultNaiveLSC(),
-					tcpCfg:   &cfg,
-				},
+				o:    bedOptions{lsc: core.DefaultNaiveLSC(), tcpCfg: &cfg},
 			})
 			specs = append(specs, a1Spec{
 				seed: opts.Seed + int64(retries*1000+trial+500),
-				o: bedOptions{
-					clusters: map[string]int{"alpha": nodes},
-					lsc:      core.DefaultNTPLSC(),
-					ntp:      true,
-					tcpCfg:   &cfg,
-				},
+				o:    bedOptions{lsc: core.DefaultNTPLSC(), ntp: true, tcpCfg: &cfg},
 			})
 		}
 	}
-	outs := forEachTrial(opts, len(specs), func(i int, _ *obs.Tracer) lscTrialResult {
-		return lscTrialWith(specs[i].seed, nodes, specs[i].o)
+	outs := forEachTrial(opts, len(specs), func(i int, _ *obs.Tracer) trialResult {
+		return lscTrial(specs[i].seed, nodes, specs[i].o, halo(1500))
 	})
 	failAt := map[int]float64{}
 	for ri, retries := range retriesList {
@@ -162,19 +119,14 @@ func runA2(opts Options) *Result {
 		ntpCfg := clock.DefaultNTPConfig()
 		ntpCfg.ResidualStd = residual
 		for trial := 0; trial < trials; trial++ {
-			o := bedOptions{
-				clusters: map[string]int{"alpha": nodes},
-				lsc:      core.DefaultNTPLSC(),
-				ntp:      true,
-				ntpCfg:   &ntpCfg,
-			}
+			o := bedOptions{lsc: core.DefaultNTPLSC(), ntp: true, ntpCfg: &ntpCfg}
 			// The save instant must sit beyond the worst clock error.
 			o.lsc.ScheduleLead = 2*sim.Second + 8*residual
 			specs = append(specs, a2Spec{seed: opts.Seed + int64(residual) + int64(trial), o: o})
 		}
 	}
-	outs := forEachTrial(opts, len(specs), func(i int, _ *obs.Tracer) lscTrialResult {
-		return lscTrialWith(specs[i].seed, nodes, specs[i].o)
+	outs := forEachTrial(opts, len(specs), func(i int, _ *obs.Tracer) trialResult {
+		return lscTrial(specs[i].seed, nodes, specs[i].o, halo(1500))
 	})
 	for ri, residual := range residuals {
 		failures := 0
@@ -183,7 +135,7 @@ func runA2(opts Options) *Result {
 			if !r.ok {
 				failures++
 			}
-			skew.AddTime(r.skew)
+			skew.AddTime(r.ckpt.SaveSkew)
 		}
 		fails[residual] = pct(failures, trials)
 		tbl.Row(residual, fmtSeconds(skew.Mean()), fails[residual])

@@ -31,11 +31,11 @@ func BenchmarkE2EventRate(b *testing.B) {
 		vc := bd.allocate("bench", nodes, guest.WatchdogConfig{})
 		vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(600, 20*sim.Millisecond, 4096) })
 		start := time.Now()
-		bd.k.RunFor(2 * sim.Second)
-		res := bd.checkpointOnce(vc, 10*sim.Minute)
-		js := bd.runJob(vc, 4*sim.Hour)
+		bd.Kernel.RunFor(2 * sim.Second)
+		res, _ := bd.Checkpoint(vc, 10*sim.Minute)
+		js := bd.RunUntilJobDone(vc, 4*sim.Hour)
 		totalWall += time.Since(start)
-		totalEvents += bd.k.Fired()
+		totalEvents += bd.Kernel.Fired()
 		if res == nil || !res.OK {
 			b.Fatalf("checkpoint failed: %+v", res)
 		}

@@ -45,21 +45,21 @@ func TestDeltaCheckpointDefaultDirtyRate(t *testing.T) {
 		// dominate the per-epoch dirty set. NTP skew is micro-seconds, so
 		// a 500 ms lead still pauses every domain on time.
 		lsc.ScheduleLead = 500 * sim.Millisecond
-		bd := newWANBed(seed, nodes*2, lsc)
+		bd := makeBed(seed, bedOptions{topo: wanTopo(nodes * 2), lsc: lsc, ntp: true})
 		src := phys.ClusterName(0, 0)
-		vc, err := bd.mgr.Allocate(core.VCSpec{Name: "bench", Nodes: nodes, VMRAM: vmRAM, Clusters: []string{src}}, nil)
+		vc, err := bd.Manager.Allocate(core.VCSpec{Name: "bench", Nodes: nodes, VMRAM: vmRAM, Clusters: []string{src}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Default dirty rate: no SetDirtyRate call, per the acceptance bar.
-		bd.k.RunFor(35 * sim.Second)
+		bd.Kernel.RunFor(35 * sim.Second)
 		vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(30000, 20*sim.Millisecond, 1024) })
-		bd.k.RunFor(sim.Second)
+		bd.Kernel.RunFor(sim.Second)
 
 		o := runOut{}
 		var last *core.CheckpointResult
 		for i := 0; i < epochs; i++ {
-			r := bd.checkpointOnce(vc, 10*sim.Minute)
+			r, _ := bd.Checkpoint(vc, 10*sim.Minute)
 			if r == nil || !r.OK {
 				t.Fatalf("epoch %d failed: %+v", i, r)
 			}
@@ -72,22 +72,17 @@ func TestDeltaCheckpointDefaultDirtyRate(t *testing.T) {
 			} else {
 				o.steadyEpoch += epoch
 			}
-			bd.k.RunFor(500 * sim.Millisecond)
+			bd.Kernel.RunFor(500 * sim.Millisecond)
 		}
 		o.steadyEpoch /= epochs - 1
 
 		vc.PhysicalNodes()[0].Fail()
-		bd.k.RunFor(2 * sim.Second)
+		bd.Kernel.RunFor(2 * sim.Second)
 		vc.Teardown()
-		targets := bd.site.UpNodes(src)[:nodes]
-		var rr *core.RestoreResult
-		bd.co.RestoreVC(vc, last.Generation, targets, func(r *core.RestoreResult) { rr = r })
-		deadline := bd.k.Now() + 30*sim.Minute
-		for rr == nil && bd.k.Now() < deadline {
-			bd.k.RunFor(sim.Second)
-		}
-		if rr == nil || !rr.OK {
-			t.Fatalf("restore failed: %+v", rr)
+		targets := bd.Site.UpNodes(src)[:nodes]
+		rr, err := bd.Recover(vc, last.Generation, targets, 30*sim.Minute)
+		if err != nil || !rr.OK {
+			t.Fatalf("restore failed: %v %+v", err, rr)
 		}
 		o.restoreStage = rr.StageTime
 		return o

@@ -35,9 +35,9 @@ func runE1(opts Options) *Result {
 	// One flat (size, trial) fleet: every trial is an independent kernel,
 	// so the whole sweep fans across the pool; aggregation below walks the
 	// results in the exact order of the old nested serial loop.
-	results := forEachTrial(opts, len(sizes)*trials, func(i int, _ *obs.Tracer) lscTrialResult {
+	results := forEachTrial(opts, len(sizes)*trials, func(i int, _ *obs.Tracer) trialResult {
 		n, trial := sizes[i/trials], i%trials
-		return lscTrial(opts.Seed+int64(1000*n+trial), n, lsc, false)
+		return lscTrial(opts.Seed+int64(1000*n+trial), n, bedOptions{lsc: lsc}, halo(1500))
 	})
 	for si, n := range sizes {
 		failures := 0
@@ -46,7 +46,7 @@ func runE1(opts Options) *Result {
 			if !r.ok {
 				failures++
 			}
-			skew.AddTime(r.skew)
+			skew.AddTime(r.ckpt.SaveSkew)
 		}
 		failPct[n] = pct(failures, trials)
 		tbl.Row(n, trials, failures, failPct[n],

@@ -75,7 +75,7 @@ func runE10(opts Options) *Result {
 		// independent of guest traffic, and idle guests keep the
 		// sweep tractable.
 		vc := b.allocate("e10", s.n, guest.WatchdogConfig{})
-		r := b.checkpointOnce(vc, 30*sim.Minute)
+		r, _ := b.Checkpoint(vc, 30*sim.Minute)
 		out := e10Trial{}
 		if r != nil && r.OK {
 			out.ok = true

@@ -30,23 +30,16 @@ func runE11(opts Options) *Result {
 	migrate := func(n int, seed int64) migOut {
 		lsc := core.DefaultNTPLSC()
 		b := newBed(seed, map[string]int{"alpha": n, "beta": n}, lsc, true)
-		vc, err := b.mgr.Allocate(core.VCSpec{Name: "mig", Nodes: n, VMRAM: vmRAM, Clusters: []string{"alpha"}}, nil)
+		vc, err := b.Manager.Allocate(core.VCSpec{Name: "mig", Nodes: n, VMRAM: vmRAM, Clusters: []string{"alpha"}}, nil)
 		if err != nil {
 			panic(err)
 		}
-		b.k.RunFor(30 * sim.Second)
+		b.Kernel.RunFor(30 * sim.Second)
 		vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(4000, 20*sim.Millisecond, 2048) })
-		b.k.RunFor(2 * sim.Second)
-		var r *core.CheckpointResult
-		if err := b.co.Migrate(vc, b.site.UpNodes("beta"), func(cr *core.CheckpointResult) { r = cr }); err != nil {
-			panic(err)
-		}
-		deadline := b.k.Now() + 30*sim.Minute
-		for r == nil && b.k.Now() < deadline {
-			b.k.RunFor(sim.Second)
-		}
+		b.Kernel.RunFor(2 * sim.Second)
+		r, err := b.Migrate(vc, b.Site.UpNodes("beta"), 30*sim.Minute)
 		out := migOut{}
-		if r == nil || !r.OK {
+		if err != nil || !r.OK {
 			return out
 		}
 		onBeta := true
@@ -55,7 +48,7 @@ func runE11(opts Options) *Result {
 				onBeta = false
 			}
 		}
-		js := b.runJob(vc, 2*sim.Hour)
+		js := b.RunUntilJobDone(vc, 2*sim.Hour)
 		out.ok = onBeta && js.AllOK()
 		out.downtime = r.Downtime
 		tbl.Row(n, r.SaveSkew, r.StoreTime, "-", r.Downtime, outcomeStr(out.ok))
@@ -76,22 +69,22 @@ func runE11(opts Options) *Result {
 	proactive := func(seed int64) bool {
 		lsc := core.DefaultNTPLSC()
 		b := newBed(seed, map[string]int{"alpha": 4, "beta": 4}, lsc, true)
-		vc, err := b.mgr.Allocate(core.VCSpec{Name: "pro", Nodes: 4, VMRAM: vmRAM, Clusters: []string{"alpha"}}, nil)
+		vc, err := b.Manager.Allocate(core.VCSpec{Name: "pro", Nodes: 4, VMRAM: vmRAM, Clusters: []string{"alpha"}}, nil)
 		if err != nil {
 			panic(err)
 		}
-		b.k.RunFor(30 * sim.Second)
+		b.Kernel.RunFor(30 * sim.Second)
 		vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(4000, 20*sim.Millisecond, 2048) })
-		b.k.RunFor(2 * sim.Second)
+		b.Kernel.RunFor(2 * sim.Second)
 
 		// Fault predictor fires: alpha-n00 will die in 60 s — enough
 		// lead time for the migration (downtime ~13 s) to finish first,
 		// while the ~90 s job is still running when the node dies.
-		doomed, _ := b.site.Node("alpha-n00")
-		b.k.After(60*sim.Second, func() { doomed.Fail() })
+		doomed, _ := b.Site.Node("alpha-n00")
+		b.Kernel.After(60*sim.Second, func() { doomed.Fail() })
 		var r *core.CheckpointResult
-		b.co.Migrate(vc, b.site.UpNodes("beta"), func(cr *core.CheckpointResult) { r = cr })
-		js := b.runJob(vc, 2*sim.Hour)
+		b.Coord.Migrate(vc, b.Site.UpNodes("beta"), func(cr *core.CheckpointResult) { r = cr })
+		js := b.RunUntilJobDone(vc, 2*sim.Hour)
 		if r == nil || !r.OK || !js.AllOK() {
 			return false
 		}

@@ -33,45 +33,32 @@ func runE13(opts Options) *Result {
 	}
 	run := func(seed int64, dirtyRate float64, live bool) out {
 		b := newBed(seed, map[string]int{"alpha": nodes, "beta": nodes}, coreNTP(), true)
-		vc, err := b.mgr.Allocate(core.VCSpec{Name: "m", Nodes: nodes, VMRAM: vmRAM, Clusters: []string{"alpha"}}, nil)
+		vc, err := b.Manager.Allocate(core.VCSpec{Name: "m", Nodes: nodes, VMRAM: vmRAM, Clusters: []string{"alpha"}}, nil)
 		if err != nil {
 			panic(err)
 		}
-		b.k.RunFor(30 * sim.Second)
+		b.Kernel.RunFor(30 * sim.Second)
 		vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(1<<20, 20*sim.Millisecond, 1024) })
-		b.k.RunFor(sim.Second)
+		b.Kernel.RunFor(sim.Second)
 		for _, d := range vc.Domains() {
 			d.SetDirtyRate(dirtyRate)
 		}
-		targets := b.site.UpNodes("beta")
+		targets := b.Site.UpNodes("beta")
 		o := out{}
-		deadline := b.k.Now() + 30*sim.Minute
 		if live {
-			var r *core.LiveMigrationResult
-			if err := b.co.LiveMigrate(vc, targets, core.DefaultLiveConfig(), func(lr *core.LiveMigrationResult) { r = lr }); err != nil {
-				panic(err)
-			}
-			for r == nil && b.k.Now() < deadline {
-				b.k.RunFor(sim.Second)
-			}
-			if r != nil && r.OK {
+			r, err := b.LiveMigrate(vc, targets, core.DefaultLiveConfig(), 30*sim.Minute)
+			if err == nil && r.OK {
 				o = out{down: r.Downtime, total: r.TotalTime, rounds: r.Rounds, copied: r.BytesCopied, ok: true}
 			}
 		} else {
-			var r *core.CheckpointResult
-			start := b.k.Now()
-			if err := b.co.Migrate(vc, targets, func(cr *core.CheckpointResult) { r = cr }); err != nil {
-				panic(err)
-			}
-			for r == nil && b.k.Now() < deadline {
-				b.k.RunFor(sim.Second)
-			}
-			if r != nil && r.OK {
+			start := b.Kernel.Now()
+			r, err := b.Migrate(vc, targets, 30*sim.Minute)
+			if err == nil && r.OK {
 				copied := int64(0)
 				for _, img := range r.Images {
 					copied += 2 * img.SizeBytes() // store write + read
 				}
-				o = out{down: r.Downtime, total: b.k.Now() - start, rounds: 1, copied: copied, ok: true}
+				o = out{down: r.Downtime, total: r.FinishedAt - start, rounds: 1, copied: copied, ok: true}
 			}
 		}
 		// The guests must survive either way.
@@ -123,43 +110,30 @@ func runE13(opts Options) *Result {
 		ok      bool
 	}
 	runWAN := func(seed int64, dirtyRate float64, live, delta bool) wanOut {
-		b := newWANBed(seed, nodes, coreNTP())
+		b := makeBed(seed, bedOptions{topo: wanTopo(nodes), lsc: coreNTP(), ntp: true})
 		src, dst := phys.ClusterName(0, 0), phys.ClusterName(1, 0)
-		vc, err := b.mgr.Allocate(core.VCSpec{Name: "wm", Nodes: nodes, VMRAM: vmRAM, Clusters: []string{src}}, nil)
+		vc, err := b.Manager.Allocate(core.VCSpec{Name: "wm", Nodes: nodes, VMRAM: vmRAM, Clusters: []string{src}}, nil)
 		if err != nil {
 			panic(err)
 		}
 		for _, d := range vc.Domains() {
 			d.SetDirtyRate(dirtyRate)
 		}
-		b.k.RunFor(30 * sim.Second)
+		b.Kernel.RunFor(30 * sim.Second)
 		vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(1<<20, 20*sim.Millisecond, 1024) })
-		b.k.RunFor(sim.Second)
-		targets := b.site.UpNodes(dst)
+		b.Kernel.RunFor(sim.Second)
+		targets := b.Site.UpNodes(dst)
 		o := wanOut{}
-		deadline := b.k.Now() + 60*sim.Minute
 		if live {
 			lcfg := core.DefaultLiveConfig()
 			lcfg.Delta = delta
-			var r *core.LiveMigrationResult
-			if err := b.co.LiveMigrate(vc, targets, lcfg, func(lr *core.LiveMigrationResult) { r = lr }); err != nil {
-				panic(err)
-			}
-			for r == nil && b.k.Now() < deadline {
-				b.k.RunFor(sim.Second)
-			}
-			if r != nil && r.OK {
+			r, err := b.LiveMigrate(vc, targets, lcfg, 60*sim.Minute)
+			if err == nil && r.OK {
 				o = wanOut{down: r.Downtime, copied: r.BytesCopied, skipped: r.BytesSkipped, ok: true}
 			}
 		} else {
-			var r *core.CheckpointResult
-			if err := b.co.Migrate(vc, targets, func(cr *core.CheckpointResult) { r = cr }); err != nil {
-				panic(err)
-			}
-			for r == nil && b.k.Now() < deadline {
-				b.k.RunFor(sim.Second)
-			}
-			if r != nil && r.OK {
+			r, err := b.Migrate(vc, targets, 60*sim.Minute)
+			if err == nil && r.OK {
 				copied := int64(0)
 				for _, img := range r.Images {
 					copied += 2 * img.SizeBytes()

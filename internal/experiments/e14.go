@@ -46,17 +46,19 @@ func runE14(opts Options) *Result {
 		for _, d := range vc.Domains() {
 			d.SetDirtyRate(dirtyRate)
 		}
-		b.k.RunFor(sim.Second)
+		b.Kernel.RunFor(sim.Second)
 
 		o := out{}
 		var gens []*core.CheckpointResult
 		for i := 0; i < cycles; i++ {
 			var r *core.CheckpointResult
-			if err := b.co.Checkpoint(vc, func(cr *core.CheckpointResult) { r = cr }); err != nil {
+			if err := b.Coord.Checkpoint(vc, func(cr *core.CheckpointResult) { r = cr }); err != nil {
 				panic(err)
 			}
+			// Polled in 1 s steps on purpose: the epoch spacing, and so
+			// this table, depends on where the wait stops.
 			for r == nil {
-				b.k.RunFor(sim.Second)
+				b.Kernel.RunFor(sim.Second)
 			}
 			if !r.OK {
 				panic("E14 checkpoint failed: " + r.Reason)
@@ -67,27 +69,22 @@ func runE14(opts Options) *Result {
 			}
 			o.meanStore += r.StoreTime
 			o.meanDown += r.Downtime
-			b.k.RunFor(10 * sim.Second)
+			b.Kernel.RunFor(10 * sim.Second)
 		}
 		o.meanStore /= cycles
 		o.meanDown /= cycles
 
 		// Fail a node and recover from the newest generation.
 		vc.PhysicalNodes()[0].Fail()
-		b.k.RunFor(2 * sim.Second)
+		b.Kernel.RunFor(2 * sim.Second)
 		vc.Teardown()
-		targets := b.site.UpNodes("alpha")[:nodes]
-		var rr *core.RestoreResult
-		b.co.RestoreVC(vc, gens[len(gens)-1].Generation, targets, func(r *core.RestoreResult) { rr = r })
-		deadline := b.k.Now() + 30*sim.Minute
-		for rr == nil && b.k.Now() < deadline {
-			b.k.RunFor(sim.Second)
-		}
-		if rr == nil || !rr.OK {
+		targets := b.Site.UpNodes("alpha")[:nodes]
+		rr, err := b.Recover(vc, gens[len(gens)-1].Generation, targets, 30*sim.Minute)
+		if err != nil || !rr.OK {
 			panic("E14 restore failed")
 		}
 		o.restoreStage = rr.StageTime
-		o.jobOK = b.runJob(vc, 2*sim.Hour).AllOK()
+		o.jobOK = b.RunUntilJobDone(vc, 2*sim.Hour).AllOK()
 		return o
 	}
 
@@ -128,28 +125,30 @@ func runE14(opts Options) *Result {
 		lsc := core.DefaultNTPLSC()
 		lsc.ContinueAfterSave = true
 		lsc.Delta = delta
-		b := newWANBed(seed, nodes*2, lsc)
+		b := makeBed(seed, bedOptions{topo: wanTopo(nodes * 2), lsc: lsc, ntp: true})
 		src := phys.ClusterName(0, 0)
-		vc, err := b.mgr.Allocate(core.VCSpec{Name: "wdlt", Nodes: nodes, VMRAM: vmRAM, Clusters: []string{src}}, nil)
+		vc, err := b.Manager.Allocate(core.VCSpec{Name: "wdlt", Nodes: nodes, VMRAM: vmRAM, Clusters: []string{src}}, nil)
 		if err != nil {
 			panic(err)
 		}
 		for _, d := range vc.Domains() {
 			d.SetDirtyRate(dirtyRate)
 		}
-		b.k.RunFor(35 * sim.Second)
+		b.Kernel.RunFor(35 * sim.Second)
 		vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(30000, 20*sim.Millisecond, 1024) })
-		b.k.RunFor(sim.Second)
+		b.Kernel.RunFor(sim.Second)
 
 		o := wout{}
 		var gens []*core.CheckpointResult
 		for i := 0; i < cycles; i++ {
 			var r *core.CheckpointResult
-			if err := b.co.Checkpoint(vc, func(cr *core.CheckpointResult) { r = cr }); err != nil {
+			if err := b.Coord.Checkpoint(vc, func(cr *core.CheckpointResult) { r = cr }); err != nil {
 				panic(err)
 			}
+			// Polled in 1 s steps on purpose: the epoch spacing, and so
+			// this table, depends on where the wait stops.
 			for r == nil {
-				b.k.RunFor(sim.Second)
+				b.Kernel.RunFor(sim.Second)
 			}
 			if !r.OK {
 				panic("E14b checkpoint failed: " + r.Reason)
@@ -163,25 +162,20 @@ func runE14(opts Options) *Result {
 			} else {
 				o.steadyEpoch += epoch
 			}
-			b.k.RunFor(5 * sim.Second)
+			b.Kernel.RunFor(5 * sim.Second)
 		}
 		o.steadyEpoch /= cycles - 1
 
 		vc.PhysicalNodes()[0].Fail()
-		b.k.RunFor(2 * sim.Second)
+		b.Kernel.RunFor(2 * sim.Second)
 		vc.Teardown()
-		targets := b.site.UpNodes(src)[:nodes]
-		var rr *core.RestoreResult
-		b.co.RestoreVC(vc, gens[len(gens)-1].Generation, targets, func(r *core.RestoreResult) { rr = r })
-		deadline := b.k.Now() + 30*sim.Minute
-		for rr == nil && b.k.Now() < deadline {
-			b.k.RunFor(sim.Second)
-		}
-		if rr == nil || !rr.OK {
+		targets := b.Site.UpNodes(src)[:nodes]
+		rr, err := b.Recover(vc, gens[len(gens)-1].Generation, targets, 30*sim.Minute)
+		if err != nil || !rr.OK {
 			panic("E14b restore failed")
 		}
 		o.restoreStage = rr.StageTime
-		o.jobOK = b.runJob(vc, 2*sim.Hour).AllOK()
+		o.jobOK = b.RunUntilJobDone(vc, 2*sim.Hour).AllOK()
 		return o
 	}
 

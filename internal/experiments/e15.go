@@ -8,8 +8,6 @@ import (
 	"dvc/internal/phys"
 	"dvc/internal/rm"
 	"dvc/internal/sim"
-	"dvc/internal/storage"
-	"dvc/internal/vm"
 	"dvc/internal/workload"
 )
 
@@ -69,11 +67,8 @@ func runE15(opts Options) *Result {
 		var mgr *core.Manager
 		var coord *core.Coordinator
 		if backend == rm.DVC {
-			store := storage.New(k, storage.DefaultConfig())
-			mgr = core.NewManager(k, site, store, vm.DefaultXenConfig())
-			lsc := core.DefaultNTPLSC()
-			lsc.ContinueAfterSave = true
-			coord = core.NewCoordinator(mgr, lsc)
+			env := core.NewEnv(site, rmLSC())
+			mgr, coord = env.Manager, env.Coord
 		}
 		cfg := rm.DefaultConfig(backend)
 		cfg.CheckpointInterval = 0

@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"dvc/internal/core"
-	"dvc/internal/guest"
 	"dvc/internal/hpcc"
 	"dvc/internal/metrics"
 	"dvc/internal/mpi"
 	"dvc/internal/obs"
-	"dvc/internal/sim"
 )
 
 func init() {
@@ -50,14 +48,14 @@ func runE2(opts Options) *Result {
 	// and with tracing on, the merged JSONL — is byte-identical to the
 	// serial loop at any pool size.
 	bulk := row{name: "halo-26", trials: volume}
-	for _, r := range forEachTrial(opts, volume, func(trial int, tr *obs.Tracer) lscTrialResult {
-		return lscTrialT(opts.Seed+int64(trial), nodes, lsc, true, tr)
+	for _, r := range forEachTrial(opts, volume, func(trial int, tr *obs.Tracer) trialResult {
+		return lscTrial(opts.Seed+int64(trial), nodes, bedOptions{lsc: lsc, ntp: true, tracer: tr}, halo(1500))
 	}) {
 		if !r.ok {
 			bulk.failures++
 		}
-		bulk.skew.AddTime(r.skew)
-		bulk.down.AddTime(r.downtime)
+		bulk.skew.AddTime(r.ckpt.SaveSkew)
+		bulk.down.AddTime(r.ckpt.Downtime)
 	}
 	tbl.Row(bulk.name, bulk.trials, bulk.failures,
 		fmtSeconds(bulk.skew.Mean()), fmtSeconds(bulk.skew.Max()), fmtSeconds(bulk.down.Mean()))
@@ -108,8 +106,8 @@ func runE2(opts Options) *Result {
 			})
 		}
 	}
-	hpccOuts := forEachTrial(opts, len(specs), func(i int, tr *obs.Tracer) hpccTrialResult {
-		return hpccLSCTrial(specs[i].seed, nodes, lsc, true, specs[i].makeApp, tr)
+	hpccOuts := forEachTrial(opts, len(specs), func(i int, tr *obs.Tracer) trialResult {
+		return lscTrial(specs[i].seed, nodes, bedOptions{lsc: lsc, ntp: true, tracer: tr}, specs[i].makeApp)
 	})
 	ptransFail, hplFail := 0, 0
 	var ptransSkew, hplSkew metrics.Sample
@@ -119,8 +117,8 @@ func runE2(opts Options) *Result {
 		if specs[i].isPT {
 			skew = &ptransSkew
 		}
-		if out.skewValid {
-			skew.AddTime(out.skew)
+		if out.ckpt.OK {
+			skew.AddTime(out.ckpt.SaveSkew)
 		}
 		if specs[i].isPT {
 			nPT++
@@ -145,52 +143,4 @@ func runE2(opts Options) *Result {
 	res.check("NTP skew is milliseconds", bulk.skew.Max() < 0.05,
 		"max skew %.1f ms", bulk.skew.Max()*1000)
 	return res
-}
-
-// hpccTrialResult reports one verified HPCC trial. The skew is recorded
-// (skewValid) as soon as the checkpoint commits, even when a later stage
-// fails — mirroring the serial loop's sample contents exactly.
-type hpccTrialResult struct {
-	ok        bool
-	skew      sim.Time
-	skewValid bool
-}
-
-// hpccLSCTrial is lscTrial for a verified HPCC workload: checkpoint
-// mid-run, then require successful completion AND numerical verification.
-// It is self-contained (own kernel, own tracer) so the fleet pool can run
-// many of these concurrently.
-func hpccLSCTrial(seed int64, nodes int, lsc core.LSCConfig, ntp bool, makeApp func(int) mpi.App, tr *obs.Tracer) hpccTrialResult {
-	b := makeBed(seed, bedOptions{clusters: map[string]int{"alpha": nodes}, lsc: lsc, ntp: ntp, tracer: tr})
-	vc := b.allocate("t", nodes, guest.WatchdogConfig{})
-	vc.LaunchMPI(6000, makeApp)
-	b.k.RunFor(2 * sim.Second)
-	res := b.checkpointOnce(vc, 10*sim.Minute)
-	if res == nil || !res.OK {
-		return hpccTrialResult{}
-	}
-	out := hpccTrialResult{skew: res.SaveSkew, skewValid: true}
-	if core.InspectImages(res.Images) != nil {
-		return out
-	}
-	js := b.runJob(vc, 4*sim.Hour)
-	if !js.AllOK() {
-		return out
-	}
-	for _, app := range vc.RankApps() {
-		switch a := app.(type) {
-		case *hpcc.PTRANS:
-			if !a.Passed {
-				return out
-			}
-		case *hpcc.HPL:
-			if !a.Passed {
-				return out
-			}
-		default:
-			return out
-		}
-	}
-	out.ok = true
-	return out
 }

@@ -39,9 +39,9 @@ func runE4(opts Options) *Result {
 		vc.LaunchMPI(6000, makeApp)
 		var per *core.Periodic
 		if interval > 0 {
-			per = b.co.StartPeriodic(vc, interval, nil)
+			per = b.Coord.StartPeriodic(vc, interval, nil)
 		}
-		js := b.runJob(vc, 4*sim.Hour)
+		js := b.RunUntilJobDone(vc, 4*sim.Hour)
 		if per != nil {
 			per.Stop()
 		}

@@ -32,18 +32,18 @@ func runE6(opts Options) *Result {
 	b := newBed(opts.Seed, map[string]int{"alpha": nodes}, lsc, true)
 	vc := b.allocate("e6", nodes, guest.DefaultWatchdog())
 	vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(1<<20, 20*sim.Millisecond, 2048) })
-	b.k.RunFor(30 * sim.Second)
+	b.Kernel.RunFor(30 * sim.Second)
 
 	tbl := metrics.NewTable("E6: watchdog reports per VM across checkpoint cycles",
 		"cycle", "downtime", "timeouts/vm (min..max)", "wd-log-lines/vm", "job-affected")
 	perfect := true
 	for cycle := 1; cycle <= cycles; cycle++ {
-		r := b.checkpointOnce(vc, 10*sim.Minute)
+		r, _ := b.Checkpoint(vc, 10*sim.Minute)
 		if r == nil || !r.OK {
 			res.check("checkpoint cycles succeed", false, "cycle %d failed", cycle)
 			return res
 		}
-		b.k.RunFor(time45()) // let the post-restore watchdog tick land
+		b.Kernel.RunFor(time45()) // let the post-restore watchdog tick land
 		lo, hi, lines := 1<<30, 0, 0
 		for _, o := range vc.OSes() {
 			n := o.WatchdogTimeouts()

@@ -117,10 +117,10 @@ func runSeqJob(seed int64, virt bool) sim.Time {
 		vc := b.allocate("seq", 1, guest.WatchdogConfig{})
 		vc.OSes()[0].Spawn(job)
 	} else {
-		os, _ := vm.NativeOS(b.k, b.site.Fabric, b.site.Nodes()[0], "native", tcp.DefaultConfig(), guest.WatchdogConfig{})
+		os, _ := vm.NativeOS(b.Kernel, b.Site.Fabric, b.Site.Nodes()[0], "native", tcp.DefaultConfig(), guest.WatchdogConfig{})
 		os.Spawn(job)
 	}
-	b.k.RunFor(sim.Hour)
+	b.Kernel.RunFor(sim.Hour)
 	if !job.Finished {
 		panic("seq job did not finish")
 	}
@@ -130,7 +130,7 @@ func runSeqJob(seed int64, virt bool) sim.Time {
 // runPingPong measures small-message RTT and large-message bandwidth.
 func runPingPong(seed int64, virt bool, profile netsim.LinkProfile) (sim.Time, float64) {
 	run := func(msg, iters int) *hpcc.PingPong {
-		b := newBedProfile(seed, 2, coreNTP(), profile)
+		b := makeBed(seed, bedOptions{clusters: map[string]int{"alpha": 2}, lsc: coreNTP(), ntp: true, profile: &profile})
 		app0 := hpcc.NewPingPong(msg, iters)
 		apps := []mpi.App{app0, hpcc.NewPingPong(msg, iters)}
 		if virt {
@@ -138,13 +138,13 @@ func runPingPong(seed int64, virt bool, profile netsim.LinkProfile) (sim.Time, f
 			vc.LaunchMPI(6000, func(r int) mpi.App { return apps[r] })
 		} else {
 			var oses []*guest.OS
-			for i, n := range b.site.Nodes()[:2] {
-				os, _ := vm.NativeOS(b.k, b.site.Fabric, n, netsim.Addr(fmt.Sprintf("n%d", i)), tcp.DefaultConfig(), guest.WatchdogConfig{})
+			for i, n := range b.Site.Nodes()[:2] {
+				os, _ := vm.NativeOS(b.Kernel, b.Site.Fabric, n, netsim.Addr(fmt.Sprintf("n%d", i)), tcp.DefaultConfig(), guest.WatchdogConfig{})
 				oses = append(oses, os)
 			}
 			mpi.Launch(oses, 6000, func(r int) mpi.App { return apps[r] })
 		}
-		b.k.RunFor(10 * sim.Minute)
+		b.Kernel.RunFor(10 * sim.Minute)
 		if !app0.Done {
 			panic("pingpong did not finish")
 		}
@@ -172,20 +172,20 @@ func runParallelHPCC(seed int64, virt bool, kind string) sim.Time {
 	if virt {
 		vc := b.allocate("par", 4, guest.WatchdogConfig{})
 		vc.LaunchMPI(6000, makeApp)
-		js := b.runJob(vc, 4*sim.Hour)
+		js := b.RunUntilJobDone(vc, 4*sim.Hour)
 		if !js.AllOK() {
 			panic("parallel job failed")
 		}
 		apps = vc.RankApps()
 	} else {
 		var oses []*guest.OS
-		for i, n := range b.site.Nodes()[:4] {
-			os, _ := vm.NativeOS(b.k, b.site.Fabric, n, netsim.Addr(fmt.Sprintf("n%d", i)), tcp.DefaultConfig(), guest.WatchdogConfig{})
+		for i, n := range b.Site.Nodes()[:4] {
+			os, _ := vm.NativeOS(b.Kernel, b.Site.Fabric, n, netsim.Addr(fmt.Sprintf("n%d", i)), tcp.DefaultConfig(), guest.WatchdogConfig{})
 			oses = append(oses, os)
 		}
 		pids := mpi.Launch(oses, 6000, makeApp)
-		deadline := b.k.Now() + 4*sim.Hour
-		for b.k.Now() < deadline {
+		deadline := b.Kernel.Now() + 4*sim.Hour
+		for b.Kernel.Now() < deadline {
 			all := true
 			for i, o := range oses {
 				p, _ := o.Proc(pids[i])
@@ -197,7 +197,7 @@ func runParallelHPCC(seed int64, virt bool, kind string) sim.Time {
 			if all {
 				break
 			}
-			b.k.RunFor(sim.Second)
+			b.Kernel.RunFor(sim.Second)
 		}
 		for i, o := range oses {
 			p, _ := o.Proc(pids[i])

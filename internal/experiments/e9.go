@@ -8,8 +8,6 @@ import (
 	"dvc/internal/phys"
 	"dvc/internal/rm"
 	"dvc/internal/sim"
-	"dvc/internal/storage"
-	"dvc/internal/vm"
 	"dvc/internal/workload"
 )
 
@@ -41,14 +39,10 @@ func runE9(opts Options) *Result {
 	}
 
 	newDVCRM := func(k *sim.Kernel, site *phys.Site) *rm.RM {
-		store := storage.New(k, storage.DefaultConfig())
-		mgr := core.NewManager(k, site, store, vm.DefaultXenConfig())
-		lsc := core.DefaultNTPLSC()
-		lsc.ContinueAfterSave = true
-		coord := core.NewCoordinator(mgr, lsc)
+		env := core.NewEnv(site, rmLSC())
 		cfg := rm.DefaultConfig(rm.DVC)
 		cfg.CheckpointInterval = 0 // no faults in this experiment
-		r := rm.New(k, site, mgr, coord, cfg)
+		r := rm.New(k, site, env.Manager, env.Coord, cfg)
 		r.Start()
 		return r
 	}

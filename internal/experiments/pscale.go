@@ -4,16 +4,12 @@ import (
 	"fmt"
 
 	"dvc/internal/core"
-	"dvc/internal/hpcc"
 	"dvc/internal/metrics"
-	"dvc/internal/mpi"
 	"dvc/internal/netsim"
 	"dvc/internal/obs"
 	"dvc/internal/phys"
 	"dvc/internal/sim"
 	"dvc/internal/sim/partition"
-	"dvc/internal/storage"
-	"dvc/internal/vm"
 )
 
 func init() {
@@ -142,36 +138,14 @@ func RunScalePartitioned(seed int64, spec ScaleSpec, workers int, tr *obs.Tracer
 			k.At(t, func() { site.Fabric.Send(netsim.Packet{Src: self, Dst: next, Size: 128}) })
 		}
 
-		store := storage.New(k, storage.DefaultConfig())
-		mgr := core.NewManager(k, site, store, vm.DefaultXenConfig())
-		if ctr != nil {
-			mgr.SetTracer(ctr)
-			obs.StartKernelProbe(k, ctr, probeInterval)
-		}
-		co := core.NewCoordinator(mgr, core.DefaultNTPLSC())
-		b := &bed{k: k, site: site, store: store, mgr: mgr, co: co}
-		vc, err := mgr.Allocate(core.VCSpec{Name: fmt.Sprintf("pscale-%02d", d), Nodes: vms, VMRAM: vmRAM}, nil)
+		b := &bed{core.NewEnv(site, core.DefaultNTPLSC())}
+		b.SetTracer(ctr)
+		t, err := b.runTrial(fmt.Sprintf("pscale-%02d", d), vms, halo(600))
 		if err != nil {
-			o.err = fmt.Errorf("experiments: pscale allocation on %s failed: %w", spec, err)
+			o.err = fmt.Errorf("experiments: pscale run on %s: %w", spec, err)
 			return
 		}
-		k.RunFor(vm.DefaultXenConfig().BootTime + sim.Second)
-		if vc.State() != core.VCReady {
-			o.err = fmt.Errorf("experiments: pscale VC not ready on %s", spec)
-			return
-		}
-		if _, err := vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(600, 20*sim.Millisecond, 4096) }); err != nil {
-			o.err = err
-			return
-		}
-		k.RunFor(2 * sim.Second)
-		ckpt := b.checkpointOnce(vc, 10*sim.Minute)
-		js := b.runJob(vc, 4*sim.Hour)
-		o.jobOK = js.AllOK()
-		if ckpt != nil && ckpt.OK {
-			o.ckptOK = core.InspectImages(ckpt.Images) == nil
-			o.skew = ckpt.SaveSkew
-		}
+		o.ckptOK, o.jobOK, o.skew = t.imagesOK, t.ok, t.ckpt.SaveSkew
 		// Every partition holds to the common horizon so late pings land
 		// on a live kernel; a partition whose job already ran longer
 		// simply passes through.

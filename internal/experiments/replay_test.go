@@ -60,21 +60,21 @@ func lscEventDigest(t *testing.T, seed int64) string {
 	b := newBed(seed, map[string]int{"alpha": nodes}, core.DefaultNTPLSC(), true)
 	vc := b.allocate("replay", nodes, guest.WatchdogConfig{})
 	vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(600, 20*sim.Millisecond, 4096) })
-	b.k.RunFor(2 * sim.Second)
-	res := b.checkpointOnce(vc, 10*sim.Minute)
+	b.Kernel.RunFor(2 * sim.Second)
+	res, _ := b.Checkpoint(vc, 10*sim.Minute)
 	if res == nil || !res.OK {
 		t.Fatalf("reference checkpoint failed: %+v", res)
 	}
 	if err := core.InspectImages(res.Images); err != nil {
 		t.Fatalf("image consistency: %v", err)
 	}
-	js := b.runJob(vc, 4*sim.Hour)
+	js := b.RunUntilJobDone(vc, 4*sim.Hour)
 	if !js.AllOK() {
 		t.Fatalf("reference job failed: %+v", js)
 	}
 
 	h := sha256.New()
-	fmt.Fprintf(h, "fired=%d now=%d pending=%d\n", b.k.Fired(), b.k.Now(), b.k.Pending())
+	fmt.Fprintf(h, "fired=%d now=%d pending=%d\n", b.Kernel.Fired(), b.Kernel.Now(), b.Kernel.Pending())
 	fmt.Fprintf(h, "gen=%d attempts=%d skew=%d store=%d downtime=%d finished=%d\n",
 		res.Generation, res.Attempts, res.SaveSkew, res.StoreTime, res.Downtime, res.FinishedAt)
 	for _, img := range res.Images {
@@ -208,8 +208,8 @@ func lscImageBytesDigest(t *testing.T, seed int64) (string, int) {
 	b := newBed(seed, map[string]int{"alpha": nodes}, core.DefaultNTPLSC(), true)
 	vc := b.allocate("imgbytes", nodes, guest.WatchdogConfig{})
 	vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHPL(64, 42, 5.7e-6) })
-	b.k.RunFor(2 * sim.Second)
-	res := b.checkpointOnce(vc, 10*sim.Minute)
+	b.Kernel.RunFor(2 * sim.Second)
+	res, _ := b.Checkpoint(vc, 10*sim.Minute)
 	if res == nil || !res.OK {
 		t.Fatalf("HPL checkpoint failed: %+v", res)
 	}

@@ -4,14 +4,10 @@ import (
 	"fmt"
 
 	"dvc/internal/core"
-	"dvc/internal/hpcc"
 	"dvc/internal/metrics"
-	"dvc/internal/mpi"
 	"dvc/internal/obs"
 	"dvc/internal/phys"
 	"dvc/internal/sim"
-	"dvc/internal/storage"
-	"dvc/internal/vm"
 )
 
 func init() {
@@ -80,45 +76,24 @@ func RunScale(seed int64, spec ScaleSpec, tr *obs.Tracer) (*ScaleResult, error) 
 		return nil, err
 	}
 	site.NTP.Start()
-	store := storage.New(k, storage.DefaultConfig())
-	mgr := core.NewManager(k, site, store, vm.DefaultXenConfig())
-	if tr != nil {
-		mgr.SetTracer(tr)
-		obs.StartKernelProbe(k, tr, probeInterval)
-	}
-	co := core.NewCoordinator(mgr, core.DefaultNTPLSC())
-	b := &bed{k: k, site: site, store: store, mgr: mgr, co: co}
-
-	vc, err := mgr.Allocate(core.VCSpec{Name: "scale", Nodes: vms, VMRAM: vmRAM}, nil)
+	b := &bed{core.NewEnv(site, core.DefaultNTPLSC())}
+	b.SetTracer(tr)
+	t, err := b.runTrial("scale", vms, halo(600))
 	if err != nil {
-		return nil, fmt.Errorf("experiments: scale allocation on %s failed: %w", spec, err)
+		return nil, fmt.Errorf("experiments: scale run on %s: %w", spec, err)
 	}
-	k.RunFor(vm.DefaultXenConfig().BootTime + sim.Second)
-	if vc.State() != core.VCReady {
-		return nil, fmt.Errorf("experiments: scale VC not ready on %s", spec)
-	}
-	if _, err := vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(600, 20*sim.Millisecond, 4096) }); err != nil {
-		return nil, err
-	}
-	k.RunFor(2 * sim.Second)
-	ckpt := b.checkpointOnce(vc, 10*sim.Minute)
-	js := b.runJob(vc, 4*sim.Hour)
-
-	res := &ScaleResult{
-		Spec:      spec,
-		Nodes:     spec.Nodes(),
-		Clusters:  len(topo.Clusters),
-		VMs:       vms,
-		Inventory: topo.Inventory(),
-		Events:    k.Fired(),
-		JobOK:     js.AllOK(),
-		SimTime:   k.Now(),
-	}
-	if ckpt != nil && ckpt.OK {
-		res.CheckpointOK = core.InspectImages(ckpt.Images) == nil
-		res.SaveSkew = ckpt.SaveSkew
-	}
-	return res, nil
+	return &ScaleResult{
+		Spec:         spec,
+		Nodes:        spec.Nodes(),
+		Clusters:     len(topo.Clusters),
+		VMs:          vms,
+		Inventory:    topo.Inventory(),
+		Events:       k.Fired(),
+		CheckpointOK: t.imagesOK,
+		JobOK:        t.ok,
+		SaveSkew:     t.ckpt.SaveSkew,
+		SimTime:      k.Now(),
+	}, nil
 }
 
 // runScaleExp is the registry wrapper: the 26- and 260-node shapes by

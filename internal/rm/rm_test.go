@@ -7,8 +7,6 @@ import (
 	"dvc/internal/netsim"
 	"dvc/internal/phys"
 	"dvc/internal/sim"
-	"dvc/internal/storage"
-	"dvc/internal/vm"
 	"dvc/internal/workload"
 )
 
@@ -27,11 +25,10 @@ func newBed(t *testing.T, seed int64, nodes int, cfg Config) *bed {
 	var mgr *core.Manager
 	var coord *core.Coordinator
 	if cfg.Backend == DVC {
-		store := storage.New(k, storage.DefaultConfig())
-		mgr = core.NewManager(k, site, store, vm.DefaultXenConfig())
 		lsc := core.DefaultNTPLSC()
 		lsc.ContinueAfterSave = true
-		coord = core.NewCoordinator(mgr, lsc)
+		env := core.NewEnv(site, lsc)
+		mgr, coord = env.Manager, env.Coord
 	}
 	r := New(k, site, mgr, coord, cfg)
 	r.Start()

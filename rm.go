@@ -46,9 +46,9 @@ type ResourceManager struct {
 func (s *Simulation) NewResourceManager(cfg RMConfig) *ResourceManager {
 	var r *rm.RM
 	if cfg.Backend == rm.DVC {
-		r = rm.New(s.kernel, s.site, s.mgr, s.co, cfg)
+		r = rm.New(s.env.Kernel, s.env.Site, s.env.Manager, s.env.Coord, cfg)
 	} else {
-		r = rm.New(s.kernel, s.site, nil, nil, cfg)
+		r = rm.New(s.env.Kernel, s.env.Site, nil, nil, cfg)
 	}
 	r.Start()
 	return &ResourceManager{RM: r, sim: s}
@@ -60,9 +60,9 @@ func DefaultRMConfig(backend rm.Backend) RMConfig { return rm.DefaultConfig(back
 // RunUntilAllDone advances the simulation until the RM has finished every
 // submitted job (or limit elapses), returning the final statistics.
 func (r *ResourceManager) RunUntilAllDone(limit Time) RMStats {
-	deadline := r.sim.kernel.Now() + limit
-	for r.sim.kernel.Now() < deadline && !r.AllDone() {
-		r.sim.kernel.RunFor(10 * Second)
+	deadline := r.sim.env.Kernel.Now() + limit
+	for r.sim.env.Kernel.Now() < deadline && !r.AllDone() {
+		r.sim.env.Kernel.RunFor(10 * Second)
 	}
 	return r.Stats()
 }
@@ -70,7 +70,7 @@ func (r *ResourceManager) RunUntilAllDone(limit Time) RMStats {
 // GenerateTrace draws a synthetic job mix using the simulation's
 // deterministic random source.
 func (s *Simulation) GenerateTrace(cfg MixConfig) []JobSpec {
-	return workload.Generate(s.kernel.Rand(), cfg)
+	return workload.Generate(s.env.Kernel.Rand(), cfg)
 }
 
 // GenerateTraceSeeded draws a job mix from an independent seed (so the
