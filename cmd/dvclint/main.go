@@ -18,11 +18,11 @@
 //
 //	//lint:allow <analyzer>[,<analyzer>] <why this is safe>
 //
-// or recorded in a reviewed baseline file (-baseline), keyed by
-// (analyzer, file, message) so unrelated line drift does not invalidate
-// entries. Output formats (-format): text (default), json, sarif
-// (SARIF 2.1.0, consumed by CI for inline annotations). All formats are
-// deterministic, globally sorted by (file, line, analyzer).
+// That directive is the only way to waive a finding; an unjustified or
+// stale one is itself a finding. Output formats (-format): text
+// (default) and sarif (SARIF 2.1.0, which CI archives as a build
+// artifact). Both are deterministic, globally sorted by (file, line,
+// analyzer).
 //
 // Exit status is 0 when the tree is clean, 1 when there are findings
 // (or the manifest is stale), 2 on usage or load errors.
@@ -43,19 +43,18 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dvclint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		runOnly       = fs.String("run", "", "comma-separated analyzer names to run (default: all that apply per package)")
 		list          = fs.Bool("list", false, "list analyzers and exit")
 		verbose       = fs.Bool("v", false, "report the packages checked")
-		format        = fs.String("format", "text", "output format: text, json, or sarif")
+		format        = fs.String("format", "text", "output format: text or sarif")
 		out           = fs.String("o", "", "write findings to this file instead of stdout")
-		baselinePath  = fs.String("baseline", "", "filter findings through this reviewed baseline file")
-		writeBaseline = fs.String("write-baseline", "", "write current findings as a baseline file and exit")
 		manifestPath  = fs.String("manifest", "", "fail if this checkpoint state manifest is out of date")
 		writeManifest = fs.String("write-manifest", "", "write the checkpoint state manifest and exit")
 	)
@@ -72,14 +71,14 @@ func run(args []string) int {
 	}
 	if *list {
 		for _, a := range analysis.All() {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
 	switch *format {
-	case "text", "json", "sarif":
+	case "text", "sarif":
 	default:
-		fmt.Fprintf(os.Stderr, "dvclint: unknown -format %q (want text, json or sarif)\n", *format)
+		fmt.Fprintf(stderr, "dvclint: unknown -format %q (want text or sarif)\n", *format)
 		return 2
 	}
 
@@ -89,7 +88,7 @@ func run(args []string) int {
 		for _, name := range strings.Split(*runOnly, ",") {
 			name = strings.TrimSpace(name)
 			if analysis.ByName(name) == nil {
-				fmt.Fprintf(os.Stderr, "dvclint: unknown analyzer %q\n", name)
+				fmt.Fprintf(stderr, "dvclint: unknown analyzer %q\n", name)
 				return 2
 			}
 			only[name] = true
@@ -98,12 +97,12 @@ func run(args []string) int {
 
 	root, err := loader.ModuleRoot(".")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dvclint: %v\n", err)
+		fmt.Fprintf(stderr, "dvclint: %v\n", err)
 		return 2
 	}
 	pkgs, err := loader.Load(root, fs.Args()...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dvclint: %v\n", err)
+		fmt.Fprintf(stderr, "dvclint: %v\n", err)
 		return 2
 	}
 
@@ -118,7 +117,7 @@ func run(args []string) int {
 	// so the golden file always reflects exactly what the suite saw.
 	if *writeManifest != "" {
 		if err := os.WriteFile(*writeManifest, analysis.StateManifest(modulePkgs), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "dvclint: %v\n", err)
+			fmt.Fprintf(stderr, "dvclint: %v\n", err)
 			return 2
 		}
 		return 0
@@ -141,11 +140,11 @@ func run(args []string) int {
 			for i, a := range analyzers {
 				names[i] = a.Name
 			}
-			fmt.Fprintf(os.Stderr, "dvclint: %s [%s]\n", pkg.PkgPath, strings.Join(names, " "))
+			fmt.Fprintf(stderr, "dvclint: %s [%s]\n", pkg.PkgPath, strings.Join(names, " "))
 		}
 		diags, err := analysis.Run(pkg, analyzers)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dvclint: %v\n", err)
+			fmt.Fprintf(stderr, "dvclint: %v\n", err)
 			return 2
 		}
 		for _, d := range diags {
@@ -156,50 +155,16 @@ func run(args []string) int {
 				Col:      pos.Column,
 				Analyzer: d.Analyzer,
 				Message:  d.Message,
-				Package:  pkg.PkgPath,
 			})
 		}
 	}
 	report.Sort(findings)
 
-	if *writeBaseline != "" {
-		var buf bytes.Buffer
-		if err := report.WriteBaseline(&buf, findings); err != nil {
-			fmt.Fprintf(os.Stderr, "dvclint: %v\n", err)
-			return 2
-		}
-		if err := os.WriteFile(*writeBaseline, buf.Bytes(), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "dvclint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "dvclint: wrote %d finding(s) to baseline %s\n", len(findings), *writeBaseline)
-		return 0
-	}
-
-	if *baselinePath != "" {
-		f, err := os.Open(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dvclint: %v\n", err)
-			return 2
-		}
-		b, err := report.ParseBaseline(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dvclint: %s: %v\n", *baselinePath, err)
-			return 2
-		}
-		var stale []string
-		findings, stale = b.Filter(findings)
-		for _, s := range stale {
-			fmt.Fprintf(os.Stderr, "dvclint: stale baseline entry (debt paid, remove it): %s\n", s)
-		}
-	}
-
-	var w io.Writer = os.Stdout
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dvclint: %v\n", err)
+			fmt.Fprintf(stderr, "dvclint: %v\n", err)
 			return 2
 		}
 		defer f.Close()
@@ -208,8 +173,6 @@ func run(args []string) int {
 	switch *format {
 	case "text":
 		err = report.WriteText(w, findings)
-	case "json":
-		err = report.WriteJSON(w, findings)
 	case "sarif":
 		var rules []report.RuleDoc
 		for _, a := range analysis.All() {
@@ -222,13 +185,13 @@ func run(args []string) int {
 		err = report.WriteSARIF(w, findings, rules)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dvclint: %v\n", err)
+		fmt.Fprintf(stderr, "dvclint: %v\n", err)
 		return 2
 	}
 
 	status := 0
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "dvclint: %d finding(s)\n", len(findings))
+		fmt.Fprintf(stderr, "dvclint: %d finding(s)\n", len(findings))
 		status = 1
 	}
 
@@ -236,11 +199,11 @@ func run(args []string) int {
 		want := analysis.StateManifest(modulePkgs)
 		got, err := os.ReadFile(*manifestPath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dvclint: %v (generate it with -write-manifest %s)\n", err, *manifestPath)
+			fmt.Fprintf(stderr, "dvclint: %v (generate it with -write-manifest %s)\n", err, *manifestPath)
 			return 2
 		}
 		if !bytes.Equal(got, want) {
-			fmt.Fprintf(os.Stderr, "dvclint: %s is stale: checkpoint state changed; regenerate with\n  go run ./cmd/dvclint -write-manifest %s ./...\nand review the diff as a checkpoint-format change\n",
+			fmt.Fprintf(stderr, "dvclint: %s is stale: checkpoint state changed; regenerate with\n  go run ./cmd/dvclint -write-manifest %s ./...\nand review the diff as a checkpoint-format change\n",
 				*manifestPath, *manifestPath)
 			status = 1
 		}

@@ -1,33 +1,29 @@
-// Command dvctrace generates, validates and summarises job traces for
-// the resource-manager experiments, and queries, summarises, converts
-// and diffs observability event traces recorded by dvcsim.
+// Command dvctrace queries, summarises, converts and diffs the
+// observability event traces that dvcsim records.
 //
 // Usage:
 //
-//	dvctrace -gen 20 -seed 7 > trace.json      # synthesise a mix
-//	dvctrace -validate trace.json              # parse + sanity-check
-//	dvctrace -summary trace.json               # widths, work, arrival span
-//	dvctrace -stats e2.jsonl                   # event counts + LSC epoch percentiles
+//	dvctrace -stats e2.jsonl                   # event counts + span percentiles
 //	dvctrace -query e2.jsonl -type lsc -from 10s -to 2m
 //	dvctrace -query e2.jsonl -node n3 -every 10 > sampled.jsonl
-//	dvctrace -spans e2.jsonl -top 5            # slowest span names by p99
 //	dvctrace -convert e2.jsonl -o e2.json      # offline JSONL → Perfetto
 //	dvctrace -diff a.jsonl b.jsonl             # first divergent record
 //
 // dvcsim records the full event stream; narrowing it (-query by type,
 // node, domain, time window or every Nth record) and exporting it for
-// Perfetto (-convert) happen here, offline. Event-trace subcommands
-// stream the input line at a time, so they work on traces far larger
-// than memory; only -convert materialises records (the Perfetto
+// Perfetto (-convert) happen here, offline. Every subcommand but
+// -convert streams the input a line at a time, so it works on traces
+// far larger than memory; -convert materialises records (the Perfetto
 // metadata needs the full node/domain universe).
+//
+// -stats folds the trace into an obs.Summary, the same summary a run
+// report carries: per-type record counts, then per-span-name duration
+// percentiles, slowest p99 first.
 //
 // -diff compares two traces byte-for-byte line by line and reports the
 // first divergent record — the debugging tool for the replay contract:
 // two same-seed runs must produce identical traces, and when they don't,
 // the first divergence localises the nondeterminism.
-//
-// Generated job traces feed rm.SubmitTrace (and can be archived next to
-// the experiment output that consumed them).
 package main
 
 import (
@@ -36,16 +32,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"dvc/internal/metrics"
 	"dvc/internal/obs"
 	"dvc/internal/sim"
-	"dvc/internal/workload"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -58,26 +51,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	var (
-		gen      = fs.Int("gen", 0, "generate a trace with this many jobs")
-		seed     = fs.Int64("seed", 42, "generation seed")
-		arrival  = fs.Duration("arrival", 30*time.Second, "mean inter-arrival time")
-		workMin  = fs.Duration("work-min", time.Minute, "minimum per-node work")
-		workMax  = fs.Duration("work-max", 10*time.Minute, "maximum per-node work")
-		validate = fs.String("validate", "", "validate a job trace file")
-		summary  = fs.String("summary", "", "summarise a job trace file")
-		stats    = fs.String("stats", "", "summarise an observability JSONL event trace (dvcsim -trace)")
-		query    = fs.String("query", "", "filter an event trace to stdout as JSONL")
-		spans    = fs.String("spans", "", "per-span-name duration percentiles for an event trace")
-		topK     = fs.Int("top", 0, "with -spans: only the K slowest span names by p99")
-		convert  = fs.String("convert", "", "convert an event trace to Perfetto trace_events JSON")
-		out      = fs.String("o", "", "with -convert: output path (default stdout)")
-		diff     = fs.Bool("diff", false, "compare two event traces: dvctrace -diff a.jsonl b.jsonl")
-		types    = fs.String("type", "", "with -query: comma-separated event types or categories (lsc, vm.pause)")
-		nodes    = fs.String("node", "", "with -query: comma-separated node names")
-		doms     = fs.String("dom", "", "with -query: comma-separated domain names")
-		from     = fs.Duration("from", 0, "with -query: keep records at or after this virtual time")
-		to       = fs.Duration("to", 0, "with -query: keep records at or before this virtual time (0 = unbounded)")
-		everyN   = fs.Uint64("every", 0, "with -query: keep every Nth instant/counter record (seq%N==0)")
+		stats   = fs.String("stats", "", "event counts and per-span duration percentiles of a JSONL event trace (dvcsim -trace)")
+		query   = fs.String("query", "", "filter an event trace to stdout as JSONL")
+		convert = fs.String("convert", "", "convert an event trace to Perfetto trace_events JSON")
+		out     = fs.String("o", "", "with -convert: output path (default stdout)")
+		diff    = fs.Bool("diff", false, "compare two event traces: dvctrace -diff a.jsonl b.jsonl")
+		types   = fs.String("type", "", "with -query: comma-separated event types or categories (lsc, vm.pause)")
+		nodes   = fs.String("node", "", "with -query: comma-separated node names")
+		doms    = fs.String("dom", "", "with -query: comma-separated domain names")
+		from    = fs.Duration("from", 0, "with -query: keep records at or after this virtual time")
+		to      = fs.Duration("to", 0, "with -query: keep records at or before this virtual time (0 = unbounded)")
+		everyN  = fs.Uint64("every", 0, "with -query: keep every Nth instant/counter record (seq%N==0)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -87,27 +71,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	switch {
-	case *gen > 0:
-		cfg := workload.DefaultMix(*gen)
-		cfg.ArrivalMean = sim.Duration(*arrival)
-		cfg.WorkMin = sim.Duration(*workMin)
-		cfg.WorkMax = sim.Duration(*workMax)
-		trace := workload.Generate(rand.New(rand.NewSource(*seed)), cfg)
-		if err := workload.WriteTrace(stdout, trace); err != nil {
-			return fail(err)
-		}
-	case *validate != "":
-		trace, err := load(*validate)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "ok: %d jobs\n", len(trace))
-	case *summary != "":
-		trace, err := load(*summary)
-		if err != nil {
-			return fail(err)
-		}
-		summarise(stdout, trace)
 	case *stats != "":
 		if err := eventStats(*stats, stdout); err != nil {
 			return fail(err)
@@ -122,10 +85,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			EveryN: *everyN,
 		}
 		if err := queryTrace(*query, cfg, stdout); err != nil {
-			return fail(err)
-		}
-	case *spans != "":
-		if err := spanStats(*spans, *topK, stdout); err != nil {
 			return fail(err)
 		}
 	case *convert != "":
@@ -151,120 +110,56 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func load(path string) ([]workload.JobSpec, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return workload.ReadTrace(f)
-}
-
-func summarise(w io.Writer, trace []workload.JobSpec) {
-	if len(trace) == 0 {
-		fmt.Fprintln(w, "empty trace")
-		return
-	}
-	var width, work metrics.Sample
-	stacks := map[string]int{}
-	var lastArrival sim.Time
-	var nodeSeconds float64
-	for _, j := range trace {
-		width.Add(float64(j.Width))
-		work.AddTime(j.Work)
-		stacks[j.Stack]++
-		if j.Arrival > lastArrival {
-			lastArrival = j.Arrival
-		}
-		nodeSeconds += float64(j.Width) * j.Work.Seconds()
-	}
-	tbl := metrics.NewTable(fmt.Sprintf("trace: %d jobs over %v", len(trace), lastArrival),
-		"metric", "min", "mean", "max")
-	tbl.Row("width", width.Min(), width.Mean(), width.Max())
-	tbl.Row("work (s)", work.Min(), work.Mean(), work.Max())
-	fmt.Fprint(w, tbl.String())
-	fmt.Fprintf(w, "total demand: %.0f node-seconds\n", nodeSeconds)
-	// Sorted stack names: the summary must be byte-identical for the same
-	// trace, or diffing archived runs turns into noise (dvclint: mapiter).
-	names := make([]string, 0, len(stacks))
-	for stack := range stacks {
-		names = append(names, stack)
-	}
-	sort.Strings(names)
-	for _, stack := range names {
-		n := stacks[stack]
-		if stack == "" {
-			stack = "(any)"
-		}
-		fmt.Fprintf(w, "stack %-16s %d jobs\n", stack, n)
-	}
-}
-
-// eventStats streams an observability JSONL event trace and prints the
-// per-event-type record counts plus duration percentiles for LSC epoch
-// spans (B/E records paired by span id). One record is held at a time —
-// traces larger than memory summarise fine. Output is sorted, so
-// identical traces summarise byte-identically.
+// eventStats streams an observability JSONL event trace into an
+// obs.Summary and prints the per-type record counts, then per-span-name
+// duration percentiles, slowest first by p99. Only the summary's counts
+// and open spans are held, so traces larger than memory summarise fine.
+// Output is sorted, so identical traces summarise byte-identically.
 func eventStats(path string, w io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-
-	counts := map[string]int{}
-	begins := map[uint64]sim.Time{} // lsc.epoch begin TS, keyed by begin seq
-	var epochs metrics.Sample
-	commits, aborts, total := 0, 0, 0
+	sum := obs.NewSummary()
 	err = obs.DecodeJSONL(f, func(r *obs.Record) error {
-		total++
-		counts[string(r.Type)]++
-		switch r.Type {
-		case obs.EvLSCEpoch:
-			switch r.Ph {
-			case obs.PhaseBegin:
-				begins[r.Span] = r.TS
-			case obs.PhaseEnd:
-				if start, ok := begins[r.Span]; ok {
-					delete(begins, r.Span)
-					epochs.AddTime(r.TS - start)
-				}
-			}
-		case obs.EvLSCCommit:
-			commits++
-		case obs.EvLSCAbort:
-			aborts++
-		}
+		sum.Add(r)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
 
-	tbl := metrics.NewTable(fmt.Sprintf("event trace: %d records", total), "event", "count")
-	types := make([]string, 0, len(counts))
-	for typ := range counts {
-		types = append(types, typ)
+	counts := metrics.NewTable(fmt.Sprintf("event trace: %d records", sum.Total()), "event", "count")
+	for _, typ := range sum.Types() {
+		counts.Row(string(typ), sum.CountByType(typ))
 	}
-	sort.Strings(types)
-	for _, typ := range types {
-		tbl.Row(typ, counts[typ])
-	}
-	fmt.Fprint(w, tbl.String())
+	fmt.Fprint(w, counts.String())
 
-	if epochs.N() > 0 {
-		fmt.Fprintf(w, "lsc epochs: %d complete (%d commit, %d abort)\n", epochs.N(), commits, aborts)
-		fmt.Fprintf(w, "epoch duration  p50 %s  p90 %s  p99 %s  max %s\n",
-			fmtDur(epochs.Percentile(50)), fmtDur(epochs.Percentile(90)),
-			fmtDur(epochs.Percentile(99)), fmtDur(epochs.Max()))
+	names := sum.SpanNames()
+	if len(names) == 0 {
+		return nil
 	}
-	return nil
+	// Slowest first by p99; ties break on the sorted name order, so the
+	// report is deterministic.
+	sort.SliceStable(names, func(a, b int) bool {
+		return sum.Spans(names[a]).Percentile(99) > sum.Spans(names[b]).Percentile(99)
+	})
+	spans := metrics.NewTable("spans", "span", "count", "p50", "p90", "p99", "max")
+	for _, name := range names {
+		d := sum.Spans(name)
+		spans.Row(name, d.N(),
+			fmtDur(d.Percentile(50)), fmtDur(d.Percentile(90)),
+			fmtDur(d.Percentile(99)), fmtDur(d.Max()))
+	}
+	_, err = fmt.Fprint(w, spans.String())
+	return err
 }
 
 // queryTrace streams the trace through the filter, re-emitting matching
 // records as JSONL. The output is a valid trace subset: record bytes are
 // identical to the input lines (same encoder as the writer), so query
-// output feeds back into -stats/-spans/-convert.
+// output feeds back into -stats/-convert.
 func queryTrace(path string, cfg obs.FilterConfig, w io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -282,45 +177,6 @@ func queryTrace(path string, cfg obs.FilterConfig, w io.Writer) error {
 		return err
 	}
 	return sink.Flush()
-}
-
-// spanStats streams the trace into a Summary and prints per-span-name
-// duration percentiles, slowest first by p99. With top > 0 only the K
-// slowest names print.
-func spanStats(path string, top int, w io.Writer) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sum := obs.NewSummary()
-	err = obs.DecodeJSONL(f, func(r *obs.Record) error {
-		sum.Add(r)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	names := sum.SpanNames()
-	// Slowest first by p99; ties break on the sorted name order, so the
-	// report is deterministic.
-	sort.SliceStable(names, func(a, b int) bool {
-		return sum.Spans(names[a]).Percentile(99) > sum.Spans(names[b]).Percentile(99)
-	})
-	if top > 0 && top < len(names) {
-		names = names[:top]
-	}
-	tbl := metrics.NewTable(fmt.Sprintf("spans: %d records", sum.Total()),
-		"span", "count", "p50", "p90", "p99", "max")
-	for _, name := range names {
-		d := sum.Spans(name)
-		tbl.Row(name, d.N(),
-			fmtDur(d.Percentile(50)), fmtDur(d.Percentile(90)),
-			fmtDur(d.Percentile(99)), fmtDur(d.Max()))
-	}
-	_, err = fmt.Fprint(w, tbl.String())
-	return err
 }
 
 // convertTrace converts a JSONL event trace to Perfetto trace_events

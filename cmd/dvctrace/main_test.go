@@ -147,3 +147,37 @@ func TestDiffExitStatus(t *testing.T) {
 		t.Fatalf("one file: exit %d, want 2", code)
 	}
 }
+
+// TestStatsCountsAndSpans: -stats prints the per-type counts and the
+// per-span percentile table of one obs.Summary.
+func TestStatsCountsAndSpans(t *testing.T) {
+	path := writeTrace(t, t.TempDir(), "trace.jsonl")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-stats", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	rows := map[string][]string{}
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 1 {
+			rows[f[0]] = f[1:]
+		}
+	}
+	for typ, want := range map[string]string{"net.drop": "20", "lsc.epoch": "2", "vm.pause": "3"} {
+		if got := rows[typ]; len(got) != 1 || got[0] != want {
+			t.Errorf("%s row %v, want count %s\n%s", typ, got, want, stdout.String())
+		}
+	}
+	if got := rows["epoch"]; len(got) != 5 || got[0] != "1" || got[1] != "10ns" {
+		t.Errorf("epoch span row %v, want count 1 and p50 10ns\n%s", got, stdout.String())
+	}
+}
+
+// TestRemovedModesAreUsageErrors: dvctrace reads event traces only, and
+// -stats prints the span table -spans used to.
+func TestRemovedModesAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{{"-gen", "5"}, {"-spans", "f"}} {
+		if code := run(args, &bytes.Buffer{}, &bytes.Buffer{}); code != 2 {
+			t.Errorf("dvctrace %v: exit %d, want 2", args, code)
+		}
+	}
+}

@@ -16,17 +16,9 @@
 package analysistest
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
-	"io"
-	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -35,6 +27,7 @@ import (
 	"testing"
 
 	"dvc/internal/analysis"
+	"dvc/internal/analysis/loader"
 )
 
 // Run loads testdata/src/<pkg> (relative to the test's working
@@ -56,41 +49,11 @@ func Run(t *testing.T, a *analysis.Analyzer, pkg string) {
 // // want comments.
 func Load(t *testing.T, pkg string) *analysis.Package {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", pkg)
-	entries, err := os.ReadDir(dir)
+	p, err := loader.LoadDir(filepath.Join("testdata", "src", pkg), pkg)
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatalf("analysistest: %v", err)
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		t.Fatalf("analysistest: no Go files in %s", dir)
-	}
-
-	info := analysis.NewInfo()
-	conf := types.Config{Importer: exportImporter(t, fset, files)}
-	tpkg, err := conf.Check(pkg, fset, files, info)
-	if err != nil {
-		t.Fatalf("analysistest: type-checking %s: %v", dir, err)
-	}
-	return &analysis.Package{
-		PkgPath: pkg,
-		Fset:    fset,
-		Files:   files,
-		Types:   tpkg,
-		Info:    info,
-	}
+	return p
 }
 
 type key struct {
@@ -214,55 +177,4 @@ func parseWants(t *testing.T, pos token.Position, text string) []*regexp.Regexp 
 		pats = append(pats, re)
 	}
 	return pats
-}
-
-// exportImporter builds an importer that serves the fixture files'
-// imports — standard library or this module's own packages — from
-// build-cache export data, produced by one `go list -deps -export`
-// invocation (fixtures like fleetscope import dvc/internal/fleet and
-// dvc/internal/sim to exercise the real types).
-func exportImporter(t *testing.T, fset *token.FileSet, files []*ast.File) types.Importer {
-	t.Helper()
-	pathSet := make(map[string]bool)
-	for _, f := range files {
-		for _, imp := range f.Imports {
-			if p, err := strconv.Unquote(imp.Path.Value); err == nil {
-				pathSet[p] = true
-			}
-		}
-	}
-	var paths []string
-	for p := range pathSet {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-
-	exports := make(map[string]string)
-	if len(paths) > 0 {
-		args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Export", "--"}, paths...)
-		cmd := exec.Command("go", args...)
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout = &stdout
-		cmd.Stderr = &stderr
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("analysistest: go list: %v\n%s", err, stderr.String())
-		}
-		dec := json.NewDecoder(&stdout)
-		for dec.More() {
-			var p struct{ ImportPath, Export string }
-			if err := dec.Decode(&p); err != nil {
-				t.Fatalf("analysistest: go list decode: %v", err)
-			}
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-		}
-	}
-	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("analysistest: fixture imports %q, which was not listed", path)
-		}
-		return os.Open(file)
-	})
 }

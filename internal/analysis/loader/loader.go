@@ -23,6 +23,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 
 	"dvc/internal/analysis"
@@ -53,16 +55,7 @@ func Load(dir string, patterns ...string) ([]*analysis.Package, error) {
 	}
 
 	fset := token.NewFileSet()
-	// The gc importer resolves every import through the export data that
-	// `go list -export` just wrote into the build cache.
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
-		if !ok || file == "" {
-			return nil, fmt.Errorf("no export data for %q (not a dependency of the lint targets?)", path)
-		}
-		return os.Open(file)
-	})
-
+	imp := exportImporter(fset, exports)
 	var out []*analysis.Package
 	for _, p := range targets {
 		pkg, err := typeCheck(fset, imp, p)
@@ -72,6 +65,63 @@ func Load(dir string, patterns ...string) ([]*analysis.Package, error) {
 		out = append(out, pkg)
 	}
 	return out, nil
+}
+
+// LoadDir type-checks the Go files in dir as one package named pkgPath.
+// It serves directories `go list` does not see as packages, such as the
+// analyzer fixtures under testdata; their imports (standard library or
+// this module's packages) resolve through export data exactly as in
+// Load.
+func LoadDir(dir, pkgPath string) (*analysis.Package, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	p := &listPackage{ImportPath: pkgPath, Dir: dir}
+	importSet := make(map[string]bool)
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
+		p.GoFiles = append(p.GoFiles, e.Name())
+		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dir, e.Name()), nil, parser.ImportsOnly)
+		if err != nil {
+			return nil, err
+		}
+		for _, spec := range f.Imports {
+			if path, err := strconv.Unquote(spec.Path.Value); err == nil {
+				importSet[path] = true
+			}
+		}
+	}
+	if len(p.GoFiles) == 0 {
+		return nil, fmt.Errorf("no Go files in %s", dir)
+	}
+	exports := map[string]string{}
+	if len(importSet) > 0 {
+		imports := make([]string, 0, len(importSet))
+		for path := range importSet {
+			imports = append(imports, path)
+		}
+		sort.Strings(imports)
+		if _, exports, err = goList(dir, imports); err != nil {
+			return nil, err
+		}
+	}
+	fset := token.NewFileSet()
+	return typeCheck(fset, exportImporter(fset, exports), p)
+}
+
+// exportImporter resolves every import through the export data that
+// `go list -export` wrote into the build cache.
+func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok || file == "" {
+			return nil, fmt.Errorf("no export data for %q (not a dependency of the lint targets?)", path)
+		}
+		return os.Open(file)
+	})
 }
 
 // goList runs `go list -deps -export -json` and splits the result into

@@ -2,23 +2,14 @@
 //
 // The driver (cmd/dvclint) converts analysis.Diagnostics into Findings
 // with module-relative paths, sorts them into the canonical order, and
-// writes one of three formats:
+// writes one of two formats:
 //
 //	text   file:line:col: [analyzer] message        (for terminals)
-//	json   a stable JSON array of findings          (for scripts)
-//	sarif  SARIF 2.1.0                              (for CI annotations)
+//	sarif  SARIF 2.1.0                              (for CI artifacts)
 //
-// All three are deterministic: same findings, same bytes. The canonical
+// Both are deterministic: same findings, same bytes. The canonical
 // order is (file, line, analyzer, column, message), so output diffs
 // cleanly across runs and machines.
-//
-// The package also implements the reviewed-baseline mechanism: a
-// baseline file records findings that are understood and intentionally
-// outstanding, keyed by (analyzer, file, message) — deliberately not by
-// line number, so unrelated edits above a finding do not invalidate the
-// baseline. Findings matching the baseline are filtered out; baseline
-// entries matching nothing are reported as stale so the file shrinks as
-// debt is paid.
 package report
 
 import (
@@ -27,18 +18,16 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 )
 
 // Finding is one diagnostic with its position resolved to a
 // module-relative path.
 type Finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-	Package  string `json:"package"`
+	File     string
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
 }
 
 // Sort orders findings canonically: by file, then line, then analyzer,
@@ -71,20 +60,9 @@ func WriteText(w io.Writer, fs []Finding) error {
 	return bw.Flush()
 }
 
-// WriteJSON writes the findings as an indented JSON array (an empty
-// slice renders as [], never null).
-func WriteJSON(w io.Writer, fs []Finding) error {
-	if fs == nil {
-		fs = []Finding{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(fs)
-}
-
-// sarif* model the minimal SARIF 2.1.0 subset CI annotation consumers
-// need: one run, one driver, rules with help text, results with
-// physical locations.
+// sarif* model the minimal SARIF 2.1.0 subset SARIF viewers need: one
+// run, one driver, rules with help text, results with physical
+// locations.
 type sarifLog struct {
 	Version string     `json:"version"`
 	Schema  string     `json:"$schema"`
@@ -186,87 +164,4 @@ func WriteSARIF(w io.Writer, fs []Finding, rules []RuleDoc) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(log)
-}
-
-// --- baseline ---
-
-// baselineKey identifies a finding across line drift: unrelated edits
-// above a finding move its line but not its key.
-func baselineKey(f Finding) string {
-	return f.Analyzer + "\t" + f.File + "\t" + f.Message
-}
-
-// Baseline is a set of reviewed, intentionally outstanding findings.
-type Baseline struct {
-	keys map[string]bool
-}
-
-// ParseBaseline reads a baseline file: tab-separated
-// analyzer<TAB>file<TAB>message lines, '#' comments and blank lines
-// ignored.
-func ParseBaseline(r io.Reader) (*Baseline, error) {
-	b := &Baseline{keys: make(map[string]bool)}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	n := 0
-	for sc.Scan() {
-		n++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if strings.Count(line, "\t") != 2 {
-			return nil, fmt.Errorf("baseline line %d: want analyzer<TAB>file<TAB>message, got %q", n, line)
-		}
-		b.keys[line] = true
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// Filter removes findings present in the baseline and returns the
-// survivors plus the baseline entries that matched nothing (stale debt
-// that has been paid and should be removed from the file).
-func (b *Baseline) Filter(fs []Finding) (kept []Finding, stale []string) {
-	matched := make(map[string]bool)
-	for _, f := range fs {
-		key := baselineKey(f)
-		if b.keys[key] {
-			matched[key] = true
-			continue
-		}
-		kept = append(kept, f)
-	}
-	for key := range b.keys {
-		if !matched[key] {
-			stale = append(stale, strings.ReplaceAll(key, "\t", " | "))
-		}
-	}
-	sort.Strings(stale)
-	return kept, stale
-}
-
-// WriteBaseline writes the findings as a baseline file, sorted and
-// deduplicated.
-func WriteBaseline(w io.Writer, fs []Finding) error {
-	keys := make(map[string]bool, len(fs))
-	for _, f := range fs {
-		keys[baselineKey(f)] = true
-	}
-	sorted := make([]string, 0, len(keys))
-	for k := range keys {
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# dvclint baseline: reviewed findings that are intentionally outstanding.")
-	fmt.Fprintln(bw, "# Format: analyzer<TAB>file<TAB>message. Keyed without line numbers so")
-	fmt.Fprintln(bw, "# unrelated edits do not invalidate entries. Regenerate with -write-baseline;")
-	fmt.Fprintln(bw, "# stale entries (debt that has been paid) are reported so this file shrinks.")
-	for _, k := range sorted {
-		fmt.Fprintln(bw, k)
-	}
-	return bw.Flush()
 }

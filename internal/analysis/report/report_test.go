@@ -10,11 +10,11 @@ import (
 func sample() []Finding {
 	// Deliberately out of order on every sort key.
 	return []Finding{
-		{File: "internal/sim/sim.go", Line: 40, Col: 2, Analyzer: "noalloc", Message: "z message", Package: "dvc/internal/sim"},
-		{File: "internal/guest/snapshot.go", Line: 12, Col: 9, Analyzer: "snapshotstate", Message: "m1", Package: "dvc/internal/guest"},
-		{File: "internal/sim/sim.go", Line: 40, Col: 2, Analyzer: "mapiter", Message: "a message", Package: "dvc/internal/sim"},
-		{File: "internal/sim/sim.go", Line: 7, Col: 1, Analyzer: "noalloc", Message: "m2", Package: "dvc/internal/sim"},
-		{File: "internal/guest/snapshot.go", Line: 12, Col: 3, Analyzer: "snapshotstate", Message: "m3", Package: "dvc/internal/guest"},
+		{File: "internal/sim/sim.go", Line: 40, Col: 2, Analyzer: "noalloc", Message: "z message"},
+		{File: "internal/guest/snapshot.go", Line: 12, Col: 9, Analyzer: "snapshotstate", Message: "m1"},
+		{File: "internal/sim/sim.go", Line: 40, Col: 2, Analyzer: "mapiter", Message: "a message"},
+		{File: "internal/sim/sim.go", Line: 7, Col: 1, Analyzer: "noalloc", Message: "m2"},
+		{File: "internal/guest/snapshot.go", Line: 12, Col: 3, Analyzer: "snapshotstate", Message: "m3"},
 	}
 }
 
@@ -45,25 +45,22 @@ func TestSortOrder(t *testing.T) {
 // every writer and demands byte-identical output across runs.
 func TestDeterministicOutput(t *testing.T) {
 	rules := []RuleDoc{{Name: "noalloc", Doc: "no allocs"}, {Name: "mapiter"}, {Name: "snapshotstate", Doc: "closure"}}
-	render := func() (string, string, string) {
+	render := func() (string, string) {
 		fs := sample()
 		Sort(fs)
-		var text, js, sarif bytes.Buffer
+		var text, sarif bytes.Buffer
 		if err := WriteText(&text, fs); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteJSON(&js, fs); err != nil {
 			t.Fatal(err)
 		}
 		if err := WriteSARIF(&sarif, fs, rules); err != nil {
 			t.Fatal(err)
 		}
-		return text.String(), js.String(), sarif.String()
+		return text.String(), sarif.String()
 	}
-	t1, j1, s1 := render()
+	t1, s1 := render()
 	for i := 0; i < 5; i++ {
-		t2, j2, s2 := render()
-		if t1 != t2 || j1 != j2 || s1 != s2 {
+		t2, s2 := render()
+		if t1 != t2 || s1 != s2 {
 			t.Fatalf("output not byte-identical across runs (iteration %d)", i)
 		}
 	}
@@ -72,7 +69,7 @@ func TestDeterministicOutput(t *testing.T) {
 	}
 }
 
-// TestSARIFShape checks the fields CI annotation consumers rely on.
+// TestSARIFShape checks the fields SARIF viewers rely on.
 func TestSARIFShape(t *testing.T) {
 	fs := sample()
 	Sort(fs)
@@ -107,53 +104,5 @@ func TestSARIFShape(t *testing.T) {
 	}
 	if loc["region"].(map[string]any)["startLine"].(float64) != 12 {
 		t.Fatalf("startLine = %v", loc)
-	}
-}
-
-// TestBaselineRoundTrip: write, parse, filter; line-number drift must
-// not invalidate entries, and paid-off entries must surface as stale.
-func TestBaselineRoundTrip(t *testing.T) {
-	fs := sample()
-	var buf bytes.Buffer
-	if err := WriteBaseline(&buf, fs); err != nil {
-		t.Fatal(err)
-	}
-	b, err := ParseBaseline(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drift every line number: the baseline must still match everything.
-	drifted := sample()
-	for i := range drifted {
-		drifted[i].Line += 100
-		drifted[i].Col++
-	}
-	kept, stale := b.Filter(drifted)
-	if len(kept) != 0 {
-		t.Fatalf("kept %d findings despite baseline: %v", len(kept), kept)
-	}
-	if len(stale) != 0 {
-		t.Fatalf("unexpected stale entries: %v", stale)
-	}
-	// Remove one finding: its baseline entry must be reported stale.
-	kept, stale = b.Filter(drifted[1:])
-	if len(stale) != 1 || !strings.Contains(stale[0], drifted[0].Message) {
-		t.Fatalf("stale = %v, want one entry mentioning %q", stale, drifted[0].Message)
-	}
-	if len(kept) != 0 {
-		t.Fatalf("kept = %v", kept)
-	}
-	// A new finding not in the baseline survives the filter.
-	extra := Finding{File: "x.go", Line: 1, Col: 1, Analyzer: "noalloc", Message: "new"}
-	kept, _ = b.Filter(append(drifted, extra))
-	if len(kept) != 1 || kept[0].Message != "new" {
-		t.Fatalf("kept = %v, want the new finding only", kept)
-	}
-}
-
-func TestParseBaselineRejectsMalformed(t *testing.T) {
-	_, err := ParseBaseline(strings.NewReader("noalloc only-one-tab\there\n"))
-	if err == nil {
-		t.Fatal("want error for malformed baseline line")
 	}
 }

@@ -165,7 +165,7 @@ func TestDeltaRestoreByteIdenticalToFull(t *testing.T) {
 	d.Destroy()
 	tb.k.RunFor(sim.Second)
 	h := tb.mgr.hvs[vc.PhysicalNodes()[0].ID()]
-	d2, err := h.RestoreDomain(got, nil)
+	d2, err := h.RestoreDomain(got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,6 +293,38 @@ func TestFailedCaptureReleasesVC(t *testing.T) {
 	}
 	if res.OK || !strings.Contains(res.Reason, "is not registered") {
 		t.Fatalf("checkpoint of an unencodable guest: %+v", res)
+	}
+	tb.k.RunFor(sim.Minute)
+	if vc.State() != VCReady {
+		t.Fatalf("VC %v after the failed capture, want Ready", vc.State())
+	}
+	for _, d := range vc.Domains() {
+		if d.State() != vm.StateRunning {
+			t.Fatalf("domain %s %v after the failed capture, want Running", d.Name(), d.State())
+		}
+	}
+}
+
+// TestFailedLiveCaptureReleasesVC: the live-migration twin of
+// TestFailedCaptureReleasesVC. A capture that fails after the final
+// coordinated pause must unpause every domain, not leave a Ready VC
+// paused for good.
+func TestFailedLiveCaptureReleasesVC(t *testing.T) {
+	tb := newTestbed(t, 5, map[string]int{"alpha": 2, "beta": 2}, DefaultNTPLSC())
+	vc := tb.allocate(t, "bad", 2, guest.WatchdogConfig{})
+	vc.LaunchMPI(6000, func(int) mpi.App {
+		return unregisteredApp{hpcc.NewHalo(6000, 20*sim.Millisecond, 1024)}
+	})
+	tb.k.RunFor(sim.Second)
+	var lm *LiveMigrationResult
+	if err := tb.co.LiveMigrate(vc, tb.site.UpNodes("beta"), DefaultLiveConfig(), func(r *LiveMigrationResult) { lm = r }); err != nil {
+		t.Fatal(err)
+	}
+	for lm == nil {
+		tb.k.RunFor(sim.Second)
+	}
+	if lm.OK || !strings.Contains(lm.Reason, "is not registered") {
+		t.Fatalf("live migration of an unencodable guest: %+v", lm)
 	}
 	tb.k.RunFor(sim.Minute)
 	if vc.State() != VCReady {

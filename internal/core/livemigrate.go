@@ -225,6 +225,13 @@ func (c *Coordinator) liveFinal(vc *VirtualCluster, residuals []liveResidual, ta
 	for i, d := range vc.domains {
 		img, err := d.Capture(delta)
 		if err != nil {
+			// Failed capture: release the paused domains, as LSC does for
+			// an incomplete save set, and report failure.
+			for _, d := range vc.domains {
+				if d.State() == vm.StatePaused {
+					_ = d.Unpause()
+				}
+			}
 			res.Reason = err.Error()
 			res.TotalTime = k.Now() - start
 			done(res)
@@ -236,29 +243,13 @@ func (c *Coordinator) liveFinal(vc *VirtualCluster, residuals []liveResidual, ta
 		for _, d := range vc.domains {
 			d.Destroy()
 		}
-		newDomains := make([]*vm.Domain, len(images))
-		for i, img := range images {
-			h := c.mgr.hvs[targets[i].ID()]
-			d, err := h.RestoreDomain(img, nil)
-			if err != nil {
-				res.Reason = err.Error()
-				res.TotalTime = k.Now() - start
-				for _, nd := range newDomains {
-					if nd != nil {
-						nd.Destroy()
-					}
-				}
-				done(res)
-				return
+		c.materialize(vc, images, targets, &RestoreResult{VC: vc.spec.Name}, func(rr *RestoreResult) {
+			if rr.OK {
+				res.OK = true
+				res.Downtime = k.Now() - firstPause
+			} else {
+				res.Reason = rr.Reason
 			}
-			newDomains[i] = d
-		}
-		vc.domains = newDomains
-		vc.nodes = append([]*phys.Node(nil), targets...)
-		vc.state = VCPaused
-		c.resumeAll(vc, func() {
-			res.OK = true
-			res.Downtime = k.Now() - firstPause
 			res.TotalTime = k.Now() - start
 			done(res)
 		})

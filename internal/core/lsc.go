@@ -523,12 +523,16 @@ func (c *Coordinator) RestoreVC(vc *VirtualCluster, gen int, placement []*phys.N
 	}
 }
 
+// materialize is the switch-over step shared by RestoreVC and live
+// migration: restore every image as a paused domain on its placement
+// node (rolling back on the first failure), rebind the VC to the new
+// domains and resume them.
 func (c *Coordinator) materialize(vc *VirtualCluster, images []*vm.Image, placement []*phys.Node, res *RestoreResult, done func(*RestoreResult)) {
 	k := c.mgr.kernel
 	newDomains := make([]*vm.Domain, len(images))
 	for i, img := range images {
 		h := c.mgr.hvs[placement[i].ID()]
-		d, err := h.RestoreDomain(img, nil)
+		d, err := h.RestoreDomain(img)
 		if err != nil {
 			res.Reason = err.Error()
 			res.FinishedAt = k.Now()

@@ -274,9 +274,3 @@ func (h *HPL) WallTime() sim.Time { return h.EndWall - h.StartWall }
 // CPUTime returns the guest-monotonic duration (unaffected by
 // save/restore gaps).
 func (h *HPL) CPUTime() sim.Time { return h.EndJiff - h.StartJiff }
-
-// TotalFlops estimates the LU flop count (2/3 N^3).
-func (h *HPL) TotalFlops() float64 {
-	n := float64(h.N)
-	return 2.0 / 3.0 * n * n * n
-}

@@ -177,10 +177,3 @@ func (p *PTRANS) WallTime() sim.Time { return p.EndWall - p.StartWall }
 
 // CPUTime returns guest-monotonic duration.
 func (p *PTRANS) CPUTime() sim.Time { return p.EndJiff - p.StartJiff }
-
-// BytesMoved estimates wire traffic per repetition (whole matrix minus
-// the diagonal blocks that stay local).
-func (p *PTRANS) BytesMoved() float64 {
-	n := float64(p.N)
-	return 8 * n * n * float64(p.Reps)
-}

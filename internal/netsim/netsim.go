@@ -135,9 +135,6 @@ func (p *Port) SetUp(up bool) {
 	}
 }
 
-// SetHandler replaces the delivery callback.
-func (p *Port) SetHandler(h Handler) { p.handler = h }
-
 // Move reattaches the port to another cluster, keeping its address. The
 // cluster is resolved to its interned index once here, so subsequent
 // sends pay no name lookup.

@@ -10,10 +10,12 @@ import (
 
 // TopoSpec sizes a generated topology the way vcsim sizes a vCenter
 // inventory: datacenters compose clusters compose hosts
-// (dvcsim -dc/-cluster/-host). Each datacenter is a fabric zone; its
-// clusters hang off a fat-tree spine, and datacenters join over a WAN
-// profile — the two or three orders of magnitude beyond the paper's 26
-// nodes that cluster-scale simulation needs.
+// (dvcsim -dc/-cluster/-host). Every node has the DefaultSpec hardware
+// on a gigabit Ethernet leaf. Each datacenter is a fabric zone; its
+// clusters hang off a fat-tree spine (netsim.FatTreeSpine), and
+// datacenters join over a WAN profile (netsim.MultiDatacenterWAN) — the
+// two or three orders of magnitude beyond the paper's 26 nodes that
+// cluster-scale simulation needs.
 type TopoSpec struct {
 	// DCs is the number of datacenters (fabric zones). Minimum 1.
 	DCs int
@@ -21,44 +23,24 @@ type TopoSpec struct {
 	ClustersPerDC int
 	// HostsPerCluster is the number of nodes per cluster. Minimum 1.
 	HostsPerCluster int
-
-	// Spec is the hardware of every generated node (zero value =
-	// DefaultSpec). One interned record serves the whole topology.
-	Spec Spec
-
-	// Leaf is the intra-cluster link profile (nil = gigabit Ethernet).
-	Leaf *netsim.LinkProfile
-	// Spine joins clusters of the same datacenter (nil = FatTreeSpine).
-	Spine *netsim.LinkProfile
-	// WAN joins datacenters (nil = MultiDatacenterWAN).
-	WAN *netsim.LinkProfile
 }
 
 // Nodes returns the total node count the spec generates.
 func (t TopoSpec) Nodes() int { return t.DCs * t.ClustersPerDC * t.HostsPerCluster }
 
-// normalize fills defaults and validates counts.
-func (t TopoSpec) normalize() (TopoSpec, error) {
+// validate checks the counts.
+func (t TopoSpec) validate() error {
 	if t.DCs <= 0 || t.ClustersPerDC <= 0 || t.HostsPerCluster <= 0 {
-		return t, fmt.Errorf("phys: topology needs dc, cluster and host counts >= 1 (got %d/%d/%d)",
+		return fmt.Errorf("phys: topology needs dc, cluster and host counts >= 1 (got %d/%d/%d)",
 			t.DCs, t.ClustersPerDC, t.HostsPerCluster)
 	}
-	if (t.Spec == Spec{}) {
-		t.Spec = DefaultSpec()
-	}
-	if t.Leaf == nil {
-		p := netsim.EthernetGigE()
-		t.Leaf = &p
-	}
-	if t.Spine == nil {
-		p := netsim.FatTreeSpine()
-		t.Spine = &p
-	}
-	if t.WAN == nil {
-		p := netsim.MultiDatacenterWAN()
-		t.WAN = &p
-	}
-	return t, nil
+	return nil
+}
+
+// setInterProfiles installs the spine and WAN profiles on a fabric.
+func setInterProfiles(f *netsim.Fabric) {
+	f.SetInterCluster(netsim.FatTreeSpine())
+	f.SetInterZone(netsim.MultiDatacenterWAN())
 }
 
 // Topology records what BuildTopo generated.
@@ -80,17 +62,15 @@ func ClusterName(d, c int) string { return fmt.Sprintf("dc%02d-c%02d", d, c) }
 // deterministic (datacenter-major), so same spec + same kernel seed means
 // an identical inventory and identical downstream RNG draws.
 func BuildTopo(site *Site, spec TopoSpec) (*Topology, error) {
-	spec, err := spec.normalize()
-	if err != nil {
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	site.Fabric.SetInterCluster(*spec.Spine)
-	site.Fabric.SetInterZone(*spec.WAN)
+	setInterProfiles(site.Fabric)
 	topo := &Topology{Spec: spec, Clusters: make([]string, 0, spec.DCs*spec.ClustersPerDC)}
 	for d := 0; d < spec.DCs; d++ {
 		for c := 0; c < spec.ClustersPerDC; c++ {
 			name := ClusterName(d, c)
-			site.AddCluster(name, spec.HostsPerCluster, spec.Spec, *spec.Leaf)
+			site.AddCluster(name, spec.HostsPerCluster, DefaultSpec(), netsim.EthernetGigE())
 			if err := site.Fabric.SetClusterZone(name, d); err != nil {
 				return nil, err
 			}
@@ -111,8 +91,7 @@ func BuildTopo(site *Site, spec TopoSpec) (*Topology, error) {
 // inventory is a pure function of (spec, dcs). It returns the locally
 // created cluster names in creation order.
 func BuildTopoZones(site *Site, spec TopoSpec, dcs ...int) ([]string, error) {
-	spec, err := spec.normalize()
-	if err != nil {
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
 	local := make(map[int]bool, len(dcs))
@@ -122,17 +101,16 @@ func BuildTopoZones(site *Site, spec TopoSpec, dcs ...int) ([]string, error) {
 		}
 		local[d] = true
 	}
-	site.Fabric.SetInterCluster(*spec.Spine)
-	site.Fabric.SetInterZone(*spec.WAN)
+	setInterProfiles(site.Fabric)
 	var owned []string
 	for d := 0; d < spec.DCs; d++ {
 		for c := 0; c < spec.ClustersPerDC; c++ {
 			name := ClusterName(d, c)
 			if local[d] {
-				site.AddCluster(name, spec.HostsPerCluster, spec.Spec, *spec.Leaf)
+				site.AddCluster(name, spec.HostsPerCluster, DefaultSpec(), netsim.EthernetGigE())
 				owned = append(owned, name)
 			} else {
-				site.Fabric.AddCluster(name, *spec.Leaf)
+				site.Fabric.AddCluster(name, netsim.EthernetGigE())
 			}
 			if err := site.Fabric.SetClusterZone(name, d); err != nil {
 				return nil, err
@@ -149,17 +127,15 @@ func BuildTopoZones(site *Site, spec TopoSpec, dcs ...int) ([]string, error) {
 // over a scratch fabric). Zero when the spec has a single datacenter —
 // there is no cross-partition traffic to bound.
 func ZoneLookahead(spec TopoSpec) (sim.Time, error) {
-	spec, err := spec.normalize()
-	if err != nil {
+	if err := spec.validate(); err != nil {
 		return 0, err
 	}
 	f := netsim.NewFabric(sim.NewKernel(0))
-	f.SetInterCluster(*spec.Spine)
-	f.SetInterZone(*spec.WAN)
+	setInterProfiles(f)
 	for d := 0; d < spec.DCs; d++ {
 		for c := 0; c < spec.ClustersPerDC; c++ {
 			name := ClusterName(d, c)
-			f.AddCluster(name, *spec.Leaf)
+			f.AddCluster(name, netsim.EthernetGigE())
 			if err := f.SetClusterZone(name, d); err != nil {
 				return 0, err
 			}
@@ -176,7 +152,7 @@ func (t *Topology) Inventory() string {
 	fmt.Fprintf(&b, "topology dc=%d cluster=%d host=%d nodes=%d\n",
 		t.Spec.DCs, t.Spec.ClustersPerDC, t.Spec.HostsPerCluster, t.Spec.Nodes())
 	fmt.Fprintf(&b, "leaf  %s\nspine %s\nwan   %s\n",
-		profileString(*t.Spec.Leaf), profileString(*t.Spec.Spine), profileString(*t.Spec.WAN))
+		profileString(netsim.EthernetGigE()), profileString(netsim.FatTreeSpine()), profileString(netsim.MultiDatacenterWAN()))
 	for i, name := range t.Clusters {
 		zone := i / t.Spec.ClustersPerDC
 		fmt.Fprintf(&b, "cluster %s zone=%d hosts=%d ids=%s-n00..%s-n%02d\n",

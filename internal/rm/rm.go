@@ -85,11 +85,14 @@ type Config struct {
 	RequeueOnFailure bool
 	// MaxRequeues bounds restart loops.
 	MaxRequeues int
-	// VMRAM sizes DVC guests.
-	VMRAM int64
-	// Tick is the scheduler's polling period.
-	Tick sim.Time
 }
+
+const (
+	// vmRAM sizes DVC guests.
+	vmRAM = 256 << 20
+	// tick is the scheduler's polling period.
+	tick = sim.Second
+)
 
 // DefaultConfig returns a sensible RM setup for the given backend.
 func DefaultConfig(b Backend) Config {
@@ -98,8 +101,6 @@ func DefaultConfig(b Backend) Config {
 		CheckpointInterval: 2 * sim.Minute,
 		RequeueOnFailure:   true,
 		MaxRequeues:        10,
-		VMRAM:              256 << 20,
-		Tick:               sim.Second,
 	}
 }
 
@@ -193,7 +194,7 @@ func (r *RM) Start() {
 	if r.tickTimer == nil {
 		r.tickTimer = sim.NewTimer(r.kernel, r.tick)
 	}
-	r.tickTimer.Reset(r.cfg.Tick)
+	r.tickTimer.Reset(tick)
 }
 
 // Stop halts the scheduler loop.
@@ -434,7 +435,7 @@ func (r *RM) tick() {
 	}
 	r.reap()
 	r.schedule()
-	r.tickTimer.Reset(r.cfg.Tick)
+	r.tickTimer.Reset(tick)
 }
 
 func (r *RM) schedule() {
@@ -524,7 +525,7 @@ func (r *RM) startDVC(j *Job) {
 	vc, err := r.mgr.AllocateOn(core.VCSpec{
 		Name:  vcName,
 		Nodes: j.Spec.Width,
-		VMRAM: r.cfg.VMRAM,
+		VMRAM: vmRAM,
 	}, j.nodes, func(vc *core.VirtualCluster) {
 		if _, err := vc.LaunchMPI(7000, func(int) mpi.App { return workload.NewBSPApp(j.Spec.Work) }); err != nil {
 			return

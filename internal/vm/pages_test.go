@@ -168,7 +168,7 @@ func TestCleanMarkSurvivesRestore(t *testing.T) {
 	d.Destroy()
 	e.k.RunFor(5 * sim.Second)
 
-	d2, err := e.hv(0).RestoreDomain(img, nil)
+	d2, err := e.hv(0).RestoreDomain(img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestDirtySaturationAfterRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Destroy()
-	d2, err := e.hv(0).RestoreDomain(img, nil)
+	d2, err := e.hv(0).RestoreDomain(img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,13 +333,13 @@ func TestRestoreRejectsMalformedPageTable(t *testing.T) {
 		bad := *img
 		bad.Pages = img.Pages.Clone()
 		tc.mangle(bad.Pages)
-		if _, err := e.hv(0).RestoreDomain(&bad, nil); err == nil {
+		if _, err := e.hv(0).RestoreDomain(&bad); err == nil {
 			t.Fatalf("%s: restore accepted a malformed page table", tc.name)
 		}
 	}
 	// The rejections left nothing behind: the intact image restores and
 	// captures again.
-	d2, err := e.hv(0).RestoreDomain(img, nil)
+	d2, err := e.hv(0).RestoreDomain(img)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func TestDomainRoundTripsThroughImage(t *testing.T) {
 				t.Fatal(err)
 			}
 			d.Destroy()
-			d2, err := e.hv(0).RestoreDomain(img, nil)
+			d2, err := e.hv(0).RestoreDomain(img)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +75,7 @@ func TestFullImageCarriesDirtyRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Destroy()
-	d2, err := e.hv(0).RestoreDomain(img, nil)
+	d2, err := e.hv(0).RestoreDomain(img)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -427,7 +427,7 @@ func (h *Hypervisor) CreateDomain(name string, addr netsim.Addr, ram int64, wd g
 // node. The caller charges RestoreDuration first (image load), then
 // calls Unpause. The image's address must not be attached anywhere —
 // destroy the original domain before restoring.
-func (h *Hypervisor) RestoreDomain(img *Image, wallClockOverride func() sim.Time) (*Domain, error) {
+func (h *Hypervisor) RestoreDomain(img *Image) (*Domain, error) {
 	if err := h.admit(img.DomainName, img.RAMBytes); err != nil {
 		return nil, err
 	}
@@ -446,11 +446,7 @@ func (h *Hypervisor) RestoreDomain(img *Image, wallClockOverride func() sim.Time
 	if err != nil {
 		return nil, fmt.Errorf("vm: restore %s: %w", img.DomainName, err)
 	}
-	wall := wallClockOverride
-	if wall == nil {
-		wall = h.node.Clock().Read
-	}
-	os := guest.Restore(h.kernel, h.fabric, snap, wall, h.cfg.CPUOverhead)
+	os := guest.Restore(h.kernel, h.fabric, snap, h.node.Clock().Read, h.cfg.CPUOverhead)
 	os.Stack().SetTracer(h.tracer, h.node.ID(), img.DomainName)
 	d := &Domain{name: img.DomainName, addr: img.Addr, ram: img.RAMBytes, hv: h, os: os, state: StatePaused, dirtyRate: img.DirtyRate}
 	// The restored guest's active time continues from the snapshot's

@@ -199,7 +199,7 @@ func TestSaveRestoreOnDifferentNode(t *testing.T) {
 	e.site.Nodes()[0].Fail()
 	e.k.RunFor(10 * sim.Second)
 
-	d2, err := e.hv(1).RestoreDomain(img, nil)
+	d2, err := e.hv(1).RestoreDomain(img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +227,11 @@ func TestRestoreRejectsAttachedAddress(t *testing.T) {
 	d.Pause()
 	img, _ := d.Capture(false)
 	// Original still attached: restore elsewhere must fail.
-	if _, err := e.hv(1).RestoreDomain(img, nil); err == nil {
+	if _, err := e.hv(1).RestoreDomain(img); err == nil {
 		t.Fatal("restore with address still attached accepted")
 	}
 	d.Destroy()
-	if _, err := e.hv(1).RestoreDomain(img, nil); err != nil {
+	if _, err := e.hv(1).RestoreDomain(img); err != nil {
 		t.Fatalf("restore after destroy failed: %v", err)
 	}
 }
@@ -351,7 +351,7 @@ func TestRestoreAcrossClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Destroy()
-	d2, err := hb.RestoreDomain(img, nil)
+	d2, err := hb.RestoreDomain(img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func TestCorruptedImageRefusedAtRestore(t *testing.T) {
 	flat := append([]byte(nil), img.Data.Flatten()...)
 	flat[len(flat)/2] ^= 0x40
 	img.Data = payload.Wrap(flat)
-	if _, err := e.hv(1).RestoreDomain(img, nil); err == nil {
+	if _, err := e.hv(1).RestoreDomain(img); err == nil {
 		t.Fatal("corrupted image restored without error")
 	}
 }

@@ -36,7 +36,6 @@ type MixConfig struct {
 	WorkMin      sim.Time
 	WorkMax      sim.Time
 	WidthWeights []float64 // optional weights matching Widths
-	FirstArrival sim.Time
 }
 
 // DefaultMix is a small-cluster job mix: mostly narrow jobs with some
@@ -51,10 +50,11 @@ func DefaultMix(count int) MixConfig {
 	}
 }
 
-// Generate draws a job trace from the config.
+// Generate draws a job trace from the config. The first job arrives at
+// time zero.
 func Generate(rng *rand.Rand, cfg MixConfig) []JobSpec {
 	jobs := make([]JobSpec, cfg.Count)
-	at := cfg.FirstArrival
+	var at sim.Time
 	for i := range jobs {
 		w := cfg.Widths[pickIdx(rng, cfg.Widths, cfg.WidthWeights)]
 		jobs[i] = JobSpec{

@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -119,63 +117,5 @@ func TestPropertyGenerateDeterministic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	in := Generate(rng, DefaultMix(10))
-	in[3].Stack = "rhel4-mpich"
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("round trip lost jobs: %d vs %d", len(out), len(in))
-	}
-	for i := range in {
-		if out[i].ID != in[i].ID || out[i].Width != in[i].Width || out[i].Stack != in[i].Stack {
-			t.Fatalf("job %d mismatch: %+v vs %+v", i, out[i], in[i])
-		}
-		// Durations survive within JSON float precision (sub-microsecond).
-		dw := out[i].Work - in[i].Work
-		if dw < 0 {
-			dw = -dw
-		}
-		if dw > sim.Microsecond {
-			t.Fatalf("job %d work drifted %v", i, dw)
-		}
-	}
-}
-
-func TestReadTraceSortsByArrival(t *testing.T) {
-	in := strings.NewReader(`[
-		{"id":"b","width":1,"work_sec":60,"arrival_sec":50},
-		{"id":"a","width":1,"work_sec":60,"arrival_sec":10}
-	]`)
-	out, err := ReadTrace(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0].ID != "a" || out[1].ID != "b" {
-		t.Fatalf("not sorted: %v %v", out[0].ID, out[1].ID)
-	}
-}
-
-func TestReadTraceRejectsBadJobs(t *testing.T) {
-	for name, body := range map[string]string{
-		"no-id":       `[{"width":1,"work_sec":1,"arrival_sec":0}]`,
-		"zero-width":  `[{"id":"x","width":0,"work_sec":1,"arrival_sec":0}]`,
-		"zero-work":   `[{"id":"x","width":1,"work_sec":0,"arrival_sec":0}]`,
-		"neg-arrival": `[{"id":"x","width":1,"work_sec":1,"arrival_sec":-5}]`,
-		"not-json":    `{{{`,
-	} {
-		if _, err := ReadTrace(strings.NewReader(body)); err == nil {
-			t.Fatalf("%s accepted", name)
-		}
 	}
 }

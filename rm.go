@@ -1,7 +1,6 @@
 package dvc
 
 import (
-	"io"
 	"math/rand"
 
 	"dvc/internal/rm"
@@ -9,7 +8,8 @@ import (
 )
 
 // Resource-manager surface: the Torque/Moab-style batch layer the paper
-// integrates DVC with. A ResourceManager executes job traces against the
+// integrates DVC with. A ResourceManager runs job mixes, generated in
+// process by GenerateTrace or GenerateTraceSeeded, against the
 // simulation's site, either natively (jobs die with their nodes and are
 // locked to matching software stacks) or on DVC virtual clusters with
 // periodic LSC checkpoints.
@@ -78,9 +78,3 @@ func (s *Simulation) GenerateTrace(cfg MixConfig) []JobSpec {
 func GenerateTraceSeeded(seed int64, cfg MixConfig) []JobSpec {
 	return workload.Generate(rand.New(rand.NewSource(seed)), cfg)
 }
-
-// WriteTrace serialises a trace as JSON.
-func WriteTrace(w io.Writer, trace []JobSpec) error { return workload.WriteTrace(w, trace) }
-
-// ReadTrace parses a JSON trace.
-func ReadTrace(r io.Reader) ([]JobSpec, error) { return workload.ReadTrace(r) }
