@@ -28,10 +28,12 @@ func midPingPongImage(tb testing.TB) payload.Bytes {
 
 // FuzzDecodeImage feeds arbitrary bytes to the image decoder. It must
 // return an error, never panic or allocate beyond a small multiple of
-// its input; an image it accepts must re-encode and decode again. The
-// committed corpus (testdata/fuzz/FuzzDecodeImage) holds a real image, a
-// truncated one, a trailer claiming 2^32-1 sections and an image whose
-// interface payload carries a wrong plan hash. Run:
+// its input; an image it accepts must have a TCP stack, re-encode and
+// decode again. The committed corpus (testdata/fuzz/FuzzDecodeImage)
+// holds a real image (real-image), its first half (truncated-image), a
+// valid trailer behind a process count of 2^32-1 (huge-count-trailer),
+// an image whose interface payload carries a wrong plan hash
+// (bad-plan-hash) and one whose guest has no stack (no-stack). Run:
 //
 //	go test -run '^$' -fuzz FuzzDecodeImage -fuzztime 15s ./internal/guest
 func FuzzDecodeImage(f *testing.F) {
@@ -40,6 +42,9 @@ func FuzzDecodeImage(f *testing.F) {
 		snap, err := DecodeImagePayload(payload.Wrap(data))
 		if err != nil {
 			return
+		}
+		if snap.Stack == nil {
+			t.Fatal("accepted an image without a TCP stack")
 		}
 		img, err := EncodeImagePayload(snap)
 		if err != nil {

@@ -1,9 +1,11 @@
 package guest
 
 import (
-	"io"
+	"encoding/binary"
+	"fmt"
 	"sort"
 
+	"dvc/internal/imgcodec"
 	"dvc/internal/netsim"
 	"dvc/internal/payload"
 	"dvc/internal/sim"
@@ -155,44 +157,89 @@ func Restore(k *sim.Kernel, fabric *netsim.Fabric, snap *Snapshot, wallClock fun
 	return o
 }
 
+// Image format. A checkpoint image is the Snapshot encoded as one
+// internal/imgcodec value, followed by a 12-byte trailer: the 64-bit
+// schema hash of Snapshot (little-endian), then the magic "DVC4". The
+// codec writes no type descriptors and orders map entries by key, so the
+// image bytes are a pure function of the guest state. The schema hash
+// covers Snapshot's wire layout; a build whose layout differs rejects
+// the image instead of misreading it. Interface payloads (programs, ops)
+// carry their own plan hashes.
+const (
+	imageMagic  = "DVC4"
+	trailerSize = 8 + len(imageMagic)
+)
+
+// schemaHash identifies the wire layout of Snapshot.
+var schemaHash = mustSchemaHash()
+
+func mustSchemaHash() uint64 {
+	h, err := imgcodec.SchemaHash(&Snapshot{})
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
+
+// exactWriter keeps a copy of the one Write imgcodec.Encode makes, in a
+// slice sized exactly for it and the trailer.
+type exactWriter struct{ buf []byte }
+
+func (w *exactWriter) Write(p []byte) (int, error) {
+	w.buf = append(make([]byte, 0, len(p)+trailerSize), p...)
+	return len(p), nil
+}
+
 // EncodeImagePayload serialises a snapshot into the byte image that
-// would be written to checkpoint storage, as a chunked payload rope. It
-// is the functional payload of a checkpoint file; the *modelled* image
-// size (all guest RAM) is larger and accounted separately by the vm
-// package.
+// would be written to checkpoint storage, as a one-chunk payload rope.
+// It is the functional payload of a checkpoint file; the *modelled*
+// image size (all guest RAM) is larger and accounted separately by the
+// vm package.
 //
-// The encoder streams directly into payload.Writer's fixed-size chunks,
-// which replaces the old bytes.Buffer + exact-size defensive copy: the
-// pre-rewrite path allocated (and memmoved) every image twice — once
-// growing the scratch buffer, once copying it out — every LSC epoch for
-// every VM in the set. The returned rope owns fresh chunks (images are
-// retained by the store, so there is nothing to recycle) and is
+// The codec encodes into its pooled scratch buffer, and the image is one
+// copy of that, so each capture allocates the image once. The returned
+// rope owns its buffer (images are retained by the store) and is
 // immutable per the payload contract.
 func EncodeImagePayload(snap *Snapshot) (payload.Bytes, error) {
-	w := payload.NewWriter(0)
-	if err := EncodeImageStream(snap, w); err != nil {
-		return payload.Bytes{}, err
+	var w exactWriter
+	if err := imgcodec.Encode(&w, snap); err != nil {
+		return payload.Bytes{}, fmt.Errorf("guest: encoding image: %w", err)
 	}
-	return w.Take(), nil
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, schemaHash)
+	w.buf = append(w.buf, imageMagic...)
+	return payload.Wrap(w.buf), nil
 }
 
-// EncodeImageStream encodes snap through an arbitrary writer — the
-// lowest-level encode entry point. The hypervisor tees the stream
-// through its checksummer so the image CRC is computed on the bytes
-// while they are hot in cache, instead of re-reading the whole image in
-// a second pass after the encode.
-//
-// The stream is the sectioned format (see sections.go): independently
-// encoded sections with a length trailer, so unchanged OS state
-// re-encodes to byte-identical chunks. A writer that implements Seal()
-// (payload.Writer) gets its chunk boundaries aligned with the section
-// boundaries, which lets the decoder read a one-chunk section in place.
-func EncodeImageStream(snap *Snapshot, w io.Writer) error {
-	return encodeImageSections(snap, w)
-}
-
-// DecodeImagePayload reverses EncodeImagePayload, decoding one section
-// at a time. Hostile input yields an error, never a panic.
+// DecodeImagePayload reverses EncodeImagePayload. Hostile input yields
+// an error, never a panic.
 func DecodeImagePayload(img payload.Bytes) (*Snapshot, error) {
-	return decodeImageSections(img)
+	// A captured image is one chunk, which flattens without a copy; the
+	// codec copies what it decodes, so the snapshot aliases nothing in img.
+	flat := img.Flatten()
+	n := len(flat) - trailerSize
+	if n < 0 {
+		return nil, fmt.Errorf("guest: image too short (%d bytes)", len(flat))
+	}
+	if magic := flat[n+8:]; string(magic) != imageMagic {
+		return nil, fmt.Errorf("guest: bad image magic %q", magic)
+	}
+	if h := binary.LittleEndian.Uint64(flat[n:]); h != schemaHash {
+		return nil, fmt.Errorf("guest: image schema %016x, this build reads %016x", h, schemaHash)
+	}
+	snap := new(Snapshot)
+	if err := imgcodec.Decode(flat[:n], snap); err != nil {
+		return nil, fmt.Errorf("guest: decoding image: %w", err)
+	}
+	// Every captured guest has a stack, and Restore rebuilds it first.
+	if snap.Stack == nil {
+		return nil, fmt.Errorf("guest: image has no TCP stack")
+	}
+	// Restore rebuilds the process table in image order, which must
+	// therefore be PID order (Snapshot writes it so).
+	for i := 1; i < len(snap.Procs); i++ {
+		if snap.Procs[i].PID <= snap.Procs[i-1].PID {
+			return nil, fmt.Errorf("guest: image process %d out of PID order", snap.Procs[i].PID)
+		}
+	}
+	return snap, nil
 }

@@ -4,8 +4,8 @@
 //
 // A plan is compiled once per process for each Go type the first time it
 // is encoded or decoded, and cached. Nothing type-describing goes on the
-// wire: the reader must know the static type, as the sectioned image
-// format does. So every encoding is self-contained — two encodings of
+// wire: the reader must know the static type, as the guest image format
+// does. So every encoding is self-contained — two encodings of
 // equal values are equal bytes, whatever else the process encoded first
 // — which is what makes image bytes replay deterministically.
 //
@@ -45,7 +45,7 @@ import (
 	"hash/fnv"
 	"io"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -608,20 +608,33 @@ func (b *compiler) compileMap(p *plan) error {
 	if err != nil {
 		return err
 	}
+	// Encoding copies the entries into one key slice and one value
+	// slice and sorts an index over them; decoding reuses one value and
+	// two keys (the current and the previous, for the order check), as
+	// SetMapIndex copies. Either way a map costs a fixed number of
+	// allocations, however many entries it holds.
+	kst, vst := reflect.SliceOf(kt), reflect.SliceOf(t.Elem())
+	ksize, vsize := kt.Size(), t.Elem().Size()
 	p.enc = func(e *encoder, ptr unsafe.Pointer) {
 		m := reflect.NewAt(t, ptr).Elem()
-		e.buf = binary.AppendUvarint(e.buf, uint64(m.Len()))
-		if m.Len() == 0 {
+		n := m.Len()
+		e.buf = binary.AppendUvarint(e.buf, uint64(n))
+		if n == 0 {
 			return
 		}
-		keys := m.MapKeys()
-		sort.Slice(keys, func(i, j int) bool { return keyCmp(keys[i], keys[j]) < 0 })
-		k, v := reflect.New(kt), reflect.New(t.Elem())
-		for _, key := range keys {
-			k.Elem().Set(key)
-			kp.enc(e, k.UnsafePointer())
-			v.Elem().Set(m.MapIndex(key))
-			vp.enc(e, v.UnsafePointer())
+		keys, vals := reflect.MakeSlice(kst, n, n), reflect.MakeSlice(vst, n, n)
+		order := make([]int, n)
+		it := m.MapRange()
+		for i := 0; it.Next(); i++ {
+			keys.Index(i).SetIterKey(it)
+			vals.Index(i).SetIterValue(it)
+			order[i] = i
+		}
+		slices.SortFunc(order, func(i, j int) int { return keyCmp(keys.Index(i), keys.Index(j)) })
+		kbase, vbase := keys.UnsafePointer(), vals.UnsafePointer()
+		for _, i := range order {
+			kp.enc(e, unsafe.Add(kbase, uintptr(i)*ksize))
+			vp.enc(e, unsafe.Add(vbase, uintptr(i)*vsize))
 		}
 	}
 	p.dec = func(d *decoder, ptr unsafe.Pointer) {
@@ -631,20 +644,21 @@ func (b *compiler) compileMap(p *plan) error {
 		}
 		m := reflect.MakeMapWithSize(t, n)
 		reflect.NewAt(t, ptr).Elem().Set(m)
-		var prev reflect.Value
+		k, prev, v := reflect.New(kt).Elem(), reflect.New(kt).Elem(), reflect.New(t.Elem()).Elem()
 		for i := 0; i < n && d.err == nil; i++ {
-			k, v := reflect.New(kt), reflect.New(t.Elem())
-			kp.dec(d, k.UnsafePointer())
-			vp.dec(d, v.UnsafePointer())
+			k.SetZero()
+			v.SetZero()
+			kp.dec(d, k.Addr().UnsafePointer())
+			vp.dec(d, v.Addr().UnsafePointer())
 			if d.err != nil {
 				return
 			}
-			if i > 0 && keyCmp(prev, k.Elem()) >= 0 {
+			if i > 0 && keyCmp(prev, k) >= 0 {
 				d.fail("map %s keys out of order", t)
 				return
 			}
-			prev = k.Elem()
-			m.SetMapIndex(prev, v.Elem())
+			m.SetMapIndex(k, v)
+			k, prev = prev, k
 		}
 	}
 	return nil
@@ -892,8 +906,9 @@ const maxPooledBuf = 4 << 20
 
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// Encode writes the encoding of *v to w in a single Write, so a sealing
-// writer sees each value as one unit. v must be a non-nil pointer.
+// Encode writes the encoding of *v to w in a single Write from a pooled
+// scratch buffer, which w must not retain: a writer that keeps the bytes
+// copies them once, at their final size. v must be a non-nil pointer.
 func Encode(w io.Writer, v any) error {
 	bp := bufPool.Get().(*[]byte)
 	buf, err := Append((*bp)[:0], v)

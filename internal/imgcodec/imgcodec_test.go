@@ -279,3 +279,42 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	w.buf = append(w.buf, p...)
 	return len(p), nil
 }
+
+// TestMapAllocsFlat: a map costs a fixed number of allocations to encode
+// and decode, whatever its size — entries are neither boxed one by one
+// on the way out nor allocated one by one on the way in. The sizes
+// compared share the runtime's map layout (one table: from 9 to 1024
+// slots); a map of at most 8 entries is a single group and takes two
+// allocations fewer.
+func TestMapAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	type entry struct {
+		A int
+		B uint16
+		C bool
+	}
+	allocs := func(n int) float64 {
+		m := make(map[int]entry, n)
+		for i := 0; i < n; i++ {
+			m[i*7-20] = entry{A: i, B: uint16(i), C: i%2 == 0}
+		}
+		buf := make([]byte, 0, 64*n)
+		var out map[int]entry
+		return testing.AllocsPerRun(50, func() {
+			b, err := Append(buf, &m)
+			if err == nil {
+				err = Decode(b, &out)
+			}
+			if err != nil || len(out) != n {
+				t.Fatalf("round trip of %d entries: %v (%d decoded)", n, err, len(out))
+			}
+		})
+	}
+	small, large := allocs(64), allocs(512)
+	t.Logf("allocations to encode and decode a map: %v at 64 entries, %v at 512", small, large)
+	if large > small {
+		t.Fatalf("a 512-entry map allocates %v times, a 64-entry one %v: allocations grow with entries", large, small)
+	}
+}

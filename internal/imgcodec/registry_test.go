@@ -201,9 +201,6 @@ func TestRegisteredPayloadsRoundTrip(t *testing.T) {
 // //dvc:checkpoint-root rather than by imgcodec.Register.
 var checkpointRootDirectives = []string{
 	"dvc/internal/guest.Snapshot",
-	"dvc/internal/guest.fdTable",
-	"dvc/internal/guest.imageMeta",
-	"dvc/internal/guest.stackSection",
 	"dvc/internal/tcp.StackSnapshot",
 	"dvc/internal/vm.Image",
 }

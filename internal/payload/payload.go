@@ -1,8 +1,7 @@
 // Package payload provides the zero-copy byte containers of the data
 // plane: an immutable chunked byte rope (Bytes) that the mpi, guest, tcp
 // and vm layers share instead of copying payload bytes at every layer
-// boundary, plus a chunked Writer for building large images (checkpoint
-// encodes) without exact-size defensive copies.
+// boundary. A checkpoint image is a one-chunk rope.
 //
 // # Immutability contract
 //

@@ -136,154 +136,3 @@ func TestSlicePanics(t *testing.T) {
 		}()
 	}
 }
-
-// TestWriterChunking drives the Writer with writes that straddle chunk
-// boundaries and verifies Take() returns the exact content (chunk
-// geometry is an implementation detail, but it must stay bounded), and
-// that the Writer resets for reuse.
-func TestWriterChunking(t *testing.T) {
-	w := NewWriter(8)
-	var model []byte
-	rng := rand.New(rand.NewSource(7))
-	writes := 0
-	for i := 0; i < 50; i++ {
-		p := make([]byte, rng.Intn(13))
-		for j := range p {
-			p[j] = byte(rng.Intn(256))
-		}
-		n, err := w.Write(p)
-		if n != len(p) || err != nil {
-			t.Fatalf("Write=%d,%v want %d,nil", n, err, len(p))
-		}
-		model = append(model, p...)
-		writes++
-		if w.Len() != len(model) {
-			t.Fatalf("Len=%d model=%d", w.Len(), len(model))
-		}
-	}
-	got := w.Take()
-	if !bytes.Equal(got.Flatten(), model) {
-		t.Fatalf("Take content mismatch")
-	}
-	// Small writes coalesce, large writes split: never more chunks than
-	// writes plus the per-chunk ceiling.
-	if max := writes + (len(model)+7)/8; got.NumChunks() > max {
-		t.Fatalf("NumChunks=%d exceeds bound %d", got.NumChunks(), max)
-	}
-	if w.Len() != 0 || w.Take().Len() != 0 {
-		t.Fatalf("Writer did not reset after Take")
-	}
-	// Zero value works.
-	var zw Writer
-	zw.Write([]byte("ok"))
-	if zw.Take().Len() != 2 {
-		t.Fatalf("zero-value Writer broken")
-	}
-}
-
-// TestWriterLargeWriteFastPath verifies that a write of at least one
-// chunk becomes its own exactly-sized chunk (no spare capacity for the
-// rope to pin), and that content round-trips across mixed small/large
-// writes.
-func TestWriterLargeWriteFastPath(t *testing.T) {
-	w := NewWriter(16)
-	var model []byte
-	small := []byte("abc")
-	big := bytes.Repeat([]byte("x"), 100)
-	for _, p := range [][]byte{small, big, small, big, big} {
-		w.Write(p)
-		model = append(model, p...)
-	}
-	got := w.Take()
-	if !bytes.Equal(got.Flatten(), model) {
-		t.Fatal("content mismatch")
-	}
-	for _, c := range got.Chunks() {
-		if cap(c) != len(c) {
-			t.Fatalf("chunk with spare capacity: len=%d cap=%d", len(c), cap(c))
-		}
-	}
-}
-
-// TestWriterTakeShrinksSparseTail verifies a mostly-empty tail chunk is
-// copied down to size instead of pinning its backing array.
-func TestWriterTakeShrinksSparseTail(t *testing.T) {
-	w := NewWriter(DefaultChunkSize)
-	w.Write([]byte("tiny"))
-	got := w.Take()
-	if got.NumChunks() != 1 {
-		t.Fatalf("NumChunks=%d", got.NumChunks())
-	}
-	if c := got.Chunks()[0]; cap(c) > 2*len(c) {
-		t.Fatalf("tail chunk pins cap=%d for len=%d", cap(c), len(c))
-	}
-}
-
-// TestWriterSealSectionLocalChunking is the property sectioned image
-// decoding rests on: a section's chunking depends only on that
-// section's bytes. Writing A then Seal then B must give B the same
-// chunks (same content, same boundaries) as writing B alone — even
-// though A consumed part of the geometric size ramp.
-func TestWriterSealSectionLocalChunking(t *testing.T) {
-	section := func(seed byte, n int) []byte {
-		out := make([]byte, n)
-		for i := range out {
-			out[i] = seed + byte(i*7)
-		}
-		return out
-	}
-	a, b := section(1, 10_000), section(2, 30_000)
-
-	var solo Writer
-	solo.Write(b)
-	solo.Seal()
-	want := solo.Take().Chunks()
-
-	var w Writer
-	w.Write(a)
-	w.Seal()
-	w.Write(b)
-	w.Seal()
-	all := w.Take()
-	// Skip past section A's chunks, then compare B's chunk geometry.
-	var aLen int
-	got := all.Chunks()
-	for len(got) > 0 && aLen < len(a) {
-		aLen += len(got[0])
-		got = got[1:]
-	}
-	if aLen != len(a) {
-		t.Fatalf("Seal did not close section A on a chunk boundary (covered %d of %d bytes)", aLen, len(a))
-	}
-	if len(got) != len(want) {
-		t.Fatalf("section B chunk count %d, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("section B chunk %d differs from solo encode", i)
-		}
-	}
-}
-
-// TestWriterSealEmptyAndContent checks Seal's edge cases: sealing with
-// no pending bytes is a no-op on content, and sealed content round-trips
-// byte-identically.
-func TestWriterSealEmptyAndContent(t *testing.T) {
-	var w Writer
-	w.Seal()
-	w.Write([]byte("abc"))
-	w.Seal()
-	w.Seal()
-	w.Write([]byte("def"))
-	w.Seal()
-	got := w.Take()
-	if string(got.Flatten()) != "abcdef" {
-		t.Fatalf("sealed content = %q", got.Flatten())
-	}
-	if got.NumChunks() != 2 {
-		t.Fatalf("got %d chunks, want one per sealed section", got.NumChunks())
-	}
-	if w.Len() != 0 {
-		t.Fatalf("Take did not reset the writer")
-	}
-}

@@ -90,10 +90,9 @@ func captureSaveSet(tb testing.TB, set []*Domain) int64 {
 // BenchmarkLSCSaveSet measures one coordinated LSC save set: capture an
 // image of every paused domain in the virtual cluster, exactly as the
 // Coordinator's save phase does once per epoch. The interesting numbers
-// are B/op and allocs/op per epoch: the pre-rewrite capture path encoded
-// each guest into a scratch buffer and then took an exact-size defensive
-// copy of the whole image, so every epoch allocated (and memmoved) every
-// image twice. TestLSCSaveSetImageBytes gates the image bytes. Run:
+// are B/op and allocs/op per epoch: each capture encodes into the
+// codec's pooled scratch buffer and allocates its image once, at its
+// exact size. TestLSCSaveSetImageBytes gates the image bytes. Run:
 //
 //	go test -run '^$' -bench BenchmarkLSCSaveSet -benchmem ./internal/vm
 func BenchmarkLSCSaveSet(b *testing.B) {
@@ -110,7 +109,7 @@ func BenchmarkLSCSaveSet(b *testing.B) {
 // saveSetImageBytes pins one save set's image bytes exactly. The image
 // codec writes no type descriptors and orders map entries by key, so the
 // encoded length is a pure function of guest state.
-const saveSetImageBytes = 8390048
+const saveSetImageBytes = 8389888
 
 // TestLSCSaveSetImageBytes is the image-size gate for one LSC save set
 // of BenchmarkLSCSaveSet's shape.

@@ -40,9 +40,6 @@ type XenConfig struct {
 	BootTime sim.Time
 	// Dom0Reserve is RAM kept by the control domain.
 	Dom0Reserve int64
-	// SaveRate and RestoreRate bound image dump/load speed in bytes/s;
-	// zero means use the node's disk bandwidth.
-	SaveRate, RestoreRate float64
 	// TemplateBytes is the leading span of guest RAM populated from the
 	// golden boot image and therefore byte-identical across every domain
 	// until first write. The delta-checkpoint page table names those
@@ -91,10 +88,10 @@ func (s DomainState) String() string {
 	}
 }
 
-// Image is a saved domain: the whole-VM checkpoint artifact. Data is a
-// chunked payload rope produced by the streaming encoder — the image is
-// immutable from the moment it is captured (the checksum enforces as
-// much at restore time), so the chunks are shared, never copied, as the
+// Image is a saved domain: the whole-VM checkpoint artifact. Data is
+// the one-chunk payload rope guest.EncodeImagePayload builds — the image
+// is immutable from the moment it is captured (the checksum enforces as
+// much at restore time), so its bytes are shared, never copied, as the
 // image moves through the store and restore paths.
 //
 //dvc:checkpoint-root
@@ -139,24 +136,6 @@ func imageChecksum(data payload.Bytes) uint32 {
 	}
 	return crc
 }
-
-// crcTee forwards writes to the underlying payload writer while folding
-// them into a running CRC-32, so capture checksums the image bytes as
-// they stream out of the encoder (hot in cache) instead of re-reading
-// the finished image in a second pass.
-type crcTee struct {
-	w   *payload.Writer
-	crc uint32
-}
-
-func (t *crcTee) Write(p []byte) (int, error) {
-	t.crc = crc32.Update(t.crc, crc32.IEEETable, p)
-	return t.w.Write(p)
-}
-
-// Seal forwards section boundaries to the payload writer, so image
-// chunk boundaries line up with the guest encoder's sections.
-func (t *crcTee) Seal() { t.w.Seal() }
 
 // Verify recomputes the payload checksum.
 func (img *Image) Verify() error {
@@ -244,14 +223,11 @@ func (d *Domain) Unpause() error {
 }
 
 // Capture snapshots a paused domain into an image. Capture itself is
-// state copying; the time to dump the image to disk or the wire is
-// charged by the caller via SaveDuration (hypervisors overlap dumps
-// across nodes, so pacing belongs to the orchestration layer).
+// state copying; the store charges the time to dump the image
+// (storage.Write's bandwidth model).
 //
-// The guest encoder streams directly into the image's chunks: the
-// pre-rewrite path encoded into a scratch buffer and took an exact-size
-// defensive copy of the whole image, so every LSC epoch allocated (and
-// memmoved) every image twice.
+// The image is one exactly sized buffer (guest.EncodeImagePayload),
+// checksummed in one pass once it is complete.
 //
 // Every capture is also a clean mark: the interval's dirt is folded
 // into the page table, and the image carries a copy of the table, so a
@@ -262,11 +238,10 @@ func (d *Domain) Capture(delta bool) (*Image, error) {
 	if d.state != StatePaused {
 		return nil, fmt.Errorf("vm: capture %s: domain is %v, must be paused", d.name, d.state)
 	}
-	tee := crcTee{w: payload.NewWriter(0)}
-	if err := guest.EncodeImageStream(d.os.Snapshot(), &tee); err != nil {
+	data, err := guest.EncodeImagePayload(d.os.Snapshot())
+	if err != nil {
 		return nil, fmt.Errorf("vm: capture %s: %w", d.name, err)
 	}
-	data := tee.w.Take()
 	dirty := d.fold()
 	d.hv.trace(obs.EvVMSave, d.name, "save", obs.Int("ram", d.ram))
 	d.hv.tracer.Inc("vm.saves", 1)
@@ -276,7 +251,7 @@ func (d *Domain) Capture(delta bool) (*Image, error) {
 		RAMBytes:     d.ram,
 		Data:         data,
 		CapturedAt:   d.hv.kernel.Now(),
-		Checksum:     tee.crc,
+		Checksum:     imageChecksum(data),
 		Pages:        d.pages.Clone(),
 		PayloadBytes: dirty + d.ram/512,
 		Delta:        delta,
@@ -424,9 +399,11 @@ func (h *Hypervisor) CreateDomain(name string, addr netsim.Addr, ram int64, wd g
 }
 
 // RestoreDomain materialises a saved image as a paused domain on this
-// node. The caller charges RestoreDuration first (image load), then
-// calls Unpause. The image's address must not be attached anywhere —
-// destroy the original domain before restoring.
+// node. The store charges the time to load the image (storage.Read's
+// bandwidth model); the caller then calls Unpause. The image's address
+// must not be attached anywhere — destroy the original domain before
+// restoring. An image that fails its checksum, its page-table check or
+// the guest image decoder is refused with an error.
 func (h *Hypervisor) RestoreDomain(img *Image) (*Domain, error) {
 	if err := h.admit(img.DomainName, img.RAMBytes); err != nil {
 		return nil, err
@@ -466,24 +443,6 @@ func (h *Hypervisor) RestoreDomain(img *Image) (*Domain, error) {
 	h.trace(obs.EvVMRestore, img.DomainName, "restore", obs.Int("ram", img.RAMBytes))
 	h.tracer.Inc("vm.restores", 1)
 	return d, nil
-}
-
-// SaveDuration models dumping ram bytes of guest memory to local disk.
-func (h *Hypervisor) SaveDuration(ram int64) sim.Time {
-	rate := h.cfg.SaveRate
-	if rate <= 0 {
-		rate = h.node.Spec().DiskBandwidth
-	}
-	return sim.Time(float64(ram) / rate * float64(sim.Second))
-}
-
-// RestoreDuration models loading ram bytes of guest memory from disk.
-func (h *Hypervisor) RestoreDuration(ram int64) sim.Time {
-	rate := h.cfg.RestoreRate
-	if rate <= 0 {
-		rate = h.node.Spec().DiskBandwidth
-	}
-	return sim.Time(float64(ram) / rate * float64(sim.Second))
 }
 
 // NativeOS boots a bare-metal OS directly on a node (no virtualisation):

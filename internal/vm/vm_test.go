@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"dvc/internal/guest"
@@ -258,23 +259,6 @@ func TestCreateOnDownNodeFails(t *testing.T) {
 	}
 }
 
-func TestSaveRestoreDurations(t *testing.T) {
-	e := newEnv(t, 1)
-	h := e.hv(0)
-	// 1 GiB at 60 MB/s ≈ 17.9s
-	d := h.SaveDuration(1 << 30)
-	if d < 15*sim.Second || d > 20*sim.Second {
-		t.Fatalf("SaveDuration(1GiB) = %v", d)
-	}
-	if h.RestoreDuration(1<<30) != d {
-		t.Fatal("restore rate should default to same disk bandwidth")
-	}
-	h.cfg.SaveRate = 120e6
-	if h.SaveDuration(1<<30) >= d {
-		t.Fatal("explicit SaveRate not honoured")
-	}
-}
-
 func TestDomainStateString(t *testing.T) {
 	if StateBooting.String() != "Booting" || StateDestroyed.String() != "Destroyed" {
 		t.Fatal("state strings wrong")
@@ -427,5 +411,20 @@ func TestCorruptedImageRefusedAtRestore(t *testing.T) {
 	img.Data = payload.Wrap(flat)
 	if _, err := e.hv(1).RestoreDomain(img); err == nil {
 		t.Fatal("corrupted image restored without error")
+	}
+}
+
+// TestRestoreRejectsStacklessImage: an image whose checksum matches but
+// whose guest has no TCP stack is refused with an error, not restored
+// into a nil dereference.
+func TestRestoreRejectsStacklessImage(t *testing.T) {
+	e := newEnv(t, 1)
+	data, err := guest.EncodeImagePayload(&guest.Snapshot{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := &Image{DomainName: "vm0", Addr: "vm0", RAMBytes: 1 << 30, Data: data, Checksum: imageChecksum(data)}
+	if _, err := e.hv(0).RestoreDomain(img); err == nil || !strings.Contains(err.Error(), "stack") {
+		t.Fatalf("stackless image: %v", err)
 	}
 }
