@@ -7,7 +7,6 @@
 //	dvcsim -exp all [-full]
 //	dvcsim -exp E2 -trials 1 -trace e2.jsonl
 //	dvcsim -exp E2 -report out/           # self-contained run artifact
-//	dvcsim -exp E2 -flight 2000           # ring buffer dumped on failure
 //	dvcsim -dc 1 -cluster 2 -host 4 -vm 4 # scale mode: generated topology
 //
 // Each experiment prints its table(s) followed by PASS/FAIL shape checks
@@ -27,16 +26,14 @@
 // exports Chrome trace_events for ui.perfetto.dev, and -query filters
 // and samples it deterministically (by type, node, domain, time window
 // or every Nth record). Tracing also prints (or, with -json, embeds) the
-// counter-registry snapshot.
+// counter-registry snapshot. The trace is flushed and closed on every
+// exit, so a run that fails a check, errors or panics keeps what it
+// recorded.
 //
 // -report dir/ writes a self-contained run artifact: config.json (the
 // run's flags), results.json (tables + checks), registry.json,
 // trace.jsonl, summary.json (per-type counts, span percentiles) and
 // series.jsonl (windowed registry metrics sampled on virtual time).
-//
-// -flight N retains the last N trace records in a ring buffer and dumps
-// them as JSONL when a shape check fails, a scale run fails or the run
-// panics — bounded observability for runs too big to trace in full.
 //
 // -dc selects scale mode: it generates -dc datacenters of -cluster
 // clusters of -host hosts, drives one -vm wide LSC job over them and
@@ -69,7 +66,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // experimentFlags are the flags scale mode rejects: it would ignore them.
 var experimentFlags = []string{"exp", "trials", "full", "json", "report"}
 
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("dvcsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fail := func(err error) int {
@@ -85,8 +82,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jsonOut  = fs.Bool("json", false, "emit results as JSON instead of tables")
 		traceOut = fs.String("trace", "", "stream a deterministic JSONL event trace to this file")
 		report   = fs.String("report", "", "write a self-contained run artifact into this directory")
-		flightN  = fs.Int("flight", 0, "retain the last N trace records; dumped on failed check, failed scale run or panic")
-		flightTo = fs.String("flight-out", "dvcsim-flight.jsonl", "flight-recorder dump path")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file at exit")
 		dcs      = fs.Int("dc", 0, "scale mode: generate this many datacenters (enables -cluster/-host/-vm)")
@@ -165,7 +160,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// identical stream.
 	var (
 		tracer  *dvc.Tracer
-		flight  *obs.FlightSink  // only with -flight
 		summary *obs.SummarySink // only with -report
 		sinks   []obs.Sink
 		closers []*os.File
@@ -190,31 +184,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		closers = append(closers, f)
 		sinks = append(sinks, obs.NewJSONLSink(f, 0))
 	}
-	if *flightN > 0 {
-		flight = obs.NewFlightSink(*flightN)
-		sinks = append(sinks, flight)
-	}
 	if len(sinks) > 0 {
 		tracer = obs.NewTracerWithSink(obs.Tee(sinks...))
 		opts.Tracer = tracer
+		// Every exit (an error, a failed check, a panic) flushes and
+		// closes the trace, so a failed run keeps what it recorded.
+		defer func() {
+			if err := closeTrace(tracer, closers); err != nil {
+				code = fail(err)
+			}
+		}()
 	}
-
-	// A panic mid-run still dumps the flight recorder before unwinding —
-	// the retained window is exactly what a crash investigation needs.
-	defer func() {
-		if r := recover(); r != nil {
-			dumpFlight(flight, *flightTo, stderr)
-			panic(r)
-		}
-	}()
 
 	if *dcs > 0 {
 		spec := dvc.ScaleSpec{DCs: *dcs, ClustersPerDC: *clusters, HostsPerCluster: *hosts, VMs: *vms}
-		ok, err := runScaleMode(stdout, spec, *seed, tracer, closers)
+		ok, err := runScaleMode(stdout, spec, *seed, tracer)
 		if err == nil && ok {
 			return 0
 		}
-		dumpFlight(flight, *flightTo, stderr)
 		if err != nil {
 			return fail(err)
 		}
@@ -238,16 +225,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if tracer != nil {
-		if err := tracer.Flush(); err != nil {
-			return fail(err)
-		}
 		if *report != "" {
 			if err := writeReport(*report, *exp, *seed, *trials, *full, results, tracer, summary); err != nil {
-				return fail(err)
-			}
-		}
-		for _, f := range closers {
-			if err := f.Close(); err != nil {
 				return fail(err)
 			}
 		}
@@ -281,7 +260,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if failed > 0 {
-		dumpFlight(flight, *flightTo, stderr)
 		fmt.Fprintf(stderr, "dvcsim: %d shape check(s) FAILED\n", failed)
 		return 1
 	}
@@ -292,7 +270,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // writeReport lays down the self-contained run artifact next to the
-// already-streamed trace.jsonl: config, results (tables + checks),
+// streamed trace.jsonl: config, results (tables + checks),
 // registry snapshot, streaming trace summary and the windowed metric
 // series. Every file's bytes are a pure function of the run.
 func writeReport(dir, exp string, seed int64, trials int, full bool,
@@ -328,7 +306,7 @@ func writeReport(dir, exp string, seed int64, trials int, full bool,
 // runScaleMode generates a -dc/-cluster/-host topology, drives the
 // reference LSC workload over it end-to-end, and prints throughput
 // figures. ok is false if the checkpoint or the job failed.
-func runScaleMode(stdout io.Writer, spec dvc.ScaleSpec, seed int64, tracer *dvc.Tracer, closers []*os.File) (ok bool, err error) {
+func runScaleMode(stdout io.Writer, spec dvc.ScaleSpec, seed int64, tracer *dvc.Tracer) (ok bool, err error) {
 	start := time.Now()
 	res, err := dvc.RunScale(seed, spec, tracer)
 	if err != nil {
@@ -353,31 +331,21 @@ func runScaleMode(stdout io.Writer, spec dvc.ScaleSpec, seed int64, tracer *dvc.
 	fmt.Fprintf(stdout, "scale: checkpoint=%v job=%v skew=%.2fms\n", res.CheckpointOK, res.JobOK, res.SaveSkew.Seconds()*1000)
 
 	if tracer != nil {
-		if err := tracer.Flush(); err != nil {
-			return false, err
-		}
 		fmt.Fprintf(stdout, "dvcsim: %d trace events recorded\n", tracer.Len())
-	}
-	for _, f := range closers {
-		if err := f.Close(); err != nil {
-			return false, err
-		}
 	}
 	return res.OK(), nil
 }
 
-// dumpFlight writes the flight recorder's retained window, if one is
-// armed and has records.
-func dumpFlight(flight *obs.FlightSink, path string, stderr io.Writer) {
-	if flight == nil || flight.Retained() == 0 {
-		return
+// closeTrace flushes the tracer and closes every trace file, reporting
+// the first error.
+func closeTrace(tracer *dvc.Tracer, files []*os.File) error {
+	err := tracer.Flush()
+	for _, f := range files {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
-	if err := writeFile(path, flight.Dump); err != nil {
-		fmt.Fprintln(stderr, "dvcsim: flight dump:", err)
-		return
-	}
-	fmt.Fprintf(stderr, "dvcsim: flight recorder dumped %d of %d records to %s\n",
-		flight.Retained(), flight.Total(), path)
+	return err
 }
 
 // writeFile writes one exporter's output to path.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dvc"
+	"dvc/internal/obs"
 )
 
 func TestList(t *testing.T) {
@@ -98,21 +99,27 @@ func TestScaleModeRejectsExperimentFlags(t *testing.T) {
 	}
 }
 
-// TestFailedScaleRunDumpsFlight: a scale run that cannot place its job
-// still dumps the flight recorder, as -flight promises.
-func TestFailedScaleRunDumpsFlight(t *testing.T) {
-	dump := filepath.Join(t.TempDir(), "flight.jsonl")
+// TestFailedScaleRunKeepsTrace: a scale run that cannot place its job
+// exits non-zero and still leaves the records it made (the kernel
+// probe's, at least) in its -trace file.
+func TestFailedScaleRunKeepsTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-dc", "1", "-cluster", "1", "-host", "2", "-vm", "4", "-flight", "50", "-flight-out", dump},
+	code := run([]string{"-dc", "1", "-cluster", "1", "-host", "2", "-vm", "4", "-trace", path},
 		&stdout, &stderr)
 	if code == 0 {
 		t.Fatalf("a 4-VM job on 2 hosts succeeded:\n%s", stdout.String())
 	}
-	raw, err := os.ReadFile(dump)
+	f, err := os.Open(path)
 	if err != nil {
-		t.Fatalf("no flight dump: %v (stderr %q)", err, stderr.String())
+		t.Fatalf("no trace: %v (stderr %q)", err, stderr.String())
 	}
-	if len(raw) == 0 {
-		t.Fatal("empty flight dump")
+	defer f.Close()
+	n := 0
+	if err := obs.DecodeJSONL(f, func(*obs.Record) error { n++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if n == 0 {
+		t.Fatalf("failed run left an empty trace (stderr %q)", stderr.String())
 	}
 }

@@ -40,7 +40,11 @@ func writeTrace(t *testing.T, dir, name string) string {
 
 func readRecords(t *testing.T, data []byte) []obs.Record {
 	t.Helper()
-	recs, err := obs.ReadJSONL(bytes.NewReader(data))
+	var recs []obs.Record
+	err := obs.DecodeJSONL(bytes.NewReader(data), func(r *obs.Record) error {
+		recs = append(recs, *r)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +110,11 @@ func TestConvertMatchesExporter(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := obs.WritePerfettoRecords(&want, readRecords(t, in)); err != nil {
+	if err := obs.ConvertJSONL(bytes.NewReader(in), &want); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("-convert output differs from WritePerfettoRecords:\n got: %s\nwant: %s", got, want.Bytes())
+		t.Fatalf("-convert output differs from ConvertJSONL:\n got: %s\nwant: %s", got, want.Bytes())
 	}
 }
 

@@ -130,10 +130,14 @@ var (
 	NaiveLSC = core.DefaultNaiveLSC
 	// NTPLSC is the working NTP-scheduled coordinator (§3.1-3.2).
 	NTPLSC = core.DefaultNTPLSC
-	// NewTracer creates an event/span recorder for SetTracer or
-	// ExperimentOptions.Tracer.
-	NewTracer = obs.NewTracer
 )
+
+// NewTracer creates an event/span recorder for SetTracer or
+// ExperimentOptions.Tracer that streams the trace to w as JSONL. Call
+// its Flush after the run; dvctrace reads the result.
+func NewTracer(w io.Writer) *Tracer {
+	return obs.NewTracerWithSink(obs.NewJSONLSink(w, 0))
+}
 
 // Simulation bundles a complete DVC environment: event kernel, physical
 // site, shared checkpoint store, DVC manager and LSC coordinator.

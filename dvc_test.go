@@ -1,7 +1,10 @@
 package dvc
 
 import (
+	"bytes"
 	"testing"
+
+	"dvc/internal/obs"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -20,6 +23,37 @@ func TestQuickstartFlow(t *testing.T) {
 	js := s.RunUntilJobDone(vc, 2*Hour)
 	if !js.AllOK() {
 		t.Fatalf("job status %+v", js)
+	}
+}
+
+// TestNewTracerStreamsJSONL: the facade tracer streams a traced
+// checkpoint to its writer as JSONL, readable once flushed.
+func TestNewTracerStreamsJSONL(t *testing.T) {
+	var w bytes.Buffer
+	tr := NewTracer(&w)
+	s := NewSimulation(42)
+	s.SetTracer(tr)
+	s.AddCluster("alpha", 2)
+	s.Start()
+	vc := s.MustAllocate(VCSpec{Name: "j", Nodes: 2, VMRAM: 256 << 20})
+	vc.LaunchMPI(6000, func(int) App { return NewHalo(600, 20*Millisecond, 1024) })
+	s.RunFor(Second)
+	s.MustCheckpoint(vc)
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	epochs := 0
+	err := obs.DecodeJSONL(&w, func(r *obs.Record) error {
+		if r.Type == obs.EvLSCEpoch {
+			epochs++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if epochs == 0 {
+		t.Fatalf("trace of %d records has no lsc.epoch record", tr.Len())
 	}
 }
 

@@ -46,13 +46,13 @@ func TestPartitionedMatchesSerial(t *testing.T) {
 		trace []byte
 	}
 	run := func(workers int) pOut {
-		tr := obs.NewTracer()
+		var buf bytes.Buffer
+		tr := obs.NewTracerWithSink(obs.NewJSONLSink(&buf, 0))
 		r, err := RunScalePartitioned(seed, spec, workers, tr)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		var buf bytes.Buffer
-		if err := tr.WriteJSONL(&buf); err != nil {
+		if err := tr.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		return pOut{res: r, trace: buf.Bytes()}

@@ -22,10 +22,10 @@ func BenchmarkTracerDisabled(b *testing.B) {
 	}
 }
 
-// BenchmarkTracerEnabled measures the enabled path into the memory sink:
-// one instant with one attribute per op.
+// BenchmarkTracerEnabled measures the enabled path into a Child's
+// buffer: one instant with one attribute per op.
 func BenchmarkTracerEnabled(b *testing.B) {
-	tr := NewTracer()
+	tr := childTracer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Emit(1, EvTCPRetransmit, "n0", "d0", "rexmit", Str("conn", "c0"))
@@ -35,7 +35,7 @@ func BenchmarkTracerEnabled(b *testing.B) {
 // BenchmarkTracerEnabledSpan measures a Begin/End pair on the enabled
 // path — the span table's allocate/free cycle plus two records.
 func BenchmarkTracerEnabledSpan(b *testing.B) {
-	tr := NewTracer()
+	tr := childTracer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		id := tr.Begin(1, EvLSCEpoch, "", "t", "epoch")
@@ -117,7 +117,7 @@ func TestTracerMemoryBounded(t *testing.T) {
 		id := tr.Begin(1, EvLSCEpoch, "", "t", "epoch")
 		tr.End(2, id)
 	}
-	if tr.Records() != nil {
+	if tr.mem != nil {
 		t.Fatal("streaming tracer retained records")
 	}
 	if len(tr.open) != 1 {

@@ -8,26 +8,22 @@ import (
 )
 
 // TestConvertJSONLMatchesGolden pins the offline conversion pipeline:
-// stream the golden trace as JSONL (what a JSONLSink run would leave on
+// encode the golden trace as JSONL (what a JSONLSink run would leave on
 // disk), convert it with ConvertJSONL, and require byte-equality with
-// both the exporter run over the in-memory records and the committed
+// both the exporter run over the records themselves and the committed
 // golden file. This is the contract that lets dvcsim never hold records
 // for Perfetto — dvctrace -convert reproduces the exact same bytes after
 // the fact.
 func TestConvertJSONLMatchesGolden(t *testing.T) {
-	tr := goldenTrace()
+	recs := records(goldenTrace())
 
 	var inProcess bytes.Buffer
-	if err := WritePerfettoRecords(&inProcess, tr.Records()); err != nil {
+	if err := writePerfetto(&inProcess, recs); err != nil {
 		t.Fatal(err)
 	}
 
-	var jsonl bytes.Buffer
-	if err := tr.WriteJSONL(&jsonl); err != nil {
-		t.Fatal(err)
-	}
 	var converted bytes.Buffer
-	if err := ConvertJSONL(bytes.NewReader(jsonl.Bytes()), &converted); err != nil {
+	if err := ConvertJSONL(bytes.NewReader(encodeJSONL(t, recs)), &converted); err != nil {
 		t.Fatal(err)
 	}
 
@@ -46,8 +42,7 @@ func TestConvertJSONLMatchesGolden(t *testing.T) {
 }
 
 // TestConvertJSONLStreamedInput runs the conversion over JSONL produced
-// by a streaming sink rather than the memory exporter — the actual
-// production path.
+// by a streaming tracer — the actual production path.
 func TestConvertJSONLStreamedInput(t *testing.T) {
 	var jsonl bytes.Buffer
 	st := NewTracerWithSink(NewJSONLSink(&jsonl, 64))
@@ -58,12 +53,12 @@ func TestConvertJSONLStreamedInput(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mem := NewTracer()
+	mem := childTracer()
 	ep2 := mem.Begin(0, EvLSCEpoch, "", "t", "epoch", Int("gen", 0))
 	mem.Emit(1000, EvVMPause, "nodeB", "vm1", "pause")
 	mem.End(4000, ep2, Str("outcome", "commit"))
 	var want bytes.Buffer
-	if err := WritePerfettoRecords(&want, mem.Records()); err != nil {
+	if err := writePerfetto(&want, records(mem)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -6,22 +6,6 @@ import (
 	"testing"
 )
 
-// encodeJSONL re-encodes records through the streaming sink.
-func encodeJSONL(t *testing.T, recs []Record) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf, 0)
-	for i := range recs {
-		if err := sink.WriteRecord(&recs[i]); err != nil {
-			t.Fatalf("encoding a decoded record: %v", err)
-		}
-	}
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // FuzzDecodeJSONL feeds arbitrary bytes to the JSONL trace decoder that
 // dvctrace reads untrusted traces through. It must return an error or
 // records, never panic. Every decoded record must pass through the
@@ -34,13 +18,13 @@ func encodeJSONL(t *testing.T, recs []Record) []byte {
 //
 //	go test -run '^$' -fuzz FuzzDecodeJSONL -fuzztime 10s ./internal/obs
 func FuzzDecodeJSONL(f *testing.F) {
-	tr := NewTracer()
+	var seed bytes.Buffer
+	tr := NewTracerWithSink(NewJSONLSink(&seed, 0))
 	ep := tr.Begin(10, EvLSCEpoch, "", "vc", "epoch", Str("gen", "0"))
 	tr.Emit(11, EvVMPause, "n0", "vc-vm00", "pause")
 	tr.Counter(12, EvSimProbe, "", "", "sim.queue_depth", 3)
 	tr.End(20, ep, Str("outcome", "commit"))
-	var seed bytes.Buffer
-	if err := tr.WriteJSONL(&seed); err != nil {
+	if err := tr.Flush(); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes())
@@ -58,11 +42,11 @@ func FuzzDecodeJSONL(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := WritePerfettoRecords(io.Discard, recs); err != nil {
+		if err := writePerfetto(io.Discard, recs); err != nil {
 			t.Fatalf("exporting decoded records: %v", err)
 		}
 		once := encodeJSONL(t, recs)
-		back, err := ReadJSONL(bytes.NewReader(once))
+		back, err := readJSONL(once)
 		if err != nil {
 			t.Fatalf("decoding a re-encoded trace: %v\n%s", err, once)
 		}

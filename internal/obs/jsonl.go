@@ -92,35 +92,6 @@ func (l *kvList) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// WriteJSONL writes the trace as one JSON object per line in emission
-// order. Output bytes are a pure function of the recorded events — and
-// identical to what a JSONLSink would have streamed, record for record
-// (both paths go through toJSONRecord and json.Encoder). Only a
-// memory-backed tracer can export after the fact; a streaming tracer
-// already sent its records to its sink.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	if t.mem == nil {
-		return fmt.Errorf("obs: tracer is not memory-backed; attach a JSONLSink to stream instead")
-	}
-	return WriteRecordsJSONL(w, t.mem.recs)
-}
-
-// WriteRecordsJSONL writes a record slice as JSONL, the same bytes per
-// record as Tracer.WriteJSONL and JSONLSink.
-func WriteRecordsJSONL(w io.Writer, recs []Record) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw) // Encode appends the newline
-	for i := range recs {
-		if err := enc.Encode(toJSONRecord(&recs[i])); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 func toJSONRecord(r *Record) jsonRecord {
 	jr := jsonRecord{
 		Seq:  r.Seq,
@@ -186,19 +157,4 @@ func DecodeJSONL(r io.Reader, fn func(rec *Record) error) error {
 		}
 	}
 	return sc.Err()
-}
-
-// ReadJSONL parses a JSONL trace back into a record slice. Tooling that
-// only needs one pass should prefer DecodeJSONL, which does not hold the
-// whole trace.
-func ReadJSONL(r io.Reader) ([]Record, error) {
-	var out []Record
-	err := DecodeJSONL(r, func(rec *Record) error {
-		out = append(out, *rec)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

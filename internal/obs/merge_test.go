@@ -11,7 +11,7 @@ import (
 // schedule directly — the property that keeps partitioned traces
 // byte-identical to the serial engine's.
 func TestMergeMatchesSerialEmission(t *testing.T) {
-	parent := NewTracer()
+	parent := childTracer()
 	c0, c1, c2 := parent.Child(), parent.Child(), parent.Child()
 
 	// Partition schedules, with a timestamp tie at t=10 (c0 before c1 by
@@ -36,7 +36,7 @@ func TestMergeMatchesSerialEmission(t *testing.T) {
 	parent.Merge(c0, c1, c2)
 
 	// The same global schedule emitted serially, in (TS, partition) order.
-	serial := NewTracer()
+	serial := childTracer()
 	serial.Emit(10, EvVMBoot, "p0-n0", "vm0", "boot")
 	serial.Emit(10, EvVMBoot, "p1-n0", "vm0", "boot")
 	t1 := serial.Begin(15, EvLSCStore, "", "p1", "store")
@@ -46,19 +46,13 @@ func TestMergeMatchesSerialEmission(t *testing.T) {
 	serial.Counter(35, EvSimProbe, "p0-n0", "", "queue", 3)
 	serial.End(40, t0, Str("outcome", "commit"))
 
-	var a, b bytes.Buffer
-	if err := serial.WriteJSONL(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := parent.WriteJSONL(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("merged trace differs from serial emission:\nserial:\n%s\nmerged:\n%s", a.String(), b.String())
+	a, b := encodeJSONL(t, records(serial)), encodeJSONL(t, records(parent))
+	if !bytes.Equal(a, b) {
+		t.Fatalf("merged trace differs from serial emission:\nserial:\n%s\nmerged:\n%s", a, b)
 	}
 
 	// Seqs dense from 0, span references intact across the interleave.
-	recs := parent.Records()
+	recs := records(parent)
 	for i, r := range recs {
 		if r.Seq != uint64(i) {
 			t.Fatalf("record %d has seq %d (seqs must be re-assigned densely)", i, r.Seq)
@@ -90,7 +84,7 @@ func TestMergeMatchesSerialEmission(t *testing.T) {
 // runtime-dependent.
 func TestMergeDeterministic(t *testing.T) {
 	build := func() []*Tracer {
-		c0, c1 := NewTracer(), NewTracer()
+		c0, c1 := childTracer(), childTracer()
 		c0.Emit(5, EvVMBoot, "a", "vm0", "boot")
 		s := c1.Begin(5, EvLSCEpoch, "", "t", "epoch")
 		c1.End(9, s)
@@ -99,9 +93,9 @@ func TestMergeDeterministic(t *testing.T) {
 	}
 	var out [2]bytes.Buffer
 	for i := range out {
-		p := NewTracer()
+		p := NewTracerWithSink(NewJSONLSink(&out[i], 0))
 		p.Merge(build()...)
-		if err := p.WriteJSONL(&out[i]); err != nil {
+		if err := p.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,9 +107,9 @@ func TestMergeDeterministic(t *testing.T) {
 // TestMergeNilSafety: nil parents and nil children are inert.
 func TestMergeNilSafety(t *testing.T) {
 	var nilT *Tracer
-	nilT.Merge(NewTracer()) // must not panic
+	nilT.Merge(childTracer()) // must not panic
 
-	parent := NewTracer()
+	parent := childTracer()
 	c := parent.Child()
 	c.Emit(1, EvVMBoot, "n0", "vm0", "boot")
 	parent.Merge(nil, c, nil)
@@ -124,14 +118,14 @@ func TestMergeNilSafety(t *testing.T) {
 	}
 }
 
-// TestMergeRejectsStreamingChild: children must be memory-backed — a
+// TestMergeRejectsStreamingChild: children must come from Child — a
 // streaming child has already shipped its records and cannot be merged.
 func TestMergeRejectsStreamingChild(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Merge accepted a non-memory-backed child")
+			t.Fatal("Merge accepted a child that did not come from Child")
 		}
 	}()
 	var buf bytes.Buffer
-	NewTracer().Merge(NewTracerWithSink(NewJSONLSink(&buf, 0)))
+	childTracer().Merge(NewTracerWithSink(NewJSONLSink(&buf, 0)))
 }

@@ -2,10 +2,11 @@
 // simulation core: a structured event/span recorder (Tracer) keyed off
 // sim.Time, a counter/gauge/histogram registry (Registry) with stable
 // sorted output, a windowed time-series of registry metrics (Series),
-// and a pluggable record pipeline (Sink) that decides where records go —
-// buffered in memory, streamed as JSONL through a fixed-size buffer,
-// retained in a flight-recorder ring, or filtered/sampled
-// deterministically.
+// and a record pipeline (Sink) that decides where records go: streamed
+// as JSONL through a fixed-size buffer (JSONLSink), folded into
+// per-type counts and span percentiles (SummarySink), or both (Tee).
+// A tracer keeps no records itself; only a Child buffers its trial's
+// records until Merge replays them into the parent.
 //
 // Determinism is part of the contract. Every record is timestamped with
 // virtual time supplied by the caller (components already hold the
@@ -13,13 +14,11 @@
 // exporters (JSONL and Chrome/Perfetto trace_events JSON) produce
 // byte-identical output for identical runs — the seed-replay tests in
 // internal/experiments hash the trace bytes of two runs and require
-// equality. The same holds per sink: the streaming JSONL sink emits the
-// exact bytes the memory sink would have exported, sampling is keyed on
-// record sequence numbers (never a random draw), and the flight
-// recorder's retained window is a pure function of the stream. The
-// tracer never reads the host clock and never spawns goroutines, so it
-// passes the dvclint determinism suite like the rest of the simulation
-// core.
+// equality. The JSONL bytes are the same at any buffer size and any
+// trial-pool size, and filtering and sampling (dvctrace -query) are
+// keyed on the record itself, never on a random draw. The tracer never
+// reads the host clock and never spawns goroutines, so it passes the
+// dvclint determinism suite like the rest of the simulation core.
 //
 // A nil *Tracer is the disabled tracer: every method is nil-receiver
 // safe and returns immediately, so instrumented hot paths pay only a
@@ -137,9 +136,8 @@ type Record struct {
 type SpanID uint64
 
 // openSpan is the identity a Begin leaves behind so its End can mirror
-// it without the tracer retaining the record stream (the streaming sinks
-// depend on this: memory is bounded by concurrently-open spans, not by
-// trace length).
+// it without the tracer retaining the record stream: memory is bounded
+// by concurrently-open spans, not by trace length.
 type openSpan struct {
 	seq             uint64
 	typ             EventType
@@ -148,37 +146,27 @@ type openSpan struct {
 }
 
 // Tracer records events and spans in emission order and forwards every
-// record to its Sink. It is single-threaded like the simulation kernel
-// it observes; a nil *Tracer is the disabled tracer and every method
-// no-ops.
+// record to its one Sink. It is single-threaded like the simulation
+// kernel it observes; a nil *Tracer is the disabled tracer and every
+// method no-ops.
 type Tracer struct {
 	sink Sink
-	mem  *MemorySink // non-nil when sink retains records in memory
-	next uint64      // next sequence number (== records emitted)
-	open []openSpan  // open-span table; SpanID = slot+1
-	free []int32     // reusable slots
-	err  error       // first sink error, sticky
+	mem  *memSink   // the buffer of a tracer made by Child; nil otherwise
+	next uint64     // next sequence number (== records emitted)
+	open []openSpan // open-span table; SpanID = slot+1
+	free []int32    // reusable slots
+	err  error      // first sink error, sticky
 
 	reg    *Registry
 	series *Series
 }
 
-// NewTracer creates an enabled tracer buffering records in memory (a
-// MemorySink), with an empty registry and series — the default for tests
-// and for trial tracers that Merge into a parent.
-func NewTracer() *Tracer { return NewTracerWithSink(NewMemorySink()) }
-
-// NewTracerWithSink creates an enabled tracer forwarding records to
-// sink. With any sink other than a MemorySink the tracer retains no
-// records: Records returns nil and WriteJSONL reports an error — stream
-// the JSONL through a JSONLSink and convert offline with dvctrace
-// instead.
+// NewTracerWithSink creates an enabled tracer forwarding every record to
+// sink, with an empty registry and series. The tracer retains no
+// records: stream the trace through a JSONLSink and read it back with
+// DecodeJSONL or dvctrace.
 func NewTracerWithSink(sink Sink) *Tracer {
-	t := &Tracer{sink: sink, reg: NewRegistry(), series: NewSeries()}
-	if m, ok := sink.(*MemorySink); ok {
-		t.mem = m
-	}
-	return t
+	return &Tracer{sink: sink, reg: NewRegistry(), series: NewSeries()}
 }
 
 // Enabled reports whether the tracer records anything.
@@ -199,16 +187,6 @@ func (t *Tracer) Series() *Series {
 		return nil
 	}
 	return t.series
-}
-
-// Records returns the recorded entries in emission order when the tracer
-// is memory-backed, nil otherwise. The slice is shared; callers must not
-// mutate it.
-func (t *Tracer) Records() []Record {
-	if t == nil || t.mem == nil {
-		return nil
-	}
-	return t.mem.recs
 }
 
 // Len reports how many records have been emitted (through any sink).
@@ -368,19 +346,21 @@ func (t *Tracer) counter(ts sim.Time, typ EventType, node, dom, name string, v f
 	t.emit(Record{TS: ts, Ph: PhaseCounter, Type: typ, Node: node, Dom: dom, Name: name, Value: v})
 }
 
-// Child returns a fresh, empty memory-backed tracer intended for one
-// parallel trial. A nil (disabled) parent returns a nil child, so
-// untraced runs stay untraced all the way down. Children are independent
+// Child returns a fresh, empty tracer for one parallel trial or one
+// partition, which buffers its records in memory: merging needs the
+// whole trial. A nil (disabled) parent returns a nil child, so untraced
+// runs stay untraced all the way down. Children are independent
 // single-threaded tracers; after the trial completes, hand them back to
-// the parent with Merge, one child per call in trial order. Children
-// buffer in memory by design — merging needs the whole trial — so the
-// parent's sink (streaming or otherwise) sees one trial at a time, in
-// trial order.
+// the parent with Merge, one child per call in trial order, so the
+// parent's sink sees one trial at a time, in trial order.
 func (t *Tracer) Child() *Tracer {
 	if t == nil {
 		return nil
 	}
-	return NewTracer()
+	m := &memSink{}
+	c := NewTracerWithSink(m)
+	c.mem = m
+	return c
 }
 
 // Merge interleaves the children's records into t ordered by
@@ -397,9 +377,9 @@ func (t *Tracer) Child() *Tracer {
 // event had been emitted directly on t. Parallel trials rely on this:
 // each trial records into a private child concurrently, and the parent
 // merges them back one child per call in trial-index order, reproducing
-// the emission order of the serial loop — and with a streaming parent
-// sink the records flow straight out, so the parent never holds more
-// than the sink's fixed buffer.
+// the emission order of the serial loop. The records flow straight out
+// through the parent's sink, so the parent never holds more than the
+// sink's fixed buffer.
 //
 // Sequence numbers are re-assigned densely in merge order and span
 // references are remapped through a per-child table (a Begin's new seq
@@ -411,7 +391,7 @@ func (t *Tracer) Child() *Tracer {
 // argument order: counters add, gauges last-write-wins in argument order
 // (as a serial run would), histograms append, series rows append. Nil
 // children (from a disabled parent) are ignored; Merge on a nil tracer
-// is a no-op. Children must be memory-backed (Child guarantees this).
+// is a no-op. Merge panics on a child that did not come from Child.
 func (t *Tracer) Merge(children ...*Tracer) {
 	if t == nil {
 		return
@@ -427,7 +407,7 @@ func (t *Tracer) Merge(children ...*Tracer) {
 			continue
 		}
 		if c.mem == nil {
-			panic("obs: Merge child is not memory-backed; children must come from Child()")
+			panic("obs: Merge child did not come from Child()")
 		}
 		cs = append(cs, &cursor{recs: c.mem.recs, remap: make([]uint64, len(c.mem.recs))})
 	}

@@ -8,6 +8,40 @@ import (
 	"dvc/internal/sim"
 )
 
+// childTracer returns a tracer that buffers its records, as a trial's
+// Child does, so a test can read them back.
+func childTracer() *Tracer { return NewTracerWithSink(nil).Child() }
+
+// records returns the records a Child-made tracer buffered.
+func records(tr *Tracer) []Record { return tr.mem.recs }
+
+// encodeJSONL encodes records through the streaming sink, the trace's
+// one encoder.
+func encodeJSONL(t testing.TB, recs []Record) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	sink := NewJSONLSink(&buf, 0)
+	for i := range recs {
+		if err := sink.WriteRecord(&recs[i]); err != nil {
+			t.Fatalf("encoding a record: %v", err)
+		}
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// readJSONL decodes a whole JSONL trace into a record slice.
+func readJSONL(data []byte) ([]Record, error) {
+	var out []Record
+	err := DecodeJSONL(bytes.NewReader(data), func(rec *Record) error {
+		out = append(out, *rec)
+		return nil
+	})
+	return out, err
+}
+
 func TestNilTracerIsInert(t *testing.T) {
 	var tr *Tracer
 	if tr.Enabled() {
@@ -23,7 +57,7 @@ func TestNilTracerIsInert(t *testing.T) {
 	tr.Inc("c", 1)
 	tr.Gauge("g", 1)
 	tr.Observe("h", 1)
-	if tr.Len() != 0 || tr.Records() != nil || tr.Registry() != nil {
+	if tr.Len() != 0 || tr.Registry() != nil {
 		t.Fatal("nil tracer recorded something")
 	}
 	var p *KernelProbe
@@ -31,14 +65,14 @@ func TestNilTracerIsInert(t *testing.T) {
 }
 
 func TestSpanPairing(t *testing.T) {
-	tr := NewTracer()
+	tr := childTracer()
 	tr.Emit(10, EvVMBoot, "n0", "d0", "boot", Str("os", "native"))
 	outer := tr.Begin(20, EvLSCEpoch, "", "vc", "epoch", Int("gen", 0))
 	inner := tr.Begin(30, EvLSCStore, "", "vc", "store")
 	tr.End(40, inner, Uint("bytes", 1024))
 	tr.End(50, outer)
 
-	recs := tr.Records()
+	recs := records(tr)
 	if len(recs) != 5 {
 		t.Fatalf("got %d records, want 5", len(recs))
 	}
@@ -64,7 +98,7 @@ func TestSpanPairing(t *testing.T) {
 }
 
 func TestEndGuards(t *testing.T) {
-	tr := NewTracer()
+	tr := childTracer()
 	tr.End(5, 0)  // zero id
 	tr.End(5, 99) // out of range
 	tr.Emit(1, EvVMBoot, "n", "d", "boot")
@@ -93,21 +127,17 @@ func TestAttrHelpers(t *testing.T) {
 }
 
 func TestJSONLRoundTrip(t *testing.T) {
-	tr := NewTracer()
+	tr := childTracer()
 	tr.Emit(100, EvTCPRetransmit, "n1", "d2", "rexmit", Str("conn", "c0"), Int("try", 2))
 	id := tr.Begin(200, EvLSCEpoch, "", "t", "epoch")
 	tr.Counter(250, EvSimProbe, "", "", "sim.queue_depth", 3.5)
 	tr.End(300, id, Str("outcome", "commit"))
 
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSONL(&buf)
+	want := records(tr)
+	got, err := readJSONL(encodeJSONL(t, want))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tr.Records()
 	if len(got) != len(want) {
 		t.Fatalf("round-trip length %d, want %d", len(got), len(want))
 	}
@@ -130,12 +160,12 @@ func TestJSONLRoundTrip(t *testing.T) {
 
 func TestJSONLByteStability(t *testing.T) {
 	build := func() []byte {
-		tr := NewTracer()
+		var buf bytes.Buffer
+		tr := NewTracerWithSink(NewJSONLSink(&buf, 0))
 		tr.Emit(1, EvVMPause, "n0", "dom-a", "pause", Str("why", "lsc"))
 		id := tr.Begin(2, EvLSCEpoch, "", "t", "epoch", Int("gen", 3))
 		tr.End(9, id)
-		var buf bytes.Buffer
-		if err := tr.WriteJSONL(&buf); err != nil {
+		if err := tr.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -197,15 +227,15 @@ func TestNilRegistry(t *testing.T) {
 func TestKernelProbeDeterministic(t *testing.T) {
 	run := func() []byte {
 		k := sim.NewKernel(1)
-		tr := NewTracer()
+		var buf bytes.Buffer
+		tr := NewTracerWithSink(NewJSONLSink(&buf, 0))
 		p := StartKernelProbe(k, tr, 100)
 		for i := 0; i < 5; i++ {
 			k.At(sim.Time(i*150), func() {})
 		}
 		k.RunUntil(500)
 		p.Stop()
-		var buf bytes.Buffer
-		if err := tr.WriteJSONL(&buf); err != nil {
+		if err := tr.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -224,7 +254,7 @@ func TestKernelProbeDisabled(t *testing.T) {
 	if p := StartKernelProbe(k, nil, 100); p != nil {
 		t.Fatal("nil tracer produced a live probe")
 	}
-	if p := StartKernelProbe(k, NewTracer(), 0); p != nil {
+	if p := StartKernelProbe(k, childTracer(), 0); p != nil {
 		t.Fatal("non-positive interval produced a live probe")
 	}
 	if k.Pending() != 0 {

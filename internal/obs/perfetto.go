@@ -43,11 +43,26 @@ type pfDoc struct {
 	DisplayTimeUnit string    `json:"displayTimeUnit"`
 }
 
-// WritePerfettoRecords writes a record slice as Chrome/Perfetto
-// trace_events JSON, loadable in ui.perfetto.dev or chrome://tracing.
-// Runs stream JSONL and convert it offline with dvctrace -convert
-// (ConvertJSONL), which produces the same bytes.
-func WritePerfettoRecords(w io.Writer, recs []Record) error {
+// ConvertJSONL converts a JSONL trace to Chrome/Perfetto trace_events
+// JSON, loadable in ui.perfetto.dev or chrome://tracing; dvctrace
+// -convert runs it on a recorded trace. The pid/tid metadata needs the
+// full node/domain universe and the event stream is (ts, seq)-sorted, so
+// conversion reads the whole trace (the golden-file test pins the
+// bytes).
+func ConvertJSONL(r io.Reader, w io.Writer) error {
+	var recs []Record
+	err := DecodeJSONL(r, func(rec *Record) error {
+		recs = append(recs, *rec)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	return writePerfetto(w, recs)
+}
+
+// writePerfetto writes a record slice as trace_events JSON.
+func writePerfetto(w io.Writer, recs []Record) error {
 	doc := pfDoc{TraceEvents: perfettoEvents(recs), DisplayTimeUnit: "ms"}
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
@@ -55,19 +70,6 @@ func WritePerfettoRecords(w io.Writer, recs []Record) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// ConvertJSONL converts a JSONL trace to trace_events JSON offline. The
-// pid/tid metadata needs the full node/domain universe and the event
-// stream is (ts, seq)-sorted, so conversion reads the whole trace; the
-// output is byte-identical to the in-process exporter's for the same
-// records (the golden-file test pins this).
-func ConvertJSONL(r io.Reader, w io.Writer) error {
-	recs, err := ReadJSONL(r)
-	if err != nil {
-		return err
-	}
-	return WritePerfettoRecords(w, recs)
 }
 
 // perfettoEvents builds the metadata + event stream.

@@ -15,7 +15,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden fi
 // the site process (empty node), host threads (empty dom), and a
 // second-trial timestamp restart that the exporter must re-sort.
 func goldenTrace() *Tracer {
-	tr := NewTracer()
+	tr := childTracer()
 	ep := tr.Begin(0, EvLSCEpoch, "", "t", "epoch", Int("gen", 0))
 	tr.Emit(1000, EvVMPause, "nodeB", "vm1", "pause")
 	tr.Emit(1500, EvVMPause, "nodeA", "vm0", "pause")
@@ -31,7 +31,7 @@ func goldenTrace() *Tracer {
 
 func TestPerfettoGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePerfettoRecords(&buf, goldenTrace().Records()); err != nil {
+	if err := writePerfetto(&buf, records(goldenTrace())); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join("testdata", "perfetto_golden.json")
@@ -54,7 +54,7 @@ func TestPerfettoGolden(t *testing.T) {
 
 func TestPerfettoValidAndSorted(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePerfettoRecords(&buf, goldenTrace().Records()); err != nil {
+	if err := writePerfetto(&buf, records(goldenTrace())); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -106,8 +106,7 @@ func TestPerfettoValidAndSorted(t *testing.T) {
 }
 
 func TestPerfettoPidTidAssignment(t *testing.T) {
-	tr := goldenTrace()
-	events := perfettoEvents(tr.Records())
+	events := perfettoEvents(records(goldenTrace()))
 
 	// pid 1 must be the synthetic site process, and its tid 1 the host
 	// thread; named nodes follow in sorted order.

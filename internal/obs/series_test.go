@@ -111,7 +111,7 @@ func TestSeriesMerge(t *testing.T) {
 
 func TestTracerSeriesViaProbe(t *testing.T) {
 	k := sim.NewKernel(1)
-	tr := NewTracer()
+	tr := childTracer()
 	p := StartKernelProbe(k, tr, 100)
 	for i := 0; i < 5; i++ {
 		k.At(sim.Time(i*150), func() {})

@@ -12,16 +12,15 @@ import (
 
 // Sink consumes trace records in final sequence order. The tracer owns
 // sequencing and span pairing; a sink only decides where the records go
-// (memory, a streaming writer, a flight-recorder ring) or which subset
-// survives (filter/sample). Sinks are single-threaded like the tracer
-// that feeds them and must be deterministic: the same record stream must
-// produce the same observable output, byte for byte where the output is
-// bytes.
+// (a streaming JSONL writer, a summary) and keeps nothing it does not
+// need. Sinks are single-threaded like the tracer that feeds them and
+// must be deterministic: the same record stream must produce the same
+// observable output, byte for byte where the output is bytes.
 //
 // Records handed to WriteRecord are owned by the tracer; a sink that
 // retains one past the call must copy the Record value (the Attrs slice
 // is immutable once emitted, so a shallow copy is sufficient — this is
-// what MemorySink and FlightSink do).
+// what a Child's buffer does).
 type Sink interface {
 	WriteRecord(r *Record) error
 	// Flush forces buffered output down to the underlying writer. The
@@ -30,37 +29,27 @@ type Sink interface {
 	Flush() error
 }
 
-// MemorySink buffers every record in memory — the pre-streaming tracer
-// behavior, kept as the default because tests and the in-process
-// Perfetto exporter need the full record slice.
-type MemorySink struct {
+// memSink buffers every record of a Child tracer until Merge replays
+// them into the parent. It is the only sink that holds records.
+type memSink struct {
 	recs []Record
 }
 
-// NewMemorySink creates an empty in-memory sink.
-func NewMemorySink() *MemorySink { return &MemorySink{} }
-
 // WriteRecord appends a copy of the record.
-func (s *MemorySink) WriteRecord(r *Record) error {
+func (s *memSink) WriteRecord(r *Record) error {
 	s.recs = append(s.recs, *r)
 	return nil
 }
 
 // Flush is a no-op.
-func (s *MemorySink) Flush() error { return nil }
-
-// Records returns the buffered records in emission order. The slice is
-// shared; callers must not mutate it.
-func (s *MemorySink) Records() []Record { return s.recs }
+func (s *memSink) Flush() error { return nil }
 
 // JSONLSink streams records as JSONL through a fixed-size buffer: one
-// encoded line per record, flushed whenever the buffer fills. Its output
-// is byte-identical to Tracer.WriteJSONL over the same record stream
-// (both feed toJSONRecord into an encoding/json Encoder), so switching a
-// run from the memory sink to the streaming sink changes peak tracer
-// memory from O(records) to O(bufSize) without moving a single output
-// byte — the sink-equivalence tests in internal/experiments prove this
-// on a full E2 run at several trial-pool sizes.
+// encoded line per record, flushed whenever the buffer fills. It is the
+// trace's one encoder, so peak tracer memory is O(bufSize) however long
+// the run, and the bytes do not depend on the buffer size or on the
+// trial-pool size (TestParallelMatchesSerial streams a 4-worker run
+// through a 4096-byte buffer and compares it with the serial run).
 type JSONLSink struct {
 	bw  *bufio.Writer
 	enc *json.Encoder
@@ -87,65 +76,6 @@ func (s *JSONLSink) WriteRecord(r *Record) error {
 
 // Flush drains the buffer to the underlying writer.
 func (s *JSONLSink) Flush() error { return s.bw.Flush() }
-
-// FlightSink is a fixed-size ring buffer holding the most recent
-// records — a flight recorder. It costs O(size) memory no matter how
-// long the run is; when something goes wrong (a panic, a failed shape
-// check) Dump writes the retained window as JSONL so the last moments
-// before the failure are inspectable with the same dvctrace tooling as
-// a full trace. Dump output is deterministic: it is a pure function of
-// the record stream and the ring size.
-type FlightSink struct {
-	ring  []Record
-	total int
-}
-
-// NewFlightSink creates a flight recorder retaining the last size
-// records (size < 1 is clamped to 1).
-func NewFlightSink(size int) *FlightSink {
-	if size < 1 {
-		size = 1
-	}
-	return &FlightSink{ring: make([]Record, size)}
-}
-
-// WriteRecord stores a copy of the record, evicting the oldest once the
-// ring is full.
-func (s *FlightSink) WriteRecord(r *Record) error {
-	s.ring[s.total%len(s.ring)] = *r
-	s.total++
-	return nil
-}
-
-// Flush is a no-op.
-func (s *FlightSink) Flush() error { return nil }
-
-// Total reports how many records passed through the recorder (not how
-// many are retained).
-func (s *FlightSink) Total() int { return s.total }
-
-// Retained reports how many records the ring currently holds.
-func (s *FlightSink) Retained() int {
-	if s.total < len(s.ring) {
-		return s.total
-	}
-	return len(s.ring)
-}
-
-// Dump writes the retained window, oldest record first, as JSONL.
-func (s *FlightSink) Dump(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	n := s.Retained()
-	start := s.total - n
-	for i := 0; i < n; i++ {
-		r := &s.ring[(start+i)%len(s.ring)]
-		if err := enc.Encode(toJSONRecord(r)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
 
 // FilterConfig selects a deterministic subset of a record stream
 // (dvctrace -query applies it to a recorded trace). All predicates are

@@ -23,13 +23,12 @@ func emitFixture(tr *Tracer) {
 	tr.Gauge("vm.count", 2)
 }
 
+// TestJSONLSinkMatchesMemoryExport: a stream through a tiny buffer
+// encodes the same bytes as a Child's buffered records.
 func TestJSONLSinkMatchesMemoryExport(t *testing.T) {
-	mem := NewTracer()
+	mem := childTracer()
 	emitFixture(mem)
-	var want bytes.Buffer
-	if err := mem.WriteJSONL(&want); err != nil {
-		t.Fatal(err)
-	}
+	want := encodeJSONL(t, records(mem))
 
 	// A tiny 64-byte buffer forces many mid-run flushes; bytes must not
 	// change.
@@ -40,29 +39,14 @@ func TestJSONLSinkMatchesMemoryExport(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("streaming sink bytes differ from memory export:\n got: %s\nwant: %s", got.Bytes(), want.Bytes())
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("streaming sink bytes differ from memory export:\n got: %s\nwant: %s", got.Bytes(), want)
 	}
-	if st.Records() != nil {
+	if st.mem != nil {
 		t.Fatal("streaming tracer retained records")
 	}
 	if st.Len() != mem.Len() {
 		t.Fatalf("streaming Len=%d, memory Len=%d", st.Len(), mem.Len())
-	}
-}
-
-func TestStreamingTracerRejectsInProcessExport(t *testing.T) {
-	st := NewTracerWithSink(NewJSONLSink(&bytes.Buffer{}, 0))
-	emitFixture(st)
-	if err := st.WriteJSONL(&bytes.Buffer{}); err == nil {
-		t.Fatal("WriteJSONL on a streaming tracer did not error")
-	}
-	if st.Records() != nil {
-		t.Fatal("streaming tracer retained records for an in-process export")
-	}
-	var nilTr *Tracer
-	if err := nilTr.WriteJSONL(&bytes.Buffer{}); err != nil {
-		t.Fatalf("nil tracer WriteJSONL = %v", err)
 	}
 }
 
@@ -90,46 +74,6 @@ func TestTracerSinkErrorIsSticky(t *testing.T) {
 	}
 	if err := st.Err(); !errors.Is(err, wantErr) {
 		t.Fatalf("Err = %v, want %v", err, wantErr)
-	}
-}
-
-func TestFlightSinkRetainsTail(t *testing.T) {
-	fs := NewFlightSink(3)
-	tr := NewTracerWithSink(fs)
-	for i := 0; i < 10; i++ {
-		tr.Emit(sim.Time(i), EvNetDrop, "n0", "", "drop", Int("i", int64(i)))
-	}
-	if fs.Total() != 10 || fs.Retained() != 3 {
-		t.Fatalf("Total=%d Retained=%d, want 10/3", fs.Total(), fs.Retained())
-	}
-	var buf bytes.Buffer
-	if err := fs.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("dump has %d records, want 3", len(recs))
-	}
-	for i, r := range recs {
-		if want := uint64(7 + i); r.Seq != want {
-			t.Fatalf("dump[%d].Seq = %d, want %d (oldest-first tail)", i, r.Seq, want)
-		}
-	}
-}
-
-func TestFlightSinkPartialFill(t *testing.T) {
-	fs := NewFlightSink(8)
-	tr := NewTracerWithSink(fs)
-	tr.Emit(1, EvNetDrop, "", "", "drop")
-	tr.Emit(2, EvNetDrop, "", "", "drop")
-	if fs.Total() != 2 || fs.Retained() != 2 {
-		t.Fatalf("Total=%d Retained=%d, want 2/2", fs.Total(), fs.Retained())
-	}
-	if NewFlightSink(0).ring == nil || len(NewFlightSink(-5).ring) != 1 {
-		t.Fatal("size clamp broken")
 	}
 }
 
@@ -169,17 +113,17 @@ func TestFilterConfigMatch(t *testing.T) {
 }
 
 func TestTee(t *testing.T) {
-	all := NewMemorySink()
-	flight := NewFlightSink(2)
-	tr := NewTracerWithSink(Tee(all, flight))
+	all := &memSink{}
+	summary := NewSummarySink()
+	tr := NewTracerWithSink(Tee(all, summary))
 	tr.Emit(1, EvNetDrop, "", "", "drop")
 	tr.Emit(2, EvVMPause, "n", "d", "pause")
 	tr.Emit(3, EvNetDrop, "", "", "drop")
-	if len(all.Records()) != 3 {
-		t.Fatalf("tee main leg has %d records, want 3", len(all.Records()))
+	if len(all.recs) != 3 {
+		t.Fatalf("tee main leg has %d records, want 3", len(all.recs))
 	}
-	if flight.Total() != 3 || flight.Retained() != 2 {
-		t.Fatalf("tee second leg saw %d records, kept %d; want 3, 2", flight.Total(), flight.Retained())
+	if summary.Total() != 3 || summary.CountByType(EvNetDrop) != 2 {
+		t.Fatalf("tee second leg saw %d records, %d drops; want 3, 2", summary.Total(), summary.CountByType(EvNetDrop))
 	}
 	// Tee with one sink returns it unwrapped.
 	if Tee(all) != Sink(all) {
@@ -231,7 +175,7 @@ func TestSummaryStreaming(t *testing.T) {
 }
 
 func TestSpanSlotReuse(t *testing.T) {
-	tr := NewTracer()
+	tr := childTracer()
 	a := tr.Begin(1, EvLSCEpoch, "", "t", "epoch")
 	tr.End(2, a)
 	b := tr.Begin(3, EvLSCStore, "", "t", "store")
@@ -241,7 +185,7 @@ func TestSpanSlotReuse(t *testing.T) {
 	// Double-End is inert; the reused slot's new identity is what Ends.
 	tr.End(4, a)
 	tr.End(5, a) // already closed
-	recs := tr.Records()
+	recs := records(tr)
 	if len(recs) != 4 {
 		t.Fatalf("got %d records, want 4", len(recs))
 	}
@@ -251,12 +195,12 @@ func TestSpanSlotReuse(t *testing.T) {
 }
 
 func TestSpliceIntoStreamingParent(t *testing.T) {
-	// Serial reference: everything emitted on one memory tracer.
-	serial := NewTracer()
-	emitFixture(serial)
-	emitFixture(serial)
+	// Serial reference: everything emitted on one streaming tracer.
 	var want bytes.Buffer
-	if err := serial.WriteJSONL(&want); err != nil {
+	serial := NewTracerWithSink(NewJSONLSink(&want, 0))
+	emitFixture(serial)
+	emitFixture(serial)
+	if err := serial.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -280,7 +224,7 @@ func TestSpliceIntoStreamingParent(t *testing.T) {
 }
 
 func TestSpliceRejectsStreamingChild(t *testing.T) {
-	parent := NewTracer()
+	parent := childTracer()
 	bad := NewTracerWithSink(NewJSONLSink(&bytes.Buffer{}, 0))
 	defer func() {
 		if recover() == nil {
@@ -291,10 +235,10 @@ func TestSpliceRejectsStreamingChild(t *testing.T) {
 }
 
 func TestDecodeJSONLStreams(t *testing.T) {
-	tr := NewTracer()
-	emitFixture(tr)
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	tr := NewTracerWithSink(NewJSONLSink(&buf, 0))
+	emitFixture(tr)
+	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	var seqs []uint64

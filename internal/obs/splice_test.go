@@ -33,12 +33,12 @@ func emitTrial(tr *Tracer, trial int) {
 func TestSpliceMatchesSerialEmission(t *testing.T) {
 	const trials = 5
 
-	serial := NewTracer()
+	serial := childTracer()
 	for i := 0; i < trials; i++ {
 		emitTrial(serial, i)
 	}
 
-	parent := NewTracer()
+	parent := childTracer()
 	children := make([]*Tracer, trials)
 	for i := 0; i < trials; i++ {
 		children[i] = parent.Child()
@@ -48,19 +48,13 @@ func TestSpliceMatchesSerialEmission(t *testing.T) {
 		parent.Merge(c)
 	}
 
-	var a, b bytes.Buffer
-	if err := serial.WriteJSONL(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := parent.WriteJSONL(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("spliced trace differs from serial emission:\nserial:\n%s\nspliced:\n%s", a.String(), b.String())
+	a, b := encodeJSONL(t, records(serial)), encodeJSONL(t, records(parent))
+	if !bytes.Equal(a, b) {
+		t.Fatalf("spliced trace differs from serial emission:\nserial:\n%s\nspliced:\n%s", a, b)
 	}
 
 	// Seqs must be dense from 0 and span references intact.
-	for i, r := range parent.Records() {
+	for i, r := range records(parent) {
 		if r.Seq != uint64(i) {
 			t.Fatalf("record %d has seq %d (seqs must be re-assigned densely)", i, r.Seq)
 		}
@@ -68,7 +62,7 @@ func TestSpliceMatchesSerialEmission(t *testing.T) {
 			t.Fatalf("begin record %d has span %d, want self-reference", i, r.Span)
 		}
 		if r.Ph == PhaseEnd {
-			begin := parent.Records()[r.Span]
+			begin := records(parent)[r.Span]
 			if begin.Ph != PhaseBegin || begin.Type != r.Type || begin.Name != r.Name {
 				t.Fatalf("end record %d references seq %d which is not its begin", i, r.Span)
 			}
@@ -98,9 +92,9 @@ func TestSpliceNilSafety(t *testing.T) {
 	if nilT.Child() != nil {
 		t.Fatal("nil.Child() must be nil")
 	}
-	nilT.Merge(NewTracer()) // must not panic
+	nilT.Merge(childTracer()) // must not panic
 
-	parent := NewTracer()
+	parent := childTracer()
 	c := parent.Child()
 	emitTrial(c, 0)
 	for _, child := range []*Tracer{nil, c, nil} {
@@ -115,13 +109,13 @@ func TestSpliceNilSafety(t *testing.T) {
 // the parent before and after a single-child merge keep a single dense
 // seq space.
 func TestSpliceInterleavedWithDirectEmission(t *testing.T) {
-	parent := NewTracer()
+	parent := childTracer()
 	parent.Emit(0, EvVMBoot, "n0", "vm0", "boot")
 	c := parent.Child()
 	emitTrial(c, 1)
 	parent.Merge(c)
 	parent.Emit(sim.Hour, EvVMDestroy, "n0", "vm0", "destroy")
-	for i, r := range parent.Records() {
+	for i, r := range records(parent) {
 		if r.Seq != uint64(i) {
 			t.Fatalf("record %d has seq %d", i, r.Seq)
 		}

@@ -53,14 +53,13 @@ func DefaultSpec() Spec {
 }
 
 // Node is one physical machine: a handle into the Site's
-// struct-of-arrays node tables. Only the fault callbacks live on the
+// struct-of-arrays node tables. Only the crash callbacks live on the
 // handle itself; identity, placement, spec and health are site state.
 type Node struct {
 	site *Site
 	idx  int32
 
-	onCrash  []*crashHook
-	onRepair []func()
+	onCrash []*crashHook
 }
 
 // crashHook is one OnCrash registration; its identity is what the
@@ -123,9 +122,6 @@ func (n *Node) OnCrash(fn func()) (unregister func()) {
 	}
 }
 
-// OnRepair registers a callback invoked when the node comes back.
-func (n *Node) OnRepair(fn func()) { n.onRepair = append(n.onRepair, fn) }
-
 // Fail crashes the node: everything it hosts dies.
 func (n *Node) Fail() {
 	if !n.site.up[n.idx] {
@@ -143,9 +139,6 @@ func (n *Node) Repair() {
 		return
 	}
 	n.site.up[n.idx] = true
-	for _, fn := range n.onRepair {
-		fn()
-	}
 }
 
 // Site is a collection of clusters sharing a fabric — the multi-cluster

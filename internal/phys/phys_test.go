@@ -90,9 +90,8 @@ func TestFailAndRepairCallbacks(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := DefaultSite(k)
 	n := s.AddCluster("a", 1, DefaultSpec(), netsim.EthernetGigE())[0]
-	crashed, repaired := 0, 0
+	crashed := 0
 	n.OnCrash(func() { crashed++ })
-	n.OnRepair(func() { repaired++ })
 	n.Fail()
 	n.Fail() // idempotent
 	if crashed != 1 || n.Up() {
@@ -100,8 +99,8 @@ func TestFailAndRepairCallbacks(t *testing.T) {
 	}
 	n.Repair()
 	n.Repair()
-	if repaired != 1 || !n.Up() {
-		t.Fatalf("repaired=%d up=%v", repaired, n.Up())
+	if !n.Up() {
+		t.Fatal("repaired node is down")
 	}
 }
 

@@ -13,6 +13,7 @@ package rm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dvc/internal/core"
@@ -152,22 +153,9 @@ type RM struct {
 	notYetArrived int
 	busyNodeTime  sim.Time // accumulated node-seconds of claimed time
 
-	// Free-node index. Nodes are ranked by their position in the site's
-	// ID-sorted listing; the heap yields free nodes in ID order without
-	// rescanning (or re-sorting) the whole site each tick. Entries are
-	// invalidated lazily: a crashed or re-claimed node stays in the heap
-	// until popped and discarded, and OnRepair/unclaim push nodes back.
-	// All slices are indexed by the node's dense site index, which is
-	// stable across site growth; everything is rebuilt by syncNodes when
-	// clusters are added.
-	claimedBy []*Job  // node index -> claiming job (nil = unclaimed)
-	rank      []int32 // node index -> position in ID-sorted order
-	heap      []int32 // min-heap of node indices ordered by rank
-	inHeap    []bool  // node index -> currently in heap
-	scratch   []*phys.Node
-	taken     []int32 // node index -> pass number that selected it
-	pass      int32   // current schedule pass
-	hooked    int     // nodes with OnRepair push-back hooks installed
+	// claimedBy maps a node's dense site index to the job claiming it
+	// (nil = unclaimed). freeNodes grows it as the site grows.
+	claimedBy []*Job
 
 	tickTimer *sim.Timer // scheduler tick; rearmed in place each pass
 	stopped   bool
@@ -294,120 +282,21 @@ func (r *RM) Stats() Stats {
 	return s
 }
 
-// syncNodes (re)builds the free-node index when the site has grown. It is
-// called lazily from the scheduling paths, so clusters may be added at any
-// point; node indices are stable, so existing claims survive a rebuild.
-func (r *RM) syncNodes() {
-	n := r.site.NodeCount()
-	if len(r.rank) == n {
-		return
+// freeNodes returns up to max up, unclaimed nodes in site order (by ID).
+func (r *RM) freeNodes(max int) []*phys.Node {
+	if n := r.site.NodeCount(); len(r.claimedBy) < n {
+		r.claimedBy = append(r.claimedBy, make([]*Job, n-len(r.claimedBy))...)
 	}
-	sorted := r.site.Nodes()
-	r.rank = make([]int32, n)
-	for pos, nd := range sorted {
-		r.rank[nd.Index()] = int32(pos)
-	}
-	old := r.claimedBy
-	r.claimedBy = make([]*Job, n)
-	copy(r.claimedBy, old)
-	r.inHeap = make([]bool, n)
-	r.heap = make([]int32, 0, n)
-	r.scratch = make([]*phys.Node, 0, n)
-	r.taken = make([]int32, n)
-	for _, nd := range sorted {
-		if r.claimedBy[nd.Index()] == nil {
-			r.pushFree(int32(nd.Index()))
-		}
-	}
-	for ; r.hooked < n; r.hooked++ {
-		idx := int32(r.hooked)
-		r.site.NodeAt(r.hooked).OnRepair(func() { r.pushFree(idx) })
-	}
-}
-
-// pushFree adds a node to the free heap (no-op if already present). The
-// backing array is preallocated by syncNodes and the inHeap dedup bounds
-// occupancy at one entry per node, so the reslice never grows.
-//
-//dvc:hotpath
-func (r *RM) pushFree(idx int32) {
-	if len(r.inHeap) <= int(idx) || r.inHeap[idx] {
-		return
-	}
-	r.inHeap[idx] = true
-	i := len(r.heap)
-	r.heap = r.heap[:i+1]
-	r.heap[i] = idx
-	for i > 0 {
-		parent := (i - 1) / 2
-		if r.rank[r.heap[parent]] <= r.rank[r.heap[i]] {
+	var out []*phys.Node
+	for _, n := range r.site.Nodes() {
+		if len(out) == max {
 			break
 		}
-		r.heap[parent], r.heap[i] = r.heap[i], r.heap[parent]
-		i = parent
-	}
-}
-
-// popFree removes and returns the lowest-ID free node, discarding stale
-// entries (nodes that crashed or were claimed while queued), or nil when
-// no free node remains.
-//
-//dvc:hotpath
-func (r *RM) popFree() *phys.Node {
-	for len(r.heap) > 0 {
-		idx := r.heap[0]
-		last := len(r.heap) - 1
-		r.heap[0] = r.heap[last]
-		r.heap = r.heap[:last]
-		i := 0
-		for {
-			l := 2*i + 1
-			if l >= last {
-				break
-			}
-			small := l
-			if rt := l + 1; rt < last && r.rank[r.heap[rt]] < r.rank[r.heap[l]] {
-				small = rt
-			}
-			if r.rank[r.heap[i]] <= r.rank[r.heap[small]] {
-				break
-			}
-			r.heap[i], r.heap[small] = r.heap[small], r.heap[i]
-			i = small
-		}
-		r.inHeap[idx] = false
-		nd := r.site.NodeAt(int(idx))
-		if nd.Up() && r.claimedBy[idx] == nil {
-			return nd
+		if n.Up() && r.claimedBy[n.Index()] == nil {
+			out = append(out, n)
 		}
 	}
-	return nil
-}
-
-// takeFree pops up to max free nodes, in ID order, into the reusable
-// scratch buffer. Callers must hand unclaimed entries back with
-// restoreFree before the pass ends.
-func (r *RM) takeFree(max int) []*phys.Node {
-	out := r.scratch[:0]
-	for len(out) < max {
-		nd := r.popFree()
-		if nd == nil {
-			break
-		}
-		out = append(out, nd)
-	}
-	r.scratch = out
 	return out
-}
-
-// restoreFree pushes back every node of a takeFree batch that was not
-// claimed during the pass.
-func (r *RM) restoreFree(batch []*phys.Node) {
-	for _, nd := range batch {
-		if r.claimedBy[nd.Index()] == nil {
-			r.pushFree(int32(nd.Index()))
-		}
-	}
 }
 
 // usable filters free nodes by a job's software-stack requirement. On
@@ -438,33 +327,26 @@ func (r *RM) tick() {
 	r.tickTimer.Reset(tick)
 }
 
+// schedule starts queued jobs on one snapshot of the free nodes. Each
+// started job's nodes leave the snapshot, so a pick whose start fails is
+// not reused in the same pass.
 func (r *RM) schedule() {
 	if len(r.queue) == 0 {
-		return // nothing queued: leave the heap untouched, O(1) tick
+		return
 	}
-	r.syncNodes()
-	r.pass++
-	free := r.takeFree(r.site.NodeCount())
+	free := r.freeNodes(r.site.NodeCount())
 	var stillQueued []*Job
 	for _, j := range r.queue {
-		var avail []*phys.Node
-		for _, n := range r.usable(free, j) {
-			if r.taken[n.Index()] != r.pass {
-				avail = append(avail, n)
-			}
-		}
-		if j.Spec.Width <= len(avail) {
-			sel := avail[:j.Spec.Width]
-			for _, n := range sel {
-				r.taken[n.Index()] = r.pass
-			}
-			r.start(j, sel)
-		} else {
+		avail := r.usable(free, j)
+		if j.Spec.Width > len(avail) {
 			stillQueued = append(stillQueued, j)
+			continue
 		}
+		sel := slices.Clone(avail[:j.Spec.Width])
+		free = slices.DeleteFunc(free, func(n *phys.Node) bool { return slices.Contains(sel, n) })
+		r.start(j, sel)
 	}
 	r.queue = stillQueued
-	r.restoreFree(free)
 }
 
 func (r *RM) claim(j *Job, nodes []*phys.Node) {
@@ -480,7 +362,6 @@ func (r *RM) unclaim(j *Job) {
 	for _, n := range j.nodes {
 		if r.claimedBy[n.Index()] == j {
 			r.claimedBy[n.Index()] = nil
-			r.pushFree(int32(n.Index()))
 		}
 	}
 	j.nodes = nil
@@ -493,7 +374,7 @@ func (r *RM) start(j *Job, nodes []*phys.Node) {
 	if j.StartAt == 0 && j.Attempt == 1 {
 		j.StartAt = r.kernel.Now()
 	}
-	r.claim(j, append([]*phys.Node(nil), nodes...))
+	r.claim(j, nodes)
 	r.running = append(r.running, j)
 	r.trace(obs.EvRMSchedule, j.Spec.ID, "schedule",
 		obs.Int("attempt", int64(j.Attempt)), obs.Int("width", int64(j.Spec.Width)))
@@ -712,13 +593,11 @@ func (r *RM) tryRecover(j *Job) {
 	if j.recovering {
 		return
 	}
-	r.syncNodes()
-	free := r.takeFree(j.Spec.Width)
+	free := r.freeNodes(j.Spec.Width)
 	if len(free) < j.Spec.Width {
-		r.restoreFree(free)
 		return // wait for capacity
 	}
-	r.claim(j, append([]*phys.Node(nil), free...))
+	r.claim(j, free)
 	j.recovering = true
 	r.coord.RestoreVC(j.vc, j.lastGoodGen, j.nodes, func(res *core.RestoreResult) {
 		j.recovering = false
