@@ -217,8 +217,8 @@ func lscImageBytesDigest(t *testing.T, seed int64) (string, int) {
 	rows := 0
 	for _, img := range res.Images {
 		fmt.Fprintf(h, "img %s %d\n", img.DomainName, img.Data.Len())
-		for _, c := range img.Data.Chunks() {
-			h.Write(c)
+		for k, n := 0, img.Data.NumChunks(); k < n; k++ {
+			h.Write(img.Data.Chunk(k))
 		}
 		snap, err := guest.DecodeImagePayload(img.Data)
 		if err != nil {

@@ -30,7 +30,7 @@ type computeProg struct {
 func (p *computeProg) Next(api *API, res Result) Op {
 	if p.I < p.Rounds {
 		p.I++
-		return Compute(p.Dur)
+		return api.Compute(p.Dur)
 	}
 	p.Done = true
 	api.Exit(0)
@@ -57,7 +57,7 @@ func (p *echoProg) Next(api *API, res Result) Op {
 		case 1:
 			p.FD = res.FD
 			p.PC = 2
-			return Recv(p.FD, p.Size)
+			return api.Recv(p.FD, p.Size)
 		case 2:
 			if res.EOF {
 				api.Exit(0)
@@ -77,7 +77,7 @@ func (p *echoProg) Next(api *API, res Result) Op {
 				return nil
 			}
 			p.PC = 2
-			return Recv(p.FD, p.Size)
+			return api.Recv(p.FD, p.Size)
 		default:
 			api.Exit(2)
 			return nil
@@ -129,7 +129,7 @@ func (p *pingProg) Next(api *API, res Result) Op {
 				return nil
 			}
 			p.PC = 4
-			return Recv(p.FD, p.Size)
+			return api.Recv(p.FD, p.Size)
 		case 4:
 			if res.Err != nil || res.EOF {
 				p.Fail = fmt.Sprintf("recv: %v eof=%v", res.Err, res.EOF)
@@ -567,7 +567,7 @@ func (p *apiProbeProg) Next(api *API, res Result) Op {
 		p.Wall = api.WallClock()
 		p.Jiff = api.Jiffies()
 		api.Log("probe from %s", p.Host)
-		return Compute(sim.Millisecond)
+		return api.Compute(sim.Millisecond)
 	}
 	api.Exit(0)
 	return nil

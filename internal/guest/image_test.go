@@ -51,7 +51,7 @@ func TestSectionedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(img.Chunks()); n != 1 {
+	if n := img.NumChunks(); n != 1 {
 		t.Fatalf("image is a rope of %d chunks, want one buffer", n)
 	}
 	got, err := DecodeImagePayload(img)

@@ -34,9 +34,6 @@ type ComputeOp struct {
 	Started  bool
 }
 
-// Compute returns an op that computes for d.
-func Compute(d sim.Time) *ComputeOp { return &ComputeOp{Duration: d} }
-
 func (op *ComputeOp) start(o *OS, p *Process) {
 	if !op.Started {
 		op.Started = true
@@ -91,13 +88,6 @@ func Send(fd int, data []byte) *SendOp {
 	return &SendOp{FD: fd, Data: payload.Wrap(data), Len: len(data)}
 }
 
-// SendPayload returns an op that writes a chunked rope to fd — the
-// entry point for layers (mpi framing) that assemble messages from
-// shared chunks without materialising them.
-func SendPayload(fd int, data payload.Bytes) *SendOp {
-	return &SendOp{FD: fd, Data: data, Len: data.Len()}
-}
-
 func (op *SendOp) start(o *OS, p *Process) {}
 
 func (op *SendOp) poll(o *OS, p *Process) (Result, bool) {
@@ -129,9 +119,6 @@ type RecvOp struct {
 	FD int
 	N  int
 }
-
-// Recv returns an op that reads exactly n bytes from fd.
-func Recv(fd, n int) *RecvOp { return &RecvOp{FD: fd, N: n} }
 
 func (op *RecvOp) start(o *OS, p *Process) {}
 

@@ -24,6 +24,7 @@ import (
 	"sort"
 
 	"dvc/internal/netsim"
+	"dvc/internal/payload"
 	"dvc/internal/sim"
 	"dvc/internal/tcp"
 )
@@ -77,6 +78,39 @@ func (a *API) Exit(code int) { a.proc.exitCode = code }
 // Hostname returns the guest's network address (its stable identity).
 func (a *API) Hostname() string { return string(a.os.stack.Addr()) }
 
+// Recv returns an op that reads exactly n bytes from fd. The op lives
+// in the process's own slot, so it allocates nothing; it stays valid
+// until the program's next Next call.
+//
+//dvc:hotpath
+func (a *API) Recv(fd, n int) *RecvOp {
+	op := &a.proc.recvOp
+	*op = RecvOp{FD: fd, N: n}
+	return op
+}
+
+// SendPayload returns an op that writes a chunked rope to fd, in the
+// process's own slot (see Recv). It is the entry point for layers (mpi
+// framing) that assemble messages from shared chunks without
+// materialising them.
+//
+//dvc:hotpath
+func (a *API) SendPayload(fd int, data payload.Bytes) *SendOp {
+	op := &a.proc.sendOp
+	*op = SendOp{FD: fd, Data: data, Len: data.Len()}
+	return op
+}
+
+// Compute returns an op that computes for d, in the process's own slot
+// (see Recv).
+//
+//dvc:hotpath
+func (a *API) Compute(d sim.Time) *ComputeOp {
+	op := &a.proc.computeOp
+	*op = ComputeOp{Duration: d}
+	return op
+}
+
 // Listen opens a listening port (idempotent for the same port).
 func (a *API) Listen(port uint16) {
 	for _, p := range a.os.listens {
@@ -96,6 +130,15 @@ type Process struct {
 	last     Result
 	exited   bool
 	exitCode int
+
+	// Op slots for the API's op methods. A process has at most one
+	// outstanding syscall, and Next is only called once cur has
+	// completed, so each slot is free to refill whenever the program
+	// asks for its next op. The image encodes cur by value, so a slot
+	// is never part of it.
+	recvOp    RecvOp
+	sendOp    SendOp
+	computeOp ComputeOp
 
 	// Timer support for Compute/Sleep ops; frozen with the VM. The timer
 	// is created lazily on first arm and rearmed in place thereafter
@@ -175,6 +218,13 @@ type OS struct {
 	pumpTimer     *sim.Timer
 	pumpScheduled bool
 
+	// wake and wakeErr are the connection callbacks wireConn installs,
+	// bound once per OS (bindWake) and shared by every connection, so
+	// wiring a connection, at connect, accept or restore, allocates no
+	// closures.
+	wake    func()
+	wakeErr func(error)
+
 	// exitNotify, when set, is invoked every time a process exits. Drivers
 	// (experiment harnesses, the facade) use it to halt the kernel and
 	// re-check completion predicates instead of polling on a fixed period.
@@ -203,6 +253,7 @@ func New(k *sim.Kernel, stack *tcp.Stack, wallClock func() sim.Time, cpuFactor f
 		wd:           wd,
 		wdLeft:       -1,
 	}
+	o.bindWake()
 	if wd.Interval > 0 {
 		o.wdLastWall = wallClock()
 		o.armWatchdog(wd.Interval)
@@ -310,12 +361,18 @@ func (o *OS) Listen(port uint16) {
 	})
 }
 
+// bindWake mints the OS's connection wake callbacks.
+func (o *OS) bindWake() {
+	o.wake = o.schedulePump
+	o.wakeErr = func(error) { o.schedulePump() }
+}
+
 // wireConn hooks a connection's callbacks to the scheduler.
 func (o *OS) wireConn(c *tcp.Conn) {
-	c.OnReadable = func() { o.schedulePump() }
-	c.OnEstablished = func() { o.schedulePump() }
-	c.OnError = func(error) { o.schedulePump() }
-	c.OnAck = func() { o.schedulePump() }
+	c.OnReadable = o.wake
+	c.OnEstablished = o.wake
+	c.OnError = o.wakeErr
+	c.OnAck = o.wake
 }
 
 // fdBinding is one descriptor: the connection key, which the image

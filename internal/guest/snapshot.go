@@ -112,6 +112,7 @@ func Restore(k *sim.Kernel, fabric *netsim.Fabric, snap *Snapshot, wallClock fun
 		wdLeft:       snap.WDLeft,
 		wdTimeouts:   snap.WDTimeout,
 	}
+	o.bindWake()
 	// The watchdog's last wall reference predates the save, so the first
 	// post-restore tick always sees a jump — one stall report per
 	// save/restore cycle, as the paper observed. Using zero (boot time)

@@ -11,12 +11,15 @@ import (
 // TestHaloRoundAllocations is the allocation gate for the steady-state
 // halo round on the hpcc -> mpi -> guest -> tcp -> netsim path, where Go
 // allocation and GC would otherwise dominate simulator host time. Message
-// bodies are shared slices of haloZeros and the guest scheduler walks its
-// PID-ordered table in place, so per rank-round the gate bounds allocated
-// bytes well below one body (a fresh body per send costs 2*MsgBytes) and
-// mallocs with headroom over the measured figure: a per-round body or a
-// per-pass process-list copy trips it. The world is deterministic (fixed
-// seed, fixed simulated span), so the figures are stable run to run.
+// bodies are shared slices of haloZeros, the guest scheduler walks its
+// PID-ordered table in place, ropes of up to two chunks are inline
+// values, guest ops live in per-process slots and TCP segments are
+// recycled at delivery. What is left per rank-round is the mpi layer's
+// own: its op structs (two sends, two receives, one compute) and one
+// encodeHeader buffer per send. A fresh body, a per-pass process-list
+// copy, a heap rope header, a heap guest op or an unrecycled segment
+// trips the gate. The world is deterministic (fixed seed, fixed
+// simulated span), so the figures are stable run to run.
 func TestHaloRoundAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
@@ -24,12 +27,12 @@ func TestHaloRoundAllocations(t *testing.T) {
 	const (
 		ranks    = 4
 		msgBytes = 4096
-		// Measured ~1.1 KB and 28 mallocs per rank-round (op structs,
-		// rope headers, TCP segments); fresh bodies and per-pass process
-		// lists measured ~9.8 KB and 62. The bounds leave headroom over
-		// the former and sit well below the latter.
-		maxBytesPerRound   = msgBytes / 2
-		maxMallocsPerRound = 32
+		// Measured ~272 B and 7.0 mallocs per rank-round (the mpi op
+		// structs and headers above). Before inline ropes, op slots and
+		// segment recycling the same round measured ~1.1 KB and 28
+		// mallocs. The bounds leave one malloc of headroom.
+		maxBytesPerRound   = 512
+		maxMallocsPerRound = 8
 	)
 	w := newWorld(t, ranks, func(int) mpi.App { return NewHalo(1<<30, 20*sim.Millisecond, msgBytes) })
 	rounds := func() int {

@@ -38,7 +38,7 @@ func (s *SeqJob) Next(api *guest.API, res guest.Result) guest.Op {
 	}
 	if s.I < s.Rounds {
 		s.I++
-		return guest.Compute(FlopsTime(s.RoundFlops, s.GFlops))
+		return api.Compute(FlopsTime(s.RoundFlops, s.GFlops))
 	}
 	if !s.Finished {
 		s.Finished = true

@@ -106,7 +106,7 @@ func (s *Stream) Next(api *guest.API, res guest.Result) guest.Op {
 		s.Phase = streamCopy
 		s.Pass++
 	}
-	return guest.Compute(d)
+	return api.Compute(d)
 }
 
 // verify checks the closed form after k full passes: the kernels form a

@@ -65,7 +65,7 @@ func Compute(d sim.Time) *ComputeOp { return &ComputeOp{Duration: d} }
 func (op *ComputeOp) step(rt *Runtime, api *guest.API, res guest.Result) (guest.Op, bool) {
 	if op.PC == 0 {
 		op.PC = 1
-		return guest.Compute(op.Duration), false
+		return api.Compute(op.Duration), false
 	}
 	return nil, true
 }
@@ -97,7 +97,7 @@ func (op *SendMsg) step(rt *Runtime, api *guest.API, res guest.Result) (guest.Op
 		// mpi -> guest -> tcp -> netsim by reference.
 		frame := payload.FromChunks(encodeHeader(op.Tag, len(op.Data)), op.Data)
 		op.Data = nil
-		return guest.SendPayload(rt.FDs[op.To], frame), false
+		return api.SendPayload(rt.FDs[op.To], frame), false
 	default:
 		return nil, true
 	}
@@ -125,7 +125,7 @@ func (op *RecvMsg) step(rt *Runtime, api *guest.API, res guest.Result) (guest.Op
 	switch op.PC {
 	case 0:
 		op.PC = 1
-		return guest.Recv(rt.FDs[op.From], headerSize), false
+		return api.Recv(rt.FDs[op.From], headerSize), false
 	case 1:
 		tag, n := decodeHeader(res.Data)
 		if tag != op.Tag {
@@ -138,7 +138,7 @@ func (op *RecvMsg) step(rt *Runtime, api *guest.API, res guest.Result) (guest.Op
 			return nil, true
 		}
 		op.PC = 2
-		return guest.Recv(rt.FDs[op.From], n), false
+		return api.Recv(rt.FDs[op.From], n), false
 	default:
 		op.Data = res.Data
 		return nil, true

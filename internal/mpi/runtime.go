@@ -218,7 +218,7 @@ func (op *initOp) step(rt *Runtime, api *guest.API, res guest.Result) (guest.Op,
 		case 5: // accepted: read hello
 			op.TmpFD = res.FD
 			op.PC = 6
-			return guest.Recv(op.TmpFD, helloSize), false
+			return api.Recv(op.TmpFD, helloSize), false
 		case 6: // hello received
 			if res.EOF || len(res.Data) != helloSize {
 				rt.Fail("init: bad hello")

@@ -35,110 +35,145 @@ import "fmt"
 // and share, flattened to a contiguous []byte only at true boundaries
 // (application delivery of multi-segment reads, checkpoint images).
 //
+// The first two chunks live inline (c0, c1), so the ropes the data
+// plane builds — one body, or an mpi header plus its body — are plain
+// values and cost no allocation. Chunks past the second spill into
+// rest, which is held by pointer to keep a rope at 64 bytes: the layers
+// pass ropes by value, and the compiler copies 64 bytes inline but
+// larger values through a runtime copy routine. Every chunk is
+// non-empty, and a slot is filled only if every slot before it is: c1
+// is empty unless c0 is set, rest is nil unless c1 is set.
+//
 // The zero value is an empty rope. Bytes values are compared with Equal,
 // not ==.
 type Bytes struct {
-	chunks [][]byte // every chunk is non-empty
+	c0, c1 []byte
+	rest   *[][]byte // chunks 2..n-1, or nil; never appended to once the rope is built
 	length int
 }
 
 // Wrap makes a single-chunk rope referencing b without copying. The
 // caller gives up the right to mutate b (see the package contract); an
 // empty or nil b yields the empty rope.
+//
+//dvc:hotpath
 func Wrap(b []byte) Bytes {
 	if len(b) == 0 {
 		return Bytes{}
 	}
-	return Bytes{chunks: [][]byte{b}, length: len(b)}
+	return Bytes{c0: b, length: len(b)}
 }
 
 // FromChunks makes a rope referencing the given parts without copying
 // (empty parts are skipped). It is the constructor the transport queues
-// use to assemble segment views that span chunk boundaries.
+// use to assemble segment views that span chunk boundaries; up to two
+// non-empty parts it allocates nothing.
+//
+//dvc:hotpath
 func FromChunks(parts ...[]byte) Bytes {
-	n := 0
+	var b Bytes
 	for _, p := range parts {
-		if len(p) > 0 {
-			n++
+		b.add(p)
+	}
+	return b
+}
+
+// add appends chunk c (skipped if empty) to a rope under construction,
+// filling the inline slots before spilling. Only the builder of a rope
+// calls it, before the rope is shared, so appending to rest never
+// writes into a slice another rope holds.
+//
+//dvc:hotpath
+func (b *Bytes) add(c []byte) {
+	switch {
+	case len(c) == 0:
+		return
+	case len(b.c0) == 0:
+		b.c0 = c
+	case len(b.c1) == 0:
+		b.c1 = c
+	default:
+		if b.rest == nil {
+			b.rest = new([][]byte) //lint:allow noalloc spill past two inline chunks; the data plane's ropes have at most two
 		}
+		*b.rest = append(*b.rest, c) //lint:allow noalloc spill past two inline chunks; the data plane's ropes have at most two
 	}
-	if n == 0 {
-		return Bytes{}
-	}
-	chunks := make([][]byte, 0, n)
-	length := 0
-	for _, p := range parts {
-		if len(p) > 0 {
-			chunks = append(chunks, p)
-			length += len(p)
-		}
-	}
-	return Bytes{chunks: chunks, length: length}
+	b.length += len(c)
 }
 
 // Len returns the total byte length.
 func (b Bytes) Len() int { return b.length }
 
 // NumChunks reports how many chunks back the rope (0 for the empty rope).
-func (b Bytes) NumChunks() int { return len(b.chunks) }
+func (b Bytes) NumChunks() int {
+	switch {
+	case len(b.c0) == 0:
+		return 0
+	case len(b.c1) == 0:
+		return 1
+	}
+	if b.rest == nil {
+		return 2
+	}
+	return 2 + len(*b.rest)
+}
 
-// Chunks returns the backing chunks in order. The returned slices are
-// shared: callers must treat both the descriptor slice and the chunk
+// Chunk returns the i-th backing chunk and panics unless
+// 0 <= i < NumChunks. The chunk is shared: callers must treat its
 // contents as read-only.
-func (b Bytes) Chunks() [][]byte { return b.chunks[:len(b.chunks):len(b.chunks)] }
+func (b Bytes) Chunk(i int) []byte {
+	switch {
+	case i == 0 && len(b.c0) > 0:
+		return b.c0
+	case i == 1 && len(b.c1) > 0:
+		return b.c1
+	}
+	return (*b.rest)[i-2] // panics for every index not served above: rest is nil or too short
+}
 
 // At returns the byte at index i (panics if out of range).
 func (b Bytes) At(i int) byte {
 	if i < 0 || i >= b.length {
 		panic(fmt.Sprintf("payload: index %d out of range [0,%d)", i, b.length))
 	}
-	for _, c := range b.chunks {
+	for k := 0; ; k++ {
+		c := b.Chunk(k)
 		if i < len(c) {
 			return c[i]
 		}
 		i -= len(c)
 	}
-	panic("payload: corrupted rope") // unreachable: length matches chunks
 }
 
 // Slice returns the sub-rope [i, j) as a view over the same chunks — no
 // bytes are copied. It panics on an invalid range, mirroring b[i:j].
+//
+//dvc:hotpath
 func (b Bytes) Slice(i, j int) Bytes {
 	if i < 0 || j < i || j > b.length {
 		panic(fmt.Sprintf("payload: slice [%d:%d] of %d bytes", i, j, b.length))
 	}
-	if i == j {
-		return Bytes{}
+	if i == 0 && j == b.length {
+		return b
 	}
-	out := Bytes{length: j - i}
+	var out Bytes
 	// Walk to the chunk containing i, then collect until j is covered.
-	for ci := 0; ci < len(b.chunks); ci++ {
-		c := b.chunks[ci]
+	for k := 0; j > 0; k++ {
+		c := b.Chunk(k)
 		if i >= len(c) {
 			i -= len(c)
 			j -= len(c)
 			continue
 		}
-		if j <= len(c) {
-			out.chunks = [][]byte{c[i:j:j]}
-			return out
+		end := len(c)
+		if j < end {
+			end = j
 		}
-		parts := make([][]byte, 0, 2)
-		parts = append(parts, c[i:len(c):len(c)])
+		out.add(c[i:end:end])
+		i = 0
 		j -= len(c)
-		for ci++; ci < len(b.chunks); ci++ {
-			c = b.chunks[ci]
-			if j <= len(c) {
-				parts = append(parts, c[:j:j])
-				out.chunks = parts
-				return out
-			}
-			parts = append(parts, c)
-			j -= len(c)
-		}
-		break
 	}
-	panic("payload: corrupted rope") // unreachable: length matches chunks
+	return out
 }
 
 // Concat returns the concatenation of b and q, sharing both ropes'
@@ -150,10 +185,14 @@ func (b Bytes) Concat(q Bytes) Bytes {
 	if q.length == 0 {
 		return b
 	}
-	chunks := make([][]byte, 0, len(b.chunks)+len(q.chunks))
-	chunks = append(chunks, b.chunks...)
-	chunks = append(chunks, q.chunks...)
-	return Bytes{chunks: chunks, length: b.length + q.length}
+	var out Bytes
+	for k, n := 0, b.NumChunks(); k < n; k++ {
+		out.add(b.Chunk(k))
+	}
+	for k, n := 0, q.NumChunks(); k < n; k++ {
+		out.add(q.Chunk(k))
+	}
+	return out
 }
 
 // Flatten returns the rope's content as one contiguous []byte. A
@@ -161,26 +200,22 @@ func (b Bytes) Concat(q Bytes) Bytes {
 // copy); multi-chunk ropes copy once. The result is governed by the
 // package immutability contract either way.
 func (b Bytes) Flatten() []byte {
-	switch len(b.chunks) {
+	switch b.NumChunks() {
 	case 0:
 		return []byte{}
 	case 1:
-		c := b.chunks[0]
-		return c[:len(c):len(c)]
+		return b.c0[:len(b.c0):len(b.c0)]
 	}
 	out := make([]byte, b.length)
-	off := 0
-	for _, c := range b.chunks {
-		off += copy(out[off:], c)
-	}
+	b.CopyTo(out)
 	return out
 }
 
 // AppendTo appends the rope's content to dst and returns the result,
 // copying through chunk boundaries.
 func (b Bytes) AppendTo(dst []byte) []byte {
-	for _, c := range b.chunks {
-		dst = append(dst, c...)
+	for k, n := 0, b.NumChunks(); k < n; k++ {
+		dst = append(dst, b.Chunk(k)...)
 	}
 	return dst
 }
@@ -189,8 +224,8 @@ func (b Bytes) AppendTo(dst []byte) []byte {
 // and returns the number of bytes copied.
 func (b Bytes) CopyTo(dst []byte) int {
 	off := 0
-	for _, c := range b.chunks {
-		off += copy(dst[off:], c)
+	for k, n := 0, b.NumChunks(); k < n; k++ {
+		off += copy(dst[off:], b.Chunk(k))
 	}
 	return off
 }
@@ -201,30 +236,26 @@ func (b Bytes) Equal(q Bytes) bool {
 	if b.length != q.length {
 		return false
 	}
-	bi, bo := 0, 0 // chunk index, offset within chunk
-	qi, qo := 0, 0
-	for bi < len(b.chunks) {
-		bc, qc := b.chunks[bi][bo:], q.chunks[qi][qo:]
-		n := len(bc)
-		if len(qc) < n {
-			n = len(qc)
+	var bc, qc []byte // unread rest of the current chunk of each rope
+	bi, qi := 0, 0    // index of the next chunk to load
+	for left := b.length; left > 0; {
+		if len(bc) == 0 {
+			bc, bi = b.Chunk(bi), bi+1
 		}
-		for k := 0; k < n; k++ {
-			if bc[k] != qc[k] {
-				return false
-			}
+		if len(qc) == 0 {
+			qc, qi = q.Chunk(qi), qi+1
 		}
-		if bo += n; bo == len(b.chunks[bi]) {
-			bi, bo = bi+1, 0
+		n := min(len(bc), len(qc))
+		if string(bc[:n]) != string(qc[:n]) {
+			return false
 		}
-		if qo += n; qo == len(q.chunks[qi]) {
-			qi, qo = qi+1, 0
-		}
+		bc, qc = bc[n:], qc[n:]
+		left -= n
 	}
 	return true
 }
 
 // String renders a short diagnostic form (not the content).
 func (b Bytes) String() string {
-	return fmt.Sprintf("payload.Bytes{len=%d chunks=%d}", b.length, len(b.chunks))
+	return fmt.Sprintf("payload.Bytes{len=%d chunks=%d}", b.length, b.NumChunks())
 }

@@ -6,16 +6,59 @@ import (
 	"testing"
 )
 
+// checkRope checks every read accessor of rope against its flat model:
+// Len, Flatten, At, CopyTo, AppendTo, Equal, and the chunk layout
+// (NumChunks non-empty chunks whose concatenation is the model).
+func checkRope(t *testing.T, rope Bytes, model []byte) {
+	t.Helper()
+	if rope.Len() != len(model) {
+		t.Fatalf("Len=%d model=%d", rope.Len(), len(model))
+	}
+	if got := rope.Flatten(); !bytes.Equal(got, model) {
+		t.Fatalf("Flatten mismatch: %d vs %d bytes", len(got), len(model))
+	}
+	if !rope.Equal(Wrap(append([]byte(nil), model...))) {
+		t.Fatalf("Equal(model wrap) = false")
+	}
+	var joined []byte
+	for k := 0; k < rope.NumChunks(); k++ {
+		c := rope.Chunk(k)
+		if len(c) == 0 {
+			t.Fatalf("chunk %d of %d is empty", k, rope.NumChunks())
+		}
+		joined = append(joined, c...)
+	}
+	if !bytes.Equal(joined, model) {
+		t.Fatalf("chunks join to %d bytes, model has %d", len(joined), len(model))
+	}
+	if n := len(model); n > 0 {
+		for _, i := range []int{0, n / 2, n - 1} {
+			if rope.At(i) != model[i] {
+				t.Fatalf("At(%d)=%d model=%d", i, rope.At(i), model[i])
+			}
+		}
+		dst := make([]byte, n)
+		if c := rope.CopyTo(dst); c != n || !bytes.Equal(dst, model) {
+			t.Fatalf("CopyTo copied %d/%d or mismatched", c, n)
+		}
+	}
+	if got := rope.AppendTo([]byte{0xEE}); !bytes.Equal(got, append([]byte{0xEE}, model...)) {
+		t.Fatalf("AppendTo mismatch")
+	}
+}
+
+// pair is a rope with its flat byte model.
+type pair struct {
+	rope  Bytes
+	model []byte
+}
+
 // TestBytesModel property-tests the rope against a plain []byte model:
 // every sequence of Wrap/FromChunks/Slice/Concat operations must produce
 // a rope whose Flatten equals the model's result, with At/Len/Equal/
 // CopyTo/AppendTo agreeing along the way.
 func TestBytesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	type pair struct {
-		rope  Bytes
-		model []byte
-	}
 	fill := func(n int) []byte {
 		b := make([]byte, n)
 		for i := range b {
@@ -23,33 +66,6 @@ func TestBytesModel(t *testing.T) {
 		}
 		return b
 	}
-	check := func(t *testing.T, p pair) {
-		t.Helper()
-		if p.rope.Len() != len(p.model) {
-			t.Fatalf("Len=%d model=%d", p.rope.Len(), len(p.model))
-		}
-		if got := p.rope.Flatten(); !bytes.Equal(got, p.model) {
-			t.Fatalf("Flatten mismatch: %d vs %d bytes", len(got), len(p.model))
-		}
-		if !p.rope.Equal(Wrap(append([]byte(nil), p.model...))) {
-			t.Fatalf("Equal(model wrap) = false")
-		}
-		if n := len(p.model); n > 0 {
-			for _, i := range []int{0, n / 2, n - 1} {
-				if p.rope.At(i) != p.model[i] {
-					t.Fatalf("At(%d)=%d model=%d", i, p.rope.At(i), p.model[i])
-				}
-			}
-			dst := make([]byte, n)
-			if c := p.rope.CopyTo(dst); c != n || !bytes.Equal(dst, p.model) {
-				t.Fatalf("CopyTo copied %d/%d or mismatched", c, n)
-			}
-		}
-		if got := p.rope.AppendTo([]byte{0xEE}); !bytes.Equal(got, append([]byte{0xEE}, p.model...)) {
-			t.Fatalf("AppendTo mismatch")
-		}
-	}
-
 	pool := []pair{{Bytes{}, nil}}
 	for step := 0; step < 2000; step++ {
 		var next pair
@@ -75,7 +91,7 @@ func TestBytesModel(t *testing.T) {
 			a, b := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
 			next = pair{a.rope.Concat(b.rope), append(append([]byte(nil), a.model...), b.model...)}
 		}
-		check(t, next)
+		checkRope(t, next.rope, next.model)
 		pool = append(pool, next)
 		if len(pool) > 64 {
 			pool = pool[len(pool)-64:]
@@ -134,5 +150,23 @@ func TestSlicePanics(t *testing.T) {
 			}()
 			r.Slice(tc[0], tc[1])
 		}()
+	}
+}
+
+// TestChunkPanics pins that Chunk panics outside [0, NumChunks) for
+// every layout: empty, one and two inline chunks, and a spill.
+func TestChunkPanics(t *testing.T) {
+	a, b, c := []byte{1}, []byte{2, 3}, []byte{4}
+	for _, r := range []Bytes{{}, Wrap(a), FromChunks(a, b), FromChunks(a, b, c)} {
+		for _, i := range []int{-1, r.NumChunks()} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("Chunk(%d) of %d chunks did not panic", i, r.NumChunks())
+					}
+				}()
+				r.Chunk(i)
+			}()
+		}
 	}
 }

@@ -194,7 +194,7 @@ func (c *Conn) Abort() {
 	if c.state == StateClosed || c.state == StateReset {
 		return
 	}
-	c.sendSegment(&Segment{Flags: FlagRST, Seq: c.sndNxt, Ack: c.rcvNxt})
+	c.sendCtl(FlagRST, c.sndNxt, c.rcvNxt)
 	c.teardown(StateClosed, nil)
 }
 
@@ -202,10 +202,19 @@ func (c *Conn) Abort() {
 
 func (c *Conn) now() sim.Time { return c.stack.kernel.Now() }
 
-func (c *Conn) sendSegment(seg *Segment) {
+// sendSegment transmits a segment carrying data to the peer, in a
+// segment record taken from the stack's free list.
+func (c *Conn) sendSegment(flags Flags, seq, ack uint64, data payload.Bytes) {
+	seg := c.stack.newSegment()
 	seg.SrcPort = c.key.LocalPort
 	seg.DstPort = c.key.RemotePort
+	seg.Flags, seg.Seq, seg.Ack, seg.Data = flags, seq, ack, data
 	c.stack.transmit(c.key.RemoteAddr, seg)
+}
+
+// sendCtl transmits a segment that carries no data.
+func (c *Conn) sendCtl(flags Flags, seq, ack uint64) {
+	c.sendSegment(flags, seq, ack, payload.Bytes{})
 }
 
 // trySend pushes new data/FIN within the send window and manages the
@@ -230,20 +239,19 @@ func (c *Conn) trySend() {
 		}
 		off := int(c.sndNxt - c.sndUna)
 		data := c.sendQ.view(off, n)
-		seg := &Segment{Flags: FlagACK, Seq: c.sndNxt, Ack: c.rcvNxt, Data: data}
 		// Time this segment for RTT if nothing is being timed.
 		if c.rttSeq == 0 {
 			c.rttSeq = c.sndNxt + uint64(n)
 			c.rttSentAt = c.now()
 			c.retransHit = false
 		}
-		c.sendSegment(seg)
+		c.sendSegment(FlagACK, c.sndNxt, c.rcvNxt, data)
 		c.sndNxt += uint64(n)
 		sent = true
 	}
 	// FIN once everything queued has been transmitted.
 	if c.closeRequested && !c.finSent && int(c.sndNxt-c.sndUna) == c.sendQ.len() {
-		c.sendSegment(&Segment{Flags: FlagFIN | FlagACK, Seq: c.sndNxt, Ack: c.rcvNxt})
+		c.sendCtl(FlagFIN|FlagACK, c.sndNxt, c.rcvNxt)
 		c.sndNxt++
 		c.finSent = true
 		if c.state == StateEstablished {
@@ -276,7 +284,7 @@ func (c *Conn) onTimeout() {
 	}
 	c.retries++
 	if c.retries > c.stack.cfg.MaxRetries {
-		c.sendSegment(&Segment{Flags: FlagRST, Seq: c.sndNxt, Ack: c.rcvNxt})
+		c.sendCtl(FlagRST, c.sndNxt, c.rcvNxt)
 		c.teardown(StateReset, ErrTimeout)
 		return
 	}
@@ -314,10 +322,10 @@ func (c *Conn) outstanding() uint64 {
 func (c *Conn) retransmitHead() {
 	switch c.state {
 	case StateSynSent:
-		c.sendSegment(&Segment{Flags: FlagSYN, Seq: 0})
+		c.sendCtl(FlagSYN, 0, 0)
 		return
 	case StateSynRcvd:
-		c.sendSegment(&Segment{Flags: FlagSYN | FlagACK, Seq: 0, Ack: c.rcvNxt})
+		c.sendCtl(FlagSYN|FlagACK, 0, c.rcvNxt)
 		return
 	}
 	dataLen := c.sendQ.len()
@@ -331,8 +339,7 @@ func (c *Conn) retransmitHead() {
 			n = avail
 		}
 		if n > 0 {
-			seg := &Segment{Flags: FlagACK, Seq: c.sndUna, Ack: c.rcvNxt, Data: c.sendQ.view(0, n)}
-			c.sendSegment(seg)
+			c.sendSegment(FlagACK, c.sndUna, c.rcvNxt, c.sendQ.view(0, n))
 			// Go-back-N: anything beyond the head is presumed lost and
 			// will be re-sent by trySend; a previously sent FIN moves
 			// back with it.
@@ -349,7 +356,7 @@ func (c *Conn) retransmitHead() {
 		}
 	}
 	if c.finSent && !c.finAcked {
-		c.sendSegment(&Segment{Flags: FlagFIN | FlagACK, Seq: c.sndNxt - 1, Ack: c.rcvNxt})
+		c.sendCtl(FlagFIN|FlagACK, c.sndNxt-1, c.rcvNxt)
 	}
 }
 
@@ -368,7 +375,7 @@ func (c *Conn) handle(seg *Segment) {
 			c.retries = 0
 			c.stopTimer()
 			// Pure ACK completes the handshake.
-			c.sendSegment(&Segment{Flags: FlagACK, Seq: c.sndNxt, Ack: c.rcvNxt})
+			c.sendCtl(FlagACK, c.sndNxt, c.rcvNxt)
 			if c.OnEstablished != nil {
 				c.OnEstablished()
 			}
@@ -378,7 +385,7 @@ func (c *Conn) handle(seg *Segment) {
 	case StateSynRcvd:
 		if seg.Flags.Has(FlagSYN) && !seg.Flags.Has(FlagACK) {
 			// Duplicate SYN: our SYN|ACK was lost.
-			c.sendSegment(&Segment{Flags: FlagSYN | FlagACK, Seq: 0, Ack: c.rcvNxt})
+			c.sendCtl(FlagSYN|FlagACK, 0, c.rcvNxt)
 			return
 		}
 		if seg.Flags.Has(FlagACK) && seg.Ack >= 1 {
@@ -394,7 +401,7 @@ func (c *Conn) handle(seg *Segment) {
 			return
 		}
 	case StateClosed, StateReset:
-		c.sendSegment(&Segment{Flags: FlagRST, Seq: c.sndNxt, Ack: c.rcvNxt})
+		c.sendCtl(FlagRST, c.sndNxt, c.rcvNxt)
 		return
 	}
 
@@ -589,7 +596,7 @@ func (c *Conn) maybeFinishClose() {
 }
 
 func (c *Conn) sendAck() {
-	c.sendSegment(&Segment{Flags: FlagACK, Seq: c.sndNxt, Ack: c.rcvNxt})
+	c.sendCtl(FlagACK, c.sndNxt, c.rcvNxt)
 }
 
 // teardown finalises the connection and notifies the owner on error.

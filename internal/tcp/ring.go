@@ -46,8 +46,8 @@ func (r *chunkRing) at(k int) []byte { return r.chunks[(r.head+k)%len(r.chunks)]
 //
 //dvc:hotpath
 func (r *chunkRing) push(b payload.Bytes) {
-	for _, c := range b.Chunks() {
-		r.pushChunk(c)
+	for k, n := 0, b.NumChunks(); k < n; k++ {
+		r.pushChunk(b.Chunk(k))
 	}
 }
 
@@ -115,16 +115,18 @@ func (r *chunkRing) view(off, n int) payload.Bytes {
 		// message- or segment-sized.
 		return payload.Wrap(c[off : off+n : off+n])
 	}
-	//lint:allow noalloc multi-chunk slow path only; the single-chunk fast path above is allocation-free
+	first := c[off:len(c):len(c)]
+	n -= len(first)
+	if next := r.at(k + 1); n <= len(next) {
+		// Two chunks (an mpi header and its body) make an inline rope.
+		return payload.FromChunks(first, next[:n:n])
+	}
+	//lint:allow noalloc views over three or more chunks only; one- and two-chunk views are allocation-free
 	parts := make([][]byte, 0, 4)
-	parts = append(parts, c[off:len(c):len(c)]) //lint:allow noalloc slow path; usually fits the 4-descriptor pre-size
-	n -= len(c) - off
+	parts = append(parts, first) //lint:allow noalloc slow path; usually fits the 4-descriptor pre-size
 	for k++; n > 0; k++ {
 		c = r.at(k)
-		take := n
-		if take > len(c) {
-			take = len(c)
-		}
+		take := min(n, len(c))
 		parts = append(parts, c[:take:take]) //lint:allow noalloc slow path; usually fits the 4-descriptor pre-size
 		n -= take
 	}

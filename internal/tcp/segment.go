@@ -72,11 +72,19 @@ const HeaderSize = 40
 // safe under the payload package's immutability contract — chunks are
 // never mutated once queued, and everything runs on one kernel's event
 // loop.
+//
+// A stack's segments are records from its free list (Stack.newSegment).
+// A delivered segment belongs to the receiving stack, which recycles it
+// once Conn.handle returns: the receive queue and the out-of-order stash
+// keep rope values, never the *Segment. A segment dropped on the wire or
+// at a frozen stack is left to the GC.
 type Segment struct {
 	SrcPort, DstPort uint16
 	Seq, Ack         uint64
 	Flags            Flags
 	Data             payload.Bytes
+
+	next *Segment // free-list link
 }
 
 // WireSize is the segment's size on the fabric.

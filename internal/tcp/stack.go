@@ -46,6 +46,10 @@ type Stack struct {
 	frozen    bool
 	resets    uint64
 
+	// freeSegs is the segment free list (see Segment): Deliver returns
+	// each handled segment to it, and newSegment takes from it.
+	freeSegs *Segment
+
 	// Observability. The tracer is not part of the snapshot: the owner
 	// (vm/rm layer) re-attaches it after a restore, exactly like the
 	// connection callbacks.
@@ -125,7 +129,7 @@ func (s *Stack) Connect(raddr netsim.Addr, rport uint16) *Conn {
 		timerLeft: -1,
 	}
 	s.conns[key] = c
-	c.sendSegment(&Segment{Flags: FlagSYN, Seq: 0})
+	c.sendCtl(FlagSYN, 0, 0)
 	c.armTimer(c.rto)
 	return c
 }
@@ -197,11 +201,33 @@ func lessKey(a, b ConnKey) bool {
 	return a.RemotePort < b.RemotePort
 }
 
+// newSegment takes a zeroed segment from the free list, minting one only
+// when the list is dry.
+//
+//dvc:hotpath
+func (s *Stack) newSegment() *Segment {
+	seg := s.freeSegs
+	if seg == nil {
+		return new(Segment) //lint:allow noalloc minted once per free-list entry, only when the list is dry
+	}
+	s.freeSegs = seg.next
+	seg.next = nil
+	return seg
+}
+
+// recycle returns a segment nothing references any more to the free list,
+// dropping its payload reference for the GC.
+func (s *Stack) recycle(seg *Segment) {
+	*seg = Segment{next: s.freeSegs}
+	s.freeSegs = seg
+}
+
 // transmit puts a segment on the fabric. Frozen stacks cannot transmit;
 // that can only happen from a stale event and is silently dropped (the
 // wire would drop it anyway).
 func (s *Stack) transmit(dst netsim.Addr, seg *Segment) {
 	if s.frozen {
+		s.recycle(seg)
 		return
 	}
 	s.SegmentsSent++
@@ -209,7 +235,9 @@ func (s *Stack) transmit(dst netsim.Addr, seg *Segment) {
 }
 
 // Deliver feeds an incoming packet into the stack. The owner wires the
-// netsim port's handler to this method.
+// netsim port's handler to this method. A segment that reaches a running
+// stack is recycled once handled; one that reaches a frozen stack is
+// lost on the wire and left to the GC.
 func (s *Stack) Deliver(pkt netsim.Packet) {
 	if s.frozen {
 		return // paused guest: lost on the wire
@@ -222,9 +250,16 @@ func (s *Stack) Deliver(pkt netsim.Packet) {
 	key := ConnKey{LocalPort: seg.DstPort, RemoteAddr: pkt.Src, RemotePort: seg.SrcPort}
 	if c, ok := s.conns[key]; ok {
 		c.handle(seg)
-		return
+	} else {
+		s.handleUnbound(key, pkt.Src, seg)
 	}
-	// No connection: a SYN to a listening port creates one.
+	s.recycle(seg)
+}
+
+// handleUnbound answers a segment that matches no connection: a SYN to a
+// listening port creates one; anything else but an RST is answered with
+// an RST.
+func (s *Stack) handleUnbound(key ConnKey, src netsim.Addr, seg *Segment) {
 	if seg.Flags.Has(FlagSYN) && !seg.Flags.Has(FlagACK) {
 		if _, listening := s.listeners[seg.DstPort]; listening {
 			c := &Conn{
@@ -236,17 +271,15 @@ func (s *Stack) Deliver(pkt netsim.Packet) {
 				timerLeft: -1,
 			}
 			s.conns[key] = c
-			c.sendSegment(&Segment{Flags: FlagSYN | FlagACK, Seq: 0, Ack: 1})
+			c.sendCtl(FlagSYN|FlagACK, 0, 1)
 			c.armTimer(c.rto)
 			return
 		}
 	}
-	// Segment for a dead connection: answer with RST unless it is an RST.
 	if !seg.Flags.Has(FlagRST) {
-		s.SegmentsSent++
-		s.fabric.Send(netsim.Packet{Src: s.addr, Dst: pkt.Src, Size: HeaderSize, Payload: &Segment{
-			SrcPort: seg.DstPort, DstPort: seg.SrcPort, Flags: FlagRST, Seq: seg.Ack, Ack: seg.Seq,
-		}})
+		rst := s.newSegment()
+		*rst = Segment{SrcPort: seg.DstPort, DstPort: seg.SrcPort, Flags: FlagRST, Seq: seg.Ack, Ack: seg.Seq}
+		s.transmit(src, rst)
 	}
 }
 

@@ -131,8 +131,8 @@ type Image struct {
 // concatenation).
 func imageChecksum(data payload.Bytes) uint32 {
 	var crc uint32
-	for _, c := range data.Chunks() {
-		crc = crc32.Update(crc, crc32.IEEETable, c)
+	for k, n := 0, data.NumChunks(); k < n; k++ {
+		crc = crc32.Update(crc, crc32.IEEETable, data.Chunk(k))
 	}
 	return crc
 }

@@ -29,7 +29,7 @@ type workerProg struct {
 func (p *workerProg) Next(api *guest.API, res guest.Result) guest.Op {
 	if p.I < p.Rounds {
 		p.I++
-		return guest.Compute(p.Dur)
+		return api.Compute(p.Dur)
 	}
 	api.Exit(0)
 	return nil
