@@ -22,9 +22,9 @@
 //	fleetscope    - fleet worker closures must not capture kernel state
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
-// (Analyzer / Pass / Diagnostic, analysistest-style fixtures) but is
-// self-contained on the standard library so the module stays
-// dependency-free. Type information comes from go/types; package loading
+// (Analyzer / Pass / Diagnostic, analysistest-style fixtures, run by this
+// package's tests) but is self-contained on the standard library so the
+// module stays dependency-free. Type information comes from go/types; package loading
 // (cmd/dvclint, internal/analysis/loader) resolves imports through the
 // build cache's export data via `go list -export`.
 //
@@ -97,7 +97,7 @@ type Diagnostic struct {
 }
 
 // Package bundles the inputs shared by every analyzer run over one
-// package. Loaders (internal/analysis/loader, analysistest) construct it.
+// package. internal/analysis/loader constructs it.
 type Package struct {
 	PkgPath string
 	Fset    *token.FileSet

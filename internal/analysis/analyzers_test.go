@@ -10,30 +10,29 @@ import (
 	"testing"
 
 	"dvc/internal/analysis"
-	"dvc/internal/analysis/analysistest"
 )
 
 // Each analyzer is exercised against a fixture package with both positive
 // (// want) and negative cases, including the //lint:allow escape hatch.
 
-func TestNoWallClock(t *testing.T)   { analysistest.Run(t, analysis.NoWallClock, "nowallclock") }
-func TestNoGlobalRand(t *testing.T)  { analysistest.Run(t, analysis.NoGlobalRand, "noglobalrand") }
-func TestMapIter(t *testing.T)       { analysistest.Run(t, analysis.MapIter, "mapiter") }
-func TestNoConcurrency(t *testing.T) { analysistest.Run(t, analysis.NoConcurrency, "noconcurrency") }
+func TestNoWallClock(t *testing.T)   { runFixture(t, analysis.NoWallClock, "nowallclock") }
+func TestNoGlobalRand(t *testing.T)  { runFixture(t, analysis.NoGlobalRand, "noglobalrand") }
+func TestMapIter(t *testing.T)       { runFixture(t, analysis.MapIter, "mapiter") }
+func TestNoConcurrency(t *testing.T) { runFixture(t, analysis.NoConcurrency, "noconcurrency") }
 
 // The dvclint v2 analyzers: whole-type-graph reachability, hot-path
 // allocation, and fleet capture scope.
 
-func TestSnapshotState(t *testing.T) { analysistest.Run(t, analysis.SnapshotState, "snapshotstate") }
-func TestNoAlloc(t *testing.T)       { analysistest.Run(t, analysis.NoAlloc, "noalloc") }
-func TestFleetScope(t *testing.T)    { analysistest.Run(t, analysis.FleetScope, "fleetscope") }
+func TestSnapshotState(t *testing.T) { runFixture(t, analysis.SnapshotState, "snapshotstate") }
+func TestNoAlloc(t *testing.T)       { runFixture(t, analysis.NoAlloc, "noalloc") }
+func TestFleetScope(t *testing.T)    { runFixture(t, analysis.FleetScope, "fleetscope") }
 
 // snapshotDiags runs snapshotstate over its fixture and returns a lookup
 // from a fragment of a source line (which must match exactly one line)
 // to the messages reported on that line.
 func snapshotDiags(t *testing.T) func(fragment string) []string {
 	t.Helper()
-	pkg := analysistest.Load(t, "snapshotstate")
+	pkg := loadFixture(t, "snapshotstate")
 	diags, err := analysis.Run(pkg, []*analysis.Analyzer{analysis.SnapshotState})
 	if err != nil {
 		t.Fatal(err)

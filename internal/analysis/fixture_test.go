@@ -1,7 +1,9 @@
-// Package analysistest runs an analyzer over a fixture package under
-// testdata/src and checks its diagnostics against `// want` expectations,
-// mirroring golang.org/x/tools/go/analysis/analysistest on the standard
-// library only.
+package analysis_test
+
+// Fixture runner: an analyzer runs over a fixture package under
+// testdata/src and its diagnostics are checked against `// want`
+// expectations, as golang.org/x/tools/go/analysis/analysistest does, on
+// the standard library only.
 //
 // Expectation syntax (a trailing comment on the flagged line):
 //
@@ -13,7 +15,6 @@
 // want comment must produce no diagnostics. //lint:allow suppression is
 // applied before matching, so fixtures can (and do) test the escape
 // hatch by expecting nothing on an allowed line.
-package analysistest
 
 import (
 	"fmt"
@@ -30,50 +31,50 @@ import (
 	"dvc/internal/analysis/loader"
 )
 
-// Run loads testdata/src/<pkg> (relative to the test's working
+// runFixture loads testdata/src/<pkg> (relative to the test's working
 // directory), applies the analyzer, and reports mismatches against the
 // // want comments through t.
-func Run(t *testing.T, a *analysis.Analyzer, pkg string) {
+func runFixture(t *testing.T, a *analysis.Analyzer, pkg string) {
 	t.Helper()
-	p := Load(t, pkg)
+	p := loadFixture(t, pkg)
 	diags, err := analysis.Run(p, []*analysis.Analyzer{a})
 	if err != nil {
-		t.Fatalf("analysistest: %v", err)
+		t.Fatalf("fixture %s: %v", pkg, err)
 	}
-	check(t, p.Fset, p.Files, diags)
+	checkWants(t, p.Fset, p.Files, diags)
 }
 
-// Load parses and type-checks the fixture package testdata/src/<pkg>,
-// for tests that need to inspect an analyzer's diagnostics directly
-// (e.g. which codec call sites snapshotstate reports) rather than match
-// // want comments.
-func Load(t *testing.T, pkg string) *analysis.Package {
+// loadFixture parses and type-checks the fixture package
+// testdata/src/<pkg>, for tests that need to inspect an analyzer's
+// diagnostics directly (e.g. which codec call sites snapshotstate
+// reports) rather than match // want comments.
+func loadFixture(t *testing.T, pkg string) *analysis.Package {
 	t.Helper()
 	p, err := loader.LoadDir(filepath.Join("testdata", "src", pkg), pkg)
 	if err != nil {
-		t.Fatalf("analysistest: %v", err)
+		t.Fatalf("fixture %s: %v", pkg, err)
 	}
 	return p
 }
 
-type key struct {
+type wantKey struct {
 	file string
 	line int
 }
 
-func check(t *testing.T, fset *token.FileSet, files []*ast.File, diags []analysis.Diagnostic) {
+func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []analysis.Diagnostic) {
 	t.Helper()
 
 	// Group diagnostics by (file, line), keeping column order.
-	got := make(map[key][]analysis.Diagnostic)
+	got := make(map[wantKey][]analysis.Diagnostic)
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)
-		k := key{pos.Filename, pos.Line}
+		k := wantKey{pos.Filename, pos.Line}
 		got[k] = append(got[k], d)
 	}
 
 	// Collect // want expectations.
-	want := make(map[key][]*regexp.Regexp)
+	want := make(map[wantKey][]*regexp.Regexp)
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -82,7 +83,7 @@ func check(t *testing.T, fset *token.FileSet, files []*ast.File, diags []analysi
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				k := key{pos.Filename, pos.Line}
+				k := wantKey{pos.Filename, pos.Line}
 				for _, pat := range parseWants(t, pos, strings.TrimPrefix(text, "want")) {
 					want[k] = append(want[k], pat)
 				}
@@ -92,8 +93,8 @@ func check(t *testing.T, fset *token.FileSet, files []*ast.File, diags []analysi
 
 	// Every line with expectations must match; every diagnostic must be
 	// expected.
-	var lines []key
-	seen := make(map[key]bool)
+	var lines []wantKey
+	seen := make(map[wantKey]bool)
 	for k := range want {
 		if !seen[k] {
 			seen[k] = true

@@ -68,10 +68,11 @@ func Load(dir string, patterns ...string) ([]*analysis.Package, error) {
 }
 
 // LoadDir type-checks the Go files in dir as one package named pkgPath.
-// It serves directories `go list` does not see as packages, such as the
-// analyzer fixtures under testdata; their imports (standard library or
-// this module's packages) resolve through export data exactly as in
-// Load.
+// It serves directories `go list` does not see as packages: the analyzer
+// fixtures under testdata. Only tests call it: internal/analysis's
+// analyzer tests load their fixtures with it. The fixtures' imports
+// (standard library or this module's packages) resolve through export
+// data exactly as in Load.
 func LoadDir(dir, pkgPath string) (*analysis.Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -54,11 +54,6 @@ func New(k *sim.Kernel, cfg Config) *Clock {
 	}
 }
 
-// NewPerfect returns a clock with no error, useful in tests.
-func NewPerfect(k *sim.Kernel) *Clock {
-	return &Clock{kernel: k}
-}
-
 // errorAt computes host-minus-true at true time t.
 func (c *Clock) errorAt(t sim.Time) sim.Time {
 	elapsed := float64(t - c.adjustedAt)
@@ -70,11 +65,9 @@ func (c *Clock) Read() sim.Time {
 	return c.kernel.Now() + c.errorAt(c.kernel.Now())
 }
 
-// Error returns the current host-minus-true error.
+// Error returns the current host-minus-true error. Only tests call it:
+// the clock tests and phys's NTP and topology tests.
 func (c *Clock) Error() sim.Time { return c.errorAt(c.kernel.Now()) }
-
-// DriftPPM returns the clock's current frequency error.
-func (c *Clock) DriftPPM() float64 { return c.driftPPM }
 
 // adjust rewrites the clock's phase and frequency error, anchoring the
 // error model at the current instant.
@@ -96,17 +89,6 @@ func (c *Clock) TrueTimeForHostReading(hostTime sim.Time) sim.Time {
 	return sim.Time(t / f)
 }
 
-// AtHostTime schedules fn to run when this node's host clock reads
-// hostTime. If that host time has already passed, fn runs immediately
-// (on the next dispatch).
-func (c *Clock) AtHostTime(hostTime sim.Time, fn func()) sim.Handle {
-	trueT := c.TrueTimeForHostReading(hostTime)
-	if trueT < c.kernel.Now() {
-		trueT = c.kernel.Now()
-	}
-	return c.kernel.At(trueT, fn)
-}
-
 // NTPDaemon periodically disciplines a set of clocks against true time,
 // leaving a small residual error — the "few milliseconds" the paper
 // relies on. Synchronising against true time rather than a modelled
@@ -116,7 +98,6 @@ type NTPDaemon struct {
 	kernel *sim.Kernel
 	cfg    NTPConfig
 	clocks []*Clock
-	syncs  int
 	timer  *sim.Timer // poll tick; rearmed in place each round
 }
 
@@ -160,42 +141,15 @@ func (d *NTPDaemon) Start() {
 	d.timer.Reset(0)
 }
 
-// Stop cancels the poll loop.
-func (d *NTPDaemon) Stop() { d.timer.Stop() }
-
-// Syncs reports how many sync rounds have completed.
-func (d *NTPDaemon) Syncs() int { return d.syncs }
-
 // SyncNow performs one synchronous discipline round outside the poll loop.
 func (d *NTPDaemon) SyncNow() {
 	for _, c := range d.clocks {
 		residual := sim.NormalSigned(d.kernel.Rand(), 0, d.cfg.ResidualStd)
 		c.adjust(residual, c.driftPPM*d.cfg.DisciplineFactor)
 	}
-	d.syncs++
 }
 
 func (d *NTPDaemon) tick() {
 	d.SyncNow()
 	d.timer.Reset(d.cfg.PollInterval)
-}
-
-// MaxPairwiseError returns the worst host-clock disagreement between any
-// two of the daemon's clocks right now. LSC's save skew under the NTP
-// coordinator is bounded by this plus local service delay.
-func (d *NTPDaemon) MaxPairwiseError() sim.Time {
-	if len(d.clocks) == 0 {
-		return 0
-	}
-	lo, hi := d.clocks[0].Error(), d.clocks[0].Error()
-	for _, c := range d.clocks[1:] {
-		e := c.Error()
-		if e < lo {
-			lo = e
-		}
-		if e > hi {
-			hi = e
-		}
-	}
-	return hi - lo
 }

@@ -9,7 +9,7 @@ import (
 
 func TestPerfectClockTracksTrueTime(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := NewPerfect(k)
+	c := &Clock{kernel: k}
 	k.RunFor(10 * sim.Second)
 	if c.Read() != 10*sim.Second {
 		t.Fatalf("perfect clock reads %v, want 10s", c.Read())
@@ -49,20 +49,21 @@ func TestNTPSyncBoundsError(t *testing.T) {
 	d := NewNTPDaemon(k, DefaultNTPConfig(), clocks...)
 
 	// Before sync: second-scale disagreement.
-	before := d.MaxPairwiseError()
+	before := maxPairwiseError(clocks)
 	if before < 100*sim.Millisecond {
 		t.Fatalf("pre-sync max pairwise error suspiciously small: %v", before)
 	}
 
 	d.Start()
 	k.RunFor(10 * 64 * sim.Second)
-	d.Stop()
+	d.timer.Stop()
 
-	if d.Syncs() < 10 {
-		t.Fatalf("only %d syncs in 10 poll intervals", d.Syncs())
+	// The poll tick is the kernel's only event.
+	if k.Fired() < 10 {
+		t.Fatalf("only %d syncs in 10 poll intervals", k.Fired())
 	}
 	// Right after the last sync plus < one poll of drift: ms-scale.
-	after := d.MaxPairwiseError()
+	after := maxPairwiseError(clocks)
 	if after > 20*sim.Millisecond {
 		t.Fatalf("post-sync max pairwise error = %v, want ms-scale", after)
 	}
@@ -78,8 +79,8 @@ func TestNTPDisciplineReducesDrift(t *testing.T) {
 	d := NewNTPDaemon(k, NTPConfig{PollInterval: 16 * sim.Second, ResidualStd: sim.Millisecond, DisciplineFactor: 0.5}, c)
 	d.Start()
 	k.RunFor(20 * 16 * sim.Second)
-	d.Stop()
-	if got := c.DriftPPM(); got > 1e-3 {
+	d.timer.Stop()
+	if got := c.driftPPM; got > 1e-3 {
 		t.Fatalf("drift after discipline = %v ppm, want ~0", got)
 	}
 }
@@ -89,7 +90,7 @@ func TestAtHostTimeFiresWhenHostClockReads(t *testing.T) {
 	c := New(k, Config{InitialOffsetStd: 0, DriftPPMStd: 0})
 	c.offset = 100 * sim.Millisecond // host reads 100ms ahead of true
 	var hostAtFire, trueAtFire sim.Time
-	c.AtHostTime(5*sim.Second, func() {
+	k.At(c.TrueTimeForHostReading(5*sim.Second), func() {
 		hostAtFire = c.Read()
 		trueAtFire = k.Now()
 	})
@@ -102,24 +103,12 @@ func TestAtHostTimeFiresWhenHostClockReads(t *testing.T) {
 	}
 }
 
-func TestAtHostTimeInPastFiresImmediately(t *testing.T) {
-	k := sim.NewKernel(7)
-	c := NewPerfect(k)
-	k.RunFor(10 * sim.Second)
-	fired := false
-	c.AtHostTime(sim.Second, func() { fired = k.Now() == 10*sim.Second })
-	k.Run()
-	if !fired {
-		t.Fatal("past host time did not fire immediately")
-	}
-}
-
 // Property: TrueTimeForHostReading inverts Read for any drift/offset within
 // physical ranges.
 func TestPropertyHostTimeInversion(t *testing.T) {
 	f := func(offMs int16, driftPPM int8, targetSec uint16) bool {
 		k := sim.NewKernel(8)
-		c := NewPerfect(k)
+		c := &Clock{kernel: k}
 		c.offset = sim.Time(offMs) * sim.Millisecond
 		c.driftPPM = float64(driftPPM)
 		host := sim.Time(targetSec)*sim.Second + 10*sim.Second
@@ -158,14 +147,6 @@ func TestPropertyResidualBounded(t *testing.T) {
 	}
 }
 
-func TestMaxPairwiseErrorEmpty(t *testing.T) {
-	k := sim.NewKernel(10)
-	d := NewNTPDaemon(k, DefaultNTPConfig())
-	if d.MaxPairwiseError() != 0 {
-		t.Fatal("empty daemon pairwise error should be 0")
-	}
-}
-
 func TestAddClockAfterCreation(t *testing.T) {
 	k := sim.NewKernel(11)
 	d := NewNTPDaemon(k, DefaultNTPConfig())
@@ -179,4 +160,15 @@ func TestAddClockAfterCreation(t *testing.T) {
 	if e > 20*sim.Millisecond {
 		t.Fatalf("added clock not disciplined: error %v", e)
 	}
+}
+
+// maxPairwiseError returns the worst host-clock disagreement between any
+// two of clocks right now.
+func maxPairwiseError(clocks []*Clock) sim.Time {
+	lo, hi := clocks[0].Error(), clocks[0].Error()
+	for _, c := range clocks[1:] {
+		e := c.Error()
+		lo, hi = min(lo, e), max(hi, e)
+	}
+	return hi - lo
 }

@@ -76,8 +76,8 @@ func TestAllocateBootsVirtualCluster(t *testing.T) {
 		if d.State() != vm.StateRunning {
 			t.Fatalf("domain %d state %v", i, d.State())
 		}
-		if d.Addr() != vc.DomainAddr(i) {
-			t.Fatalf("domain %d addr %s", i, d.Addr())
+		if addr := d.OS().Stack().Addr(); addr != vc.DomainAddr(i) {
+			t.Fatalf("domain %d addr %s", i, addr)
 		}
 	}
 	if vc.SpansClusters() {

@@ -305,6 +305,39 @@ func TestFailedCaptureReleasesVC(t *testing.T) {
 	}
 }
 
+// TestFailedStoreWriteReleasesVC: when the store rejects an image of the
+// save set, the coordinator resumes the paused domains and hands the VC
+// back Ready, as for a failed capture. A 0-byte domain's delta page table
+// covers no memory, which the store's write path rejects.
+func TestFailedStoreWriteReleasesVC(t *testing.T) {
+	cfg := DefaultNTPLSC()
+	cfg.ContinueAfterSave = true
+	cfg.Delta = true
+	tb := newTestbed(t, 5, map[string]int{"alpha": 2}, cfg)
+	vc, err := tb.mgr.Allocate(VCSpec{Name: "empty", Nodes: 2, VMRAM: 0}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.k.RunFor(vm.DefaultXenConfig().BootTime + sim.Second)
+	var res *CheckpointResult
+	tb.co.Checkpoint(vc, func(r *CheckpointResult) { res = r })
+	for res == nil {
+		tb.k.RunFor(sim.Second)
+	}
+	if res.OK || !strings.Contains(res.Reason, "page table covers 0 bytes") {
+		t.Fatalf("checkpoint of 0-byte domains: %+v", res)
+	}
+	tb.k.RunFor(sim.Minute)
+	if vc.State() != VCReady {
+		t.Fatalf("VC %v after the failed store write, want Ready", vc.State())
+	}
+	for _, d := range vc.Domains() {
+		if d.State() != vm.StateRunning {
+			t.Fatalf("domain %s %v after the failed store write, want Running", d.Name(), d.State())
+		}
+	}
+}
+
 // TestFailedLiveCaptureReleasesVC: the live-migration twin of
 // TestFailedCaptureReleasesVC. A capture that fails after the final
 // coordinated pause must unpause every domain, not leave a Ready VC

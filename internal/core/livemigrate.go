@@ -149,7 +149,7 @@ func (c *Coordinator) LiveMigrate(vc *VirtualCluster, targets []*phys.Node, cfg 
 		// Coordinated stop (the LSC part): pause everyone, copy each
 		// domain's residual (plus whatever it dirtied while waiting for
 		// the slowest sibling), restore on the targets, resume.
-		plan := c.pausePlanNoFailure(vc)
+		plan := c.pausePlan(vc, false)
 		var firstPause sim.Time = -1
 		left := len(plan)
 		for i, t := range plan {

@@ -154,9 +154,6 @@ func NewCoordinator(mgr *Manager, cfg LSCConfig) *Coordinator {
 	return &Coordinator{mgr: mgr, cfg: cfg}
 }
 
-// Config returns the coordinator configuration.
-func (c *Coordinator) Config() LSCConfig { return c.cfg }
-
 // tr returns the manager's tracer (nil when tracing is off; every obs
 // method is nil-receiver safe).
 func (c *Coordinator) tr() *obs.Tracer { return c.mgr.tracer }
@@ -166,10 +163,10 @@ func imageKey(vcName string, gen int, domain string) string {
 	return fmt.Sprintf("lsc/%s/%05d/%s", vcName, gen, domain)
 }
 
-// pausePlan computes each domain's absolute pause instant; a negative
-// time means that node's sleeper process died and the VM will never
-// pause.
-func (c *Coordinator) pausePlan(vc *VirtualCluster) []sim.Time {
+// pausePlan computes each domain's absolute pause instant. With sleepers
+// set, each instant is armed by a node-local sleeper process, and a
+// negative time means that sleeper died and the VM will never pause.
+func (c *Coordinator) pausePlan(vc *VirtualCluster, sleepers bool) []sim.Time {
 	k := c.mgr.kernel
 	rng := k.Rand()
 	times := make([]sim.Time, len(vc.domains))
@@ -194,8 +191,11 @@ func (c *Coordinator) pausePlan(vc *VirtualCluster) []sim.Time {
 			times[i] = trueT
 		}
 	}
+	if !sleepers || c.cfg.SleeperFailProb <= 0 {
+		return times
+	}
 	for i := range times {
-		if c.cfg.SleeperFailProb > 0 && rng.Float64() < c.cfg.SleeperFailProb {
+		if rng.Float64() < c.cfg.SleeperFailProb {
 			times[i] = -1
 		}
 	}
@@ -241,7 +241,7 @@ func (c *Coordinator) checkpointTo(vc *VirtualCluster, targets []*phys.Node, don
 func (c *Coordinator) attempt(vc *VirtualCluster, res *CheckpointResult, attempt int, done func(*CheckpointResult)) {
 	k := c.mgr.kernel
 	res.Attempts = attempt
-	plan := c.pausePlan(vc)
+	plan := c.pausePlan(vc, true)
 
 	// Health check (§4 extension): the coordinator verifies every
 	// sleeper before the save instant and aborts the round cleanly if
@@ -332,15 +332,9 @@ func (c *Coordinator) afterPaused(vc *VirtualCluster, res *CheckpointResult, fir
 		res.Images = append(res.Images, img)
 	}
 	if res.Reason != "" {
-		// Incomplete set or failed capture: release the paused VMs back
-		// (the job will have died anyway) and report failure.
-		for _, d := range vc.domains {
-			if d.State() == vm.StatePaused {
-				_ = d.Unpause()
-			}
-		}
-		vc.state = VCReady
-		c.finishFail(res, res.Reason, done)
+		// Incomplete set or failed capture (the job will have died
+		// anyway).
+		c.releaseFail(vc, res, res.Reason, done)
 		return
 	}
 
@@ -366,7 +360,7 @@ func (c *Coordinator) afterPaused(vc *VirtualCluster, res *CheckpointResult, fir
 		}
 		info, err := c.mgr.store.Write(key, img, onWritten)
 		if err != nil {
-			c.finishFail(res, err.Error(), done)
+			c.releaseFail(vc, res, err.Error(), done)
 			return
 		}
 		res.LogicalBytes += info.Logical
@@ -438,17 +432,6 @@ func (c *Coordinator) resumeAll(vc *VirtualCluster, then func()) {
 	}
 }
 
-// pausePlanNoFailure is the dispatch plan without sleeper failures
-// (resume commands are issued by the live coordinator, not by sleeping
-// processes).
-func (c *Coordinator) pausePlanNoFailure(vc *VirtualCluster) []sim.Time {
-	saved := c.cfg.SleeperFailProb
-	c.cfg.SleeperFailProb = 0
-	plan := c.pausePlan(vc)
-	c.cfg.SleeperFailProb = saved
-	return plan
-}
-
 // resumePlan schedules the unpause fan-out. Unlike the save, a resume
 // needs no future scheduling: the coordinator pushes unpause commands
 // directly. Under the NTP coordinator that is a parallel management-RPC
@@ -460,7 +443,9 @@ func (c *Coordinator) resumePlan(vc *VirtualCluster) []sim.Time {
 	rng := k.Rand()
 	times := make([]sim.Time, len(vc.domains))
 	if c.cfg.Mode == LSCNaive {
-		return c.pausePlanNoFailure(vc)
+		// The live coordinator issues the resume commands, not sleeping
+		// processes, so no sleeper can fail.
+		return c.pausePlan(vc, false)
 	}
 	for i := range times {
 		rpc := 2*sim.Millisecond + sim.LogNormal(rng, c.cfg.TimerJitterMed, c.cfg.TimerJitterSigma)
@@ -572,14 +557,23 @@ func (c *Coordinator) finishOK(vc *VirtualCluster, res *CheckpointResult, done f
 	done(res)
 }
 
+// releaseFail ends a round that failed after the save set paused: every
+// paused domain is resumed and the VC handed back Ready, so it can
+// checkpoint again, and the round reports reason.
+func (c *Coordinator) releaseFail(vc *VirtualCluster, res *CheckpointResult, reason string, done func(*CheckpointResult)) {
+	for _, d := range vc.domains {
+		if d.State() == vm.StatePaused {
+			_ = d.Unpause()
+		}
+	}
+	vc.state = VCReady
+	c.finishFail(res, reason, done)
+}
+
 func (c *Coordinator) finishFail(res *CheckpointResult, reason string, done func(*CheckpointResult)) {
 	c.FailCount++
 	res.OK = false
-	if res.Reason == "" {
-		res.Reason = reason
-	} else if reason != res.Reason {
-		res.Reason = reason
-	}
+	res.Reason = reason
 	res.FinishedAt = c.mgr.kernel.Now()
 	if tr := c.tr(); tr != nil {
 		now := c.mgr.kernel.Now()

@@ -236,9 +236,6 @@ func (m *Manager) SetTracer(t *obs.Tracer) {
 	}
 }
 
-// Tracer returns the attached tracer (nil when tracing is off).
-func (m *Manager) Tracer() *obs.Tracer { return m.tracer }
-
 // SetTCPConfig overrides guest transport configuration (experiments use
 // this to shrink retry budgets). Hypervisors are updated in sorted
 // node-ID order: the call reaches into guest transport stacks, and
@@ -259,9 +256,6 @@ func (m *Manager) SetTCPConfig(cfg tcp.Config) {
 // Kernel returns the simulation kernel.
 func (m *Manager) Kernel() *sim.Kernel { return m.kernel }
 
-// Site returns the physical site.
-func (m *Manager) Site() *phys.Site { return m.site }
-
 // Store returns the checkpoint store.
 func (m *Manager) Store() *storage.Store { return m.store }
 
@@ -269,12 +263,6 @@ func (m *Manager) Store() *storage.Store { return m.store }
 func (m *Manager) Hypervisor(nodeID string) (*vm.Hypervisor, bool) {
 	h, ok := m.hvs[nodeID]
 	return h, ok
-}
-
-// VC looks up a virtual cluster by name.
-func (m *Manager) VC(name string) (*VirtualCluster, bool) {
-	vc, ok := m.vcs[name]
-	return vc, ok
 }
 
 // freeNodes returns up nodes in the given cluster (any if empty) that

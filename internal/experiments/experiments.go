@@ -86,16 +86,6 @@ type Result struct {
 	Checks []Check
 }
 
-// AllOK reports whether every shape check passed.
-func (r *Result) AllOK() bool {
-	for _, c := range r.Checks {
-		if !c.OK {
-			return false
-		}
-	}
-	return true
-}
-
 // FailedChecks lists the failed assertions.
 func (r *Result) FailedChecks() []Check {
 	var out []Check

@@ -33,12 +33,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestStreamingSinkMatchesMemorySink: every trial records into a Child's
+// TestStreamedTraceMatchesSerial: every trial records into a Child's
 // memory buffer, and Merge streams it out through the parent's
 // JSONLSink. The streamed trace must not depend on the pool size or on
 // the sink's buffer size: the 4-worker run through a 4096-byte buffer
 // must write the serial run's bytes, record for record.
-func TestStreamingSinkMatchesMemorySink(t *testing.T) {
+func TestStreamedTraceMatchesSerial(t *testing.T) {
 	serial, par := e2Pair(t)
 	if len(serial.trace) == 0 {
 		t.Fatal("serial run recorded an empty trace")

@@ -83,11 +83,7 @@ func RunScalePartitioned(seed int64, spec ScaleSpec, workers int, tr *obs.Tracer
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, spec.DCs)
-	for d := range names {
-		names[d] = fmt.Sprintf("dc%02d", d)
-	}
-	c := partition.NewCoordinator(partition.Config{Lookahead: la, Workers: workers}, names...)
+	c := partition.NewCoordinator(partition.Config{Lookahead: la, Workers: workers}, spec.DCs)
 	nm := partition.NewNetMap(c)
 	for d := 0; d < spec.DCs; d++ {
 		nm.Register(monAddr(d), phys.ClusterName(d, 0), d)

@@ -159,7 +159,7 @@ func (p *clockProg) Next(api *API, res Result) Op {
 	case 0:
 		p.Wall0, p.Jiff0 = api.WallClock(), api.Jiffies()
 		p.PC = 1
-		return Sleep(p.SleepFor)
+		return &SleepOp{Duration: p.SleepFor}
 	default:
 		p.Wall1, p.Jiff1 = api.WallClock(), api.Jiffies()
 		api.Exit(0)
@@ -466,17 +466,27 @@ func TestKernelLogEntries(t *testing.T) {
 	}
 }
 
+// allExited reports whether every process of o has finished.
+func allExited(o *OS) bool {
+	for _, p := range o.procs {
+		if !p.exited {
+			return false
+		}
+	}
+	return true
+}
+
 func TestAllExited(t *testing.T) {
 	r := newRig(t)
-	if !r.osA.AllExited() {
+	if !allExited(r.osA) {
 		t.Fatal("empty OS should report all exited")
 	}
 	r.osA.Spawn(&computeProg{Dur: sim.Second, Rounds: 1})
-	if r.osA.AllExited() {
+	if allExited(r.osA) {
 		t.Fatal("running proc reported as exited")
 	}
 	r.k.Run()
-	if !r.osA.AllExited() {
+	if !allExited(r.osA) {
 		t.Fatal("finished proc not reported as exited")
 	}
 }
@@ -534,7 +544,7 @@ func (p *listenTwiceProg) Next(api *API, res Result) Op {
 		p.Done = true
 		api.Listen(p.Port)
 		api.Listen(p.Port)
-		return Sleep(10 * sim.Millisecond)
+		return &SleepOp{Duration: 10 * sim.Millisecond}
 	}
 	api.Exit(0)
 	return nil
@@ -563,7 +573,7 @@ type apiProbeProg struct {
 func (p *apiProbeProg) Next(api *API, res Result) Op {
 	if !p.Done {
 		p.Done = true
-		p.Host = api.Hostname()
+		p.Host = string(api.os.stack.Addr())
 		p.Wall = api.WallClock()
 		p.Jiff = api.Jiffies()
 		api.Log("probe from %s", p.Host)
@@ -596,9 +606,9 @@ func TestReleaseFreesTimersAndIsIdempotent(t *testing.T) {
 	}
 	slab, pending := r.k.SlabLen(), r.k.Pending()
 	o.Release()
-	if !o.Frozen() || r.k.SlabLen() != slab || r.k.Pending() != pending {
+	if !o.frozen || r.k.SlabLen() != slab || r.k.Pending() != pending {
 		t.Fatalf("release: frozen %v, slab %d -> %d, pending %d -> %d",
-			o.Frozen(), slab, r.k.SlabLen(), pending, r.k.Pending())
+			o.frozen, slab, r.k.SlabLen(), pending, r.k.Pending())
 	}
 	o.Release()
 	after, err := EncodeImagePayload(o.Snapshot())

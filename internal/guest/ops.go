@@ -51,9 +51,6 @@ type SleepOp struct {
 	Started  bool
 }
 
-// Sleep returns an op that sleeps for d of guest time.
-func Sleep(d sim.Time) *SleepOp { return &SleepOp{Duration: d} }
-
 func (op *SleepOp) start(o *OS, p *Process) {
 	if !op.Started {
 		op.Started = true

@@ -15,7 +15,7 @@ import (
 func pidsOf(procs []*Process) []PID {
 	out := make([]PID, len(procs))
 	for i, p := range procs {
-		out[i] = p.PID()
+		out[i] = p.pid
 	}
 	return out
 }
@@ -47,7 +47,7 @@ func TestProcsInPIDOrderAfterSpawnAndRestore(t *testing.T) {
 		t.Fatalf("after Restore: Procs() = %v, want %v", got, want)
 	}
 	for _, pid := range want {
-		if p, ok := o.Proc(pid); !ok || p.PID() != pid {
+		if p, ok := o.Proc(pid); !ok || p.pid != pid {
 			t.Fatalf("Proc(%d) = %v, %v after Restore", pid, p, ok)
 		}
 	}
@@ -112,7 +112,7 @@ func TestSpawnMidPassDrivenNextPass(t *testing.T) {
 	if !reflect.DeepEqual(trace, want) {
 		t.Fatalf("Next order %v, want %v", trace, want)
 	}
-	if !r.osA.AllExited() {
+	if !allExited(r.osA) {
 		t.Fatal("not every process exited")
 	}
 }

@@ -75,9 +75,6 @@ func (a *API) Log(format string, args ...any) {
 // Exit records the process exit status; return nil from Next afterwards.
 func (a *API) Exit(code int) { a.proc.exitCode = code }
 
-// Hostname returns the guest's network address (its stable identity).
-func (a *API) Hostname() string { return string(a.os.stack.Addr()) }
-
 // Recv returns an op that reads exactly n bytes from fd. The op lives
 // in the process's own slot, so it allocates nothing; it stays valid
 // until the program's next Next call.
@@ -147,9 +144,6 @@ type Process struct {
 	timerFired bool
 	timerLeft  sim.Time // valid while frozen; -1 = none
 }
-
-// PID returns the process id.
-func (p *Process) PID() PID { return p.pid }
 
 // Exited reports whether the process has finished.
 func (p *Process) Exited() bool { return p.exited }
@@ -276,9 +270,6 @@ func (o *OS) Stack() *tcp.Stack { return o.stack }
 // Addr returns the guest's network address.
 func (o *OS) Addr() netsim.Addr { return o.stack.Addr() }
 
-// Frozen reports whether the OS is suspended.
-func (o *OS) Frozen() bool { return o.frozen }
-
 // Jiffies returns guest-monotonic time: it does not advance while frozen.
 func (o *OS) Jiffies() sim.Time {
 	if o.frozen {
@@ -334,22 +325,12 @@ func (o *OS) Proc(pid PID) (*Process, bool) {
 func (o *OS) Procs() []*Process { return o.procs[:len(o.procs):len(o.procs)] }
 
 // SetExitNotify installs fn to be called whenever a process exits (nil
-// clears it). This is the event-driven alternative to polling AllExited
-// on a timer: a driver sets fn = kernel.Halt, runs the kernel, and
-// re-checks its completion predicate only when something actually
-// exited. The hook fires from inside the scheduler pump, so fn must not
-// re-enter the OS; halting the kernel is the intended use.
+// clears it). This is the event-driven alternative to polling every
+// process's Exited on a timer: a driver sets fn = kernel.Halt, runs the
+// kernel, and re-checks its completion predicate only when something
+// actually exited. The hook fires from inside the scheduler pump, so fn
+// must not re-enter the OS; halting the kernel is the intended use.
 func (o *OS) SetExitNotify(fn func()) { o.exitNotify = fn }
-
-// AllExited reports whether every process has finished.
-func (o *OS) AllExited() bool {
-	for _, p := range o.procs {
-		if !p.exited {
-			return false
-		}
-	}
-	return true
-}
 
 // Listen opens a listening port; incoming connections queue for AcceptOp.
 func (o *OS) Listen(port uint16) {

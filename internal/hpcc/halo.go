@@ -91,9 +91,3 @@ func (h *Halo) Step(c mpi.Ctx, prev mpi.Op) mpi.Op {
 		}
 	}
 }
-
-// WallTime returns the reported wall duration.
-func (h *Halo) WallTime() sim.Time { return h.EndWall - h.StartWall }
-
-// CPUTime returns the guest-monotonic duration.
-func (h *Halo) CPUTime() sim.Time { return h.EndJiff - h.StartJiff }

@@ -52,9 +52,6 @@ func (s *SeqJob) Next(api *guest.API, res guest.Result) guest.Op {
 // WallTime returns the job's reported wall duration.
 func (s *SeqJob) WallTime() sim.Time { return s.EndWall - s.StartWall }
 
-// CPUTime returns guest-monotonic duration.
-func (s *SeqJob) CPUTime() sim.Time { return s.EndJiff - s.StartJiff }
-
 // PingPong is the latency/bandwidth microbenchmark between ranks 0 and 1
 // (other ranks exit immediately). Rank 0 reports RTT and bandwidth.
 type PingPong struct {

@@ -127,6 +127,3 @@ func (s *Stream) verify() {
 		}
 	}
 }
-
-// WallTime returns the reported wall duration.
-func (s *Stream) WallTime() sim.Time { return s.EndWall - s.StartWall }

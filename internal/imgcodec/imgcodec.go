@@ -789,17 +789,6 @@ func Register(v any) {
 	reg.Store(next)
 }
 
-// Registered returns every registered payload type by name.
-func Registered() map[string]reflect.Type {
-	out := make(map[string]reflect.Type)
-	if r := reg.Load(); r != nil {
-		for name, pt := range r.byName {
-			out[name] = pt.typ
-		}
-	}
-	return out
-}
-
 func ifaceOps(t reflect.Type) (func(*encoder, unsafe.Pointer), func(*decoder, unsafe.Pointer)) {
 	enc := func(e *encoder, ptr unsafe.Pointer) {
 		iv := reflect.NewAt(t, ptr).Elem()

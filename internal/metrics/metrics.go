@@ -47,34 +47,6 @@ func (s *Sample) Mean() float64 {
 	return sum / float64(len(s.vals))
 }
 
-// Std returns the sample standard deviation.
-func (s *Sample) Std() float64 {
-	n := len(s.vals)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	ss := 0.0
-	for _, v := range s.vals {
-		ss += (v - m) * (v - m)
-	}
-	return math.Sqrt(ss / float64(n-1))
-}
-
-// Min returns the smallest observation.
-func (s *Sample) Min() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	m := s.vals[0]
-	for _, v := range s.vals[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Max returns the largest observation.
 func (s *Sample) Max() float64 {
 	if len(s.vals) == 0 {
@@ -144,18 +116,6 @@ func fmtFloat(v float64) string {
 	default:
 		return fmt.Sprintf("%.3f", v)
 	}
-}
-
-// Headers returns the column headers.
-func (t *Table) Headers() []string { return append([]string(nil), t.headers...) }
-
-// Rows returns the formatted cell values.
-func (t *Table) Rows() [][]string {
-	out := make([][]string, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = append([]string(nil), r...)
-	}
-	return out
 }
 
 // MarshalJSON renders the table as {title, headers, rows}.

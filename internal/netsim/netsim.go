@@ -117,34 +117,11 @@ type Port struct {
 	BandwidthFactor float64 // multiplies effective bandwidth; 0 means 1.0
 }
 
-// Addr returns the port's address.
-func (p *Port) Addr() Addr { return p.addr }
-
-// Cluster returns the cluster the port is currently attached to.
-func (p *Port) Cluster() string { return p.fabric.clusterName[p.cluster] }
-
-// Up reports whether the port is accepting traffic.
-//
-//dvc:hotpath
-func (p *Port) Up() bool { return p.id >= 0 && p.fabric.up[p.id] }
-
 // SetUp raises or lowers the port. A detached port stays down.
 func (p *Port) SetUp(up bool) {
 	if p.id >= 0 {
 		p.fabric.up[p.id] = up
 	}
-}
-
-// Move reattaches the port to another cluster, keeping its address. The
-// cluster is resolved to its interned index once here, so subsequent
-// sends pay no name lookup.
-func (p *Port) Move(cluster string) error {
-	ci, ok := p.fabric.clusterIdx[cluster]
-	if !ok {
-		return fmt.Errorf("netsim: unknown cluster %q", cluster)
-	}
-	p.cluster = ci
-	return nil
 }
 
 // Detach removes the port from the fabric. The dense id returns to the
@@ -351,21 +328,6 @@ func (f *Fabric) profileBetween(a, b int32) LinkProfile {
 	return f.inter
 }
 
-// PathBandwidth reports the effective bulk-transfer bandwidth between two
-// attached addresses (bytes/s), including per-port factors. Bulk flows
-// (image copies, migrations) use this instead of per-packet simulation.
-func (f *Fabric) PathBandwidth(src, dst Addr) (float64, error) {
-	ps, ok := f.Lookup(src)
-	if !ok {
-		return 0, fmt.Errorf("netsim: source %q not attached", src)
-	}
-	pd, ok := f.Lookup(dst)
-	if !ok {
-		return 0, fmt.Errorf("netsim: destination %q not attached", dst)
-	}
-	return f.effectiveBandwidth(ps, pd), nil
-}
-
 // ClusterBandwidth reports the raw profile bandwidth between two clusters
 // (the same cluster gives the intra-cluster profile).
 func (f *Fabric) ClusterBandwidth(a, b string) float64 {
@@ -384,7 +346,8 @@ func (f *Fabric) ClusterBandwidth(a, b string) float64 {
 }
 
 // Delay computes the one-way delay for a packet of size bytes between two
-// attached addresses, including para-virt port overheads.
+// attached addresses, including para-virt port overheads. Only tests call
+// it: the netsim delay tests and phys's topology tests.
 func (f *Fabric) Delay(src, dst Addr, size int) (sim.Time, error) {
 	ps, ok := f.Lookup(src)
 	if !ok {

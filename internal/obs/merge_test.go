@@ -73,7 +73,7 @@ func TestMergeMatchesSerialEmission(t *testing.T) {
 	if got := parent.Registry().Counter("events"); got != 8 {
 		t.Errorf("counter merge: got %v, want 8", got)
 	}
-	if got := parent.Registry().GaugeValue("last_partition"); got != 2 {
+	if got := parent.Registry().gauges["last_partition"]; got != 2 {
 		t.Errorf("gauge merge is not last-write-wins in partition order: got %v", got)
 	}
 }

@@ -63,14 +63,6 @@ const (
 	EvTCPRTOBackoff EventType = "tcp.rto-backoff"
 	EvTCPReset      EventType = "tcp.reset"
 
-	// Resource manager (internal/rm).
-	EvRMSubmit   EventType = "rm.submit"
-	EvRMSchedule EventType = "rm.schedule"
-	EvRMDispatch EventType = "rm.dispatch"
-	EvRMComplete EventType = "rm.complete"
-	EvRMRequeue  EventType = "rm.requeue"
-	EvRMFail     EventType = "rm.fail"
-
 	// Interconnect (internal/netsim).
 	EvNetDrop EventType = "net.drop"
 
@@ -97,13 +89,6 @@ func Str(k, v string) KV { return KV{k, v} }
 
 // Int builds an integer attribute.
 func Int(k string, v int64) KV { return KV{k, strconv.FormatInt(v, 10)} }
-
-// Uint builds an unsigned integer attribute.
-func Uint(k string, v uint64) KV { return KV{k, strconv.FormatUint(v, 10)} }
-
-// Float builds a float attribute (shortest round-trip formatting, so the
-// bytes are a pure function of the value).
-func Float(k string, v float64) KV { return KV{k, strconv.FormatFloat(v, 'g', -1, 64)} }
 
 // Dur builds a duration attribute in integer nanoseconds of virtual time.
 func Dur(k string, t sim.Time) KV { return KV{k, strconv.FormatInt(int64(t), 10)} }
@@ -169,9 +154,6 @@ func NewTracerWithSink(sink Sink) *Tracer {
 	return &Tracer{sink: sink, reg: NewRegistry(), series: NewSeries()}
 }
 
-// Enabled reports whether the tracer records anything.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Registry returns the tracer's metric registry (nil when disabled).
 func (t *Tracer) Registry() *Registry {
 	if t == nil {
@@ -195,17 +177,6 @@ func (t *Tracer) Len() int {
 		return 0
 	}
 	return int(t.next)
-}
-
-// Err returns the first error a sink reported, if any. Instrumented
-// components cannot handle I/O errors mid-simulation, so the tracer
-// records the first failure and drops subsequent records; the run's
-// driver checks Err (via Flush) after the run.
-func (t *Tracer) Err() error {
-	if t == nil {
-		return nil
-	}
-	return t.err
 }
 
 // Flush drains the sink's buffers and reports the first error seen on

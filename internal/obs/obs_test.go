@@ -44,9 +44,6 @@ func readJSONL(data []byte) ([]Record, error) {
 
 func TestNilTracerIsInert(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
 	tr.Emit(1, EvVMPause, "n0", "d0", "pause")
 	id := tr.Begin(2, EvLSCEpoch, "", "t", "epoch")
 	if id != 0 {
@@ -60,8 +57,6 @@ func TestNilTracerIsInert(t *testing.T) {
 	if tr.Len() != 0 || tr.Registry() != nil {
 		t.Fatal("nil tracer recorded something")
 	}
-	var p *KernelProbe
-	p.Stop() // must not panic
 }
 
 func TestSpanPairing(t *testing.T) {
@@ -69,7 +64,7 @@ func TestSpanPairing(t *testing.T) {
 	tr.Emit(10, EvVMBoot, "n0", "d0", "boot", Str("os", "native"))
 	outer := tr.Begin(20, EvLSCEpoch, "", "vc", "epoch", Int("gen", 0))
 	inner := tr.Begin(30, EvLSCStore, "", "vc", "store")
-	tr.End(40, inner, Uint("bytes", 1024))
+	tr.End(40, inner, Int("bytes", 1024))
 	tr.End(50, outer)
 
 	recs := records(tr)
@@ -115,8 +110,6 @@ func TestAttrHelpers(t *testing.T) {
 	}{
 		{Str("a", "b"), "a", "b"},
 		{Int("i", -7), "i", "-7"},
-		{Uint("u", 7), "u", "7"},
-		{Float("f", 0.5), "f", "0.5"},
 		{Dur("d", sim.Time(1500)), "d", "1500"},
 	}
 	for _, c := range cases {
@@ -209,7 +202,7 @@ func TestRegistrySnapshotSorted(t *testing.T) {
 	if h.Name != "h.lat" || h.Count != 3 || h.Mean != 20 || h.Max != 30 {
 		t.Fatalf("histogram point = %+v", h)
 	}
-	if r.Counter("z.count") != 2 || r.GaugeValue("m.gauge") != 4 || r.Histogram("h.lat") == nil {
+	if r.Counter("z.count") != 2 || r.gauges["m.gauge"] != 4 || r.hists["h.lat"] == nil {
 		t.Fatal("registry readbacks wrong")
 	}
 }
@@ -219,7 +212,7 @@ func TestNilRegistry(t *testing.T) {
 	r.Inc("c", 1)
 	r.Set("g", 1)
 	r.Observe("h", 1)
-	if r.Counter("c") != 0 || r.GaugeValue("g") != 0 || r.Histogram("h") != nil || r.Snapshot() != nil {
+	if r.Counter("c") != 0 || r.Snapshot() != nil {
 		t.Fatal("nil registry not inert")
 	}
 }
@@ -229,12 +222,11 @@ func TestKernelProbeDeterministic(t *testing.T) {
 		k := sim.NewKernel(1)
 		var buf bytes.Buffer
 		tr := NewTracerWithSink(NewJSONLSink(&buf, 0))
-		p := StartKernelProbe(k, tr, 100)
+		StartKernelProbe(k, tr, 100)
 		for i := 0; i < 5; i++ {
 			k.At(sim.Time(i*150), func() {})
 		}
 		k.RunUntil(500)
-		p.Stop()
 		if err := tr.Flush(); err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ func goldenTrace() *Tracer {
 	tr.Emit(1500, EvVMPause, "nodeA", "vm0", "pause")
 	sv := tr.Begin(2000, EvVMSave, "nodeA", "vm0", "save")
 	tr.Counter(2500, EvSimProbe, "", "", "sim.queue_depth", 4)
-	tr.End(3000, sv, Uint("bytes", 4096))
+	tr.End(3000, sv, Int("bytes", 4096))
 	tr.Emit(3500, EvTCPRetransmit, "nodeB", "", "rexmit", Str("conn", "c0"))
 	tr.End(4000, ep, Str("outcome", "commit"))
 	// Second trial: virtual time restarts at zero.

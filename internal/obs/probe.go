@@ -13,7 +13,6 @@ type KernelProbe struct {
 	k     *sim.Kernel
 	t     *Tracer
 	every sim.Time
-	stop  bool
 	timer *sim.Timer
 }
 
@@ -30,19 +29,7 @@ func StartKernelProbe(k *sim.Kernel, t *Tracer, every sim.Time) *KernelProbe {
 	return p
 }
 
-// Stop cancels future samples. Nil-safe.
-func (p *KernelProbe) Stop() {
-	if p == nil {
-		return
-	}
-	p.stop = true
-	p.timer.Stop()
-}
-
 func (p *KernelProbe) sample() {
-	if p.stop {
-		return
-	}
 	now := p.k.Now()
 	fired := float64(p.k.Fired())
 	depth := float64(p.k.Pending())

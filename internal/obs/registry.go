@@ -62,22 +62,6 @@ func (r *Registry) Counter(name string) float64 {
 	return r.counters[name]
 }
 
-// GaugeValue reads a gauge's current value (0 when absent).
-func (r *Registry) GaugeValue(name string) float64 {
-	if r == nil {
-		return 0
-	}
-	return r.gauges[name]
-}
-
-// Histogram returns the named histogram's sample (nil when absent).
-func (r *Registry) Histogram(name string) *metrics.Sample {
-	if r == nil {
-		return nil
-	}
-	return r.hists[name]
-}
-
 // merge folds another registry into this one, reproducing what a serial
 // run would have accumulated: counters add, gauges overwrite (the merged
 // registry is "later"), histogram observations append in their recorded

@@ -98,48 +98,10 @@ func (s *Series) Merge(c *Series) {
 	}
 }
 
-// Len reports the number of sampled rows.
-func (s *Series) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.rows)
-}
-
-// Cols returns the column names in discovery order (without the leading
-// implicit "ts" column of the serialized form).
-func (s *Series) Cols() []string {
-	if s == nil {
-		return nil
-	}
-	return s.cols
-}
-
-// Value reads one cell: the named metric's value in row i (0 when the
-// column did not exist yet at sample time).
-func (s *Series) Value(i int, name string) float64 {
-	if s == nil || i < 0 || i >= len(s.rows) {
-		return 0
-	}
-	col, ok := s.index[name]
-	if !ok || col >= len(s.rows[i].vals) {
-		return 0
-	}
-	return s.rows[i].vals[col]
-}
-
-// TS reads row i's sample timestamp.
-func (s *Series) TS(i int) sim.Time {
-	if s == nil || i < 0 || i >= len(s.rows) {
-		return 0
-	}
-	return s.rows[i].ts
-}
-
 // WriteJSONL writes the columnar form: a header object naming the
 // columns, then one array per row. Floats use strconv's shortest
-// round-trip formatting ('g', like obs.Float), so the bytes are a pure
-// function of the sampled values.
+// round-trip formatting ('g'), so the bytes are a pure function of the
+// sampled values.
 func (s *Series) WriteJSONL(w io.Writer) error {
 	if s == nil {
 		return nil
@@ -173,39 +135,4 @@ func (s *Series) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadSeriesJSONL parses a serialized series back into column names and
-// rows (ts plus values), for tooling and tests.
-func ReadSeriesJSONL(r io.Reader) (cols []string, ts []sim.Time, rows [][]float64, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	first := true
-	for sc.Scan() {
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		if first {
-			first = false
-			var header struct {
-				Cols []string `json:"cols"`
-			}
-			if err := json.Unmarshal(raw, &header); err != nil {
-				return nil, nil, nil, err
-			}
-			cols = header.Cols
-			continue
-		}
-		var vals []float64
-		if err := json.Unmarshal(raw, &vals); err != nil {
-			return nil, nil, nil, err
-		}
-		if len(vals) == 0 {
-			continue
-		}
-		ts = append(ts, sim.Time(vals[0]))
-		rows = append(rows, vals[1:])
-	}
-	return cols, ts, rows, sc.Err()
 }

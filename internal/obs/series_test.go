@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"io"
 	"testing"
 
 	"dvc/internal/sim"
@@ -20,18 +23,18 @@ func TestSeriesSampleAndReadBack(t *testing.T) {
 	r.Set("z.gauge", 11)
 	s.Sample(200, r)
 
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
+	if len(s.rows) != 2 {
+		t.Fatalf("Len = %d, want 2", len(s.rows))
 	}
 	// Counters first, gauges second, each sorted; b.count discovered later
 	// so it sits after the first sample's columns.
-	if got := s.Cols(); len(got) != 3 || got[0] != "a.count" || got[1] != "z.gauge" || got[2] != "b.count" {
+	if got := s.cols; len(got) != 3 || got[0] != "a.count" || got[1] != "z.gauge" || got[2] != "b.count" {
 		t.Fatalf("Cols = %v", got)
 	}
-	if s.Value(0, "a.count") != 1 || s.Value(0, "z.gauge") != 10 || s.Value(0, "b.count") != 0 {
-		t.Fatalf("row 0 = %v %v %v", s.Value(0, "a.count"), s.Value(0, "z.gauge"), s.Value(0, "b.count"))
+	if value(s, 0, "a.count") != 1 || value(s, 0, "z.gauge") != 10 || value(s, 0, "b.count") != 0 {
+		t.Fatalf("row 0 = %v %v %v", value(s, 0, "a.count"), value(s, 0, "z.gauge"), value(s, 0, "b.count"))
 	}
-	if s.Value(1, "a.count") != 3 || s.Value(1, "b.count") != 5 || s.TS(1) != 200 {
+	if value(s, 1, "a.count") != 3 || value(s, 1, "b.count") != 5 || s.rows[1].ts != 200 {
 		t.Fatalf("row 1 wrong")
 	}
 
@@ -39,7 +42,7 @@ func TestSeriesSampleAndReadBack(t *testing.T) {
 	if err := s.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	cols, ts, rows, err := ReadSeriesJSONL(bytes.NewReader(buf.Bytes()))
+	cols, ts, rows, err := readSeriesJSONL(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,13 +92,13 @@ func TestSeriesMerge(t *testing.T) {
 	child.Sample(20, r2)
 
 	parent.Merge(child)
-	if parent.Len() != 2 {
-		t.Fatalf("merged Len = %d, want 2", parent.Len())
+	if len(parent.rows) != 2 {
+		t.Fatalf("merged Len = %d, want 2", len(parent.rows))
 	}
-	if parent.Value(1, "x") != 2 || parent.Value(1, "y") != 7 || parent.TS(1) != 20 {
-		t.Fatalf("merged row = x=%v y=%v ts=%v", parent.Value(1, "x"), parent.Value(1, "y"), parent.TS(1))
+	if value(parent, 1, "x") != 2 || value(parent, 1, "y") != 7 || parent.rows[1].ts != 20 {
+		t.Fatalf("merged row = x=%v y=%v ts=%v", value(parent, 1, "x"), value(parent, 1, "y"), parent.rows[1].ts)
 	}
-	if parent.Value(0, "y") != 0 {
+	if value(parent, 0, "y") != 0 {
 		t.Fatal("pre-merge row leaked a child column value")
 	}
 
@@ -104,37 +107,81 @@ func TestSeriesMerge(t *testing.T) {
 	nilSeries.Merge(child)
 	parent.Merge(nil)
 	nilSeries.Sample(1, r1)
-	if nilSeries.Len() != 0 || nilSeries.Cols() != nil || nilSeries.TS(0) != 0 || nilSeries.Value(0, "x") != 0 {
-		t.Fatal("nil series not inert")
-	}
 }
 
 func TestTracerSeriesViaProbe(t *testing.T) {
 	k := sim.NewKernel(1)
 	tr := childTracer()
-	p := StartKernelProbe(k, tr, 100)
+	StartKernelProbe(k, tr, 100)
 	for i := 0; i < 5; i++ {
 		k.At(sim.Time(i*150), func() {})
 	}
 	k.RunUntil(500)
-	p.Stop()
 
 	s := tr.Series()
-	if s == nil || s.Len() == 0 {
+	if s == nil || len(s.rows) == 0 {
 		t.Fatal("probe sampled no series rows")
 	}
 	found := false
-	for _, c := range s.Cols() {
+	for _, c := range s.cols {
 		if c == "sim.queue_depth" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("series cols = %v, want sim.queue_depth", s.Cols())
+		t.Fatalf("series cols = %v, want sim.queue_depth", s.cols)
 	}
 	var nilTr *Tracer
 	if nilTr.Series() != nil {
 		t.Fatal("nil tracer has a series")
 	}
 	nilTr.SampleSeries(1) // must not panic
+}
+
+// value reads one cell: the named metric's value in row i (0 when the
+// column did not exist yet at sample time).
+func value(s *Series, i int, name string) float64 {
+	if i < 0 || i >= len(s.rows) {
+		return 0
+	}
+	col, ok := s.index[name]
+	if !ok || col >= len(s.rows[i].vals) {
+		return 0
+	}
+	return s.rows[i].vals[col]
+}
+
+// readSeriesJSONL parses a serialized series back into column names and
+// rows (ts plus values).
+func readSeriesJSONL(r io.Reader) (cols []string, ts []sim.Time, rows [][]float64, err error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
+	first := true
+	for sc.Scan() {
+		raw := sc.Bytes()
+		if len(raw) == 0 {
+			continue
+		}
+		if first {
+			first = false
+			var header struct {
+				Cols []string `json:"cols"`
+			}
+			if err := json.Unmarshal(raw, &header); err != nil {
+				return nil, nil, nil, err
+			}
+			cols = header.Cols
+			continue
+		}
+		var vals []float64
+		if err := json.Unmarshal(raw, &vals); err != nil {
+			return nil, nil, nil, err
+		}
+		if len(vals) == 0 {
+			continue
+		}
+		ts = append(ts, sim.Time(vals[0]))
+		rows = append(rows, vals[1:])
+	}
+	return cols, ts, rows, sc.Err()
 }

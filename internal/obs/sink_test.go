@@ -16,7 +16,7 @@ func emitFixture(tr *Tracer) {
 	ep := tr.Begin(20, EvLSCEpoch, "", "vc", "epoch", Int("gen", 0))
 	sv := tr.Begin(30, EvVMSave, "n0", "d0", "save")
 	tr.Counter(35, EvSimProbe, "", "", "sim.queue_depth", 2)
-	tr.End(40, sv, Uint("bytes", 4096))
+	tr.End(40, sv, Int("bytes", 4096))
 	tr.Emit(45, EvTCPRetransmit, "n1", "", "rexmit", Str("conn", "c0"))
 	tr.End(50, ep, Str("outcome", "commit"))
 	tr.Inc("lsc.commits", 1)
@@ -72,7 +72,7 @@ func TestTracerSinkErrorIsSticky(t *testing.T) {
 	if err := st.Flush(); !errors.Is(err, wantErr) {
 		t.Fatalf("Flush = %v, want %v", err, wantErr)
 	}
-	if err := st.Err(); !errors.Is(err, wantErr) {
+	if err := st.err; !errors.Is(err, wantErr) {
 		t.Fatalf("Err = %v, want %v", err, wantErr)
 	}
 }

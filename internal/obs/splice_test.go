@@ -77,10 +77,10 @@ func TestSpliceMatchesSerialEmission(t *testing.T) {
 	if got := parent.Registry().Counter("trials"); got != trials {
 		t.Errorf("counter merge: got %v, want %d", got, trials)
 	}
-	if got := parent.Registry().GaugeValue("last_trial"); got != trials-1 {
+	if got := parent.Registry().gauges["last_trial"]; got != trials-1 {
 		t.Errorf("gauge merge is not last-write-wins: got %v", got)
 	}
-	if got := parent.Registry().Histogram("skew_ms").N(); got != trials {
+	if got := parent.Registry().hists["skew_ms"].N(); got != trials {
 		t.Errorf("histogram merge: got %d observations, want %d", got, trials)
 	}
 }

@@ -19,10 +19,11 @@ func (f *fuzzOps) next() byte {
 }
 
 // FuzzBytesOps runs a fuzzed program of Wrap, FromChunks, Slice and
-// Concat operations over a small pool of ropes, each paired with a flat
-// []byte model, and checks every result with checkRope. Chunk counts
-// cross the inline/spill boundary (zero, one, two, then three or more
-// chunks) in both directions. At the end every rope in the pool must
+// concatenation (FromChunks over two ropes' chunks) operations over a
+// small pool of ropes, each paired with a flat []byte model, and checks
+// every result with checkRope. Chunk counts cross the inline/spill
+// boundary (zero, one, two, then three or more chunks) in both
+// directions. At the end every rope in the pool must
 // still match its model: building one rope never writes into a chunk
 // list another rope shares.
 //
@@ -31,7 +32,7 @@ func (f *fuzzOps) next() byte {
 //	0 n         Wrap of n%8 fresh bytes (0 = the empty rope)
 //	1 k l...    FromChunks of k%6 fresh parts of l%5 bytes (empty parts allowed)
 //	2 p i j     pool[p].Slice(i, j), both clamped into range
-//	3 p q       pool[p].Concat(pool[q])
+//	3 p q       concat(pool[p], pool[q])
 func FuzzBytesOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 256 {
@@ -68,8 +69,7 @@ func FuzzBytesOps(f *testing.F) {
 				j := i + int(ops.next())%(len(p.model)-i+1)
 				next = pair{p.rope.Slice(i, j), append([]byte(nil), p.model[i:j]...)}
 			case 3:
-				a, b := pick(pool), pick(pool)
-				next = pair{a.rope.Concat(b.rope), append(append([]byte(nil), a.model...), b.model...)}
+				next = concat(pick(pool), pick(pool))
 			}
 			checkRope(t, next.rope, next.model)
 			for _, p := range pool {

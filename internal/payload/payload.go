@@ -131,20 +131,6 @@ func (b Bytes) Chunk(i int) []byte {
 	return (*b.rest)[i-2] // panics for every index not served above: rest is nil or too short
 }
 
-// At returns the byte at index i (panics if out of range).
-func (b Bytes) At(i int) byte {
-	if i < 0 || i >= b.length {
-		panic(fmt.Sprintf("payload: index %d out of range [0,%d)", i, b.length))
-	}
-	for k := 0; ; k++ {
-		c := b.Chunk(k)
-		if i < len(c) {
-			return c[i]
-		}
-		i -= len(c)
-	}
-}
-
 // Slice returns the sub-rope [i, j) as a view over the same chunks — no
 // bytes are copied. It panics on an invalid range, mirroring b[i:j].
 //
@@ -172,25 +158,6 @@ func (b Bytes) Slice(i, j int) Bytes {
 		out.add(c[i:end:end])
 		i = 0
 		j -= len(c)
-	}
-	return out
-}
-
-// Concat returns the concatenation of b and q, sharing both ropes'
-// chunks.
-func (b Bytes) Concat(q Bytes) Bytes {
-	if b.length == 0 {
-		return q
-	}
-	if q.length == 0 {
-		return b
-	}
-	var out Bytes
-	for k, n := 0, b.NumChunks(); k < n; k++ {
-		out.add(b.Chunk(k))
-	}
-	for k, n := 0, q.NumChunks(); k < n; k++ {
-		out.add(q.Chunk(k))
 	}
 	return out
 }
@@ -231,7 +198,8 @@ func (b Bytes) CopyTo(dst []byte) int {
 }
 
 // Equal reports whether two ropes hold the same byte content, regardless
-// of chunking.
+// of chunking. Only tests call it: the payload, guest, imgcodec, storage
+// and core tests compare ropes with it.
 func (b Bytes) Equal(q Bytes) bool {
 	if b.length != q.length {
 		return false

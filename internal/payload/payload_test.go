@@ -7,7 +7,7 @@ import (
 )
 
 // checkRope checks every read accessor of rope against its flat model:
-// Len, Flatten, At, CopyTo, AppendTo, Equal, and the chunk layout
+// Len, Flatten, CopyTo, AppendTo, Equal, and the chunk layout
 // (NumChunks non-empty chunks whose concatenation is the model).
 func checkRope(t *testing.T, rope Bytes, model []byte) {
 	t.Helper()
@@ -32,11 +32,6 @@ func checkRope(t *testing.T, rope Bytes, model []byte) {
 		t.Fatalf("chunks join to %d bytes, model has %d", len(joined), len(model))
 	}
 	if n := len(model); n > 0 {
-		for _, i := range []int{0, n / 2, n - 1} {
-			if rope.At(i) != model[i] {
-				t.Fatalf("At(%d)=%d model=%d", i, rope.At(i), model[i])
-			}
-		}
 		dst := make([]byte, n)
 		if c := rope.CopyTo(dst); c != n || !bytes.Equal(dst, model) {
 			t.Fatalf("CopyTo copied %d/%d or mismatched", c, n)
@@ -53,10 +48,23 @@ type pair struct {
 	model []byte
 }
 
+// concat joins two ropes the way a sender queues one behind another:
+// FromChunks over both ropes' chunks, sharing them without a copy.
+func concat(a, b pair) pair {
+	var parts [][]byte
+	for _, r := range []Bytes{a.rope, b.rope} {
+		for k := 0; k < r.NumChunks(); k++ {
+			parts = append(parts, r.Chunk(k))
+		}
+	}
+	return pair{FromChunks(parts...), append(append([]byte(nil), a.model...), b.model...)}
+}
+
 // TestBytesModel property-tests the rope against a plain []byte model:
-// every sequence of Wrap/FromChunks/Slice/Concat operations must produce
-// a rope whose Flatten equals the model's result, with At/Len/Equal/
-// CopyTo/AppendTo agreeing along the way.
+// every sequence of Wrap/FromChunks/Slice operations, and of
+// concatenations through FromChunks, must produce a rope whose Flatten
+// equals the model's result, with Len/Equal/CopyTo/AppendTo agreeing
+// along the way.
 func TestBytesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	fill := func(n int) []byte {
@@ -87,9 +95,8 @@ func TestBytesModel(t *testing.T) {
 			i := rng.Intn(len(p.model) + 1)
 			j := i + rng.Intn(len(p.model)-i+1)
 			next = pair{p.rope.Slice(i, j), append([]byte(nil), p.model[i:j]...)}
-		case 3: // Concat of two pool members
-			a, b := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
-			next = pair{a.rope.Concat(b.rope), append(append([]byte(nil), a.model...), b.model...)}
+		case 3: // concatenation of two pool members
+			next = concat(pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))])
 		}
 		checkRope(t, next.rope, next.model)
 		pool = append(pool, next)
@@ -108,7 +115,7 @@ func TestEqualChunkingAgnostic(t *testing.T) {
 	if !a.Equal(b) || !b.Equal(a) {
 		t.Fatalf("differently chunked equal content compared unequal")
 	}
-	c := b.Slice(0, b.Len()-1).Concat(Wrap([]byte("G")))
+	c := FromChunks(b.Slice(0, b.Len()-1).Flatten(), []byte("G"))
 	if a.Equal(c) || c.Equal(a) {
 		t.Fatalf("different content compared equal")
 	}

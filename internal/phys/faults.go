@@ -11,12 +11,6 @@ type InjectorConfig struct {
 	// RepairTime is the mean time to bring a crashed node back
 	// (exponential). Zero means nodes stay down.
 	RepairTime sim.Time
-	// PredictProb is the fraction of faults announced in advance —
-	// the paper's "avoidance of job failure when hardware faults can be
-	// predicted".
-	PredictProb float64
-	// PredictLead is how far in advance predicted faults are announced.
-	PredictLead sim.Time
 }
 
 // Injector drives random node failures.
@@ -26,12 +20,9 @@ type Injector struct {
 
 	// OnCrash fires when a node fails (after the node's own callbacks).
 	OnCrash func(*Node)
-	// OnPredict fires PredictLead before a predicted failure.
-	OnPredict func(*Node, sim.Time)
 
-	crashes  int
-	predicts int
-	stopped  bool
+	crashes int
+	stopped bool
 }
 
 // NewInjector creates an injector on the kernel.
@@ -41,9 +32,6 @@ func NewInjector(k *sim.Kernel, cfg InjectorConfig) *Injector {
 
 // Crashes reports how many node failures have been injected.
 func (in *Injector) Crashes() int { return in.crashes }
-
-// Predictions reports how many failures were announced in advance.
-func (in *Injector) Predictions() int { return in.predicts }
 
 // Stop halts future injections (already-scheduled events become no-ops).
 func (in *Injector) Stop() { in.stopped = true }
@@ -60,22 +48,7 @@ func (in *Injector) scheduleNext(n *Node) {
 		return
 	}
 	wait := sim.Exp(in.kernel.Rand(), in.cfg.MTBF)
-	in.kernel.After(wait, func() { in.fault(n) })
-}
-
-func (in *Injector) fault(n *Node) {
-	if in.stopped || !n.Up() {
-		return
-	}
-	if in.cfg.PredictProb > 0 && in.kernel.Rand().Float64() < in.cfg.PredictProb {
-		in.predicts++
-		if in.OnPredict != nil {
-			in.OnPredict(n, in.cfg.PredictLead)
-		}
-		in.kernel.After(in.cfg.PredictLead, func() { in.crash(n) })
-		return
-	}
-	in.crash(n)
+	in.kernel.After(wait, func() { in.crash(n) })
 }
 
 func (in *Injector) crash(n *Node) {

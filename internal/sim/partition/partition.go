@@ -113,10 +113,9 @@ type Coordinator struct {
 
 // Partition is one member of a partitioned run. Its exported methods are
 // called by the partition's own driver goroutine (Bind, Send) or before
-// Run starts (ID, Name).
+// Run starts (ID).
 type Partition struct {
 	id   int
-	name string
 	c    *Coordinator
 	cond sync.Cond
 
@@ -132,30 +131,22 @@ type Partition struct {
 // the tiebreaker that fixes cross-partition event ordering.
 func (p *Partition) ID() int { return p.id }
 
-// Name returns the partition's display name.
-func (p *Partition) Name() string { return p.name }
-
-// Kernel returns the kernel the driver bound to this partition (nil
-// before Bind). Only the partition's own driver goroutine may use it —
-// kernels never cross goroutines.
-func (p *Partition) Kernel() *sim.Kernel { return p.k }
-
-// NewCoordinator creates a coordinator with one partition per name, in
-// order; the index in names is the partition id.
-func NewCoordinator(cfg Config, names ...string) *Coordinator {
+// NewCoordinator creates a coordinator with n partitions, with ids 0 to
+// n-1.
+func NewCoordinator(cfg Config, n int) *Coordinator {
 	if cfg.Lookahead <= 0 {
 		panic("partition: Lookahead must be > 0 (the conservative window needs a positive width)")
 	}
-	if len(names) == 0 {
+	if n <= 0 {
 		panic("partition: need at least one partition")
 	}
 	c := &Coordinator{cfg: cfg}
-	for i, name := range names {
-		p := &Partition{id: i, name: name, c: c, req: sim.MaxTime}
+	for i := 0; i < n; i++ {
+		p := &Partition{id: i, c: c, req: sim.MaxTime}
 		p.cond.L = &c.mu
 		c.parts = append(c.parts, p)
 	}
-	if cfg.Workers > 0 && cfg.Workers < len(names) {
+	if cfg.Workers > 0 && cfg.Workers < n {
 		c.sem = make(chan struct{}, cfg.Workers)
 	}
 	return c

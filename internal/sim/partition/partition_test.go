@@ -21,23 +21,25 @@ type hit struct {
 // delivery log and the coordinator stats. The drivers build their whole
 // world inside themselves (the fleetscope contract).
 func runPingPong(workers, rounds int, lookahead, latency sim.Time) ([][]hit, partition.Stats) {
-	c := partition.NewCoordinator(partition.Config{Lookahead: lookahead, Workers: workers}, "left", "right")
+	c := partition.NewCoordinator(partition.Config{Lookahead: lookahead, Workers: workers}, 2)
 	logs := make([][]hit, 2)
+	kernels := make([]*sim.Kernel, 2) // each written and read by its partition's own driver
 	var bounce [2]func(p *partition.Partition, round int)
 	parts := c.Partitions()
 	for i := range bounce {
 		i := i
 		bounce[i] = func(p *partition.Partition, round int) {
-			logs[i] = append(logs[i], hit{Part: i, At: p.Kernel().Now(), Round: round})
+			logs[i] = append(logs[i], hit{Part: i, At: kernels[i].Now(), Round: round})
 			if round < rounds {
 				dst := 1 - i
-				p.Send(dst, p.Kernel().Now()+latency, wrap(parts[dst], &bounce[dst], round+1))
+				p.Send(dst, kernels[i].Now()+latency, wrap(parts[dst], &bounce[dst], round+1))
 			}
 		}
 	}
 	c.Run(func(p *partition.Partition) {
 		k := sim.NewKernel(int64(p.ID()) + 7)
 		p.Bind(k)
+		kernels[p.ID()] = k
 		if p.ID() == 0 {
 			k.At(1, func() {
 				p.Send(1, k.Now()+latency, wrap(parts[1], &bounce[1], 1))
@@ -102,7 +104,7 @@ func TestLowLookaheadNoDeadlock(t *testing.T) {
 func TestInjectionOrderDeterministic(t *testing.T) {
 	const L = 100
 	run := func(workers int) []string {
-		c := partition.NewCoordinator(partition.Config{Lookahead: L, Workers: workers}, "a", "b", "sink")
+		c := partition.NewCoordinator(partition.Config{Lookahead: L, Workers: workers}, 3)
 		var got []string
 		note := func(tag string) func() {
 			return func() { got = append(got, tag) }
@@ -139,7 +141,7 @@ func TestInjectionOrderDeterministic(t *testing.T) {
 // lands exactly on the deadline afterwards.
 func TestDeadlineJumpAcrossPartitions(t *testing.T) {
 	const L = 50
-	c := partition.NewCoordinator(partition.Config{Lookahead: L}, "idle", "sender")
+	c := partition.NewCoordinator(partition.Config{Lookahead: L}, 2)
 	var (
 		seen  []sim.Time
 		atEnd sim.Time
@@ -171,7 +173,7 @@ func TestDeadlineJumpAcrossPartitions(t *testing.T) {
 // lookahead window is the one way to corrupt the conservative protocol,
 // so it must refuse loudly.
 func TestSendUnderLookaheadPanics(t *testing.T) {
-	c := partition.NewCoordinator(partition.Config{Lookahead: 100}, "a", "b")
+	c := partition.NewCoordinator(partition.Config{Lookahead: 100}, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic from an under-lookahead Send")
@@ -191,7 +193,7 @@ func TestSendUnderLookaheadPanics(t *testing.T) {
 // surviving partitions nor swallows the panic; messages to the dead
 // partition are dropped and counted.
 func TestDriverPanicPropagates(t *testing.T) {
-	c := partition.NewCoordinator(partition.Config{Lookahead: 100}, "dies", "survives")
+	c := partition.NewCoordinator(partition.Config{Lookahead: 100}, 2)
 	var recovered any
 	func() {
 		defer func() { recovered = recover() }()

@@ -43,7 +43,7 @@ func TestMinCrossLatency(t *testing.T) {
 func TestCrossPartitionPacket(t *testing.T) {
 	wan := netsim.MultiDatacenterWAN().Latency
 	run := func(workers int) (arrivedAt sim.Time, aStats, bStats netsim.Stats) {
-		c := partition.NewCoordinator(partition.Config{Lookahead: wan, Workers: workers}, "west", "east")
+		c := partition.NewCoordinator(partition.Config{Lookahead: wan, Workers: workers}, 2)
 		nm := partition.NewNetMap(c)
 		nm.Register("a0", "west", 0)
 		nm.Register("b0", "east", 1)
@@ -84,7 +84,7 @@ func TestCrossPartitionPacket(t *testing.T) {
 // drops as no-dest on the sending fabric, exactly like a monolithic
 // fabric would drop it.
 func TestCrossPartitionUnknownAddr(t *testing.T) {
-	c := partition.NewCoordinator(partition.Config{Lookahead: 100}, "west", "east")
+	c := partition.NewCoordinator(partition.Config{Lookahead: 100}, 2)
 	nm := partition.NewNetMap(c)
 	nm.Register("a0", "west", 0)
 	var stats netsim.Stats
@@ -112,7 +112,7 @@ func TestCrossPartitionUnknownAddr(t *testing.T) {
 // path ("packets to a saved VM are lost on the wire").
 func TestCrossPartitionDownDest(t *testing.T) {
 	wan := netsim.MultiDatacenterWAN().Latency
-	c := partition.NewCoordinator(partition.Config{Lookahead: wan}, "west", "east")
+	c := partition.NewCoordinator(partition.Config{Lookahead: wan}, 2)
 	nm := partition.NewNetMap(c)
 	nm.Register("a0", "west", 0)
 	nm.Register("b0", "east", 1)

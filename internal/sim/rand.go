@@ -16,15 +16,6 @@ func Exp(rng *rand.Rand, mean Time) Time {
 	return Time(rng.ExpFloat64() * float64(mean))
 }
 
-// Normal draws a normally distributed duration, clamped at zero.
-func Normal(rng *rand.Rand, mean, stddev Time) Time {
-	d := float64(mean) + rng.NormFloat64()*float64(stddev)
-	if d < 0 {
-		return 0
-	}
-	return Time(d)
-}
-
 // NormalSigned draws a normally distributed duration that may be negative
 // (e.g. a clock offset).
 func NormalSigned(rng *rand.Rand, mean, stddev Time) Time {
@@ -49,13 +40,4 @@ func Uniform(rng *rand.Rand, lo, hi Time) Time {
 		return lo
 	}
 	return lo + Time(rng.Int63n(int64(hi-lo)))
-}
-
-// Jitter returns d scaled by a uniform factor in [1-f, 1+f].
-func Jitter(rng *rand.Rand, d Time, f float64) Time {
-	if f <= 0 {
-		return d
-	}
-	scale := 1 + f*(2*rng.Float64()-1)
-	return Time(float64(d) * scale)
 }

@@ -12,12 +12,10 @@
 // ([]event) threaded by an intrusive free list; scheduling reuses a free
 // slot instead of heap-allocating, and the priority queue is a hand-rolled
 // implicit 4-ary min-heap over slot indices keyed by (when, seq) — no
-// interface boxing, no per-push allocation. Handles are generation-counted
-// {slot, gen} values, so cancelling never pins a pointer and a recycled
-// slot can never be cancelled through a stale handle. Cancelled events are
-// removed lazily (the heap entry dies in place and is discarded when it
-// reaches the top, or reclaimed by compaction when dead entries outnumber
-// live ones). See DESIGN.md "Kernel hot path".
+// interface boxing, no per-push allocation. A scheduled event cannot be
+// cancelled; a component that needs to cancel or rearm holds a Timer,
+// whose Stop removes its heap entry eagerly, so every heap entry is a
+// live event. See DESIGN.md "Kernel hot path".
 package sim
 
 import (
@@ -50,14 +48,12 @@ func (t Time) String() string { return time.Duration(t).String() }
 // Seconds reports the time as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Slot states. A slot cycles free -> scheduled -> free (firing), with two
-// detours: scheduled -> dead (lazy cancel, still occupying a heap entry
-// until popped or compacted) and scheduled <-> idle (Timer-owned slots,
-// which stay allocated to their timer between firings).
+// Slot states. A slot cycles free -> scheduled -> free (firing), except
+// that Timer-owned slots cycle scheduled <-> idle, staying allocated to
+// their timer between firings.
 const (
 	slotFree uint8 = iota
 	slotScheduled
-	slotDead
 	slotIdle
 )
 
@@ -67,53 +63,10 @@ type event struct {
 	when    Time
 	seq     uint64
 	fn      func()
-	gen     uint32
 	heapIdx int32 // position in Kernel.heap; -1 when not queued
 	next    int32 // free-list link; meaningful only when state == slotFree
 	state   uint8
 	pinned  bool // owned by a Timer; never returned to the free list
-}
-
-// Handle identifies a scheduled event so it can be cancelled. Handles are
-// single-use: once the event fires or is cancelled the handle is inert.
-// A Handle is a value (kernel pointer + slot + generation); copying it is
-// cheap and stale copies are harmless — the generation check makes every
-// operation on a fired/cancelled/recycled slot a no-op.
-type Handle struct {
-	k    *Kernel
-	slot int32
-	gen  uint32
-}
-
-// valid reports whether the handle still refers to a scheduled event. The
-// generation counter is bumped the moment an event fires or is cancelled,
-// so gen equality implies state == slotScheduled.
-func (h Handle) valid() bool {
-	return h.k != nil && h.k.slab[h.slot].gen == h.gen
-}
-
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op. It reports whether the event was
-// still pending.
-func (h Handle) Cancel() bool {
-	if !h.valid() {
-		return false
-	}
-	h.k.cancelSlot(h.slot)
-	return true
-}
-
-// Pending reports whether the event has neither fired nor been cancelled.
-func (h Handle) Pending() bool { return h.valid() }
-
-// When returns the virtual time the event is scheduled for, or 0 once the
-// handle is stale (the event fired or was cancelled, or the slot has been
-// recycled for a newer event).
-func (h Handle) When() Time {
-	if !h.valid() {
-		return 0
-	}
-	return h.k.slab[h.slot].when
 }
 
 // Kernel is the discrete-event scheduler. It is not safe for concurrent
@@ -124,8 +77,6 @@ type Kernel struct {
 	slab []event
 	free int32   // free-list head, -1 when empty
 	heap []int32 // implicit 4-ary min-heap of slot indices over (when, seq)
-	live int     // scheduled (non-dead) events currently queued
-	dead int     // cancelled events still occupying heap entries
 
 	seq    uint64
 	rng    *rand.Rand
@@ -245,20 +196,16 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // Fired reports how many events have executed so far.
 func (k *Kernel) Fired() uint64 { return k.fired }
 
-// Pending reports how many live events are waiting in the queue. Cancelled
-// events that still occupy heap entries are excluded: queue-depth probes
-// must see load, not garbage awaiting collection.
-func (k *Kernel) Pending() int { return k.live }
+// Pending reports how many events are waiting in the queue.
+func (k *Kernel) Pending() int { return len(k.heap) }
 
 // SlabLen reports how many event slots the kernel has ever allocated: the
 // slab's length, which only grows. Freed slots are reused before the slab
 // grows, so a run whose components free what they retire holds it flat;
-// lifecycle tests gate on it.
+// lifecycle tests gate on it. Only tests call it: sim's
+// TestTimerFreeReleasesSlot, guest's TestReleaseFreesTimersAndIsIdempotent
+// and the root package's lifecycle tests.
 func (k *Kernel) SlabLen() int { return len(k.slab) }
-
-// deadEntries reports cancelled events still occupying heap entries
-// (exported to tests via export_test.go).
-func (k *Kernel) deadEntries() int { return k.dead }
 
 // --- slab management ---
 
@@ -276,9 +223,8 @@ func (k *Kernel) alloc() int32 {
 	return int32(len(k.slab) - 1)
 }
 
-// release returns a non-pinned slot to the free list. The generation was
-// already bumped when the event died; clearing fn drops the closure so the
-// GC can collect captured state.
+// release returns a non-pinned slot to the free list. Clearing fn drops
+// the closure so the GC can collect captured state.
 //
 //dvc:hotpath
 func (k *Kernel) release(slot int32) {
@@ -288,53 +234,6 @@ func (k *Kernel) release(slot int32) {
 	e.heapIdx = -1
 	e.next = k.free
 	k.free = slot
-}
-
-// cancelSlot lazily kills a scheduled slot: the heap entry stays where it
-// is (marked dead) and is reclaimed when it surfaces or when compaction
-// runs. The generation bump makes every outstanding handle stale.
-//
-//dvc:hotpath
-func (k *Kernel) cancelSlot(slot int32) {
-	e := &k.slab[slot]
-	e.gen++
-	e.state = slotDead
-	e.fn = nil
-	k.live--
-	k.dead++
-	k.maybeCompact()
-}
-
-// maybeCompact rebuilds the heap without its dead entries once they
-// outnumber the live ones. The trigger depends only on deterministic
-// counters and the rebuild only on heap array order, so compaction is part
-// of the reproducible schedule.
-//
-//dvc:hotpath
-func (k *Kernel) maybeCompact() {
-	const minDead = 64
-	if k.dead < minDead || k.dead <= k.live {
-		return
-	}
-	kept := k.heap[:0]
-	for _, slot := range k.heap {
-		if k.slab[slot].state == slotDead {
-			k.release(slot)
-			continue
-		}
-		kept = append(kept, slot) //lint:allow noalloc appends into k.heap[:0], never beyond existing capacity
-	}
-	k.heap = kept
-	k.dead = 0
-	for i := range k.heap {
-		k.slab[k.heap[i]].heapIdx = int32(i)
-	}
-	// Heapify bottom-up: parents of the last element downward.
-	if n := len(k.heap); n > 1 {
-		for i := (n - 2) / heapArity; i >= 0; i-- {
-			k.siftDown(i)
-		}
-	}
 }
 
 // --- implicit 4-ary min-heap over (when, seq) ---
@@ -383,8 +282,7 @@ func (k *Kernel) heapPopTop() int32 {
 	return top
 }
 
-// heapRemove deletes the entry at heap position i (Timer.Stop's eager
-// removal; timers never leave dead entries behind).
+// heapRemove deletes the entry at heap position i (Timer.Stop).
 //
 //dvc:hotpath
 func (k *Kernel) heapRemove(i int) {
@@ -465,7 +363,7 @@ func (k *Kernel) siftDown(i int) {
 // past panics: that is always a logic error in a discrete-event model.
 //
 //dvc:hotpath
-func (k *Kernel) At(t Time, fn func()) Handle {
+func (k *Kernel) At(t Time, fn func()) {
 	if fn == nil {
 		panic("sim: At with nil callback")
 	}
@@ -479,27 +377,22 @@ func (k *Kernel) At(t Time, fn func()) Handle {
 	e.fn = fn
 	e.state = slotScheduled
 	k.seq++
-	k.live++
 	k.heapPush(slot)
-	return Handle{k: k, slot: slot, gen: e.gen}
 }
 
 // After schedules fn to run d after the current time. Negative delays are
 // clamped to zero (fire on the next dispatch, preserving order).
 //
 //dvc:hotpath
-func (k *Kernel) After(d Time, fn func()) Handle {
+func (k *Kernel) After(d Time, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	return k.At(k.now+d, fn)
+	k.At(k.now+d, fn)
 }
 
 // Halt stops the run loop after the current event finishes.
 func (k *Kernel) Halt() { k.halted = true }
-
-// Halted reports whether Halt has been called.
-func (k *Kernel) Halted() bool { return k.halted }
 
 // Step executes the single next pending event, advancing virtual time to
 // its timestamp. It reports false when the queue is empty — or, on a
@@ -513,39 +406,34 @@ func (k *Kernel) Step() bool {
 	if k.gate != nil && !k.admit() {
 		return false
 	}
-	for len(k.heap) > 0 {
-		slot := k.heapPopTop()
-		e := &k.slab[slot]
-		if e.state == slotDead {
-			k.dead--
-			k.release(slot)
-			continue
-		}
-		if e.when < k.now {
-			panic("sim: event queue time went backwards")
-		}
-		k.now = e.when
-		fn := e.fn
-		e.gen++
-		k.live--
-		// Free the slot before dispatching: the callback may schedule new
-		// events, and the hottest pattern (fire -> reschedule) then reuses
-		// this very slot. Timer-owned slots park in slotIdle instead,
-		// keeping their bound callback for the next Reset.
-		if e.pinned {
-			e.state = slotIdle
-		} else {
-			k.release(slot)
-		}
-		k.fired++
-		fn()
-		return true
+	if len(k.heap) == 0 {
+		return false
 	}
-	return false
+	slot := k.heapPopTop()
+	e := &k.slab[slot]
+	if e.when < k.now {
+		panic("sim: event queue time went backwards")
+	}
+	k.now = e.when
+	fn := e.fn
+	// Free the slot before dispatching: the callback may schedule new
+	// events, and the hottest pattern (fire -> reschedule) then reuses
+	// this very slot. Timer-owned slots park in slotIdle instead,
+	// keeping their bound callback for the next Reset.
+	if e.pinned {
+		e.state = slotIdle
+	} else {
+		k.release(slot)
+	}
+	k.fired++
+	fn()
+	return true
 }
 
 // Run executes events until the queue drains or Halt is called. It returns
-// the number of events executed by this call.
+// the number of events executed by this call. The simulator itself runs
+// its kernels through RunUntil and RunFor; Run is the drain loop of the
+// sim, clock, netsim, guest, hpcc, vm and storage tests.
 func (k *Kernel) Run() uint64 {
 	start := k.fired
 	k.halted = false
@@ -588,21 +476,10 @@ func (k *Kernel) RunUntil(deadline Time) uint64 {
 // RunFor is RunUntil(Now()+d).
 func (k *Kernel) RunFor(d Time) uint64 { return k.RunUntil(k.now + d) }
 
-// peek reports the earliest live event time, discarding dead entries that
-// have surfaced at the top of the heap.
+// peek reports the earliest pending event time.
 func (k *Kernel) peek() (Time, bool) {
-	for len(k.heap) > 0 {
-		top := k.heap[0]
-		if k.slab[top].state == slotDead {
-			k.heapPopTop()
-			k.dead--
-			k.release(top)
-			continue
-		}
-		return k.slab[top].when, true
+	if len(k.heap) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return k.slab[k.heap[0]].when, true
 }
-
-// NextEventTime reports the timestamp of the earliest pending event.
-func (k *Kernel) NextEventTime() (Time, bool) { return k.peek() }

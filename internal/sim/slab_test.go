@@ -1,228 +1,32 @@
 package sim
 
 // Tests pinning the pooled-slab event system's observable semantics:
-// generation-counted handles must stay inert across slot reuse, Pending
-// must report live events only, compaction must not perturb the schedule,
-// and Timer rearm must consume exactly the same seq stream as the
-// cancel+reschedule pattern it replaces.
+// Timer rearm must consume exactly the same seq stream as scheduling a
+// fresh event per arm, freed slots must be reused, and a churn of events
+// and timers must match a model of expected firings.
 
 import (
 	"math/rand"
 	"testing"
 )
 
-// TestStaleHandleNeverCancelsRecycledSlot schedules an event, lets it
-// fire (freeing its slot), schedules a second event that reuses the same
-// slot, and asserts the stale first handle cannot cancel — or even see —
-// the second event.
-func TestStaleHandleNeverCancelsRecycledSlot(t *testing.T) {
-	k := NewKernel(1)
-	h1 := k.After(Millisecond, func() {})
-	k.Run()
-
-	fired := false
-	h2 := k.After(Millisecond, func() { fired = true })
-	if h1.slot != h2.slot {
-		t.Fatalf("expected slot reuse after fire: h1.slot=%d h2.slot=%d", h1.slot, h2.slot)
-	}
-	if h1.Pending() {
-		t.Fatal("stale handle reports Pending after its event fired")
-	}
-	if h1.Cancel() {
-		t.Fatal("stale handle cancelled a recycled slot")
-	}
-	k.Run()
-	if !fired {
-		t.Fatal("second event did not fire; stale handle interfered")
-	}
-}
-
-// TestCancelledSlotReuseKeepsOldHandleInert covers the cancel (rather
-// than fire) path to slot reuse: the dead entry is lazily freed when it
-// surfaces, and the old handle must stay inert against the new tenant.
-func TestCancelledSlotReuseKeepsOldHandleInert(t *testing.T) {
-	k := NewKernel(1)
-	h1 := k.After(Millisecond, func() { t.Fatal("cancelled event fired") })
-	if !h1.Cancel() {
-		t.Fatal("first Cancel should succeed")
-	}
-	if h1.Cancel() {
-		t.Fatal("second Cancel on the same handle should fail")
-	}
-	k.Run() // surfaces the dead entry, releasing the slot
-
-	fired := false
-	h2 := k.After(Millisecond, func() { fired = true })
-	if h1.slot != h2.slot {
-		t.Fatalf("expected slot reuse after lazy reclaim: h1.slot=%d h2.slot=%d", h1.slot, h2.slot)
-	}
-	if h1.Cancel() || h1.Pending() {
-		t.Fatal("stale handle still acts on a recycled slot")
-	}
-	k.Run()
-	if !fired {
-		t.Fatal("recycled event did not fire")
-	}
-}
-
-// TestWhenOnRecycledSlotReturnsZero: When() must go stale together with
-// Pending(), not leak the recycled tenant's deadline.
-func TestWhenOnRecycledSlotReturnsZero(t *testing.T) {
-	k := NewKernel(1)
-	h1 := k.After(Millisecond, func() {})
-	if h1.When() != Millisecond {
-		t.Fatalf("live When = %v, want %v", h1.When(), Millisecond)
-	}
-	k.Run()
-	if h1.When() != 0 {
-		t.Fatalf("When after fire = %v, want 0", h1.When())
-	}
-	h2 := k.After(5*Millisecond, func() {})
-	if h1.slot != h2.slot {
-		t.Fatalf("expected slot reuse: h1.slot=%d h2.slot=%d", h1.slot, h2.slot)
-	}
-	if h1.When() != 0 {
-		t.Fatalf("stale When leaked recycled tenant's deadline: %v", h1.When())
-	}
-	if got := h2.When(); got != k.Now()+5*Millisecond {
-		t.Fatalf("live When on recycled slot = %v", got)
-	}
-}
-
-// TestPendingCountsLiveOnly is the satellite-2 regression test: cancelled
-// events still occupy heap entries until lazily reclaimed, but Pending
-// must not count them. The old container/heap kernel reported len(heap),
-// which overstated queue depth in obs traces by orders of magnitude.
-func TestPendingCountsLiveOnly(t *testing.T) {
-	k := NewKernel(1)
-	var hs []Handle
-	for i := 0; i < 100; i++ {
-		hs = append(hs, k.After(Time(i+1)*Millisecond, func() {}))
-	}
-	if k.Pending() != 100 {
-		t.Fatalf("Pending = %d, want 100", k.Pending())
-	}
-	for i := 0; i < 100; i += 2 {
-		hs[i].Cancel()
-	}
-	if k.Pending() != 50 {
-		t.Fatalf("Pending after cancelling half = %d, want 50", k.Pending())
-	}
-	if k.deadEntries() == 0 {
-		t.Fatal("expected dead entries still parked in the heap")
-	}
-	// peek must not change the live count even as it sweeps dead entries.
-	if _, ok := k.NextEventTime(); !ok {
-		t.Fatal("queue should be non-empty")
-	}
-	if k.Pending() != 50 {
-		t.Fatalf("Pending after peek = %d, want 50", k.Pending())
-	}
-	k.Run()
-	if k.Pending() != 0 || k.deadEntries() != 0 {
-		t.Fatalf("after Run: Pending=%d dead=%d, want 0/0", k.Pending(), k.deadEntries())
-	}
-}
-
-// TestCompactionReclaimsDeadAndPreservesOrder drives the dead count past
-// the compaction threshold and checks both that the heap was rebuilt
-// (dead reset) and that the surviving events still fire in (when, seq)
-// order.
-func TestCompactionReclaimsDeadAndPreservesOrder(t *testing.T) {
-	k := NewKernel(7)
-	rng := rand.New(rand.NewSource(42))
-	var keep []int
-	var order []int
-	for i := 0; i < 400; i++ {
-		i := i
-		h := k.At(Time(rng.Intn(1000)+1)*Millisecond, func() { order = append(order, i) })
-		if i%4 == 0 {
-			keep = append(keep, i)
-			_ = h
-		} else {
-			h.Cancel()
-		}
-	}
-	// 300 cancels against 100 live: compaction must have triggered.
-	if k.deadEntries() > k.Pending() {
-		t.Fatalf("compaction did not run: dead=%d live=%d", k.deadEntries(), k.Pending())
-	}
-	if k.Pending() != len(keep) {
-		t.Fatalf("Pending = %d, want %d", k.Pending(), len(keep))
-	}
-	k.Run()
-	if len(order) != len(keep) {
-		t.Fatalf("fired %d events, want %d", len(order), len(keep))
-	}
-	seen := make(map[int]bool)
-	for _, id := range order {
-		if id%4 != 0 {
-			t.Fatalf("cancelled event %d fired after compaction", id)
-		}
-		if seen[id] {
-			t.Fatalf("event %d fired twice", id)
-		}
-		seen[id] = true
-	}
-}
-
-// TestCompactionIsScheduleNeutral runs the same randomized workload with
-// and without enough cancellations to trigger compaction of *unrelated*
-// events, asserting the surviving schedule is identical. Compaction must
-// be invisible to pop order.
-func TestCompactionIsScheduleNeutral(t *testing.T) {
-	run := func(churn bool) []int {
-		k := NewKernel(3)
-		var order []int
-		for i := 0; i < 50; i++ {
-			i := i
-			k.At(Time(i%10+1)*Second, func() { order = append(order, i) })
-		}
-		if churn {
-			// Park and cancel enough far-future events to force compaction.
-			var hs []Handle
-			for i := 0; i < 200; i++ {
-				hs = append(hs, k.At(Hour, func() {}))
-			}
-			for _, h := range hs {
-				h.Cancel()
-			}
-			if k.deadEntries() != 0 && k.deadEntries() > k.Pending() {
-				t.Fatal("compaction should have triggered")
-			}
-		}
-		k.Run()
-		return order
-	}
-	a, b := run(false), run(true)
-	if len(a) != len(b) {
-		t.Fatalf("schedule length changed: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("pop order diverged at %d: %d vs %d", i, a[i], b[i])
-		}
-	}
-}
-
-// TestTimerRearmMatchesCancelReschedule asserts the Timer fast path is
-// seq-for-seq identical to the Cancel+After pattern it replaces: the same
+// TestTimerRearmMatchesReschedule asserts the Timer fast path is
+// seq-for-seq identical to scheduling a fresh After per arm: the same
 // workload driven both ways must produce the same firing times and the
 // same final seq counter, so converting a call site cannot shift any
 // other event's tiebreak.
-func TestTimerRearmMatchesCancelReschedule(t *testing.T) {
+func TestTimerRearmMatchesReschedule(t *testing.T) {
 	type obs struct {
 		times []Time
 		seq   uint64
 	}
-	viaHandle := func() obs {
+	viaAfter := func() obs {
 		k := NewKernel(9)
 		var o obs
-		var h Handle
 		n := 0
 		var arm func(d Time)
 		arm = func(d Time) {
-			h = k.After(d, func() {
+			k.After(d, func() {
 				o.times = append(o.times, k.Now())
 				n++
 				if n < 5 {
@@ -231,7 +35,6 @@ func TestTimerRearmMatchesCancelReschedule(t *testing.T) {
 			})
 		}
 		arm(Millisecond)
-		_ = h
 		k.Run()
 		o.seq = k.seq
 		return o
@@ -253,9 +56,9 @@ func TestTimerRearmMatchesCancelReschedule(t *testing.T) {
 		o.seq = k.seq
 		return o
 	}
-	a, b := viaHandle(), viaTimer()
+	a, b := viaAfter(), viaTimer()
 	if a.seq != b.seq {
-		t.Fatalf("seq consumption diverged: handle=%d timer=%d", a.seq, b.seq)
+		t.Fatalf("seq consumption diverged: after=%d timer=%d", a.seq, b.seq)
 	}
 	if len(a.times) != len(b.times) {
 		t.Fatalf("firing counts diverged: %d vs %d", len(a.times), len(b.times))
@@ -269,7 +72,7 @@ func TestTimerRearmMatchesCancelReschedule(t *testing.T) {
 
 // TestTimerStopAndRearm covers the in-place rearm state machine:
 // scheduled -> idle on Stop, idle -> scheduled on Reset, earlier/later
-// rearm while scheduled, and Stop consuming no seq (parity with Cancel).
+// rearm while scheduled, and Stop consuming no seq.
 func TestTimerStopAndRearm(t *testing.T) {
 	k := NewKernel(1)
 	fired := 0
@@ -330,7 +133,6 @@ func TestTimerStopAndRearm(t *testing.T) {
 func TestTimerFreeReleasesSlot(t *testing.T) {
 	k := NewKernel(1)
 	tm := NewTimer(k, func() {})
-	slot := tm.slot
 	tm.Reset(Second)
 	seq := k.seq
 	tm.Free()
@@ -338,9 +140,9 @@ func TestTimerFreeReleasesSlot(t *testing.T) {
 		t.Fatalf("Free of an armed timer moved seq %d -> %d or left %d pending", seq, k.seq, k.Pending())
 	}
 	fired := false
-	h := k.After(Millisecond, func() { fired = true })
-	if h.slot != slot || k.SlabLen() != 1 {
-		t.Fatalf("expected freed timer slot %d to be reused, got %d (slab %d)", slot, h.slot, k.SlabLen())
+	k.After(Millisecond, func() { fired = true })
+	if k.SlabLen() != 1 {
+		t.Fatalf("freed timer slot not reused: slab grew to %d slots", k.SlabLen())
 	}
 	if tm.Stop() {
 		t.Fatal("freed timer cancelled another event")
@@ -351,9 +153,11 @@ func TestTimerFreeReleasesSlot(t *testing.T) {
 	}
 }
 
-// TestChurnFuzz hammers the slab with a schedule/cancel/fire mix large
-// enough to exercise growth, reuse, compaction, and timer rearm together,
-// cross-checking a model of expected firings. Run with -race in CI.
+// TestChurnFuzz hammers the slab with a mix of one-shot events and a
+// pool of timers that are reset, stopped and freed at random, large
+// enough to exercise growth, reuse and in-place rearm together. A model
+// tracks every timer's deadline and the number of queued events, and
+// every firing is checked against it. Run with -race in CI.
 func TestChurnFuzz(t *testing.T) {
 	const total = 1_000_000
 	n := total
@@ -363,14 +167,35 @@ func TestChurnFuzz(t *testing.T) {
 	k := NewKernel(99)
 	rng := rand.New(rand.NewSource(7))
 
-	fired := 0
-	cancelled := 0
-	expectFired := 0
-	var pendingH []Handle
+	// One-shot events: how many were scheduled, fired and are queued.
+	scheduled, fired, outstanding := 0, 0, 0
+	oneShot := func() { fired++; outstanding-- }
+
+	// A pool of timers; model[i] is timer i's deadline, or -1 when it is
+	// not armed.
+	const poolSize = 64
+	pool := make([]*Timer, poolSize)
+	model := make([]Time, poolSize)
+	armed, poolFires, stops, frees := 0, 0, 0, 0
+	newTimer := func(i int) *Timer {
+		return NewTimer(k, func() {
+			if model[i] != k.Now() {
+				t.Fatalf("timer %d fired at %v, model deadline %v", i, k.Now(), model[i])
+			}
+			model[i] = -1
+			armed--
+			poolFires++
+		})
+	}
+	for i := range pool {
+		pool[i] = newTimer(i)
+		model[i] = -1
+	}
 
 	// A few long-lived timers rearming themselves throughout.
+	const rearming = 8
 	timerFires := 0
-	for i := 0; i < 8; i++ {
+	for i := 0; i < rearming; i++ {
 		var tm *Timer
 		tm = NewTimer(k, func() {
 			timerFires++
@@ -379,37 +204,60 @@ func TestChurnFuzz(t *testing.T) {
 		tm.Reset(Time(i+1) * Millisecond)
 	}
 
-	for i := 0; i < n; i++ {
+	for op := 0; op < n; op++ {
+		i := rng.Intn(poolSize)
 		switch rng.Intn(10) {
-		case 0, 1, 2, 3, 4, 5: // schedule
-			pendingH = append(pendingH, k.After(Time(rng.Intn(100)+1)*Millisecond, func() { fired++ }))
-			expectFired++
-		case 6, 7: // cancel a random outstanding handle
-			if len(pendingH) > 0 {
-				j := rng.Intn(len(pendingH))
-				if pendingH[j].Cancel() {
-					cancelled++
-					expectFired--
-				}
-				pendingH[j] = pendingH[len(pendingH)-1]
-				pendingH = pendingH[:len(pendingH)-1]
+		case 0, 1, 2, 3: // schedule a one-shot event
+			k.After(Time(rng.Intn(100)+1)*Millisecond, oneShot)
+			scheduled++
+			outstanding++
+		case 4, 5: // arm or move a pool timer
+			d := Time(rng.Intn(100)) * Millisecond
+			if model[i] < 0 {
+				armed++
 			}
+			pool[i].Reset(d)
+			model[i] = k.Now() + d
+		case 6: // stop a pool timer
+			if pool[i].Stop() != (model[i] >= 0) {
+				t.Fatalf("timer %d: Stop disagrees with model deadline %v", i, model[i])
+			}
+			if model[i] >= 0 {
+				armed--
+				stops++
+			}
+			model[i] = -1
+		case 7: // free a pool timer and replace it
+			if model[i] >= 0 {
+				armed--
+				frees++
+			}
+			pool[i].Free()
+			pool[i] = newTimer(i)
+			model[i] = -1
 		default: // drain a little
 			k.RunFor(Time(rng.Intn(5)) * Millisecond)
+		}
+		if pool[i].When() != max(model[i], 0) || pool[i].Pending() != (model[i] >= 0) {
+			t.Fatalf("timer %d: When=%v Pending=%v, model deadline %v", i, pool[i].When(), pool[i].Pending(), model[i])
+		}
+		if k.Pending() != outstanding+armed+rearming {
+			t.Fatalf("Pending = %d, model has %d events, %d pool timers and %d rearming timers queued",
+				k.Pending(), outstanding, armed, rearming)
 		}
 	}
 	// Drain everything but the self-rearming timers.
 	k.RunFor(200 * Millisecond)
 
-	if fired != expectFired {
-		t.Fatalf("fired %d events, model expected %d (cancelled %d)", fired, expectFired, cancelled)
+	if fired != scheduled || outstanding != 0 || armed != 0 {
+		t.Fatalf("fired %d of %d one-shot events; %d pool timers still armed", fired, scheduled, armed)
 	}
 	if timerFires == 0 {
 		t.Fatal("self-rearming timers never fired")
 	}
-	if k.Pending() != 8 { // the 8 timers are always armed
-		t.Fatalf("Pending at quiescence = %d, want 8 rearming timers", k.Pending())
+	if k.Pending() != rearming { // the rearming timers are always armed
+		t.Fatalf("Pending at quiescence = %d, want %d rearming timers", k.Pending(), rearming)
 	}
-	t.Logf("churn: %d ops, %d fired, %d cancelled, %d timer fires, slab=%d slots",
-		n, fired, cancelled, timerFires, len(k.slab))
+	t.Logf("churn: %d ops, %d one-shots, %d pool fires, %d stops, %d frees, %d timer fires, slab=%d slots",
+		n, fired, poolFires, stops, frees, timerFires, len(k.slab))
 }

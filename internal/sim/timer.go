@@ -1,19 +1,19 @@
 package sim
 
 // Timer is a rearmable event: one callback, bound once, fired whenever the
-// timer is armed and expires. It exists for the simulator's churn-heavy
-// timers — TCP retransmission, guest scheduler pumps, watchdog and
-// resource-manager ticks — which under the Handle API would cancel and
-// reallocate an event (plus a fresh closure) on every rearm. A Timer owns
-// one slab slot for its whole life: Reset rearms that slot in place (new
-// deadline, fresh sequence number, re-sifted heap position) and Stop
-// removes it from the heap eagerly, so timers never allocate after
-// creation and never leave dead entries behind.
+// timer is armed and expires. It is the kernel's only way to cancel or
+// move an event, and it exists for the simulator's churn-heavy timers —
+// TCP retransmission, guest scheduler pumps, watchdog and resource-manager
+// ticks — which would otherwise schedule a fresh event (plus a fresh
+// closure) on every rearm. A Timer owns one slab slot for its whole life:
+// Reset rearms that slot in place (new deadline, fresh sequence number,
+// re-sifted heap position) and Stop removes it from the heap eagerly, so
+// timers never allocate after creation.
 //
 // Determinism contract: Reset consumes exactly one kernel sequence number,
-// the same as scheduling a fresh event, so a Timer-based component fires
-// in exactly the (when, seq) order the cancel-and-reschedule idiom would
-// produce. Stop consumes none, matching Handle.Cancel.
+// the same as a fresh Kernel.After, so a Timer fires in exactly the
+// (when, seq) order that scheduling a fresh event per arm would produce.
+// Stop consumes none.
 //
 // The zero Timer is not usable; create one with NewTimer. Like the Kernel,
 // Timers are single-threaded by design.
@@ -69,7 +69,6 @@ func (t *Timer) ResetAt(at Time) {
 	switch e.state {
 	case slotIdle:
 		e.state = slotScheduled
-		k.live++
 		k.heapPush(t.slot)
 	case slotScheduled:
 		k.siftFix(int(e.heapIdx))
@@ -78,9 +77,9 @@ func (t *Timer) ResetAt(at Time) {
 	}
 }
 
-// Stop disarms the timer, reporting whether it was armed. The slot stays
-// owned by the timer (eagerly removed from the heap, not marked dead), so
-// a Stop/Reset cycle is allocation-free and leaves no garbage entry.
+// Stop disarms the timer, reporting whether it was armed. The slot leaves
+// the heap at once and stays owned by the timer, so a Stop/Reset cycle is
+// allocation-free.
 //
 //dvc:hotpath
 func (t *Timer) Stop() bool {
@@ -94,7 +93,6 @@ func (t *Timer) Stop() bool {
 	}
 	k.heapRemove(int(e.heapIdx))
 	e.state = slotIdle
-	k.live--
 	return true
 }
 
@@ -131,7 +129,6 @@ func (t *Timer) Free() {
 	t.Stop()
 	e := &t.k.slab[t.slot]
 	e.pinned = false
-	e.gen++ // slots bump their generation once per death, timers included
 	t.k.release(t.slot)
 	t.slot = -1
 }

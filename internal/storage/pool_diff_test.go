@@ -201,7 +201,7 @@ func TestReleaseUnpinnedChunkPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.Run()
-	obj, _ := s.Stat("ckpt/a/0")
+	obj := s.objects["ckpt/a/0"]
 	s.Delete("ckpt/a/0")
 	defer func() {
 		if recover() == nil {

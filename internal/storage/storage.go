@@ -188,14 +188,6 @@ type WriteInfo struct {
 	NewChunks   int   // chunks transferred
 }
 
-// DedupRatio returns Logical/Sent (1 when nothing was saved).
-func (w WriteInfo) DedupRatio() float64 {
-	if w.Sent <= 0 {
-		return 1
-	}
-	return float64(w.Logical) / float64(w.Sent)
-}
-
 // Write stores an image under key, calling onDone when the transfer
 // completes. A full image sends all of its RAM. A delta image
 // (Image.Delta) must carry a well-formed page table; the store pins its
@@ -259,18 +251,6 @@ func (s *Store) Read(key string, onDone func(*vm.Image, error)) {
 	s.Reads++
 	s.BytesRead += uint64(obj.Size)
 	s.begin(obj.Size, func() { onDone(obj.Image, nil) })
-}
-
-// Has reports whether key exists.
-func (s *Store) Has(key string) bool {
-	_, ok := s.objects[key]
-	return ok
-}
-
-// Stat returns an object's metadata without a transfer.
-func (s *Store) Stat(key string) (*Object, bool) {
-	o, ok := s.objects[key]
-	return o, ok
 }
 
 // Delete removes an object (metadata operation, instantaneous). Delta

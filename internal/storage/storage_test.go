@@ -26,7 +26,7 @@ func TestSingleWriteTiming(t *testing.T) {
 	if doneAt != want {
 		t.Fatalf("write done at %v, want %v", doneAt, want)
 	}
-	if !s.Has("a") {
+	if s.objects["a"] == nil {
 		t.Fatal("object missing after write")
 	}
 }
@@ -111,7 +111,7 @@ func TestOverwriteReplaces(t *testing.T) {
 	k.Run()
 	s.Write("key", img("gen2", 2000), nil)
 	k.Run()
-	o, ok := s.Stat("key")
+	o, ok := s.objects["key"]
 	if !ok || o.Image.DomainName != "gen2" || o.Size != 2000 {
 		t.Fatalf("overwrite failed: %+v", o)
 	}
@@ -143,7 +143,7 @@ func TestDeleteAndTotal(t *testing.T) {
 		t.Fatalf("TotalBytes = %d", s.TotalBytes())
 	}
 	s.Delete("a")
-	if s.Has("a") || s.TotalBytes() != 200 {
+	if s.objects["a"] != nil || s.TotalBytes() != 200 {
 		t.Fatal("delete failed")
 	}
 }

@@ -117,12 +117,6 @@ func (c *Conn) Key() ConnKey { return c.key }
 // State returns the connection state.
 func (c *Conn) State() State { return c.state }
 
-// RemoteAddr returns the peer's fabric address.
-func (c *Conn) RemoteAddr() netsim.Addr { return c.key.RemoteAddr }
-
-// RTO returns the current retransmission timeout.
-func (c *Conn) RTO() sim.Time { return c.rto }
-
 // Write queues data for transmission without copying it: the slice's
 // chunks enter the send queue by reference, so the caller hands over
 // visibility of data under the payload package's immutability contract
@@ -181,6 +175,7 @@ func (c *Conn) ReadPayload(n int) payload.Bytes {
 }
 
 // Close requests a graceful close: remaining data is sent, then FIN.
+// Only tests call it; ConnSnapshot encodes the FIN handshake it starts.
 func (c *Conn) Close() {
 	if c.closeRequested || c.state == StateClosed || c.state == StateReset {
 		return
@@ -189,7 +184,8 @@ func (c *Conn) Close() {
 	c.trySend()
 }
 
-// Abort sends RST and tears the connection down immediately.
+// Abort sends RST and tears the connection down immediately. Only tests
+// call it; ConnSnapshot encodes the state its teardown leaves.
 func (c *Conn) Abort() {
 	if c.state == StateClosed || c.state == StateReset {
 		return

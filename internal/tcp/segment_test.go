@@ -65,7 +65,7 @@ func TestSegmentOwnership(t *testing.T) {
 		sa.Deliver(pkt)
 	})
 	toB := func(pkt netsim.Packet) {
-		if sb.Frozen() {
+		if sb.frozen {
 			frozenLost[pkt.Payload.(*Segment)] = true
 		}
 		sb.Deliver(pkt)

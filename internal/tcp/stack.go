@@ -91,9 +91,6 @@ func (s *Stack) Config() Config { return s.cfg }
 // Resets reports how many connections have been reset (either side).
 func (s *Stack) Resets() uint64 { return s.resets }
 
-// Frozen reports whether the stack is currently frozen.
-func (s *Stack) Frozen() bool { return s.frozen }
-
 // SetTracer attaches an observability tracer and this stack's identity on
 // the trace timeline (node = hosting physical node, dom = VM name). A nil
 // tracer disables tracing. Like connection callbacks, the tracer does not

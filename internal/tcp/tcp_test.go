@@ -201,7 +201,7 @@ func TestResetHappensAfterRetryBudget(t *testing.T) {
 	cfg := DefaultConfig()
 	p := newPair(t, cfg)
 	ca, _ := p.connect(t)
-	budget := cfg.RetryBudget(ca.RTO()) // from the pre-failure RTO
+	budget := cfg.RetryBudget(ca.rto) // from the pre-failure RTO
 	p.pb.SetUp(false)
 	start := p.k.Now()
 	ca.Write([]byte("x"))
@@ -220,16 +220,16 @@ func TestRTOBacksOffExponentially(t *testing.T) {
 	cfg := DefaultConfig()
 	p := newPair(t, cfg)
 	ca, _ := p.connect(t)
-	rto0 := ca.RTO()
+	rto0 := ca.rto
 	p.pb.SetUp(false)
 	ca.Write([]byte("x"))
 	p.k.RunFor(rto0 + 50*sim.Millisecond)
-	if ca.RTO() != rto0*2 {
-		t.Fatalf("after 1 timeout RTO = %v, want %v", ca.RTO(), rto0*2)
+	if ca.rto != rto0*2 {
+		t.Fatalf("after 1 timeout RTO = %v, want %v", ca.rto, rto0*2)
 	}
 	p.k.RunFor(rto0 * 2)
-	if ca.RTO() != rto0*4 {
-		t.Fatalf("after 2 timeouts RTO = %v, want %v", ca.RTO(), rto0*4)
+	if ca.rto != rto0*4 {
+		t.Fatalf("after 2 timeouts RTO = %v, want %v", ca.rto, rto0*4)
 	}
 }
 
@@ -383,8 +383,8 @@ func TestRTTEstimationLowersRTO(t *testing.T) {
 		drain(cb)
 	}
 	// LAN RTT is ~110us; RTO should sit at the MinRTO clamp.
-	if ca.RTO() != DefaultConfig().MinRTO {
-		t.Fatalf("RTO = %v after many samples, want clamp at %v", ca.RTO(), DefaultConfig().MinRTO)
+	if ca.rto != DefaultConfig().MinRTO {
+		t.Fatalf("RTO = %v after many samples, want clamp at %v", ca.rto, DefaultConfig().MinRTO)
 	}
 	if !ca.hasRTT {
 		t.Fatal("no RTT samples recorded")
@@ -576,7 +576,7 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 	p.sa.Freeze()
 	snap := p.sa.Snapshot()
 	snap.Conns[0].SendBuf[0] = 'X'
-	if ca.sendQ.view(0, 1).At(0) == 'X' {
+	if ca.sendQ.view(0, 1).Chunk(0)[0] == 'X' {
 		t.Fatal("snapshot aliases live buffers")
 	}
 }

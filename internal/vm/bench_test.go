@@ -26,7 +26,7 @@ type ballastProg struct {
 
 func (p *ballastProg) Next(api *guest.API, res guest.Result) guest.Op {
 	p.I++
-	return guest.Sleep(sim.Second)
+	return &guest.SleepOp{Duration: sim.Second}
 }
 
 // benchCluster boots doms domains, each holding stateBytes of guest

@@ -71,7 +71,3 @@ func (d *Domain) fold() int64 {
 	d.cleanMark = d.activeTime()
 	return dirty
 }
-
-// CleanMark returns the active-time mark of the last capture (zero if
-// never captured).
-func (d *Domain) CleanMark() sim.Time { return d.cleanMark }

@@ -175,11 +175,11 @@ func TestCleanMarkSurvivesRestore(t *testing.T) {
 	if err := d2.Unpause(); err != nil {
 		t.Fatal(err)
 	}
-	if got := d2.DirtyBytesSince(d2.CleanMark()); got != 0 {
+	if got := d2.DirtyBytesSince(d2.cleanMark); got != 0 {
 		t.Fatalf("restored domain starts %d bytes dirty, want 0", got)
 	}
 	e.k.RunFor(2 * sim.Second)
-	if got := d2.DirtyBytesSince(d2.CleanMark()); got != 20_000_000 {
+	if got := d2.DirtyBytesSince(d2.cleanMark); got != 20_000_000 {
 		t.Fatalf("2s at 10MB/s after restore dirtied %d bytes", got)
 	}
 	// The chunk lineage crossed the restore: the next delta epoch dedups
@@ -225,7 +225,7 @@ func TestDirtySaturationAfterRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.k.RunFor(10 * sim.Second) // 10 GB of writes > 1 GiB RAM
-	if got := d2.DirtyBytesSince(d2.CleanMark()); got != 1<<30 {
+	if got := d2.DirtyBytesSince(d2.cleanMark); got != 1<<30 {
 		t.Fatalf("dirty bytes %d after restore, want saturation at RAM", got)
 	}
 }

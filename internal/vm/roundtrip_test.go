@@ -82,7 +82,7 @@ func TestFullImageCarriesDirtyRate(t *testing.T) {
 	if err := d2.Unpause(); err != nil {
 		t.Fatal(err)
 	}
-	mark := d2.CleanMark()
+	mark := d2.cleanMark
 	e.k.RunFor(10 * sim.Second)
 	if got := d2.DirtyBytesSince(mark); got != 0 {
 		t.Fatalf("write-quiescent guest dirtied %d bytes after restore", got)

@@ -178,9 +178,6 @@ type Domain struct {
 // Name returns the domain name.
 func (d *Domain) Name() string { return d.name }
 
-// Addr returns the domain's stable network address.
-func (d *Domain) Addr() netsim.Addr { return d.addr }
-
 // RAMBytes returns the domain's memory size.
 func (d *Domain) RAMBytes() int64 { return d.ram }
 
@@ -315,12 +312,6 @@ func (h *Hypervisor) SetTracer(t *obs.Tracer) { h.tracer = t }
 func (h *Hypervisor) trace(typ obs.EventType, dom, name string, kv ...obs.KV) {
 	h.tracer.Emit(h.kernel.Now(), typ, h.node.ID(), dom, name, kv...)
 }
-
-// Node returns the hosting node.
-func (h *Hypervisor) Node() *phys.Node { return h.node }
-
-// Config returns the hypervisor configuration.
-func (h *Hypervisor) Config() XenConfig { return h.cfg }
 
 func (h *Hypervisor) killAll() {
 	for _, d := range h.Domains() {

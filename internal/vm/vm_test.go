@@ -72,7 +72,7 @@ func TestCreateDomainBoots(t *testing.T) {
 	if d.OS() == nil {
 		t.Fatal("no guest OS after boot")
 	}
-	if d.Addr() != "vm0" || d.Name() != "vm0" || d.RAMBytes() != 1<<30 {
+	if d.addr != "vm0" || d.Name() != "vm0" || d.RAMBytes() != 1<<30 {
 		t.Fatal("domain metadata wrong")
 	}
 }

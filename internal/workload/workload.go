@@ -38,18 +38,6 @@ type MixConfig struct {
 	WidthWeights []float64 // optional weights matching Widths
 }
 
-// DefaultMix is a small-cluster job mix: mostly narrow jobs with some
-// wide ones, minutes-scale runtimes.
-func DefaultMix(count int) MixConfig {
-	return MixConfig{
-		Count:       count,
-		ArrivalMean: 30 * sim.Second,
-		Widths:      []int{1, 2, 4, 8},
-		WorkMin:     sim.Minute,
-		WorkMax:     10 * sim.Minute,
-	}
-}
-
 // Generate draws a job trace from the config. The first job arrives at
 // time zero.
 func Generate(rng *rand.Rand, cfg MixConfig) []JobSpec {
@@ -126,6 +114,3 @@ func (a *BSPApp) Step(c mpi.Ctx, prev mpi.Op) mpi.Op {
 		}
 	}
 }
-
-// Progress reports completed work.
-func (a *BSPApp) Progress() sim.Time { return sim.Time(a.I) * a.SliceTime }

@@ -72,13 +72,6 @@ func TestWidthWeights(t *testing.T) {
 	}
 }
 
-func TestDefaultMix(t *testing.T) {
-	cfg := DefaultMix(7)
-	if cfg.Count != 7 || len(cfg.Widths) == 0 || cfg.WorkMax <= cfg.WorkMin {
-		t.Fatalf("bad default mix %+v", cfg)
-	}
-}
-
 func TestBSPAppSliceCount(t *testing.T) {
 	a := NewBSPApp(95 * sim.Second)
 	if a.Slices != 9 {
@@ -90,19 +83,17 @@ func TestBSPAppSliceCount(t *testing.T) {
 	}
 }
 
-func TestBSPProgress(t *testing.T) {
-	a := NewBSPApp(50 * sim.Second)
-	a.I = 3
-	if a.Progress() != 30*sim.Second {
-		t.Fatalf("progress %v", a.Progress())
-	}
-}
-
 // Property: generation is deterministic for a seed.
 func TestPropertyGenerateDeterministic(t *testing.T) {
 	f := func(seed int64, countRaw uint8) bool {
 		count := int(countRaw%20) + 1
-		cfg := DefaultMix(count)
+		cfg := MixConfig{
+			Count:       count,
+			ArrivalMean: 30 * sim.Second,
+			Widths:      []int{1, 2, 4, 8},
+			WorkMin:     sim.Minute,
+			WorkMax:     10 * sim.Minute,
+		}
 		a := Generate(rand.New(rand.NewSource(seed)), cfg)
 		b := Generate(rand.New(rand.NewSource(seed)), cfg)
 		if len(a) != len(b) {
