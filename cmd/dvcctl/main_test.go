@@ -19,17 +19,29 @@ func TestScenariosAtSeed42(t *testing.T) {
 			"[t=57.521728847s] job1 done=true: 4 ok, 0 failed, 0 running",
 		},
 		"recover": {
+			"job1 running ptrans(N=32, reps=20000)",
 			"NODE alpha-n00 CRASHED",
 			"job1 restored from gen 0 (staging 5.37370912s)",
-			"[t=2m45.32369492s] job1 done=true: 4 ok, 0 failed, 0 running",
+			"[t=52.556245467s] job1 done=true: 4 ok, 0 failed, 0 running",
+			"job1: all 4 ranks succeeded and verified",
 		},
 		"migrate": {
 			"job1 migrated to beta: downtime 10.752957671s",
+			"[t=39.75332394s] NODE alpha-n00 CRASHED",
 			"[t=2m40.319671127s] job1 done=true: 4 ok, 0 failed, 0 running",
+			"job1: all 4 ranks succeeded and verified",
 		},
 		"livemigrate": {
 			"job1 live-migrated to beta: downtime 780.074139ms after 3 rounds",
 			"[t=3m11.868578124s] job1 done=true: 4 ok, 0 failed, 0 running",
+		},
+		"span": {
+			"wide ready on alpha-n00 alpha-n01 alpha-n02 alpha-n03 alpha-n04 alpha-n05 beta-n00 beta-n01 beta-n02 beta-n03",
+			"[t=26.938425615s] wide done=true: 10 ok, 0 failed, 0 running",
+			"wide: all 10 ranks succeeded and verified",
+			"wide2 checkpoint gen 0: skew 3.867733ms, downtime 26.861237397s",
+			"[t=2m22.934352186s] wide2 done=true: 10 ok, 0 failed, 0 running",
+			"wide2: all 10 ranks succeeded and verified",
 		},
 		"naive": {
 			"job1 checkpoint gen 0: skew 4.181231202s",

@@ -2,8 +2,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/dvclint ./...                        # whole module, text output
-//	go run ./cmd/dvclint -format=sarif -o out.sarif ./...
+//	go run ./cmd/dvclint ./...                        # whole module
 //	go run ./cmd/dvclint -run mapiter ./internal/sim
 //	go run ./cmd/dvclint -write-manifest STATE_MANIFEST.txt ./...
 //	go run ./cmd/dvclint -manifest STATE_MANIFEST.txt ./...   # fail if stale
@@ -19,27 +18,28 @@
 //	//lint:allow <analyzer>[,<analyzer>] <why this is safe>
 //
 // That directive is the only way to waive a finding; an unjustified or
-// stale one is itself a finding. Output formats (-format): text
-// (default) and sarif (SARIF 2.1.0, which CI archives as a build
-// artifact). Both are deterministic, globally sorted by (file, line,
-// analyzer).
+// stale one is itself a finding. Findings print as text, one per line
+// (file:line:col: [analyzer] message), deterministically, sorted by
+// (file, line, analyzer, column, message), so output diffs cleanly
+// across runs and machines.
 //
 // Exit status is 0 when the tree is clean, 1 when there are findings
 // (or the manifest is stale), 2 on usage or load errors.
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"dvc/internal/analysis"
 	"dvc/internal/analysis/loader"
-	"dvc/internal/analysis/report"
 )
 
 func main() {
@@ -53,8 +53,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		runOnly       = fs.String("run", "", "comma-separated analyzer names to run (default: all that apply per package)")
 		list          = fs.Bool("list", false, "list analyzers and exit")
 		verbose       = fs.Bool("v", false, "report the packages checked")
-		format        = fs.String("format", "text", "output format: text or sarif")
-		out           = fs.String("o", "", "write findings to this file instead of stdout")
 		manifestPath  = fs.String("manifest", "", "fail if this checkpoint state manifest is out of date")
 		writeManifest = fs.String("write-manifest", "", "write the checkpoint state manifest and exit")
 	)
@@ -75,13 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	switch *format {
-	case "text", "sarif":
-	default:
-		fmt.Fprintf(stderr, "dvclint: unknown -format %q (want text or sarif)\n", *format)
-		return 2
-	}
-
 	var only map[string]bool
 	if *runOnly != "" {
 		only = make(map[string]bool)
@@ -123,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	var findings []report.Finding
+	var findings []finding
 	for _, pkg := range modulePkgs {
 		analyzers := analysis.AnalyzersFor(pkg.PkgPath)
 		if only != nil {
@@ -149,7 +140,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		for _, d := range diags {
 			pos := pkg.Fset.Position(d.Pos)
-			findings = append(findings, report.Finding{
+			findings = append(findings, finding{
 				File:     relPath(root, pos.Filename),
 				Line:     pos.Line,
 				Col:      pos.Column,
@@ -158,33 +149,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			})
 		}
 	}
-	report.Sort(findings)
-
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(stderr, "dvclint: %v\n", err)
-			return 2
-		}
-		defer f.Close()
-		w = f
-	}
-	switch *format {
-	case "text":
-		err = report.WriteText(w, findings)
-	case "sarif":
-		var rules []report.RuleDoc
-		for _, a := range analysis.All() {
-			rules = append(rules, report.RuleDoc{Name: a.Name, Doc: a.Doc})
-		}
-		rules = append(rules, report.RuleDoc{
-			Name: analysis.DirectiveAnalyzer,
-			Doc:  "malformed, unknown-name, unjustified or stale //lint:allow directives",
-		})
-		err = report.WriteSARIF(w, findings, rules)
-	}
-	if err != nil {
+	sortFindings(findings)
+	if err := writeText(stdout, findings); err != nil {
 		fmt.Fprintf(stderr, "dvclint: %v\n", err)
 		return 2
 	}
@@ -212,11 +178,50 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // relPath rewrites an absolute source path to be module-root-relative
-// with forward slashes, so output is stable across checkouts and usable
-// as a SARIF artifact URI.
+// with forward slashes, so output is stable across checkouts.
 func relPath(root, path string) string {
 	if rel, err := filepath.Rel(root, path); err == nil && !strings.HasPrefix(rel, "..") {
 		return filepath.ToSlash(rel)
 	}
 	return filepath.ToSlash(path)
+}
+
+// finding is one diagnostic with its position resolved to a
+// module-relative path.
+type finding struct {
+	File     string
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
+}
+
+// sortFindings orders findings canonically: by file, then line, then
+// analyzer, then column, then message.
+func sortFindings(fs []finding) {
+	sort.SliceStable(fs, func(i, j int) bool {
+		a, b := fs[i], fs[j]
+		if a.File != b.File {
+			return a.File < b.File
+		}
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		if a.Col != b.Col {
+			return a.Col < b.Col
+		}
+		return a.Message < b.Message
+	})
+}
+
+// writeText writes the findings, one per line.
+func writeText(w io.Writer, fs []finding) error {
+	bw := bufio.NewWriter(w)
+	for _, f := range fs {
+		fmt.Fprintf(bw, "%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
+	}
+	return bw.Flush()
 }

@@ -2,11 +2,9 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
-
-	"dvc/internal/analysis"
 )
 
 func TestListNamesEveryAnalyzer(t *testing.T) {
@@ -26,11 +24,13 @@ func TestListNamesEveryAnalyzer(t *testing.T) {
 }
 
 // TestRemovedOptionsAreUsageErrors: //lint:allow is the one waiver and
-// text and SARIF the two outputs, so a baseline file or JSON output is
-// a usage error.
+// text the one output, so a baseline file, an output format or an output
+// file is a usage error.
 func TestRemovedOptionsAreUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-format", "json", "./internal/fleet"},
+		{"-format", "sarif", "./internal/fleet"},
+		{"-o", "f", "./internal/fleet"},
 		{"-baseline", "f", "./internal/fleet"},
 	} {
 		if code := run(args, &bytes.Buffer{}, &bytes.Buffer{}); code != 2 {
@@ -39,33 +39,69 @@ func TestRemovedOptionsAreUsageErrors(t *testing.T) {
 	}
 }
 
-func TestSARIFOnCleanPackage(t *testing.T) {
+// TestCleanPackagePrintsNothing: a package with no findings exits 0 with
+// empty output.
+func TestCleanPackagePrintsNothing(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-format", "sarif", "./internal/fleet"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"./internal/fleet"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr.String())
 	}
-	var log struct {
-		Version string
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Rules []struct{ ID string }
-				}
-			}
-			Results []json.RawMessage
+	if stdout.Len() != 0 || stderr.Len() != 0 {
+		t.Fatalf("clean package printed stdout %q, stderr %q", stdout.String(), stderr.String())
+	}
+}
+
+func sample() []finding {
+	// Deliberately out of order on every sort key.
+	return []finding{
+		{File: "internal/sim/sim.go", Line: 40, Col: 2, Analyzer: "noalloc", Message: "z message"},
+		{File: "internal/guest/snapshot.go", Line: 12, Col: 9, Analyzer: "snapshotstate", Message: "m1"},
+		{File: "internal/sim/sim.go", Line: 40, Col: 2, Analyzer: "mapiter", Message: "a message"},
+		{File: "internal/sim/sim.go", Line: 7, Col: 1, Analyzer: "noalloc", Message: "m2"},
+		{File: "internal/guest/snapshot.go", Line: 12, Col: 3, Analyzer: "snapshotstate", Message: "m3"},
+	}
+}
+
+// TestSortOrder pins the canonical (file, line, analyzer, col, message)
+// finding order.
+func TestSortOrder(t *testing.T) {
+	fs := sample()
+	sortFindings(fs)
+	var got []string
+	for _, f := range fs {
+		got = append(got, strings.Join([]string{f.File, f.Analyzer, f.Message}, "|"))
+	}
+	want := []string{
+		"internal/guest/snapshot.go|snapshotstate|m3",
+		"internal/guest/snapshot.go|snapshotstate|m1",
+		"internal/sim/sim.go|noalloc|m2",
+		"internal/sim/sim.go|mapiter|a message",
+		"internal/sim/sim.go|noalloc|z message",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("order %v, want %v", got, want)
+	}
+}
+
+// TestDeterministicOutput renders the same findings repeatedly and
+// demands byte-identical text across runs.
+func TestDeterministicOutput(t *testing.T) {
+	render := func() string {
+		fs := sample()
+		sortFindings(fs)
+		var text bytes.Buffer
+		if err := writeText(&text, fs); err != nil {
+			t.Fatal(err)
+		}
+		return text.String()
+	}
+	t1 := render()
+	for i := 0; i < 5; i++ {
+		if t2 := render(); t1 != t2 {
+			t.Fatalf("output not byte-identical across runs (iteration %d)", i)
 		}
 	}
-	if err := json.Unmarshal(stdout.Bytes(), &log); err != nil {
-		t.Fatalf("SARIF output is not JSON: %v", err)
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 {
-		t.Fatalf("version %q with %d runs, want 2.1.0 with 1", log.Version, len(log.Runs))
-	}
-	rules := log.Runs[0].Tool.Driver.Rules
-	if want := len(analysis.All()) + 1; len(rules) != want || want != 8 {
-		t.Fatalf("%d rules, want 8 (7 analyzers + %s): %v", len(rules), analysis.DirectiveAnalyzer, rules)
-	}
-	if n := len(log.Runs[0].Results); n != 0 {
-		t.Fatalf("%d results on a clean package, want 0", n)
+	if !strings.Contains(t1, "internal/sim/sim.go:40:2: [mapiter] a message\n") {
+		t.Fatalf("text format changed:\n%s", t1)
 	}
 }

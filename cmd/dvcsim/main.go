@@ -5,9 +5,8 @@
 //	dvcsim -list
 //	dvcsim -exp E1 [-seed 42] [-trials 20]
 //	dvcsim -exp all [-full]
-//	dvcsim -exp E2 -trials 1 -trace e2.jsonl
-//	dvcsim -exp E2 -report out/           # self-contained run artifact
-//	dvcsim -dc 1 -cluster 2 -host 4 -vm 4 # scale mode: generated topology
+//	dvcsim -exp E2 -trials 1 -report out/   # self-contained run artifact
+//	dvcsim -exp SCALE -full                 # generated 26- to 2600-node topologies
 //
 // Each experiment prints its table(s) followed by PASS/FAIL shape checks
 // against the paper's reported results. The exit status is non-zero if
@@ -19,27 +18,19 @@
 // runs on the partitioned engine, one sub-kernel per datacenter.
 // -cpuprofile and -memprofile write pprof profiles of the run.
 //
-// With -trace a deterministic event trace of the run is streamed as
-// JSONL through a fixed-size buffer (same seed, same flags =>
-// byte-identical output), so tracer memory stays bounded no matter how
-// long the run is. dvctrace works on the recorded trace: -convert
-// exports Chrome trace_events for ui.perfetto.dev, and -query filters
-// and samples it deterministically (by type, node, domain, time window
-// or every Nth record). Tracing also prints (or, with -json, embeds) the
-// counter-registry snapshot. The trace is flushed and closed on every
-// exit, so a run that fails a check, errors or panics keeps what it
-// recorded.
-//
-// -report dir/ writes a self-contained run artifact: config.json (the
-// run's flags), results.json (tables + checks), registry.json,
-// trace.jsonl, summary.json (per-type counts, span percentiles) and
-// series.jsonl (windowed registry metrics sampled on virtual time).
-//
-// -dc selects scale mode: it generates -dc datacenters of -cluster
-// clusters of -host hosts, drives one -vm wide LSC job over them and
-// prints throughput figures. Scale mode runs no paper experiment, so it
-// rejects the experiment flags (-exp, -trials, -full, -json, -report)
-// with exit status 2.
+// -report dir/ records the run as a self-contained artifact:
+// config.json (the run's flags), results.json (tables + checks),
+// registry.json, trace.jsonl, summary.json (per-type counts, span
+// percentiles) and series.jsonl (windowed registry metrics sampled on
+// virtual time). trace.jsonl is the deterministic event trace, streamed
+// through a fixed-size buffer (same seed, same flags => byte-identical
+// output), so tracer memory stays bounded no matter how long the run
+// is. dvctrace works on it: -convert exports Chrome trace_events for
+// ui.perfetto.dev, and -query filters and samples it deterministically
+// (by type, node, domain, time window or every Nth record). A recorded
+// run also prints (or, with -json, embeds) the counter-registry
+// snapshot. The trace is flushed and closed on every exit, so a run
+// that fails a check, errors or panics keeps what it recorded.
 package main
 
 import (
@@ -51,9 +42,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"strings"
-	"time"
 
 	"dvc"
 	"dvc/internal/obs"
@@ -63,9 +52,6 @@ import (
 // process exits with run's status code.
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// experimentFlags are the flags scale mode rejects: it would ignore them.
-var experimentFlags = []string{"exp", "trials", "full", "json", "report"}
-
 func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("dvcsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -74,20 +60,15 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 	var (
-		exp      = fs.String("exp", "all", "experiment id ("+strings.Join(dvc.ExperimentIDs(), ", ")+") or \"all\"")
-		seed     = fs.Int64("seed", 42, "simulation seed")
-		trials   = fs.Int("trials", 0, "trial count for statistical experiments (0 = default)")
-		full     = fs.Bool("full", false, "paper-scale parameters (slow: E2 runs >2000 trials)")
-		list     = fs.Bool("list", false, "list experiments and exit")
-		jsonOut  = fs.Bool("json", false, "emit results as JSON instead of tables")
-		traceOut = fs.String("trace", "", "stream a deterministic JSONL event trace to this file")
-		report   = fs.String("report", "", "write a self-contained run artifact into this directory")
-		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = fs.String("memprofile", "", "write a heap profile to this file at exit")
-		dcs      = fs.Int("dc", 0, "scale mode: generate this many datacenters (enables -cluster/-host/-vm)")
-		clusters = fs.Int("cluster", 10, "scale mode: clusters per datacenter")
-		hosts    = fs.Int("host", 26, "scale mode: hosts per cluster")
-		vms      = fs.Int("vm", 8, "scale mode: virtual-cluster width of the reference job")
+		exp     = fs.String("exp", "all", "experiment id ("+strings.Join(dvc.ExperimentIDs(), ", ")+") or \"all\"")
+		seed    = fs.Int64("seed", 42, "simulation seed")
+		trials  = fs.Int("trials", 0, "trial count for statistical experiments (0 = default)")
+		full    = fs.Bool("full", false, "paper-scale parameters (slow: E2 runs >2000 trials)")
+		list    = fs.Bool("list", false, "list experiments and exit")
+		jsonOut = fs.Bool("json", false, "emit results as JSON instead of tables")
+		report  = fs.String("report", "", "record the run, its JSONL event trace included, into this directory")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf = fs.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -97,17 +78,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	if *trials < 0 {
 		return fail(fmt.Errorf("-trials %d: must not be negative", *trials))
-	}
-	if *dcs > 0 {
-		var set []string
-		fs.Visit(func(f *flag.Flag) {
-			if slices.Contains(experimentFlags, f.Name) {
-				set = append(set, "-"+f.Name)
-			}
-		})
-		if len(set) > 0 {
-			return fail(fmt.Errorf("scale mode (-dc) runs no experiment; drop %s", strings.Join(set, " ")))
-		}
 	}
 
 	if *cpuProf != "" {
@@ -155,14 +125,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stdout)
 	}
 
-	// Assemble the trace pipeline: every requested consumer becomes one
-	// sink on a shared tee, so the run records once and each sink sees the
-	// identical stream.
+	// -report records the run: the trace streams into trace.jsonl and,
+	// through a tee, into the summary that summary.json reports.
 	var (
 		tracer  *dvc.Tracer
-		summary *obs.SummarySink // only with -report
-		sinks   []obs.Sink
-		closers []*os.File
+		summary *obs.SummarySink
 	)
 	if *report != "" {
 		if err := os.MkdirAll(*report, 0o755); err != nil {
@@ -172,41 +139,20 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if err != nil {
 			return fail(err)
 		}
-		closers = append(closers, f)
 		summary = obs.NewSummarySink()
-		sinks = append(sinks, obs.NewJSONLSink(f, 0), summary)
-	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return fail(err)
-		}
-		closers = append(closers, f)
-		sinks = append(sinks, obs.NewJSONLSink(f, 0))
-	}
-	if len(sinks) > 0 {
-		tracer = obs.NewTracerWithSink(obs.Tee(sinks...))
+		tracer = obs.NewTracerWithSink(obs.Tee(obs.NewJSONLSink(f, 0), summary))
 		opts.Tracer = tracer
 		// Every exit (an error, a failed check, a panic) flushes and
 		// closes the trace, so a failed run keeps what it recorded.
 		defer func() {
-			if err := closeTrace(tracer, closers); err != nil {
+			err := tracer.Flush()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
 				code = fail(err)
 			}
 		}()
-	}
-
-	if *dcs > 0 {
-		spec := dvc.ScaleSpec{DCs: *dcs, ClustersPerDC: *clusters, HostsPerCluster: *hosts, VMs: *vms}
-		ok, err := runScaleMode(stdout, spec, *seed, tracer)
-		if err == nil && ok {
-			return 0
-		}
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Fprintln(stderr, "dvcsim: scale run failed")
-		return 1
 	}
 
 	var results []*dvc.ExperimentResult
@@ -225,10 +171,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	if tracer != nil {
-		if *report != "" {
-			if err := writeReport(*report, *exp, *seed, *trials, *full, results, tracer, summary); err != nil {
-				return fail(err)
-			}
+		if err := writeReport(*report, *exp, *seed, *trials, *full, results, tracer, summary); err != nil {
+			return fail(err)
 		}
 		if !*jsonOut {
 			fmt.Fprintln(stdout, tracer.Registry().Table().String())
@@ -301,51 +245,6 @@ func writeReport(dir, exp string, seed int64, trials int, full bool,
 		return err
 	}
 	return writeFile(filepath.Join(dir, "series.jsonl"), tracer.Series().WriteJSONL)
-}
-
-// runScaleMode generates a -dc/-cluster/-host topology, drives the
-// reference LSC workload over it end-to-end, and prints throughput
-// figures. ok is false if the checkpoint or the job failed.
-func runScaleMode(stdout io.Writer, spec dvc.ScaleSpec, seed int64, tracer *dvc.Tracer) (ok bool, err error) {
-	start := time.Now()
-	res, err := dvc.RunScale(seed, spec, tracer)
-	if err != nil {
-		return false, err
-	}
-	wall := time.Since(start)
-
-	// The inventory is one line per cluster; summarize past 20 clusters.
-	lines := strings.Split(strings.TrimRight(res.Inventory, "\n"), "\n")
-	const invHead = 4 // topology + leaf/spine/wan profile lines
-	if len(lines) > invHead+20 {
-		fmt.Fprintln(stdout, strings.Join(lines[:invHead+20], "\n"))
-		fmt.Fprintf(stdout, "... (%d more clusters)\n", len(lines)-invHead-20)
-	} else {
-		fmt.Fprintln(stdout, strings.Join(lines, "\n"))
-	}
-	fmt.Fprintf(stdout, "scale: nodes=%d clusters=%d vms=%d sim=%v\n", res.Nodes, res.Clusters, res.VMs, res.SimTime)
-	fmt.Fprintf(stdout, "scale: events=%d wall=%v ns/event=%.0f events/s=%.0f\n",
-		res.Events, wall.Round(time.Millisecond),
-		float64(wall.Nanoseconds())/float64(res.Events),
-		float64(res.Events)/wall.Seconds())
-	fmt.Fprintf(stdout, "scale: checkpoint=%v job=%v skew=%.2fms\n", res.CheckpointOK, res.JobOK, res.SaveSkew.Seconds()*1000)
-
-	if tracer != nil {
-		fmt.Fprintf(stdout, "dvcsim: %d trace events recorded\n", tracer.Len())
-	}
-	return res.OK(), nil
-}
-
-// closeTrace flushes the tracer and closes every trace file, reporting
-// the first error.
-func closeTrace(tracer *dvc.Tracer, files []*os.File) error {
-	err := tracer.Flush()
-	for _, f := range files {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
 }
 
 // writeFile writes one exporter's output to path.

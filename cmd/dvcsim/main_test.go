@@ -56,12 +56,16 @@ func TestNegativeTrialsExit2(t *testing.T) {
 }
 
 // TestUnknownFlagsExit2: the trial pool follows GOMAXPROCS and PSCALE
-// always runs one worker per datacenter, so neither pool size is a flag;
-// setting one is a usage error, reported before anything runs.
+// always runs one worker per datacenter, so neither pool size is a flag.
+// -report is the one way to record a run and -exp SCALE the one way to
+// run generated topologies, so -trace and -dc are not flags either.
+// Setting any of them is a usage error, reported before anything runs.
 func TestUnknownFlagsExit2(t *testing.T) {
 	for _, args := range [][]string{
 		{"-exp", "E1", "-partitions", "2"},
 		{"-exp", "E1", "-parallel", "2"},
+		{"-exp", "E1", "-trace", filepath.Join(t.TempDir(), "t.jsonl")},
+		{"-dc", "1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {
@@ -73,44 +77,19 @@ func TestUnknownFlagsExit2(t *testing.T) {
 	}
 }
 
-// TestScaleModeRejectsExperimentFlags: scale mode runs no experiment, so
-// each experiment flag set beside -dc is a usage error, reported before
-// anything runs.
-func TestScaleModeRejectsExperimentFlags(t *testing.T) {
-	scale := []string{"-dc", "1", "-cluster", "1", "-host", "4", "-vm", "2"}
-	for _, extra := range [][]string{
-		{"-exp", "E1"},
-		{"-trials", "3"},
-		{"-full"},
-		{"-json"},
-		{"-report", t.TempDir()},
-	} {
-		var stdout, stderr bytes.Buffer
-		code := run(append(append([]string{}, scale...), extra...), &stdout, &stderr)
-		if code != 2 {
-			t.Errorf("%v: exit %d, want 2", extra, code)
-		}
-		if !strings.Contains(stderr.String(), extra[0]) {
-			t.Errorf("%v: stderr %q does not name the flag", extra, stderr.String())
-		}
-		if stdout.Len() != 0 {
-			t.Errorf("%v: scale mode ran anyway:\n%s", extra, stdout.String())
-		}
-	}
-}
-
-// TestFailedScaleRunKeepsTrace: a scale run that cannot place its job
-// exits non-zero and still leaves the records it made (the kernel
-// probe's, at least) in its -trace file.
+// TestFailedScaleRunKeepsTrace: a recorded SCALE run that cannot write
+// its report (results.json is already a directory) exits non-zero and
+// still leaves the records it made in trace.jsonl.
 func TestFailedScaleRunKeepsTrace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-dc", "1", "-cluster", "1", "-host", "2", "-vm", "4", "-trace", path},
-		&stdout, &stderr)
-	if code == 0 {
-		t.Fatalf("a 4-VM job on 2 hosts succeeded:\n%s", stdout.String())
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "results.json"), 0o755); err != nil {
+		t.Fatal(err)
 	}
-	f, err := os.Open(path)
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-exp", "SCALE", "-report", dir}, &stdout, &stderr); code == 0 {
+		t.Fatalf("report written over a directory:\n%s", stdout.String())
+	}
+	f, err := os.Open(filepath.Join(dir, "trace.jsonl"))
 	if err != nil {
 		t.Fatalf("no trace: %v (stderr %q)", err, stderr.String())
 	}

@@ -51,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	var (
-		stats   = fs.String("stats", "", "event counts and per-span duration percentiles of a JSONL event trace (dvcsim -trace)")
+		stats   = fs.String("stats", "", "event counts and per-span duration percentiles of a JSONL event trace (the trace.jsonl of dvcsim -report)")
 		query   = fs.String("query", "", "filter an event trace to stdout as JSONL")
 		convert = fs.String("convert", "", "convert an event trace to Perfetto trace_events JSON")
 		out     = fs.String("o", "", "with -convert: output path (default stdout)")

@@ -16,7 +16,7 @@
 //     checkpointable state machines and verified numerically,
 //   - the DVC manager + LSC coordinator (naive, NTP-scheduled and
 //     health-checked variants), and a Torque/Moab-style resource
-//     manager.
+//     manager, which experiments E8, E9 and E15 drive.
 //
 // # Quick start
 //
@@ -30,7 +30,10 @@
 //	s.RunUntilJobDone(vc, dvc.Hour)    // job resumes and completes
 //
 // Every quantitative claim from the paper can be regenerated through
-// RunExperiment (ids E1–E15 plus ablations A1–A2; see EXPERIMENTS.md).
+// RunExperiment (ids E1–E15 plus ablations A1–A2; see EXPERIMENTS.md),
+// and every operator scenario (checkpoint, crash recovery, migration,
+// live migration, cluster spanning) is a dvcctl script in
+// internal/script/scenarios, run through this facade.
 package dvc
 
 import (
@@ -49,7 +52,6 @@ import (
 	"dvc/internal/sim"
 	"dvc/internal/tcp"
 	"dvc/internal/vm"
-	"dvc/internal/workload"
 )
 
 // Re-exported simulation time units.
@@ -95,8 +97,6 @@ type (
 	WatchdogConfig = guest.WatchdogConfig
 	// Image is a saved whole-VM checkpoint.
 	Image = vm.Image
-	// JobSpec is one resource-manager job.
-	JobSpec = workload.JobSpec
 	// ExperimentOptions configures a paper-experiment run: only what the
 	// run computes (seed, trial count, paper scale), plus where tables
 	// and the trace go. Independent trials fan out across GOMAXPROCS
@@ -317,18 +317,6 @@ func ExperimentIDs() []string { return experiments.IDs() }
 
 // ExperimentTitle returns an experiment's one-line description.
 func ExperimentTitle(id string) string { return experiments.Title(id) }
-
-// ScaleSpec sizes a generated topology run (dvcsim -dc/-cluster/-host/-vm).
-type ScaleSpec = experiments.ScaleSpec
-
-// ScaleResult reports a generated-topology run.
-type ScaleResult = experiments.ScaleResult
-
-// RunScale generates a datacenter/cluster/host topology and drives the
-// reference LSC workload over it end-to-end (tr may be nil).
-func RunScale(seed int64, spec ScaleSpec, tr *Tracer) (*ScaleResult, error) {
-	return experiments.RunScale(seed, spec, tr)
-}
 
 // WriteBanner prints the library banner used by the command-line tools.
 func WriteBanner(w io.Writer) {

@@ -80,15 +80,26 @@ func TestAllocateBootsVirtualCluster(t *testing.T) {
 			t.Fatalf("domain %d addr %s", i, addr)
 		}
 	}
-	if vc.SpansClusters() {
+	if spansClusters(vc) {
 		t.Fatal("4 VMs on an 4-node cluster should not span")
 	}
+}
+
+// spansClusters reports whether a VC's placement crosses physical
+// clusters.
+func spansClusters(vc *VirtualCluster) bool {
+	for _, n := range vc.PhysicalNodes() {
+		if n.Cluster() != vc.PhysicalNodes()[0].Cluster() {
+			return true
+		}
+	}
+	return false
 }
 
 func TestAllocateSpansClustersWhenNeeded(t *testing.T) {
 	tb := newTestbed(t, 2, map[string]int{"alpha": 3, "beta": 3}, DefaultNTPLSC())
 	vc := tb.allocate(t, "wide", 5, guest.WatchdogConfig{})
-	if !vc.SpansClusters() {
+	if !spansClusters(vc) {
 		t.Fatal("5-node VC over two 3-node clusters must span")
 	}
 }

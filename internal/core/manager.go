@@ -92,20 +92,6 @@ func (vc *VirtualCluster) Domains() []*vm.Domain { return vc.domains }
 // PhysicalNodes returns the current placement.
 func (vc *VirtualCluster) PhysicalNodes() []*phys.Node { return vc.nodes }
 
-// SpansClusters reports whether the placement crosses physical clusters.
-func (vc *VirtualCluster) SpansClusters() bool {
-	if len(vc.nodes) == 0 {
-		return false
-	}
-	first := vc.nodes[0].Cluster()
-	for _, n := range vc.nodes[1:] {
-		if n.Cluster() != first {
-			return true
-		}
-	}
-	return false
-}
-
 // OSes returns the guest OS of every domain (only valid when Ready).
 func (vc *VirtualCluster) OSes() []*guest.OS {
 	out := make([]*guest.OS, len(vc.domains))

@@ -60,10 +60,12 @@ func (p *Periodic) tick() {
 	}
 }
 
-// Stop halts the loop (an in-flight checkpoint still completes).
+// Stop halts the loop (an in-flight checkpoint still completes) and
+// frees its timer, whose slot would otherwise keep the loop, and with it
+// the virtual cluster's guests, reachable from the kernel.
 func (p *Periodic) Stop() {
 	p.stopped = true
-	p.timer.Stop()
+	p.timer.Free()
 }
 
 // SucceededCount reports how many attempts completed OK.

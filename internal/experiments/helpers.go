@@ -159,26 +159,12 @@ func (b *bed) runTrial(name string, vms int, app func(int) mpi.App) (trialResult
 		return out, nil
 	}
 	for _, a := range vc.RankApps() {
-		if !verified(a) {
+		if !hpcc.Verified(a) {
 			return out, nil
 		}
 	}
 	out.ok = true
 	return out, nil
-}
-
-// verified reports whether a finished rank's application verified: a
-// halo finished its rounds, HPL and PTRANS passed their numerical checks.
-func verified(app mpi.App) bool {
-	switch a := app.(type) {
-	case *hpcc.Halo:
-		return a.Finished
-	case *hpcc.HPL:
-		return a.Passed
-	case *hpcc.PTRANS:
-		return a.Passed
-	}
-	return false
 }
 
 // lscTrial runs the reference trial on a fresh single-cluster bed of

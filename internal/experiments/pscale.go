@@ -74,10 +74,6 @@ func RunScalePartitioned(seed int64, spec ScaleSpec, workers int, tr *obs.Tracer
 	if spec.DCs < 2 {
 		return nil, fmt.Errorf("experiments: partitioned scale needs >= 2 datacenters, got %d", spec.DCs)
 	}
-	vms := spec.VMs
-	if vms == 0 {
-		vms = 8
-	}
 	topoSpec := spec.Topo()
 	la, err := phys.ZoneLookahead(topoSpec)
 	if err != nil {
@@ -136,7 +132,7 @@ func RunScalePartitioned(seed int64, spec ScaleSpec, workers int, tr *obs.Tracer
 
 		b := &bed{core.NewEnv(site, core.DefaultNTPLSC())}
 		b.SetTracer(ctr)
-		t, err := b.runTrial(fmt.Sprintf("pscale-%02d", d), vms, halo(600))
+		t, err := b.runTrial(fmt.Sprintf("pscale-%02d", d), scaleVMs, halo(600))
 		if err != nil {
 			o.err = fmt.Errorf("experiments: pscale run on %s: %w", spec, err)
 			return

@@ -14,18 +14,18 @@ func init() {
 	register("SCALE", "Substrate scale: E2-shaped workload on generated multi-DC topologies", runScaleExp)
 }
 
-// ScaleSpec sizes one scale run: a generated topology (phys.BuildTopo)
-// plus the width of the E2-shaped job placed on it.
+// ScaleSpec sizes one scale run's generated topology (phys.BuildTopo).
 type ScaleSpec struct {
 	DCs             int
 	ClustersPerDC   int
 	HostsPerCluster int
-	// VMs is the virtual-cluster width (0 = 8, the E2 bench shape). The
-	// job is deliberately fixed-size while the substrate grows: flat
-	// ns/event across ScaleSpecs is the evidence that idle substrate is
-	// (nearly) free.
-	VMs int
 }
+
+// scaleVMs is the width of the E2-shaped job every scale run places, the
+// E2 bench shape. The job is deliberately fixed-size while the substrate
+// grows: flat ns/event across ScaleSpecs is the evidence that idle
+// substrate is (nearly) free.
+const scaleVMs = 8
 
 // Nodes is the generated node count.
 func (s ScaleSpec) Nodes() int { return s.DCs * s.ClustersPerDC * s.HostsPerCluster }
@@ -41,11 +41,8 @@ func (s ScaleSpec) String() string {
 
 // ScaleResult reports one scale run.
 type ScaleResult struct {
-	Spec      ScaleSpec
-	Nodes     int
-	Clusters  int
-	VMs       int
-	Inventory string
+	Nodes    int
+	Clusters int
 	// Events is the total kernel events fired by the run — the
 	// denominator for wall-clock ns/event (the caller times the run;
 	// simulation code never reads the wall clock).
@@ -53,7 +50,6 @@ type ScaleResult struct {
 	CheckpointOK bool
 	JobOK        bool
 	SaveSkew     sim.Time
-	SimTime      sim.Time
 }
 
 // OK reports whether the checkpoint and the job both succeeded.
@@ -65,10 +61,6 @@ func (r *ScaleResult) OK() bool { return r.CheckpointOK && r.JobOK }
 // to completion. Same seed + same spec is byte-identical (trace it to
 // prove it); tr may be nil.
 func RunScale(seed int64, spec ScaleSpec, tr *obs.Tracer) (*ScaleResult, error) {
-	vms := spec.VMs
-	if vms == 0 {
-		vms = 8
-	}
 	k := sim.NewKernel(seed)
 	site := phys.DefaultSite(k)
 	topo, err := phys.BuildTopo(site, spec.Topo())
@@ -78,21 +70,17 @@ func RunScale(seed int64, spec ScaleSpec, tr *obs.Tracer) (*ScaleResult, error) 
 	site.NTP.Start()
 	b := &bed{core.NewEnv(site, core.DefaultNTPLSC())}
 	b.SetTracer(tr)
-	t, err := b.runTrial("scale", vms, halo(600))
+	t, err := b.runTrial("scale", scaleVMs, halo(600))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: scale run on %s: %w", spec, err)
 	}
 	return &ScaleResult{
-		Spec:         spec,
 		Nodes:        spec.Nodes(),
 		Clusters:     len(topo.Clusters),
-		VMs:          vms,
-		Inventory:    topo.Inventory(),
 		Events:       k.Fired(),
 		CheckpointOK: t.imagesOK,
 		JobOK:        t.ok,
 		SaveSkew:     t.ckpt.SaveSkew,
-		SimTime:      k.Now(),
 	}, nil
 }
 

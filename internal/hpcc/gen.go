@@ -13,8 +13,25 @@ package hpcc
 import (
 	"math"
 
+	"dvc/internal/mpi"
 	"dvc/internal/sim"
 )
+
+// Verified reports whether one rank's application verified: a halo
+// finished its rounds, HPL and PTRANS passed their numerical checks. Any
+// other application never verifies. HPL and PTRANS exit 0 whether or
+// not their check passed, so a finished job is not a verified one.
+func Verified(app mpi.App) bool {
+	switch a := app.(type) {
+	case *Halo:
+		return a.Finished
+	case *HPL:
+		return a.Passed
+	case *PTRANS:
+		return a.Passed
+	}
+	return false
+}
 
 // Elem deterministically generates matrix element (i,j) for a seed, in
 // [-0.5, 0.5). Any rank can regenerate any element locally, which is what

@@ -332,3 +332,26 @@ func TestRandomAccessDetectsCorruption(t *testing.T) {
 		t.Fatal("corruption not detectable")
 	}
 }
+
+// TestVerified: a finished job is not a verified one. An unfinished
+// halo, an HPL or PTRANS that finished but failed its numerical check,
+// and an app with no check of its own do not verify.
+func TestVerified(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		app  mpi.App
+		want bool
+	}{
+		{"finished halo", &Halo{Finished: true}, true},
+		{"unfinished halo", &Halo{}, false},
+		{"HPL that passed", &HPL{Finished: true, Passed: true}, true},
+		{"HPL that failed its check", &HPL{Finished: true}, false},
+		{"PTRANS that passed", &PTRANS{Finished: true, Passed: true}, true},
+		{"PTRANS that failed its check", &PTRANS{Finished: true}, false},
+		{"ping-pong", NewPingPong(64, 1), false},
+	} {
+		if got := Verified(c.app); got != c.want {
+			t.Errorf("%s: Verified = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

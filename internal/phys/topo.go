@@ -2,15 +2,14 @@ package phys
 
 import (
 	"fmt"
-	"strings"
 
 	"dvc/internal/netsim"
 	"dvc/internal/sim"
 )
 
 // TopoSpec sizes a generated topology the way vcsim sizes a vCenter
-// inventory: datacenters compose clusters compose hosts
-// (dvcsim -dc/-cluster/-host). Every node has the DefaultSpec hardware
+// inventory: datacenters compose clusters compose hosts (the SCALE and
+// PSCALE experiments' shapes). Every node has the DefaultSpec hardware
 // on a gigabit Ethernet leaf. Each datacenter is a fabric zone; its
 // clusters hang off a fat-tree spine (netsim.FatTreeSpine), and
 // datacenters join over a WAN profile (netsim.MultiDatacenterWAN) — the
@@ -24,9 +23,6 @@ type TopoSpec struct {
 	// HostsPerCluster is the number of nodes per cluster. Minimum 1.
 	HostsPerCluster int
 }
-
-// Nodes returns the total node count the spec generates.
-func (t TopoSpec) Nodes() int { return t.DCs * t.ClustersPerDC * t.HostsPerCluster }
 
 // validate checks the counts.
 func (t TopoSpec) validate() error {
@@ -45,7 +41,6 @@ func setInterProfiles(f *netsim.Fabric) {
 
 // Topology records what BuildTopo generated.
 type Topology struct {
-	Spec TopoSpec
 	// Clusters holds generated cluster names in creation order
 	// ("dc00-c00", "dc00-c01", ...). Node IDs follow the AddCluster
 	// convention: "<cluster>-nNN".
@@ -66,7 +61,7 @@ func BuildTopo(site *Site, spec TopoSpec) (*Topology, error) {
 		return nil, err
 	}
 	setInterProfiles(site.Fabric)
-	topo := &Topology{Spec: spec, Clusters: make([]string, 0, spec.DCs*spec.ClustersPerDC)}
+	topo := &Topology{Clusters: make([]string, 0, spec.DCs*spec.ClustersPerDC)}
 	for d := 0; d < spec.DCs; d++ {
 		for c := 0; c < spec.ClustersPerDC; c++ {
 			name := ClusterName(d, c)
@@ -142,26 +137,4 @@ func ZoneLookahead(spec TopoSpec) (sim.Time, error) {
 		}
 	}
 	return f.MinCrossLatency(f.ClusterZone), nil
-}
-
-// Inventory renders the generated topology as a deterministic multi-line
-// listing (one line per cluster plus profile lines) — the property tests
-// hash it, and dvcsim prints it for humans.
-func (t *Topology) Inventory() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "topology dc=%d cluster=%d host=%d nodes=%d\n",
-		t.Spec.DCs, t.Spec.ClustersPerDC, t.Spec.HostsPerCluster, t.Spec.Nodes())
-	fmt.Fprintf(&b, "leaf  %s\nspine %s\nwan   %s\n",
-		profileString(netsim.EthernetGigE()), profileString(netsim.FatTreeSpine()), profileString(netsim.MultiDatacenterWAN()))
-	for i, name := range t.Clusters {
-		zone := i / t.Spec.ClustersPerDC
-		fmt.Fprintf(&b, "cluster %s zone=%d hosts=%d ids=%s-n00..%s-n%02d\n",
-			name, zone, t.Spec.HostsPerCluster, name, name, t.Spec.HostsPerCluster-1)
-	}
-	return b.String()
-}
-
-// profileString formats a link profile for the inventory listing.
-func profileString(p netsim.LinkProfile) string {
-	return fmt.Sprintf("{lat=%v bw=%.0fB/s loss=%g}", p.Latency, p.Bandwidth, p.LossProb)
 }

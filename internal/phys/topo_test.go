@@ -1,7 +1,7 @@
 package phys
 
 import (
-	"strings"
+	"slices"
 	"testing"
 
 	"dvc/internal/netsim"
@@ -38,21 +38,25 @@ func TestBuildTopoInventory(t *testing.T) {
 	if z := s.Fabric.ClusterZone("dc01-c00"); z != 1 {
 		t.Fatalf("dc01-c00 zone = %d, want 1", z)
 	}
-	inv := topo.Inventory()
-	if !strings.Contains(inv, "cluster dc01-c02 zone=1 hosts=5") {
-		t.Fatalf("inventory missing cluster line:\n%s", inv)
+	if z := s.Fabric.ClusterZone(topo.Clusters[5]); z != 1 {
+		t.Fatalf("%s zone = %d, want 1", topo.Clusters[5], z)
 	}
 }
 
 // TestBuildTopoDeterministic is the generator's determinism property:
-// same spec + same seed must produce an identical inventory — names,
-// order, zones, profiles — and identical node listings.
+// same spec + same seed must produce identical clusters — names, order,
+// zones — and identical node listings.
 func TestBuildTopoDeterministic(t *testing.T) {
 	spec := TopoSpec{DCs: 2, ClustersPerDC: 3, HostsPerCluster: 7}
 	s1, topo1 := buildTestTopo(t, 42, spec)
 	s2, topo2 := buildTestTopo(t, 42, spec)
-	if topo1.Inventory() != topo2.Inventory() {
-		t.Fatalf("inventories diverge:\n%s\nvs\n%s", topo1.Inventory(), topo2.Inventory())
+	if !slices.Equal(topo1.Clusters, topo2.Clusters) {
+		t.Fatalf("clusters diverge: %v vs %v", topo1.Clusters, topo2.Clusters)
+	}
+	for _, name := range topo1.Clusters {
+		if z1, z2 := s1.Fabric.ClusterZone(name), s2.Fabric.ClusterZone(name); z1 != z2 {
+			t.Fatalf("%s zone diverges: %d vs %d", name, z1, z2)
+		}
 	}
 	n1, n2 := s1.Nodes(), s2.Nodes()
 	if len(n1) != len(n2) {

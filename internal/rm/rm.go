@@ -386,7 +386,7 @@ func (r *RM) startDVC(j *Job) {
 	if err != nil {
 		// Allocation raced with a failure; requeue.
 		r.unclaim(j)
-		r.finishAttempt(j, false)
+		r.finishAttempt(j)
 		return
 	}
 	j.vc = vc
@@ -432,7 +432,7 @@ func (r *RM) reapPhysical(j *Job) {
 		j.WastedTime += r.kernel.Now() - j.attemptAt
 		r.teardownPhysical(j)
 		r.unclaim(j)
-		r.finishAttempt(j, false)
+		r.finishAttempt(j)
 		return
 	}
 	if allExited {
@@ -488,7 +488,7 @@ func (r *RM) failDVC(j *Job) {
 	j.vc.Release()
 	j.vc = nil
 	r.unclaim(j)
-	r.finishAttempt(j, false)
+	r.finishAttempt(j)
 }
 
 func (r *RM) reapDVC(j *Job) {
@@ -506,7 +506,7 @@ func (r *RM) reapDVC(j *Job) {
 					j.vc = nil
 				}
 				r.unclaim(j)
-				r.finishAttempt(j, false)
+				r.finishAttempt(j)
 				return
 			}
 		}
@@ -528,6 +528,7 @@ func (r *RM) reapDVC(j *Job) {
 		if js.Done() {
 			if j.periodic != nil {
 				j.periodic.Stop()
+				j.periodic = nil
 			}
 			ok := js.AllOK()
 			j.vc.Release()
@@ -539,7 +540,7 @@ func (r *RM) reapDVC(j *Job) {
 				r.done = append(r.done, j)
 			} else {
 				j.WastedTime += r.kernel.Now() - j.attemptAt
-				r.finishAttempt(j, false)
+				r.finishAttempt(j)
 			}
 		}
 		return
@@ -569,7 +570,7 @@ func (r *RM) tryRecover(j *Job) {
 			r.unclaim(j)
 			j.vc.Release()
 			j.vc = nil
-			r.finishAttempt(j, false)
+			r.finishAttempt(j)
 			return
 		}
 		j.State = Running
@@ -579,8 +580,8 @@ func (r *RM) tryRecover(j *Job) {
 }
 
 // finishAttempt handles a failed attempt: requeue or give up.
-func (r *RM) finishAttempt(j *Job, ok bool) {
-	if !ok && r.cfg.RequeueOnFailure && j.Attempt <= r.cfg.MaxRequeues {
+func (r *RM) finishAttempt(j *Job) {
+	if r.cfg.RequeueOnFailure && j.Attempt <= r.cfg.MaxRequeues {
 		j.State = Queued
 		j.lastGoodGen = -1
 		r.queue = append(r.queue, j)

@@ -241,7 +241,7 @@ func TestGeneratedMixCompletes(t *testing.T) {
 	}
 	b.rm.SubmitTrace(trace)
 	b.runUntilDone(t, 4*sim.Hour)
-	if s := b.rm.Stats(); s.Completed != 8 {
+	if s := b.rm.Stats(); s.Completed != 8 || s.Failed != 0 || s.BusyNodeTime <= 0 {
 		t.Fatalf("stats %+v", s)
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"dvc"
+	"dvc/internal/hpcc"
 )
 
 //go:embed scenarios/*.dvc
@@ -63,18 +64,16 @@ type Interpreter struct {
 	sim *dvc.Simulation
 	out io.Writer
 
-	vcs      map[string]*dvc.VirtualCluster
-	lastGens map[string]int
-	line     int
+	vcs  map[string]*dvc.VirtualCluster
+	line int
 }
 
 // New creates an interpreter writing progress to out.
 func New(seed int64, out io.Writer) *Interpreter {
 	return &Interpreter{
-		sim:      dvc.NewSimulation(seed),
-		out:      out,
-		vcs:      make(map[string]*dvc.VirtualCluster),
-		lastGens: make(map[string]int),
+		sim: dvc.NewSimulation(seed),
+		out: out,
+		vcs: make(map[string]*dvc.VirtualCluster),
 	}
 }
 
@@ -153,7 +152,12 @@ func (in *Interpreter) exec(cmd string, args []string) error {
 		if !js.AllOK() {
 			return in.errf("assert-ok %s: %d running, %d failed", vc.Name(), js.Running, js.Failed)
 		}
-		in.say("%s: all %d ranks succeeded", vc.Name(), js.Succeeded)
+		for rank, app := range vc.RankApps() {
+			if !hpcc.Verified(app) {
+				return in.errf("assert-ok %s: rank %d exited 0 but did not verify", vc.Name(), rank)
+			}
+		}
+		in.say("%s: all %d ranks succeeded and verified", vc.Name(), js.Succeeded)
 		return nil
 	default:
 		return in.errf("unknown command %q", cmd)
@@ -370,7 +374,6 @@ func (in *Interpreter) cmdCheckpoint(args []string) error {
 	if !res.OK {
 		return in.errf("checkpoint failed: %s", res.Reason)
 	}
-	in.lastGens[vc.Name()] = res.Generation
 	in.say("%s checkpoint gen %d: skew %v, downtime %v", vc.Name(), res.Generation, res.SaveSkew, res.Downtime)
 	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"dvc/internal/hpcc"
 )
 
 func run(t *testing.T, seed int64, src string) (string, error) {
@@ -70,6 +72,22 @@ func TestScriptErrors(t *testing.T) {
 		if _, err := run(t, 5, src); err == nil {
 			t.Fatalf("%s: script accepted", name)
 		}
+	}
+}
+
+// TestAssertOkRequiresVerifiedRanks: a job whose ranks all exited 0 still
+// fails assert-ok when one rank's app did not verify. HPL and PTRANS exit
+// 0 whether or not their numerical check passed.
+func TestAssertOkRequiresVerifiedRanks(t *testing.T) {
+	var out bytes.Buffer
+	in := New(9, &out)
+	if err := in.Run(strings.NewReader("cluster alpha 2\nstart\nalloc j 2\nrun j hpl 32\nwait j 1h\nassert-ok j\n")); err != nil {
+		t.Fatalf("%v\n%s", err, out.String())
+	}
+	in.vcs["j"].RankApps()[1].(*hpcc.HPL).Passed = false
+	err := in.Run(strings.NewReader("assert-ok j\n"))
+	if err == nil || !strings.Contains(err.Error(), "rank 1 exited 0 but did not verify") {
+		t.Fatalf("assert-ok on an unverified rank: err = %v", err)
 	}
 }
 
