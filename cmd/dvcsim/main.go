@@ -20,17 +20,18 @@
 //
 // -report dir/ records the run as a self-contained artifact:
 // config.json (the run's flags), results.json (tables + checks),
-// registry.json, trace.jsonl, summary.json (per-type counts, span
-// percentiles) and series.jsonl (windowed registry metrics sampled on
-// virtual time). trace.jsonl is the deterministic event trace, streamed
-// through a fixed-size buffer (same seed, same flags => byte-identical
-// output), so tracer memory stays bounded no matter how long the run
-// is. dvctrace works on it: -convert exports Chrome trace_events for
-// ui.perfetto.dev, and -query filters and samples it deterministically
-// (by type, node, domain, time window or every Nth record). A recorded
-// run also prints (or, with -json, embeds) the counter-registry
-// snapshot. The trace is flushed and closed on every exit, so a run
-// that fails a check, errors or panics keeps what it recorded.
+// registry.json and trace.jsonl. trace.jsonl is the deterministic event
+// trace, streamed through a fixed-size buffer (same seed, same flags =>
+// byte-identical output), so tracer memory stays bounded no matter how
+// long the run is. Tracing schedules no kernel events, so a recorded
+// run's tables equal an untraced run's. dvctrace works on the trace:
+// -stats prints per-type counts and span percentiles, -convert exports
+// Chrome trace_events for ui.perfetto.dev, and -query filters and
+// samples it deterministically (by type, node, domain, time window or
+// every Nth record). A recorded run also prints (or, with -json,
+// embeds) the counter-registry snapshot. The trace is flushed and
+// closed on every exit, so a run that fails a check, errors or panics
+// keeps what it recorded.
 package main
 
 import (
@@ -45,7 +46,6 @@ import (
 	"strings"
 
 	"dvc"
-	"dvc/internal/obs"
 )
 
 // main delegates to run so deferred profile writers execute before the
@@ -125,12 +125,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stdout)
 	}
 
-	// -report records the run: the trace streams into trace.jsonl and,
-	// through a tee, into the summary that summary.json reports.
-	var (
-		tracer  *dvc.Tracer
-		summary *obs.SummarySink
-	)
+	// -report records the run: the trace streams into trace.jsonl.
+	var tracer *dvc.Tracer
 	if *report != "" {
 		if err := os.MkdirAll(*report, 0o755); err != nil {
 			return fail(err)
@@ -139,8 +135,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if err != nil {
 			return fail(err)
 		}
-		summary = obs.NewSummarySink()
-		tracer = obs.NewTracerWithSink(obs.Tee(obs.NewJSONLSink(f, 0), summary))
+		tracer = dvc.NewTracer(f)
 		opts.Tracer = tracer
 		// Every exit (an error, a failed check, a panic) flushes and
 		// closes the trace, so a failed run keeps what it recorded.
@@ -171,7 +166,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	if tracer != nil {
-		if err := writeReport(*report, *exp, *seed, *trials, *full, results, tracer, summary); err != nil {
+		if err := writeReport(*report, *exp, *seed, *trials, *full, results, tracer); err != nil {
 			return fail(err)
 		}
 		if !*jsonOut {
@@ -214,17 +209,22 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 }
 
 // writeReport lays down the self-contained run artifact next to the
-// streamed trace.jsonl: config, results (tables + checks),
-// registry snapshot, streaming trace summary and the windowed metric
-// series. Every file's bytes are a pure function of the run.
+// streamed trace.jsonl: config, results (tables + checks) and the
+// registry snapshot. Every file's bytes are a pure function of the run.
 func writeReport(dir, exp string, seed int64, trials int, full bool,
-	results []*dvc.ExperimentResult, tracer *dvc.Tracer, summary *obs.SummarySink) error {
+	results []*dvc.ExperimentResult, tracer *dvc.Tracer) error {
 	writeJSON := func(name string, v any) error {
-		return writeFile(filepath.Join(dir, name), func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(v)
-		})
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			return err
+		}
+		enc := json.NewEncoder(f)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(v); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
 	}
 	cfg := struct {
 		Experiment string `json:"experiment"`
@@ -238,24 +238,5 @@ func writeReport(dir, exp string, seed int64, trials int, full bool,
 	if err := writeJSON("results.json", results); err != nil {
 		return err
 	}
-	if err := writeJSON("registry.json", tracer.Registry()); err != nil {
-		return err
-	}
-	if err := writeJSON("summary.json", &summary.Summary); err != nil {
-		return err
-	}
-	return writeFile(filepath.Join(dir, "series.jsonl"), tracer.Series().WriteJSONL)
-}
-
-// writeFile writes one exporter's output to path.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeJSON("registry.json", tracer.Registry())
 }

@@ -30,10 +30,16 @@ func TestReportWritesEveryArtifact(t *testing.T) {
 	if code := run([]string{"-exp", "E3", "-report", dir}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d: %s\n%s", code, stderr.String(), stdout.String())
 	}
-	for _, name := range []string{"config.json", "results.json", "registry.json", "trace.jsonl", "summary.json", "series.jsonl"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-			t.Errorf("artifact %s: %v", name, err)
-		}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if got, want := strings.Join(names, " "), "config.json registry.json results.json trace.jsonl"; got != want {
+		t.Errorf("report artifacts = %s, want %s", got, want)
 	}
 	raw, err := os.ReadFile(filepath.Join(dir, "results.json"))
 	if err != nil {

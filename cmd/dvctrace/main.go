@@ -16,9 +16,10 @@
 // far larger than memory; -convert materialises records (the Perfetto
 // metadata needs the full node/domain universe).
 //
-// -stats folds the trace into an obs.Summary, the same summary a run
-// report carries: per-type record counts, then per-span-name duration
-// percentiles, slowest p99 first.
+// -stats folds the trace into an obs.Summary and prints per-type record
+// counts, then per-span-name duration percentiles, slowest p99 first.
+// It is how a dvcsim -report trace is summarised: the report holds no
+// summary file.
 //
 // -diff compares two traces byte-for-byte line by line and reports the
 // first divergent record — the debugging tool for the replay contract:

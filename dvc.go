@@ -81,8 +81,6 @@ type (
 	CheckpointResult = core.CheckpointResult
 	// RestoreResult reports one coordinated restore.
 	RestoreResult = core.RestoreResult
-	// LiveConfig tunes pre-copy live migration.
-	LiveConfig = core.LiveConfig
 	// LiveMigrationResult reports a pre-copy migration.
 	LiveMigrationResult = core.LiveMigrationResult
 	// Node is one physical machine.
@@ -177,11 +175,10 @@ func (s *Simulation) Start() {
 }
 
 // SetTracer attaches a deterministic event tracer to every layer of the
-// simulation (hypervisors, transport, fabric, LSC) and starts the kernel
-// probe. Call before Start; pass nil to leave tracing off (the default —
-// untraced hot paths pay only a nil check). Note the probe schedules
-// ordinary kernel events, so a traced run's event schedule differs from
-// an untraced one; any two traced runs with the same seed are identical.
+// simulation (hypervisors, transport, fabric, LSC). Call before Start;
+// pass nil to leave tracing off (the default — untraced hot paths pay
+// only a nil check). Tracing schedules no kernel events, so a traced
+// run fires exactly the events of an untraced one.
 func (s *Simulation) SetTracer(t *Tracer) { s.env.SetTracer(t) }
 
 // Now returns the current virtual time.
@@ -245,12 +242,9 @@ func (s *Simulation) Migrate(vc *VirtualCluster, targets []*Node) (*CheckpointRe
 // streams while the cluster computes, and only the final residual copy
 // happens inside the coordinated pause. Downtime is typically a small
 // fraction of Migrate's stop-and-copy.
-func (s *Simulation) LiveMigrate(vc *VirtualCluster, targets []*Node, cfg LiveConfig) (*LiveMigrationResult, error) {
-	return s.env.LiveMigrate(vc, targets, cfg, Hour)
+func (s *Simulation) LiveMigrate(vc *VirtualCluster, targets []*Node) (*LiveMigrationResult, error) {
+	return s.env.LiveMigrate(vc, targets, Hour)
 }
-
-// DefaultLiveConfig returns standard pre-copy bounds.
-func DefaultLiveConfig() LiveConfig { return core.DefaultLiveConfig() }
 
 // Recover restores a VC's saved generation onto fresh nodes after its
 // domains were destroyed (e.g. by a node crash). Call vc.Teardown first

@@ -104,7 +104,7 @@ func TestLiveMigrationFlow(t *testing.T) {
 	for _, d := range vc.Domains() {
 		d.SetDirtyRate(10e6)
 	}
-	res, err := s.LiveMigrate(vc, s.FreeNodes("beta"), DefaultLiveConfig())
+	res, err := s.LiveMigrate(vc, s.FreeNodes("beta"))
 	if err != nil || !res.OK {
 		t.Fatalf("live migrate: %v %+v", err, res)
 	}

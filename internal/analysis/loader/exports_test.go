@@ -22,6 +22,7 @@ var keptExports = map[string]string{
 	"dvc/internal/clock.Clock.Error":       "shared test hook",
 	"dvc/internal/netsim.Fabric.Delay":     "shared test hook",
 	"dvc/internal/payload.Bytes.Equal":     "shared test hook",
+	"dvc/internal/sim.Kernel.Pending":      "shared test hook",
 	"dvc/internal/sim.Kernel.Run":          "shared test hook",
 	"dvc/internal/sim.Kernel.SlabLen":      "shared test hook",
 	"dvc/internal/tcp.Conn.Close":          "image state",

@@ -430,7 +430,7 @@ func TestPeriodicCheckpointing(t *testing.T) {
 func TestVCStateStrings(t *testing.T) {
 	for s, want := range map[VCState]string{
 		VCAllocating: "Allocating", VCReady: "Ready", VCPaused: "Paused",
-		VCSaved: "Saved", VCFailed: "Failed", VCReleased: "Released",
+		VCMigrating: "Migrating", VCSaved: "Saved", VCFailed: "Failed", VCReleased: "Released",
 	} {
 		if s.String() != want {
 			t.Fatalf("%d -> %q", int(s), s.String())

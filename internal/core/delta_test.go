@@ -182,7 +182,9 @@ func TestDeltaRestoreByteIdenticalToFull(t *testing.T) {
 // never-dirtied chunks from the first pre-copy round and keeps chunk
 // lineage across the move.
 func TestLiveMigrateDeltaSkipsUntouchedRAM(t *testing.T) {
-	tb := newTestbed(t, 27, map[string]int{"alpha": 2, "beta": 2}, DefaultNTPLSC())
+	lsc := DefaultNTPLSC()
+	lsc.Delta = true
+	tb := newTestbed(t, 27, map[string]int{"alpha": 2, "beta": 2}, lsc)
 	vc, err := tb.mgr.Allocate(VCSpec{Name: "wan", Nodes: 2, VMRAM: testVMRAM, Clusters: []string{"alpha"}}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -194,10 +196,8 @@ func TestLiveMigrateDeltaSkipsUntouchedRAM(t *testing.T) {
 	vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(4000, 20*sim.Millisecond, 1024) })
 	tb.k.RunFor(sim.Second)
 
-	cfg := DefaultLiveConfig()
-	cfg.Delta = true
 	var res *LiveMigrationResult
-	if err := tb.co.LiveMigrate(vc, tb.site.UpNodes("beta"), cfg, func(r *LiveMigrationResult) { res = r }); err != nil {
+	if err := tb.co.LiveMigrate(vc, tb.site.UpNodes("beta"), func(r *LiveMigrationResult) { res = r }); err != nil {
 		t.Fatal(err)
 	}
 	tb.k.RunFor(10 * sim.Minute)
@@ -257,10 +257,11 @@ func TestFullCycleKeepsPageTable(t *testing.T) {
 		t.Fatalf("full epoch logical %d sent %d, want %d each", res.LogicalBytes, res.SentBytes, want)
 	}
 
-	cfg := DefaultLiveConfig()
-	cfg.Delta = true
+	// A delta coordinator over the same manager migrates the VC.
+	lsc := DefaultNTPLSC()
+	lsc.Delta = true
 	var lm *LiveMigrationResult
-	if err := tb.co.LiveMigrate(vc, tb.site.UpNodes("beta"), cfg, func(r *LiveMigrationResult) { lm = r }); err != nil {
+	if err := NewCoordinator(tb.mgr, lsc).LiveMigrate(vc, tb.site.UpNodes("beta"), func(r *LiveMigrationResult) { lm = r }); err != nil {
 		t.Fatal(err)
 	}
 	tb.k.RunFor(10 * sim.Minute)
@@ -350,7 +351,7 @@ func TestFailedLiveCaptureReleasesVC(t *testing.T) {
 	})
 	tb.k.RunFor(sim.Second)
 	var lm *LiveMigrationResult
-	if err := tb.co.LiveMigrate(vc, tb.site.UpNodes("beta"), DefaultLiveConfig(), func(r *LiveMigrationResult) { lm = r }); err != nil {
+	if err := tb.co.LiveMigrate(vc, tb.site.UpNodes("beta"), func(r *LiveMigrationResult) { lm = r }); err != nil {
 		t.Fatal(err)
 	}
 	for lm == nil {

@@ -10,9 +10,6 @@ import (
 	"dvc/internal/vm"
 )
 
-// ProbeInterval is the kernel probe's sampling period on traced sites.
-const ProbeInterval = 500 * sim.Millisecond
-
 // Env is one simulated DVC site: DVC installed over a physical site
 // (the shared checkpoint store, the manager and an LSC coordinator), all
 // on the site's kernel. The caller builds the site itself (clusters,
@@ -36,16 +33,9 @@ func NewEnv(site *phys.Site, lsc LSCConfig) *Env {
 }
 
 // SetTracer attaches t to every layer (hypervisors, transport, fabric,
-// store, LSC) and starts the kernel probe; nil leaves tracing off. The
-// probe schedules ordinary kernel events, so a traced run's schedule
-// differs from an untraced one, but any two traced runs with the same
-// seed are identical.
-func (e *Env) SetTracer(t *obs.Tracer) {
-	e.Manager.SetTracer(t)
-	if t != nil {
-		obs.StartKernelProbe(e.Kernel, t, ProbeInterval)
-	}
-}
+// store, LSC); nil leaves tracing off. Tracing schedules no kernel
+// events, so a traced run fires exactly the events of an untraced one.
+func (e *Env) SetTracer(t *obs.Tracer) { e.Manager.SetTracer(t) }
 
 // await runs the kernel until done reports true or limit passes.
 // Whatever can make done true must halt the kernel (a coordinator
@@ -101,9 +91,9 @@ func (e *Env) Migrate(vc *VirtualCluster, targets []*phys.Node, limit sim.Time) 
 
 // LiveMigrate moves vc onto targets with pre-copy, running until it
 // reports.
-func (e *Env) LiveMigrate(vc *VirtualCluster, targets []*phys.Node, cfg LiveConfig, limit sim.Time) (*LiveMigrationResult, error) {
+func (e *Env) LiveMigrate(vc *VirtualCluster, targets []*phys.Node, limit sim.Time) (*LiveMigrationResult, error) {
 	return call(e, "live migration of "+vc.Name(), limit, func(done func(*LiveMigrationResult)) error {
-		return e.Coord.LiveMigrate(vc, targets, cfg, done)
+		return e.Coord.LiveMigrate(vc, targets, done)
 	})
 }
 

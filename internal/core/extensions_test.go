@@ -9,6 +9,11 @@ import (
 	"dvc/internal/sim"
 )
 
+// TestLiveMigrateLowDirtyRate: a calm guest converges in a few rounds
+// with sub-second downtime. The VC is Migrating from the start of
+// pre-copy to switch-over: a checkpoint, a migration or a second live
+// migration started meanwhile is refused, and a periodic checkpointer
+// skips the VC, so no save set pauses its domains mid-copy.
 func TestLiveMigrateLowDirtyRate(t *testing.T) {
 	tb := newTestbed(t, 21, map[string]int{"alpha": 3, "beta": 3}, DefaultNTPLSC())
 	vc, err := tb.mgr.Allocate(VCSpec{Name: "lm", Nodes: 3, VMRAM: testVMRAM, Clusters: []string{"alpha"}}, nil)
@@ -23,12 +28,35 @@ func TestLiveMigrateLowDirtyRate(t *testing.T) {
 	}
 
 	var res *LiveMigrationResult
-	if err := tb.co.LiveMigrate(vc, tb.site.UpNodes("beta"), DefaultLiveConfig(), func(r *LiveMigrationResult) { res = r }); err != nil {
+	targets := tb.site.UpNodes("beta")
+	if err := tb.co.LiveMigrate(vc, targets, func(r *LiveMigrationResult) { res = r }); err != nil {
 		t.Fatal(err)
 	}
-	tb.k.RunFor(10 * sim.Minute)
-	if res == nil || !res.OK {
+	if vc.State() != VCMigrating {
+		t.Fatalf("VC is %v during pre-copy, want Migrating", vc.State())
+	}
+	if err := tb.co.Checkpoint(vc, func(*CheckpointResult) {}); err == nil {
+		t.Error("checkpoint accepted during a live migration")
+	}
+	if err := tb.co.Migrate(vc, targets, func(*CheckpointResult) {}); err == nil {
+		t.Error("migration accepted during a live migration")
+	}
+	if err := tb.co.LiveMigrate(vc, targets, func(*LiveMigrationResult) {}); err == nil {
+		t.Error("second live migration accepted during a live migration")
+	}
+	p := tb.co.StartPeriodic(vc, 200*sim.Millisecond, nil)
+	for res == nil {
+		tb.k.RunFor(100 * sim.Millisecond)
+	}
+	p.Stop()
+	if !res.OK {
 		t.Fatalf("live migration failed: %+v", res)
+	}
+	if len(p.Results) != 0 {
+		t.Fatalf("periodic checkpointer finished %d checkpoint(s) during the migration", len(p.Results))
+	}
+	if vc.State() != VCReady {
+		t.Fatalf("VC is %v after switch-over, want Ready", vc.State())
 	}
 	// 256MiB at 117MB/s stop-and-copy would be ~2.3s of downtime; a calm
 	// guest's pre-copy residual must be far below that.
@@ -63,7 +91,7 @@ func TestLiveMigrateBeatsStopAndCopyDowntime(t *testing.T) {
 		var down sim.Time
 		if live {
 			var res *LiveMigrationResult
-			tb.co.LiveMigrate(vc, targets, DefaultLiveConfig(), func(r *LiveMigrationResult) { res = r })
+			tb.co.LiveMigrate(vc, targets, func(r *LiveMigrationResult) { res = r })
 			tb.k.RunFor(10 * sim.Minute)
 			if res == nil || !res.OK {
 				t.Fatalf("live: %+v", res)
@@ -97,15 +125,14 @@ func TestLiveMigrateHotGuestHitsRoundCap(t *testing.T) {
 		// Dirtying nearly as fast as the wire: pre-copy cannot converge.
 		d.SetDirtyRate(100e6)
 	}
-	cfg := DefaultLiveConfig()
 	var res *LiveMigrationResult
-	tb.co.LiveMigrate(vc, tb.site.UpNodes("beta"), cfg, func(r *LiveMigrationResult) { res = r })
+	tb.co.LiveMigrate(vc, tb.site.UpNodes("beta"), func(r *LiveMigrationResult) { res = r })
 	tb.k.RunFor(30 * sim.Minute)
 	if res == nil || !res.OK {
 		t.Fatalf("hot migration: %+v", res)
 	}
-	if res.Rounds != cfg.MaxRounds {
-		t.Fatalf("expected to hit the %d-round cap, did %d", cfg.MaxRounds, res.Rounds)
+	if res.Rounds != liveMaxRounds {
+		t.Fatalf("expected to hit the %d-round cap, did %d", liveMaxRounds, res.Rounds)
 	}
 	// Total traffic far exceeds RAM: the re-dirty tax.
 	if res.BytesCopied < 2*int64(vc.Spec().Nodes)*testVMRAM {
@@ -194,7 +221,7 @@ func TestMigrateWrongTargetCount(t *testing.T) {
 	if err := tb.co.Migrate(vc, tb.site.UpNodes("alpha")[:1], func(*CheckpointResult) {}); err == nil {
 		t.Fatal("migrate with too few targets accepted")
 	}
-	if err := tb.co.LiveMigrate(vc, tb.site.UpNodes("alpha")[:1], DefaultLiveConfig(), func(*LiveMigrationResult) {}); err == nil {
+	if err := tb.co.LiveMigrate(vc, tb.site.UpNodes("alpha")[:1], func(*LiveMigrationResult) {}); err == nil {
 		t.Fatal("live migrate with too few targets accepted")
 	}
 }

@@ -20,26 +20,13 @@ import (
 // stop* must still be LSC-coordinated across every VM of the virtual
 // cluster, because it is a network-wide cut.
 
-// LiveConfig tunes pre-copy.
-type LiveConfig struct {
-	// MaxRounds bounds the pre-copy iterations per domain.
-	MaxRounds int
-	// StopThreshold: pause once the residual dirty set is below this.
-	StopThreshold int64
-	// Delta makes the first pre-copy round WAN-aware: RAM chunks the
-	// page table has never seen dirtied (golden-image template and
-	// zeroed memory, present at or derivable by any site) are skipped
-	// instead of copied, and the final capture is a delta image so the
-	// restored domain keeps its chunk lineage. A fully-dirtied guest
-	// skips nothing — the optimisation decays honestly to standard
-	// pre-copy.
-	Delta bool
-}
-
-// DefaultLiveConfig matches common hypervisor defaults.
-func DefaultLiveConfig() LiveConfig {
-	return LiveConfig{MaxRounds: 6, StopThreshold: 16 << 20}
-}
+// Pre-copy bounds, after common hypervisor defaults: at most
+// liveMaxRounds iterations per domain, and the coordinated stop once a
+// domain's residual dirty set is at most liveStopThreshold bytes.
+const (
+	liveMaxRounds     = 6
+	liveStopThreshold = 16 << 20
+)
 
 // LiveMigrationResult reports a pre-copy migration.
 type LiveMigrationResult struct {
@@ -56,16 +43,22 @@ type LiveMigrationResult struct {
 
 // LiveMigrate moves a running VC onto targets with pre-copy. The VC keeps
 // executing during the bulk transfer; only the final residual copy
-// happens inside the coordinated pause.
-func (c *Coordinator) LiveMigrate(vc *VirtualCluster, targets []*phys.Node, cfg LiveConfig, done func(*LiveMigrationResult)) error {
+// happens inside the coordinated pause. The VC is Migrating from here
+// until switch-over or failure, so no checkpoint or other migration can
+// start on it meanwhile.
+//
+// Under a Delta coordinator the first round is WAN-aware: RAM chunks
+// the page table has never seen dirtied (golden-image template and
+// zeroed memory, present at or derivable by any site) are skipped
+// instead of copied, and the final capture is a delta image so the
+// restored domain keeps its chunk lineage. A fully-dirtied guest skips
+// nothing — the optimisation decays honestly to standard pre-copy.
+func (c *Coordinator) LiveMigrate(vc *VirtualCluster, targets []*phys.Node, done func(*LiveMigrationResult)) error {
 	if vc.state != VCReady {
 		return fmt.Errorf("lsc: live-migrate %s: cluster is %v", vc.spec.Name, vc.state)
 	}
 	if len(targets) != vc.spec.Nodes {
 		return fmt.Errorf("lsc: live-migrate %s: %d targets, want %d", vc.spec.Name, len(targets), vc.spec.Nodes)
-	}
-	if cfg.MaxRounds <= 0 {
-		cfg.MaxRounds = 1
 	}
 	k := c.mgr.kernel
 	res := &LiveMigrationResult{VC: vc.spec.Name}
@@ -123,7 +116,7 @@ func (c *Coordinator) LiveMigrate(vc *VirtualCluster, targets []*phys.Node, cfg 
 				return
 			}
 			dirty := s.d.DirtyBytesSince(mark)
-			if dirty <= cfg.StopThreshold || s.rounds >= cfg.MaxRounds {
+			if dirty <= liveStopThreshold || s.rounds >= liveMaxRounds {
 				s.residual = dirty
 				s.converged = s.d.MarkClean()
 				if s.rounds > res.Rounds {
@@ -141,6 +134,7 @@ func (c *Coordinator) LiveMigrate(vc *VirtualCluster, targets []*phys.Node, cfg 
 
 	afterPreCopy = func() {
 		if res.Reason != "" {
+			vc.state = VCReady
 			res.OK = false
 			res.TotalTime = k.Now() - start
 			done(res)
@@ -165,15 +159,16 @@ func (c *Coordinator) LiveMigrate(vc *VirtualCluster, targets []*phys.Node, cfg 
 					for j, s := range states {
 						residuals[j] = liveResidual{bytes: s.residual, bw: s.bw, mark: s.converged}
 					}
-					c.liveFinal(vc, residuals, targets, res, cfg.Delta, start, firstPause, done)
+					c.liveFinal(vc, residuals, targets, res, start, firstPause, done)
 				}
 			})
 		}
 	}
 
+	vc.state = VCMigrating
 	for _, s := range states {
 		first := s.d.RAMBytes()
-		if cfg.Delta {
+		if c.cfg.Delta {
 			// Fold any dirt accumulated since boot into the page table,
 			// then elide the chunks nobody has ever written: the target
 			// reconstructs template and zero chunks locally.
@@ -203,7 +198,7 @@ type liveResidual struct {
 }
 
 // liveFinal performs the stop-phase copy and switch-over.
-func (c *Coordinator) liveFinal(vc *VirtualCluster, residuals []liveResidual, targets []*phys.Node, res *LiveMigrationResult, delta bool, start, firstPause sim.Time, done func(*LiveMigrationResult)) {
+func (c *Coordinator) liveFinal(vc *VirtualCluster, residuals []liveResidual, targets []*phys.Node, res *LiveMigrationResult, start, firstPause sim.Time, done func(*LiveMigrationResult)) {
 	k := c.mgr.kernel
 	// Residual + late dirt copy time; domains are paused so the set is
 	// final. The copies run in parallel; downtime is the slowest.
@@ -223,7 +218,7 @@ func (c *Coordinator) liveFinal(vc *VirtualCluster, residuals []liveResidual, ta
 	// dedups against everything transferred before the move.
 	images := make([]*vm.Image, len(vc.domains))
 	for i, d := range vc.domains {
-		img, err := d.Capture(delta)
+		img, err := d.Capture(c.cfg.Delta)
 		if err != nil {
 			// Failed capture: release the paused domains, as LSC does for
 			// an incomplete save set, and report failure.
@@ -232,6 +227,7 @@ func (c *Coordinator) liveFinal(vc *VirtualCluster, residuals []liveResidual, ta
 					_ = d.Unpause()
 				}
 			}
+			vc.state = VCReady
 			res.Reason = err.Error()
 			res.TotalTime = k.Now() - start
 			done(res)
@@ -243,6 +239,7 @@ func (c *Coordinator) liveFinal(vc *VirtualCluster, residuals []liveResidual, ta
 		for _, d := range vc.domains {
 			d.Destroy()
 		}
+		vc.state = VCSaved
 		c.materialize(vc, images, targets, &RestoreResult{VC: vc.spec.Name}, func(rr *RestoreResult) {
 			if rr.OK {
 				res.OK = true

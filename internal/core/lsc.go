@@ -144,9 +144,8 @@ type Coordinator struct {
 	mgr *Manager
 	cfg LSCConfig
 
-	// Stats across all attempts.
-	AttemptCount int
-	FailCount    int
+	// FailCount counts failed checkpoints.
+	FailCount int
 }
 
 // NewCoordinator creates an LSC coordinator.
@@ -226,7 +225,6 @@ func (c *Coordinator) checkpointTo(vc *VirtualCluster, targets []*phys.Node, don
 	}
 	res := &CheckpointResult{VC: vc.spec.Name, Generation: vc.nextGen, targets: targets}
 	vc.nextGen++
-	c.AttemptCount++
 	kind := "checkpoint"
 	if targets != nil {
 		kind = "migrate"

@@ -28,6 +28,7 @@ const (
 	VCAllocating VCState = iota
 	VCReady
 	VCPaused
+	VCMigrating // pre-copy live migration in progress
 	VCSaved
 	VCFailed
 	VCReleased
@@ -41,6 +42,8 @@ func (s VCState) String() string {
 		return "Ready"
 	case VCPaused:
 		return "Paused"
+	case VCMigrating:
+		return "Migrating"
 	case VCSaved:
 		return "Saved"
 	case VCFailed:

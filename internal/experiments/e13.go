@@ -46,7 +46,7 @@ func runE13(opts Options) *Result {
 		targets := b.Site.UpNodes("beta")
 		o := out{}
 		if live {
-			r, err := b.LiveMigrate(vc, targets, core.DefaultLiveConfig(), 30*sim.Minute)
+			r, err := b.LiveMigrate(vc, targets, 30*sim.Minute)
 			if err == nil && r.OK {
 				o = out{down: r.Downtime, total: r.TotalTime, rounds: r.Rounds, copied: r.BytesCopied, ok: true}
 			}
@@ -110,7 +110,9 @@ func runE13(opts Options) *Result {
 		ok      bool
 	}
 	runWAN := func(seed int64, dirtyRate float64, live, delta bool) wanOut {
-		b := makeBed(seed, bedOptions{topo: wanTopo(nodes), lsc: coreNTP(), ntp: true})
+		lsc := coreNTP()
+		lsc.Delta = delta
+		b := makeBed(seed, bedOptions{topo: wanTopo(nodes), lsc: lsc, ntp: true})
 		src, dst := phys.ClusterName(0, 0), phys.ClusterName(1, 0)
 		vc, err := b.Manager.Allocate(core.VCSpec{Name: "wm", Nodes: nodes, VMRAM: vmRAM, Clusters: []string{src}}, nil)
 		if err != nil {
@@ -125,9 +127,7 @@ func runE13(opts Options) *Result {
 		targets := b.Site.UpNodes(dst)
 		o := wanOut{}
 		if live {
-			lcfg := core.DefaultLiveConfig()
-			lcfg.Delta = delta
-			r, err := b.LiveMigrate(vc, targets, lcfg, 60*sim.Minute)
+			r, err := b.LiveMigrate(vc, targets, 60*sim.Minute)
 			if err == nil && r.OK {
 				o = wanOut{down: r.Downtime, copied: r.BytesCopied, skipped: r.BytesSkipped, ok: true}
 			}

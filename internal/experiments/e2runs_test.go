@@ -19,7 +19,6 @@ type e2Run struct {
 	trace    []byte // the streamed JSONL trace
 	records  int    // records the tracer streamed
 	registry string
-	series   []byte // the windowed metric series as JSONL
 }
 
 // e2Traced runs the scaled-down E2 with GOMAXPROCS set to procs, which
@@ -28,7 +27,7 @@ type e2Run struct {
 func e2Traced(t *testing.T, procs, bufSize int) *e2Run {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	var tbl, trace, series bytes.Buffer
+	var tbl, trace bytes.Buffer
 	tr := obs.NewTracerWithSink(obs.NewJSONLSink(&trace, bufSize))
 	res, err := Run("E2", Options{Seed: refSeed, Trials: 2, Out: &tbl, Tracer: tr})
 	if err != nil {
@@ -37,11 +36,8 @@ func e2Traced(t *testing.T, procs, bufSize int) *e2Run {
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Series().WriteJSONL(&series); err != nil {
-		t.Fatal(err)
-	}
 	return &e2Run{tables: tbl.Bytes(), checks: res.Checks, trace: trace.Bytes(),
-		records: tr.Len(), registry: tr.Registry().Table().String(), series: series.Bytes()}
+		records: tr.Len(), registry: tr.Registry().Table().String()}
 }
 
 // e2Pair is the package's one serial/parallel pair of E2 runs, shared

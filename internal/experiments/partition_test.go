@@ -37,7 +37,8 @@ func diffTraces(t *testing.T, label string, a, b []byte) {
 // TestPartitionedMatchesSerial: the multi-DC partitioned scale run at
 // sub-kernel worker counts 1, 2 and 4 — traces and every reported stat
 // must be identical, with real cross-partition traffic flowing
-// (Forwarded > 0).
+// (Forwarded > 0). An untraced workers=1 run must report the same
+// stats too, events and barriers included: tracing schedules nothing.
 func TestPartitionedMatchesSerial(t *testing.T) {
 	const seed = 20070917
 	spec := ScaleSpec{DCs: 2, ClustersPerDC: 5, HostsPerCluster: 26}
@@ -45,9 +46,12 @@ func TestPartitionedMatchesSerial(t *testing.T) {
 		res   *PScaleResult
 		trace []byte
 	}
-	run := func(workers int) pOut {
+	run := func(workers int, traced bool) pOut {
 		var buf bytes.Buffer
-		tr := obs.NewTracerWithSink(obs.NewJSONLSink(&buf, 0))
+		var tr *obs.Tracer
+		if traced {
+			tr = obs.NewTracerWithSink(obs.NewJSONLSink(&buf, 0))
+		}
 		r, err := RunScalePartitioned(seed, spec, workers, tr)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -57,7 +61,10 @@ func TestPartitionedMatchesSerial(t *testing.T) {
 		}
 		return pOut{res: r, trace: buf.Bytes()}
 	}
-	base := run(1)
+	base := run(1, true)
+	if untraced := run(1, false); *untraced.res != *base.res {
+		t.Errorf("PSCALE results differ with tracing:\n  untraced: %+v\n  traced:   %+v", *untraced.res, *base.res)
+	}
 	if !base.res.OK() {
 		t.Fatalf("partitioned scale run failed: ckpt=%v job=%v", base.res.CheckpointOK, base.res.JobOK)
 	}
@@ -65,7 +72,7 @@ func TestPartitionedMatchesSerial(t *testing.T) {
 		t.Fatalf("no cross-partition traffic: forwarded=%d pings=%d", base.res.NetForwarded, base.res.Pings)
 	}
 	for _, workers := range []int{2, 4} {
-		got := run(workers)
+		got := run(workers, true)
 		diffTraces(t, fmt.Sprintf("PSCALE workers=1 vs %d", workers), base.trace, got.trace)
 		// Workers is the run's own knob; everything else must match.
 		want := *base.res

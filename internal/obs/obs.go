@@ -1,12 +1,13 @@
 // Package obs is the deterministic observability layer for the DVC
 // simulation core: a structured event/span recorder (Tracer) keyed off
-// sim.Time, a counter/gauge/histogram registry (Registry) with stable
-// sorted output, a windowed time-series of registry metrics (Series),
-// and a record pipeline (Sink) that decides where records go: streamed
-// as JSONL through a fixed-size buffer (JSONLSink), folded into
-// per-type counts and span percentiles (SummarySink), or both (Tee).
-// A tracer keeps no records itself; only a Child buffers its trial's
-// records until Merge replays them into the parent.
+// sim.Time, a counter/histogram registry (Registry) with stable sorted
+// output, and a record pipeline (Sink) that decides where records go:
+// streamed as JSONL through a fixed-size buffer (JSONLSink) or folded
+// into per-type counts and span percentiles (SummarySink). A tracer
+// keeps no records itself; only a Child buffers its trial's records
+// until Merge replays them into the parent. Tracing schedules no kernel
+// events: the tracer only records what the instrumented layers emit, so
+// a traced run fires exactly the events of an untraced one.
 //
 // Determinism is part of the contract. Every record is timestamped with
 // virtual time supplied by the caller (components already hold the
@@ -66,7 +67,8 @@ const (
 	// Interconnect (internal/netsim).
 	EvNetDrop EventType = "net.drop"
 
-	// Kernel probe (obs.StartKernelProbe): counter samples.
+	// Counter samples. Only PSCALE's per-datacenter xdc.ping counter
+	// emits them.
 	EvSimProbe EventType = "sim.probe"
 )
 
@@ -142,16 +144,15 @@ type Tracer struct {
 	free []int32    // reusable slots
 	err  error      // first sink error, sticky
 
-	reg    *Registry
-	series *Series
+	reg *Registry
 }
 
 // NewTracerWithSink creates an enabled tracer forwarding every record to
-// sink, with an empty registry and series. The tracer retains no
-// records: stream the trace through a JSONLSink and read it back with
-// DecodeJSONL or dvctrace.
+// sink, with an empty registry. The tracer retains no records: stream
+// the trace through a JSONLSink and read it back with DecodeJSONL or
+// dvctrace.
 func NewTracerWithSink(sink Sink) *Tracer {
-	return &Tracer{sink: sink, reg: NewRegistry(), series: NewSeries()}
+	return &Tracer{sink: sink, reg: NewRegistry()}
 }
 
 // Registry returns the tracer's metric registry (nil when disabled).
@@ -160,15 +161,6 @@ func (t *Tracer) Registry() *Registry {
 		return nil
 	}
 	return t.reg
-}
-
-// Series returns the tracer's windowed metric time-series (nil when
-// disabled). The kernel probe samples into it at every tick.
-func (t *Tracer) Series() *Series {
-	if t == nil {
-		return nil
-	}
-	return t.series
 }
 
 // Len reports how many records have been emitted (through any sink).
@@ -245,16 +237,6 @@ func (t *Tracer) Inc(name string, delta float64) {
 	t.reg.Inc(name, delta)
 }
 
-// Gauge sets the named registry gauge.
-//
-//dvc:hotpath
-func (t *Tracer) Gauge(name string, v float64) {
-	if t == nil {
-		return
-	}
-	t.reg.Set(name, v)
-}
-
 // Observe adds an observation to the named registry histogram.
 //
 //dvc:hotpath
@@ -263,15 +245,6 @@ func (t *Tracer) Observe(name string, v float64) {
 		return
 	}
 	t.reg.Observe(name, v)
-}
-
-// SampleSeries snapshots the registry's counters and gauges into the
-// time-series at virtual time ts (the kernel probe's per-tick hook).
-func (t *Tracer) SampleSeries(ts sim.Time) {
-	if t == nil {
-		return
-	}
-	t.series.Sample(ts, t.reg)
 }
 
 // emitInstant is Emit's enabled path.
@@ -358,9 +331,8 @@ func (t *Tracer) Child() *Tracer {
 // begin/end pairing survives the interleave. A span's Begin always
 // precedes its End in the merged stream because each child's timestamps
 // are non-decreasing — true of a partition tracer, whose records carry
-// its own kernel's monotone clock. Child registries and series merge in
-// argument order: counters add, gauges last-write-wins in argument order
-// (as a serial run would), histograms append, series rows append. Nil
+// its own kernel's monotone clock. Child registries merge in argument
+// order: counters add and histograms append, as a serial run would. Nil
 // children (from a disabled parent) are ignored; Merge on a nil tracer
 // is a no-op. Merge panics on a child that did not come from Child.
 func (t *Tracer) Merge(children ...*Tracer) {
@@ -414,7 +386,6 @@ func (t *Tracer) Merge(children ...*Tracer) {
 			continue
 		}
 		t.reg.merge(c.reg)
-		t.series.Merge(c.series)
 	}
 }
 

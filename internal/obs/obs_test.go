@@ -52,7 +52,6 @@ func TestNilTracerIsInert(t *testing.T) {
 	tr.End(3, id)
 	tr.Counter(4, EvSimProbe, "", "", "x", 1)
 	tr.Inc("c", 1)
-	tr.Gauge("g", 1)
 	tr.Observe("h", 1)
 	if tr.Len() != 0 || tr.Registry() != nil {
 		t.Fatal("nil tracer recorded something")
@@ -176,14 +175,13 @@ func TestRegistrySnapshotSorted(t *testing.T) {
 	r := NewRegistry()
 	r.Inc("z.count", 2)
 	r.Inc("a.count", 1)
-	r.Set("m.gauge", 4)
 	r.Observe("h.lat", 10)
 	r.Observe("h.lat", 20)
 	r.Observe("h.lat", 30)
 
 	pts := r.Snapshot()
-	if len(pts) != 4 {
-		t.Fatalf("snapshot has %d points, want 4", len(pts))
+	if len(pts) != 3 {
+		t.Fatalf("snapshot has %d points, want 3", len(pts))
 	}
 	for i := 1; i < len(pts); i++ {
 		if pts[i-1].Name > pts[i].Name {
@@ -202,7 +200,7 @@ func TestRegistrySnapshotSorted(t *testing.T) {
 	if h.Name != "h.lat" || h.Count != 3 || h.Mean != 20 || h.Max != 30 {
 		t.Fatalf("histogram point = %+v", h)
 	}
-	if r.Counter("z.count") != 2 || r.gauges["m.gauge"] != 4 || r.hists["h.lat"] == nil {
+	if r.Counter("z.count") != 2 || r.hists["h.lat"] == nil {
 		t.Fatal("registry readbacks wrong")
 	}
 }
@@ -210,46 +208,8 @@ func TestRegistrySnapshotSorted(t *testing.T) {
 func TestNilRegistry(t *testing.T) {
 	var r *Registry
 	r.Inc("c", 1)
-	r.Set("g", 1)
 	r.Observe("h", 1)
 	if r.Counter("c") != 0 || r.Snapshot() != nil {
 		t.Fatal("nil registry not inert")
-	}
-}
-
-func TestKernelProbeDeterministic(t *testing.T) {
-	run := func() []byte {
-		k := sim.NewKernel(1)
-		var buf bytes.Buffer
-		tr := NewTracerWithSink(NewJSONLSink(&buf, 0))
-		StartKernelProbe(k, tr, 100)
-		for i := 0; i < 5; i++ {
-			k.At(sim.Time(i*150), func() {})
-		}
-		k.RunUntil(500)
-		if err := tr.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	a, b := run(), run()
-	if !bytes.Equal(a, b) {
-		t.Fatalf("probe trace not deterministic:\n%s\n---\n%s", a, b)
-	}
-	if !strings.Contains(string(a), "sim.queue_depth") {
-		t.Fatalf("probe emitted no queue-depth samples: %s", a)
-	}
-}
-
-func TestKernelProbeDisabled(t *testing.T) {
-	k := sim.NewKernel(1)
-	if p := StartKernelProbe(k, nil, 100); p != nil {
-		t.Fatal("nil tracer produced a live probe")
-	}
-	if p := StartKernelProbe(k, childTracer(), 0); p != nil {
-		t.Fatal("non-positive interval produced a live probe")
-	}
-	if k.Pending() != 0 {
-		t.Fatalf("disabled probe scheduled events: pending=%d", k.Pending())
 	}
 }

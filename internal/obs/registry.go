@@ -7,12 +7,11 @@ import (
 	"dvc/internal/metrics"
 )
 
-// Registry is a counter/gauge/histogram registry with stable sorted
-// output. Like the Tracer it is single-threaded and deterministic: the
-// snapshot order is the sorted metric name, never map order.
+// Registry is a counter/histogram registry with stable sorted output.
+// Like the Tracer it is single-threaded and deterministic: the snapshot
+// order is the sorted metric name, never map order.
 type Registry struct {
 	counters map[string]float64
-	gauges   map[string]float64
 	hists    map[string]*metrics.Sample
 }
 
@@ -20,7 +19,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]float64),
-		gauges:   make(map[string]float64),
 		hists:    make(map[string]*metrics.Sample),
 	}
 }
@@ -31,14 +29,6 @@ func (r *Registry) Inc(name string, delta float64) {
 		return
 	}
 	r.counters[name] += delta
-}
-
-// Set stores a gauge value.
-func (r *Registry) Set(name string, v float64) {
-	if r == nil {
-		return
-	}
-	r.gauges[name] = v
 }
 
 // Observe appends an observation to a histogram.
@@ -63,19 +53,16 @@ func (r *Registry) Counter(name string) float64 {
 }
 
 // merge folds another registry into this one, reproducing what a serial
-// run would have accumulated: counters add, gauges overwrite (the merged
-// registry is "later"), histogram observations append in their recorded
-// order. Iteration is over sorted keys — the values are order-independent,
-// but the determinism lint (mapiter) applies here like everywhere else.
+// run would have accumulated: counters add and histogram observations
+// append in their recorded order. Iteration is over sorted keys — the
+// values are order-independent, but the determinism lint (mapiter)
+// applies here like everywhere else.
 func (r *Registry) merge(c *Registry) {
 	if r == nil || c == nil {
 		return
 	}
 	for _, name := range sortedKeys(c.counters) {
 		r.counters[name] += c.counters[name]
-	}
-	for _, name := range sortedKeys(c.gauges) {
-		r.gauges[name] = c.gauges[name]
 	}
 	for _, name := range sortedKeys(c.hists) {
 		s := r.hists[name]
@@ -89,9 +76,9 @@ func (r *Registry) merge(c *Registry) {
 
 // Point is one metric in a registry snapshot. Histograms carry the
 // span-summary statistics (count/mean/percentiles) the LSC epoch
-// analysis uses; counters and gauges carry Value.
+// analysis uses; counters carry Value.
 type Point struct {
-	Kind  string  `json:"kind"` // "counter" | "gauge" | "histogram"
+	Kind  string  `json:"kind"` // "counter" | "histogram"
 	Name  string  `json:"name"`
 	Value float64 `json:"value"`
 	Count int     `json:"count"`
@@ -107,12 +94,9 @@ func (r *Registry) Snapshot() []Point {
 	if r == nil {
 		return nil
 	}
-	pts := make([]Point, 0, len(r.counters)+len(r.gauges)+len(r.hists))
+	pts := make([]Point, 0, len(r.counters)+len(r.hists))
 	for _, name := range sortedKeys(r.counters) {
 		pts = append(pts, Point{Kind: "counter", Name: name, Value: r.counters[name]})
-	}
-	for _, name := range sortedKeys(r.gauges) {
-		pts = append(pts, Point{Kind: "gauge", Name: name, Value: r.gauges[name]})
 	}
 	for _, name := range sortedKeys(r.hists) {
 		s := r.hists[name]

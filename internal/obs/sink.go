@@ -147,44 +147,11 @@ func containsString(set []string, s string) bool {
 	return false
 }
 
-// teeSink fans each record out to several sinks in order.
-type teeSink struct {
-	sinks []Sink
-}
-
-// Tee composes sinks: every record goes to each sink in argument order,
-// and Flush flushes them in the same order. A single sink is returned
-// unwrapped; zero sinks tee to nothing.
-func Tee(sinks ...Sink) Sink {
-	if len(sinks) == 1 {
-		return sinks[0]
-	}
-	return &teeSink{sinks: sinks}
-}
-
-func (s *teeSink) WriteRecord(r *Record) error {
-	for _, next := range s.sinks {
-		if err := next.WriteRecord(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *teeSink) Flush() error {
-	for _, next := range s.sinks {
-		if err := next.Flush(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Summary accumulates the streaming per-type record counts and
 // per-span-name duration statistics of a trace without retaining the
 // records themselves: O(event types + span names + open spans) memory
-// for arbitrarily long traces. It backs the run report's trace summary
-// and dvctrace's streaming statistics.
+// for arbitrarily long traces. It backs dvctrace's streaming statistics
+// and perfbench's trace figures.
 type Summary struct {
 	total  int
 	byType map[EventType]int
@@ -258,37 +225,6 @@ func (s *Summary) SpanNames() []string {
 // Spans returns the duration sample for one completed span name (nil
 // when absent).
 func (s *Summary) Spans(name string) *metrics.Sample { return s.spans[name] }
-
-// summarySpan is the marshalled shape of one span-name entry.
-type summarySpan struct {
-	Count int     `json:"count"`
-	P50   float64 `json:"p50_s"`
-	P90   float64 `json:"p90_s"`
-	P99   float64 `json:"p99_s"`
-	Max   float64 `json:"max_s"`
-}
-
-// MarshalJSON renders the summary with sorted keys (encoding/json sorts
-// map keys, so the bytes are a pure function of the accumulated state).
-func (s *Summary) MarshalJSON() ([]byte, error) {
-	events := make(map[string]int, len(s.byType))
-	for _, t := range s.Types() {
-		events[string(t)] = s.byType[t]
-	}
-	spans := make(map[string]summarySpan, len(s.spans))
-	for _, name := range s.SpanNames() {
-		d := s.spans[name]
-		spans[name] = summarySpan{
-			Count: d.N(), P50: d.Percentile(50), P90: d.Percentile(90),
-			P99: d.Percentile(99), Max: d.Max(),
-		}
-	}
-	return json.Marshal(struct {
-		Records int                    `json:"records"`
-		Events  map[string]int         `json:"events"`
-		Spans   map[string]summarySpan `json:"spans"`
-	}{s.total, events, spans})
-}
 
 // SummarySink folds every record into a Summary as it streams past.
 type SummarySink struct {

@@ -20,7 +20,6 @@ func emitTrial(tr *Tracer, trial int) {
 	tr.End(base+4, inner, Str("outcome", "ok"))
 	tr.End(base+5, outer, Str("outcome", "commit"))
 	tr.Inc("trials", 1)
-	tr.Gauge("last_trial", float64(trial))
 	tr.Observe("skew_ms", float64(trial)*0.5)
 }
 
@@ -69,16 +68,13 @@ func TestSpliceMatchesSerialEmission(t *testing.T) {
 		}
 	}
 
-	// Registry: counters added, gauges last-write-wins, histograms merged.
+	// Registry: counters added, histograms merged.
 	sa, sb := serial.Registry().Snapshot(), parent.Registry().Snapshot()
 	if fmt.Sprint(sa) != fmt.Sprint(sb) {
 		t.Fatalf("registry snapshots diverge:\nserial:  %v\nspliced: %v", sa, sb)
 	}
 	if got := parent.Registry().Counter("trials"); got != trials {
 		t.Errorf("counter merge: got %v, want %d", got, trials)
-	}
-	if got := parent.Registry().gauges["last_trial"]; got != trials-1 {
-		t.Errorf("gauge merge is not last-write-wins: got %v", got)
 	}
 	if got := parent.Registry().hists["skew_ms"].N(); got != trials {
 		t.Errorf("histogram merge: got %d observations, want %d", got, trials)

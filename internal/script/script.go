@@ -389,7 +389,7 @@ func (in *Interpreter) cmdMigrate(cmd string, args []string) error {
 	}
 	targets = targets[:vc.Spec().Nodes]
 	if cmd == "livemigrate" {
-		res, err := in.sim.LiveMigrate(vc, targets, dvc.DefaultLiveConfig())
+		res, err := in.sim.LiveMigrate(vc, targets)
 		if err != nil || !res.OK {
 			return in.errf("livemigrate: %v %+v", err, res)
 		}

@@ -196,7 +196,9 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // Fired reports how many events have executed so far.
 func (k *Kernel) Fired() uint64 { return k.fired }
 
-// Pending reports how many events are waiting in the queue.
+// Pending reports how many events are waiting in the queue. Only tests
+// call it: sim's own tests and the LSC event digest that
+// experiments' TestSeedReplayEventDigest pins.
 func (k *Kernel) Pending() int { return len(k.heap) }
 
 // SlabLen reports how many event slots the kernel has ever allocated: the

@@ -78,7 +78,6 @@ type Store struct {
 	Writes, Reads uint64
 	DeltaWrites   uint64
 	BytesWritten  uint64
-	BytesRead     uint64
 }
 
 // New creates an empty store.
@@ -249,7 +248,6 @@ func (s *Store) Read(key string, onDone func(*vm.Image, error)) {
 		return
 	}
 	s.Reads++
-	s.BytesRead += uint64(obj.Size)
 	s.begin(obj.Size, func() { onDone(obj.Image, nil) })
 }
 
