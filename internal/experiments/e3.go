@@ -64,7 +64,7 @@ func runCutScenario(seed int64, cutAck bool) cutOutcome {
 	pb := f.Attach("B", "c", sb.Deliver)
 	var cb *tcp.Conn
 	sb.Listen(5000, func(c *tcp.Conn) { cb = c })
-	ca := sa.Connect("B", 5000)
+	ca, _ := sa.Connect("B", 5000) // a fresh stack has every port free
 	k.RunFor(sim.Second)
 
 	// Cut the chosen direction while the message is in flight.
@@ -139,20 +139,23 @@ func runUnreliableCut(seed int64) cutOutcome {
 	recv.port = f.Attach("B", "c", func(pkt netsim.Packet) {
 		recv.got[pkt.Payload.(int)] = true
 	})
+	pkt := netsim.Packet{Src: "A", Dst: "B", SrcID: f.Endpoint("A"), DstID: f.Endpoint("B"), Size: 1024}
 
 	const total = 10
 	out := cutOutcome{sent: total}
 	// Send a stream; freeze the receiver mid-stream (snapshot), losing
 	// whatever is on the wire; then resume and send the rest.
 	for i := 0; i < 5; i++ {
-		f.Send(netsim.Packet{Src: "A", Dst: "B", Size: 1024, Payload: i})
+		pkt.Payload = i
+		f.Send(pkt)
 	}
 	k.RunFor(20 * sim.Microsecond) // messages 0.. are still in flight
 	recv.port.SetUp(false)         // snapshot instant
 	k.RunFor(sim.Second)
 	recv.port.SetUp(true) // restored
 	for i := 5; i < total; i++ {
-		f.Send(netsim.Packet{Src: "A", Dst: "B", Size: 1024, Payload: i})
+		pkt.Payload = i
+		f.Send(pkt)
 	}
 	k.RunFor(sim.Second)
 

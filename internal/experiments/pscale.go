@@ -125,9 +125,9 @@ func RunScalePartitioned(seed int64, spec ScaleSpec, workers int, tr *obs.Tracer
 			o.pings++
 			ctr.Counter(k.Now(), obs.EvSimProbe, string(self), "", "xdc.ping", float64(o.pings))
 		})
+		ping := netsim.Packet{Src: self, Dst: next, SrcID: site.Fabric.Endpoint(self), DstID: site.Fabric.Endpoint(next), Size: 128}
 		for t := pingStart; t <= pingEnd; t += pingEvery {
-			t := t
-			k.At(t, func() { site.Fabric.Send(netsim.Packet{Src: self, Dst: next, Size: 128}) })
+			k.At(t, func() { site.Fabric.Send(ping) })
 		}
 
 		b := &bed{core.NewEnv(site, core.DefaultNTPLSC())}

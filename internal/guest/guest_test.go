@@ -1,8 +1,10 @@
 package guest
 
 import (
+	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"dvc/internal/imgcodec"
 	"dvc/internal/netsim"
@@ -237,6 +239,60 @@ func TestCPUFactorSlowsCompute(t *testing.T) {
 	}
 	if k.Now() != 1500*sim.Millisecond {
 		t.Fatalf("virtualised compute took %v, want 1.5s", k.Now())
+	}
+}
+
+// dialProg connects once and keeps the outcome.
+type dialProg struct {
+	Addr netsim.Addr
+	Port uint16
+	Res  *Result
+}
+
+func (p *dialProg) Next(api *API, res Result) Op {
+	if p.Res == nil {
+		p.Res = new(Result)
+		return Connect(p.Addr, p.Port)
+	}
+	*p.Res = res
+	return nil
+}
+
+// TestConnectFailsWhenPortsExhausted binds every ephemeral port, then
+// requires the next ConnectOp to fail with tcp.ErrNoPorts at once. A key
+// stays bound for the stack's life, so without the bound the port search
+// never ends.
+func TestConnectFailsWhenPortsExhausted(t *testing.T) {
+	k := sim.NewKernel(1)
+	f := netsim.NewFabric(k)
+	f.AddCluster("c", netsim.EthernetGigE())
+	s := tcp.NewStack(k, f, "g", tcp.DefaultConfig())
+	f.Attach("g", "c", s.Deliver)
+	o := New(k, s, func() sim.Time { return k.Now() }, 1, WatchdogConfig{})
+	// Nothing is attached at "far": each SYN is dropped, and each
+	// connection stays half open on its port.
+	for i := 0; i < 1<<14; i++ {
+		if _, err := s.Connect("far", 80); err != nil {
+			t.Fatalf("connect %d: %v", i, err)
+		}
+	}
+	dial := &dialProg{Addr: "far", Port: 80}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		o.Spawn(dial)
+		k.RunFor(sim.Millisecond)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the connect after the last ephemeral port has not returned in 30 s")
+	}
+	if dial.Res == nil || !errors.Is(dial.Res.Err, tcp.ErrNoPorts) {
+		t.Fatalf("connect with every port bound: %+v, want tcp.ErrNoPorts", dial.Res)
+	}
+	if n := len(s.Conns()); n != 1<<14 {
+		t.Fatalf("stack holds %d connections, want %d", n, 1<<14)
 	}
 }
 

@@ -116,6 +116,33 @@ func TestDecodeRejectsCorruptImage(t *testing.T) {
 	if _, err := DecodeImagePayload(img); err == nil {
 		t.Fatal("image with processes out of PID order decoded")
 	}
+	// RestoreStack appends connections to its key-ordered table, so the
+	// decoder rejects them out of order or repeated.
+	a := tcp.ConnSnapshot{Key: tcp.ConnKey{LocalPort: 80, RemoteAddr: "peer-a", RemotePort: 9000}}
+	b := tcp.ConnSnapshot{Key: tcp.ConnKey{LocalPort: 80, RemoteAddr: "peer-b", RemotePort: 9000}}
+	for _, conns := range [][]tcp.ConnSnapshot{{b, a}, {a, a}} {
+		unordered := imageSnap()
+		unordered.Stack.Conns = conns
+		if img, err = EncodeImagePayload(unordered); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeImagePayload(img); err == nil || !strings.Contains(err.Error(), "key order") {
+			t.Fatalf("image with connections %v, %v: %v", conns[0].Key, conns[1].Key, err)
+		}
+	}
+	// Restore indexes a slice by fd, so the fds must be dense from 3:
+	// a hostile fd number must not size that slice.
+	for _, fd := range []int{1 << 40, 6, 2, -1} {
+		sparse := imageSnap()
+		sparse.FDs[fd] = sparse.FDs[5]
+		delete(sparse.FDs, 5)
+		if img, err = EncodeImagePayload(sparse); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeImagePayload(img); err == nil || !strings.Contains(err.Error(), "fds") {
+			t.Fatalf("image with fd %d in place of 5: %v", fd, err)
+		}
+	}
 }
 
 // TestEncodeDeterministic pins the replay property: encoding the same

@@ -153,22 +153,37 @@ func Connect(addr netsim.Addr, port uint16) *ConnectOp {
 }
 
 func (op *ConnectOp) start(o *OS, p *Process) {
+	p.dial, p.dialErr = nil, nil
 	if !op.Started {
 		op.Started = true
-		c := o.stack.Connect(op.Addr, op.Port)
+		c, err := o.stack.Connect(op.Addr, op.Port)
+		if err != nil {
+			p.dialErr = err
+			return
+		}
 		op.Key = c.Key()
+		p.dial = c
 		o.wireConn(c)
 	}
 }
 
+// poll reads the connection start opened from the process, so only the
+// first poll after a restore looks the key up.
 func (op *ConnectOp) poll(o *OS, p *Process) (Result, bool) {
-	c, ok := o.stack.Lookup(op.Key)
-	if !ok {
-		return Result{Err: tcp.ErrClosed}, true
+	if p.dialErr != nil {
+		return Result{Err: p.dialErr}, true
+	}
+	c := p.dial
+	if c == nil {
+		var ok bool
+		if c, ok = o.stack.Lookup(op.Key); !ok {
+			return Result{Err: tcp.ErrClosed}, true
+		}
+		p.dial = c
 	}
 	switch c.State() {
 	case tcp.StateEstablished, tcp.StateClosing:
-		return Result{FD: o.newFD(op.Key)}, true
+		return Result{FD: o.newFD(op.Key, c)}, true
 	case tcp.StateReset:
 		return Result{Err: tcp.ErrReset}, true
 	case tcp.StateClosed:
@@ -195,5 +210,6 @@ func (op *AcceptOp) poll(o *OS, p *Process) (Result, bool) {
 	}
 	key := q[0]
 	o.accepts[op.Port] = q[1:]
-	return Result{FD: o.newFD(key)}, true
+	c, _ := o.stack.Lookup(key)
+	return Result{FD: o.newFD(key, c)}, true
 }

@@ -143,6 +143,13 @@ type Process struct {
 	timer      *sim.Timer
 	timerFired bool
 	timerLeft  sim.Time // valid while frozen; -1 = none
+
+	// dial is the connection the current ConnectOp opened, and dialErr
+	// the error that kept it from opening. Both are runtime-only: the
+	// image carries the op's key, and a restored process's ConnectOp
+	// resolves it once, on its first poll.
+	dial    *tcp.Conn
+	dialErr error
 }
 
 // Exited reports whether the process has finished.
@@ -188,8 +195,7 @@ type OS struct {
 	// it directly: their orderings are replay-relevant.
 	procs   []*Process
 	nextPID PID
-	fds     map[int]fdBinding
-	nextFD  int
+	fds     []fdBinding              // descriptor firstFD+i is fds[i]
 	accepts map[uint16][]tcp.ConnKey // accepted, not yet Accept()ed
 	listens []uint16
 
@@ -240,8 +246,6 @@ func New(k *sim.Kernel, stack *tcp.Stack, wallClock func() sim.Time, cpuFactor f
 		wallClock:    wallClock,
 		cpuFactor:    cpuFactor,
 		nextPID:      1,
-		fds:          make(map[int]fdBinding),
-		nextFD:       3,
 		accepts:      make(map[uint16][]tcp.ConnKey),
 		runningSince: k.Now(),
 		wd:           wd,
@@ -356,37 +360,37 @@ func (o *OS) wireConn(c *tcp.Conn) {
 	c.OnAck = o.wake
 }
 
-// fdBinding is one descriptor: the connection key, which the image
-// carries, and the connection it resolves to on this OS's stack, which is
-// runtime-only and rebuilt by Restore. A stack never rebinds a key (see
-// tcp.Stack.Lookup), so the cached pointer stays what a fresh lookup
-// would return.
+// firstFD is the first socket descriptor; 0–2 are the standard streams.
+const firstFD = 3
+
+// fdBinding is one descriptor, an entry of the OS's fd slice: the
+// connection key, which the image carries, and the connection it resolves
+// to on this OS's stack, which is runtime-only and rebuilt by Restore.
+// Descriptors are dense, because newFD allocates them in order and none
+// is ever closed, so the table is a slice indexed by fd-firstFD. A stack
+// never rebinds a key (see tcp.Stack.Lookup), so the cached pointer stays
+// what a fresh lookup would return.
 type fdBinding struct {
 	key  tcp.ConnKey
 	conn *tcp.Conn
 }
 
 // conn resolves an fd to its connection.
+//
+//dvc:hotpath
 func (o *OS) conn(fd int) (*tcp.Conn, bool) {
-	e, ok := o.fds[fd]
-	if !ok || e.conn == nil {
+	i := fd - firstFD
+	if i < 0 || i >= len(o.fds) || o.fds[i].conn == nil {
 		return nil, false
 	}
-	return e.conn, true
+	return o.fds[i].conn, true
 }
 
-// newFD binds a connection to a fresh descriptor, resolving it once.
-func (o *OS) newFD(key tcp.ConnKey) int {
-	fd := o.nextFD
-	o.nextFD++
-	o.bindFD(fd, key)
-	return fd
-}
-
-// bindFD records fd -> key with the key's connection on this OS's stack.
-func (o *OS) bindFD(fd int, key tcp.ConnKey) {
-	c, _ := o.stack.Lookup(key)
-	o.fds[fd] = fdBinding{key: key, conn: c}
+// newFD binds key, whose connection on this OS's stack is c (nil when it
+// has none), to the next descriptor.
+func (o *OS) newFD(key tcp.ConnKey, c *tcp.Conn) int {
+	o.fds = append(o.fds, fdBinding{key: key, conn: c})
+	return firstFD + len(o.fds) - 1
 }
 
 // schedulePump queues a scheduler pass. Pumping from a fresh event (rather

@@ -3,7 +3,6 @@ package guest
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"dvc/internal/imgcodec"
 	"dvc/internal/netsim"
@@ -54,7 +53,7 @@ func (o *OS) Snapshot() *Snapshot {
 	s := &Snapshot{
 		NextPID:   o.nextPID,
 		FDs:       make(map[int]tcp.ConnKey, len(o.fds)),
-		NextFD:    o.nextFD,
+		NextFD:    firstFD + len(o.fds),
 		Accepts:   make(map[uint16][]tcp.ConnKey, len(o.accepts)),
 		Listens:   append([]uint16(nil), o.listens...),
 		Log:       append([]LogEntry(nil), o.log...),
@@ -65,8 +64,8 @@ func (o *OS) Snapshot() *Snapshot {
 		CPUFactor: o.cpuFactor,
 		Stack:     o.stack.Snapshot(),
 	}
-	for fd, e := range o.fds {
-		s.FDs[fd] = e.key
+	for i, e := range o.fds {
+		s.FDs[firstFD+i] = e.key
 	}
 	for port, q := range o.accepts {
 		s.Accepts[port] = append([]tcp.ConnKey(nil), q...)
@@ -101,8 +100,7 @@ func Restore(k *sim.Kernel, fabric *netsim.Fabric, snap *Snapshot, wallClock fun
 		cpuFactor:    cpuFactor,
 		procs:        make([]*Process, 0, len(snap.Procs)),
 		nextPID:      snap.NextPID,
-		fds:          make(map[int]fdBinding, len(snap.FDs)),
-		nextFD:       snap.NextFD,
+		fds:          make([]fdBinding, 0, len(snap.FDs)),
 		accepts:      make(map[uint16][]tcp.ConnKey, len(snap.Accepts)),
 		listens:      append([]uint16(nil), snap.Listens...),
 		log:          append([]LogEntry(nil), snap.Log...),
@@ -120,14 +118,13 @@ func Restore(k *sim.Kernel, fabric *netsim.Fabric, snap *Snapshot, wallClock fun
 	// host-relative quantity the image cannot meaningfully carry across
 	// hosts.
 	o.wdLastWall = 0
-	// Sorted fds: bindFD resolves each key on the restored stack.
-	fds := make([]int, 0, len(snap.FDs))
-	for fd := range snap.FDs {
-		fds = append(fds, fd)
-	}
-	sort.Ints(fds)
-	for _, fd := range fds {
-		o.bindFD(fd, snap.FDs[fd])
+	// The fds are firstFD..firstFD+len-1 (DecodeImagePayload checks it),
+	// so binding them in order rebuilds the slice; each key is resolved
+	// once on the restored stack.
+	for fd := firstFD; fd < firstFD+len(snap.FDs); fd++ {
+		key := snap.FDs[fd]
+		c, _ := o.stack.Lookup(key)
+		o.newFD(key, c)
 	}
 	for port, q := range snap.Accepts {
 		o.accepts[port] = append([]tcp.ConnKey(nil), q...)
@@ -234,6 +231,23 @@ func DecodeImagePayload(img payload.Bytes) (*Snapshot, error) {
 	// Every captured guest has a stack, and Restore rebuilds it first.
 	if snap.Stack == nil {
 		return nil, fmt.Errorf("guest: image has no TCP stack")
+	}
+	// RestoreStack appends the connections to its key-ordered table in
+	// image order, which must therefore be strictly increasing key order
+	// (Snapshot writes it so).
+	conns := snap.Stack.Conns
+	for i := 1; i < len(conns); i++ {
+		if !conns[i-1].Key.Less(conns[i].Key) {
+			return nil, fmt.Errorf("guest: image connection %v out of key order", conns[i].Key)
+		}
+	}
+	// Restore rebuilds the fd table as a slice indexed by fd-firstFD, so
+	// the fds must be exactly firstFD..firstFD+len(FDs)-1, as newFD
+	// allocates them. A hostile fd number then cannot size the slice.
+	for fd := firstFD; fd < firstFD+len(snap.FDs); fd++ {
+		if _, ok := snap.FDs[fd]; !ok {
+			return nil, fmt.Errorf("guest: image fds are not %d..%d", firstFD, firstFD+len(snap.FDs)-1)
+		}
 	}
 	// Restore rebuilds the process table in image order, which must
 	// therefore be PID order (Snapshot writes it so).

@@ -8,12 +8,14 @@
 // shapes and (b) the ability to lose packets on the wire, which is the
 // whole premise of the paper's consistent-cut argument (Figure 2).
 //
-// The fabric is sized for thousands of ports: cluster names and port
-// addresses are interned to dense int32 indices at attach/registration
-// time, so the per-packet path resolves profiles and port state through
-// flat arrays — the string-keyed maps are consulted only where the public
-// string API enters (Send's src/dst resolution and the control-plane
-// calls), never per hop inside it.
+// The fabric is sized for thousands of ports: cluster names are interned
+// to dense int32 indices at registration, and every address to a dense
+// EndpointID the first time anyone resolves it (Endpoint). An address
+// keeps its id for the fabric's life, attached or not, so a sender
+// resolves its peer once and every packet then carries both ids: the
+// per-packet path reads profiles and port state from flat arrays and does
+// no string lookup at all. The string-keyed maps serve only the
+// control-plane calls and cross-partition arrivals.
 package netsim
 
 import (
@@ -31,12 +33,22 @@ type Addr string
 
 // Packet is one datagram on the fabric. Payload is opaque to the fabric
 // (the TCP layer puts segments in it); Size in bytes drives serialisation
-// delay.
+// delay. SrcID and DstID are Src's and Dst's ids on the fabric the packet
+// travels: the sender resolves them (Endpoint) and Send routes by them
+// alone. The addresses travel too, for drop rules, traces and the
+// receiver's new connections.
 type Packet struct {
-	Src, Dst Addr
-	Size     int
-	Payload  any
+	Src, Dst     Addr
+	SrcID, DstID EndpointID
+	Size         int
+	Payload      any
 }
+
+// EndpointID is an address's dense id on one fabric. Ids start at 1, so
+// the zero value is no endpoint. They are host metadata, never part of
+// an image: a stack restored on another fabric resolves its addresses
+// again.
+type EndpointID int32
 
 // Handler receives delivered packets.
 type Handler func(Packet)
@@ -98,14 +110,14 @@ type Stats struct {
 	BytesDropped  uint64 // payload bytes of packets refused before transmit
 }
 
-// Port is one attachment point: a handle carrying its dense fabric id.
-// Liveness (up) and NIC serialisation state (busyUntil) live in the
-// fabric's struct-of-arrays tables indexed by that id. A port whose Up
-// flag is false silently discards traffic — this is how a paused VM
-// "loses packets on the wire".
+// Port is one attachment point: a handle carrying its address's
+// EndpointID. Liveness (up) and NIC serialisation state (busyUntil) live
+// in the fabric's struct-of-arrays tables indexed by that id. A port
+// whose Up flag is false silently discards traffic — this is how a paused
+// VM "loses packets on the wire".
 type Port struct {
 	fabric  *Fabric
-	id      int32 // dense fabric index; -1 once detached
+	id      EndpointID // 0 once detached
 	addr    Addr
 	cluster int32 // interned cluster index
 	handler Handler
@@ -119,24 +131,22 @@ type Port struct {
 
 // SetUp raises or lowers the port. A detached port stays down.
 func (p *Port) SetUp(up bool) {
-	if p.id >= 0 {
+	if p.id != 0 {
 		p.fabric.up[p.id] = up
 	}
 }
 
-// Detach removes the port from the fabric. The dense id returns to the
-// free list; the stale handle is inert (down, never delivered to).
+// Detach removes the port from the fabric. The address keeps its id for
+// a later Attach; the stale handle is inert (down, never delivered to).
 func (p *Port) Detach() {
 	f := p.fabric
-	if p.id < 0 || f.byID[p.id] != p {
+	if p.id == 0 || f.byID[p.id] != p {
 		return
 	}
-	delete(f.addrID, p.addr)
 	f.byID[p.id] = nil
 	f.up[p.id] = false
 	f.busy[p.id] = 0
-	f.freeIDs = append(f.freeIDs, p.id)
-	p.id = -1
+	p.id = 0
 }
 
 // Fabric is the interconnect. It is built from named clusters, each with
@@ -155,15 +165,15 @@ type Fabric struct {
 	inter     LinkProfile // cross-cluster, same zone (fat-tree spine)
 	interZone LinkProfile // cross-zone (multi-datacenter WAN)
 
-	// Ports by dense id, with the address map as the string-API entry
-	// point. up and busy are struct-of-arrays port state: the per-packet
-	// path reads/writes flat arrays, not port objects scattered on the
-	// heap.
-	addrID  map[Addr]int32
-	byID    []*Port
-	freeIDs []int32
-	up      []bool
-	busy    []sim.Time // NIC busyUntil per port
+	// The endpoint table, indexed by EndpointID (slot 0 is no endpoint):
+	// ids interns addresses, byID holds the attached port (nil when
+	// none), and up and busy are struct-of-arrays port state, so the
+	// per-packet path reads/writes flat arrays, not port objects
+	// scattered on the heap.
+	ids  map[Addr]EndpointID
+	byID []*Port
+	up   []bool
+	busy []sim.Time // NIC busyUntil per endpoint
 
 	stats  Stats
 	tracer *obs.Tracer
@@ -213,8 +223,26 @@ func NewFabric(k *sim.Kernel) *Fabric {
 		clusterIdx: make(map[string]int32),
 		inter:      InterClusterWAN(),
 		interZone:  MultiDatacenterWAN(),
-		addrID:     make(map[Addr]int32),
+		ids:        make(map[Addr]EndpointID),
+		byID:       []*Port{nil},
+		up:         []bool{false},
+		busy:       []sim.Time{0},
 	}
+}
+
+// Endpoint returns addr's id on this fabric, interning the address on
+// first use. The id is the same for the fabric's life, whether or not a
+// port is attached at addr.
+func (f *Fabric) Endpoint(addr Addr) EndpointID {
+	if id, ok := f.ids[addr]; ok {
+		return id
+	}
+	id := EndpointID(len(f.byID))
+	f.ids[addr] = id
+	f.byID = append(f.byID, nil)
+	f.up = append(f.up, false)
+	f.busy = append(f.busy, 0)
+	return id
 }
 
 // AddCluster registers a cluster with the given intra-cluster profile.
@@ -284,33 +312,21 @@ func (f *Fabric) Attach(addr Addr, cluster string, h Handler) *Port {
 	if !ok {
 		panic(fmt.Sprintf("netsim: attach to unknown cluster %q", cluster))
 	}
-	if _, dup := f.addrID[addr]; dup {
+	id := f.Endpoint(addr)
+	if f.byID[id] != nil {
 		panic(fmt.Sprintf("netsim: duplicate attach of %q", addr))
 	}
-	p := &Port{fabric: f, addr: addr, cluster: ci, handler: h}
-	if n := len(f.freeIDs); n > 0 {
-		p.id = f.freeIDs[n-1]
-		f.freeIDs = f.freeIDs[:n-1]
-		f.byID[p.id] = p
-	} else {
-		p.id = int32(len(f.byID))
-		f.byID = append(f.byID, p)
-		f.up = append(f.up, false)
-		f.busy = append(f.busy, 0)
-	}
-	f.up[p.id] = true
-	f.busy[p.id] = 0
-	f.addrID[addr] = p.id
+	p := &Port{fabric: f, id: id, addr: addr, cluster: ci, handler: h}
+	f.byID[id] = p
+	f.up[id] = true
+	f.busy[id] = 0
 	return p
 }
 
 // Lookup returns the port for addr, if attached.
 func (f *Fabric) Lookup(addr Addr) (*Port, bool) {
-	id, ok := f.addrID[addr]
-	if !ok {
-		return nil, false
-	}
-	return f.byID[id], true
+	p := f.byID[f.ids[addr]]
+	return p, p != nil
 }
 
 // profileBetween picks the link profile governing traffic between two
@@ -397,14 +413,18 @@ func (f *Fabric) effectiveBandwidth(src, dst *Port) float64 {
 // loses the packet — "packets to a saved VM are lost on the wire" — but
 // that loss is delivery-side: the bytes were genuinely transmitted.
 //
-// The two address-map hits here are the only string lookups per packet;
-// everything downstream (profiles, NIC state, the delivery leg) runs on
-// interned indices.
+// Send routes by pkt.SrcID and pkt.DstID alone and does no string
+// lookup: profiles, NIC state and the delivery leg all run on interned
+// indices. Only a destination attached to no local port falls back to
+// the Remote, by address. A packet whose ids are unresolved panics.
 //
 //dvc:hotpath
 func (f *Fabric) Send(pkt Packet) {
-	sid, ok := f.addrID[pkt.Src]
-	if !ok || !f.up[sid] {
+	sid, did := pkt.SrcID, pkt.DstID
+	if sid == 0 || did == 0 {
+		panic("netsim: Send of a packet with unresolved endpoints")
+	}
+	if !f.up[sid] {
 		// A down/detached sender cannot transmit at all.
 		f.stats.DroppedDown++
 		f.stats.BytesDropped += uint64(pkt.Size)
@@ -417,8 +437,8 @@ func (f *Fabric) Send(pkt Packet) {
 		f.traceDrop(pkt, "rule")
 		return
 	}
-	did, ok := f.addrID[pkt.Dst]
-	if !ok {
+	dst := f.byID[did]
+	if dst == nil {
 		if f.remote != nil {
 			if cluster, remote := f.remote.RemoteCluster(pkt.Dst); remote {
 				f.sendRemote(pkt, sid, cluster)
@@ -430,7 +450,7 @@ func (f *Fabric) Send(pkt Packet) {
 		f.traceDrop(pkt, "no-dest")
 		return
 	}
-	src, dst := f.byID[sid], f.byID[did]
+	src := f.byID[sid]
 	prof := f.profileBetween(src.cluster, dst.cluster)
 	if prof.LossProb > 0 && f.kernel.Rand().Float64() < prof.LossProb {
 		f.stats.DroppedLoss++
@@ -457,21 +477,17 @@ func (f *Fabric) Send(pkt Packet) {
 	arrive := depart + prof.Latency + src.ExtraLatency + dst.ExtraLatency
 	rec := f.getDelivery()
 	rec.pkt = pkt
-	rec.dst = did
 	f.kernel.At(arrive, rec.run)
 }
 
 // delivery is one pooled in-flight packet record. run is bound to the
 // record once, at pool-entry creation; scheduling a delivery stores that
 // same func value in the kernel's event slab, so neither the fabric nor
-// the kernel allocates per packet once the pool is warm. dst carries the
-// destination's dense id resolved at send time, so the arrival leg is an
-// array read; the address map is only re-consulted if the slot changed
-// hands mid-flight.
+// the kernel allocates per packet once the pool is warm. The arrival leg
+// finds the destination port by pkt.DstID, an array read.
 type delivery struct {
 	f    *Fabric
 	pkt  Packet
-	dst  int32
 	next *delivery // free-list link
 	run  func()
 }
@@ -498,34 +514,28 @@ func (f *Fabric) getDelivery() *delivery {
 //
 //dvc:hotpath
 func (rec *delivery) deliver() {
-	f, pkt, did := rec.f, rec.pkt, rec.dst
+	f, pkt := rec.f, rec.pkt
 	rec.pkt = Packet{} // drop payload reference for the GC
 	rec.next = f.freeDeliveries
 	f.freeDeliveries = rec
-
-	p := f.byID[did]
-	if p == nil || p.addr != pkt.Dst {
-		// The id was freed (and possibly reused) mid-flight: fall back to
-		// the address map in case the destination re-attached under a new
-		// id. Same semantics as resolving by address at arrival time.
-		id, ok := f.addrID[pkt.Dst]
-		if !ok {
-			f.stats.DroppedNoDest++
-			f.traceDrop(pkt, "dest-detached")
-			return
-		}
-		did, p = id, f.byID[id]
-	}
-	f.finishDelivery(p, did, pkt)
+	f.finishDelivery(pkt)
 }
 
-// finishDelivery is the shared destination leg: the up/handler checks
-// and the handler dispatch, identical for local arrivals (deliver) and
-// cross-partition ones (InjectDelivery).
+// finishDelivery is the shared destination leg: the attach, up and
+// handler checks and the handler dispatch, identical for local arrivals
+// (deliver) and cross-partition ones (InjectDelivery). The port at
+// DstID is whichever is attached at Dst now: one detached mid-flight
+// drops the packet, and one re-attached meanwhile receives it.
 //
 //dvc:hotpath
-func (f *Fabric) finishDelivery(p *Port, did int32, pkt Packet) {
-	if !f.up[did] || p.handler == nil {
+func (f *Fabric) finishDelivery(pkt Packet) {
+	p := f.byID[pkt.DstID]
+	if p == nil {
+		f.stats.DroppedNoDest++
+		f.traceDrop(pkt, "dest-detached")
+		return
+	}
+	if !f.up[pkt.DstID] || p.handler == nil {
 		f.stats.DroppedDown++
 		f.traceDrop(pkt, "dest-down")
 		return
@@ -546,7 +556,7 @@ func (f *Fabric) finishDelivery(p *Port, did int32, pkt Packet) {
 // endpoints are host-level ports — which is what the partitioned
 // experiments attach (VM guest traffic never crosses a zone boundary:
 // virtual clusters are allocated within one partition).
-func (f *Fabric) sendRemote(pkt Packet, sid int32, cluster string) {
+func (f *Fabric) sendRemote(pkt Packet, sid EndpointID, cluster string) {
 	ci, ok := f.clusterIdx[cluster]
 	if !ok {
 		f.stats.DroppedNoDest++
@@ -586,16 +596,12 @@ func (f *Fabric) sendRemote(pkt Packet, sid int32, cluster string) {
 
 // InjectDelivery completes the arrival of a packet transmitted on
 // another partition's fabric. The caller (the partition router) executes
-// it as a kernel event at the arrival time Forward carried over; the
-// destination leg is byte-identical to a local delivery's.
+// it as a kernel event at the arrival time Forward carried over. The
+// packet's ids are the sending fabric's, so they are resolved again here;
+// the destination leg is then byte-identical to a local delivery's.
 func (f *Fabric) InjectDelivery(pkt Packet) {
-	id, ok := f.addrID[pkt.Dst]
-	if !ok {
-		f.stats.DroppedNoDest++
-		f.traceDrop(pkt, "dest-detached")
-		return
-	}
-	f.finishDelivery(f.byID[id], id, pkt)
+	pkt.SrcID, pkt.DstID = f.Endpoint(pkt.Src), f.Endpoint(pkt.Dst)
+	f.finishDelivery(pkt)
 }
 
 // MinCrossLatency reports the smallest one-way link latency of any

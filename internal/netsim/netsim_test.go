@@ -17,12 +17,18 @@ func newTestFabric(t *testing.T) (*sim.Kernel, *Fabric) {
 	return k, f
 }
 
+// send resolves pkt's endpoints on f, as a sender does once, and sends it.
+func send(f *Fabric, pkt Packet) {
+	pkt.SrcID, pkt.DstID = f.Endpoint(pkt.Src), f.Endpoint(pkt.Dst)
+	f.Send(pkt)
+}
+
 func TestDeliveryWithinCluster(t *testing.T) {
 	k, f := newTestFabric(t)
 	var got []Packet
 	f.Attach("n1", "a", nil)
 	f.Attach("n2", "a", func(p Packet) { got = append(got, p) })
-	f.Send(Packet{Src: "n1", Dst: "n2", Size: 0, Payload: "hello"})
+	send(f, Packet{Src: "n1", Dst: "n2", Size: 0, Payload: "hello"})
 	k.Run()
 	if len(got) != 1 || got[0].Payload != "hello" {
 		t.Fatalf("got %v, want one hello packet", got)
@@ -36,7 +42,7 @@ func TestSerializationDelay(t *testing.T) {
 	k, f := newTestFabric(t)
 	f.Attach("n1", "a", nil)
 	f.Attach("n2", "a", func(Packet) {})
-	f.Send(Packet{Src: "n1", Dst: "n2", Size: 1_000_000}) // 1MB at 100MB/s = 10ms
+	send(f, Packet{Src: "n1", Dst: "n2", Size: 1_000_000}) // 1MB at 100MB/s = 10ms
 	k.Run()
 	want := 50*sim.Microsecond + 10*sim.Millisecond
 	if k.Now() != want {
@@ -48,7 +54,7 @@ func TestInterClusterUsesInterProfile(t *testing.T) {
 	k, f := newTestFabric(t)
 	f.Attach("n1", "a", nil)
 	f.Attach("n2", "b", func(Packet) {})
-	f.Send(Packet{Src: "n1", Dst: "n2"})
+	send(f, Packet{Src: "n1", Dst: "n2"})
 	k.Run()
 	if k.Now() != 500*sim.Microsecond {
 		t.Fatalf("inter-cluster delivery at %v, want 500us", k.Now())
@@ -61,7 +67,7 @@ func TestDownPortLosesPackets(t *testing.T) {
 	delivered := 0
 	p2 := f.Attach("n2", "a", func(Packet) { delivered++ })
 	p2.SetUp(false)
-	f.Send(Packet{Src: "n1", Dst: "n2"})
+	send(f, Packet{Src: "n1", Dst: "n2"})
 	k.Run()
 	if delivered != 0 {
 		t.Fatal("down port received a packet")
@@ -78,7 +84,7 @@ func TestPortGoesDownMidFlight(t *testing.T) {
 	f.Attach("n1", "a", nil)
 	delivered := 0
 	p2 := f.Attach("n2", "a", func(Packet) { delivered++ })
-	f.Send(Packet{Src: "n1", Dst: "n2"})
+	send(f, Packet{Src: "n1", Dst: "n2"})
 	k.After(10*sim.Microsecond, func() { p2.SetUp(false) }) // before 50us delivery
 	k.Run()
 	if delivered != 0 {
@@ -92,7 +98,7 @@ func TestDownSenderCannotTransmit(t *testing.T) {
 	delivered := 0
 	f.Attach("n2", "a", func(Packet) { delivered++ })
 	p1.SetUp(false)
-	f.Send(Packet{Src: "n1", Dst: "n2"})
+	send(f, Packet{Src: "n1", Dst: "n2"})
 	k.Run()
 	if delivered != 0 {
 		t.Fatal("down sender transmitted")
@@ -102,7 +108,7 @@ func TestDownSenderCannotTransmit(t *testing.T) {
 func TestUnknownDestinationCounted(t *testing.T) {
 	k, f := newTestFabric(t)
 	f.Attach("n1", "a", nil)
-	f.Send(Packet{Src: "n1", Dst: "ghost"})
+	send(f, Packet{Src: "n1", Dst: "ghost"})
 	k.Run()
 	if f.Stats().DroppedNoDest != 1 {
 		t.Fatalf("DroppedNoDest = %d, want 1", f.Stats().DroppedNoDest)
@@ -115,8 +121,8 @@ func TestDropRule(t *testing.T) {
 	delivered := 0
 	f.Attach("n2", "a", func(Packet) { delivered++ })
 	f.DropRule = func(p Packet) bool { return p.Payload == "cut" }
-	f.Send(Packet{Src: "n1", Dst: "n2", Payload: "cut"})
-	f.Send(Packet{Src: "n1", Dst: "n2", Payload: "keep"})
+	send(f, Packet{Src: "n1", Dst: "n2", Payload: "cut"})
+	send(f, Packet{Src: "n1", Dst: "n2", Payload: "keep"})
 	k.Run()
 	if delivered != 1 {
 		t.Fatalf("delivered %d packets, want 1", delivered)
@@ -135,7 +141,7 @@ func TestRandomLoss(t *testing.T) {
 	f.Attach("n2", "lossy", func(Packet) { delivered++ })
 	const n = 2000
 	for i := 0; i < n; i++ {
-		f.Send(Packet{Src: "n1", Dst: "n2"})
+		send(f, Packet{Src: "n1", Dst: "n2"})
 	}
 	k.Run()
 	if delivered < n/3 || delivered > 2*n/3 {
@@ -149,7 +155,7 @@ func TestMoveKeepsAddress(t *testing.T) {
 	delivered := 0
 	p2 := f.Attach("vm1", "a", func(Packet) { delivered++ })
 	p2.cluster = f.clusterIdx["b"]
-	f.Send(Packet{Src: "n1", Dst: "vm1"})
+	send(f, Packet{Src: "n1", Dst: "vm1"})
 	k.Run()
 	if delivered != 1 {
 		t.Fatal("packet not delivered after move")
@@ -167,7 +173,7 @@ func TestDetach(t *testing.T) {
 	if _, ok := f.Lookup("n2"); ok {
 		t.Fatal("detached port still attached")
 	}
-	f.Send(Packet{Src: "n1", Dst: "n2"})
+	send(f, Packet{Src: "n1", Dst: "n2"})
 	k.Run()
 	if f.Stats().DroppedNoDest != 1 {
 		t.Fatal("send to detached port should count as no-dest")
@@ -201,7 +207,7 @@ func TestParaVirtOverheads(t *testing.T) {
 	p2 := f.Attach("n2", "a", func(Packet) {})
 	p2.ExtraLatency = 30 * sim.Microsecond
 	p2.BandwidthFactor = 0.5
-	f.Send(Packet{Src: "n1", Dst: "n2", Size: 1_000_000})
+	send(f, Packet{Src: "n1", Dst: "n2", Size: 1_000_000})
 	k.Run()
 	// 50us + 30us + 1MB / (100MB/s * 0.5) = 80us + 20ms
 	want := 80*sim.Microsecond + 20*sim.Millisecond
@@ -231,7 +237,7 @@ func TestStatsAccumulate(t *testing.T) {
 	f.Attach("n1", "a", nil)
 	f.Attach("n2", "a", func(Packet) {})
 	for i := 0; i < 5; i++ {
-		f.Send(Packet{Src: "n1", Dst: "n2", Size: 100})
+		send(f, Packet{Src: "n1", Dst: "n2", Size: 100})
 	}
 	k.Run()
 	s := f.Stats()
@@ -249,17 +255,17 @@ func TestSendAccountingSkipsRefusedPackets(t *testing.T) {
 	f.Attach("n2", "a", func(Packet) {})
 
 	// Refused: unknown destination.
-	f.Send(Packet{Src: "n1", Dst: "ghost", Size: 100})
+	send(f, Packet{Src: "n1", Dst: "ghost", Size: 100})
 	// Refused: drop rule.
 	f.DropRule = func(p Packet) bool { return p.Payload == "cut" }
-	f.Send(Packet{Src: "n1", Dst: "n2", Size: 200, Payload: "cut"})
+	send(f, Packet{Src: "n1", Dst: "n2", Size: 200, Payload: "cut"})
 	f.DropRule = nil
 	// Refused: sender down.
 	p1.SetUp(false)
-	f.Send(Packet{Src: "n1", Dst: "n2", Size: 300})
+	send(f, Packet{Src: "n1", Dst: "n2", Size: 300})
 	p1.SetUp(true)
 	// Transmitted and delivered.
-	f.Send(Packet{Src: "n1", Dst: "n2", Size: 400})
+	send(f, Packet{Src: "n1", Dst: "n2", Size: 400})
 	k.Run()
 
 	s := f.Stats()
@@ -281,7 +287,7 @@ func TestDeliveryTimeDropStaysInBytes(t *testing.T) {
 	k, f := newTestFabric(t)
 	f.Attach("n1", "a", nil)
 	p2 := f.Attach("n2", "a", func(Packet) { t.Fatal("delivered to down port") })
-	f.Send(Packet{Src: "n1", Dst: "n2", Size: 250})
+	send(f, Packet{Src: "n1", Dst: "n2", Size: 250})
 	k.After(10*sim.Microsecond, func() { p2.SetUp(false) })
 	k.Run()
 	s := f.Stats()
@@ -325,8 +331,8 @@ func TestNICSerializationOrdersAndPaces(t *testing.T) {
 	})
 	// A large packet followed immediately by a tiny one: without NIC
 	// serialisation the tiny one would overtake.
-	f.Send(Packet{Src: "n1", Dst: "n2", Size: 1_000_000, Payload: "big"})
-	f.Send(Packet{Src: "n1", Dst: "n2", Size: 100, Payload: "small"})
+	send(f, Packet{Src: "n1", Dst: "n2", Size: 1_000_000, Payload: "big"})
+	send(f, Packet{Src: "n1", Dst: "n2", Size: 100, Payload: "small"})
 	k.Run()
 	if len(order) != 2 || order[0] != "big" || order[1] != "small" {
 		t.Fatalf("arrival order = %v, want [big small]", order)
@@ -346,9 +352,9 @@ func TestNICIdleGapResetsQueue(t *testing.T) {
 	f.Attach("n1", "a", nil)
 	var arrivals []sim.Time
 	f.Attach("n2", "a", func(Packet) { arrivals = append(arrivals, k.Now()) })
-	f.Send(Packet{Src: "n1", Dst: "n2", Size: 100_000}) // 1ms tx
-	k.RunFor(100 * sim.Millisecond)                     // NIC long idle
-	f.Send(Packet{Src: "n1", Dst: "n2", Size: 100_000})
+	send(f, Packet{Src: "n1", Dst: "n2", Size: 100_000}) // 1ms tx
+	k.RunFor(100 * sim.Millisecond)                      // NIC long idle
+	send(f, Packet{Src: "n1", Dst: "n2", Size: 100_000})
 	k.Run()
 	want := sim.Millisecond + 50*sim.Microsecond
 	if arrivals[0] != want {

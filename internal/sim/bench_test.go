@@ -31,6 +31,27 @@ func BenchmarkKernelChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkSameInstant measures the same-instant lane: a timer Reset(0),
+// the shape of a guest scheduler pump, and an After(0) handoff, both
+// fired by Step past 64 later events waiting in the heap. The per-op unit
+// is one burst of two schedules and two fires.
+func BenchmarkSameInstant(b *testing.B) {
+	b.ReportAllocs()
+	k := NewKernel(1)
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		k.After(Time(i+1)*Second, fn)
+	}
+	tm := NewTimer(k, fn)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tm.Reset(0)
+		k.After(0, fn)
+		k.Step()
+		k.Step()
+	}
+}
+
 // BenchmarkTimerRearm measures the rearm-in-place fast path: one pinned
 // Timer slot Reset over and over, the shape of a TCP RTO or watchdog that
 // is pushed out on every packet. No slot traffic, no closure allocation —
@@ -57,9 +78,9 @@ func BenchmarkTimerRearm(b *testing.B) {
 }
 
 // TestKernelChurnZeroAllocs is the CI allocation gate: the steady-state
-// schedule/fire loop must not allocate at all (the ISSUE bound is
-// < 1 alloc/event; the slab achieves 0). testing.AllocsPerRun measures a
-// warm kernel, so slab/heap growth — a one-time cost — is excluded.
+// schedule/fire loop, timer rearms and same-instant bursts through the
+// lane must not allocate at all. testing.AllocsPerRun measures a warm
+// kernel, so slab/heap growth — a one-time cost — is excluded.
 func TestKernelChurnZeroAllocs(t *testing.T) {
 	k := NewKernel(1)
 	var fn func()
@@ -90,5 +111,21 @@ func TestKernelChurnZeroAllocs(t *testing.T) {
 	})
 	if avg > 0 {
 		t.Fatalf("timer rearm allocates %.2f allocs/op, want 0", avg)
+	}
+
+	// A same-instant burst: both schedules join the lane and fire from
+	// it, ahead of the timer waiting in the heap.
+	pump := NewTimer(k, fn)
+	avg = testing.AllocsPerRun(1000, func() {
+		pump.Reset(0)
+		k.After(0, fn)
+		k.Step()
+		k.Step()
+	})
+	if avg > 0 {
+		t.Fatalf("same-instant burst allocates %.2f allocs/op, want 0", avg)
+	}
+	if k.laneLen != 0 || !tm.Pending() {
+		t.Fatalf("after the bursts: lane holds %d, rearmed timer pending %v", k.laneLen, tm.Pending())
 	}
 }

@@ -57,7 +57,7 @@ func TestCrossPartitionPacket(t *testing.T) {
 			switch p.ID() {
 			case 0:
 				f.Attach("a0", "west", nil)
-				k.At(1, func() { f.Send(netsim.Packet{Src: "a0", Dst: "b0"}) })
+				k.At(1, func() { f.Send(netsim.Packet{Src: "a0", Dst: "b0", SrcID: f.Endpoint("a0"), DstID: f.Endpoint("b0")}) })
 			case 1:
 				f.Attach("b0", "east", func(pkt netsim.Packet) { arrivedAt = k.Now() })
 			}
@@ -95,7 +95,9 @@ func TestCrossPartitionUnknownAddr(t *testing.T) {
 		nm.Bind(p, f)
 		if p.ID() == 0 {
 			f.Attach("a0", "west", nil)
-			k.At(1, func() { f.Send(netsim.Packet{Src: "a0", Dst: "nowhere", Size: 8}) })
+			k.At(1, func() {
+				f.Send(netsim.Packet{Src: "a0", Dst: "nowhere", SrcID: f.Endpoint("a0"), DstID: f.Endpoint("nowhere"), Size: 8})
+			})
 			k.Run()
 			stats = f.Stats()
 		} else {
@@ -125,7 +127,7 @@ func TestCrossPartitionDownDest(t *testing.T) {
 		switch p.ID() {
 		case 0:
 			f.Attach("a0", "west", nil)
-			k.At(1, func() { f.Send(netsim.Packet{Src: "a0", Dst: "b0"}) })
+			k.At(1, func() { f.Send(netsim.Packet{Src: "a0", Dst: "b0", SrcID: f.Endpoint("a0"), DstID: f.Endpoint("b0")}) })
 			k.Run()
 		case 1:
 			port := f.Attach("b0", "east", func(netsim.Packet) {})

@@ -10,12 +10,19 @@
 //
 // The event path is allocation-free in steady state. Events live in a slab
 // ([]event) threaded by an intrusive free list; scheduling reuses a free
-// slot instead of heap-allocating, and the priority queue is a hand-rolled
-// implicit 4-ary min-heap over slot indices keyed by (when, seq) — no
-// interface boxing, no per-push allocation. A scheduled event cannot be
-// cancelled; a component that needs to cancel or rearm holds a Timer,
-// whose Stop removes its heap entry eagerly, so every heap entry is a
-// live event. See DESIGN.md "Kernel hot path".
+// slot instead of heap-allocating. Pending events wait in one of two
+// queues. An event due at the current instant (At(now), After(0), a
+// Timer Reset(0) or ResetAt(now)) joins the same-instant lane, a FIFO
+// linked through the slab; every other event goes into a hand-rolled
+// implicit 4-ary min-heap of slot indices, each stored with a copy of
+// its (when, seq) key — no interface boxing, no per-push allocation, and
+// no slab load per comparison. Lane entries share one time
+// and arrive in seq order, so Step pops whichever of the heap top and the
+// lane head is smaller by (when, seq), and the firing order is exactly
+// the single-heap order. A scheduled event cannot be cancelled; a
+// component that needs to cancel or rearm holds a Timer, whose Stop
+// unlinks its slot from the lane or the heap eagerly, so every queued
+// entry is a live event. See DESIGN.md "Kernel hot path".
 package sim
 
 import (
@@ -63,8 +70,9 @@ type event struct {
 	when    Time
 	seq     uint64
 	fn      func()
-	heapIdx int32 // position in Kernel.heap; -1 when not queued
-	next    int32 // free-list link; meaningful only when state == slotFree
+	heapIdx int32 // position in Kernel.heap; inLane in the lane; -1 when not queued
+	next    int32 // free-list link while free; next lane entry while in the lane
+	prev    int32 // previous lane entry while in the lane
 	state   uint8
 	pinned  bool // owned by a Timer; never returned to the free list
 }
@@ -75,8 +83,13 @@ type event struct {
 type Kernel struct {
 	now  Time
 	slab []event
-	free int32   // free-list head, -1 when empty
-	heap []int32 // implicit 4-ary min-heap of slot indices over (when, seq)
+	free int32       // free-list head, -1 when empty
+	heap []heapEntry // implicit 4-ary min-heap of slots over (when, seq)
+
+	// The same-instant lane: a FIFO of slots due at now, linked through
+	// event.next/prev (-1 ends it), in seq order.
+	laneHead, laneTail int32
+	laneLen            int
 
 	seq    uint64
 	rng    *rand.Rand
@@ -183,7 +196,7 @@ func (k *Kernel) gateAdvance(deadline Time) bool {
 // Two kernels with the same seed and the same schedule of calls produce
 // identical simulations.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{rng: rand.New(rand.NewSource(seed)), free: -1}
+	return &Kernel{rng: rand.New(rand.NewSource(seed)), free: -1, laneHead: -1, laneTail: -1}
 }
 
 // Now returns the current virtual time.
@@ -196,10 +209,10 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // Fired reports how many events have executed so far.
 func (k *Kernel) Fired() uint64 { return k.fired }
 
-// Pending reports how many events are waiting in the queue. Only tests
-// call it: sim's own tests and the LSC event digest that
-// experiments' TestSeedReplayEventDigest pins.
-func (k *Kernel) Pending() int { return len(k.heap) }
+// Pending reports how many events are waiting, in the heap and the
+// same-instant lane. Only tests call it: sim's own tests and the LSC
+// event digest that experiments' TestSeedReplayEventDigest pins.
+func (k *Kernel) Pending() int { return len(k.heap) + k.laneLen }
 
 // SlabLen reports how many event slots the kernel has ever allocated: the
 // slab's length, which only grows. Freed slots are reused before the slab
@@ -238,6 +251,87 @@ func (k *Kernel) release(slot int32) {
 	k.free = slot
 }
 
+// --- the two queues ---
+
+// inLane is event.heapIdx for a slot in the same-instant lane.
+const inLane int32 = -2
+
+// enqueue queues a scheduled slot: in the lane when it is due now, in the
+// heap otherwise.
+//
+//dvc:hotpath
+func (k *Kernel) enqueue(slot int32) {
+	if k.slab[slot].when == k.now {
+		k.lanePush(slot)
+	} else {
+		k.heapPush(slot)
+	}
+}
+
+// unqueue takes a queued slot out of whichever queue holds it.
+//
+//dvc:hotpath
+func (k *Kernel) unqueue(slot int32) {
+	if i := k.slab[slot].heapIdx; i == inLane {
+		k.laneRemove(slot)
+	} else {
+		k.heapRemove(int(i))
+	}
+}
+
+// pop removes and returns the earliest queued slot by (when, seq). Lane
+// entries are due now and every heap entry is due at or after now, so
+// the heap top wins only when it is also due now and was scheduled
+// first.
+//
+//dvc:hotpath
+func (k *Kernel) pop() int32 {
+	if slot := k.laneHead; slot >= 0 {
+		if len(k.heap) == 0 || k.heap[0].when > k.now || k.heap[0].seq > k.slab[slot].seq {
+			k.laneRemove(slot)
+			return slot
+		}
+	}
+	return k.heapPopTop()
+}
+
+// lanePush appends a slot to the lane. Its seq is the newest, so the
+// lane stays in seq order.
+//
+//dvc:hotpath
+func (k *Kernel) lanePush(slot int32) {
+	e := &k.slab[slot]
+	e.heapIdx = inLane
+	e.next = -1
+	e.prev = k.laneTail
+	if k.laneTail >= 0 {
+		k.slab[k.laneTail].next = slot
+	} else {
+		k.laneHead = slot
+	}
+	k.laneTail = slot
+	k.laneLen++
+}
+
+// laneRemove unlinks a slot from anywhere in the lane.
+//
+//dvc:hotpath
+func (k *Kernel) laneRemove(slot int32) {
+	e := &k.slab[slot]
+	if e.prev >= 0 {
+		k.slab[e.prev].next = e.next
+	} else {
+		k.laneHead = e.next
+	}
+	if e.next >= 0 {
+		k.slab[e.next].prev = e.prev
+	} else {
+		k.laneTail = e.prev
+	}
+	e.heapIdx = -1
+	k.laneLen--
+}
+
 // --- implicit 4-ary min-heap over (when, seq) ---
 
 // heapArity of 4 trades slightly more comparisons per level for half the
@@ -245,23 +339,32 @@ func (k *Kernel) release(slot int32) {
 // the four children of a node sit adjacent in one or two lines.
 const heapArity = 4
 
-// less orders slots by (when, seq). seq is unique, so the order is total
-// and pop order is independent of heap layout history.
+// heapEntry is one heap node: a slot with a copy of its (when, seq) key,
+// so a sift compares keys in the heap's own memory instead of loading
+// each slot's slab entry.
+type heapEntry struct {
+	when Time
+	seq  uint64
+	slot int32
+}
+
+// before orders keys by (when, seq). seq is unique, so the order is
+// total and pop order is independent of heap layout history.
 //
 //dvc:hotpath
-func (k *Kernel) less(a, b int32) bool {
-	ea, eb := &k.slab[a], &k.slab[b]
-	if ea.when != eb.when {
-		return ea.when < eb.when
+func (a *heapEntry) before(b *heapEntry) bool {
+	if a.when != b.when {
+		return a.when < b.when
 	}
-	return ea.seq < eb.seq
+	return a.seq < b.seq
 }
 
 //dvc:hotpath
 func (k *Kernel) heapPush(slot int32) {
-	k.slab[slot].heapIdx = int32(len(k.heap))
+	e := &k.slab[slot]
+	e.heapIdx = int32(len(k.heap))
 	//lint:allow noalloc amortized heap growth; capacity tracks peak pending events
-	k.heap = append(k.heap, slot)
+	k.heap = append(k.heap, heapEntry{when: e.when, seq: e.seq, slot: slot})
 	k.siftUp(len(k.heap) - 1)
 }
 
@@ -270,12 +373,12 @@ func (k *Kernel) heapPush(slot int32) {
 //dvc:hotpath
 func (k *Kernel) heapPopTop() int32 {
 	h := k.heap
-	top := h[0]
+	top := h[0].slot
 	k.slab[top].heapIdx = -1
 	last := len(h) - 1
 	if last > 0 {
 		h[0] = h[last]
-		k.slab[h[0]].heapIdx = 0
+		k.slab[h[0].slot].heapIdx = 0
 	}
 	k.heap = h[:last]
 	if last > 1 {
@@ -290,10 +393,10 @@ func (k *Kernel) heapPopTop() int32 {
 func (k *Kernel) heapRemove(i int) {
 	h := k.heap
 	last := len(h) - 1
-	k.slab[h[i]].heapIdx = -1
+	k.slab[h[i].slot].heapIdx = -1
 	if i != last {
 		h[i] = h[last]
-		k.slab[h[i]].heapIdx = int32(i)
+		k.slab[h[i].slot].heapIdx = int32(i)
 	}
 	k.heap = h[:last]
 	if i < last {
@@ -310,34 +413,45 @@ func (k *Kernel) siftFix(i int) {
 	}
 }
 
-// siftUp moves i toward the root; reports whether it moved.
+// siftUp moves the entry at i toward the root; reports whether it moved.
+// Parents shift down into the hole, and the entry is written once, where
+// it stops.
 //
 //dvc:hotpath
 func (k *Kernel) siftUp(i int) bool {
 	h := k.heap
-	moved := false
+	x := h[i]
+	start := i
 	for i > 0 {
 		p := (i - 1) / heapArity
-		if !k.less(h[i], h[p]) {
+		if !x.before(&h[p]) {
 			break
 		}
-		h[i], h[p] = h[p], h[i]
-		k.slab[h[i]].heapIdx = int32(i)
-		k.slab[h[p]].heapIdx = int32(p)
+		h[i] = h[p]
+		k.slab[h[i].slot].heapIdx = int32(i)
 		i = p
-		moved = true
 	}
-	return moved
+	if i == start {
+		return false
+	}
+	h[i] = x
+	k.slab[x.slot].heapIdx = int32(i)
+	return true
 }
 
+// siftDown moves the entry at i toward the leaves, shifting the least
+// child up into the hole at each level.
+//
 //dvc:hotpath
 func (k *Kernel) siftDown(i int) {
 	h := k.heap
 	n := len(h)
+	x := h[i]
+	start := i
 	for {
 		first := heapArity*i + 1
 		if first >= n {
-			return
+			break
 		}
 		min := first
 		end := first + heapArity
@@ -345,17 +459,20 @@ func (k *Kernel) siftDown(i int) {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if k.less(h[c], h[min]) {
+			if h[c].before(&h[min]) {
 				min = c
 			}
 		}
-		if !k.less(h[min], h[i]) {
-			return
+		if !h[min].before(&x) {
+			break
 		}
-		h[i], h[min] = h[min], h[i]
-		k.slab[h[i]].heapIdx = int32(i)
-		k.slab[h[min]].heapIdx = int32(min)
+		h[i] = h[min]
+		k.slab[h[i].slot].heapIdx = int32(i)
 		i = min
+	}
+	if i != start {
+		h[i] = x
+		k.slab[x.slot].heapIdx = int32(i)
 	}
 }
 
@@ -379,7 +496,7 @@ func (k *Kernel) At(t Time, fn func()) {
 	e.fn = fn
 	e.state = slotScheduled
 	k.seq++
-	k.heapPush(slot)
+	k.enqueue(slot)
 }
 
 // After schedules fn to run d after the current time. Negative delays are
@@ -408,10 +525,10 @@ func (k *Kernel) Step() bool {
 	if k.gate != nil && !k.admit() {
 		return false
 	}
-	if len(k.heap) == 0 {
+	if len(k.heap) == 0 && k.laneHead < 0 {
 		return false
 	}
-	slot := k.heapPopTop()
+	slot := k.pop()
 	e := &k.slab[slot]
 	if e.when < k.now {
 		panic("sim: event queue time went backwards")
@@ -478,10 +595,14 @@ func (k *Kernel) RunUntil(deadline Time) uint64 {
 // RunFor is RunUntil(Now()+d).
 func (k *Kernel) RunFor(d Time) uint64 { return k.RunUntil(k.now + d) }
 
-// peek reports the earliest pending event time.
+// peek reports the earliest pending event time. A non-empty lane holds
+// events due now, and nothing is queued earlier than now.
 func (k *Kernel) peek() (Time, bool) {
+	if k.laneHead >= 0 {
+		return k.now, true
+	}
 	if len(k.heap) == 0 {
 		return 0, false
 	}
-	return k.slab[k.heap[0]].when, true
+	return k.heap[0].when, true
 }

@@ -7,8 +7,9 @@ package sim
 // ticks — which would otherwise schedule a fresh event (plus a fresh
 // closure) on every rearm. A Timer owns one slab slot for its whole life:
 // Reset rearms that slot in place (new deadline, fresh sequence number,
-// re-sifted heap position) and Stop removes it from the heap eagerly, so
-// timers never allocate after creation.
+// re-sifted heap position, or the tail of the same-instant lane when it
+// is due now) and Stop unlinks it from its queue eagerly, so timers never
+// allocate after creation.
 //
 // Determinism contract: Reset consumes exactly one kernel sequence number,
 // the same as a fresh Kernel.After, so a Timer fires in exactly the
@@ -69,17 +70,24 @@ func (t *Timer) ResetAt(at Time) {
 	switch e.state {
 	case slotIdle:
 		e.state = slotScheduled
-		k.heapPush(t.slot)
+		k.enqueue(t.slot)
 	case slotScheduled:
-		k.siftFix(int(e.heapIdx))
+		if e.heapIdx >= 0 && at != k.now {
+			h := &k.heap[e.heapIdx]
+			h.when, h.seq = e.when, e.seq
+			k.siftFix(int(e.heapIdx))
+		} else {
+			k.unqueue(t.slot)
+			k.enqueue(t.slot)
+		}
 	default:
 		panic("sim: Reset on a freed timer")
 	}
 }
 
 // Stop disarms the timer, reporting whether it was armed. The slot leaves
-// the heap at once and stays owned by the timer, so a Stop/Reset cycle is
-// allocation-free.
+// its queue (the heap or the same-instant lane) at once and stays owned
+// by the timer, so a Stop/Reset cycle is allocation-free.
 //
 //dvc:hotpath
 func (t *Timer) Stop() bool {
@@ -91,7 +99,7 @@ func (t *Timer) Stop() bool {
 	if e.state != slotScheduled {
 		return false
 	}
-	k.heapRemove(int(e.heapIdx))
+	k.unqueue(t.slot)
 	e.state = slotIdle
 	return true
 }

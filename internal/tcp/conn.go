@@ -53,6 +53,18 @@ func (k ConnKey) String() string {
 	return fmt.Sprintf(":%d<->%s:%d", k.LocalPort, k.RemoteAddr, k.RemotePort)
 }
 
+// Less orders keys by local port, remote address and remote port: the
+// order of a stack's connection table and of an image's connections.
+func (k ConnKey) Less(o ConnKey) bool {
+	if k.LocalPort != o.LocalPort {
+		return k.LocalPort < o.LocalPort
+	}
+	if k.RemoteAddr != o.RemoteAddr {
+		return k.RemoteAddr < o.RemoteAddr
+	}
+	return k.RemotePort < o.RemotePort
+}
+
 // Conn is one endpoint of a connection. All methods must be called from
 // simulation context (never concurrently).
 //
@@ -61,6 +73,7 @@ func (k ConnKey) String() string {
 type Conn struct {
 	stack *Stack
 	key   ConnKey
+	peer  netsim.EndpointID // key.RemoteAddr's id on the stack's fabric
 	state State
 
 	// Send side. sendQ holds bytes [sndUna, sndUna+len) — both unacked
@@ -205,7 +218,7 @@ func (c *Conn) sendSegment(flags Flags, seq, ack uint64, data payload.Bytes) {
 	seg.SrcPort = c.key.LocalPort
 	seg.DstPort = c.key.RemotePort
 	seg.Flags, seg.Seq, seg.Ack, seg.Data = flags, seq, ack, data
-	c.stack.transmit(c.key.RemoteAddr, seg)
+	c.stack.transmit(c.key.RemoteAddr, c.peer, seg)
 }
 
 // sendCtl transmits a segment that carries no data.

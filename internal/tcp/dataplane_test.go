@@ -124,7 +124,7 @@ func TestOOOOutOfWindowSegmentDropped(t *testing.T) {
 	key := cb.Key()
 
 	inject := func(seq uint64, data []byte) {
-		p.sb.Deliver(netsim.Packet{Src: key.RemoteAddr, Dst: "B", Payload: &Segment{
+		p.sb.Deliver(netsim.Packet{Src: key.RemoteAddr, Dst: "B", SrcID: p.fabric.Endpoint(key.RemoteAddr), Payload: &Segment{
 			SrcPort: key.RemotePort,
 			DstPort: key.LocalPort,
 			Flags:   FlagACK,

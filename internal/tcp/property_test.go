@@ -33,7 +33,7 @@ func TestPropertyEventualDeliveryUnderLoss(t *testing.T) {
 		fab.Attach("B", "c", sb.Deliver)
 		var cb *Conn
 		sb.Listen(1, func(c *Conn) { cb = c })
-		ca := sa.Connect("B", 1)
+		ca, _ := sa.Connect("B", 1)
 		k.RunFor(time2(30))
 		if ca.State() != StateEstablished || cb == nil {
 			return loss > 0.15 // heavy loss may legitimately stall the handshake budget
@@ -75,7 +75,7 @@ func TestPropertyFreezeAnywhereIsSafe(t *testing.T) {
 		pb := fab.Attach("B", "c", sb.Deliver)
 		var cb *Conn
 		sb.Listen(1, func(c *Conn) { cb = c })
-		ca := sa.Connect("B", 1)
+		ca, _ := sa.Connect("B", 1)
 		k.RunFor(sim.Second)
 
 		msg := make([]byte, 40000)
@@ -132,7 +132,7 @@ func TestPropertySnapshotRoundTripEquivalence(t *testing.T) {
 		pb := fab.Attach("B", "c", sb.Deliver)
 		var cb *Conn
 		sb.Listen(1, func(c *Conn) { cb = c })
-		ca := sa.Connect("B", 1)
+		ca, _ := sa.Connect("B", 1)
 		k.RunFor(sim.Second)
 		msg := make([]byte, 20000)
 		for i := range msg {

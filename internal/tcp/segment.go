@@ -151,4 +151,5 @@ var (
 	ErrReset   = fmt.Errorf("tcp: connection reset by peer")
 	ErrTimeout = fmt.Errorf("tcp: retransmission retries exhausted")
 	ErrClosed  = fmt.Errorf("tcp: connection closed")
+	ErrNoPorts = fmt.Errorf("tcp: every ephemeral port is bound")
 )

@@ -73,7 +73,7 @@ func TestSegmentOwnership(t *testing.T) {
 	f.Attach("B", "c", toB)
 	var cb *Conn
 	sb.Listen(5000, func(c *Conn) { cb = c })
-	ca := sa.Connect("B", 5000)
+	ca, _ := sa.Connect("B", 5000)
 	k.RunFor(sim.Second)
 	if ca.State() != StateEstablished || cb == nil {
 		t.Fatalf("handshake failed: client %v", ca.State())
@@ -154,7 +154,7 @@ func TestSegmentOwnership(t *testing.T) {
 	atA = atA[:0]
 	sentB := sb.SegmentsSent
 	stray := &Segment{SrcPort: 40000, DstPort: 6000, Flags: FlagACK, Seq: 11, Ack: 22, Data: payload.Wrap([]byte("stray"))}
-	sb.Deliver(netsim.Packet{Src: "A", Dst: "B", Size: stray.WireSize(), Payload: stray})
+	sb.Deliver(netsim.Packet{Src: "A", Dst: "B", SrcID: f.Endpoint("A"), Size: stray.WireSize(), Payload: stray})
 	if !freeSegments(t, sb)[stray] {
 		t.Fatal("the stray segment was not recycled after its RST was sent")
 	}

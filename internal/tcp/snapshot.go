@@ -76,7 +76,7 @@ func (s *Stack) Snapshot() *StackSnapshot {
 	}
 	sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
 	snap.ListenerPorts = ports
-	for _, c := range s.Conns() {
+	for _, c := range s.conns {
 		// The queues flatten here — the checkpoint boundary — into
 		// fresh contiguous buffers. On the hot path segments and reads
 		// are zero-copy views over shared chunks; an image, by
@@ -140,6 +140,7 @@ func RestoreStack(k *sim.Kernel, fabric *netsim.Fabric, snap *StackSnapshot) *St
 		c := &Conn{
 			stack:          s,
 			key:            cs.Key,
+			peer:           fabric.Endpoint(cs.Key.RemoteAddr),
 			state:          cs.State,
 			sndUna:         cs.SndUna,
 			sndNxt:         cs.SndNxt,
@@ -177,7 +178,7 @@ func RestoreStack(k *sim.Kernel, fabric *netsim.Fabric, snap *StackSnapshot) *St
 				c.oooBytes += len(cs.OOO[seq])
 			}
 		}
-		s.conns[c.key] = c
+		s.bind(c)
 	}
 	return s
 }

@@ -38,9 +38,13 @@ type Stack struct {
 	kernel *sim.Kernel
 	fabric *netsim.Fabric
 	addr   netsim.Addr
+	self   netsim.EndpointID // addr's id on fabric
 	cfg    Config
 
-	conns     map[ConnKey]*Conn
+	// The connection table, sorted by ConnKey: conns[i] is a connection
+	// and rows[i] its demux row. A key is never removed (see Lookup).
+	rows      []connRow
+	conns     []*Conn
 	listeners map[uint16]*Listener
 	nextPort  uint16
 	frozen    bool
@@ -75,11 +79,63 @@ func NewStack(k *sim.Kernel, fabric *netsim.Fabric, addr netsim.Addr, cfg Config
 		kernel:    k,
 		fabric:    fabric,
 		addr:      addr,
+		self:      fabric.Endpoint(addr),
 		cfg:       cfg,
-		conns:     make(map[ConnKey]*Conn),
 		listeners: make(map[uint16]*Listener),
-		nextPort:  49152,
+		nextPort:  ephemeralBase,
 	}
+}
+
+// connRow is the part of a ConnKey that Deliver matches, with the remote
+// address as its fabric id, so a demux compares integers only.
+type connRow struct {
+	lport, rport uint16
+	peer         netsim.EndpointID
+}
+
+// portStart returns the first table index whose local port is at least
+// lport: a binary search on the rows.
+//
+//dvc:hotpath
+func (s *Stack) portStart(lport uint16) int {
+	lo, hi := 0, len(s.rows)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.rows[mid].lport < lport {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// demux finds the connection bound to (lport, peer, rport): the local
+// port's run of rows, then a scan of that run comparing ids.
+//
+//dvc:hotpath
+func (s *Stack) demux(lport uint16, peer netsim.EndpointID, rport uint16) *Conn {
+	for i := s.portStart(lport); i < len(s.rows) && s.rows[i].lport == lport; i++ {
+		if r := s.rows[i]; r.peer == peer && r.rport == rport {
+			return s.conns[i]
+		}
+	}
+	return nil
+}
+
+// bind inserts c into the table at its key's place. The key must be
+// unbound: a running stack binds only keys its table lacks, and a
+// restored one binds an image's connections, which are in strictly
+// increasing key order (Snapshot writes them so, and the guest image
+// decoder checks it), so each lands at the end.
+func (s *Stack) bind(c *Conn) {
+	i := sort.Search(len(s.conns), func(i int) bool { return !s.conns[i].key.Less(c.key) })
+	s.rows = append(s.rows, connRow{})
+	copy(s.rows[i+1:], s.rows[i:])
+	s.rows[i] = connRow{lport: c.key.LocalPort, rport: c.key.RemotePort, peer: c.peer}
+	s.conns = append(s.conns, nil)
+	copy(s.conns[i+1:], s.conns[i:])
+	s.conns[i] = c
 }
 
 // Addr returns the stack's fabric address.
@@ -112,66 +168,70 @@ func (s *Stack) Listen(port uint16, onAccept func(*Conn)) *Listener {
 	return l
 }
 
+// The ephemeral port range, 49152–65535.
+const (
+	ephemeralBase  = 49152
+	ephemeralPorts = 1<<16 - ephemeralBase
+)
+
 // Connect initiates a connection to raddr:rport from an ephemeral local
 // port. The returned Conn is in SynSent; OnEstablished fires when the
-// handshake completes.
-func (s *Stack) Connect(raddr netsim.Addr, rport uint16) *Conn {
-	lport := s.allocPort()
-	key := ConnKey{LocalPort: lport, RemoteAddr: raddr, RemotePort: rport}
+// handshake completes. Connect fails with ErrNoPorts once every
+// ephemeral port is bound: a key stays bound for the stack's life (see
+// Lookup), so ports are never reused.
+func (s *Stack) Connect(raddr netsim.Addr, rport uint16) (*Conn, error) {
+	lport, err := s.allocPort()
+	if err != nil {
+		return nil, err
+	}
 	c := &Conn{
 		stack:     s,
-		key:       key,
+		key:       ConnKey{LocalPort: lport, RemoteAddr: raddr, RemotePort: rport},
+		peer:      s.fabric.Endpoint(raddr),
 		state:     StateSynSent,
 		rto:       s.cfg.InitialRTO,
 		timerLeft: -1,
 	}
-	s.conns[key] = c
+	s.bind(c)
 	c.sendCtl(FlagSYN, 0, 0)
 	c.armTimer(c.rto)
-	return c
+	return c, nil
 }
 
-func (s *Stack) allocPort() uint16 {
-	for {
+// allocPort returns the next free port from nextPort on, wrapping within
+// the ephemeral range. One pass over the range finds every free port.
+func (s *Stack) allocPort() (uint16, error) {
+	for range ephemeralPorts + 1 {
 		p := s.nextPort
 		s.nextPort++
-		if s.nextPort < 49152 {
-			s.nextPort = 49152
+		if s.nextPort < ephemeralBase {
+			s.nextPort = ephemeralBase
 		}
-		inUse := false
-		for k := range s.conns {
-			if k.LocalPort == p {
-				inUse = true
-				break
-			}
-		}
-		if !inUse {
-			return p
+		if i := s.portStart(p); i == len(s.rows) || s.rows[i].lport != p {
+			return p, nil
 		}
 	}
+	return 0, ErrNoPorts
 }
 
-// Conns returns the live connections in deterministic (key-sorted) order.
-func (s *Stack) Conns() []*Conn {
-	keys := make([]ConnKey, 0, len(s.conns))
-	for k := range s.conns {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return lessKey(keys[i], keys[j]) })
-	out := make([]*Conn, len(keys))
-	for i, k := range keys {
-		out[i] = s.conns[k]
-	}
-	return out
-}
+// Conns returns the connections in key order. The slice is the stack's
+// own table, kept sorted as connections open, so Conns neither copies
+// nor sorts. Callers must not modify it or open a connection while they
+// range over it.
+func (s *Stack) Conns() []*Conn { return s.conns[:len(s.conns):len(s.conns)] }
 
-// Lookup finds a connection by key. A key, once bound, stays bound to the
-// same *Conn for the stack's life: the table only inserts absent keys, and
-// a torn-down connection stays in it in the Closed or Reset state. Callers
-// may therefore cache the result (the guest's fd table does).
+// Lookup finds a connection by key, by binary search on the table. A key,
+// once bound, stays bound to the same *Conn for the stack's life: the
+// table only inserts absent keys, and a torn-down connection stays in it
+// in the Closed or Reset state. Callers may therefore cache the result
+// (the guest's fd table and ConnectOp do).
 func (s *Stack) Lookup(key ConnKey) (*Conn, bool) {
-	c, ok := s.conns[key]
-	return c, ok
+	for i := s.portStart(key.LocalPort); i < len(s.conns) && s.rows[i].lport == key.LocalPort; i++ {
+		if s.conns[i].key == key {
+			return s.conns[i], true
+		}
+	}
+	return nil, false
 }
 
 // Release retires the stack: it freezes it, then frees every
@@ -182,20 +242,10 @@ func (s *Stack) Lookup(key ConnKey) (*Conn, bool) {
 // stack must not be thawed. Release is idempotent.
 func (s *Stack) Release() {
 	s.Freeze()
-	for _, c := range s.Conns() {
+	for _, c := range s.conns {
 		c.timer.Free()
 		c.timer = nil
 	}
-}
-
-func lessKey(a, b ConnKey) bool {
-	if a.LocalPort != b.LocalPort {
-		return a.LocalPort < b.LocalPort
-	}
-	if a.RemoteAddr != b.RemoteAddr {
-		return a.RemoteAddr < b.RemoteAddr
-	}
-	return a.RemotePort < b.RemotePort
 }
 
 // newSegment takes a zeroed segment from the free list, minting one only
@@ -219,22 +269,24 @@ func (s *Stack) recycle(seg *Segment) {
 	s.freeSegs = seg
 }
 
-// transmit puts a segment on the fabric. Frozen stacks cannot transmit;
-// that can only happen from a stale event and is silently dropped (the
-// wire would drop it anyway).
-func (s *Stack) transmit(dst netsim.Addr, seg *Segment) {
+// transmit puts a segment on the fabric, addressed to dst, whose id is
+// dstID. Frozen stacks cannot transmit; that can only happen from a stale
+// event and is silently dropped (the wire would drop it anyway).
+func (s *Stack) transmit(dst netsim.Addr, dstID netsim.EndpointID, seg *Segment) {
 	if s.frozen {
 		s.recycle(seg)
 		return
 	}
 	s.SegmentsSent++
-	s.fabric.Send(netsim.Packet{Src: s.addr, Dst: dst, Size: seg.WireSize(), Payload: seg})
+	s.fabric.Send(netsim.Packet{Src: s.addr, Dst: dst, SrcID: s.self, DstID: dstID, Size: seg.WireSize(), Payload: seg})
 }
 
 // Deliver feeds an incoming packet into the stack. The owner wires the
-// netsim port's handler to this method. A segment that reaches a running
-// stack is recycled once handled; one that reaches a frozen stack is
-// lost on the wire and left to the GC.
+// netsim port's handler to this method. It demultiplexes by the packet's
+// source id, so pkt.SrcID must be resolved on the stack's fabric (the
+// fabric's deliveries are). A segment that reaches a running stack is
+// recycled once handled; one that reaches a frozen stack is lost on the
+// wire and left to the GC.
 func (s *Stack) Deliver(pkt netsim.Packet) {
 	if s.frozen {
 		return // paused guest: lost on the wire
@@ -244,11 +296,10 @@ func (s *Stack) Deliver(pkt netsim.Packet) {
 		return
 	}
 	s.SegmentsRcvd++
-	key := ConnKey{LocalPort: seg.DstPort, RemoteAddr: pkt.Src, RemotePort: seg.SrcPort}
-	if c, ok := s.conns[key]; ok {
+	if c := s.demux(seg.DstPort, pkt.SrcID, seg.SrcPort); c != nil {
 		c.handle(seg)
 	} else {
-		s.handleUnbound(key, pkt.Src, seg)
+		s.handleUnbound(pkt, seg)
 	}
 	s.recycle(seg)
 }
@@ -256,18 +307,19 @@ func (s *Stack) Deliver(pkt netsim.Packet) {
 // handleUnbound answers a segment that matches no connection: a SYN to a
 // listening port creates one; anything else but an RST is answered with
 // an RST.
-func (s *Stack) handleUnbound(key ConnKey, src netsim.Addr, seg *Segment) {
+func (s *Stack) handleUnbound(pkt netsim.Packet, seg *Segment) {
 	if seg.Flags.Has(FlagSYN) && !seg.Flags.Has(FlagACK) {
 		if _, listening := s.listeners[seg.DstPort]; listening {
 			c := &Conn{
 				stack:     s,
-				key:       key,
+				key:       ConnKey{LocalPort: seg.DstPort, RemoteAddr: pkt.Src, RemotePort: seg.SrcPort},
+				peer:      pkt.SrcID,
 				state:     StateSynRcvd,
 				rcvNxt:    1,
 				rto:       s.cfg.InitialRTO,
 				timerLeft: -1,
 			}
-			s.conns[key] = c
+			s.bind(c)
 			c.sendCtl(FlagSYN|FlagACK, 0, 1)
 			c.armTimer(c.rto)
 			return
@@ -276,7 +328,7 @@ func (s *Stack) handleUnbound(key ConnKey, src netsim.Addr, seg *Segment) {
 	if !seg.Flags.Has(FlagRST) {
 		rst := s.newSegment()
 		*rst = Segment{SrcPort: seg.DstPort, DstPort: seg.SrcPort, Flags: FlagRST, Seq: seg.Ack, Ack: seg.Seq}
-		s.transmit(src, rst)
+		s.transmit(pkt.Src, pkt.SrcID, rst)
 	}
 }
 
@@ -288,10 +340,9 @@ func (s *Stack) Freeze() {
 		return
 	}
 	s.frozen = true
-	// Sorted order: freeze cancels retransmission timers, and cancelling
-	// kernel events in randomized map order would perturb replay
-	// (dvclint: mapiter).
-	for _, c := range s.Conns() {
+	// Key order: freeze cancels retransmission timers, and the order
+	// kernel events are touched in must not vary from run to run.
+	for _, c := range s.conns {
 		c.freeze()
 	}
 }
@@ -302,9 +353,9 @@ func (s *Stack) Thaw() {
 		return
 	}
 	s.frozen = false
-	// Sorted order: thaw re-arms timers, i.e. schedules kernel events,
-	// whose sequence numbers must not depend on map order.
-	for _, c := range s.Conns() {
+	// Key order: thaw re-arms timers, i.e. schedules kernel events,
+	// whose sequence numbers must not depend on table history.
+	for _, c := range s.conns {
 		c.thaw()
 	}
 }

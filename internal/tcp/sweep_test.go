@@ -43,7 +43,7 @@ func snapshotCase(seed int64, cutMicros uint16) bool {
 	pb := fab.Attach("B", "c", sb.Deliver)
 	var cb *Conn
 	sb.Listen(1, func(c *Conn) { cb = c })
-	ca := sa.Connect("B", 1)
+	ca, _ := sa.Connect("B", 1)
 	k.RunFor(sim.Second)
 	msg := make([]byte, 20000)
 	for i := range msg {

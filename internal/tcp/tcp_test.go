@@ -34,7 +34,7 @@ func newPair(t *testing.T, cfg Config) *pair {
 // connect establishes a conn from A to B:5000 and returns both ends.
 func (p *pair) connect(t *testing.T) (*Conn, *Conn) {
 	t.Helper()
-	ca := p.sa.Connect("B", 5000)
+	ca, _ := p.sa.Connect("B", 5000)
 	p.k.RunFor(sim.Second)
 	if ca.State() != StateEstablished {
 		t.Fatalf("client state = %v, want Established", ca.State())
@@ -54,7 +54,7 @@ func drain(c *Conn) []byte { return c.Read(c.Readable()) }
 func TestHandshake(t *testing.T) {
 	p := newPair(t, DefaultConfig())
 	established := false
-	ca := p.sa.Connect("B", 5000)
+	ca, _ := p.sa.Connect("B", 5000)
 	ca.OnEstablished = func() { established = true }
 	p.k.RunFor(sim.Second)
 	if !established {
@@ -308,7 +308,7 @@ func TestAbortSendsRST(t *testing.T) {
 
 func TestConnectToNonListeningPortResets(t *testing.T) {
 	p := newPair(t, DefaultConfig())
-	ca := p.sa.Connect("B", 9999)
+	ca, _ := p.sa.Connect("B", 9999)
 	var gotErr error
 	ca.OnError = func(err error) { gotErr = err }
 	p.k.RunFor(sim.Second)
@@ -328,7 +328,7 @@ func TestLostSYNIsRetried(t *testing.T) {
 		}
 		return false
 	}
-	ca := p.sa.Connect("B", 5000)
+	ca, _ := p.sa.Connect("B", 5000)
 	p.k.RunFor(5 * sim.Second)
 	if ca.State() != StateEstablished {
 		t.Fatalf("state = %v after SYN loss, want Established", ca.State())
@@ -346,7 +346,7 @@ func TestLostSYNACKIsRecoveredByDupSYN(t *testing.T) {
 		}
 		return false
 	}
-	ca := p.sa.Connect("B", 5000)
+	ca, _ := p.sa.Connect("B", 5000)
 	p.k.RunFor(5 * sim.Second)
 	if ca.State() != StateEstablished {
 		t.Fatalf("state = %v after SYN|ACK loss", ca.State())
@@ -595,7 +595,7 @@ func TestEphemeralPortsUnique(t *testing.T) {
 	p := newPair(t, DefaultConfig())
 	seen := map[uint16]bool{}
 	for i := 0; i < 100; i++ {
-		c := p.sa.Connect("B", 5000)
+		c, _ := p.sa.Connect("B", 5000)
 		if seen[c.Key().LocalPort] {
 			t.Fatalf("duplicate ephemeral port %d", c.Key().LocalPort)
 		}
@@ -665,7 +665,7 @@ func TestStackNeverRebindsAKey(t *testing.T) {
 	}
 	check("reset")
 	// A fresh SYN on the dead connection's exact key.
-	p.sb.Deliver(netsim.Packet{Src: "A", Dst: "B", Size: HeaderSize, Payload: &Segment{
+	p.sb.Deliver(netsim.Packet{Src: "A", Dst: "B", SrcID: p.fabric.Endpoint("A"), Size: HeaderSize, Payload: &Segment{
 		SrcPort: ca.Key().LocalPort, DstPort: 5000, Flags: FlagSYN,
 	}})
 	p.k.RunFor(sim.Second)
