@@ -11,7 +11,7 @@ import (
 // simulation world), and until now the rule "kernels never cross
 // goroutines" lived in a comment in rules.go. This analyzer checks it:
 // a function literal passed to a fleet entry point (fleet.Map, the
-// experiments wrapper forEachTrial, or partition.Coordinator.Run) must
+// experiments trial runner sweep, or partition.Coordinator.Run) must
 // not capture a variable whose type reaches simulation kernel state —
 // sim.Kernel, sim.Timer, or math/rand.Rand, directly or through struct
 // fields, pointers, slices, arrays or maps.
@@ -28,7 +28,7 @@ import (
 // rule via their receiver.
 var FleetScope = &Analyzer{
 	Name: "fleetscope",
-	Doc: "closures passed to fleet.Map/forEachTrial must not capture kernel " +
+	Doc: "closures passed to fleet.Map/sweep must not capture kernel " +
 		"state (sim.Kernel, sim.Timer, *rand.Rand) across goroutines",
 	Run: runFleetScope,
 }
@@ -42,7 +42,7 @@ var FleetScope = &Analyzer{
 // protocol, not capture analysis, is what orders it.
 var fleetEntryPoints = map[string]map[string]bool{
 	"dvc/internal/fleet":         nil, // every exported func fans out
-	"dvc/internal/experiments":   {"forEachTrial": true},
+	"dvc/internal/experiments":   {"sweep": true},
 	"dvc/internal/sim/partition": {"Run": true}, // drivers run on partition goroutines
 }
 

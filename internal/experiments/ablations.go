@@ -24,57 +24,39 @@ func init() {
 // point of the last column.)
 func runA1(opts Options) *Result {
 	res := &Result{}
-	trials := opts.Trials
-	if trials == 0 {
-		trials = 8
-	}
+	trials := opts.trials(8, 0)
 	const nodes = 10 // the paper's 50% point at the default budget
 
 	tbl := metrics.NewTable(fmt.Sprintf("A1: naive LSC failure at %d nodes vs TCP retry budget", nodes),
 		"max-retries", "retry budget", "naive fail%", "ntp fail%")
-	// Flatten the (retries, trial) × {naive, ntp} matrix into one trial
-	// list in serial emission order — for each budget, for each trial,
-	// naive then ntp — and fan it across the fleet pool. Each budget's
-	// tcp.Config lives once and is shared read-only by its trial closures.
+	// One cell per (retry budget, coordinator). The naive and NTP arms
+	// are deliberately unpaired: the NTP arm's seeds sit 500 above.
+	type cell struct {
+		retries int
+		ntp     bool
+	}
+	var cells []cell
 	retriesList := []int{2, 4, 6}
-	type a1Spec struct {
-		seed int64
-		o    bedOptions
+	for _, retries := range retriesList {
+		cells = append(cells, cell{retries, false}, cell{retries, true})
 	}
-	var specs []a1Spec
-	budgets := make([]sim.Time, len(retriesList))
-	for ri, retries := range retriesList {
+	outs := sweep(opts, cells, trials, func(c cell, trial int, _ *obs.Tracer) trialResult {
 		cfg := tcp.DefaultConfig()
-		cfg.MaxRetries = retries
-		budgets[ri] = cfg.RetryBudget(cfg.InitialRTO)
-		for trial := 0; trial < trials; trial++ {
-			specs = append(specs, a1Spec{
-				seed: opts.Seed + int64(retries*1000+trial),
-				o:    bedOptions{lsc: core.DefaultNaiveLSC(), tcpCfg: &cfg},
-			})
-			specs = append(specs, a1Spec{
-				seed: opts.Seed + int64(retries*1000+trial+500),
-				o:    bedOptions{lsc: core.DefaultNTPLSC(), ntp: true, tcpCfg: &cfg},
-			})
+		cfg.MaxRetries = c.retries
+		seed := opts.Seed + int64(c.retries*1000+trial)
+		o := bedOptions{lsc: core.DefaultNaiveLSC(), tcpCfg: &cfg}
+		if c.ntp {
+			seed += 500
+			o = bedOptions{lsc: core.DefaultNTPLSC(), ntp: true, tcpCfg: &cfg}
 		}
-	}
-	outs := forEachTrial(opts, len(specs), func(i int, _ *obs.Tracer) trialResult {
-		return lscTrial(specs[i].seed, nodes, specs[i].o, halo(1500))
+		return lscTrial(seed, nodes, o, halo(1500))
 	})
 	failAt := map[int]float64{}
 	for ri, retries := range retriesList {
-		naiveFails, ntpFails := 0, 0
-		base := ri * 2 * trials
-		for trial := 0; trial < trials; trial++ {
-			if !outs[base+2*trial].ok {
-				naiveFails++
-			}
-			if !outs[base+2*trial+1].ok {
-				ntpFails++
-			}
-		}
-		failAt[retries] = pct(naiveFails, trials)
-		tbl.Row(retries, budgets[ri], failAt[retries], pct(ntpFails, trials))
+		cfg := tcp.DefaultConfig()
+		cfg.MaxRetries = retries
+		failAt[retries] = failPct(outs[2*ri])
+		tbl.Row(retries, cfg.RetryBudget(cfg.InitialRTO), failAt[retries], failPct(outs[2*ri+1]))
 	}
 	res.table(tbl, opts.out())
 
@@ -91,10 +73,7 @@ func runA1(opts Options) *Result {
 // i.e. for clocks so bad no one would call them synchronised.
 func runA2(opts Options) *Result {
 	res := &Result{}
-	trials := opts.Trials
-	if trials == 0 {
-		trials = 8
-	}
+	trials := opts.trials(8, 0)
 	const nodes = 12
 
 	tbl := metrics.NewTable(fmt.Sprintf("A2: NTP-scheduled LSC at %d nodes vs clock residual error", nodes),
@@ -106,38 +85,20 @@ func runA2(opts Options) *Result {
 		800 * sim.Millisecond,  // barely disciplined
 		2 * sim.Second,         // effectively unsynchronised
 	}
-	// Flatten the (residual, trial) sweep and fan it across the fleet
-	// pool; each residual's NTP config lives once and is shared read-only
-	// by its trial closures. Aggregation walks the results in the serial
-	// loop's order, so the table is identical at any pool size.
-	type a2Spec struct {
-		seed int64
-		o    bedOptions
-	}
-	var specs []a2Spec
-	for _, residual := range residuals {
+	outs := sweep(opts, residuals, trials, func(residual sim.Time, trial int, _ *obs.Tracer) trialResult {
 		ntpCfg := clock.DefaultNTPConfig()
 		ntpCfg.ResidualStd = residual
-		for trial := 0; trial < trials; trial++ {
-			o := bedOptions{lsc: core.DefaultNTPLSC(), ntp: true, ntpCfg: &ntpCfg}
-			// The save instant must sit beyond the worst clock error.
-			o.lsc.ScheduleLead = 2*sim.Second + 8*residual
-			specs = append(specs, a2Spec{seed: opts.Seed + int64(residual) + int64(trial), o: o})
-		}
-	}
-	outs := forEachTrial(opts, len(specs), func(i int, _ *obs.Tracer) trialResult {
-		return lscTrial(specs[i].seed, nodes, specs[i].o, halo(1500))
+		o := bedOptions{lsc: core.DefaultNTPLSC(), ntp: true, ntpCfg: &ntpCfg}
+		// The save instant must sit beyond the worst clock error.
+		o.lsc.ScheduleLead = 2*sim.Second + 8*residual
+		return lscTrial(opts.Seed+int64(residual)+int64(trial), nodes, o, halo(1500))
 	})
 	for ri, residual := range residuals {
-		failures := 0
 		var skew metrics.Sample
-		for _, r := range outs[ri*trials : (ri+1)*trials] {
-			if !r.ok {
-				failures++
-			}
+		for _, r := range outs[ri] {
 			skew.AddTime(r.ckpt.SaveSkew)
 		}
-		fails[residual] = pct(failures, trials)
+		fails[residual] = failPct(outs[ri])
 		tbl.Row(residual, fmtSeconds(skew.Mean()), fails[residual])
 	}
 	res.table(tbl, opts.out())
@@ -149,4 +110,15 @@ func runA2(opts Options) *Result {
 	res.check("unsynchronised clocks break LSC", fails[residuals[3]] > 0,
 		"%.0f%% at 2s residual", fails[residuals[3]])
 	return res
+}
+
+// failPct is the percentage of trials that failed.
+func failPct(trials []trialResult) float64 {
+	failures := 0
+	for _, r := range trials {
+		if !r.ok {
+			failures++
+		}
+	}
+	return pct(failures, len(trials))
 }

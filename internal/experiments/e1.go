@@ -18,13 +18,7 @@ func init() {
 // nodes failing 90% of the time."
 func runE1(opts Options) *Result {
 	res := &Result{}
-	trials := opts.Trials
-	if trials == 0 {
-		trials = 10
-	}
-	if opts.Full {
-		trials = 40
-	}
+	trials := opts.trials(10, 40)
 	lsc := core.DefaultNaiveLSC()
 	budget := tcp.DefaultConfig().RetryBudget(tcp.DefaultConfig().InitialRTO)
 
@@ -32,17 +26,13 @@ func runE1(opts Options) *Result {
 		"nodes", "trials", "failures", "fail%", "skew.mean", "skew.max")
 	failPct := map[int]float64{}
 	sizes := []int{2, 4, 6, 8, 10, 12}
-	// One flat (size, trial) fleet: every trial is an independent kernel,
-	// so the whole sweep fans across the pool; aggregation below walks the
-	// results in the exact order of the old nested serial loop.
-	results := forEachTrial(opts, len(sizes)*trials, func(i int, _ *obs.Tracer) trialResult {
-		n, trial := sizes[i/trials], i%trials
+	results := sweep(opts, sizes, trials, func(n, trial int, _ *obs.Tracer) trialResult {
 		return lscTrial(opts.Seed+int64(1000*n+trial), n, bedOptions{lsc: lsc}, halo(1500))
 	})
 	for si, n := range sizes {
 		failures := 0
 		var skew metrics.Sample
-		for _, r := range results[si*trials : (si+1)*trials] {
+		for _, r := range results[si] {
 			if !r.ok {
 				failures++
 			}

@@ -27,13 +27,7 @@ func init() {
 func runE10(opts Options) *Result {
 	res := &Result{}
 	const sleeperFail = 0.002
-	trials := opts.Trials
-	if trials == 0 {
-		trials = 10
-	}
-	if opts.Full {
-		trials = 30
-	}
+	trials := opts.trials(10, 30)
 
 	tbl := metrics.NewTable(fmt.Sprintf("E10: checkpoint-set success vs size (per-VM sleeper failure %.1f%%)", 100*sleeperFail),
 		"VMs", "analytic (1-p)^n", "no health-check", "health-check", "mean attempts")
@@ -42,66 +36,52 @@ func runE10(opts Options) *Result {
 	if opts.Full {
 		sizes = append(sizes, 512, 1024)
 	}
-	// Flatten the (size, health, trial) sweep into one trial list in the
-	// serial emission order — for each size, all plain trials then all
-	// health-checked trials — and fan it across the fleet pool. Each trial
-	// is a self-contained bed, so the whole sweep parallelises.
-	type e10Spec struct {
+	// One cell per (size, health check), each with its own seed base:
+	// the plain and health-checked arms are deliberately unpaired.
+	type cell struct {
 		n      int
 		health bool
 		seed   int64
 	}
-	type e10Trial struct {
-		ok       bool
-		attempts int
-	}
-	var specs []e10Spec
+	var cells []cell
 	for _, n := range sizes {
-		for trial := 0; trial < trials; trial++ {
-			specs = append(specs, e10Spec{n, false, opts.Seed + int64(100000*n) + int64(trial)})
-		}
-		for trial := 0; trial < trials; trial++ {
-			specs = append(specs, e10Spec{n, true, opts.Seed + int64(200000*n) + int64(trial)})
-		}
+		cells = append(cells, cell{n, false, opts.Seed + int64(100000*n)}, cell{n, true, opts.Seed + int64(200000*n)})
 	}
-	outs := forEachTrial(opts, len(specs), func(i int, _ *obs.Tracer) e10Trial {
-		s := specs[i]
+	outs := sweep(opts, cells, trials, func(c cell, trial int, _ *obs.Tracer) int {
 		lsc := core.DefaultNTPLSC()
 		lsc.SleeperFailProb = sleeperFail
-		lsc.HealthCheck = s.health
+		lsc.HealthCheck = c.health
 		lsc.HealthRetries = 20
-		b := newBed(s.seed, map[string]int{"alpha": s.n}, lsc, true)
+		b := newBed(c.seed+int64(trial), map[string]int{"alpha": c.n}, lsc, true)
 		// Idle VCs: at this scale the coordination failure mode is
 		// independent of guest traffic, and idle guests keep the
 		// sweep tractable.
-		vc := b.allocate("e10", s.n, guest.WatchdogConfig{})
-		r, _ := b.Checkpoint(vc, 30*sim.Minute)
-		out := e10Trial{}
-		if r != nil && r.OK {
-			out.ok = true
-			out.attempts = r.Attempts
+		vc := b.allocate("e10", c.n, guest.WatchdogConfig{})
+		attempts := 0 // a failed checkpoint counts none
+		if r, _ := b.Checkpoint(vc, 30*sim.Minute); r != nil && r.OK {
+			attempts = r.Attempts
 		}
 		vc.Release()
-		return out
+		return attempts
 	})
-	tally := func(rs []e10Trial) (ok int, attempts float64) {
-		for _, r := range rs {
-			if r.ok {
+	// tally counts a cell's successful trials and their mean attempts.
+	tally := func(attempts []int) (ok int, mean float64) {
+		for _, a := range attempts {
+			if a > 0 {
 				ok++
-				attempts += float64(r.attempts)
+				mean += float64(a)
 			}
 		}
 		if ok > 0 {
-			attempts /= float64(ok)
+			mean /= float64(ok)
 		}
-		return ok, attempts
+		return ok, mean
 	}
 	noHC := map[int]float64{}
 	withHC := map[int]float64{}
 	for si, n := range sizes {
-		base := si * 2 * trials
-		okPlain, _ := tally(outs[base : base+trials])
-		okHC, att := tally(outs[base+trials : base+2*trials])
+		okPlain, _ := tally(outs[2*si])
+		okHC, att := tally(outs[2*si+1])
 		noHC[n] = pct(okPlain, trials)
 		withHC[n] = pct(okHC, trials)
 		analytic := 100 * pow1p(1-sleeperFail, n)

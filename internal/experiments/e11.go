@@ -5,6 +5,7 @@ import (
 	"dvc/internal/hpcc"
 	"dvc/internal/metrics"
 	"dvc/internal/mpi"
+	"dvc/internal/obs"
 	"dvc/internal/sim"
 )
 
@@ -23,24 +24,45 @@ func runE11(opts Options) *Result {
 	tbl := metrics.NewTable("E11: whole-VC migration (VM RAM 256 MiB, shared store 200 MB/s)",
 		"VC size", "save skew", "store", "stage", "downtime", "job outcome")
 
-	type migOut struct {
-		downtime sim.Time
-		ok       bool
+	// One cell per VC size, plus the proactive run: a predicted fault
+	// triggers migration; the node then dies, and the job never notices.
+	sizes := []int{2, 4, 8}
+	if opts.Full {
+		sizes = append(sizes, 16)
 	}
-	migrate := func(n int, seed int64) migOut {
-		lsc := core.DefaultNTPLSC()
-		b := newBed(seed, map[string]int{"alpha": n, "beta": n}, lsc, true)
-		vc, err := b.Manager.Allocate(core.VCSpec{Name: "mig", Nodes: n, VMRAM: vmRAM, Clusters: []string{"alpha"}}, nil)
-		if err != nil {
-			panic(err)
+	const proactive = 0
+	type migOut struct {
+		moved             bool // the migration committed
+		skew, store, down sim.Time
+		ok                bool // the job outcome
+	}
+	outs := sweep(opts, append(sizes, proactive), 1, func(n, _ int, _ *obs.Tracer) migOut {
+		app := func(int) mpi.App { return hpcc.NewHalo(4000, 20*sim.Millisecond, 2048) }
+		if n == proactive {
+			b, vc := migrationBed(opts.Seed+777, "pro", 4, app, 2*sim.Second)
+			// Fault predictor fires: alpha-n00 will die in 60 s — enough
+			// lead time for the migration (downtime ~13 s) to finish
+			// first, while the ~90 s job is still running when the node
+			// dies.
+			doomed, _ := b.Site.Node("alpha-n00")
+			b.Kernel.After(60*sim.Second, func() { doomed.Fail() })
+			var r *core.CheckpointResult
+			b.Coord.Migrate(vc, b.Site.UpNodes("beta"), func(cr *core.CheckpointResult) { r = cr })
+			js := b.RunUntilJobDone(vc, 2*sim.Hour)
+			if r == nil || !r.OK || !js.AllOK() {
+				return migOut{}
+			}
+			for _, app := range vc.RankApps() {
+				if h, ok := app.(*hpcc.Halo); !ok || !h.Finished {
+					return migOut{}
+				}
+			}
+			return migOut{ok: !doomed.Up()} // the fault did happen; the job survived it
 		}
-		b.Kernel.RunFor(30 * sim.Second)
-		vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(4000, 20*sim.Millisecond, 2048) })
-		b.Kernel.RunFor(2 * sim.Second)
+		b, vc := migrationBed(opts.Seed+int64(n), "mig", n, app, 2*sim.Second)
 		r, err := b.Migrate(vc, b.Site.UpNodes("beta"), 30*sim.Minute)
-		out := migOut{}
 		if err != nil || !r.OK {
-			return out
+			return migOut{}
 		}
 		onBeta := true
 		for _, node := range vc.PhysicalNodes() {
@@ -49,68 +71,26 @@ func runE11(opts Options) *Result {
 			}
 		}
 		js := b.RunUntilJobDone(vc, 2*sim.Hour)
-		out.ok = onBeta && js.AllOK()
-		out.downtime = r.Downtime
-		tbl.Row(n, r.SaveSkew, r.StoreTime, "-", r.Downtime, outcomeStr(out.ok))
-		return out
-	}
-
-	sizes := []int{2, 4, 8}
-	if opts.Full {
-		sizes = append(sizes, 16)
-	}
-	outs := map[int]migOut{}
-	for _, n := range sizes {
-		outs[n] = migrate(n, opts.Seed+int64(n))
-	}
-
-	// Proactive fault avoidance: a predicted fault triggers migration;
-	// the node then dies, and the job never notices.
-	proactive := func(seed int64) bool {
-		lsc := core.DefaultNTPLSC()
-		b := newBed(seed, map[string]int{"alpha": 4, "beta": 4}, lsc, true)
-		vc, err := b.Manager.Allocate(core.VCSpec{Name: "pro", Nodes: 4, VMRAM: vmRAM, Clusters: []string{"alpha"}}, nil)
-		if err != nil {
-			panic(err)
+		return migOut{moved: true, skew: r.SaveSkew, store: r.StoreTime, down: r.Downtime, ok: onBeta && js.AllOK()}
+	})
+	allOK := true
+	downtime := map[int]sim.Time{}
+	for i, n := range sizes {
+		o := outs[i][0]
+		if o.moved {
+			tbl.Row(n, o.skew, o.store, "-", o.down, outcomeStr(o.ok))
 		}
-		b.Kernel.RunFor(30 * sim.Second)
-		vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(4000, 20*sim.Millisecond, 2048) })
-		b.Kernel.RunFor(2 * sim.Second)
-
-		// Fault predictor fires: alpha-n00 will die in 60 s — enough
-		// lead time for the migration (downtime ~13 s) to finish first,
-		// while the ~90 s job is still running when the node dies.
-		doomed, _ := b.Site.Node("alpha-n00")
-		b.Kernel.After(60*sim.Second, func() { doomed.Fail() })
-		var r *core.CheckpointResult
-		b.Coord.Migrate(vc, b.Site.UpNodes("beta"), func(cr *core.CheckpointResult) { r = cr })
-		js := b.RunUntilJobDone(vc, 2*sim.Hour)
-		if r == nil || !r.OK || !js.AllOK() {
-			return false
-		}
-		for _, app := range vc.RankApps() {
-			if h, ok := app.(*hpcc.Halo); !ok || !h.Finished {
-				return false
-			}
-		}
-		return !doomed.Up() // the fault did happen; the job survived it
+		downtime[n] = o.down
+		allOK = allOK && o.ok
 	}
-	proOK := proactive(opts.Seed + 777)
+	proOK := outs[len(sizes)][0].ok
 	tbl.Row("4 (proactive)", "-", "-", "-", "-", outcomeStr(proOK))
 	res.table(tbl, opts.out())
 
-	// AND-reduction over the outcome set. Writing only the constant
-	// `false` keeps the loop order-independent (dvclint: mapiter).
-	allOK := proOK
-	for _, o := range outs {
-		if !o.ok {
-			allOK = false
-		}
-	}
-	res.check("every migration lands on the target cluster and the job completes", allOK, "")
+	res.check("every migration lands on the target cluster and the job completes", allOK && proOK, "")
 	res.check("downtime grows with VC size (shared store is the bottleneck)",
-		outs[8].downtime > outs[2].downtime,
-		"8 VMs: %v vs 2 VMs: %v", outs[8].downtime, outs[2].downtime)
+		downtime[8] > downtime[2],
+		"8 VMs: %v vs 2 VMs: %v", downtime[8], downtime[2])
 	res.check("proactive migration hides a predicted fault", proOK, "")
 	return res
 }

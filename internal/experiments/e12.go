@@ -5,6 +5,7 @@ import (
 
 	"dvc/internal/metrics"
 	"dvc/internal/netsim"
+	"dvc/internal/obs"
 	"dvc/internal/sim"
 )
 
@@ -27,16 +28,27 @@ func init() {
 func runE12(opts Options) *Result {
 	res := &Result{}
 
-	// Microbenchmark both fabrics (native endpoints isolate the fabric).
-	latEth, bwEth := runPingPong(opts.Seed, false, netsim.EthernetGigE())
-	latIB, bwIB := runPingPong(opts.Seed, false, netsim.InfinibandDDR())
-	// Virtualised endpoints on both fabrics.
-	latEthV, bwEthV := runPingPong(opts.Seed, true, netsim.EthernetGigE())
-	latIBV, bwIBV := runPingPong(opts.Seed, true, netsim.InfinibandDDR())
+	// Microbenchmark both fabrics, with native endpoints (which isolate
+	// the fabric) and virtualised ones.
+	type ppArm struct {
+		virt    bool
+		profile netsim.LinkProfile
+	}
+	eth, ib := netsim.EthernetGigE(), netsim.InfinibandDDR()
+	pp := sweep(opts, []ppArm{{false, eth}, {false, ib}, {true, eth}, {true, ib}}, 1, func(a ppArm, _ int, _ *obs.Tracer) perf {
+		return runPingPong(opts.Seed, a.virt, a.profile)
+	})
+	latEth, bwEth := pp[0][0].t, pp[0][0].bw
+	latIB, bwIB := pp[1][0].t, pp[1][0].bw
+	latEthV, bwEthV := pp[2][0].t, pp[2][0].bw
+	latIBV, bwIBV := pp[3][0].t, pp[3][0].bw
 
-	// LSC safety: reliable in-kernel transport vs OS-bypass at a cut.
-	tcpCut := runCutScenario(opts.Seed, false) // TCP path (fabric-independent mechanics)
-	rawCut := runUnreliableCut(opts.Seed)      // verbs-style path
+	// LSC safety: the reliable in-kernel transport (fabric-independent
+	// mechanics) vs the verbs-style OS-bypass path at a cut.
+	cuts := sweep(opts, []cutArm{{}, {udp: true}}, 1, func(a cutArm, _ int, _ *obs.Tracer) cutOutcome {
+		return a.run(opts.Seed)
+	})
+	tcpCut, rawCut := cuts[0][0], cuts[1][0]
 
 	tbl := metrics.NewTable("E12: fabric and transport choices",
 		"configuration", "half-RTT", "bandwidth", "snapshot-consistent")

@@ -7,6 +7,7 @@ import (
 	"dvc/internal/hpcc"
 	"dvc/internal/metrics"
 	"dvc/internal/mpi"
+	"dvc/internal/obs"
 	"dvc/internal/phys"
 	"dvc/internal/sim"
 )
@@ -24,66 +25,45 @@ func runE13(opts Options) *Result {
 	res := &Result{}
 	const nodes = 4
 
-	type out struct {
-		down   sim.Time
-		total  sim.Time
-		rounds int
-		copied int64
-		ok     bool
+	// One cell per (dirty rate, method); each rate's two methods share
+	// a seed.
+	type cell struct {
+		rate        float64
+		seed        int64
+		live, delta bool
 	}
-	run := func(seed int64, dirtyRate float64, live bool) out {
-		b := newBed(seed, map[string]int{"alpha": nodes, "beta": nodes}, coreNTP(), true)
-		vc, err := b.Manager.Allocate(core.VCSpec{Name: "m", Nodes: nodes, VMRAM: vmRAM, Clusters: []string{"alpha"}}, nil)
-		if err != nil {
-			panic(err)
-		}
-		b.Kernel.RunFor(30 * sim.Second)
-		vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(1<<20, 20*sim.Millisecond, 1024) })
-		b.Kernel.RunFor(sim.Second)
+	app := func(int) mpi.App { return hpcc.NewHalo(1<<20, 20*sim.Millisecond, 1024) }
+	var cells []cell
+	for i, rate := range []float64{5e6, 40e6, 100e6} {
+		seed := opts.Seed + int64(i)
+		cells = append(cells, cell{rate, seed, false, false}, cell{rate, seed, true, false})
+	}
+	lan := sweep(opts, cells, 1, func(c cell, _ int, _ *obs.Tracer) migration {
+		b, vc := migrationBed(c.seed, "m", nodes, app, sim.Second)
 		for _, d := range vc.Domains() {
-			d.SetDirtyRate(dirtyRate)
+			d.SetDirtyRate(c.rate)
 		}
-		targets := b.Site.UpNodes("beta")
-		o := out{}
-		if live {
-			r, err := b.LiveMigrate(vc, targets, 30*sim.Minute)
-			if err == nil && r.OK {
-				o = out{down: r.Downtime, total: r.TotalTime, rounds: r.Rounds, copied: r.BytesCopied, ok: true}
-			}
-		} else {
-			start := b.Kernel.Now()
-			r, err := b.Migrate(vc, targets, 30*sim.Minute)
-			if err == nil && r.OK {
-				copied := int64(0)
-				for _, img := range r.Images {
-					copied += 2 * img.SizeBytes() // store write + read
-				}
-				o = out{down: r.Downtime, total: r.FinishedAt - start, rounds: 1, copied: copied, ok: true}
+		m := b.migrate(vc, b.Site.UpNodes("beta"), c.live, 30*sim.Minute)
+		// The guests must land on beta either way.
+		for _, node := range vc.PhysicalNodes() {
+			if node.Cluster() != "beta" {
+				m.ok = false
 			}
 		}
-		// The guests must survive either way.
-		if o.ok {
-			for _, node := range vc.PhysicalNodes() {
-				if node.Cluster() != "beta" {
-					o.ok = false
-				}
-			}
-		}
-		return o
-	}
+		return m
+	})
 
 	tbl := metrics.NewTable(fmt.Sprintf("E13: migrating a running %d-VM cluster (%d MiB guests)", nodes, vmRAM>>20),
 		"guest dirty rate", "method", "downtime", "total", "rounds", "bytes moved")
-	outs := map[string]out{}
-	for i, rate := range []float64{5e6, 40e6, 100e6} {
-		stop := run(opts.Seed+int64(i), rate, false)
-		live := run(opts.Seed+int64(i), rate, true)
-		key := fmt.Sprintf("%.0f", rate/1e6)
-		outs["stop"+key] = stop
-		outs["live"+key] = live
-		label := fmt.Sprintf("%.0f MB/s", rate/1e6)
-		tbl.Row(label, "stop-and-copy", stop.down, stop.total, stop.rounds, fmtBytes(stop.copied))
-		tbl.Row(label, "pre-copy live", live.down, live.total, live.rounds, fmtBytes(live.copied))
+	outs := map[string]migration{}
+	for i, c := range cells {
+		o := lan[i][0]
+		method, key := "stop-and-copy", "stop"
+		if c.live {
+			method, key = "pre-copy live", "live"
+		}
+		outs[fmt.Sprintf("%s%.0f", key, c.rate/1e6)] = o
+		tbl.Row(fmt.Sprintf("%.0f MB/s", c.rate/1e6), method, o.down, o.total, o.rounds, fmtBytes(o.copied))
 	}
 	res.table(tbl, opts.out())
 
@@ -103,60 +83,40 @@ func runE13(opts Options) *Result {
 	// 100 MB/s WAN, where every elided byte matters. The delta variant
 	// folds the page table before the first round and skips chunks
 	// nobody ever dirtied (golden-image template, zeroed RAM).
-	type wanOut struct {
-		down    sim.Time
-		copied  int64
-		skipped int64
-		ok      bool
+	var wanCells []cell
+	for i, rate := range []float64{5e6, 40e6} {
+		seed := opts.Seed + 10 + int64(i)
+		wanCells = append(wanCells, cell{rate, seed, false, false}, cell{rate, seed, true, false}, cell{rate, seed, true, true})
 	}
-	runWAN := func(seed int64, dirtyRate float64, live, delta bool) wanOut {
-		lsc := coreNTP()
-		lsc.Delta = delta
-		b := makeBed(seed, bedOptions{topo: wanTopo(nodes), lsc: lsc, ntp: true})
-		src, dst := phys.ClusterName(0, 0), phys.ClusterName(1, 0)
-		vc, err := b.Manager.Allocate(core.VCSpec{Name: "wm", Nodes: nodes, VMRAM: vmRAM, Clusters: []string{src}}, nil)
-		if err != nil {
-			panic(err)
-		}
+	wan := sweep(opts, wanCells, 1, func(c cell, _ int, _ *obs.Tracer) migration {
+		lsc := core.DefaultNTPLSC()
+		lsc.Delta = c.delta
+		b := makeBed(c.seed, bedOptions{topo: wanTopo(nodes), lsc: lsc, ntp: true})
+		vc := b.allocateOn("wm", nodes, phys.ClusterName(0, 0))
+		// The dirty rate is set before boot here, after it on the LAN.
 		for _, d := range vc.Domains() {
-			d.SetDirtyRate(dirtyRate)
+			d.SetDirtyRate(c.rate)
 		}
 		b.Kernel.RunFor(30 * sim.Second)
-		vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(1<<20, 20*sim.Millisecond, 1024) })
+		launch(vc, app)
 		b.Kernel.RunFor(sim.Second)
-		targets := b.Site.UpNodes(dst)
-		o := wanOut{}
-		if live {
-			r, err := b.LiveMigrate(vc, targets, 60*sim.Minute)
-			if err == nil && r.OK {
-				o = wanOut{down: r.Downtime, copied: r.BytesCopied, skipped: r.BytesSkipped, ok: true}
-			}
-		} else {
-			r, err := b.Migrate(vc, targets, 60*sim.Minute)
-			if err == nil && r.OK {
-				copied := int64(0)
-				for _, img := range r.Images {
-					copied += 2 * img.SizeBytes()
-				}
-				o = wanOut{down: r.Downtime, copied: copied, ok: true}
-			}
-		}
-		return o
-	}
+		return b.migrate(vc, b.Site.UpNodes(phys.ClusterName(1, 0)), c.live, 60*sim.Minute)
+	})
 
 	wtbl := metrics.NewTable(fmt.Sprintf("E13b: the same %d-VM migration across a 2-datacenter WAN (100 MB/s, 2.5 ms)", nodes),
 		"guest dirty rate", "method", "downtime", "bytes moved", "bytes skipped")
-	wans := map[string]wanOut{}
-	for i, rate := range []float64{5e6, 40e6} {
-		stop := runWAN(opts.Seed+10+int64(i), rate, false, false)
-		live := runWAN(opts.Seed+10+int64(i), rate, true, false)
-		deltaO := runWAN(opts.Seed+10+int64(i), rate, true, true)
-		key := fmt.Sprintf("%.0f", rate/1e6)
-		wans["stop"+key], wans["live"+key], wans["delta"+key] = stop, live, deltaO
-		label := fmt.Sprintf("%.0f MB/s", rate/1e6)
-		wtbl.Row(label, "stop-and-copy", stop.down, fmtBytes(stop.copied), "-")
-		wtbl.Row(label, "pre-copy live", live.down, fmtBytes(live.copied), "-")
-		wtbl.Row(label, "pre-copy + delta", deltaO.down, fmtBytes(deltaO.copied), fmtBytes(deltaO.skipped))
+	wans := map[string]migration{}
+	for i, c := range wanCells {
+		o := wan[i][0]
+		method, key, skipped := "stop-and-copy", "stop", "-"
+		switch {
+		case c.delta:
+			method, key, skipped = "pre-copy + delta", "delta", fmtBytes(o.skipped)
+		case c.live:
+			method, key = "pre-copy live", "live"
+		}
+		wans[fmt.Sprintf("%s%.0f", key, c.rate/1e6)] = o
+		wtbl.Row(fmt.Sprintf("%.0f MB/s", c.rate/1e6), method, o.down, fmtBytes(o.copied), skipped)
 	}
 	res.table(wtbl, opts.out())
 

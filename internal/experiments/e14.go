@@ -8,6 +8,7 @@ import (
 	"dvc/internal/hpcc"
 	"dvc/internal/metrics"
 	"dvc/internal/mpi"
+	"dvc/internal/obs"
 	"dvc/internal/phys"
 	"dvc/internal/sim"
 )
@@ -28,6 +29,7 @@ func runE14(opts Options) *Result {
 		cycles    = 6
 		dirtyRate = 6e6
 	)
+	app := func(int) mpi.App { return hpcc.NewHalo(30000, 20*sim.Millisecond, 1024) }
 
 	type out struct {
 		bytesWritten int64
@@ -36,60 +38,34 @@ func runE14(opts Options) *Result {
 		restoreStage sim.Time
 		jobOK        bool
 	}
-	run := func(seed int64, delta bool) out {
+	outs := sweep(opts, []bool{false, true}, 1, func(delta bool, _ int, _ *obs.Tracer) out {
 		lsc := core.DefaultNTPLSC()
 		lsc.ContinueAfterSave = true
 		lsc.Delta = delta
-		b := newBed(seed, map[string]int{"alpha": nodes * 2}, lsc, true)
+		b := newBed(opts.Seed, map[string]int{"alpha": nodes * 2}, lsc, true)
 		vc := b.allocate("inc", nodes, guest.WatchdogConfig{})
-		vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(30000, 20*sim.Millisecond, 1024) })
+		launch(vc, app)
 		for _, d := range vc.Domains() {
 			d.SetDirtyRate(dirtyRate)
 		}
 		b.Kernel.RunFor(sim.Second)
 
 		o := out{}
-		var gens []*core.CheckpointResult
-		for i := 0; i < cycles; i++ {
-			var r *core.CheckpointResult
-			if err := b.Coord.Checkpoint(vc, func(cr *core.CheckpointResult) { r = cr }); err != nil {
-				panic(err)
-			}
-			// Polled in 1 s steps on purpose: the epoch spacing, and so
-			// this table, depends on where the wait stops.
-			for r == nil {
-				b.Kernel.RunFor(sim.Second)
-			}
-			if !r.OK {
-				panic("E14 checkpoint failed: " + r.Reason)
-			}
-			gens = append(gens, r)
+		gens := b.epochs(vc, cycles, 10*sim.Second)
+		for _, r := range gens {
 			for _, img := range r.Images {
 				o.bytesWritten += img.SizeBytes()
 			}
 			o.meanStore += r.StoreTime
 			o.meanDown += r.Downtime
-			b.Kernel.RunFor(10 * sim.Second)
 		}
 		o.meanStore /= cycles
 		o.meanDown /= cycles
-
 		// Fail a node and recover from the newest generation.
-		vc.PhysicalNodes()[0].Fail()
-		b.Kernel.RunFor(2 * sim.Second)
-		vc.Teardown()
-		targets := b.Site.UpNodes("alpha")[:nodes]
-		rr, err := b.Recover(vc, gens[len(gens)-1].Generation, targets, 30*sim.Minute)
-		if err != nil || !rr.OK {
-			panic("E14 restore failed")
-		}
-		o.restoreStage = rr.StageTime
-		o.jobOK = b.RunUntilJobDone(vc, 2*sim.Hour).AllOK()
+		o.restoreStage, o.jobOK = b.failAndRecover(vc, gens[len(gens)-1].Generation, "alpha")
 		return o
-	}
-
-	full := run(opts.Seed, false)
-	delta := run(opts.Seed, true)
+	})
+	full, delta := outs[0][0], outs[1][0]
 
 	tbl := metrics.NewTable(fmt.Sprintf("E14: %d checkpoint cycles of a %d-VM cluster (%d MiB guests, %.0f MB/s dirty)",
 		cycles, nodes, vmRAM>>20, dirtyRate/1e6),
@@ -121,66 +97,36 @@ func runE14(opts Options) *Result {
 		restoreStage sim.Time
 		jobOK        bool
 	}
-	runWAN := func(seed int64, delta bool) wout {
+	wouts := sweep(opts, []bool{false, true}, 1, func(delta bool, _ int, _ *obs.Tracer) wout {
 		lsc := core.DefaultNTPLSC()
 		lsc.ContinueAfterSave = true
 		lsc.Delta = delta
-		b := makeBed(seed, bedOptions{topo: wanTopo(nodes * 2), lsc: lsc, ntp: true})
+		b := makeBed(opts.Seed+20, bedOptions{topo: wanTopo(nodes * 2), lsc: lsc, ntp: true})
 		src := phys.ClusterName(0, 0)
-		vc, err := b.Manager.Allocate(core.VCSpec{Name: "wdlt", Nodes: nodes, VMRAM: vmRAM, Clusters: []string{src}}, nil)
-		if err != nil {
-			panic(err)
-		}
+		vc := b.allocateOn("wdlt", nodes, src)
 		for _, d := range vc.Domains() {
 			d.SetDirtyRate(dirtyRate)
 		}
 		b.Kernel.RunFor(35 * sim.Second)
-		vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(30000, 20*sim.Millisecond, 1024) })
+		launch(vc, app)
 		b.Kernel.RunFor(sim.Second)
 
 		o := wout{}
-		var gens []*core.CheckpointResult
-		for i := 0; i < cycles; i++ {
-			var r *core.CheckpointResult
-			if err := b.Coord.Checkpoint(vc, func(cr *core.CheckpointResult) { r = cr }); err != nil {
-				panic(err)
-			}
-			// Polled in 1 s steps on purpose: the epoch spacing, and so
-			// this table, depends on where the wait stops.
-			for r == nil {
-				b.Kernel.RunFor(sim.Second)
-			}
-			if !r.OK {
-				panic("E14b checkpoint failed: " + r.Reason)
-			}
-			gens = append(gens, r)
-			epoch := r.SentBytes
+		gens := b.epochs(vc, cycles, 5*sim.Second)
+		for i, r := range gens {
 			o.logical += r.LogicalBytes
-			o.sent += epoch
+			o.sent += r.SentBytes
 			if i == 0 {
-				o.firstEpoch = epoch
+				o.firstEpoch = r.SentBytes
 			} else {
-				o.steadyEpoch += epoch
+				o.steadyEpoch += r.SentBytes
 			}
-			b.Kernel.RunFor(5 * sim.Second)
 		}
 		o.steadyEpoch /= cycles - 1
-
-		vc.PhysicalNodes()[0].Fail()
-		b.Kernel.RunFor(2 * sim.Second)
-		vc.Teardown()
-		targets := b.Site.UpNodes(src)[:nodes]
-		rr, err := b.Recover(vc, gens[len(gens)-1].Generation, targets, 30*sim.Minute)
-		if err != nil || !rr.OK {
-			panic("E14b restore failed")
-		}
-		o.restoreStage = rr.StageTime
-		o.jobOK = b.RunUntilJobDone(vc, 2*sim.Hour).AllOK()
+		o.restoreStage, o.jobOK = b.failAndRecover(vc, gens[len(gens)-1].Generation, src)
 		return o
-	}
-
-	wanFull := runWAN(opts.Seed+20, false)
-	wanDelta := runWAN(opts.Seed+20, true)
+	})
+	wanFull, wanDelta := wouts[0][0], wouts[1][0]
 	dedup := float64(wanDelta.logical) / float64(wanDelta.sent)
 
 	wtbl := metrics.NewTable(fmt.Sprintf("E14b: %d content-addressed delta epochs of a %d-VM cluster on a 2-DC WAN",

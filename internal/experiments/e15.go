@@ -3,9 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"dvc/internal/core"
 	"dvc/internal/metrics"
-	"dvc/internal/phys"
+	"dvc/internal/obs"
 	"dvc/internal/rm"
 	"dvc/internal/sim"
 	"dvc/internal/workload"
@@ -30,9 +29,18 @@ func runE15(opts Options) *Result {
 		jobCount = 32
 	}
 
-	// An asymmetric mix: most jobs need stack A, so the B cluster idles
-	// under native scheduling while A's queue grows.
-	makeTrace := func(k *sim.Kernel) []workload.JobSpec {
+	type outcome struct {
+		completed int
+		stuck     int // jobs still queued at the deadline
+		makespan  sim.Time
+		meanWait  sim.Time
+	}
+	outs := sweep(opts, []rm.Backend{rm.Physical, rm.DVC}, 1, func(backend rm.Backend, _ int, _ *obs.Tracer) outcome {
+		k := sim.NewKernel(opts.Seed)
+		site := rmSite(k, perCluster, []string{"alpha", "beta"}, "rhel4-mpich", "suse9-lam")
+		r := startRM(k, site, backend, 0)
+		// An asymmetric mix: most jobs need stack A, so the B cluster
+		// idles under native scheduling while A's queue grows.
 		trace := workload.Generate(k.Rand(), workload.MixConfig{
 			Count:       jobCount,
 			ArrivalMean: 15 * sim.Second,
@@ -47,38 +55,8 @@ func runE15(opts Options) *Result {
 				trace[i].Stack = "rhel4-mpich"
 			}
 		}
-		return trace
-	}
-
-	type outcome struct {
-		completed int
-		stuck     int
-		makespan  sim.Time
-		meanWait  sim.Time
-	}
-	run := func(seed int64, backend rm.Backend) outcome {
-		k := sim.NewKernel(seed)
-		site := phys.DefaultSite(k)
-		site.AddCluster("alpha", perCluster, phys.DefaultSpec(), netsimEth())
-		site.AddCluster("beta", perCluster, phys.DefaultSpec(), netsimEth())
-		site.SetClusterStack("alpha", "rhel4-mpich")
-		site.SetClusterStack("beta", "suse9-lam")
-		site.NTP.Start()
-		var mgr *core.Manager
-		var coord *core.Coordinator
-		if backend == rm.DVC {
-			env := core.NewEnv(site, rmLSC())
-			mgr, coord = env.Manager, env.Coord
-		}
-		cfg := rm.DefaultConfig(backend)
-		cfg.CheckpointInterval = 0
-		r := rm.New(k, site, mgr, coord, cfg)
-		r.Start()
-		r.SubmitTrace(makeTrace(k))
-		deadline := 12 * sim.Hour
-		for k.Now() < deadline && !r.AllDone() {
-			k.RunFor(30 * sim.Second)
-		}
+		r.SubmitTrace(trace)
+		drain(k, 12*sim.Hour, r)
 		s := r.Stats()
 		o := outcome{completed: s.Completed, makespan: s.Makespan}
 		if s.Completed > 0 {
@@ -90,10 +68,8 @@ func runE15(opts Options) *Result {
 			}
 		}
 		return o
-	}
-
-	native := run(opts.Seed, rm.Physical)
-	dvcOut := run(opts.Seed, rm.DVC)
+	})
+	native, dvcOut := outs[0][0], outs[1][0]
 
 	tbl := metrics.NewTable(
 		fmt.Sprintf("E15: %d jobs (75%% rhel4-mpich, 25%% suse9-lam) on alpha=rhel4 + beta=suse9", jobCount),

@@ -23,13 +23,7 @@ func runE2(opts Options) *Result {
 	const nodes = 26
 
 	// Volume trials (halo workload, cheap): paper-scale count with -full.
-	volume := opts.Trials
-	if volume == 0 {
-		volume = 30
-	}
-	if opts.Full {
-		volume = 2000
-	}
+	volume := opts.trials(30, 2000)
 	lsc := core.DefaultNTPLSC()
 
 	tbl := metrics.NewTable("E2: NTP-coordinated LSC, 26 VMs on 26 nodes",
@@ -43,14 +37,11 @@ func runE2(opts Options) *Result {
 		down     metrics.Sample
 	}
 
-	// Bulk trials with continuous halo traffic, fanned across the fleet
-	// pool; aggregation walks the results in trial order, so the table —
-	// and with tracing on, the merged JSONL — is byte-identical to the
-	// serial loop at any pool size.
+	// Bulk trials with continuous halo traffic.
 	bulk := row{name: "halo-26", trials: volume}
-	for _, r := range forEachTrial(opts, volume, func(trial int, tr *obs.Tracer) trialResult {
-		return lscTrial(opts.Seed+int64(trial), nodes, bedOptions{lsc: lsc, ntp: true, tracer: tr}, halo(1500))
-	}) {
+	for _, r := range sweep(opts, []int{nodes}, volume, func(n, trial int, tr *obs.Tracer) trialResult {
+		return lscTrial(opts.Seed+int64(trial), n, bedOptions{lsc: lsc, ntp: true, tracer: tr}, halo(1500))
+	})[0] {
 		if !r.ok {
 			bulk.failures++
 		}
@@ -72,72 +63,57 @@ func runE2(opts Options) *Result {
 	if opts.Full {
 		hpccTrials = 10
 	}
-	// Flatten the (size, trial) × {PTRANS, HPL} matrix into one trial
-	// list in the serial emission order: for each size, for each trial,
-	// PTRANS then HPL.
-	type hpccSpec struct {
-		seed    int64
-		isPT    bool
-		makeApp func(int) mpi.App
+	// One cell per (size, trial, workload), in the trace's order: for
+	// each size, for each trial, PTRANS then HPL.
+	type hpccCell struct {
+		n, trial int
+		ptrans   bool
 	}
-	var specs []hpccSpec
+	var cells []hpccCell
 	for _, n := range []int{26, 52} {
-		n := n
 		for trial := 0; trial < hpccTrials; trial++ {
-			trial := trial
-			// PTRANS: ~1200 repetitions keep traffic flowing through the
-			// save instant (the paper's consistency stress).
-			specs = append(specs, hpccSpec{
-				seed: opts.Seed + int64(7000+n+trial),
-				isPT: true,
-				makeApp: func(int) mpi.App {
-					return hpcc.NewPTRANS(n, int64(trial), 1200, 0.02)
-				},
-			})
-			// HPL: pick a compute rate that stretches the factorisation
-			// to ~8 s of simulated time so the checkpoint lands mid-run.
-			hn := 4 * n
-			rate := (2.0 / 3.0 * float64(hn) * float64(hn) * float64(hn) / float64(nodes)) / 8 / 1e9
-			specs = append(specs, hpccSpec{
-				seed: opts.Seed + int64(8000+n+trial),
-				makeApp: func(int) mpi.App {
-					return hpcc.NewHPL(hn, int64(trial), rate)
-				},
-			})
+			cells = append(cells, hpccCell{n, trial, true}, hpccCell{n, trial, false})
 		}
 	}
-	hpccOuts := forEachTrial(opts, len(specs), func(i int, tr *obs.Tracer) trialResult {
-		return lscTrial(specs[i].seed, nodes, bedOptions{lsc: lsc, ntp: true, tracer: tr}, specs[i].makeApp)
+	outs := sweep(opts, cells, 1, func(c hpccCell, _ int, tr *obs.Tracer) trialResult {
+		o := bedOptions{lsc: lsc, ntp: true, tracer: tr}
+		if c.ptrans {
+			// ~1200 repetitions keep traffic flowing through the save
+			// instant (the paper's consistency stress).
+			return lscTrial(opts.Seed+int64(7000+c.n+c.trial), nodes, o, func(int) mpi.App {
+				return hpcc.NewPTRANS(c.n, int64(c.trial), 1200, 0.02)
+			})
+		}
+		// HPL: pick a compute rate that stretches the factorisation to
+		// ~8 s of simulated time so the checkpoint lands mid-run.
+		hn := 4 * c.n
+		rate := (2.0 / 3.0 * float64(hn) * float64(hn) * float64(hn) / float64(nodes)) / 8 / 1e9
+		return lscTrial(opts.Seed+int64(8000+c.n+c.trial), nodes, o, func(int) mpi.App {
+			return hpcc.NewHPL(hn, int64(c.trial), rate)
+		})
 	})
-	ptransFail, hplFail := 0, 0
-	var ptransSkew, hplSkew metrics.Sample
-	nPT, nHPL := 0, 0
-	for i, out := range hpccOuts {
-		skew := &hplSkew
-		if specs[i].isPT {
-			skew = &ptransSkew
+	pt := row{name: "ptrans"}
+	hpl := row{name: "hpl"}
+	for i, out := range outs {
+		r := &hpl
+		if cells[i].ptrans {
+			r = &pt
 		}
-		if out.ckpt.OK {
-			skew.AddTime(out.ckpt.SaveSkew)
+		if out[0].ckpt.OK {
+			r.skew.AddTime(out[0].ckpt.SaveSkew)
 		}
-		if specs[i].isPT {
-			nPT++
-			if !out.ok {
-				ptransFail++
-			}
-		} else {
-			nHPL++
-			if !out.ok {
-				hplFail++
-			}
+		r.trials++
+		if !out[0].ok {
+			r.failures++
 		}
 	}
-	tbl.Row("ptrans", nPT, ptransFail, fmtSeconds(ptransSkew.Mean()), fmtSeconds(ptransSkew.Max()), "-")
-	tbl.Row("hpl", nHPL, hplFail, fmtSeconds(hplSkew.Mean()), fmtSeconds(hplSkew.Max()), "-")
+	for _, r := range []row{pt, hpl} {
+		tbl.Row(r.name, r.trials, r.failures, fmtSeconds(r.skew.Mean()), fmtSeconds(r.skew.Max()), "-")
+	}
 	res.table(tbl, opts.out())
 
-	total := bulk.trials + nPT + nHPL
-	failures := bulk.failures + ptransFail + hplFail
+	total := bulk.trials + pt.trials + hpl.trials
+	failures := bulk.failures + pt.failures + hpl.failures
 	res.check("zero save/restore failures", failures == 0,
 		"%d failures in %d trials (paper: 0 in >2000)", failures, total)
 	res.check("NTP skew is milliseconds", bulk.skew.Max() < 0.05,

@@ -3,6 +3,7 @@ package experiments
 import (
 	"dvc/internal/metrics"
 	"dvc/internal/netsim"
+	"dvc/internal/obs"
 	"dvc/internal/sim"
 	"dvc/internal/tcp"
 )
@@ -25,11 +26,13 @@ func runE3(opts Options) *Result {
 	tbl := metrics.NewTable("E3: snapshot cuts of the network",
 		"scenario", "sent", "delivered", "dup-to-app", "lost", "consistent")
 
-	s1 := runCutScenario(opts.Seed, false)
+	arms := []cutArm{{}, {cutAck: true}, {udp: true}}
+	outs := sweep(opts, arms, 1, func(a cutArm, _ int, _ *obs.Tracer) cutOutcome {
+		return a.run(opts.Seed)
+	})
+	s1, s2, ctl := outs[0][0], outs[1][0], outs[2][0]
 	tbl.Row("S1: data in flight (TCP)", s1.sent, s1.delivered, s1.dups, s1.lost, s1.consistent())
-	s2 := runCutScenario(opts.Seed, true)
 	tbl.Row("S2: ACK in flight (TCP)", s2.sent, s2.delivered, s2.dups, s2.lost, s2.consistent())
-	ctl := runUnreliableCut(opts.Seed)
 	tbl.Row("control: UDP-like", ctl.sent, ctl.delivered, ctl.dups, ctl.lost, ctl.consistent())
 	res.table(tbl, opts.out())
 
@@ -50,6 +53,18 @@ type cutOutcome struct {
 
 func (c cutOutcome) consistent() bool { return c.lost == 0 && c.dups == 0 }
 
+// cutArm is one snapshot cut of the network: TCP with the data segment
+// (Scenario 1) or the returning ACK (Scenario 2, cutAck) in flight, or
+// the unreliable control protocol (udp).
+type cutArm struct{ cutAck, udp bool }
+
+func (a cutArm) run(seed int64) cutOutcome {
+	if a.udp {
+		return runUnreliableCut(seed)
+	}
+	return runCutScenario(seed, a.cutAck)
+}
+
 // runCutScenario plays one message across a coordinated snapshot. With
 // cutAck=false the data segment itself is lost at the snapshot (Scenario
 // 1); with cutAck=true the data is delivered but the returning ACK is
@@ -62,8 +77,7 @@ func runCutScenario(seed int64, cutAck bool) cutOutcome {
 	sb := tcp.NewStack(k, f, "B", tcp.DefaultConfig())
 	pa := f.Attach("A", "c", sa.Deliver)
 	pb := f.Attach("B", "c", sb.Deliver)
-	var cb *tcp.Conn
-	sb.Listen(5000, func(c *tcp.Conn) { cb = c })
+	sb.Listen(5000, func(*tcp.Conn) {})
 	ca, _ := sa.Connect("B", 5000) // a fresh stack has every port free
 	k.RunFor(sim.Second)
 
@@ -103,7 +117,6 @@ func runCutScenario(seed int64, cutAck bool) cutOutcome {
 	k.RunFor(30 * sim.Second)
 
 	out := cutOutcome{sent: 1}
-	_ = cb // the pre-snapshot endpoint died with its node
 	ca2 := sa2.Conns()[0]
 	cb2 := sb2.Conns()[0]
 	got := cb2.Read(cb2.Readable())

@@ -8,6 +8,7 @@ import (
 	"dvc/internal/hpcc"
 	"dvc/internal/metrics"
 	"dvc/internal/mpi"
+	"dvc/internal/obs"
 	"dvc/internal/sim"
 )
 
@@ -32,14 +33,33 @@ func runE4(opts Options) *Result {
 		wall, cpu sim.Time
 		ckpts     int
 	}
-	run := func(seed int64, makeApp func(int) mpi.App, getTimes func(mpi.App) (sim.Time, sim.Time), interval sim.Time) outcome {
-		lsc := core.DefaultNTPLSC()
-		b := newBed(seed, map[string]int{"alpha": nodes}, lsc, true)
+	workloads := []string{"hpl-N160", "ptrans-N64"}
+	intervals := []sim.Time{0, 30 * sim.Second, 15 * sim.Second}
+	type cell struct {
+		workload string
+		interval sim.Time
+		seed     int64
+	}
+	var cells []cell
+	for wi, w := range workloads {
+		for ii, interval := range intervals {
+			cells = append(cells, cell{w, interval, opts.Seed + int64(wi*10+ii)})
+		}
+	}
+	outs := sweep(opts, cells, 1, func(c cell, _ int, _ *obs.Tracer) outcome {
+		b := newBed(c.seed, map[string]int{"alpha": nodes}, core.DefaultNTPLSC(), true)
 		vc := b.allocate("e4", nodes, guest.WatchdogConfig{})
-		vc.LaunchMPI(6000, makeApp)
+		// HPL sized to ~60 s of factorisation (341 kflop/rank at 8
+		// ranks); PTRANS sized to ~60 s with compute-weighted
+		// repetitions.
+		app := func(int) mpi.App { return hpcc.NewHPL(160, 42, 5.7e-6) }
+		if c.workload == "ptrans-N64" {
+			app = func(int) mpi.App { return hpcc.NewPTRANS(64, 42, 1200, 3e-5) }
+		}
+		launch(vc, app)
 		var per *core.Periodic
-		if interval > 0 {
-			per = b.Coord.StartPeriodic(vc, interval, nil)
+		if c.interval > 0 {
+			per = b.Coord.StartPeriodic(vc, c.interval, nil)
 		}
 		js := b.RunUntilJobDone(vc, 4*sim.Hour)
 		if per != nil {
@@ -48,60 +68,41 @@ func runE4(opts Options) *Result {
 		if !js.AllOK() {
 			panic(fmt.Sprintf("E4 job failed: %+v", js))
 		}
-		wall, cpu := getTimes(vc.RankApps()[0])
-		out := outcome{wall: wall, cpu: cpu}
+		out := outcome{}
+		switch a := vc.RankApps()[0].(type) {
+		case *hpcc.HPL:
+			if !a.Passed {
+				panic("E4 HPL verification failed")
+			}
+			out.wall, out.cpu = a.WallTime(), a.CPUTime()
+		case *hpcc.PTRANS:
+			if !a.Passed {
+				panic("E4 PTRANS verification failed")
+			}
+			out.wall, out.cpu = a.WallTime(), a.CPUTime()
+		}
 		if per != nil {
 			out.ckpts = per.SucceededCount()
 		}
 		return out
-	}
-
-	// HPL sized to ~60 s of factorisation (341 kflop/rank at 8 ranks).
-	hplApp := func(int) mpi.App { return hpcc.NewHPL(160, 42, 5.7e-6) }
-	hplTimes := func(a mpi.App) (sim.Time, sim.Time) {
-		h := a.(*hpcc.HPL)
-		if !h.Passed {
-			panic("E4 HPL verification failed")
-		}
-		return h.WallTime(), h.CPUTime()
-	}
-	// PTRANS sized to ~60 s with compute-weighted repetitions.
-	ptApp := func(int) mpi.App { return hpcc.NewPTRANS(64, 42, 1200, 3e-5) }
-	ptTimes := func(a mpi.App) (sim.Time, sim.Time) {
-		p := a.(*hpcc.PTRANS)
-		if !p.Passed {
-			panic("E4 PTRANS verification failed")
-		}
-		return p.WallTime(), p.CPUTime()
-	}
-
-	intervals := []sim.Time{0, 30 * sim.Second, 15 * sim.Second}
+	})
 	type key struct {
 		name     string
 		interval sim.Time
 	}
 	results := map[key]outcome{}
-	for wi, w := range []struct {
-		name  string
-		app   func(int) mpi.App
-		times func(mpi.App) (sim.Time, sim.Time)
-	}{
-		{"hpl-N160", hplApp, hplTimes},
-		{"ptrans-N64", ptApp, ptTimes},
-	} {
-		for ii, interval := range intervals {
-			o := run(opts.Seed+int64(wi*10+ii), w.app, w.times, interval)
-			results[key{w.name, interval}] = o
-			base := results[key{w.name, 0}]
-			label := "none"
-			if interval > 0 {
-				label = interval.String()
-			}
-			slow := 100 * (o.wall.Seconds() - base.wall.Seconds()) / base.wall.Seconds()
-			tbl.Row(w.name, label, o.ckpts, o.cpu, o.wall,
-				fmt.Sprintf("%.2f", o.wall.Seconds()/o.cpu.Seconds()),
-				fmt.Sprintf("%.0f%%", slow))
+	for i, c := range cells {
+		o := outs[i][0]
+		results[key{c.workload, c.interval}] = o
+		base := results[key{c.workload, 0}]
+		label := "none"
+		if c.interval > 0 {
+			label = c.interval.String()
 		}
+		slow := 100 * (o.wall.Seconds() - base.wall.Seconds()) / base.wall.Seconds()
+		tbl.Row(c.workload, label, o.ckpts, o.cpu, o.wall,
+			fmt.Sprintf("%.2f", o.wall.Seconds()/o.cpu.Seconds()),
+			fmt.Sprintf("%.0f%%", slow))
 	}
 	res.table(tbl, opts.out())
 

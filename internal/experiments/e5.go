@@ -10,6 +10,7 @@ import (
 	"dvc/internal/metrics"
 	"dvc/internal/mpi"
 	"dvc/internal/netsim"
+	"dvc/internal/obs"
 	"dvc/internal/sim"
 	"dvc/internal/tcp"
 )
@@ -32,7 +33,7 @@ func runE5(opts Options) *Result {
 
 	// Ground truth: run HPL to ~half of the factorisation and measure
 	// one rank's real serialised application state.
-	measure := func(n int) int64 {
+	live := sweep(opts, []int{128, 256}, 1, func(n, _ int, _ *obs.Tracer) int64 {
 		k := sim.NewKernel(opts.Seed)
 		f := netsim.NewFabric(k)
 		f.AddCluster("c", netsim.EthernetGigE())
@@ -53,15 +54,15 @@ func runE5(opts Options) *Result {
 			panic(err)
 		}
 		return int64(len(b))
-	}
+	})
 
 	type workloadCase struct {
 		name     string
 		liveData int64
 	}
 	cases := []workloadCase{
-		{"hpl-N128 (measured)", measure(128)},
-		{"hpl-N256 (measured)", measure(256)},
+		{"hpl-N128 (measured)", live[0][0]},
+		{"hpl-N256 (measured)", live[1][0]},
 		// Paper-scale extrapolation: N=8192 over 26 ranks, 8(N+1)N/P.
 		{"hpl-N8192/26 (model)", 8 * 8192 * 8193 / 26},
 	}

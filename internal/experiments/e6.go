@@ -31,7 +31,7 @@ func runE6(opts Options) *Result {
 	lsc := core.DefaultNTPLSC()
 	b := newBed(opts.Seed, map[string]int{"alpha": nodes}, lsc, true)
 	vc := b.allocate("e6", nodes, guest.DefaultWatchdog())
-	vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(1<<20, 20*sim.Millisecond, 2048) })
+	launch(vc, func(int) mpi.App { return hpcc.NewHalo(1<<20, 20*sim.Millisecond, 2048) })
 	b.Kernel.RunFor(30 * sim.Second)
 
 	tbl := metrics.NewTable("E6: watchdog reports per VM across checkpoint cycles",
@@ -43,7 +43,7 @@ func runE6(opts Options) *Result {
 			res.check("checkpoint cycles succeed", false, "cycle %d failed", cycle)
 			return res
 		}
-		b.Kernel.RunFor(time45()) // let the post-restore watchdog tick land
+		b.Kernel.RunFor(45 * sim.Second) // let the post-restore watchdog tick land
 		lo, hi, lines := 1<<30, 0, 0
 		for _, o := range vc.OSes() {
 			n := o.WatchdogTimeouts()
@@ -72,8 +72,6 @@ func runE6(opts Options) *Result {
 		"failed ranks: %d", vc.JobStatus().Failed)
 	return res
 }
-
-func time45() sim.Time { return 45 * sim.Second }
 
 func rangeStr(lo, hi int) string {
 	if lo == hi {

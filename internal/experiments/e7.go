@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"dvc/internal/core"
 	"dvc/internal/guest"
 	"dvc/internal/hpcc"
 	"dvc/internal/metrics"
@@ -10,8 +11,6 @@ import (
 	"dvc/internal/netsim"
 	"dvc/internal/obs"
 	"dvc/internal/sim"
-	"dvc/internal/tcp"
-	"dvc/internal/vm"
 )
 
 func init() {
@@ -28,60 +27,49 @@ func runE7(opts Options) *Result {
 	tbl := metrics.NewTable("E7: native vs virtual-cluster performance",
 		"workload", "metric", "native", "virtual", "overhead")
 
-	// Every measurement run is an independent simulation with its own
-	// kernel, so the native/virtual pairs fan across the fleet pool as
-	// ten trials; the table assembles from the indexed results exactly as
-	// the old straight-line code did.
-	type meas struct {
-		t  sim.Time
-		bw float64
+	// Every job runs natively and in a VC, each run its own simulation.
+	jobs := []struct{ job, label string }{
+		{"seq", "sequential"},
+		{"pingpong", ""},
+		{"hpl", "hpl-N160x4"},
+		{"ptrans", "ptrans-N64x4"},
+		{"randomaccess", "randomaccess"},
 	}
-	tasks := []func() meas{
-		func() meas { return meas{t: runSeqJob(opts.Seed, false)} }, // 0: sequential native
-		func() meas { return meas{t: runSeqJob(opts.Seed, true)} },  // 1: sequential virtual
-		func() meas { // 2: ping-pong native (latency + bandwidth)
-			lat, bw := runPingPong(opts.Seed, false, netsim.EthernetGigE())
-			return meas{t: lat, bw: bw}
-		},
-		func() meas { // 3: ping-pong virtual
-			lat, bw := runPingPong(opts.Seed, true, netsim.EthernetGigE())
-			return meas{t: lat, bw: bw}
-		},
-		func() meas { return meas{t: runParallelHPCC(opts.Seed, false, "hpl")} },          // 4
-		func() meas { return meas{t: runParallelHPCC(opts.Seed, true, "hpl")} },           // 5
-		func() meas { return meas{t: runParallelHPCC(opts.Seed, false, "ptrans")} },       // 6
-		func() meas { return meas{t: runParallelHPCC(opts.Seed, true, "ptrans")} },        // 7
-		func() meas { return meas{t: runParallelHPCC(opts.Seed, false, "randomaccess")} }, // 8
-		func() meas { return meas{t: runParallelHPCC(opts.Seed, true, "randomaccess")} },  // 9
+	type arm struct {
+		job  string
+		virt bool
 	}
-	m := forEachTrial(opts, len(tasks), func(i int, _ *obs.Tracer) meas { return tasks[i]() })
-
-	// --- sequential compute job ---
-	seqNative, seqVirt := m[0].t, m[1].t
-	seqOv := over(seqNative.Seconds(), seqVirt.Seconds())
-	tbl.Row("sequential", "runtime", seqNative, seqVirt, pctStr(seqOv))
-
-	// --- ping-pong microbenchmark ---
-	latN, bwN := m[2].t, m[2].bw
-	latV, bwV := m[3].t, m[3].bw
-	latOv := over(latN.Seconds(), latV.Seconds())
-	bwOv := over(bwV, bwN) // inverted: lower bandwidth = overhead
-	tbl.Row("pingpong-8B", "half-RTT", latN/2, latV/2, pctStr(latOv))
-	tbl.Row("pingpong-4MiB", "bandwidth", fmtMBs(bwN), fmtMBs(bwV), pctStr(bwOv))
-
-	// --- parallel workloads (4 ranks) ---
-	hplN, hplV := m[4].t, m[5].t
-	hplOv := over(hplN.Seconds(), hplV.Seconds())
-	tbl.Row("hpl-N160x4", "runtime", hplN, hplV, pctStr(hplOv))
-
-	ptN, ptV := m[6].t, m[7].t
-	ptOv := over(ptN.Seconds(), ptV.Seconds())
-	tbl.Row("ptrans-N64x4", "runtime", ptN, ptV, pctStr(ptOv))
-
-	raN, raV := m[8].t, m[9].t
-	raOv := over(raN.Seconds(), raV.Seconds())
-	tbl.Row("randomaccess", "runtime", raN, raV, pctStr(raOv))
+	var arms []arm
+	for _, j := range jobs {
+		arms = append(arms, arm{j.job, false}, arm{j.job, true})
+	}
+	m := sweep(opts, arms, 1, func(a arm, _ int, _ *obs.Tracer) perf {
+		switch a.job {
+		case "seq":
+			return perf{t: runSeqJob(opts.Seed, a.virt)}
+		case "pingpong":
+			return runPingPong(opts.Seed, a.virt, netsim.EthernetGigE())
+		}
+		return perf{t: runParallelHPCC(opts.Seed, a.virt, a.job)}
+	})
+	ov := map[string]float64{}
+	for i, j := range jobs {
+		native, virt := m[2*i][0], m[2*i+1][0]
+		if j.job == "pingpong" {
+			// The ping-pong microbenchmark: small-message latency and
+			// large-message bandwidth (lower bandwidth = overhead).
+			ov["latency"] = over(native.t.Seconds(), virt.t.Seconds())
+			ov["bandwidth"] = over(virt.bw, native.bw)
+			tbl.Row("pingpong-8B", "half-RTT", native.t/2, virt.t/2, pctStr(ov["latency"]))
+			tbl.Row("pingpong-4MiB", "bandwidth", fmtMBs(native.bw), fmtMBs(virt.bw), pctStr(ov["bandwidth"]))
+			continue
+		}
+		ov[j.job] = over(native.t.Seconds(), virt.t.Seconds())
+		tbl.Row(j.label, "runtime", native.t, virt.t, pctStr(ov[j.job]))
+	}
 	res.table(tbl, opts.out())
+	seqOv, latOv, hplOv, ptOv, raOv := ov["seq"], ov["latency"], ov["hpl"], ov["ptrans"], ov["randomaccess"]
+	bwN, bwV := m[2][0].bw, m[3][0].bw
 
 	res.check("sequential overhead is the para-virt CPU tax (~3%)",
 		seqOv > 1 && seqOv < 6, "%.1f%%", seqOv)
@@ -105,20 +93,26 @@ func over(base, v float64) float64 {
 	return 100 * (v - base) / base
 }
 
+// perf is one run's measurement: a time (runtime or ping-pong RTT) and,
+// for ping-pong, a bandwidth.
+type perf struct {
+	t  sim.Time
+	bw float64
+}
+
 func pctStr(v float64) string { return fmt.Sprintf("%+.1f%%", v) }
 
 func fmtMBs(bw float64) string { return fmt.Sprintf("%.1fMB/s", bw/1e6) }
 
 // runSeqJob times a sequential compute job natively or in a single VM.
 func runSeqJob(seed int64, virt bool) sim.Time {
-	b := newBed(seed, map[string]int{"alpha": 1}, coreNTP(), true)
+	b := newBed(seed, map[string]int{"alpha": 1}, core.DefaultNTPLSC(), true)
 	job := hpcc.NewSeqJob(60, 1e10, guestFlops) // 60 GFlop = 60s at 10 GF/s
 	if virt {
 		vc := b.allocate("seq", 1, guest.WatchdogConfig{})
 		vc.OSes()[0].Spawn(job)
 	} else {
-		os, _ := vm.NativeOS(b.Kernel, b.Site.Fabric, b.Site.Nodes()[0], "native", tcp.DefaultConfig(), guest.WatchdogConfig{})
-		os.Spawn(job)
+		b.nativeOSes(1)[0].Spawn(job)
 	}
 	b.Kernel.RunFor(sim.Hour)
 	if !job.Finished {
@@ -128,21 +122,16 @@ func runSeqJob(seed int64, virt bool) sim.Time {
 }
 
 // runPingPong measures small-message RTT and large-message bandwidth.
-func runPingPong(seed int64, virt bool, profile netsim.LinkProfile) (sim.Time, float64) {
+func runPingPong(seed int64, virt bool, profile netsim.LinkProfile) perf {
 	run := func(msg, iters int) *hpcc.PingPong {
-		b := makeBed(seed, bedOptions{clusters: map[string]int{"alpha": 2}, lsc: coreNTP(), ntp: true, profile: &profile})
+		b := makeBed(seed, bedOptions{clusters: map[string]int{"alpha": 2}, lsc: core.DefaultNTPLSC(), ntp: true, profile: &profile})
 		app0 := hpcc.NewPingPong(msg, iters)
 		apps := []mpi.App{app0, hpcc.NewPingPong(msg, iters)}
 		if virt {
 			vc := b.allocate("pp", 2, guest.WatchdogConfig{})
-			vc.LaunchMPI(6000, func(r int) mpi.App { return apps[r] })
+			launch(vc, func(r int) mpi.App { return apps[r] })
 		} else {
-			var oses []*guest.OS
-			for i, n := range b.Site.Nodes()[:2] {
-				os, _ := vm.NativeOS(b.Kernel, b.Site.Fabric, n, netsim.Addr(fmt.Sprintf("n%d", i)), tcp.DefaultConfig(), guest.WatchdogConfig{})
-				oses = append(oses, os)
-			}
-			mpi.Launch(oses, 6000, func(r int) mpi.App { return apps[r] })
+			mpi.Launch(b.nativeOSes(2), 6000, func(r int) mpi.App { return apps[r] })
 		}
 		b.Kernel.RunFor(10 * sim.Minute)
 		if !app0.Done {
@@ -150,14 +139,12 @@ func runPingPong(seed int64, virt bool, profile netsim.LinkProfile) (sim.Time, f
 		}
 		return app0
 	}
-	lat := run(8, 200).AvgRTT
-	bw := run(4<<20, 10).Bandwidth
-	return lat, bw
+	return perf{t: run(8, 200).AvgRTT, bw: run(4<<20, 10).Bandwidth}
 }
 
 // runParallelHPCC times a 4-rank workload natively or in a VC.
 func runParallelHPCC(seed int64, virt bool, kind string) sim.Time {
-	b := newBed(seed, map[string]int{"alpha": 4}, coreNTP(), true)
+	b := newBed(seed, map[string]int{"alpha": 4}, core.DefaultNTPLSC(), true)
 	makeApp := func(int) mpi.App {
 		switch kind {
 		case "hpl":
@@ -171,18 +158,14 @@ func runParallelHPCC(seed int64, virt bool, kind string) sim.Time {
 	var apps []mpi.App
 	if virt {
 		vc := b.allocate("par", 4, guest.WatchdogConfig{})
-		vc.LaunchMPI(6000, makeApp)
+		launch(vc, makeApp)
 		js := b.RunUntilJobDone(vc, 4*sim.Hour)
 		if !js.AllOK() {
 			panic("parallel job failed")
 		}
 		apps = vc.RankApps()
 	} else {
-		var oses []*guest.OS
-		for i, n := range b.Site.Nodes()[:4] {
-			os, _ := vm.NativeOS(b.Kernel, b.Site.Fabric, n, netsim.Addr(fmt.Sprintf("n%d", i)), tcp.DefaultConfig(), guest.WatchdogConfig{})
-			oses = append(oses, os)
-		}
+		oses := b.nativeOSes(4)
 		pids := mpi.Launch(oses, 6000, makeApp)
 		deadline := b.Kernel.Now() + 4*sim.Hour
 		for b.Kernel.Now() < deadline {
@@ -205,7 +188,6 @@ func runParallelHPCC(seed int64, virt bool, kind string) sim.Time {
 				panic("native parallel job failed")
 			}
 			apps = append(apps, p.Program().(*mpi.Driver).App)
-			_ = i
 		}
 	}
 	switch a := apps[0].(type) {

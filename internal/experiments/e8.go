@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"dvc/internal/core"
 	"dvc/internal/metrics"
 	"dvc/internal/obs"
 	"dvc/internal/phys"
@@ -28,35 +27,34 @@ func runE8(opts Options) *Result {
 		jobCount = 40
 	}
 
-	type outcome struct {
-		stats    rm.Stats
-		crashes  int
-		makespan sim.Time
+	tbl := metrics.NewTable(fmt.Sprintf("E8: %d-job mix on %d nodes with random faults", jobCount, nodes),
+		"policy", "completed", "failed", "crashes", "makespan", "wasted node-time")
+	// The three policies are independent simulations over the same seed.
+	type policy struct {
+		label    string
+		backend  rm.Backend
+		interval sim.Time
 	}
-	run := func(backend rm.Backend, interval sim.Time, seed int64) outcome {
-		k := sim.NewKernel(seed)
-		site := phys.DefaultSite(k)
-		site.AddCluster("alpha", nodes, phys.DefaultSpec(), netsimEth())
-		site.NTP.Start()
-		var mgr *core.Manager
-		var coord *core.Coordinator
-		if backend == rm.DVC {
-			env := core.NewEnv(site, rmLSC())
-			mgr, coord = env.Manager, env.Coord
-		}
-		cfg := rm.DefaultConfig(backend)
-		cfg.CheckpointInterval = interval
-		r := rm.New(k, site, mgr, coord, cfg)
-		r.Start()
-
-		trace := workload.Generate(k.Rand(), workload.MixConfig{
+	policies := []policy{
+		{"physical + requeue", rm.Physical, 0},
+		{"dvc, no checkpoints", rm.DVC, 0},
+		{"dvc + LSC every 2m", rm.DVC, 2 * sim.Minute},
+	}
+	type outcome struct {
+		stats   rm.Stats
+		crashes int
+	}
+	outs := sweep(opts, policies, 1, func(p policy, _ int, _ *obs.Tracer) outcome {
+		k := sim.NewKernel(opts.Seed)
+		site := rmSite(k, nodes, []string{"alpha"})
+		r := startRM(k, site, p.backend, p.interval)
+		r.SubmitTrace(workload.Generate(k.Rand(), workload.MixConfig{
 			Count:       jobCount,
 			ArrivalMean: 45 * sim.Second,
 			Widths:      []int{2, 4, 8},
 			WorkMin:     4 * sim.Minute,
 			WorkMax:     12 * sim.Minute,
-		})
-		r.SubmitTrace(trace)
+		}))
 
 		// Node faults: MTBF tuned for a handful of crashes over the
 		// ~30-minute makespan (16 nodes x 30 min / 90 min ≈ 5 expected);
@@ -66,36 +64,16 @@ func runE8(opts Options) *Result {
 			RepairTime: 5 * sim.Minute,
 		})
 		inj.Start(site.Nodes())
-
-		deadline := 24 * sim.Hour
-		for k.Now() < deadline && !r.AllDone() {
-			k.RunFor(30 * sim.Second)
-		}
+		drain(k, 24*sim.Hour, r)
 		inj.Stop()
-		return outcome{stats: r.Stats(), crashes: inj.Crashes(), makespan: r.Stats().Makespan}
-	}
-
-	tbl := metrics.NewTable(fmt.Sprintf("E8: %d-job mix on %d nodes with random faults", jobCount, nodes),
-		"policy", "completed", "failed", "crashes", "makespan", "wasted node-time")
-	// The three policies are independent simulations over the same seed;
-	// fan them across the fleet pool and render rows in policy order.
-	policies := []struct {
-		label    string
-		backend  rm.Backend
-		interval sim.Time
-	}{
-		{"physical + requeue", rm.Physical, 0},
-		{"dvc, no checkpoints", rm.DVC, 0},
-		{"dvc + LSC every 2m", rm.DVC, 2 * sim.Minute},
-	}
-	outs := forEachTrial(opts, len(policies), func(i int, _ *obs.Tracer) outcome {
-		return run(policies[i].backend, policies[i].interval, opts.Seed)
+		return outcome{stats: r.Stats(), crashes: inj.Crashes()}
 	})
-	for i, o := range outs {
+	for i, out := range outs {
+		o := out[0]
 		tbl.Row(policies[i].label, o.stats.Completed, o.stats.Failed,
-			o.crashes, o.makespan, o.stats.TotalWasted)
+			o.crashes, o.stats.Makespan, o.stats.TotalWasted)
 	}
-	physOut, dvcCk := outs[0], outs[2]
+	physOut, dvcCk := outs[0][0], outs[2][0]
 	res.table(tbl, opts.out())
 
 	res.check("all jobs complete under every policy",

@@ -3,9 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"dvc/internal/core"
 	"dvc/internal/metrics"
-	"dvc/internal/phys"
+	"dvc/internal/obs"
 	"dvc/internal/rm"
 	"dvc/internal/sim"
 	"dvc/internal/workload"
@@ -38,33 +37,37 @@ func runE9(opts Options) *Result {
 		WorkMax:      8 * sim.Minute,
 	}
 
-	newDVCRM := func(k *sim.Kernel, site *phys.Site) *rm.RM {
-		env := core.NewEnv(site, rmLSC())
-		cfg := rm.DefaultConfig(rm.DVC)
-		cfg.CheckpointInterval = 0 // no faults in this experiment
-		r := rm.New(k, site, env.Manager, env.Coord, cfg)
-		r.Start()
-		return r
-	}
-
 	type outcome struct {
 		completed int
 		makespan  sim.Time
 		meanWait  sim.Time
 		util      float64
 	}
-
-	// (a) Independent clusters: two separate RMs; each job goes to the
-	// RM with the shorter backlog (narrower than either cluster).
-	runIndependent := func(seed int64) outcome {
-		k := sim.NewKernel(seed)
-		siteA := phys.DefaultSite(k)
-		siteA.AddCluster("alpha", perCluster, phys.DefaultSpec(), netsimEth())
-		siteA.NTP.Start()
-		siteB := phys.DefaultSite(k)
-		siteB.AddCluster("beta", perCluster, phys.DefaultSpec(), netsimEth())
-		siteB.NTP.Start()
-		rmA, rmB := newDVCRM(k, siteA), newDVCRM(k, siteB)
+	// (a) Independent clusters: two separate RMs, each job alternating
+	// between them (every job is narrower than either cluster).
+	// (b) Spanning: one DVC pool over both clusters; a VC may straddle
+	// them (homogeneous software stack via VMs — DVC goal 3).
+	outs := sweep(opts, []bool{false, true}, 1, func(spanning bool, _ int, _ *obs.Tracer) outcome {
+		k := sim.NewKernel(opts.Seed)
+		if spanning {
+			r := startRM(k, rmSite(k, perCluster, []string{"alpha", "beta"}), rm.DVC, 0)
+			r.SubmitTrace(workload.Generate(k.Rand(), mix))
+			drain(k, 24*sim.Hour, r)
+			s := r.Stats()
+			var wait sim.Time
+			if s.Completed > 0 {
+				wait = s.TotalWaited / sim.Time(s.Completed)
+			}
+			return outcome{
+				completed: s.Completed,
+				makespan:  s.Makespan,
+				meanWait:  wait,
+				util:      s.Utilization(2*perCluster, s.Makespan),
+			}
+		}
+		siteA := rmSite(k, perCluster, []string{"alpha"})
+		siteB := rmSite(k, perCluster, []string{"beta"})
+		rmA, rmB := startRM(k, siteA, rm.DVC, 0), startRM(k, siteB, rm.DVC, 0)
 		trace := workload.Generate(k.Rand(), mix)
 		var lastArrival sim.Time
 		for i, spec := range trace {
@@ -79,10 +82,7 @@ func runE9(opts Options) *Result {
 			k.At(spec.Arrival, func() { target.Submit(spec) })
 		}
 		k.RunUntil(lastArrival + sim.Second) // all jobs have arrived
-		deadline := 24 * sim.Hour
-		for k.Now() < deadline && !(rmA.AllDone() && rmB.AllDone()) {
-			k.RunFor(30 * sim.Second)
-		}
+		drain(k, 24*sim.Hour, rmA, rmB)
 		sa, sb := rmA.Stats(), rmB.Stats()
 		mk := sa.Makespan
 		if sb.Makespan > mk {
@@ -95,38 +95,8 @@ func runE9(opts Options) *Result {
 		}
 		util := (sa.BusyNodeTime + sb.BusyNodeTime).Seconds() / (2 * perCluster * mk.Seconds())
 		return outcome{completed: done, makespan: mk, meanWait: wait, util: util}
-	}
-
-	// (b) Spanning: one DVC pool over both clusters; a VC may straddle
-	// them (homogeneous software stack via VMs — DVC goal 3).
-	runSpanning := func(seed int64) outcome {
-		k := sim.NewKernel(seed)
-		site := phys.DefaultSite(k)
-		site.AddCluster("alpha", perCluster, phys.DefaultSpec(), netsimEth())
-		site.AddCluster("beta", perCluster, phys.DefaultSpec(), netsimEth())
-		site.NTP.Start()
-		r := newDVCRM(k, site)
-		trace := workload.Generate(k.Rand(), mix)
-		r.SubmitTrace(trace)
-		deadline := 24 * sim.Hour
-		for k.Now() < deadline && !r.AllDone() {
-			k.RunFor(30 * sim.Second)
-		}
-		s := r.Stats()
-		var wait sim.Time
-		if s.Completed > 0 {
-			wait = s.TotalWaited / sim.Time(s.Completed)
-		}
-		return outcome{
-			completed: s.Completed,
-			makespan:  s.Makespan,
-			meanWait:  wait,
-			util:      s.Utilization(2*perCluster, s.Makespan),
-		}
-	}
-
-	ind := runIndependent(opts.Seed)
-	span := runSpanning(opts.Seed)
+	})
+	ind, span := outs[0][0], outs[1][0]
 
 	tbl := metrics.NewTable("E9: same hardware, independent clusters vs one spanning DVC pool",
 		"configuration", "completed", "makespan", "mean wait", "utilization")

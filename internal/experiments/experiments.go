@@ -30,10 +30,10 @@ type Options struct {
 	// Tracer, when non-nil, records a deterministic event trace of the
 	// run (internal/obs). One tracer may span every trial of an
 	// experiment; virtual time restarts per trial and the exporters
-	// re-sort. Each trial records into a private child tracer and the
-	// children are merged back in trial order, so the trace bytes do not
-	// depend on how many workers ran the trials. Experiments that do not
-	// support tracing ignore it.
+	// re-sort. Each sweep measurement records into a private child
+	// tracer and the children are merged back in (cell, trial) order, so
+	// the trace bytes do not depend on how many workers ran the trials.
+	// Experiments that do not support tracing ignore it.
 	Tracer *obs.Tracer
 }
 
@@ -44,29 +44,49 @@ func (o Options) out() io.Writer {
 	return o.Out
 }
 
-// forEachTrial is the shared parallel trial loop: it runs fn for trials
-// 0..n-1 across the fleet pool (one worker per GOMAXPROCS; GOMAXPROCS=1
-// is the inline serial loop) and returns the results indexed by trial,
-// so callers aggregate with an ordinary index-ordered loop and produce
-// byte-identical output to a serial for-loop.
+// trials is a statistical experiment's trial count: quick by default,
+// -trials N when given, and full under -full when the experiment has a
+// paper-scale count (full = 0: -full keeps the quick or -trials count).
+func (o Options) trials(quick, full int) int {
+	switch {
+	case o.Full && full > 0:
+		return full
+	case o.Trials != 0:
+		return o.Trials
+	}
+	return quick
+}
+
+// sweep is the experiments' one trial runner: it measures every cell
+// (an experiment's arm, size or configuration) trials times across the
+// fleet pool (one worker per GOMAXPROCS; GOMAXPROCS=1 is the inline
+// serial loop) and returns each cell's results in trial order, so
+// callers aggregate with ordinary index-ordered loops and print the
+// bytes a serial loop would.
 //
-// Each invocation receives a private child tracer (nil when opts.Tracer
-// is nil); after all trials finish the children are merged back into
-// opts.Tracer one at a time in trial order, preserving the
-// byte-identical JSONL replay contract under parallelism.
+// Each measurement receives a private child tracer (nil when
+// opts.Tracer is nil); after every measurement finishes the children
+// are merged back into opts.Tracer one at a time in (cell, trial)
+// order, preserving the byte-identical JSONL replay contract under
+// parallelism.
 //
-// fn must be self-contained: build your own bed/kernel from the trial's
-// seed, trace only through tr, and return all measurements — never write
-// to shared state from inside fn (the closure runs on a worker
-// goroutine; `go test -race ./...` enforces this).
-func forEachTrial[T any](opts Options, n int, fn func(trial int, tr *obs.Tracer) T) []T {
-	children := make([]*obs.Tracer, n)
-	out := fleet.Map(0, n, func(i int) T {
+// measure must be self-contained: build its own bed and kernel from the
+// cell and trial (its seed included), trace only through tr, and return
+// all its measurements. It must never write to shared state, a table
+// included: it runs on a worker goroutine. `go test -race ./...` catches
+// a shared write, and dvclint's fleetscope a captured kernel.
+func sweep[C, T any](opts Options, cells []C, trials int, measure func(c C, trial int, tr *obs.Tracer) T) [][]T {
+	children := make([]*obs.Tracer, len(cells)*trials)
+	flat := fleet.Map(0, len(children), func(i int) T {
 		children[i] = opts.Tracer.Child()
-		return fn(i, children[i])
+		return measure(cells[i/trials], i%trials, children[i])
 	})
 	for _, c := range children {
 		opts.Tracer.Merge(c)
+	}
+	out := make([][]T, len(cells))
+	for ci := range out {
+		out[ci] = flat[ci*trials : (ci+1)*trials]
 	}
 	return out
 }

@@ -11,10 +11,9 @@ import (
 // an experiment on a trial pool of any size must produce bytes
 // identical to the serial loop — tables, shape checks, the JSONL event
 // trace and the counter registry. The mechanism under
-// test is the pair of structural properties internal/fleet and
-// forEachTrial guarantee: kernels never cross goroutines, and results
-// (and child traces) merge in trial-index order on the caller's
-// goroutine. All three tests read the one pair of runs from e2Pair.
+// test is the pair of structural properties internal/fleet and sweep
+// guarantee: kernels never cross goroutines, and results (and child
+// traces) merge in (cell, trial) order on the caller's goroutine. All three tests read the one pair of runs from e2Pair.
 
 // TestParallelMatchesSerial: same seed, serial loop vs 4-worker pool —
 // the tables and shape checks must match.

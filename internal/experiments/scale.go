@@ -99,8 +99,16 @@ func runScaleExp(opts Options) *Result {
 	}
 	tbl := metrics.NewTable("SCALE: fixed 8-VM LSC job on growing substrate",
 		"topology", "nodes", "clusters", "events", "skew.ms", "ckpt", "job")
-	for _, sp := range shapes {
-		r, err := RunScale(opts.Seed, sp, opts.Tracer)
+	type run struct {
+		r   *ScaleResult
+		err error
+	}
+	runs := sweep(opts, shapes, 1, func(sp ScaleSpec, _ int, tr *obs.Tracer) run {
+		r, err := RunScale(opts.Seed, sp, tr)
+		return run{r, err}
+	})
+	for i, sp := range shapes {
+		r, err := runs[i][0].r, runs[i][0].err
 		if err != nil {
 			res.check(fmt.Sprintf("%s runs", sp), false, "%v", err)
 			continue

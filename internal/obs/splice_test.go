@@ -25,7 +25,7 @@ func emitTrial(tr *Tracer, trial int) {
 
 // TestSpliceMatchesSerialEmission: recording N trials into per-trial
 // child tracers and merging them back one child per call in trial order
-// (the splice forEachTrial performs) must produce the exact bytes
+// (the merge the experiments' sweep performs) must produce the exact bytes
 // (JSONL) and registry snapshot of recording the same trials
 // sequentially into one tracer — the property that keeps parallel trial
 // execution byte-identical to the serial loop.
