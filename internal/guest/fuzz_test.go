@@ -28,13 +28,15 @@ func midPingPongImage(tb testing.TB) payload.Bytes {
 
 // FuzzDecodeImage feeds arbitrary bytes to the image decoder. It must
 // return an error, never panic or allocate beyond a small multiple of
-// its input; an image it accepts must have a TCP stack and dense fds
-// from 3, re-encode and decode again. The committed corpus
-// (testdata/fuzz/FuzzDecodeImage) holds a real image (real-image), its
-// first half (truncated-image), a valid trailer behind a process count
-// of 2^32-1 (huge-count-trailer), an image whose interface payload
-// carries a wrong plan hash (bad-plan-hash), one whose guest has no
-// stack (no-stack) and a real image whose one fd is 2^40 (huge-fd). Run:
+// its input; an image it accepts must have a TCP stack, dense fds from
+// 3 and no in-flight op of negative size, re-encode and decode again.
+// The committed corpus (testdata/fuzz/FuzzDecodeImage) holds a real
+// image (real-image), its first half (truncated-image), a valid trailer
+// behind a process count of 2^32-1 (huge-count-trailer), an image whose
+// interface payload carries a wrong plan hash (bad-plan-hash), one whose
+// guest has no stack (no-stack), a real image whose one fd is 2^40
+// (huge-fd) and an echo guest blocked in a receive of -1 bytes
+// (negative-recv). Run:
 //
 //	go test -run '^$' -fuzz FuzzDecodeImage -fuzztime 15s ./internal/guest
 func FuzzDecodeImage(f *testing.F) {
@@ -50,6 +52,11 @@ func FuzzDecodeImage(f *testing.F) {
 		for fd := range snap.FDs {
 			if fd < firstFD || fd >= firstFD+len(snap.FDs) {
 				t.Fatalf("accepted fd %d of %d", fd, len(snap.FDs))
+			}
+		}
+		for _, ps := range snap.Procs {
+			if op, ok := ps.Cur.(*RecvOp); ok && op.N < 0 {
+				t.Fatalf("accepted a receive of %d bytes", op.N)
 			}
 		}
 		img, err := EncodeImagePayload(snap)

@@ -143,6 +143,47 @@ func TestDecodeRejectsCorruptImage(t *testing.T) {
 			t.Fatalf("image with fd %d in place of 5: %v", fd, err)
 		}
 	}
+	// A restored process runs its in-flight op and its program
+	// unchecked. Each image below is sound but for one field, and would
+	// panic after Restore and Thaw: a receive of -1 bytes in the first
+	// pump, with "tcp: ring view [0,-1)".
+	hostile := []struct {
+		name  string
+		plant func(*Snapshot)
+		want  string
+	}{
+		{"negative receive", func(s *Snapshot) { s.Procs[0].Cur.(*RecvOp).N = -1 }, "receive of -1 bytes"},
+		{"negative send", func(s *Snapshot) { s.Procs[0].Cur = &SendOp{FD: 3, Len: -1} }, "send of -1 bytes"},
+		{"nil op", func(s *Snapshot) { s.Procs[0].Cur = (*RecvOp)(nil) }, "nil *guest.RecvOp op"},
+		{"nil program", func(s *Snapshot) { s.Procs[0].Prog = (*echoProg)(nil) }, "nil *guest.echoProg program"},
+	}
+	for _, tc := range hostile {
+		snap := echoMidRecvSnapshot(t)
+		tc.plant(snap)
+		if img, err = EncodeImagePayload(snap); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeImagePayload(img); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: decode returned %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// echoMidRecvSnapshot captures an echo guest blocked in a RecvOp
+// mid-exchange.
+func echoMidRecvSnapshot(tb testing.TB) *Snapshot {
+	tb.Helper()
+	r := newRig(tb)
+	r.osB.Listen(7000)
+	r.osB.Spawn(&echoProg{Port: 7000, Size: 4096})
+	r.osA.Spawn(&pingProg{Server: "gb", Port: 7000, Size: 4096, Rounds: 50})
+	r.k.RunFor(20 * sim.Millisecond)
+	r.freeze(r.osB, r.pB)
+	snap := r.osB.Snapshot()
+	if _, ok := snap.Procs[0].Cur.(*RecvOp); !ok {
+		tb.Fatalf("echo guest is in %T, want a *RecvOp", snap.Procs[0].Cur)
+	}
+	return snap
 }
 
 // TestEncodeDeterministic pins the replay property: encoding the same

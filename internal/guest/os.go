@@ -108,6 +108,15 @@ func (a *API) Compute(d sim.Time) *ComputeOp {
 	return op
 }
 
+// Scratch returns the process's runtime-only scratch slot, where a layer
+// above guest (mpi) keeps per-process state that must not be part of the
+// image: its own op slots, say. The slot is never in ProcSnapshot, so a
+// restored process starts with it nil, and whatever is kept there must
+// be rebuildable from nothing.
+//
+//dvc:hotpath
+func (a *API) Scratch() *any { return &a.proc.scratch }
+
 // Listen opens a listening port (idempotent for the same port).
 func (a *API) Listen(port uint16) {
 	for _, p := range a.os.listens {
@@ -136,6 +145,9 @@ type Process struct {
 	recvOp    RecvOp
 	sendOp    SendOp
 	computeOp ComputeOp
+
+	// scratch is API.Scratch's slot: runtime-only, like the op slots.
+	scratch any
 
 	// Timer support for Compute/Sleep ops; frozen with the VM. The timer
 	// is created lazily on first arm and rearmed in place thereafter

@@ -3,6 +3,7 @@ package guest
 import (
 	"encoding/binary"
 	"fmt"
+	"reflect"
 
 	"dvc/internal/imgcodec"
 	"dvc/internal/netsim"
@@ -256,5 +257,57 @@ func DecodeImagePayload(img payload.Bytes) (*Snapshot, error) {
 			return nil, fmt.Errorf("guest: image process %d out of PID order", snap.Procs[i].PID)
 		}
 	}
+	// A restored process resumes its op and program unchecked, so what
+	// they size or index must be in range here: a RecvOp of -1 bytes
+	// would panic in the first pump after Thaw.
+	for i := range snap.Procs {
+		ps := &snap.Procs[i]
+		if err := checkOp(ps.Cur); err != nil {
+			return nil, fmt.Errorf("guest: image process %d: %w", ps.PID, err)
+		}
+		if isNilPointer(ps.Prog) {
+			return nil, fmt.Errorf("guest: image process %d: nil %T program", ps.PID, ps.Prog)
+		}
+		if c, ok := ps.Prog.(ImageChecker); ok {
+			if err := c.CheckImage(); err != nil {
+				return nil, fmt.Errorf("guest: image process %d: %w", ps.PID, err)
+			}
+		}
+	}
 	return snap, nil
+}
+
+// ImageChecker is implemented by programs whose decoded state carries
+// invariants the codec cannot check, such as indexes into their own
+// slices. DecodeImagePayload calls CheckImage on every process's program
+// and rejects the image if it returns an error, so a hostile image fails
+// at decode instead of panicking once the process runs.
+type ImageChecker interface {
+	CheckImage() error
+}
+
+// isNilPointer reports whether v holds a nil pointer, which the codec
+// decodes from a pointer payload whose presence byte is 0.
+func isNilPointer(v any) bool {
+	rv := reflect.ValueOf(v)
+	return rv.Kind() == reflect.Pointer && rv.IsNil()
+}
+
+// checkOp rejects an in-flight op that is a nil pointer or has a
+// negative size.
+func checkOp(op Op) error {
+	if isNilPointer(op) {
+		return fmt.Errorf("nil %T op", op)
+	}
+	switch op := op.(type) {
+	case *RecvOp:
+		if op.N < 0 {
+			return fmt.Errorf("receive of %d bytes", op.N)
+		}
+	case *SendOp:
+		if op.Len < 0 {
+			return fmt.Errorf("send of %d bytes", op.Len)
+		}
+	}
+	return nil
 }

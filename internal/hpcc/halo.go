@@ -72,19 +72,19 @@ func (h *Halo) Step(c mpi.Ctx, prev mpi.Op) mpi.Op {
 				return nil
 			}
 			h.PC = 2
-			return mpi.Compute(h.Period)
+			return c.Compute(h.Period)
 		case 2:
 			h.PC = 3
-			return mpi.Send(right, 5, haloBody(h.MsgBytes))
+			return c.Send(right, 5, haloBody(h.MsgBytes))
 		case 3:
 			h.PC = 4
-			return mpi.Send(left, 6, haloBody(h.MsgBytes))
+			return c.Send(left, 6, haloBody(h.MsgBytes))
 		case 4:
 			h.PC = 5
-			return mpi.Recv(left, 5)
+			return c.Recv(left, 5)
 		case 5:
 			h.PC = 6
-			return mpi.Recv(right, 6)
+			return c.Recv(right, 6)
 		case 6:
 			h.I++
 			h.PC = 1

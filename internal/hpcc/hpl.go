@@ -98,7 +98,7 @@ func (h *HPL) Step(c mpi.Ctx, prev mpi.Op) mpi.Op {
 				h.Rows[i] = row
 			}
 			h.PC = hplGenDone
-			return mpi.Compute(FlopsTime(float64(len(h.Rows)*(h.N+1))*3, h.GFlops))
+			return c.Compute(FlopsTime(float64(len(h.Rows)*(h.N+1))*3, h.GFlops))
 
 		case hplGenDone:
 			h.K = 0
@@ -144,10 +144,10 @@ func (h *HPL) Step(c mpi.Ctx, prev mpi.Op) mpi.Op {
 			switch me {
 			case ok:
 				h.PC = hplSwapRecv
-				return mpi.Send(op, 1000+k, mpi.Float64sToBytes(h.Rows[k]))
+				return c.Send(op, 1000+k, mpi.Float64sToBytes(h.Rows[k]))
 			case op:
 				h.PC = hplSwapRecv
-				return mpi.Send(ok, 1000+k, mpi.Float64sToBytes(h.Rows[p]))
+				return c.Send(ok, 1000+k, mpi.Float64sToBytes(h.Rows[p]))
 			default:
 				h.PC = hplBcast
 				continue
@@ -158,9 +158,9 @@ func (h *HPL) Step(c mpi.Ctx, prev mpi.Op) mpi.Op {
 			ok, op := owner(k, size), owner(p, size)
 			h.PC = hplSwapDone
 			if me == ok {
-				return mpi.Recv(op, 1000+k)
+				return c.Recv(op, 1000+k)
 			}
-			return mpi.Recv(ok, 1000+k)
+			return c.Recv(ok, 1000+k)
 
 		case hplSwapDone:
 			row := mpi.BytesToFloat64s(prev.(*mpi.RecvMsg).Data)
@@ -199,7 +199,7 @@ func (h *HPL) Step(c mpi.Ctx, prev mpi.Op) mpi.Op {
 			h.K++
 			h.PC = hplPivotSearch
 			if flops > 0 {
-				return mpi.Compute(FlopsTime(flops, h.GFlops))
+				return c.Compute(FlopsTime(flops, h.GFlops))
 			}
 
 		case hplGatherSend:
@@ -219,7 +219,7 @@ func (h *HPL) Step(c mpi.Ctx, prev mpi.Op) mpi.Op {
 				flat = append(flat, h.Rows[i]...)
 			}
 			h.PC = hplVerify
-			return mpi.Send(0, 2000, mpi.Float64sToBytes(flat))
+			return c.Send(0, 2000, mpi.Float64sToBytes(flat))
 
 		case hplGatherRecv:
 			if h.GatherJ > 0 {
@@ -233,7 +233,7 @@ func (h *HPL) Step(c mpi.Ctx, prev mpi.Op) mpi.Op {
 			}
 			if h.GatherJ < size-1 {
 				h.GatherJ++
-				return mpi.Recv(h.GatherJ, 2000)
+				return c.Recv(h.GatherJ, 2000)
 			}
 			h.PC = hplVerify
 
@@ -259,7 +259,7 @@ func (h *HPL) Step(c mpi.Ctx, prev mpi.Op) mpi.Op {
 			h.PC = hplDone
 			// Verification cost on the root (O(N^2) solve + O(N^2) check).
 			if me == 0 {
-				return mpi.Compute(FlopsTime(3*float64(h.N)*float64(h.N), h.GFlops))
+				return c.Compute(FlopsTime(3*float64(h.N)*float64(h.N), h.GFlops))
 			}
 
 		case hplDone:

@@ -79,7 +79,7 @@ func (p *PTRANS) Step(c mpi.Ctx, prev mpi.Op) mpi.Op {
 				p.Rows[i] = row
 			}
 			p.PC = ptGenDone
-			return mpi.Compute(FlopsTime(float64(len(p.Rows)*p.N)*3, p.GFlops))
+			return c.Compute(FlopsTime(float64(len(p.Rows)*p.N)*3, p.GFlops))
 
 		case ptGenDone:
 			p.Rep = 0
@@ -137,7 +137,7 @@ func (p *PTRANS) Step(c mpi.Ctx, prev mpi.Op) mpi.Op {
 			}
 			p.Rep++
 			p.PC = ptBarrier
-			return mpi.Compute(FlopsTime(flops, p.GFlops))
+			return c.Compute(FlopsTime(flops, p.GFlops))
 
 		case ptBarrier:
 			p.PC = ptExchange
@@ -164,7 +164,7 @@ func (p *PTRANS) Step(c mpi.Ctx, prev mpi.Op) mpi.Op {
 			p.Finished = true
 			c.Log("ptrans: N=%d reps=%d maxerr=%.3g passed=%v wall=%v", p.N, p.Reps, p.MaxErr, p.Passed, p.EndWall-p.StartWall)
 			p.PC = ptDone
-			return mpi.Compute(FlopsTime(2*float64(len(p.Rows))*float64(p.N), p.GFlops))
+			return c.Compute(FlopsTime(2*float64(len(p.Rows))*float64(p.N), p.GFlops))
 
 		case ptDone:
 			return nil

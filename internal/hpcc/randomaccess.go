@@ -132,7 +132,7 @@ func (ra *RandomAccess) Step(c mpi.Ctx, prev mpi.Op) mpi.Op {
 			ra.Batch++
 			ra.PC = 1
 			// A few ops per update (gen, route, xor).
-			return mpi.Compute(FlopsTime(6*float64(applied+ra.BatchPerRank), ra.GFlops))
+			return c.Compute(FlopsTime(6*float64(applied+ra.BatchPerRank), ra.GFlops))
 
 		case 3: // verify exactly: regenerate all streams for my range
 			ra.EndWall = c.WallClock()

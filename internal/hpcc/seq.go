@@ -101,15 +101,15 @@ func (p *PingPong) Step(c mpi.Ctx, prev mpi.Op) mpi.Op {
 			}
 			p.PC = 1
 			if rt.Me == 0 {
-				return mpi.Send(1, 42, payload())
+				return c.Send(1, 42, payload())
 			}
-			return mpi.Recv(0, 42)
+			return c.Recv(0, 42)
 		case 1:
 			p.PC = 2
 			if rt.Me == 0 {
-				return mpi.Recv(1, 42)
+				return c.Recv(1, 42)
 			}
-			return mpi.Send(0, 42, payload())
+			return c.Send(0, 42, payload())
 		default:
 			p.I++
 			p.PC = 0

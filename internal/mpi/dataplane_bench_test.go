@@ -37,9 +37,9 @@ func (a *streamApp) Step(c Ctx, prev Op) Op {
 	}
 	a.I++
 	if rt.Me == 0 {
-		return Send(1, 7, make([]byte, a.MsgBytes))
+		return c.Send(1, 7, make([]byte, a.MsgBytes))
 	}
-	return Recv(0, 7)
+	return c.Recv(0, 7)
 }
 
 // runStream pushes rounds*msgBytes of payload through a two-rank world

@@ -22,9 +22,11 @@ func init() {
 
 // world builds n guests on one Ethernet cluster and launches an app.
 type world struct {
-	k    *sim.Kernel
-	oses []*guest.OS
-	pids []guest.PID
+	k     *sim.Kernel
+	f     *netsim.Fabric
+	oses  []*guest.OS
+	ports []*netsim.Port
+	pids  []guest.PID
 }
 
 func newWorld(t *testing.T, n int, makeApp func(rank int) App) *world {
@@ -32,11 +34,11 @@ func newWorld(t *testing.T, n int, makeApp func(rank int) App) *world {
 	k := sim.NewKernel(123)
 	f := netsim.NewFabric(k)
 	f.AddCluster("c", netsim.EthernetGigE())
-	w := &world{k: k}
+	w := &world{k: k, f: f}
 	for i := 0; i < n; i++ {
 		addr := netsim.Addr(fmt.Sprintf("r%d", i))
 		s := tcp.NewStack(k, f, addr, tcp.DefaultConfig())
-		f.Attach(addr, "c", s.Deliver)
+		w.ports = append(w.ports, f.Attach(addr, "c", s.Deliver))
 		w.oses = append(w.oses, guest.New(k, s, func() sim.Time { return k.Now() }, 1.0, guest.WatchdogConfig{}))
 	}
 	w.pids = Launch(w.oses, 6000, makeApp)
@@ -111,10 +113,10 @@ func (a *ringApp) Step(c Ctx, prev Op) Op {
 		switch a.PC {
 		case 0:
 			a.PC = 1
-			return Send(next, 7, []byte{1})
+			return c.Send(next, 7, []byte{1})
 		case 1:
 			a.PC = 2
-			return Recv(from, 7)
+			return c.Recv(from, 7)
 		default:
 			a.Token = int(prev.(*RecvMsg).Data[0])
 			return nil
@@ -123,12 +125,12 @@ func (a *ringApp) Step(c Ctx, prev Op) Op {
 	switch a.PC {
 	case 0:
 		a.PC = 1
-		return Recv(from, 7)
+		return c.Recv(from, 7)
 	case 1:
 		a.PC = 2
 		tok := prev.(*RecvMsg).Data[0] + 1
 		a.Token = int(tok)
-		return Send(next, 7, []byte{tok})
+		return c.Send(next, 7, []byte{tok})
 	default:
 		return nil
 	}
@@ -268,7 +270,7 @@ func (a *computeApp) Step(c Ctx, prev Op) Op {
 	}
 	if a.Phase == 0 {
 		a.Phase = 1
-		return Compute(10 * sim.Millisecond)
+		return c.Compute(10 * sim.Millisecond)
 	}
 	a.Phase = 0
 	a.I++

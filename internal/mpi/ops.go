@@ -31,6 +31,45 @@ func encodeHeader(tag int, n int) []byte {
 	return h
 }
 
+// headerTableSize bounds a rank's interned headers. A halo rank sends
+// two (tag, length) pairs and a barrier one; a rank that cycles through
+// more (HPL's per-column tags) fills the table and frames the rest with
+// fresh headers.
+const headerTableSize = 8
+
+// headerTable interns a rank's message headers by (tag, length). A header
+// is a chunk of every message framed with it, and TCP's send queue keeps
+// that chunk until the message is acked (the payload immutability
+// contract), so an entry is written once and never rewritten or evicted:
+// every message with the same (tag, length) shares one immutable buffer.
+type headerTable struct {
+	n       int
+	entries [headerTableSize]headerEntry
+}
+
+type headerEntry struct {
+	tag, len int
+	h        []byte
+}
+
+// header returns the header for a message of n bytes tagged tag: the
+// interned one, or a fresh one once the table is full.
+//
+//dvc:hotpath
+func (t *headerTable) header(tag, n int) []byte {
+	for i := range t.entries[:t.n] {
+		if e := &t.entries[i]; e.tag == tag && e.len == n {
+			return e.h
+		}
+	}
+	h := encodeHeader(tag, n)
+	if t.n < headerTableSize {
+		t.entries[t.n] = headerEntry{tag: tag, len: n, h: h}
+		t.n++
+	}
+	return h
+}
+
 func decodeHeader(h []byte) (tag, n int) {
 	return int(binary.LittleEndian.Uint64(h[0:8])), int(binary.LittleEndian.Uint64(h[8:16]))
 }
@@ -53,14 +92,12 @@ func BytesToFloat64s(b []byte) []float64 {
 	return out
 }
 
-// ComputeOp models local computation for a duration.
+// ComputeOp models local computation for a duration. Applications get
+// one from Ctx.Compute.
 type ComputeOp struct {
 	Duration sim.Time
 	PC       int
 }
-
-// Compute returns an MPI op that computes for d.
-func Compute(d sim.Time) *ComputeOp { return &ComputeOp{Duration: d} }
 
 func (op *ComputeOp) step(rt *Runtime, api *guest.API, res guest.Result) (guest.Op, bool) {
 	if op.PC == 0 {
@@ -70,7 +107,8 @@ func (op *ComputeOp) step(rt *Runtime, api *guest.API, res guest.Result) (guest.
 	return nil, true
 }
 
-// SendMsg sends a tagged message to a peer rank.
+// SendMsg sends a tagged message to a peer rank. Applications get one
+// from Ctx.Send.
 type SendMsg struct {
 	To   int
 	Tag  int
@@ -78,8 +116,10 @@ type SendMsg struct {
 	PC   int
 }
 
-// Send constructs a tagged send.
-func Send(to, tag int, data []byte) *SendMsg { return &SendMsg{To: to, Tag: tag, Data: data} }
+// send constructs a tagged send on the heap, for a collective's sub-op:
+// a collective holds its sub-op while the application's own ops come
+// and go, so it cannot use the rank's slot.
+func send(to, tag int, data []byte) *SendMsg { return &SendMsg{To: to, Tag: tag, Data: data} }
 
 func (op *SendMsg) step(rt *Runtime, api *guest.API, res guest.Result) (guest.Op, bool) {
 	if op.PC > 0 && res.Err != nil {
@@ -95,7 +135,9 @@ func (op *SendMsg) step(rt *Runtime, api *guest.API, res guest.Result) (guest.Op
 		// up mutation rights when it handed Data to Send (payload
 		// immutability contract); every byte it produced crosses
 		// mpi -> guest -> tcp -> netsim by reference.
-		frame := payload.FromChunks(encodeHeader(op.Tag, len(op.Data)), op.Data)
+		// The header is interned per rank (headerTable), so framing
+		// allocates nothing either.
+		frame := payload.FromChunks(rankSlots(api).headers.header(op.Tag, len(op.Data)), op.Data)
 		op.Data = nil
 		return api.SendPayload(rt.FDs[op.To], frame), false
 	default:
@@ -106,6 +148,7 @@ func (op *SendMsg) step(rt *Runtime, api *guest.API, res guest.Result) (guest.Op
 // RecvMsg receives one tagged message from a peer rank. On completion
 // Data holds the payload. Messages from one peer arrive in program
 // order; a tag mismatch indicates a protocol bug and fails the rank.
+// Applications get one from Ctx.Recv.
 type RecvMsg struct {
 	From int
 	Tag  int
@@ -114,8 +157,9 @@ type RecvMsg struct {
 	N    int
 }
 
-// Recv constructs a tagged receive.
-func Recv(from, tag int) *RecvMsg { return &RecvMsg{From: from, Tag: tag} }
+// recv constructs a tagged receive on the heap, for a collective's
+// sub-op (see send).
+func recv(from, tag int) *RecvMsg { return &RecvMsg{From: from, Tag: tag} }
 
 func (op *RecvMsg) step(rt *Runtime, api *guest.API, res guest.Result) (guest.Op, bool) {
 	if op.PC > 0 && (res.Err != nil || res.EOF) {
@@ -178,10 +222,10 @@ func (op *Barrier) step(rt *Runtime, api *guest.API, res guest.Result) (guest.Op
 			switch {
 			case op.PC < rt.Size-1: // gather tokens from 1..P-1
 				op.PC++
-				op.Sub = Recv(op.PC, tagBarrier)
+				op.Sub = recv(op.PC, tagBarrier)
 			case op.PC < 2*(rt.Size-1): // release tokens
 				op.PC++
-				op.Sub = Send(op.PC-(rt.Size-1), tagBarrier, nil)
+				op.Sub = send(op.PC-(rt.Size-1), tagBarrier, nil)
 			default:
 				return nil, true
 			}
@@ -189,10 +233,10 @@ func (op *Barrier) step(rt *Runtime, api *guest.API, res guest.Result) (guest.Op
 			switch op.PC {
 			case 0:
 				op.PC = 1
-				op.Sub = Send(0, tagBarrier, nil)
+				op.Sub = send(0, tagBarrier, nil)
 			case 1:
 				op.PC = 2
-				op.Sub = Recv(0, tagBarrier)
+				op.Sub = recv(0, tagBarrier)
 			default:
 				return nil, true
 			}
@@ -246,7 +290,7 @@ func (op *Bcast) step(rt *Runtime, api *guest.API, res guest.Result) (guest.Op, 
 			src := (rt.Me - mask + rt.Size) % rt.Size
 			op.Mask = mask >> 1
 			op.PC = 1
-			op.Sub = Recv(src, tagBcast)
+			op.Sub = recv(src, tagBcast)
 		case 1: // received; fall through to sending phase
 			op.PC = 2
 		case 2: // send to children
@@ -254,7 +298,7 @@ func (op *Bcast) step(rt *Runtime, api *guest.API, res guest.Result) (guest.Op, 
 				if relative+op.Mask < rt.Size {
 					dst := (rt.Me + op.Mask) % rt.Size
 					op.Mask >>= 1
-					op.Sub = Send(dst, tagBcast, op.Data)
+					op.Sub = send(dst, tagBcast, op.Data)
 					break
 				}
 				op.Mask >>= 1
@@ -338,13 +382,13 @@ func (op *Reduce) step(rt *Runtime, api *guest.API, res guest.Result) (guest.Op,
 				return nil, true
 			}
 			op.PC = next + 1
-			op.Sub = Recv(next, tagReduce)
+			op.Sub = recv(next, tagReduce)
 		} else {
 			if op.PC == 1 {
 				return nil, true
 			}
 			op.PC = 1
-			op.Sub = Send(op.Root, tagReduce, Float64sToBytes(op.Data))
+			op.Sub = send(op.Root, tagReduce, Float64sToBytes(op.Data))
 		}
 	}
 }
@@ -438,11 +482,11 @@ func (op *Alltoall) step(rt *Runtime, api *guest.API, res guest.Result) (guest.O
 		switch op.PC {
 		case 0:
 			op.PC = 1
-			op.Sub = Send(to, tagA2A, op.Blocks[to])
+			op.Sub = send(to, tagA2A, op.Blocks[to])
 		default:
 			op.PC = 0
 			op.Step++
-			op.Sub = Recv(from, tagA2A)
+			op.Sub = recv(from, tagA2A)
 		}
 	}
 }

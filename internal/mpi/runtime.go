@@ -13,11 +13,21 @@
 // Programs are resumable state machines (see package guest); MPI
 // operations are therefore themselves resumable sub-machines that the
 // Driver steps through.
+//
+// An application's point-to-point and compute ops come from Ctx.Send,
+// Ctx.Recv and Ctx.Compute, which refill one slot per kind in the rank's
+// runtime-only scratch state (guest.API.Scratch) instead of allocating.
+// The slot rule: an op, and the prev it comes back as, stays valid until
+// the application asks Ctx for its next op of the same kind, so an
+// application reads prev (RecvMsg.Data, say) before it builds that op.
+// Message headers are interned per rank by (tag, length), so a
+// steady-state halo round allocates nothing in this package.
 package mpi
 
 import (
 	"encoding/binary"
 	"fmt"
+	"reflect"
 
 	"dvc/internal/guest"
 	"dvc/internal/imgcodec"
@@ -53,13 +63,76 @@ func (rt *Runtime) Fail(format string, args ...any) {
 	}
 }
 
-// Ctx gives an application access to its rank state plus the guest
-// syscall surface (clocks, logging) during a Step call. It is passed by
-// value, so stepping an App allocates nothing for it, and it must not be
-// retained across steps.
+// Ctx gives an application access to its rank state, its op
+// constructors and the guest syscall surface (clocks, logging) during a
+// Step call. It is passed by value, so stepping an App allocates nothing
+// for it, and it must not be retained across steps.
+//
+// Send, Recv and Compute refill and return the rank's one op of their
+// kind. The slot rule: an op, and the prev it comes back as, stays valid
+// until the application asks for its next op of the same kind. An
+// application reads prev before it builds that op, and keeps what it
+// needs for longer in its own fields: the bytes RecvMsg.Data refers to
+// outlive the slot, only the op's fields are reused.
 type Ctx struct {
 	RT  *Runtime
 	api *guest.API
+}
+
+// slots is a rank's runtime-only state, kept in its process's scratch
+// slot: one op per kind for the Ctx constructors, and the interned
+// headers. The image never carries it. An op in flight is encoded by
+// value through Driver.Cur, and a restored rank starts with fresh slots.
+type slots struct {
+	send    SendMsg
+	recv    RecvMsg
+	compute ComputeOp
+	headers headerTable
+}
+
+// rankSlots returns the slots of the rank api belongs to, creating them
+// on the rank's first use (and on its first use after a restore).
+//
+//dvc:hotpath
+func rankSlots(api *guest.API) *slots {
+	p := api.Scratch()
+	if s, ok := (*p).(*slots); ok {
+		return s
+	}
+	s := new(slots) //lint:allow noalloc once per process lifetime, then found above
+	*p = s
+	return s
+}
+
+// Send returns a send of data to rank to, tagged tag, in the rank's send
+// slot (see Ctx). The application gives up the right to mutate data (the
+// payload immutability contract).
+//
+//dvc:hotpath
+func (c Ctx) Send(to, tag int, data []byte) *SendMsg {
+	op := &rankSlots(c.api).send
+	*op = SendMsg{To: to, Tag: tag, Data: data}
+	return op
+}
+
+// Recv returns a receive of one message tagged tag from rank from, in the
+// rank's receive slot (see Ctx).
+//
+//dvc:hotpath
+func (c Ctx) Recv(from, tag int) *RecvMsg {
+	op := &rankSlots(c.api).recv
+	*op = RecvMsg{From: from, Tag: tag}
+	return op
+}
+
+// Compute returns a computation of duration d, in the rank's compute slot
+// (see Ctx).
+//
+//dvc:hotpath
+func (c Ctx) Compute(d sim.Time) *ComputeOp {
+	op := &rankSlots(c.api).compute
+	*op = ComputeOp{Duration: d}
+	return op
 }
 
 // WallClock returns the host wall-clock reading (jumps across VM
@@ -152,6 +225,62 @@ func (d *Driver) Next(api *guest.API, res guest.Result) guest.Op {
 		d.Cur = nil
 		res = guest.Result{}
 	}
+}
+
+// CheckImage implements guest.ImageChecker: it rejects a decoded driver
+// whose rank indexes would send step out of range of its world, where it
+// indexes Runtime.FDs and Runtime.Addrs unchecked.
+func (d *Driver) CheckImage() error {
+	rt := d.R
+	if rt == nil {
+		return fmt.Errorf("mpi: driver has no runtime")
+	}
+	if len(rt.FDs) != rt.Size || len(rt.Addrs) != rt.Size {
+		return fmt.Errorf("mpi: world of %d ranks with %d fds and %d addresses", rt.Size, len(rt.FDs), len(rt.Addrs))
+	}
+	if err := rt.checkRank("rank", rt.Me); err != nil {
+		return err
+	}
+	return checkOp(rt, d.Cur)
+}
+
+// checkRank rejects a rank index outside the world.
+func (rt *Runtime) checkRank(what string, r int) error {
+	if r < 0 || r >= rt.Size {
+		return fmt.Errorf("mpi: %s %d outside a world of %d ranks", what, r, rt.Size)
+	}
+	return nil
+}
+
+// checkOp rejects a decoded op, or a collective's sub-op, that is a nil
+// pointer or names a peer outside the world.
+func checkOp(rt *Runtime, op Op) error {
+	if v := reflect.ValueOf(op); v.Kind() == reflect.Pointer && v.IsNil() {
+		return fmt.Errorf("mpi: nil %T op", op)
+	}
+	switch op := op.(type) {
+	case *SendMsg:
+		return rt.checkRank("send to", op.To)
+	case *RecvMsg:
+		return rt.checkRank("receive from", op.From)
+	case *Barrier:
+		return checkOp(rt, op.Sub)
+	case *Bcast:
+		if err := rt.checkRank("broadcast root", op.Root); err != nil {
+			return err
+		}
+		return checkOp(rt, op.Sub)
+	case *Reduce:
+		if err := rt.checkRank("reduce root", op.Root); err != nil {
+			return err
+		}
+		return checkOp(rt, op.Sub)
+	case *Allreduce:
+		return checkOp(rt, op.Sub)
+	case *Alltoall:
+		return checkOp(rt, op.Sub)
+	}
+	return nil
 }
 
 // Launch spawns one Driver per guest OS, rank i on oses[i], all sharing

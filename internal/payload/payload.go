@@ -6,7 +6,7 @@
 // # Immutability contract
 //
 // A []byte handed to Wrap (directly or via the layers built on it —
-// guest.Send, mpi.Send, tcp WritePayload) transfers *visibility*, not a
+// guest.Send, mpi.Ctx.Send, tcp WritePayload) transfers *visibility*, not a
 // copy: the same backing array may simultaneously sit in a sender's TCP
 // retransmission queue, on the simulated wire, in the receiver's
 // reassembly ring and in the receiving application's hands. This is safe

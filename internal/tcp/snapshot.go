@@ -76,6 +76,7 @@ func (s *Stack) Snapshot() *StackSnapshot {
 	}
 	sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
 	snap.ListenerPorts = ports
+	snap.Conns = make([]ConnSnapshot, 0, len(s.conns))
 	for _, c := range s.conns {
 		// The queues flatten here — the checkpoint boundary — into
 		// fresh contiguous buffers. On the hot path segments and reads

@@ -105,7 +105,7 @@ func (a *BSPApp) Step(c mpi.Ctx, prev mpi.Op) mpi.Op {
 		}
 		if a.Phase == 0 {
 			a.Phase = 1
-			return mpi.Compute(a.SliceTime)
+			return c.Compute(a.SliceTime)
 		}
 		a.Phase = 0
 		a.I++
