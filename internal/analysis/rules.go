@@ -23,8 +23,8 @@ func ByName(name string) *Analyzer {
 // simPackages are the deterministic simulation packages: everything that
 // executes inside (or feeds state into) the discrete-event kernel. The
 // strict analyzers — nowallclock and noconcurrency — apply only here;
-// cmd/ CLIs and examples/ may legitimately read the host clock to report
-// progress to a human.
+// cmd/ CLIs may legitimately read the host clock to report progress to
+// a human.
 //
 // dvc/internal/fleet is DELIBERATELY absent: it is the single sanctioned
 // concurrency package in the module — the bounded worker pool that fans
@@ -62,7 +62,7 @@ func ByName(name string) *Analyzer {
 // into a simulation package (the noconcurrency fixture proves both
 // shapes are still flagged there).
 var simPackages = map[string]bool{
-	"dvc":                   true, // library facade (dvc.go, rm.go)
+	"dvc":                   true, // library facade (dvc.go)
 	"dvc/internal/sim":      true,
 	"dvc/internal/core":     true,
 	"dvc/internal/vm":       true,
@@ -97,8 +97,8 @@ func IsSimPackage(pkgPath string) bool { return simPackages[pkgPath] }
 //     generation; checkpoint roots, //dvc:hotpath functions and fleet
 //     call sites carry their obligations wherever they are declared.
 //   - nowallclock and noconcurrency are restricted to the simulation
-//     packages; cmd/ binaries and examples/ are the sanctioned home for
-//     wall-clock progress reporting and (hypothetical) concurrency.
+//     packages; cmd/ binaries are the sanctioned home for wall-clock
+//     progress reporting and (hypothetical) concurrency.
 //
 // Test files never reach the analyzers at all: the loader only feeds
 // non-test GoFiles, which is the _test.go wall-clock allowlist from the

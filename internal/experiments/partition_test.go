@@ -16,8 +16,8 @@ import (
 // conservative-lookahead synchronization (internal/sim/partition):
 // logical partitions are fixed by the topology, cross-partition messages
 // execute in (arrival time, source partition, source sequence) order at
-// deterministic barriers, and the per-partition traces merge by (virtual
-// time, partition, sequence) — never by goroutine arrival order.
+// deterministic barriers, and each partition's trace is appended whole,
+// in partition order — never in goroutine arrival order.
 
 // diffTraces fails with the first diverging JSONL line.
 func diffTraces(t *testing.T, label string, a, b []byte) {
@@ -68,16 +68,13 @@ func TestPartitionedMatchesSerial(t *testing.T) {
 	if !base.res.OK() {
 		t.Fatalf("partitioned scale run failed: ckpt=%v job=%v", base.res.CheckpointOK, base.res.JobOK)
 	}
-	if base.res.NetForwarded == 0 || base.res.Pings == 0 {
-		t.Fatalf("no cross-partition traffic: forwarded=%d pings=%d", base.res.NetForwarded, base.res.Pings)
+	if base.res.Stats.Forwarded == 0 || base.res.Pings == 0 {
+		t.Fatalf("no cross-partition traffic: forwarded=%d pings=%d", base.res.Stats.Forwarded, base.res.Pings)
 	}
 	for _, workers := range []int{2, 4} {
 		got := run(workers, true)
 		diffTraces(t, fmt.Sprintf("PSCALE workers=1 vs %d", workers), base.trace, got.trace)
-		// Workers is the run's own knob; everything else must match.
-		want := *base.res
-		want.Workers = workers
-		if *got.res != want {
+		if *got.res != *base.res {
 			t.Errorf("PSCALE results differ at workers=%d:\n  workers=1: %+v\n  workers=%d: %+v", workers, *base.res, workers, *got.res)
 		}
 	}
@@ -129,7 +126,7 @@ func BenchmarkPartitionSpeedup(b *testing.B) {
 			b.Logf("%s workers=%d: %.2fs speedup=%.2fx stalls=%.0f/s xdc=%.0f msgs/s",
 				spec, workers, wallS, speedup,
 				float64(res.Stats.GateWaits)/float64(b.N)/wallS,
-				float64(res.NetForwarded)/float64(b.N)/wallS)
+				float64(res.Stats.Forwarded)/float64(b.N)/wallS)
 		}
 	}
 	b.StopTimer()

@@ -32,19 +32,16 @@ func monAddr(d int) netsim.Addr { return netsim.Addr(fmt.Sprintf("mon-dc%02d", d
 
 // PScaleResult reports one partitioned scale run.
 type PScaleResult struct {
-	Spec       ScaleSpec
 	Nodes      int
 	Partitions int // logical partitions (= datacenters)
-	Workers    int // concurrency bound actually used
 	Lookahead  sim.Time
 
 	// Events is the total fired across all sub-kernels; Pings counts
-	// delivered cross-DC monitor pings; NetForwarded counts packets that
-	// crossed a partition boundary (summed fabric stats).
-	Events       uint64
-	Pings        uint64
-	NetForwarded uint64
-	// Stats is the coordinator's barrier/stall accounting.
+	// delivered cross-DC monitor pings.
+	Events uint64
+	Pings  uint64
+	// Stats is the coordinator's barrier/stall accounting; its Forwarded
+	// counts packets that crossed a partition boundary.
 	Stats partition.Stats
 
 	// CheckpointOK/JobOK hold across every datacenter's job; SaveSkew is
@@ -52,7 +49,6 @@ type PScaleResult struct {
 	CheckpointOK bool
 	JobOK        bool
 	SaveSkew     sim.Time
-	SimTime      sim.Time
 }
 
 // OK reports whether every partition's checkpoint and job succeeded.
@@ -69,7 +65,9 @@ func (r *PScaleResult) OK() bool { return r.CheckpointOK && r.JobOK }
 // byte, table cell and stat is identical at any workers value — the
 // logical partitioning is fixed by the topology and the exchange orders
 // messages by (arrival time, partition id, send seq), so the schedule is
-// a pure function of (seed, spec). tr may be nil.
+// a pure function of (seed, spec). tr may be nil; it receives each
+// partition's records whole, in partition order (dvctrace -convert
+// restores the global time order).
 func RunScalePartitioned(seed int64, spec ScaleSpec, workers int, tr *obs.Tracer) (*PScaleResult, error) {
 	if spec.DCs < 2 {
 		return nil, fmt.Errorf("experiments: partitioned scale needs >= 2 datacenters, got %d", spec.DCs)
@@ -85,21 +83,17 @@ func RunScalePartitioned(seed int64, spec ScaleSpec, workers int, tr *obs.Tracer
 		nm.Register(monAddr(d), phys.ClusterName(d, 0), d)
 	}
 	children := make([]*obs.Tracer, spec.DCs)
-	if tr != nil {
-		for d := range children {
-			children[d] = tr.Child()
-		}
+	for d := range children {
+		children[d] = tr.Child()
 	}
 
 	type partOut struct {
-		events    uint64
-		pings     uint64
-		forwarded uint64
-		end       sim.Time
-		ckptOK    bool
-		jobOK     bool
-		skew      sim.Time
-		err       error
+		events uint64
+		pings  uint64
+		ckptOK bool
+		jobOK  bool
+		skew   sim.Time
+		err    error
 	}
 	outs := make([]partOut, spec.DCs)
 
@@ -111,7 +105,7 @@ func RunScalePartitioned(seed int64, spec ScaleSpec, workers int, tr *obs.Tracer
 		// partition's draw order.
 		k := sim.NewKernel(seed + int64(d)*1_000_003)
 		site := phys.DefaultSite(k)
-		if _, err := phys.BuildTopoZones(site, topoSpec, d); err != nil {
+		if _, err := phys.BuildTopo(site, topoSpec, d); err != nil {
 			o.err = err
 			return
 		}
@@ -143,18 +137,14 @@ func RunScalePartitioned(seed int64, spec ScaleSpec, workers int, tr *obs.Tracer
 		// simply passes through.
 		k.RunUntil(pHorizon)
 		o.events = k.Fired()
-		o.end = k.Now()
-		o.forwarded = site.Fabric.Stats().Forwarded
 	})
 
-	if tr != nil {
-		tr.Merge(children...)
+	for _, ch := range children {
+		tr.Merge(ch)
 	}
 	res := &PScaleResult{
-		Spec:       spec,
 		Nodes:      spec.Nodes(),
 		Partitions: spec.DCs,
-		Workers:    workers,
 		Lookahead:  la,
 		Stats:      c.Stats(),
 	}
@@ -164,10 +154,6 @@ func RunScalePartitioned(seed int64, spec ScaleSpec, workers int, tr *obs.Tracer
 		}
 		res.Events += outs[d].events
 		res.Pings += outs[d].pings
-		res.NetForwarded += outs[d].forwarded
-		if outs[d].end > res.SimTime {
-			res.SimTime = outs[d].end
-		}
 	}
 	res.CheckpointOK, res.JobOK = true, true
 	for d := range outs {
@@ -201,11 +187,11 @@ func runPScaleExp(opts Options) *Result {
 		}
 		tbl.Row(sp.String(), r.Nodes, r.Partitions,
 			fmt.Sprintf("%.2f", r.Lookahead.Seconds()*1000), r.Events,
-			r.NetForwarded, r.Stats.Barriers, r.CheckpointOK, r.JobOK)
+			r.Stats.Forwarded, r.Stats.Barriers, r.CheckpointOK, r.JobOK)
 		res.check(fmt.Sprintf("%s save+restore transparent", sp), r.OK(),
 			"ckpt=%v job=%v at %d nodes / %d partitions", r.CheckpointOK, r.JobOK, r.Nodes, r.Partitions)
-		res.check(fmt.Sprintf("%s cross-partition traffic flows", sp), r.NetForwarded > 0 && r.Pings > 0,
-			"forwarded %d packets, delivered %d pings", r.NetForwarded, r.Pings)
+		res.check(fmt.Sprintf("%s cross-partition traffic flows", sp), r.Stats.Forwarded > 0 && r.Pings > 0,
+			"forwarded %d packets, delivered %d pings", r.Stats.Forwarded, r.Pings)
 	}
 	res.table(tbl, opts.out())
 	return res

@@ -63,7 +63,7 @@ func (r *ScaleResult) OK() bool { return r.CheckpointOK && r.JobOK }
 func RunScale(seed int64, spec ScaleSpec, tr *obs.Tracer) (*ScaleResult, error) {
 	k := sim.NewKernel(seed)
 	site := phys.DefaultSite(k)
-	topo, err := phys.BuildTopo(site, spec.Topo())
+	clusters, err := phys.BuildTopo(site, spec.Topo())
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +76,7 @@ func RunScale(seed int64, spec ScaleSpec, tr *obs.Tracer) (*ScaleResult, error) 
 	}
 	return &ScaleResult{
 		Nodes:        spec.Nodes(),
-		Clusters:     len(topo.Clusters),
+		Clusters:     len(clusters),
 		Events:       k.Fired(),
 		CheckpointOK: t.imagesOK,
 		JobOK:        t.ok,

@@ -105,7 +105,6 @@ type Stats struct {
 	DroppedLoss   uint64 // lost on the wire (random loss or drop rule)
 	DroppedDown   uint64 // sender/destination port down (e.g. VM paused)
 	DroppedNoDest uint64 // destination not attached
-	Forwarded     uint64 // handed to another partition's fabric (Remote)
 	Bytes         uint64 // payload bytes of transmitted packets
 	BytesDropped  uint64 // payload bytes of packets refused before transmit
 }
@@ -193,13 +192,9 @@ type Fabric struct {
 
 // Remote is the partitioned-run escape hatch: when Send finds the
 // destination address unattached locally, it asks the Remote whether
-// another partition's fabric owns it. The send-side physics (loss draw,
-// NIC serialisation, link latency from the local cluster registry —
-// remote clusters are registered fabric-only for exactly this) happen on
-// the sending fabric with the sending kernel's RNG, so the sender's
-// byte-for-byte behaviour is independent of who owns the receiver; the
-// receive side completes in the owning fabric's InjectDelivery at the
-// arrival time Forward carries across.
+// another partition's fabric owns it. The send side runs on the sending
+// fabric (see Send); the receive side completes in the owning fabric's
+// InjectDelivery at the arrival time Forward carries across.
 type Remote interface {
 	// RemoteCluster reports the cluster the remote address lives in
 	// (for link-profile resolution), or ok=false when the address is
@@ -275,14 +270,6 @@ func (f *Fabric) SetClusterZone(name string, zone int) error {
 	}
 	f.zoneOf[ci] = int32(zone)
 	return nil
-}
-
-// ClusterZone reports the zone a cluster is assigned to.
-func (f *Fabric) ClusterZone(name string) int {
-	if ci, ok := f.clusterIdx[name]; ok {
-		return int(f.zoneOf[ci])
-	}
-	return 0
 }
 
 // Stats returns a snapshot of the fabric counters.
@@ -380,20 +367,23 @@ func (f *Fabric) delay(src, dst *Port, size int) sim.Time {
 	prof := f.profileBetween(src.cluster, dst.cluster)
 	d := prof.Latency + src.ExtraLatency + dst.ExtraLatency
 	if size > 0 {
-		if bw := f.effectiveBandwidth(src, dst); bw > 0 {
+		if bw := effectiveBandwidth(prof, src, dst); bw > 0 {
 			d += sim.Time(float64(size) / bw * float64(sim.Second))
 		}
 	}
 	return d
 }
 
+// effectiveBandwidth scales prof's bandwidth by both ports'
+// BandwidthFactor. dst is nil for a destination another partition owns.
+//
 //dvc:hotpath
-func (f *Fabric) effectiveBandwidth(src, dst *Port) float64 {
-	bw := f.profileBetween(src.cluster, dst.cluster).Bandwidth
+func effectiveBandwidth(prof LinkProfile, src, dst *Port) float64 {
+	bw := prof.Bandwidth
 	if src.BandwidthFactor > 0 {
 		bw *= src.BandwidthFactor
 	}
-	if dst.BandwidthFactor > 0 {
+	if dst != nil && dst.BandwidthFactor > 0 {
 		bw *= dst.BandwidthFactor
 	}
 	return bw
@@ -418,6 +408,16 @@ func (f *Fabric) effectiveBandwidth(src, dst *Port) float64 {
 // indices. Only a destination attached to no local port falls back to
 // the Remote, by address. A packet whose ids are unresolved panics.
 //
+// A destination another partition owns takes the same send leg — the
+// loss draw from this kernel, this NIC's serialisation, the link profile
+// from this fabric's cluster registry — so the sender's schedule does
+// not depend on who owns the receiver. It differs in two places only:
+// its cluster comes from the Remote, and the transmitted packet goes to
+// Remote.Forward instead of a local delivery. A remote port's para-virt
+// overheads (ExtraLatency, BandwidthFactor) are not visible here, so
+// cross-partition endpoints are host-level ports; virtual clusters are
+// allocated within one partition, so guest traffic never crosses.
+//
 //dvc:hotpath
 func (f *Fabric) Send(pkt Packet) {
 	sid, did := pkt.SrcID, pkt.DstID
@@ -437,21 +437,19 @@ func (f *Fabric) Send(pkt Packet) {
 		f.traceDrop(pkt, "rule")
 		return
 	}
-	dst := f.byID[did]
-	if dst == nil {
-		if f.remote != nil {
-			if cluster, remote := f.remote.RemoteCluster(pkt.Dst); remote {
-				f.sendRemote(pkt, sid, cluster)
-				return
-			}
-		}
+	src, dst := f.byID[sid], f.byID[did]
+	var dstCluster int32
+	if dst != nil {
+		dstCluster = dst.cluster
+	} else if ci, ok := f.remoteCluster(pkt.Dst); ok {
+		dstCluster = ci
+	} else {
 		f.stats.DroppedNoDest++
 		f.stats.BytesDropped += uint64(pkt.Size)
 		f.traceDrop(pkt, "no-dest")
 		return
 	}
-	src := f.byID[sid]
-	prof := f.profileBetween(src.cluster, dst.cluster)
+	prof := f.profileBetween(src.cluster, dstCluster)
 	if prof.LossProb > 0 && f.kernel.Rand().Float64() < prof.LossProb {
 		f.stats.DroppedLoss++
 		f.stats.BytesDropped += uint64(pkt.Size)
@@ -464,7 +462,7 @@ func (f *Fabric) Send(pkt Packet) {
 	// the NIC frees up, then propagates for the latency term.
 	var txTime sim.Time
 	if pkt.Size > 0 {
-		if bw := f.effectiveBandwidth(src, dst); bw > 0 {
+		if bw := effectiveBandwidth(prof, src, dst); bw > 0 {
 			txTime = sim.Time(float64(pkt.Size) / bw * float64(sim.Second))
 		}
 	}
@@ -474,10 +472,31 @@ func (f *Fabric) Send(pkt Packet) {
 	}
 	depart := start + txTime
 	f.busy[sid] = depart
-	arrive := depart + prof.Latency + src.ExtraLatency + dst.ExtraLatency
+	arrive := depart + prof.Latency + src.ExtraLatency
+	if dst == nil {
+		f.remote.Forward(pkt, arrive)
+		return
+	}
 	rec := f.getDelivery()
 	rec.pkt = pkt
-	f.kernel.At(arrive, rec.run)
+	f.kernel.At(arrive+dst.ExtraLatency, rec.run)
+}
+
+// remoteCluster resolves the cluster index of a destination another
+// partition owns, through the Remote and this fabric's cluster registry
+// (phys.BuildTopo registers other partitions' clusters fabric-only). ok
+// is false when there is no Remote, the Remote does not know the
+// address, or its cluster is not registered here.
+func (f *Fabric) remoteCluster(dst Addr) (int32, bool) {
+	if f.remote == nil {
+		return 0, false
+	}
+	name, ok := f.remote.RemoteCluster(dst)
+	if !ok {
+		return 0, false
+	}
+	ci, ok := f.clusterIdx[name]
+	return ci, ok
 }
 
 // delivery is one pooled in-flight packet record. run is bound to the
@@ -544,56 +563,6 @@ func (f *Fabric) finishDelivery(pkt Packet) {
 	p.handler(pkt)
 }
 
-// sendRemote transmits a packet whose destination another partition
-// owns. The whole send side happens here, on the sending fabric, so the
-// sender's schedule and RNG draws are byte-identical to a monolithic
-// run: the loss draw comes from the sending kernel, NIC serialisation
-// claims the sender's wire time, and the link profile resolves through
-// the local cluster registry (remote clusters are registered
-// fabric-only by the zone-sliced topology builder). One deliberate
-// asymmetry: the destination port's para-virt overheads (ExtraLatency,
-// BandwidthFactor) are not visible across partitions, so cross-partition
-// endpoints are host-level ports — which is what the partitioned
-// experiments attach (VM guest traffic never crosses a zone boundary:
-// virtual clusters are allocated within one partition).
-func (f *Fabric) sendRemote(pkt Packet, sid EndpointID, cluster string) {
-	ci, ok := f.clusterIdx[cluster]
-	if !ok {
-		f.stats.DroppedNoDest++
-		f.stats.BytesDropped += uint64(pkt.Size)
-		f.traceDrop(pkt, "no-dest")
-		return
-	}
-	src := f.byID[sid]
-	prof := f.profileBetween(src.cluster, ci)
-	if prof.LossProb > 0 && f.kernel.Rand().Float64() < prof.LossProb {
-		f.stats.DroppedLoss++
-		f.stats.BytesDropped += uint64(pkt.Size)
-		f.traceDrop(pkt, "loss")
-		return
-	}
-	f.stats.Sent++
-	f.stats.Bytes += uint64(pkt.Size)
-	var txTime sim.Time
-	if pkt.Size > 0 {
-		bw := prof.Bandwidth
-		if src.BandwidthFactor > 0 {
-			bw *= src.BandwidthFactor
-		}
-		if bw > 0 {
-			txTime = sim.Time(float64(pkt.Size) / bw * float64(sim.Second))
-		}
-	}
-	start := f.kernel.Now()
-	if f.busy[sid] > start {
-		start = f.busy[sid]
-	}
-	depart := start + txTime
-	f.busy[sid] = depart
-	f.stats.Forwarded++
-	f.remote.Forward(pkt, depart+prof.Latency+src.ExtraLatency)
-}
-
 // InjectDelivery completes the arrival of a packet transmitted on
 // another partition's fabric. The caller (the partition router) executes
 // it as a kernel event at the arrival time Forward carried over. The
@@ -602,25 +571,4 @@ func (f *Fabric) sendRemote(pkt Packet, sid EndpointID, cluster string) {
 func (f *Fabric) InjectDelivery(pkt Packet) {
 	pkt.SrcID, pkt.DstID = f.Endpoint(pkt.Src), f.Endpoint(pkt.Dst)
 	f.finishDelivery(pkt)
-}
-
-// MinCrossLatency reports the smallest one-way link latency of any
-// profile governing traffic between clusters that part maps to different
-// partitions — the conservative lookahead bound for a partitioned run
-// (no cross-partition packet can arrive sooner than it was sent plus
-// this). Zero when no cross-partition pair exists.
-func (f *Fabric) MinCrossLatency(part func(cluster string) int) sim.Time {
-	min := sim.Time(0)
-	for a := range f.clusterName {
-		for b := a + 1; b < len(f.clusterName); b++ {
-			if part(f.clusterName[a]) == part(f.clusterName[b]) {
-				continue
-			}
-			lat := f.profileBetween(int32(a), int32(b)).Latency
-			if min == 0 || lat < min {
-				min = lat
-			}
-		}
-	}
-	return min
 }

@@ -382,11 +382,12 @@ func TestPathAndClusterBandwidth(t *testing.T) {
 	_, f := newTestFabric(t)
 	p1 := f.Attach("n1", "a", nil)
 	p2 := f.Attach("n2", "b", nil)
-	if bw := f.effectiveBandwidth(p1, p2); bw != 50e6 {
+	prof := f.profileBetween(p1.cluster, p2.cluster)
+	if bw := effectiveBandwidth(prof, p1, p2); bw != 50e6 {
 		t.Fatalf("inter-cluster path bw %v", bw)
 	}
 	p2.BandwidthFactor = 0.5
-	if bw := f.effectiveBandwidth(p1, p2); bw != 25e6 {
+	if bw := effectiveBandwidth(prof, p1, p2); bw != 25e6 {
 		t.Fatalf("factored path bw %v", bw)
 	}
 	if got := f.ClusterBandwidth("a", "a"); got != 100e6 {

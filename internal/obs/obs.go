@@ -5,7 +5,7 @@
 // streamed as JSONL through a fixed-size buffer (JSONLSink) or folded
 // into per-type counts and span percentiles (SummarySink). A tracer
 // keeps no records itself; only a Child buffers its trial's records
-// until Merge replays them into the parent. Tracing schedules no kernel
+// until Merge appends them to the parent. Tracing schedules no kernel
 // events: the tracer only records what the instrumented layers emit, so
 // a traced run fires exactly the events of an untraced one.
 //
@@ -291,12 +291,11 @@ func (t *Tracer) counter(ts sim.Time, typ EventType, node, dom, name string, v f
 }
 
 // Child returns a fresh, empty tracer for one parallel trial or one
-// partition, which buffers its records in memory: merging needs the
-// whole trial. A nil (disabled) parent returns a nil child, so untraced
-// runs stay untraced all the way down. Children are independent
-// single-threaded tracers; after the trial completes, hand them back to
-// the parent with Merge, one child per call in trial order, so the
-// parent's sink sees one trial at a time, in trial order.
+// partition, which buffers its records in memory until Merge. A nil
+// (disabled) parent returns a nil child, so untraced runs stay untraced
+// all the way down. Children are independent single-threaded tracers;
+// after they complete, hand them back to the parent with Merge, one
+// child per call in trial (or partition) order.
 func (t *Tracer) Child() *Tracer {
 	if t == nil {
 		return nil
@@ -307,86 +306,44 @@ func (t *Tracer) Child() *Tracer {
 	return c
 }
 
-// Merge interleaves the children's records into t ordered by
-// (virtual time, child index, child sequence) — the canonical ordering
-// of a partitioned run, where each child is one partition's private
-// tracer. Merge produces the single global schedule: records of
-// different partitions sort by timestamp, ties break on the stable
-// partition index given by argument order, and each partition's own
-// emission order is preserved. That triple is a pure function of the
-// simulation, never of goroutine arrival order, which is what keeps
-// partitioned traces byte-identical to each other at any worker count.
-//
-// Merge of a single child appends that child whole, exactly as if every
-// event had been emitted directly on t. Parallel trials rely on this:
-// each trial records into a private child concurrently, and the parent
-// merges them back one child per call in trial-index order, reproducing
-// the emission order of the serial loop. The records flow straight out
+// Merge appends child's records to t whole, exactly as if every event
+// had been emitted directly on t. Parallel trials and partitions rely on
+// this: each records into a private child concurrently, and the parent
+// merges them back one child per call in index order, reproducing the
+// emission order of the serial loop. The records flow straight out
 // through the parent's sink, so the parent never holds more than the
-// sink's fixed buffer.
+// sink's fixed buffer. A partitioned run's trace is therefore
+// partition-major; ConvertJSONL orders records by (time, seq) again.
 //
-// Sequence numbers are re-assigned densely in merge order and span
+// Sequence numbers are re-assigned densely in merge order, and span
 // references are remapped through a per-child table (a Begin's new seq
-// is recorded when it lands; its End looks the mapping up), so
-// begin/end pairing survives the interleave. A span's Begin always
-// precedes its End in the merged stream because each child's timestamps
-// are non-decreasing — true of a partition tracer, whose records carry
-// its own kernel's monotone clock. Child registries merge in argument
-// order: counters add and histograms append, as a serial run would. Nil
-// children (from a disabled parent) are ignored; Merge on a nil tracer
-// is a no-op. Merge panics on a child that did not come from Child.
-func (t *Tracer) Merge(children ...*Tracer) {
-	if t == nil {
+// is recorded when it lands; its End looks the mapping up). The child's
+// registry merges into t's: counters add and histograms append, as a
+// serial run would. A nil child (from a disabled parent) is ignored;
+// Merge on a nil tracer is a no-op. Merge panics on a child that did not
+// come from Child.
+func (t *Tracer) Merge(child *Tracer) {
+	if t == nil || child == nil {
 		return
 	}
-	type cursor struct {
-		recs  []Record
-		i     int
-		remap []uint64 // child Begin seq -> merged seq
+	if child.mem == nil {
+		panic("obs: Merge child did not come from Child()")
 	}
-	cs := make([]*cursor, 0, len(children))
-	for _, c := range children {
-		if c == nil {
-			continue
-		}
-		if c.mem == nil {
-			panic("obs: Merge child did not come from Child()")
-		}
-		cs = append(cs, &cursor{recs: c.mem.recs, remap: make([]uint64, len(c.mem.recs))})
-	}
-	for {
-		best := -1
-		for j, c := range cs {
-			if c.i >= len(c.recs) {
-				continue
-			}
-			if best < 0 || c.recs[c.i].TS < cs[best].recs[cs[best].i].TS {
-				best = j
-			}
-		}
-		if best < 0 {
-			break
-		}
-		c := cs[best]
-		r := c.recs[c.i]
-		c.i++
+	recs := child.mem.recs
+	remap := make([]uint64, len(recs)) // child Begin seq -> merged seq
+	for _, r := range recs {
 		switch r.Ph {
 		case PhaseBegin:
-			c.remap[r.Seq] = t.next
+			remap[r.Seq] = t.next
 			r.Span = t.next
 		case PhaseEnd:
-			r.Span = c.remap[r.Span]
+			r.Span = remap[r.Span]
 		}
 		r.Seq = t.next
 		t.next++
 		t.write(&r)
 	}
-	for _, c := range children {
-		if c == nil {
-			continue
-		}
-		t.reg.merge(c.reg)
-	}
+	t.reg.merge(child.reg)
 }
 
 // emit assigns the next sequence number and forwards the record.

@@ -101,7 +101,8 @@ type FilterConfig struct {
 	// draw, so sampling is part of the deterministic contract. Span
 	// Begin/End records always pass the sampler: dropping one half of a
 	// pair would corrupt span pairing downstream. 0 and 1 keep
-	// everything.
+	// everything. Seq is the trace's record order, so on a merged
+	// (partition-major) trace the sample follows partition order.
 	EveryN uint64
 }
 

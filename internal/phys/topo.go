@@ -33,63 +33,38 @@ func (t TopoSpec) validate() error {
 	return nil
 }
 
+// interZone is the profile joining clusters of different datacenters:
+// setInterProfiles installs it and ZoneLookahead bounds by its latency.
+var interZone = netsim.MultiDatacenterWAN()
+
 // setInterProfiles installs the spine and WAN profiles on a fabric.
 func setInterProfiles(f *netsim.Fabric) {
 	f.SetInterCluster(netsim.FatTreeSpine())
-	f.SetInterZone(netsim.MultiDatacenterWAN())
-}
-
-// Topology records what BuildTopo generated.
-type Topology struct {
-	// Clusters holds generated cluster names in creation order
-	// ("dc00-c00", "dc00-c01", ...). Node IDs follow the AddCluster
-	// convention: "<cluster>-nNN".
-	Clusters []string
+	f.SetInterZone(interZone)
 }
 
 // ClusterName returns the canonical generated name of cluster c in
-// datacenter d.
+// datacenter d. Node IDs follow the AddCluster convention:
+// "<cluster>-nNN".
 func ClusterName(d, c int) string { return fmt.Sprintf("dc%02d-c%02d", d, c) }
 
-// BuildTopo generates the spec's inventory into the site: one cluster per
-// (datacenter, cluster) pair, every cluster zoned to its datacenter, and
-// the fabric's spine/WAN profiles installed. Creation order is
-// deterministic (datacenter-major), so same spec + same kernel seed means
-// an identical inventory and identical downstream RNG draws.
-func BuildTopo(site *Site, spec TopoSpec) (*Topology, error) {
+// BuildTopo generates the spec's inventory into the site: one cluster
+// per (datacenter, cluster) pair, every cluster zoned to its datacenter,
+// and the fabric's spine/WAN profiles installed. Clusters of the listed
+// datacenters (every datacenter when dcs is empty) are created for real:
+// nodes, clocks, NTP. Every other cluster is registered fabric-only
+// (profile and zone, no nodes), which builds one partition of a
+// partitioned run: link-profile resolution, and with it the
+// cross-partition send math, is then identical on every partition's
+// fabric. Creation order is deterministic (datacenter-major), so the
+// same spec, dcs and kernel seed give an identical inventory and
+// identical downstream RNG draws. It returns the created cluster names
+// in creation order ("dc00-c00", "dc00-c01", ...).
+func BuildTopo(site *Site, spec TopoSpec, dcs ...int) ([]string, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	setInterProfiles(site.Fabric)
-	topo := &Topology{Clusters: make([]string, 0, spec.DCs*spec.ClustersPerDC)}
-	for d := 0; d < spec.DCs; d++ {
-		for c := 0; c < spec.ClustersPerDC; c++ {
-			name := ClusterName(d, c)
-			site.AddCluster(name, spec.HostsPerCluster, DefaultSpec(), netsim.EthernetGigE())
-			if err := site.Fabric.SetClusterZone(name, d); err != nil {
-				return nil, err
-			}
-			topo.Clusters = append(topo.Clusters, name)
-		}
-	}
-	return topo, nil
-}
-
-// BuildTopoZones generates the slice of spec's inventory owned by the
-// given datacenters into the site — one partition of a partitioned run.
-// Clusters of the listed DCs are created for real (nodes, clocks, NTP);
-// every other cluster is registered fabric-only (profile + zone, no
-// nodes), so link-profile resolution — and therefore the cross-partition
-// latency/bandwidth math on the send side — is identical on every
-// partition's fabric. Registration order is the same datacenter-major
-// order BuildTopo uses, restricted creation included, so a partition's
-// inventory is a pure function of (spec, dcs). It returns the locally
-// created cluster names in creation order.
-func BuildTopoZones(site *Site, spec TopoSpec, dcs ...int) ([]string, error) {
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
-	local := make(map[int]bool, len(dcs))
+	local := make([]bool, spec.DCs)
 	for _, d := range dcs {
 		if d < 0 || d >= spec.DCs {
 			return nil, fmt.Errorf("phys: datacenter %d out of range [0,%d)", d, spec.DCs)
@@ -97,13 +72,13 @@ func BuildTopoZones(site *Site, spec TopoSpec, dcs ...int) ([]string, error) {
 		local[d] = true
 	}
 	setInterProfiles(site.Fabric)
-	var owned []string
+	var created []string
 	for d := 0; d < spec.DCs; d++ {
 		for c := 0; c < spec.ClustersPerDC; c++ {
 			name := ClusterName(d, c)
-			if local[d] {
+			if len(dcs) == 0 || local[d] {
 				site.AddCluster(name, spec.HostsPerCluster, DefaultSpec(), netsim.EthernetGigE())
-				owned = append(owned, name)
+				created = append(created, name)
 			} else {
 				site.Fabric.AddCluster(name, netsim.EthernetGigE())
 			}
@@ -112,29 +87,21 @@ func BuildTopoZones(site *Site, spec TopoSpec, dcs ...int) ([]string, error) {
 			}
 		}
 	}
-	return owned, nil
+	return created, nil
 }
 
 // ZoneLookahead computes the conservative lookahead for a run of spec
-// partitioned on datacenter (zone) boundaries: the minimum latency of
-// any link profile joining clusters of different zones, extracted from
-// the same profile matrix the packets will use (netsim.MinCrossLatency
-// over a scratch fabric). Zero when the spec has a single datacenter —
-// there is no cross-partition traffic to bound.
+// partitioned on datacenter (zone) boundaries: clusters of different
+// zones are joined only by the inter-zone profile setInterProfiles
+// installs, so its latency is the smallest cross-partition delay. Zero
+// when the spec has a single datacenter: there is no cross-partition
+// traffic to bound.
 func ZoneLookahead(spec TopoSpec) (sim.Time, error) {
 	if err := spec.validate(); err != nil {
 		return 0, err
 	}
-	f := netsim.NewFabric(sim.NewKernel(0))
-	setInterProfiles(f)
-	for d := 0; d < spec.DCs; d++ {
-		for c := 0; c < spec.ClustersPerDC; c++ {
-			name := ClusterName(d, c)
-			f.AddCluster(name, netsim.EthernetGigE())
-			if err := f.SetClusterZone(name, d); err != nil {
-				return 0, err
-			}
-		}
+	if spec.DCs == 1 {
+		return 0, nil
 	}
-	return f.MinCrossLatency(f.ClusterZone), nil
+	return interZone.Latency, nil
 }

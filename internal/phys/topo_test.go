@@ -8,55 +8,79 @@ import (
 	"dvc/internal/sim"
 )
 
-func buildTestTopo(t *testing.T, seed int64, spec TopoSpec) (*Site, *Topology) {
+func buildTestTopo(t *testing.T, seed int64, spec TopoSpec) (*Site, []string) {
 	t.Helper()
 	k := sim.NewKernel(seed)
 	s := DefaultSite(k)
-	topo, err := BuildTopo(s, spec)
+	clusters, err := BuildTopo(s, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, topo
+	return s, clusters
 }
 
 func TestBuildTopoInventory(t *testing.T) {
 	spec := TopoSpec{DCs: 2, ClustersPerDC: 3, HostsPerCluster: 5}
-	s, topo := buildTestTopo(t, 1, spec)
+	s, clusters := buildTestTopo(t, 1, spec)
 	if got := s.NodeCount(); got != 30 {
 		t.Fatalf("NodeCount = %d, want 30", got)
 	}
-	if len(topo.Clusters) != 6 || topo.Clusters[0] != "dc00-c00" || topo.Clusters[5] != "dc01-c02" {
-		t.Fatalf("cluster names %v", topo.Clusters)
+	if len(clusters) != 6 || clusters[0] != "dc00-c00" || clusters[5] != "dc01-c02" {
+		t.Fatalf("cluster names %v", clusters)
 	}
 	if _, ok := s.Node("dc01-c02-n04"); !ok {
 		t.Fatal("last generated node missing")
 	}
 	// Zones follow datacenters.
-	if z := s.Fabric.ClusterZone("dc00-c01"); z != 0 {
-		t.Fatalf("dc00-c01 zone = %d, want 0", z)
+	checkZones(t, s.Fabric, spec)
+}
+
+// checkZones attaches a probe port in every generated cluster and checks
+// every pair: two clusters sit across the WAN exactly when their
+// datacenters differ, and across the spine otherwise. That holds only if
+// every cluster is zoned to its own datacenter.
+func checkZones(t *testing.T, f *netsim.Fabric, spec TopoSpec) {
+	t.Helper()
+	probe := func(d, c int) netsim.Addr { return netsim.Addr("zone-probe-" + ClusterName(d, c)) }
+	for d := 0; d < spec.DCs; d++ {
+		for c := 0; c < spec.ClustersPerDC; c++ {
+			f.Attach(probe(d, c), ClusterName(d, c), nil)
+		}
 	}
-	if z := s.Fabric.ClusterZone("dc01-c00"); z != 1 {
-		t.Fatalf("dc01-c00 zone = %d, want 1", z)
-	}
-	if z := s.Fabric.ClusterZone(topo.Clusters[5]); z != 1 {
-		t.Fatalf("%s zone = %d, want 1", topo.Clusters[5], z)
+	for da := 0; da < spec.DCs; da++ {
+		for ca := 0; ca < spec.ClustersPerDC; ca++ {
+			for db := 0; db < spec.DCs; db++ {
+				for cb := 0; cb < spec.ClustersPerDC; cb++ {
+					if da == db && ca == cb {
+						continue
+					}
+					lat, err := f.Delay(probe(da, ca), probe(db, cb), 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := netsim.FatTreeSpine().Latency
+					if da != db {
+						want = netsim.MultiDatacenterWAN().Latency
+					}
+					if lat != want {
+						t.Fatalf("%s -> %s delay %v, want %v: a cluster is zoned to the wrong datacenter",
+							ClusterName(da, ca), ClusterName(db, cb), lat, want)
+					}
+				}
+			}
+		}
 	}
 }
 
 // TestBuildTopoDeterministic is the generator's determinism property:
-// same spec + same seed must produce identical clusters — names, order,
-// zones — and identical node listings.
+// same spec + same seed must produce identical clusters — names and
+// order — and identical node listings.
 func TestBuildTopoDeterministic(t *testing.T) {
 	spec := TopoSpec{DCs: 2, ClustersPerDC: 3, HostsPerCluster: 7}
-	s1, topo1 := buildTestTopo(t, 42, spec)
-	s2, topo2 := buildTestTopo(t, 42, spec)
-	if !slices.Equal(topo1.Clusters, topo2.Clusters) {
-		t.Fatalf("clusters diverge: %v vs %v", topo1.Clusters, topo2.Clusters)
-	}
-	for _, name := range topo1.Clusters {
-		if z1, z2 := s1.Fabric.ClusterZone(name), s2.Fabric.ClusterZone(name); z1 != z2 {
-			t.Fatalf("%s zone diverges: %d vs %d", name, z1, z2)
-		}
+	s1, clusters1 := buildTestTopo(t, 42, spec)
+	s2, clusters2 := buildTestTopo(t, 42, spec)
+	if !slices.Equal(clusters1, clusters2) {
+		t.Fatalf("clusters diverge: %v vs %v", clusters1, clusters2)
 	}
 	n1, n2 := s1.Nodes(), s2.Nodes()
 	if len(n1) != len(n2) {
@@ -114,15 +138,15 @@ func TestTopoLinkTiers(t *testing.T) {
 	}
 }
 
-// TestBuildTopoZones: a zone slice creates real nodes only for its own
-// datacenters but registers every cluster (profile + zone) on its
-// fabric, so link resolution matches the monolithic build on both sides
-// of the partition boundary.
+// TestBuildTopoZones: BuildTopo with a datacenter list creates real
+// nodes only for those datacenters but registers every cluster (profile
+// and zone) on its fabric, so link resolution matches the full build on
+// both sides of the partition boundary.
 func TestBuildTopoZones(t *testing.T) {
 	spec := TopoSpec{DCs: 3, ClustersPerDC: 2, HostsPerCluster: 4}
 	k := sim.NewKernel(9)
 	s := DefaultSite(k)
-	owned, err := BuildTopoZones(s, spec, 1)
+	owned, err := BuildTopo(s, spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,26 +159,11 @@ func TestBuildTopoZones(t *testing.T) {
 	if _, ok := s.Node("dc00-c00-n00"); ok {
 		t.Fatal("remote datacenter's node exists locally")
 	}
-	// Every cluster — owned or remote — is zoned on the slice's fabric.
-	for d := 0; d < 3; d++ {
-		for c := 0; c < 2; c++ {
-			if z := s.Fabric.ClusterZone(ClusterName(d, c)); z != d {
-				t.Fatalf("%s zone = %d, want %d", ClusterName(d, c), z, d)
-			}
-		}
-	}
-	// A local port resolves the WAN profile toward a remote-only cluster
-	// exactly as a monolithic fabric would.
-	s.Fabric.Attach("local", "dc01-c00", nil)
-	s.Fabric.Attach("probe", "dc00-c00", nil)
-	wan, err := s.Fabric.Delay("local", "probe", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := netsim.MultiDatacenterWAN().Latency; wan != want {
-		t.Fatalf("cross-slice delay %v, want WAN latency %v", wan, want)
-	}
-	if _, err := BuildTopoZones(DefaultSite(sim.NewKernel(9)), spec, 3); err == nil {
+	// Every cluster, owned or remote, is zoned on the slice's fabric, and
+	// a local port resolves the WAN profile toward a remote-only cluster
+	// exactly as the full build's fabric would.
+	checkZones(t, s.Fabric, spec)
+	if _, err := BuildTopo(DefaultSite(sim.NewKernel(9)), spec, 3); err == nil {
 		t.Fatal("out-of-range datacenter accepted")
 	}
 }
@@ -163,12 +172,22 @@ func TestBuildTopoZones(t *testing.T) {
 // zones only touch over the WAN profile — and to zero when one zone owns
 // everything.
 func TestZoneLookahead(t *testing.T) {
-	la, err := ZoneLookahead(TopoSpec{DCs: 4, ClustersPerDC: 2, HostsPerCluster: 1})
+	spec := TopoSpec{DCs: 4, ClustersPerDC: 2, HostsPerCluster: 1}
+	la, err := ZoneLookahead(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := netsim.MultiDatacenterWAN().Latency; la != want {
-		t.Fatalf("ZoneLookahead = %v, want WAN latency %v", la, want)
+	// The bound must be the delay the built fabric actually gives
+	// between datacenters, not a separately named constant.
+	s, _ := buildTestTopo(t, 3, spec)
+	s.Fabric.Attach("la-a", ClusterName(0, 0), nil)
+	s.Fabric.Attach("la-b", ClusterName(3, 1), nil)
+	wan, err := s.Fabric.Delay("la-a", "la-b", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if la != wan {
+		t.Fatalf("ZoneLookahead = %v, want the fabric's cross-datacenter delay %v", la, wan)
 	}
 	la, err = ZoneLookahead(TopoSpec{DCs: 1, ClustersPerDC: 4, HostsPerCluster: 1})
 	if err != nil {

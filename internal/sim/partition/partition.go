@@ -21,7 +21,7 @@
 //     lowering that partition's request if the message precedes it.
 //  2. The new horizon is H' = m + L, where m = min over live partitions'
 //     requested times and L is the lookahead (the minimum
-//     cross-partition link latency; see netsim.MinCrossLatency).
+//     cross-partition link latency; see phys.ZoneLookahead).
 //  3. Partitions whose request lies below H' are released.
 //
 // Safety: a message sent at virtual time s carries arrival s' >= s + L
@@ -65,8 +65,8 @@ import (
 type Config struct {
 	// Lookahead is the conservative window width L: the smallest
 	// cross-partition delay any message can have. Must be > 0 — with the
-	// fabric partitioned on zone boundaries this is the minimum
-	// cross-partition link latency (netsim.MinCrossLatency).
+	// fabric partitioned on zone boundaries this is the inter-zone link
+	// latency (phys.ZoneLookahead).
 	Lookahead sim.Time
 	// Workers bounds how many partitions execute concurrently; <= 0
 	// means one goroutine per partition (no throttle). Purely a

@@ -1,6 +1,7 @@
 package partition_test
 
 import (
+	"slices"
 	"testing"
 
 	"dvc/internal/netsim"
@@ -9,8 +10,8 @@ import (
 )
 
 // buildZonedFabric registers both clusters (with their zones) on one
-// fabric — the remote one stays fabric-only, exactly as the zone-sliced
-// topology builder leaves it — so link-profile resolution works on every
+// fabric — the remote one stays fabric-only, exactly as phys.BuildTopo
+// leaves it for a partition — so link-profile resolution works on every
 // partition identically.
 func buildZonedFabric(k *sim.Kernel) *netsim.Fabric {
 	f := netsim.NewFabric(k)
@@ -21,28 +22,13 @@ func buildZonedFabric(k *sim.Kernel) *netsim.Fabric {
 	return f
 }
 
-// TestMinCrossLatency: the lookahead bound is the smallest latency of
-// any profile joining clusters of different partitions — here the
-// cross-zone WAN.
-func TestMinCrossLatency(t *testing.T) {
-	f := buildZonedFabric(sim.NewKernel(1))
-	zoneOf := func(cluster string) int { return f.ClusterZone(cluster) }
-	if got, want := f.MinCrossLatency(zoneOf), netsim.MultiDatacenterWAN().Latency; got != want {
-		t.Fatalf("MinCrossLatency = %v, want the WAN latency %v", got, want)
-	}
-	// One partition owning everything has no cross traffic to bound.
-	if got := f.MinCrossLatency(func(string) int { return 0 }); got != 0 {
-		t.Fatalf("MinCrossLatency with a single partition = %v, want 0", got)
-	}
-}
-
 // TestCrossPartitionPacket: a packet sent to an address owned by another
 // partition's fabric arrives there at exactly send time + WAN latency,
-// with send-side accounting on the source fabric and delivery accounting
-// on the destination's.
+// with send-side accounting on the source fabric, delivery accounting on
+// the destination's, and the crossing counted by the coordinator.
 func TestCrossPartitionPacket(t *testing.T) {
 	wan := netsim.MultiDatacenterWAN().Latency
-	run := func(workers int) (arrivedAt sim.Time, aStats, bStats netsim.Stats) {
+	run := func(workers int) (arrivedAt sim.Time, aStats, bStats netsim.Stats, cStats partition.Stats) {
 		c := partition.NewCoordinator(partition.Config{Lookahead: wan, Workers: workers}, 2)
 		nm := partition.NewNetMap(c)
 		nm.Register("a0", "west", 0)
@@ -63,19 +49,76 @@ func TestCrossPartitionPacket(t *testing.T) {
 			}
 			k.Run()
 		})
-		return arrivedAt, fabrics[0].Stats(), fabrics[1].Stats()
+		return arrivedAt, fabrics[0].Stats(), fabrics[1].Stats(), c.Stats()
 	}
 
 	for _, workers := range []int{1, 2} {
-		arrivedAt, a, b := run(workers)
+		arrivedAt, a, b, cs := run(workers)
 		if want := 1 + wan; arrivedAt != want {
 			t.Fatalf("workers=%d packet arrived at %v, want %v", workers, arrivedAt, want)
 		}
-		if a.Sent != 1 || a.Forwarded != 1 || a.Delivered != 0 {
-			t.Fatalf("workers=%d source stats = %+v, want Sent=1 Forwarded=1", workers, a)
+		if a.Sent != 1 || a.Delivered != 0 {
+			t.Fatalf("workers=%d source stats = %+v, want Sent=1", workers, a)
+		}
+		if cs.Forwarded != 1 {
+			t.Fatalf("workers=%d coordinator forwarded %d, want 1", workers, cs.Forwarded)
 		}
 		if b.Delivered != 1 || b.Sent != 0 {
 			t.Fatalf("workers=%d destination stats = %+v, want Delivered=1", workers, b)
+		}
+	}
+}
+
+// TestCrossPartitionSizedPackets: back-to-back sized packets from a
+// para-virtualised port (ExtraLatency, BandwidthFactor) to another
+// partition arrive at the instants one fabric gives the same sends to a
+// host-level port: the remote leg serialises on the sender's NIC and
+// scales by the sender's bandwidth factor exactly as a local one does.
+func TestCrossPartitionSizedPackets(t *testing.T) {
+	sizes := []int{1500, 9000, 64, 4096}
+	send := func(k *sim.Kernel, f *netsim.Fabric) {
+		port := f.Attach("a0", "west", nil)
+		port.ExtraLatency = 30 * sim.Microsecond
+		port.BandwidthFactor = 0.6
+		k.At(1, func() {
+			for _, size := range sizes {
+				f.Send(netsim.Packet{Src: "a0", Dst: "b0", SrcID: f.Endpoint("a0"), DstID: f.Endpoint("b0"), Size: size})
+			}
+		})
+	}
+
+	k := sim.NewKernel(0)
+	f := buildZonedFabric(k)
+	var want []sim.Time
+	f.Attach("b0", "east", func(netsim.Packet) { want = append(want, k.Now()) })
+	send(k, f)
+	k.Run()
+
+	wan := netsim.MultiDatacenterWAN().Latency
+	c := partition.NewCoordinator(partition.Config{Lookahead: wan}, 2)
+	nm := partition.NewNetMap(c)
+	nm.Register("a0", "west", 0)
+	nm.Register("b0", "east", 1)
+	var got []sim.Time
+	c.Run(func(p *partition.Partition) {
+		k := sim.NewKernel(int64(p.ID()))
+		f := buildZonedFabric(k)
+		p.Bind(k)
+		nm.Bind(p, f)
+		if p.ID() == 0 {
+			send(k, f)
+		} else {
+			f.Attach("b0", "east", func(netsim.Packet) { got = append(got, k.Now()) })
+		}
+		k.Run()
+	})
+
+	if len(want) != len(sizes) || !slices.Equal(got, want) {
+		t.Fatalf("cross-partition arrivals %v, want the single fabric's %v", got, want)
+	}
+	for i := 1; i < len(want); i++ {
+		if want[i] <= want[i-1] {
+			t.Fatalf("arrivals %v do not serialise on the sender's NIC", want)
 		}
 	}
 }
@@ -104,8 +147,11 @@ func TestCrossPartitionUnknownAddr(t *testing.T) {
 			k.Run()
 		}
 	})
-	if stats.DroppedNoDest != 1 || stats.Forwarded != 0 || stats.Sent != 0 {
-		t.Fatalf("stats = %+v, want one no-dest drop and nothing forwarded", stats)
+	if stats.DroppedNoDest != 1 || stats.Sent != 0 {
+		t.Fatalf("stats = %+v, want one no-dest drop", stats)
+	}
+	if fwd := c.Stats().Forwarded; fwd != 0 {
+		t.Fatalf("coordinator forwarded %d, want nothing", fwd)
 	}
 }
 
