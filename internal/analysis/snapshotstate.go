@@ -16,10 +16,13 @@ import (
 // behind interface fields), and the static type of every non-interface
 // argument to imgcodec.Append, Encode and Decode — and computes the full
 // reachability closure of their field graphs through structs, pointers,
-// slices, arrays and maps. Every field in the closure must round-trip
+// slices and maps. Every field in the closure must round-trip
 // through the image codec: no unexported fields (embedded ones
-// included), no func or chan anywhere in a field's type, and no map key
-// the codec cannot order.
+// included), and nothing anywhere in a field's type that the codec does
+// not encode — a func, chan, array, a scalar of a kind other than bool,
+// int, int64, uint16/32/64, float64 and string, or a map key other than
+// those integer kinds. A []byte is encoded whole, so its uint8 elements
+// are fine.
 //
 // The point of the closure view: checkpoint state accretes far from the
 // encode call. A field added to tcp.ConnSnapshot is serialized because
@@ -167,8 +170,6 @@ func walkStateGraph(t types.Type, report func(path, problem string), entries map
 			switch u := t.Underlying().(type) {
 			case *types.Slice:
 				walk(u.Elem())
-			case *types.Array:
-				walk(u.Elem())
 			case *types.Map:
 				walk(u.Key())
 				walk(u.Elem())
@@ -208,7 +209,7 @@ func walkStateGraph(t types.Type, report func(path, problem string), entries map
 			}
 			if bad, kind := containsBadKind(f.Type(), make(map[types.Type]bool)); bad {
 				if report != nil {
-					report(fieldPath, fmt.Sprintf("contains a %s, which imgcodec cannot encode: checkpointing would fail or restore nil", kind))
+					report(fieldPath, fmt.Sprintf("contains %s, which imgcodec cannot encode: checkpointing would fail or restore nil", kind))
 				}
 				continue
 			}
@@ -290,29 +291,49 @@ func isImageCodecNative(t types.Type) bool {
 		named.Obj().Pkg().Path() == "dvc/internal/payload" && named.Obj().Name() == "Bytes"
 }
 
-// containsBadKind reports whether t transitively contains a func or chan
-// (through pointers, slices, arrays, maps and struct fields), or a map
-// key the image codec cannot order, returning a description of the
-// offender.
+// codecBasic lists the basic kinds imgcodec encodes; map keys may be
+// only its integer kinds. Keep in step with the codec's kinds
+// (internal/imgcodec).
+var codecBasic = map[types.BasicKind]bool{
+	types.Bool: true, types.Int: true, types.Int64: true, types.Uint16: true,
+	types.Uint32: true, types.Uint64: true, types.Float64: true, types.String: true,
+}
+
+// containsBadKind reports whether t transitively contains something the
+// image codec does not encode (through pointers, slices, maps and struct
+// fields): a func, chan or array, a basic kind outside codecBasic, or a
+// map key that is not one of its integer kinds. It returns a description
+// of the offender.
 func containsBadKind(t types.Type, visited map[types.Type]bool) (bool, string) {
 	if visited[t] {
 		return false, ""
 	}
 	visited[t] = true
 	switch u := t.Underlying().(type) {
+	case *types.Basic:
+		if !codecBasic[u.Kind()] {
+			name := types.Typ[u.Kind()].Name()
+			if strings.HasPrefix(name, "i") {
+				return true, "an " + name
+			}
+			return true, "a " + name
+		}
 	case *types.Signature:
-		return true, "func"
+		return true, "a func"
 	case *types.Chan:
-		return true, "chan"
+		return true, "a chan"
+	case *types.Array:
+		return true, "an array " + types.TypeString(t, nil)
 	case *types.Pointer:
 		return containsBadKind(u.Elem(), visited)
 	case *types.Slice:
-		return containsBadKind(u.Elem(), visited)
-	case *types.Array:
+		if b, ok := u.Elem().Underlying().(*types.Basic); ok && b.Kind() == types.Uint8 {
+			return false, "" // a []byte is encoded whole
+		}
 		return containsBadKind(u.Elem(), visited)
 	case *types.Map:
-		if b, ok := u.Key().Underlying().(*types.Basic); !ok || b.Info()&(types.IsInteger|types.IsString) == 0 {
-			return true, "map keyed by " + types.TypeString(u.Key(), nil)
+		if b, ok := u.Key().Underlying().(*types.Basic); !ok || b.Info()&types.IsInteger == 0 || !codecBasic[b.Kind()] {
+			return true, "a map keyed by " + types.TypeString(u.Key(), nil)
 		}
 		return containsBadKind(u.Elem(), visited)
 	case *types.Struct:

@@ -1,7 +1,8 @@
 // Fixture for the snapshotstate analyzer: reachability closure from
 // //dvc:checkpoint-root types, imgcodec.Register payloads and the
 // concrete arguments of imgcodec.Append/Encode/Decode, across nested
-// structs, unexported embedding, map values, slices and pointers.
+// structs, unexported embedding, map values, slices and pointers, and
+// the kinds the image codec does not encode.
 // Diagnostics land on the root declaration (or the codec call), naming
 // the reached field.
 package snapshotstate
@@ -33,7 +34,7 @@ type base struct{ X int }
 // chain.
 type Deep struct {
 	base
-	Weights map[string][]Matrix
+	Weights map[uint64][]Matrix
 }
 
 type Matrix struct{ Rows []Row }
@@ -59,7 +60,7 @@ type Root struct { // want `Blob\.raw is unexported` `Inner\.state is unexported
 	Data    Blob
 	Rope    payload.Bytes // encoded natively; the walk stops here
 	Nested  Inner
-	Table   map[string]Leaf
+	Table   map[int]Leaf
 	Items   []*Deep
 	Payload any
 	Signal  chan int
@@ -72,7 +73,7 @@ type Root struct { // want `Blob\.raw is unexported` `Inner\.state is unexported
 type CleanRoot struct {
 	ID   int
 	Tags []string
-	Meta map[string]float64
+	Meta map[uint16]float64
 	Self *CleanRoot
 }
 
@@ -112,6 +113,25 @@ type SelfMarshal struct {
 }
 
 func (s SelfMarshal) MarshalBinary() ([]byte, error) { return []byte{byte(s.secret)}, nil }
+
+// Narrow holds one field of each kind the image codec does not encode,
+// each reported at the root; a []byte is encoded whole and stays quiet.
+//
+//dvc:checkpoint-root
+type Narrow struct { // want `Narrow\.Grid contains an array \[2\]int, which imgcodec cannot encode` `Narrow\.Ratio contains a float32` `Narrow\.Small contains an int8` `Narrow\.Mid contains an int16` `Narrow\.Wide contains an int32` `Narrow\.Count contains a uint,` `Narrow\.Flag contains a uint8` `Narrow\.Ptr contains a uintptr` `Narrow\.ByName contains a map keyed by string` `Narrow\.ByTiny contains a map keyed by int8` `Narrow\.Rows contains a float32 \(via F\)`
+	Raw    []byte
+	Grid   [2]int
+	Ratio  float32
+	Small  int8
+	Mid    int16
+	Wide   int32
+	Count  uint
+	Flag   uint8
+	Ptr    uintptr
+	ByName map[string]int
+	ByTiny map[int8]int
+	Rows   []struct{ F float32 }
+}
 
 // Keyed has a map key the image codec cannot order.
 type Keyed struct {

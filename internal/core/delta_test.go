@@ -277,35 +277,6 @@ func TestFullCycleKeepsPageTable(t *testing.T) {
 // imgcodec.Register, so no image of a guest running it can be encoded.
 type unregisteredApp struct{ *hpcc.Halo }
 
-// TestFailedCaptureReleasesVC: when a capture fails, the coordinator
-// resumes the paused domains and hands the VC back Ready, exactly as
-// for an incomplete save set, instead of leaving it paused for good.
-func TestFailedCaptureReleasesVC(t *testing.T) {
-	tb := newTestbed(t, 5, map[string]int{"alpha": 2}, DefaultNTPLSC())
-	vc := tb.allocate(t, "bad", 2, guest.WatchdogConfig{})
-	vc.LaunchMPI(6000, func(int) mpi.App {
-		return unregisteredApp{hpcc.NewHalo(6000, 20*sim.Millisecond, 1024)}
-	})
-	tb.k.RunFor(sim.Second)
-	var res *CheckpointResult
-	tb.co.Checkpoint(vc, func(r *CheckpointResult) { res = r })
-	for res == nil {
-		tb.k.RunFor(sim.Second)
-	}
-	if res.OK || !strings.Contains(res.Reason, "is not registered") {
-		t.Fatalf("checkpoint of an unencodable guest: %+v", res)
-	}
-	tb.k.RunFor(sim.Minute)
-	if vc.State() != VCReady {
-		t.Fatalf("VC %v after the failed capture, want Ready", vc.State())
-	}
-	for _, d := range vc.Domains() {
-		if d.State() != vm.StateRunning {
-			t.Fatalf("domain %s %v after the failed capture, want Running", d.Name(), d.State())
-		}
-	}
-}
-
 // TestFailedStoreWriteReleasesVC: when the store rejects an image of the
 // save set, the coordinator resumes the paused domains and hands the VC
 // back Ready, as for a failed capture. A 0-byte domain's delta page table
@@ -339,34 +310,90 @@ func TestFailedStoreWriteReleasesVC(t *testing.T) {
 	}
 }
 
-// TestFailedLiveCaptureReleasesVC: the live-migration twin of
-// TestFailedCaptureReleasesVC. A capture that fails after the final
-// coordinated pause must unpause every domain, not leave a Ready VC
-// paused for good.
-func TestFailedLiveCaptureReleasesVC(t *testing.T) {
-	tb := newTestbed(t, 5, map[string]int{"alpha": 2, "beta": 2}, DefaultNTPLSC())
-	vc := tb.allocate(t, "bad", 2, guest.WatchdogConfig{})
-	vc.LaunchMPI(6000, func(int) mpi.App {
-		return unregisteredApp{hpcc.NewHalo(6000, 20*sim.Millisecond, 1024)}
-	})
-	tb.k.RunFor(sim.Second)
-	var lm *LiveMigrationResult
-	if err := tb.co.LiveMigrate(vc, tb.site.UpNodes("beta"), func(r *LiveMigrationResult) { lm = r }); err != nil {
-		t.Fatal(err)
+// TestFailedCutReleasesVC: a cut holds every domain of the VC or fails.
+// Each way of taking one (an LSC checkpoint that continues or cycles, an
+// LSC migration, a live migration's stop) runs here under the naive
+// coordinator, whose serial dispatch leaves a window in which vm00 has
+// paused and its siblings still run. Crashing vm00's host in that window,
+// or running a guest no image can encode, must fail the round, store no
+// key, and hand the VC back Ready with every surviving domain running.
+func TestFailedCutReleasesVC(t *testing.T) {
+	type op func(tb *testbed, vc *VirtualCluster, done func(ok bool, reason string)) error
+	checkpoint := func(tb *testbed, vc *VirtualCluster, done func(bool, string)) error {
+		return tb.co.Checkpoint(vc, func(r *CheckpointResult) { done(r.OK, r.Reason) })
 	}
-	for lm == nil {
-		tb.k.RunFor(sim.Second)
+	migrate := func(tb *testbed, vc *VirtualCluster, done func(bool, string)) error {
+		return tb.co.Migrate(vc, tb.site.UpNodes("beta"), func(r *CheckpointResult) { done(r.OK, r.Reason) })
 	}
-	if lm.OK || !strings.Contains(lm.Reason, "is not registered") {
-		t.Fatalf("live migration of an unencodable guest: %+v", lm)
+	live := func(tb *testbed, vc *VirtualCluster, done func(bool, string)) error {
+		return tb.co.LiveMigrate(vc, tb.site.UpNodes("beta"), func(r *LiveMigrationResult) { done(r.OK, r.Reason) })
 	}
-	tb.k.RunFor(sim.Minute)
-	if vc.State() != VCReady {
-		t.Fatalf("VC %v after the failed capture, want Ready", vc.State())
-	}
-	for _, d := range vc.Domains() {
-		if d.State() != vm.StateRunning {
-			t.Fatalf("domain %s %v after the failed capture, want Running", d.Name(), d.State())
-		}
+	const crashed = "cut-vm00: domain is Destroyed"
+	for _, row := range []struct {
+		name  string
+		cont  bool
+		crash bool // crash vm00's host mid-cut; otherwise the guest is unencodable
+		op    op
+		want  string
+	}{
+		{"checkpoint-continue/crash", true, true, checkpoint, crashed},
+		{"checkpoint-cycle/crash", false, true, checkpoint, crashed},
+		{"migrate/crash", false, true, migrate, crashed},
+		{"live-migrate/crash", false, true, live, crashed},
+		{"checkpoint/unencodable", true, false, checkpoint, "is not registered"},
+		{"live-migrate/unencodable", false, false, live, "is not registered"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := DefaultNaiveLSC()
+			cfg.ContinueAfterSave = row.cont
+			tb := newTestbed(t, 5, map[string]int{"alpha": 4, "beta": 4}, cfg)
+			vc := tb.allocate(t, "cut", 4, guest.WatchdogConfig{})
+			vc.LaunchMPI(6000, func(int) mpi.App {
+				halo := hpcc.NewHalo(6000, 20*sim.Millisecond, 1024)
+				if row.crash {
+					return halo
+				}
+				return unregisteredApp{halo}
+			})
+			tb.k.RunFor(sim.Second)
+			var ok, reported bool
+			var reason string
+			if err := row.op(tb, vc, func(o bool, r string) { ok, reported, reason = o, true, r }); err != nil {
+				t.Fatal(err)
+			}
+			if row.crash {
+				doms := vc.Domains()
+				for doms[0].State() == vm.StateRunning {
+					tb.k.RunFor(sim.Millisecond)
+				}
+				for _, d := range doms[1:] {
+					if d.State() != vm.StateRunning {
+						t.Fatalf("domain %s %v when vm00 paused, want Running", d.Name(), d.State())
+					}
+				}
+				vc.PhysicalNodes()[0].Fail()
+			}
+			for !reported {
+				tb.k.RunFor(sim.Second)
+			}
+			if ok || !strings.Contains(reason, row.want) {
+				t.Fatalf("ok=%v reason %q, want a failure naming %q", ok, reason, row.want)
+			}
+			if keys := tb.store.Keys(""); len(keys) != 0 {
+				t.Fatalf("the failed cut stored %v", keys)
+			}
+			tb.k.RunFor(sim.Minute)
+			if vc.State() != VCReady {
+				t.Fatalf("VC %v after the failed cut, want Ready", vc.State())
+			}
+			for i, d := range vc.Domains() {
+				if i == 0 && row.crash {
+					continue
+				}
+				if d.State() != vm.StateRunning {
+					t.Fatalf("domain %s %v after the failed cut, want Running", d.Name(), d.State())
+				}
+			}
+		})
 	}
 }

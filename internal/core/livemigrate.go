@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dvc/internal/obs"
 	"dvc/internal/phys"
@@ -144,25 +145,14 @@ func (c *Coordinator) LiveMigrate(vc *VirtualCluster, targets []*phys.Node, done
 		// domain's residual (plus whatever it dirtied while waiting for
 		// the slowest sibling), restore on the targets, resume.
 		plan := c.pausePlan(vc, false)
-		var firstPause sim.Time = -1
-		left := len(plan)
-		for i, t := range plan {
-			i := i
-			if firstPause < 0 || t < firstPause {
-				firstPause = t
+		firstPause := slices.Min(plan)
+		c.fanOut(vc, plan, func(d *vm.Domain) { pause(d, &res.Reason) }, func() {
+			residuals := make([]liveResidual, len(states))
+			for j, s := range states {
+				residuals[j] = liveResidual{bytes: s.residual, bw: s.bw, mark: s.converged}
 			}
-			k.At(t, func() {
-				_ = vc.domains[i].Pause()
-				left--
-				if left == 0 {
-					residuals := make([]liveResidual, len(states))
-					for j, s := range states {
-						residuals[j] = liveResidual{bytes: s.residual, bw: s.bw, mark: s.converged}
-					}
-					c.liveFinal(vc, residuals, targets, res, start, firstPause, done)
-				}
-			})
-		}
+			c.liveFinal(vc, residuals, targets, res, start, firstPause, done)
+		})
 	}
 
 	vc.state = VCMigrating
@@ -216,30 +206,15 @@ func (c *Coordinator) liveFinal(vc *VirtualCluster, residuals []liveResidual, ta
 	// Every image carries its page table, so the restored domains keep
 	// their chunk lineage: the next delta epoch at the destination
 	// dedups against everything transferred before the move.
-	images := make([]*vm.Image, len(vc.domains))
-	for i, d := range vc.domains {
-		img, err := d.Capture(c.cfg.Delta)
-		if err != nil {
-			// Failed capture: release the paused domains, as LSC does for
-			// an incomplete save set, and report failure.
-			for _, d := range vc.domains {
-				if d.State() == vm.StatePaused {
-					_ = d.Unpause()
-				}
-			}
-			vc.state = VCReady
-			res.Reason = err.Error()
-			res.TotalTime = k.Now() - start
-			done(res)
-			return
-		}
-		images[i] = img
+	images := c.capture(vc, &res.Reason)
+	if images == nil {
+		release(vc)
+		res.TotalTime = k.Now() - start
+		done(res)
+		return
 	}
 	k.After(final, func() {
-		for _, d := range vc.domains {
-			d.Destroy()
-		}
-		vc.state = VCSaved
+		vc.Teardown()
 		c.materialize(vc, images, targets, &RestoreResult{VC: vc.spec.Name}, func(rr *RestoreResult) {
 			if rr.OK {
 				res.OK = true

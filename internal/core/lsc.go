@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dvc/internal/guest"
 	"dvc/internal/obs"
@@ -244,23 +245,14 @@ func (c *Coordinator) attempt(vc *VirtualCluster, res *CheckpointResult, attempt
 	// Health check (§4 extension): the coordinator verifies every
 	// sleeper before the save instant and aborts the round cleanly if
 	// one has died, retrying with fresh processes.
-	if c.cfg.HealthCheck {
-		dead := false
-		for _, t := range plan {
-			if t < 0 {
-				dead = true
-				break
-			}
-		}
-		if dead {
-			if attempt > c.cfg.HealthRetries {
-				c.finishFail(res, "health check: sleeper dead and retries exhausted", done)
-				return
-			}
-			// Abort before anything paused; retry after a beat.
-			k.After(sim.Second, func() { c.attempt(vc, res, attempt+1, done) })
+	if c.cfg.HealthCheck && slices.Min(plan) < 0 {
+		if attempt > c.cfg.HealthRetries {
+			c.finishFail(res, "health check: sleeper dead and retries exhausted", done)
 			return
 		}
+		// Abort before anything paused; retry after a beat.
+		k.After(sim.Second, func() { c.attempt(vc, res, attempt+1, done) })
+		return
 	}
 
 	var first, last sim.Time = -1, -1
@@ -291,47 +283,88 @@ func (c *Coordinator) attempt(vc *VirtualCluster, res *CheckpointResult, attempt
 		res.Reason = fmt.Sprintf("%d vm(s) never saved (sleeper died)", missing)
 	}
 
-	remaining := scheduled
 	vc.state = VCPaused
+	c.fanOut(vc, plan, func(d *vm.Domain) { pause(d, &res.Reason) }, func() {
+		c.afterPaused(vc, res, first, done)
+	})
+}
+
+// fanOut is the one fan-out of a cut, shared by LSC's save and resume
+// and live migration's stop: it schedules act on every domain whose plan
+// instant is non-negative, one kernel event per domain in domain order,
+// and calls then once the last has run (at once if none is scheduled).
+func (c *Coordinator) fanOut(vc *VirtualCluster, plan []sim.Time, act func(*vm.Domain), then func()) {
+	remaining := 0
+	for _, t := range plan {
+		if t >= 0 {
+			remaining++
+		}
+	}
+	if remaining == 0 {
+		then()
+		return
+	}
 	for i, t := range plan {
 		if t < 0 {
 			continue
 		}
 		d := vc.domains[i]
-		k.At(t, func() {
-			if d.State() == vm.StateRunning {
-				if err := d.Pause(); err != nil {
-					res.Reason = err.Error()
-				}
-			} else if res.Reason == "" {
-				res.Reason = fmt.Sprintf("domain %s was %v at save time", d.Name(), d.State())
-			}
+		c.mgr.kernel.At(t, func() {
+			act(d)
 			remaining--
 			if remaining == 0 {
-				c.afterPaused(vc, res, first, done)
+				then()
 			}
 		})
 	}
 }
 
+// pause is a cut's per-domain save step: it pauses d, and the first
+// domain that cannot pause names the round's failure in *reason.
+func pause(d *vm.Domain, reason *string) {
+	if d.Pause() != nil && *reason == "" {
+		*reason = fmt.Sprintf("domain %s was %v at save time", d.Name(), d.State())
+	}
+}
+
+// capture is a cut's capture step, shared by LSC and live migration: it
+// captures every domain of the VC in index order and stops at the first
+// error. A cut holds every domain or fails: a domain that never paused,
+// or whose host crashed after it paused, fails the whole set, so no torn
+// set is ever stored. A round whose pause step already failed captures
+// nothing. On failure *reason holds the first failure and capture
+// returns nil.
+func (c *Coordinator) capture(vc *VirtualCluster, reason *string) []*vm.Image {
+	if *reason != "" {
+		return nil
+	}
+	images := make([]*vm.Image, len(vc.domains))
+	for i, d := range vc.domains {
+		img, err := d.Capture(c.cfg.Delta)
+		if err != nil {
+			*reason = err.Error()
+			return nil
+		}
+		images[i] = img
+	}
+	return images
+}
+
+// release ends a failed cut: every domain still paused resumes (the
+// others are left as they are) and the VC is handed back Ready, so it
+// can checkpoint or migrate again.
+func release(vc *VirtualCluster) {
+	for _, d := range vc.domains {
+		_ = d.Unpause()
+	}
+	vc.state = VCReady
+}
+
 // afterPaused captures and stores images, then resumes or cycles.
 func (c *Coordinator) afterPaused(vc *VirtualCluster, res *CheckpointResult, firstPause sim.Time, done func(*CheckpointResult)) {
 	k := c.mgr.kernel
-	// Capture every paused domain (full or delta per the policy).
-	for _, d := range vc.domains {
-		if d.State() != vm.StatePaused {
-			continue
-		}
-		img, err := d.Capture(c.cfg.Delta)
-		if err != nil {
-			res.Reason = err.Error()
-			break
-		}
-		res.Images = append(res.Images, img)
-	}
-	if res.Reason != "" {
-		// Incomplete set or failed capture (the job will have died
-		// anyway).
+	res.Images = c.capture(vc, &res.Reason)
+	if res.Images == nil {
 		c.releaseFail(vc, res, res.Reason, done)
 		return
 	}
@@ -384,10 +417,7 @@ func (c *Coordinator) afterStored(vc *VirtualCluster, res *CheckpointResult, fir
 	if placement == nil {
 		placement = append([]*phys.Node(nil), vc.nodes...)
 	}
-	for _, d := range vc.domains {
-		d.Destroy()
-	}
-	vc.state = VCSaved
+	vc.Teardown()
 	c.RestoreVC(vc, res.Generation, placement, func(rr *RestoreResult) {
 		res.Downtime = k.Now() - firstPause
 		if !rr.OK {
@@ -398,36 +428,13 @@ func (c *Coordinator) afterStored(vc *VirtualCluster, res *CheckpointResult, fir
 	})
 }
 
-// resumeAll unpauses every paused domain using the mode's dispatch skew.
+// resumeAll unpauses every paused domain using the mode's dispatch skew
+// and hands the VC back Ready.
 func (c *Coordinator) resumeAll(vc *VirtualCluster, then func()) {
-	k := c.mgr.kernel
-	plan := c.resumePlan(vc)
-	remaining := 0
-	for _, t := range plan {
-		if t >= 0 {
-			remaining++
-		}
-	}
-	if remaining == 0 {
+	c.fanOut(vc, c.resumePlan(vc), func(d *vm.Domain) { _ = d.Unpause() }, func() {
+		vc.state = VCReady
 		then()
-		return
-	}
-	for i, t := range plan {
-		if t < 0 {
-			continue
-		}
-		d := vc.domains[i]
-		k.At(t, func() {
-			if d.State() == vm.StatePaused {
-				_ = d.Unpause()
-			}
-			remaining--
-			if remaining == 0 {
-				vc.state = VCReady
-				then()
-			}
-		})
-	}
+	})
 }
 
 // resumePlan schedules the unpause fan-out. Unlike the save, a resume
@@ -559,12 +566,7 @@ func (c *Coordinator) finishOK(vc *VirtualCluster, res *CheckpointResult, done f
 // paused domain is resumed and the VC handed back Ready, so it can
 // checkpoint again, and the round reports reason.
 func (c *Coordinator) releaseFail(vc *VirtualCluster, res *CheckpointResult, reason string, done func(*CheckpointResult)) {
-	for _, d := range vc.domains {
-		if d.State() == vm.StatePaused {
-			_ = d.Unpause()
-		}
-	}
-	vc.state = VCReady
+	release(vc)
 	c.finishFail(res, reason, done)
 }
 

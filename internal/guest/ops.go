@@ -163,7 +163,7 @@ func (op *ConnectOp) start(o *OS, p *Process) {
 		}
 		op.Key = c.Key()
 		p.dial = c
-		o.wireConn(c)
+		c.Notify = o.schedulePump
 	}
 }
 

@@ -230,13 +230,6 @@ type OS struct {
 	pumpTimer     *sim.Timer
 	pumpScheduled bool
 
-	// wake and wakeErr are the connection callbacks wireConn installs,
-	// bound once per OS (bindWake) and shared by every connection, so
-	// wiring a connection, at connect, accept or restore, allocates no
-	// closures.
-	wake    func()
-	wakeErr func(error)
-
 	// exitNotify, when set, is invoked every time a process exits. Drivers
 	// (experiment harnesses, the facade) use it to halt the kernel and
 	// re-check completion predicates instead of polling on a fixed period.
@@ -263,7 +256,6 @@ func New(k *sim.Kernel, stack *tcp.Stack, wallClock func() sim.Time, cpuFactor f
 		wd:           wd,
 		wdLeft:       -1,
 	}
-	o.bindWake()
 	if wd.Interval > 0 {
 		o.wdLastWall = wallClock()
 		o.armWatchdog(wd.Interval)
@@ -351,25 +343,18 @@ func (o *OS) SetExitNotify(fn func()) { o.exitNotify = fn }
 // Listen opens a listening port; incoming connections queue for AcceptOp.
 func (o *OS) Listen(port uint16) {
 	o.listens = append(o.listens, port)
-	o.stack.Listen(port, func(c *tcp.Conn) {
+	o.stack.Listen(port, o.acceptOn(port))
+}
+
+// acceptOn returns port's accept callback, which Listen and Restore
+// install: it queues the connection for AcceptOp, hooks the
+// connection's wake-up to the scheduler and wakes the OS.
+func (o *OS) acceptOn(port uint16) func(*tcp.Conn) {
+	return func(c *tcp.Conn) {
 		o.accepts[port] = append(o.accepts[port], c.Key())
-		o.wireConn(c)
+		c.Notify = o.schedulePump
 		o.schedulePump()
-	})
-}
-
-// bindWake mints the OS's connection wake callbacks.
-func (o *OS) bindWake() {
-	o.wake = o.schedulePump
-	o.wakeErr = func(error) { o.schedulePump() }
-}
-
-// wireConn hooks a connection's callbacks to the scheduler.
-func (o *OS) wireConn(c *tcp.Conn) {
-	c.OnReadable = o.wake
-	c.OnEstablished = o.wake
-	c.OnError = o.wakeErr
-	c.OnAck = o.wake
+	}
 }
 
 // firstFD is the first socket descriptor; 0–2 are the standard streams.

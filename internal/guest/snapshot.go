@@ -111,7 +111,6 @@ func Restore(k *sim.Kernel, fabric *netsim.Fabric, snap *Snapshot, wallClock fun
 		wdLeft:       snap.WDLeft,
 		wdTimeouts:   snap.WDTimeout,
 	}
-	o.bindWake()
 	// The watchdog's last wall reference predates the save, so the first
 	// post-restore tick always sees a jump — one stall report per
 	// save/restore cycle, as the paper observed. Using zero (boot time)
@@ -141,17 +140,12 @@ func Restore(k *sim.Kernel, fabric *netsim.Fabric, snap *Snapshot, wallClock fun
 			timerLeft: ps.TimerLeft,
 		})
 	}
-	// Re-register listener accept callbacks and connection callbacks.
+	// Re-register listener accept callbacks and connection wake-ups.
 	for _, port := range o.listens {
-		port := port
-		o.stack.SetListenerAccept(port, func(c *tcp.Conn) {
-			o.accepts[port] = append(o.accepts[port], c.Key())
-			o.wireConn(c)
-			o.schedulePump()
-		})
+		o.stack.SetListenerAccept(port, o.acceptOn(port))
 	}
 	for _, c := range o.stack.Conns() {
-		o.wireConn(c)
+		c.Notify = o.schedulePump
 	}
 	return o
 }

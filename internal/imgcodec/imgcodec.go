@@ -9,23 +9,27 @@
 // equal values are equal bytes, whatever else the process encoded first
 // — which is what makes image bytes replay deterministically.
 //
-// Wire format, by kind:
+// The codec encodes only the kinds images hold. Wire format, by kind:
 //
 //	bool                 one byte, 0 or 1
-//	int kinds            zig-zag varint
-//	uint kinds           uvarint
-//	float32/float64      IEEE bits, little-endian (4/8 bytes)
+//	int, int64           zig-zag varint
+//	uint16/32/64         uvarint
+//	float64              IEEE bits, little-endian (8 bytes)
 //	string, []byte       uvarint length, raw bytes
 //	payload.Bytes        uvarint length, raw bytes (the rope's content)
 //	slice                uvarint length, elements
-//	array                elements
 //	pointer              presence byte (0 nil, 1 set), then the element
 //	map                  uvarint count, entries in ascending key order;
-//	                     keys must be of int, uint or string kind
+//	                     keys must be of one of the integer kinds above
 //	struct               fields in declaration order; a type with an
 //	                     unexported field is rejected, not truncated
 //	interface            registered name of the concrete type ("" for
 //	                     nil), its 32-bit plan hash (LE), then the value
+//
+// Every other kind (arrays, float32, int8/16/32, uint, uint8 outside
+// []byte, uintptr, string map keys, func, chan, ...) is rejected with an
+// error naming it; dvclint's snapshotstate check flags the same kinds
+// in checkpoint state before anything runs.
 //
 // Decoding conventions: empty slices, maps and ropes decode as nil, and a
 // zero float struct field, -0 included, decodes as +0. Restored guests,
@@ -219,13 +223,10 @@ func (b *compiler) compile(p *plan) error {
 	switch t.Kind() {
 	case reflect.Bool:
 		p.enc, p.dec = encBool, decBool
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+	case reflect.Int, reflect.Int64:
 		p.enc, p.dec = intOps(t.Kind())
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+	case reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		p.enc, p.dec = uintOps(t.Kind())
-	case reflect.Float32:
-		p.min = 4
-		p.enc, p.dec = encFloat32, decFloat32
 	case reflect.Float64:
 		p.min = 8
 		p.enc, p.dec = encFloat64, decFloat64
@@ -233,8 +234,6 @@ func (b *compiler) compile(p *plan) error {
 		p.enc, p.dec = encString, decString
 	case reflect.Slice:
 		return b.compileSlice(p)
-	case reflect.Array:
-		return b.compileArray(p)
 	case reflect.Pointer:
 		return b.compilePointer(p)
 	case reflect.Map:
@@ -266,8 +265,6 @@ func describe(t reflect.Type, open []reflect.Type) string {
 	switch t.Kind() {
 	case reflect.Slice:
 		return "[]" + describe(t.Elem(), open)
-	case reflect.Array:
-		return fmt.Sprintf("[%d]%s", t.Len(), describe(t.Elem(), open))
 	case reflect.Pointer:
 		return "*" + describe(t.Elem(), open)
 	case reflect.Map:
@@ -309,17 +306,7 @@ func decBool(d *decoder, p unsafe.Pointer) {
 }
 
 func intOps(k reflect.Kind) (func(*encoder, unsafe.Pointer), func(*decoder, unsafe.Pointer)) {
-	switch k {
-	case reflect.Int8:
-		return func(e *encoder, p unsafe.Pointer) { e.buf = binary.AppendVarint(e.buf, int64(*(*int8)(p))) },
-			func(d *decoder, p unsafe.Pointer) { *(*int8)(p) = int8(d.fitInt(8)) }
-	case reflect.Int16:
-		return func(e *encoder, p unsafe.Pointer) { e.buf = binary.AppendVarint(e.buf, int64(*(*int16)(p))) },
-			func(d *decoder, p unsafe.Pointer) { *(*int16)(p) = int16(d.fitInt(16)) }
-	case reflect.Int32:
-		return func(e *encoder, p unsafe.Pointer) { e.buf = binary.AppendVarint(e.buf, int64(*(*int32)(p))) },
-			func(d *decoder, p unsafe.Pointer) { *(*int32)(p) = int32(d.fitInt(32)) }
-	case reflect.Int:
+	if k == reflect.Int {
 		return func(e *encoder, p unsafe.Pointer) { e.buf = binary.AppendVarint(e.buf, int64(*(*int)(p))) },
 			func(d *decoder, p unsafe.Pointer) { *(*int)(p) = int(d.fitInt(strconvIntSize)) }
 	}
@@ -329,27 +316,18 @@ func intOps(k reflect.Kind) (func(*encoder, unsafe.Pointer), func(*decoder, unsa
 
 func uintOps(k reflect.Kind) (func(*encoder, unsafe.Pointer), func(*decoder, unsafe.Pointer)) {
 	switch k {
-	case reflect.Uint8:
-		return func(e *encoder, p unsafe.Pointer) { e.buf = binary.AppendUvarint(e.buf, uint64(*(*uint8)(p))) },
-			func(d *decoder, p unsafe.Pointer) { *(*uint8)(p) = uint8(d.fitUint(8)) }
 	case reflect.Uint16:
 		return func(e *encoder, p unsafe.Pointer) { e.buf = binary.AppendUvarint(e.buf, uint64(*(*uint16)(p))) },
 			func(d *decoder, p unsafe.Pointer) { *(*uint16)(p) = uint16(d.fitUint(16)) }
 	case reflect.Uint32:
 		return func(e *encoder, p unsafe.Pointer) { e.buf = binary.AppendUvarint(e.buf, uint64(*(*uint32)(p))) },
 			func(d *decoder, p unsafe.Pointer) { *(*uint32)(p) = uint32(d.fitUint(32)) }
-	case reflect.Uint:
-		return func(e *encoder, p unsafe.Pointer) { e.buf = binary.AppendUvarint(e.buf, uint64(*(*uint)(p))) },
-			func(d *decoder, p unsafe.Pointer) { *(*uint)(p) = uint(d.fitUint(strconvIntSize)) }
-	case reflect.Uintptr:
-		return func(e *encoder, p unsafe.Pointer) { e.buf = binary.AppendUvarint(e.buf, uint64(*(*uintptr)(p))) },
-			func(d *decoder, p unsafe.Pointer) { *(*uintptr)(p) = uintptr(d.fitUint(strconvIntSize)) }
 	}
 	return func(e *encoder, p unsafe.Pointer) { e.buf = binary.AppendUvarint(e.buf, *(*uint64)(p)) },
 		func(d *decoder, p unsafe.Pointer) { *(*uint64)(p) = d.uvarint() }
 }
 
-// strconvIntSize is the width of int, uint and uintptr.
+// strconvIntSize is the width of int.
 const strconvIntSize = 32 << (^uint(0) >> 63)
 
 // fitInt reads a varint that must fit a signed integer of the given width.
@@ -373,16 +351,6 @@ func (d *decoder) fitUint(bits uint) uint64 {
 	return v
 }
 
-func encFloat32(e *encoder, p unsafe.Pointer) {
-	e.buf = binary.LittleEndian.AppendUint32(e.buf, *(*uint32)(p))
-}
-
-func decFloat32(d *decoder, p unsafe.Pointer) {
-	if b := d.take(4); b != nil {
-		*(*uint32)(p) = binary.LittleEndian.Uint32(b)
-	}
-}
-
 func encFloat64(e *encoder, p unsafe.Pointer) {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, *(*uint64)(p))
 }
@@ -393,16 +361,8 @@ func decFloat64(d *decoder, p unsafe.Pointer) {
 	}
 }
 
-// encFieldFloat32/64 encode a float struct field, writing -0 as +0 (see
+// encFieldFloat64 encodes a float struct field, writing -0 as +0 (see
 // the decoding conventions in the package comment).
-func encFieldFloat32(e *encoder, p unsafe.Pointer) {
-	bits := *(*uint32)(p)
-	if *(*float32)(p) == 0 {
-		bits = 0
-	}
-	e.buf = binary.LittleEndian.AppendUint32(e.buf, bits)
-}
-
 func encFieldFloat64(e *encoder, p unsafe.Pointer) {
 	bits := *(*uint64)(p)
 	if *(*float64)(p) == 0 {
@@ -436,7 +396,7 @@ func decRope(d *decoder, p unsafe.Pointer) {
 	}
 }
 
-// --- slices and arrays ---
+// --- slices ---
 
 // sliceHeader is the runtime layout of every slice type.
 type sliceHeader struct {
@@ -514,27 +474,6 @@ func decFloat64Slice(d *decoder, p unsafe.Pointer) {
 	*(*[]uint64)(p) = s
 }
 
-func (b *compiler) compileArray(p *plan) error {
-	t := p.typ
-	ep, err := b.build(t.Elem())
-	if err != nil {
-		return err
-	}
-	n, size := t.Len(), t.Elem().Size()
-	p.min = n * ep.min
-	p.enc = func(e *encoder, ptr unsafe.Pointer) {
-		for i := 0; i < n; i++ {
-			ep.enc(e, unsafe.Add(ptr, uintptr(i)*size))
-		}
-	}
-	p.dec = func(d *decoder, ptr unsafe.Pointer) {
-		for i := 0; i < n && d.err == nil; i++ {
-			ep.dec(d, unsafe.Add(ptr, uintptr(i)*size))
-		}
-	}
-	return nil
-}
-
 // --- pointers ---
 
 func (b *compiler) compilePointer(p *plan) error {
@@ -591,14 +530,12 @@ func (b *compiler) compileMap(p *plan) error {
 	kt := t.Key()
 	var keyCmp func(a, b reflect.Value) int
 	switch kt.Kind() {
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+	case reflect.Int, reflect.Int64:
 		keyCmp = func(a, b reflect.Value) int { return cmp.Compare(a.Int(), b.Int()) }
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+	case reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		keyCmp = func(a, b reflect.Value) int { return cmp.Compare(a.Uint(), b.Uint()) }
-	case reflect.String:
-		keyCmp = func(a, b reflect.Value) int { return cmp.Compare(a.String(), b.String()) }
 	default:
-		return fmt.Errorf("imgcodec: map %s: key kind %s has no canonical order", t, kt.Kind())
+		return fmt.Errorf("imgcodec: map %s: cannot encode keys of kind %s", t, kt.Kind())
 	}
 	kp, err := b.build(kt)
 	if err != nil {
@@ -689,10 +626,7 @@ func (b *compiler) compileStruct(p *plan) error {
 			return err
 		}
 		f := field{off: sf.Offset, p: fp}
-		switch sf.Type.Kind() {
-		case reflect.Float32:
-			f.enc = encFieldFloat32
-		case reflect.Float64:
+		if sf.Type.Kind() == reflect.Float64 {
 			f.enc = encFieldFloat64
 		}
 		fields = append(fields, f)

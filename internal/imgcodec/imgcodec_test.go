@@ -19,23 +19,23 @@ func (s *square) area() int { return s.Side * s.Side }
 
 type notAShape struct{ N int }
 
+// kitchen holds every kind the codec encodes.
 type kitchen struct {
 	B     bool
-	I8    int8
 	I     int
+	I64   int64
 	U16   uint16
+	U32   uint32
 	U64   uint64
-	F32   float32
 	F64   float64
 	S     string
 	Raw   []byte
 	Fs    []float64
 	Us    []uint16
-	Arr   [3]int32
 	Ptr   *square
 	Nil   *square
 	M     map[int][]float64
-	SM    map[string]uint8
+	UM    map[uint32]string
 	Rope  payload.Bytes
 	Shape shape
 	None  shape
@@ -64,15 +64,14 @@ func init() {
 
 func fullKitchen() *kitchen {
 	return &kitchen{
-		B: true, I8: -7, I: -1 << 40, U16: 65535, U64: math.MaxUint64,
-		F32: 1.5, F64: math.Pi, S: "héllo",
+		B: true, I: -1 << 40, I64: math.MinInt64, U16: 65535, U32: math.MaxUint32, U64: math.MaxUint64,
+		F64: math.Pi, S: "héllo",
 		Raw:   []byte{0, 1, 2, 255},
 		Fs:    []float64{math.Copysign(0, -1), math.Inf(1), 2.5},
 		Us:    []uint16{1, 300},
-		Arr:   [3]int32{-1, 0, 1 << 30},
 		Ptr:   &square{Side: 3},
 		M:     map[int][]float64{9: {1}, -2: {2, 3}, 4: nil},
-		SM:    map[string]uint8{"b": 2, "a": 1},
+		UM:    map[uint32]string{7: "b", 3: "a"},
 		Rope:  payload.FromChunks([]byte("hello, "), []byte("world")),
 		Shape: &square{Side: 4},
 		Nest:  []kitchenRow{{Name: "r0", Vals: []int64{5, -5}}, {}},
@@ -126,7 +125,7 @@ func TestRopeRoundTrip(t *testing.T) {
 // TestEmptyDecodesNil: empty slices, maps and ropes decode as nil, and a
 // -0 struct field as +0, as the package comment states.
 func TestEmptyDecodesNil(t *testing.T) {
-	in := &kitchen{Raw: []byte{}, Fs: []float64{}, Us: []uint16{}, M: map[int][]float64{}, SM: map[string]uint8{},
+	in := &kitchen{Raw: []byte{}, Fs: []float64{}, Us: []uint16{}, M: map[int][]float64{}, UM: map[uint32]string{},
 		Rope: payload.FromChunks(), Nest: []kitchenRow{}, F64: math.Copysign(0, -1)}
 	var out kitchen
 	roundTrip(t, in, &out)
@@ -206,7 +205,6 @@ func TestDecodeErrors(t *testing.T) {
 		v   any
 	}{
 		"bad bool":        {[]byte{2}, new(bool)},
-		"int8 overflow":   {binary.AppendVarint(nil, 300), new(int8)},
 		"uint16 overflow": {binary.AppendUvarint(nil, 1<<16), new(uint16)},
 		"huge slice":      {binary.AppendUvarint(nil, 1<<62), new([]int)},
 		"huge string":     {binary.AppendUvarint(nil, 1<<40), new(string)},
@@ -220,6 +218,34 @@ func TestDecodeErrors(t *testing.T) {
 	for name, c := range cases {
 		if err := Decode(c.src, c.v); err == nil {
 			t.Errorf("%s: decoded", name)
+		}
+	}
+}
+
+// TestDroppedKindsRejected: the codec encodes only the kinds images
+// hold. Append and Decode of any other kind, at the top or nested, fail
+// with an error naming it.
+func TestDroppedKindsRejected(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		kind string
+	}{
+		{new([3]int), "array"},
+		{new(float32), "float32"},
+		{new(int8), "int8"},
+		{new(int16), "int16"},
+		{new(int32), "int32"},
+		{new(uint), "uint"},
+		{new(uint8), "uint8"},
+		{new(uintptr), "uintptr"},
+		{new(map[string]int), "string"},
+		{new(struct{ Rows []struct{ F float32 } }), "float32"},
+	} {
+		if _, err := Append(nil, c.v); err == nil || !strings.Contains(err.Error(), "kind "+c.kind) {
+			t.Errorf("Append(%T): %v, want an error naming kind %s", c.v, err, c.kind)
+		}
+		if err := Decode([]byte{0}, c.v); err == nil || !strings.Contains(err.Error(), "kind "+c.kind) {
+			t.Errorf("Decode(%T): %v, want an error naming kind %s", c.v, err, c.kind)
 		}
 	}
 }

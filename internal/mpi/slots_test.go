@@ -43,8 +43,7 @@ func TestHeaderTableInterns(t *testing.T) {
 
 // burstMsg is one message of a burst: its tag, length and body byte.
 type burstMsg struct {
-	Tag, Len int
-	Fill     byte
+	Tag, Len, Fill int
 }
 
 // burstApp has rank 0 send Msgs to rank 1 back to back, and rank 1
@@ -63,11 +62,11 @@ func (a *burstApp) Step(c Ctx, prev Op) Op {
 		}
 		m := a.Msgs[a.I]
 		a.I++
-		return c.Send(1, m.Tag, bytes.Repeat([]byte{m.Fill}, m.Len))
+		return c.Send(1, m.Tag, bytes.Repeat([]byte{byte(m.Fill)}, m.Len))
 	}
 	if a.I > 0 && a.Bad == "" {
 		m := a.Msgs[a.I-1]
-		if got := prev.(*RecvMsg).Data; !bytes.Equal(got, bytes.Repeat([]byte{m.Fill}, m.Len)) {
+		if got := prev.(*RecvMsg).Data; !bytes.Equal(got, bytes.Repeat([]byte{byte(m.Fill)}, m.Len)) {
 			a.Bad = fmt.Sprintf("message %d (tag %d, %d B) arrived as %d B %x...", a.I-1, m.Tag, m.Len, len(got), got[:min(len(got), 8)])
 		}
 	}
@@ -89,7 +88,7 @@ func (a *burstApp) Step(c Ctx, prev Op) Op {
 func TestInternedHeadersNeverAliasLiveData(t *testing.T) {
 	msgs := []burstMsg{{Tag: 1, Len: 100, Fill: 0xa1}, {Tag: 1, Len: 100, Fill: 0xa2}}
 	for i := 0; i < headerTableSize+2; i++ {
-		msgs = append(msgs, burstMsg{Tag: 10 + i, Len: 50 + i, Fill: byte(i)})
+		msgs = append(msgs, burstMsg{Tag: 10 + i, Len: 50 + i, Fill: i})
 	}
 	msgs = append(msgs, burstMsg{Tag: 1, Len: 100, Fill: 0xa3})
 	framed := 0

@@ -68,8 +68,8 @@ func (k ConnKey) Less(o ConnKey) bool {
 // Conn is one endpoint of a connection. All methods must be called from
 // simulation context (never concurrently).
 //
-// Callbacks (OnReadable, OnEstablished, OnError) are not part of the
-// snapshot; the owner re-registers them after a restore.
+// Notify is not part of the snapshot; the owner re-registers it after a
+// restore.
 type Conn struct {
 	stack *Stack
 	key   ConnKey
@@ -117,11 +117,13 @@ type Conn struct {
 	Retransmits uint64
 	DupSegments uint64
 
-	// Callbacks, owned by the guest layer.
-	OnReadable    func()
-	OnEstablished func()
-	OnError       func(error)
-	OnAck         func() // fires when sndUna advances (send progress)
+	// Notify is the owner's one wake-up, set by the guest layer: it
+	// fires whenever the connection may have changed in a way a blocked
+	// operation waits for — the handshake completes, data or EOF becomes
+	// readable, sndUna advances (send progress) or the connection is
+	// torn down by an error. The owner re-reads State and the queues to
+	// see which.
+	Notify func()
 }
 
 // Key returns the connection's demux key.
@@ -385,9 +387,7 @@ func (c *Conn) handle(seg *Segment) {
 			c.stopTimer()
 			// Pure ACK completes the handshake.
 			c.sendCtl(FlagACK, c.sndNxt, c.rcvNxt)
-			if c.OnEstablished != nil {
-				c.OnEstablished()
-			}
+			c.notify()
 			c.trySend()
 		}
 		return
@@ -477,8 +477,13 @@ func (c *Conn) processAck(ack uint64) {
 	}
 	c.maybeFinishClose()
 	c.trySend()
-	if c.OnAck != nil {
-		c.OnAck()
+	c.notify()
+}
+
+// notify fires the owner's wake-up, if one is set.
+func (c *Conn) notify() {
+	if c.Notify != nil {
+		c.Notify()
 	}
 }
 
@@ -567,9 +572,7 @@ func (c *Conn) processData(seg *Segment) {
 			c.rcvNxt += uint64(data.Len())
 		}
 		c.sendAck()
-		if c.OnReadable != nil {
-			c.OnReadable()
-		}
+		c.notify()
 	}
 }
 
@@ -590,9 +593,7 @@ func (c *Conn) processFin(seg *Segment) {
 		if c.state == StateEstablished {
 			c.state = StateClosing
 		}
-		if c.OnReadable != nil {
-			c.OnReadable() // EOF is a readability event
-		}
+		c.notify() // EOF is a readability event
 	}
 	c.sendAck()
 	c.maybeFinishClose()
@@ -608,7 +609,8 @@ func (c *Conn) sendAck() {
 	c.sendCtl(FlagACK, c.sndNxt, c.rcvNxt)
 }
 
-// teardown finalises the connection and notifies the owner on error.
+// teardown finalises the connection and notifies the owner on error;
+// err (ErrTimeout or ErrReset) is the reset's why in the trace.
 func (c *Conn) teardown(state State, err error) {
 	c.state = state
 	c.stopTimer()
@@ -616,8 +618,8 @@ func (c *Conn) teardown(state State, err error) {
 	// Closed/Reset states), so return the timer's slot to the kernel pool.
 	c.timer.Free()
 	c.timer = nil
-	if err != nil && c.OnError != nil {
-		c.OnError(err)
+	if err != nil {
+		c.notify()
 	}
 	if state == StateReset {
 		c.stack.resets++

@@ -18,6 +18,10 @@
 //     connection resets and the application dies. This is exactly the
 //     failure mode of the naive LSC coordinator when save skew exceeds
 //     the retransmission budget.
+//
+// A connection's owner learns of progress through one wake-up,
+// Conn.Notify, and re-reads the connection to see what changed; a
+// listener's OnAccept hands over each new connection.
 package tcp
 
 import (
@@ -146,7 +150,9 @@ func (c Config) RetryBudget(rto0 sim.Time) sim.Time {
 	return total
 }
 
-// Errors reported through Conn.OnError.
+// Errors the stack returns. ErrReset and ErrTimeout are also the two
+// causes of a reset, which the tcp.reset trace record reports as its why
+// ("peer-rst", "retry-budget").
 var (
 	ErrReset   = fmt.Errorf("tcp: connection reset by peer")
 	ErrTimeout = fmt.Errorf("tcp: retransmission retries exhausted")

@@ -175,7 +175,7 @@ const (
 )
 
 // Connect initiates a connection to raddr:rport from an ephemeral local
-// port. The returned Conn is in SynSent; OnEstablished fires when the
+// port. The returned Conn is in SynSent; Notify fires when the
 // handshake completes. Connect fails with ErrNoPorts once every
 // ephemeral port is bound: a key stays bound for the stack's life (see
 // Lookup), so ports are never reused.

@@ -2,9 +2,11 @@ package tcp
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"dvc/internal/netsim"
+	"dvc/internal/obs"
 	"dvc/internal/sim"
 )
 
@@ -51,14 +53,43 @@ func (p *pair) connect(t *testing.T) (*Conn, *Conn) {
 
 func drain(c *Conn) []byte { return c.Read(c.Readable()) }
 
+// resetLog is a trace sink that keeps the why of every tcp.reset record.
+type resetLog []string
+
+func (l *resetLog) WriteRecord(r *obs.Record) error {
+	for _, kv := range r.Attrs {
+		if r.Type == obs.EvTCPReset && kv.K == "why" {
+			*l = append(*l, kv.V)
+		}
+	}
+	return nil
+}
+
+func (l *resetLog) Flush() error { return nil }
+
+// traceResets records the cause of every reset on s.
+func traceResets(s *Stack) *resetLog {
+	l := new(resetLog)
+	s.SetTracer(obs.NewTracerWithSink(l), "node", "dom")
+	return l
+}
+
+// wantResets checks the causes of the resets l recorded, in order.
+func wantResets(t *testing.T, l *resetLog, why ...string) {
+	t.Helper()
+	if !reflect.DeepEqual([]string(*l), why) {
+		t.Fatalf("tcp.reset whys %q, want %q", *l, why)
+	}
+}
+
 func TestHandshake(t *testing.T) {
 	p := newPair(t, DefaultConfig())
-	established := false
+	woken := 0
 	ca, _ := p.sa.Connect("B", 5000)
-	ca.OnEstablished = func() { established = true }
+	ca.Notify = func() { woken++ }
 	p.k.RunFor(sim.Second)
-	if !established {
-		t.Fatal("OnEstablished did not fire")
+	if woken == 0 || ca.State() != StateEstablished {
+		t.Fatalf("Notify fired %d times, state %v; want a wake-up into Established", woken, ca.State())
 	}
 	if len(p.accepted) != 1 {
 		t.Fatalf("accepted %d conns, want 1", len(p.accepted))
@@ -111,11 +142,11 @@ func TestOnReadableFires(t *testing.T) {
 	p := newPair(t, DefaultConfig())
 	ca, cb := p.connect(t)
 	fires := 0
-	cb.OnReadable = func() { fires++ }
+	cb.Notify = func() { fires++ }
 	ca.Write([]byte("x"))
 	p.k.RunFor(sim.Second)
-	if fires == 0 {
-		t.Fatal("OnReadable never fired")
+	if fires == 0 || cb.Readable() != 1 {
+		t.Fatalf("Notify fired %d times with %d bytes readable, want a wake-up and 1 byte", fires, cb.Readable())
 	}
 }
 
@@ -179,18 +210,17 @@ func TestRetriesExhaustedResetsConnection(t *testing.T) {
 	cfg := DefaultConfig()
 	p := newPair(t, cfg)
 	ca, cb := p.connect(t)
-	var gotErr error
-	ca.OnError = func(err error) { gotErr = err }
+	resets := traceResets(p.sa)
+	woken := false
+	ca.Notify = func() { woken = true }
 	// Peer vanishes: lower its port so everything to B is lost.
 	p.pb.SetUp(false)
 	ca.Write([]byte("into the void"))
 	p.k.RunFor(30 * sim.Second)
-	if ca.State() != StateReset {
-		t.Fatalf("sender state = %v, want Reset", ca.State())
+	if ca.State() != StateReset || !woken {
+		t.Fatalf("sender state = %v, woken %v; want a wake-up into Reset", ca.State(), woken)
 	}
-	if gotErr != ErrTimeout {
-		t.Fatalf("OnError got %v, want ErrTimeout", gotErr)
-	}
+	wantResets(t, resets, "retry-budget")
 	if int(ca.Retransmits) != cfg.MaxRetries {
 		t.Fatalf("retransmits = %d, want %d", ca.Retransmits, cfg.MaxRetries)
 	}
@@ -294,27 +324,28 @@ func TestWriteAfterCloseFails(t *testing.T) {
 func TestAbortSendsRST(t *testing.T) {
 	p := newPair(t, DefaultConfig())
 	ca, cb := p.connect(t)
-	var gotErr error
-	cb.OnError = func(err error) { gotErr = err }
+	resets := traceResets(p.sb)
+	woken := false
+	cb.Notify = func() { woken = true }
 	ca.Abort()
 	p.k.RunFor(sim.Second)
-	if cb.State() != StateReset {
-		t.Fatalf("peer state = %v, want Reset", cb.State())
+	if cb.State() != StateReset || !woken {
+		t.Fatalf("peer state = %v, woken %v; want a wake-up into Reset", cb.State(), woken)
 	}
-	if gotErr != ErrReset {
-		t.Fatalf("peer OnError = %v, want ErrReset", gotErr)
-	}
+	wantResets(t, resets, "peer-rst")
 }
 
 func TestConnectToNonListeningPortResets(t *testing.T) {
 	p := newPair(t, DefaultConfig())
+	resets := traceResets(p.sa)
 	ca, _ := p.sa.Connect("B", 9999)
-	var gotErr error
-	ca.OnError = func(err error) { gotErr = err }
+	woken := false
+	ca.Notify = func() { woken = true }
 	p.k.RunFor(sim.Second)
-	if ca.State() != StateReset || gotErr != ErrReset {
-		t.Fatalf("state=%v err=%v, want Reset/ErrReset", ca.State(), gotErr)
+	if ca.State() != StateReset || !woken {
+		t.Fatalf("state=%v woken=%v, want a wake-up into Reset", ca.State(), woken)
 	}
+	wantResets(t, resets, "peer-rst")
 }
 
 func TestLostSYNIsRetried(t *testing.T) {

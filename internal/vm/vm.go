@@ -343,6 +343,9 @@ func (h *Hypervisor) FreeRAM() int64 {
 }
 
 func (h *Hypervisor) admit(name string, ram int64) error {
+	if ram < 0 {
+		return fmt.Errorf("vm: %s: negative RAM %d", name, ram)
+	}
 	if !h.node.Up() {
 		return fmt.Errorf("vm: node %s is down", h.node.ID())
 	}
@@ -393,8 +396,9 @@ func (h *Hypervisor) CreateDomain(name string, addr netsim.Addr, ram int64, wd g
 // node. The store charges the time to load the image (storage.Read's
 // bandwidth model); the caller then calls Unpause. The image's address
 // must not be attached anywhere — destroy the original domain before
-// restoring. An image that fails its checksum, its page-table check or
-// the guest image decoder is refused with an error.
+// restoring. Stored images are untrusted input: an image with negative
+// RAM, or one that fails its checksum, its page-table check or the guest
+// image decoder, is refused with an error.
 func (h *Hypervisor) RestoreDomain(img *Image) (*Domain, error) {
 	if err := h.admit(img.DomainName, img.RAMBytes); err != nil {
 		return nil, err
