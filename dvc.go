@@ -118,8 +118,6 @@ var (
 	NewPingPong = hpcc.NewPingPong
 	// NewSeqJob builds a single-node compute job (a guest.Program).
 	NewSeqJob = hpcc.NewSeqJob
-	// NewStream builds the STREAM memory-bandwidth kernel.
-	NewStream = hpcc.NewStream
 	// NewRandomAccess builds the GUPS fine-grained-update kernel.
 	NewRandomAccess = hpcc.NewRandomAccess
 	// DefaultWatchdog is the paper's guest watchdog configuration.
@@ -187,14 +185,8 @@ func (s *Simulation) Now() Time { return s.env.Kernel.Now() }
 // RunFor advances the simulation by d.
 func (s *Simulation) RunFor(d Time) { s.env.Kernel.RunFor(d) }
 
-// RunUntil advances the simulation to the absolute time t.
-func (s *Simulation) RunUntil(t Time) { s.env.Kernel.RunUntil(t) }
-
 // Manager exposes the DVC control plane for advanced use.
 func (s *Simulation) Manager() *core.Manager { return s.env.Manager }
-
-// Coordinator exposes the LSC coordinator for advanced use.
-func (s *Simulation) Coordinator() *core.Coordinator { return s.env.Coord }
 
 // Site exposes the physical site (nodes, clocks, fault injection).
 func (s *Simulation) Site() *phys.Site { return s.env.Site }

@@ -25,8 +25,6 @@ var keptExports = map[string]string{
 	"dvc/internal/sim.Kernel.Pending":      "shared test hook",
 	"dvc/internal/sim.Kernel.Run":          "shared test hook",
 	"dvc/internal/sim.Kernel.SlabLen":      "shared test hook",
-	"dvc/internal/tcp.Conn.Close":          "image state",
-	"dvc/internal/tcp.Conn.Abort":          "image state",
 }
 
 // TestEveryExportHasANonTestCaller loads both modules, non-test files

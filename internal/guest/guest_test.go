@@ -39,8 +39,8 @@ func (p *computeProg) Next(api *API, res Result) Op {
 	return nil
 }
 
-// echoProg accepts one connection and echoes fixed-size messages forever
-// until EOF.
+// echoProg accepts one connection and echoes fixed-size messages until
+// the connection fails.
 type echoProg struct {
 	Port uint16
 	Size int
@@ -61,10 +61,6 @@ func (p *echoProg) Next(api *API, res Result) Op {
 			p.PC = 2
 			return api.Recv(p.FD, p.Size)
 		case 2:
-			if res.EOF {
-				api.Exit(0)
-				return nil
-			}
 			if res.Err != nil {
 				api.Exit(1)
 				return nil
@@ -133,8 +129,8 @@ func (p *pingProg) Next(api *API, res Result) Op {
 			p.PC = 4
 			return api.Recv(p.FD, p.Size)
 		case 4:
-			if res.Err != nil || res.EOF {
-				p.Fail = fmt.Sprintf("recv: %v eof=%v", res.Err, res.EOF)
+			if res.Err != nil {
+				p.Fail = fmt.Sprintf("recv: %v", res.Err)
 				api.Exit(1)
 				return nil
 			}
@@ -149,7 +145,8 @@ func (p *pingProg) Next(api *API, res Result) Op {
 	}
 }
 
-// clockProg samples wall clock and jiffies around a sleep.
+// clockProg samples wall clock and jiffies around a compute op (the rig's
+// cpuFactor is 1.0, so it runs for exactly SleepFor of guest time).
 type clockProg struct {
 	SleepFor                   sim.Time
 	PC                         int
@@ -161,7 +158,7 @@ func (p *clockProg) Next(api *API, res Result) Op {
 	case 0:
 		p.Wall0, p.Jiff0 = api.WallClock(), api.Jiffies()
 		p.PC = 1
-		return &SleepOp{Duration: p.SleepFor}
+		return &ComputeOp{Duration: p.SleepFor}
 	default:
 		p.Wall1, p.Jiff1 = api.WallClock(), api.Jiffies()
 		api.Exit(0)
@@ -600,7 +597,7 @@ func (p *listenTwiceProg) Next(api *API, res Result) Op {
 		p.Done = true
 		api.Listen(p.Port)
 		api.Listen(p.Port)
-		return &SleepOp{Duration: 10 * sim.Millisecond}
+		return &ComputeOp{Duration: 10 * sim.Millisecond}
 	}
 	api.Exit(0)
 	return nil

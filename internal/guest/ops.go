@@ -19,7 +19,6 @@ type Op interface {
 
 func init() {
 	imgcodec.Register(&ComputeOp{})
-	imgcodec.Register(&SleepOp{})
 	imgcodec.Register(&SendOp{})
 	imgcodec.Register(&RecvOp{})
 	imgcodec.Register(&ConnectOp{})
@@ -42,23 +41,6 @@ func (op *ComputeOp) start(o *OS, p *Process) {
 }
 
 func (op *ComputeOp) poll(o *OS, p *Process) (Result, bool) {
-	return Result{}, p.timerFired
-}
-
-// SleepOp suspends the process for a guest-time duration (no CPU scaling).
-type SleepOp struct {
-	Duration sim.Time
-	Started  bool
-}
-
-func (op *SleepOp) start(o *OS, p *Process) {
-	if !op.Started {
-		op.Started = true
-		p.armTimer(o, op.Duration)
-	}
-}
-
-func (op *SleepOp) poll(o *OS, p *Process) (Result, bool) {
 	return Result{}, p.timerFired
 }
 
@@ -99,11 +81,8 @@ func (op *SendOp) poll(o *OS, p *Process) (Result, bool) {
 		op.Written = true
 		op.Data = payload.Bytes{} // handed to the transport; don't checkpoint twice
 	}
-	switch c.State() {
-	case tcp.StateReset:
+	if c.State() == tcp.StateReset {
 		return Result{Err: tcp.ErrReset}, true
-	case tcp.StateClosed:
-		return Result{Err: tcp.ErrClosed}, true
 	}
 	if c.SendBacklog() <= o.stack.Config().SendWindow {
 		return Result{N: op.Len}, true
@@ -111,7 +90,7 @@ func (op *SendOp) poll(o *OS, p *Process) (Result, bool) {
 	return Result{}, false
 }
 
-// RecvOp reads exactly N bytes from a socket (or reports EOF/error).
+// RecvOp reads exactly N bytes from a socket (or reports an error).
 type RecvOp struct {
 	FD int
 	N  int
@@ -127,14 +106,8 @@ func (op *RecvOp) poll(o *OS, p *Process) (Result, bool) {
 	if c.Readable() >= op.N {
 		return Result{Data: c.Read(op.N), N: op.N}, true
 	}
-	if c.EOF() {
-		return Result{EOF: true}, true
-	}
-	switch c.State() {
-	case tcp.StateReset:
+	if c.State() == tcp.StateReset {
 		return Result{Err: tcp.ErrReset}, true
-	case tcp.StateClosed:
-		return Result{Err: tcp.ErrClosed}, true
 	}
 	return Result{}, false
 }
@@ -182,12 +155,10 @@ func (op *ConnectOp) poll(o *OS, p *Process) (Result, bool) {
 		p.dial = c
 	}
 	switch c.State() {
-	case tcp.StateEstablished, tcp.StateClosing:
+	case tcp.StateEstablished:
 		return Result{FD: o.newFD(op.Key, c)}, true
 	case tcp.StateReset:
 		return Result{Err: tcp.ErrReset}, true
-	case tcp.StateClosed:
-		return Result{Err: tcp.ErrClosed}, true
 	}
 	return Result{}, false
 }

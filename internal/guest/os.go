@@ -38,7 +38,6 @@ type Result struct {
 	Data []byte // Recv payload
 	FD   int    // Connect/Accept file descriptor
 	N    int    // generic count
-	EOF  bool   // peer closed
 	Err  error  // operation failed (e.g. connection reset)
 }
 

@@ -237,47 +237,6 @@ func TestHaloSingleRankExitsImmediately(t *testing.T) {
 	}
 }
 
-func TestStreamVerifiesAndReportsBandwidth(t *testing.T) {
-	k := sim.NewKernel(9)
-	f := netsim.NewFabric(k)
-	f.AddCluster("c", netsim.EthernetGigE())
-	s := tcp.NewStack(k, f, "g", tcp.DefaultConfig())
-	f.Attach("g", "c", s.Deliver)
-	o := guest.New(k, s, func() sim.Time { return k.Now() }, 1.0, guest.WatchdogConfig{})
-	job := NewStream(1<<12, 20, 5e9) // model a 5 GB/s node
-	pid := o.Spawn(job)
-	k.Run()
-	p, _ := o.Proc(pid)
-	if !p.Exited() || !job.Finished {
-		t.Fatal("stream did not finish")
-	}
-	if !job.Verified {
-		t.Fatal("stream arithmetic verification failed")
-	}
-	// The reported bandwidth must match the model within rounding.
-	if job.AvgGBs < 4.9 || job.AvgGBs > 5.1 {
-		t.Fatalf("reported %.2f GB/s, want ~5", job.AvgGBs)
-	}
-}
-
-func TestStreamSlowerMemorySlowerRun(t *testing.T) {
-	run := func(bw float64) sim.Time {
-		k := sim.NewKernel(9)
-		f := netsim.NewFabric(k)
-		f.AddCluster("c", netsim.EthernetGigE())
-		s := tcp.NewStack(k, f, "g", tcp.DefaultConfig())
-		f.Attach("g", "c", s.Deliver)
-		o := guest.New(k, s, func() sim.Time { return k.Now() }, 1.0, guest.WatchdogConfig{})
-		job := NewStream(1<<12, 10, bw)
-		o.Spawn(job)
-		k.Run()
-		return job.EndWall - job.StartWall
-	}
-	if run(2e9) <= run(6e9) {
-		t.Fatal("slower memory should take longer")
-	}
-}
-
 func TestRandomAccessVerifies(t *testing.T) {
 	for _, n := range []int{1, 2, 4} {
 		n := n

@@ -162,8 +162,8 @@ type RecvMsg struct {
 func recv(from, tag int) *RecvMsg { return &RecvMsg{From: from, Tag: tag} }
 
 func (op *RecvMsg) step(rt *Runtime, api *guest.API, res guest.Result) (guest.Op, bool) {
-	if op.PC > 0 && (res.Err != nil || res.EOF) {
-		rt.Fail("recv from %d: err=%v eof=%v", op.From, res.Err, res.EOF)
+	if op.PC > 0 && res.Err != nil {
+		rt.Fail("recv from %d: err=%v", op.From, res.Err)
 		return nil, true
 	}
 	switch op.PC {

@@ -349,7 +349,7 @@ func (op *initOp) step(rt *Runtime, api *guest.API, res guest.Result) (guest.Op,
 			op.PC = 6
 			return api.Recv(op.TmpFD, helloSize), false
 		case 6: // hello received
-			if res.EOF || len(res.Data) != helloSize {
+			if len(res.Data) != helloSize {
 				rt.Fail("init: bad hello")
 				return nil, true
 			}

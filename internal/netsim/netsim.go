@@ -360,18 +360,14 @@ func (f *Fabric) Delay(src, dst Addr, size int) (sim.Time, error) {
 	if !ok {
 		return 0, fmt.Errorf("netsim: destination %q not attached", dst)
 	}
-	return f.delay(ps, pd, size), nil
-}
-
-func (f *Fabric) delay(src, dst *Port, size int) sim.Time {
-	prof := f.profileBetween(src.cluster, dst.cluster)
-	d := prof.Latency + src.ExtraLatency + dst.ExtraLatency
+	prof := f.profileBetween(ps.cluster, pd.cluster)
+	d := prof.Latency + ps.ExtraLatency + pd.ExtraLatency
 	if size > 0 {
-		if bw := effectiveBandwidth(prof, src, dst); bw > 0 {
+		if bw := effectiveBandwidth(prof, ps, pd); bw > 0 {
 			d += sim.Time(float64(size) / bw * float64(sim.Second))
 		}
 	}
-	return d
+	return d, nil
 }
 
 // effectiveBandwidth scales prof's bandwidth by both ports'

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"slices"
 	"sort"
 
 	"dvc/internal/metrics"
@@ -121,10 +122,10 @@ func (c *FilterConfig) Match(r *Record) bool {
 			return false
 		}
 	}
-	if len(c.Nodes) > 0 && !containsString(c.Nodes, r.Node) {
+	if len(c.Nodes) > 0 && !slices.Contains(c.Nodes, r.Node) {
 		return false
 	}
-	if len(c.Doms) > 0 && !containsString(c.Doms, r.Dom) {
+	if len(c.Doms) > 0 && !slices.Contains(c.Doms, r.Dom) {
 		return false
 	}
 	if r.TS < c.From {
@@ -137,15 +138,6 @@ func (c *FilterConfig) Match(r *Record) bool {
 		return false
 	}
 	return true
-}
-
-func containsString(set []string, s string) bool {
-	for _, v := range set {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }
 
 // Summary accumulates the streaming per-type record counts and

@@ -390,15 +390,21 @@ func (in *Interpreter) cmdMigrate(cmd string, args []string) error {
 	targets = targets[:vc.Spec().Nodes]
 	if cmd == "livemigrate" {
 		res, err := in.sim.LiveMigrate(vc, targets)
-		if err != nil || !res.OK {
-			return in.errf("livemigrate: %v %+v", err, res)
+		if err != nil {
+			return in.errf("livemigrate: %v", err)
+		}
+		if !res.OK {
+			return in.errf("livemigrate failed: %s", res.Reason)
 		}
 		in.say("%s live-migrated to %s: downtime %v after %d rounds", vc.Name(), args[1], res.Downtime, res.Rounds)
 		return nil
 	}
 	res, err := in.sim.Migrate(vc, targets)
-	if err != nil || !res.OK {
-		return in.errf("migrate: %v %+v", err, res)
+	if err != nil {
+		return in.errf("migrate: %v", err)
+	}
+	if !res.OK {
+		return in.errf("migrate failed: %s", res.Reason)
 	}
 	in.say("%s migrated to %s: downtime %v", vc.Name(), args[1], res.Downtime)
 	return nil
@@ -436,8 +442,11 @@ func (in *Interpreter) cmdRestore(args []string) error {
 		return in.errf("restore: cluster %q has %d free nodes, need %d", args[2], len(targets), vc.Spec().Nodes)
 	}
 	res, err := in.sim.Recover(vc, gen, targets[:vc.Spec().Nodes])
-	if err != nil || !res.OK {
-		return in.errf("restore: %v %+v", err, res)
+	if err != nil {
+		return in.errf("restore: %v", err)
+	}
+	if !res.OK {
+		return in.errf("restore failed: %s", res.Reason)
 	}
 	in.say("%s restored from gen %d (staging %v)", vc.Name(), gen, res.StageTime)
 	return nil

@@ -57,6 +57,9 @@ func TestLiveMigrateScript(t *testing.T) {
 }
 
 func TestScriptErrors(t *testing.T) {
+	// saved leaves job j checkpointed at generation 0 and torn down
+	// (Saved), with cluster b free.
+	const saved = "cluster a 2\ncluster b 2\nstart\nalloc j 2\nrun j halo 100000 20ms 64\nadvance 1s\ncheckpoint j\nteardown j\n"
 	cases := map[string]string{
 		"unknown command":      "frobnicate\n",
 		"unknown vc":           "cluster a 2\nstart\ncheckpoint nope\n",
@@ -67,10 +70,18 @@ func TestScriptErrors(t *testing.T) {
 		"unknown lsc mode":     "lsc telepathy\n",
 		"impossible migration": "cluster a 2\nstart\nalloc j 2\nmigrate j a\n",
 		"assert on failed job": "cluster a 2\nstart\nalloc j 2\nrun j halo 100000 20ms 64\ncrash a-n00\nadvance 60s\nassert-ok j\n",
+		"restore of no image":  saved + "restore j 7 b\n",
+		"migrate when saved":   saved + "migrate j b\n",
+		"livemigrate saved":    saved + "livemigrate j b\n",
 	}
 	for name, src := range cases {
-		if _, err := run(t, 5, src); err == nil {
+		_, err := run(t, 5, src)
+		if err == nil {
 			t.Fatalf("%s: script accepted", name)
+		}
+		// The user sees the cause, never a nil error or a raw result.
+		if msg := err.Error(); strings.Contains(msg, "<nil>") || strings.Contains(msg, "&{") {
+			t.Errorf("%s: error text %q", name, msg)
 		}
 	}
 }

@@ -12,14 +12,14 @@ import (
 // State is a connection's lifecycle state.
 type State int
 
-// Connection states (a condensed version of the TCP state machine; the
-// TIME_WAIT family is collapsed into Closed).
+// Connection states: the handshake, then Established until a reset. There
+// is no graceful close — an MPI job ends when its processes exit — so a
+// connection ends only by reset, from the peer or from its own exhausted
+// retry budget.
 const (
 	StateSynSent State = iota
 	StateSynRcvd
 	StateEstablished
-	StateClosing // FIN sent or received, not yet fully closed
-	StateClosed
 	StateReset
 )
 
@@ -31,10 +31,6 @@ func (s State) String() string {
 		return "SynRcvd"
 	case StateEstablished:
 		return "Established"
-	case StateClosing:
-		return "Closing"
-	case StateClosed:
-		return "Closed"
 	case StateReset:
 		return "Reset"
 	default:
@@ -82,22 +78,18 @@ type Conn struct {
 	// releases chunk backing arrays instead of pinning them.
 	sndUna, sndNxt uint64
 	sendQ          chunkRing
-	closeRequested bool
-	finSent        bool
-	finAcked       bool
 
 	// Receive side. recvQ accumulates in-order segment payloads by
 	// reference (the chunks are the sender's own send-queue chunks,
 	// shared across the simulated wire); ooo stashes out-of-order
 	// segment views, bounded by the receive window (== SendWindow in
 	// this symmetric stack), with rejected bytes counted in
-	// Stack.Stats.OOODroppedBytes.
-	rcvNxt    uint64
-	recvQ     chunkRing
-	ooo       map[uint64]payload.Bytes // out-of-order segments keyed by seq
-	oooBytes  int                      // total bytes stashed in ooo
-	remoteFin bool
-	finRcvd   bool // FIN consumed into rcvNxt
+	// Stack.Stats.OOODroppedBytes. Every stash entry lies in
+	// (rcvNxt, rcvNxt+SendWindow]: processData drops any entry the
+	// reassembly point has passed.
+	rcvNxt uint64
+	recvQ  chunkRing
+	ooo    map[uint64]payload.Bytes // out-of-order segments keyed by seq
 
 	// Retransmission. The RTO timer is a rearmable sim.Timer: every ACK
 	// rearms it in place (Reset) instead of cancelling and reallocating a
@@ -119,7 +111,7 @@ type Conn struct {
 
 	// Notify is the owner's one wake-up, set by the guest layer: it
 	// fires whenever the connection may have changed in a way a blocked
-	// operation waits for — the handshake completes, data or EOF becomes
+	// operation waits for — the handshake completes, data becomes
 	// readable, sndUna advances (send progress) or the connection is
 	// torn down by an error. The owner re-reads State and the queues to
 	// see which.
@@ -146,14 +138,8 @@ func (c *Conn) Write(data []byte) error {
 // zero-copy entry point the mpi framing layer uses to send
 // header+body messages without materialising the frame.
 func (c *Conn) WritePayload(p payload.Bytes) error {
-	switch c.state {
-	case StateReset:
+	if c.state == StateReset {
 		return ErrReset
-	case StateClosed:
-		return ErrClosed
-	}
-	if c.closeRequested {
-		return ErrClosed
 	}
 	c.sendQ.push(p)
 	c.trySend()
@@ -165,10 +151,6 @@ func (c *Conn) SendBacklog() int { return c.sendQ.len() }
 
 // Readable reports how many bytes are ready for the application.
 func (c *Conn) Readable() int { return c.recvQ.len() }
-
-// EOF reports whether the peer has closed its direction and all data has
-// been drained.
-func (c *Conn) EOF() bool { return c.finRcvd && c.recvQ.len() == 0 }
 
 // Read consumes up to n bytes from the receive queue as a contiguous
 // slice, flattening across segment boundaries if the range spans
@@ -187,26 +169,6 @@ func (c *Conn) ReadPayload(n int) payload.Bytes {
 	out := c.recvQ.view(0, n)
 	c.recvQ.consume(n)
 	return out
-}
-
-// Close requests a graceful close: remaining data is sent, then FIN.
-// Only tests call it; ConnSnapshot encodes the FIN handshake it starts.
-func (c *Conn) Close() {
-	if c.closeRequested || c.state == StateClosed || c.state == StateReset {
-		return
-	}
-	c.closeRequested = true
-	c.trySend()
-}
-
-// Abort sends RST and tears the connection down immediately. Only tests
-// call it; ConnSnapshot encodes the state its teardown leaves.
-func (c *Conn) Abort() {
-	if c.state == StateClosed || c.state == StateReset {
-		return
-	}
-	c.sendCtl(FlagRST, c.sndNxt, c.rcvNxt)
-	c.teardown(StateClosed, nil)
 }
 
 // --- internals ---
@@ -228,10 +190,10 @@ func (c *Conn) sendCtl(flags Flags, seq, ack uint64) {
 	c.sendSegment(flags, seq, ack, payload.Bytes{})
 }
 
-// trySend pushes new data/FIN within the send window and manages the
+// trySend pushes new data within the send window and manages the
 // retransmit timer.
 func (c *Conn) trySend() {
-	if c.state != StateEstablished && c.state != StateClosing {
+	if c.state != StateEstablished {
 		return
 	}
 	inFlight := func() int { return int(c.sndNxt - c.sndUna) }
@@ -260,16 +222,6 @@ func (c *Conn) trySend() {
 		c.sndNxt += uint64(n)
 		sent = true
 	}
-	// FIN once everything queued has been transmitted.
-	if c.closeRequested && !c.finSent && int(c.sndNxt-c.sndUna) == c.sendQ.len() {
-		c.sendCtl(FlagFIN|FlagACK, c.sndNxt, c.rcvNxt)
-		c.sndNxt++
-		c.finSent = true
-		if c.state == StateEstablished {
-			c.state = StateClosing
-		}
-		sent = true
-	}
 	if sent && !c.timer.Pending() {
 		c.armTimer(c.rto)
 	}
@@ -296,7 +248,7 @@ func (c *Conn) onTimeout() {
 	c.retries++
 	if c.retries > c.stack.cfg.MaxRetries {
 		c.sendCtl(FlagRST, c.sndNxt, c.rcvNxt)
-		c.teardown(StateReset, ErrTimeout)
+		c.teardown(ErrTimeout)
 		return
 	}
 	c.Retransmits++
@@ -318,7 +270,7 @@ func (c *Conn) onTimeout() {
 	c.armTimer(c.rto)
 }
 
-// outstanding reports unacknowledged sequence space (data + SYN/FIN).
+// outstanding reports unacknowledged sequence space (data, or the SYN).
 func (c *Conn) outstanding() uint64 {
 	if c.state == StateSynSent || c.state == StateSynRcvd {
 		return 1
@@ -339,42 +291,21 @@ func (c *Conn) retransmitHead() {
 		c.sendCtl(FlagSYN|FlagACK, 0, c.rcvNxt)
 		return
 	}
-	dataLen := c.sendQ.len()
-	if dataLen > 0 && c.sndNxt > c.sndUna {
-		// Resend first segment of unacked data.
-		n := dataLen
-		if n > c.stack.cfg.MSS {
-			n = c.stack.cfg.MSS
-		}
-		if avail := int(c.sndNxt - c.sndUna); n > avail {
-			n = avail
-		}
-		if n > 0 {
-			c.sendSegment(FlagACK, c.sndUna, c.rcvNxt, c.sendQ.view(0, n))
-			// Go-back-N: anything beyond the head is presumed lost and
-			// will be re-sent by trySend; a previously sent FIN moves
-			// back with it.
-			if back := c.sndUna + uint64(n); c.sndNxt > back {
-				c.sndNxt = back
-				if c.finSent && !c.finAcked {
-					c.finSent = false
-					if c.state == StateClosing && !c.finRcvd {
-						c.state = StateEstablished
-					}
-				}
-			}
-			return
-		}
+	// Resend the first segment of unacked data.
+	n := min(c.sendQ.len(), c.stack.cfg.MSS, int(c.sndNxt-c.sndUna))
+	if n <= 0 {
+		return
 	}
-	if c.finSent && !c.finAcked {
-		c.sendCtl(FlagFIN|FlagACK, c.sndNxt-1, c.rcvNxt)
-	}
+	c.sendSegment(FlagACK, c.sndUna, c.rcvNxt, c.sendQ.view(0, n))
+	// Go-back-N: anything beyond the head is presumed lost and will be
+	// re-sent by trySend.
+	c.sndNxt = c.sndUna + uint64(n)
 }
 
 // handle processes an incoming segment addressed to this connection.
 func (c *Conn) handle(seg *Segment) {
 	if seg.Flags.Has(FlagRST) {
-		c.teardown(StateReset, ErrReset)
+		c.teardown(ErrReset)
 		return
 	}
 	switch c.state {
@@ -409,7 +340,7 @@ func (c *Conn) handle(seg *Segment) {
 		} else {
 			return
 		}
-	case StateClosed, StateReset:
+	case StateReset:
 		c.sendCtl(FlagRST, c.sndNxt, c.rcvNxt)
 		return
 	}
@@ -427,9 +358,6 @@ func (c *Conn) handle(seg *Segment) {
 	if seg.Data.Len() > 0 {
 		c.processData(seg)
 	}
-	if seg.Flags.Has(FlagFIN) {
-		c.processFin(seg)
-	}
 }
 
 func (c *Conn) processAck(ack uint64) {
@@ -439,22 +367,9 @@ func (c *Conn) processAck(ack uint64) {
 	if ack > c.sndNxt {
 		ack = c.sndNxt // peer acking beyond what we sent: clamp
 	}
-	advanced := ack - c.sndUna
-	// Consume acked bytes from the buffer. The FIN occupies sequence
-	// space but no buffer space.
-	bufAdvance := advanced
-	if c.finSent && ack == c.sndNxt {
-		c.finAcked = true
-		if bufAdvance > 0 {
-			bufAdvance--
-		}
-	}
-	if int(bufAdvance) > c.sendQ.len() {
-		bufAdvance = uint64(c.sendQ.len())
-	}
 	// Acked bytes leave the queue; fully consumed chunks release their
 	// backing arrays (no reslice-pinning).
-	c.sendQ.consume(int(bufAdvance))
+	c.sendQ.consume(min(int(ack-c.sndUna), c.sendQ.len()))
 	c.sndUna = ack
 	c.retries = 0
 
@@ -475,7 +390,6 @@ func (c *Conn) processAck(ack uint64) {
 	} else {
 		c.armTimer(c.rto)
 	}
-	c.maybeFinishClose()
 	c.trySend()
 	c.notify()
 }
@@ -548,11 +462,7 @@ func (c *Conn) processData(seg *Segment) {
 		if c.ooo == nil {
 			c.ooo = make(map[uint64]payload.Bytes)
 		}
-		if old, dup := c.ooo[seg.Seq]; dup {
-			c.oooBytes -= old.Len()
-		}
 		c.ooo[seg.Seq] = seg.Data
-		c.oooBytes += seg.Data.Len()
 		c.sendAck()
 	default:
 		// In order (possibly with an already-received prefix). The
@@ -567,41 +477,19 @@ func (c *Conn) processData(seg *Segment) {
 				break
 			}
 			delete(c.ooo, c.rcvNxt)
-			c.oooBytes -= data.Len()
 			c.recvQ.push(data)
 			c.rcvNxt += uint64(data.Len())
 		}
+		// Drop stash entries the reassembly point has passed. Go-back-N
+		// re-sends with new segment boundaries, so a stashed segment can
+		// start below the new rcvNxt; the drain above never reads it.
+		for seq := range c.ooo {
+			if seq < c.rcvNxt {
+				delete(c.ooo, seq)
+			}
+		}
 		c.sendAck()
 		c.notify()
-	}
-}
-
-func (c *Conn) processFin(seg *Segment) {
-	finSeq := seg.Seq + uint64(seg.Data.Len())
-	if finSeq != c.rcvNxt {
-		// FIN for data we have not seen yet (or a duplicate): if it is a
-		// duplicate, re-ACK.
-		if finSeq < c.rcvNxt {
-			c.sendAck()
-		}
-		return
-	}
-	if !c.finRcvd {
-		c.rcvNxt++
-		c.finRcvd = true
-		c.remoteFin = true
-		if c.state == StateEstablished {
-			c.state = StateClosing
-		}
-		c.notify() // EOF is a readability event
-	}
-	c.sendAck()
-	c.maybeFinishClose()
-}
-
-func (c *Conn) maybeFinishClose() {
-	if c.finRcvd && c.finSent && c.finAcked && c.state != StateClosed {
-		c.teardown(StateClosed, nil)
 	}
 }
 
@@ -609,29 +497,25 @@ func (c *Conn) sendAck() {
 	c.sendCtl(FlagACK, c.sndNxt, c.rcvNxt)
 }
 
-// teardown finalises the connection and notifies the owner on error;
-// err (ErrTimeout or ErrReset) is the reset's why in the trace.
-func (c *Conn) teardown(state State, err error) {
-	c.state = state
+// teardown resets the connection and notifies the owner; err (ErrTimeout
+// or ErrReset) is the reset's why in the trace.
+func (c *Conn) teardown(err error) {
+	c.state = StateReset
 	c.stopTimer()
-	// A torn-down connection never rearms (trySend and handle() bail on
-	// Closed/Reset states), so return the timer's slot to the kernel pool.
+	// A reset connection never rearms (trySend and handle bail on the
+	// Reset state), so return the timer's slot to the kernel pool.
 	c.timer.Free()
 	c.timer = nil
-	if err != nil {
-		c.notify()
-	}
-	if state == StateReset {
-		c.stack.resets++
-		if tr := c.stack.tracer; tr != nil {
-			why := "peer-rst"
-			if err == ErrTimeout {
-				why = "retry-budget"
-			}
-			tr.Emit(c.now(), obs.EvTCPReset, c.stack.trNode, c.stack.trDom, "reset",
-				obs.Str("conn", c.key.String()), obs.Str("why", why))
-			tr.Inc("tcp.resets", 1)
+	c.notify()
+	c.stack.resets++
+	if tr := c.stack.tracer; tr != nil {
+		why := "peer-rst"
+		if err == ErrTimeout {
+			why = "retry-budget"
 		}
+		tr.Emit(c.now(), obs.EvTCPReset, c.stack.trNode, c.stack.trDom, "reset",
+			obs.Str("conn", c.key.String()), obs.Str("why", why))
+		tr.Inc("tcp.resets", 1)
 	}
 }
 

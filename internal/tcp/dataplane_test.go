@@ -11,6 +11,25 @@ import (
 	"dvc/internal/sim"
 )
 
+// retainedBytes reports how many bytes of chunk backing the ring keeps
+// alive (including the consumed prefix of the head chunk).
+func (r *chunkRing) retainedBytes() int {
+	total := 0
+	for k := 0; k < r.n; k++ {
+		total += len(r.at(k))
+	}
+	return total
+}
+
+// stashBytes is the payload held in c's out-of-order stash.
+func stashBytes(c *Conn) int {
+	n := 0
+	for _, data := range c.ooo {
+		n += data.Len()
+	}
+	return n
+}
+
 // TestRingRetentionBounded is the regression test for the reslice-pinning
 // bug the ring buffers fix: the old sendBuf/recvBuf were consumed with
 // `buf = buf[n:]`, which keeps the entire backing array — including every
@@ -91,8 +110,8 @@ func TestOOOStashBoundedUnderLoss(t *testing.T) {
 	var got []byte
 	for step := 0; step < 60_000; step++ {
 		p.k.RunFor(sim.Millisecond)
-		if cb.oooBytes > cfg.SendWindow {
-			t.Fatalf("ooo stash %d bytes exceeds window %d at step %d", cb.oooBytes, cfg.SendWindow, step)
+		if stashBytes(cb) > cfg.SendWindow {
+			t.Fatalf("ooo stash %d bytes exceeds window %d at step %d", stashBytes(cb), cfg.SendWindow, step)
 		}
 		got = append(got, drain(cb)...)
 		if len(got) == len(msg) {
@@ -136,16 +155,16 @@ func TestOOOOutOfWindowSegmentDropped(t *testing.T) {
 
 	// In-window out-of-order data is stashed.
 	inject(cb.rcvNxt+1000, []byte("in-window"))
-	if cb.oooBytes == 0 {
+	if stashBytes(cb) == 0 {
 		t.Fatal("in-window out-of-order segment was not stashed")
 	}
-	stashed := cb.oooBytes
+	stashed := stashBytes(cb)
 
 	// Out-of-window data is dropped and accounted.
 	hostile := bytes.Repeat([]byte{0xee}, 500)
 	inject(cb.rcvNxt+uint64(cfg.SendWindow)+10_000, hostile)
-	if cb.oooBytes != stashed {
-		t.Fatalf("out-of-window segment entered the stash (oooBytes %d -> %d)", stashed, cb.oooBytes)
+	if stashBytes(cb) != stashed {
+		t.Fatalf("out-of-window segment entered the stash (stash %d -> %d bytes)", stashed, stashBytes(cb))
 	}
 	if got := p.sb.Stats.OOODroppedBytes; got != uint64(len(hostile)) {
 		t.Fatalf("OOODroppedBytes = %d, want %d", got, len(hostile))
@@ -155,12 +174,44 @@ func TestOOOOutOfWindowSegmentDropped(t *testing.T) {
 	// rcvNxt+window is legitimate for an honest peer and must be kept.
 	edge := bytes.Repeat([]byte{0x33}, 100)
 	inject(cb.rcvNxt+uint64(cfg.SendWindow)-uint64(len(edge)), edge)
-	if cb.oooBytes != stashed+len(edge) {
-		t.Fatalf("segment ending exactly at the window edge was dropped (oooBytes %d, want %d)",
-			cb.oooBytes, stashed+len(edge))
+	if stashBytes(cb) != stashed+len(edge) {
+		t.Fatalf("segment ending exactly at the window edge was dropped (stash %d bytes, want %d)",
+			stashBytes(cb), stashed+len(edge))
 	}
 	if got := p.sb.Stats.OOODroppedBytes; got != uint64(len(hostile)) {
 		t.Fatalf("edge segment was accounted as dropped (OOODroppedBytes %d)", got)
+	}
+}
+
+// TestStashDropsPassedSegments: go-back-N re-sends with new segment
+// boundaries, so a stashed segment can start below the reassembly point
+// once the gap before it fills. The drain never reads such an entry, so
+// it must leave the stash, and the image, at once.
+func TestStashDropsPassedSegments(t *testing.T) {
+	p := newPair(t, DefaultConfig())
+	_, cb := p.connect(t)
+	key := cb.Key()
+	inject := func(seq uint64, n int) {
+		p.sb.Deliver(netsim.Packet{Src: key.RemoteAddr, Dst: "B", SrcID: p.fabric.Endpoint(key.RemoteAddr), Payload: &Segment{
+			SrcPort: key.RemotePort, DstPort: key.LocalPort, Flags: FlagACK, Seq: seq, Ack: 1,
+			Data: payload.Wrap(bytes.Repeat([]byte{byte(seq)}, n)),
+		}})
+	}
+	base := cb.rcvNxt
+	inject(base+500, 1000)
+	if len(cb.ooo) != 1 {
+		t.Fatalf("segment past a gap was not stashed: %d entries", len(cb.ooo))
+	}
+	inject(base, 1000) // fills the gap, ends inside the stashed segment
+	if cb.rcvNxt != base+1000 || cb.Readable() != 1000 {
+		t.Fatalf("rcvNxt %d readable %d, want %d and 1000", cb.rcvNxt, cb.Readable(), base+1000)
+	}
+	if len(cb.ooo) != 0 {
+		t.Fatalf("stash keeps %d entries the reassembly point has passed", len(cb.ooo))
+	}
+	p.sb.Freeze()
+	if ooo := p.sb.Snapshot().Conns[0].OOO; len(ooo) != 0 {
+		t.Fatalf("image carries %d passed stash entries", len(ooo))
 	}
 }
 
@@ -202,7 +253,7 @@ func TestSnapshotRoundTripWithChunkedQueues(t *testing.T) {
 	if !dropped {
 		t.Fatal("drop rule never matched")
 	}
-	if cb.oooBytes == 0 {
+	if stashBytes(cb) == 0 {
 		t.Fatal("loss did not populate the out-of-order stash")
 	}
 

@@ -177,14 +177,3 @@ func (r *chunkRing) copyOut() []byte {
 	}
 	return out
 }
-
-// retainedBytes reports how many bytes of chunk backing the ring keeps
-// alive (including the consumed prefix of the head chunk). Used by the
-// memory-retention regression test.
-func (r *chunkRing) retainedBytes() int {
-	total := 0
-	for k := 0; k < r.n; k++ {
-		total += len(r.at(k))
-	}
-	return total
-}

@@ -34,11 +34,12 @@ import (
 // Flags are TCP header control bits (the subset we model).
 type Flags uint8
 
-// Control bits.
+// Control bits. Bit 2 (FIN in real TCP) is unused: a connection ends only
+// by reset.
 const (
 	FlagSYN Flags = 1 << iota
 	FlagACK
-	FlagFIN
+	_
 	FlagRST
 )
 
@@ -51,9 +52,6 @@ func (f Flags) String() string {
 	}
 	if f.Has(FlagACK) {
 		s += "A"
-	}
-	if f.Has(FlagFIN) {
-		s += "F"
 	}
 	if f.Has(FlagRST) {
 		s += "R"

@@ -17,15 +17,10 @@ type ConnSnapshot struct {
 
 	SndUna, SndNxt uint64
 	SendBuf        []byte
-	CloseRequested bool
-	FinSent        bool
-	FinAcked       bool
 
-	RcvNxt    uint64
-	RecvBuf   []byte
-	OOO       map[uint64][]byte
-	RemoteFin bool
-	FinRcvd   bool
+	RcvNxt  uint64
+	RecvBuf []byte
+	OOO     map[uint64][]byte
 
 	RTO       sim.Time
 	Retries   int
@@ -85,26 +80,21 @@ func (s *Stack) Snapshot() *StackSnapshot {
 		// the connection and may be restored on another node), so this
 		// is the one place the send/receive queues are copied.
 		cs := ConnSnapshot{
-			Key:            c.key,
-			State:          c.state,
-			SndUna:         c.sndUna,
-			SndNxt:         c.sndNxt,
-			SendBuf:        c.sendQ.copyOut(),
-			CloseRequested: c.closeRequested,
-			FinSent:        c.finSent,
-			FinAcked:       c.finAcked,
-			RcvNxt:         c.rcvNxt,
-			RecvBuf:        c.recvQ.copyOut(),
-			RemoteFin:      c.remoteFin,
-			FinRcvd:        c.finRcvd,
-			RTO:            c.rto,
-			Retries:        c.retries,
-			TimerLeft:      c.timerLeft,
-			SRTT:           c.srtt,
-			RTTVar:         c.rttvar,
-			HasRTT:         c.hasRTT,
-			Retransmits:    c.Retransmits,
-			DupSegments:    c.DupSegments,
+			Key:         c.key,
+			State:       c.state,
+			SndUna:      c.sndUna,
+			SndNxt:      c.sndNxt,
+			SendBuf:     c.sendQ.copyOut(),
+			RcvNxt:      c.rcvNxt,
+			RecvBuf:     c.recvQ.copyOut(),
+			RTO:         c.rto,
+			Retries:     c.retries,
+			TimerLeft:   c.timerLeft,
+			SRTT:        c.srtt,
+			RTTVar:      c.rttvar,
+			HasRTT:      c.hasRTT,
+			Retransmits: c.Retransmits,
+			DupSegments: c.DupSegments,
 		}
 		if len(c.ooo) > 0 {
 			cs.OOO = make(map[uint64][]byte, len(c.ooo))
@@ -139,26 +129,21 @@ func RestoreStack(k *sim.Kernel, fabric *netsim.Fabric, snap *StackSnapshot) *St
 	}
 	for _, cs := range snap.Conns {
 		c := &Conn{
-			stack:          s,
-			key:            cs.Key,
-			peer:           fabric.Endpoint(cs.Key.RemoteAddr),
-			state:          cs.State,
-			sndUna:         cs.SndUna,
-			sndNxt:         cs.SndNxt,
-			closeRequested: cs.CloseRequested,
-			finSent:        cs.FinSent,
-			finAcked:       cs.FinAcked,
-			rcvNxt:         cs.RcvNxt,
-			remoteFin:      cs.RemoteFin,
-			finRcvd:        cs.FinRcvd,
-			rto:            cs.RTO,
-			retries:        cs.Retries,
-			timerLeft:      cs.TimerLeft,
-			srtt:           cs.SRTT,
-			rttvar:         cs.RTTVar,
-			hasRTT:         cs.HasRTT,
-			Retransmits:    cs.Retransmits,
-			DupSegments:    cs.DupSegments,
+			stack:       s,
+			key:         cs.Key,
+			peer:        fabric.Endpoint(cs.Key.RemoteAddr),
+			state:       cs.State,
+			sndUna:      cs.SndUna,
+			sndNxt:      cs.SndNxt,
+			rcvNxt:      cs.RcvNxt,
+			rto:         cs.RTO,
+			retries:     cs.Retries,
+			timerLeft:   cs.TimerLeft,
+			srtt:        cs.SRTT,
+			rttvar:      cs.RTTVar,
+			hasRTT:      cs.HasRTT,
+			Retransmits: cs.Retransmits,
+			DupSegments: cs.DupSegments,
 		}
 		// The snapshot's buffers enter the restored queues by reference
 		// (single-chunk ropes): Snapshot already produced fresh copies,
@@ -176,7 +161,6 @@ func RestoreStack(k *sim.Kernel, fabric *netsim.Fabric, snap *StackSnapshot) *St
 			sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 			for _, seq := range seqs {
 				c.ooo[seq] = payload.Wrap(cs.OOO[seq])
-				c.oooBytes += len(cs.OOO[seq])
 			}
 		}
 		s.bind(c)

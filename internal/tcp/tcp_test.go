@@ -293,42 +293,22 @@ func TestAckResetsRetryCount(t *testing.T) {
 	}
 }
 
-func TestGracefulClose(t *testing.T) {
-	p := newPair(t, DefaultConfig())
-	ca, cb := p.connect(t)
-	ca.Write([]byte("last words"))
-	ca.Close()
-	p.k.RunFor(2 * sim.Second)
-	if got := drain(cb); string(got) != "last words" {
-		t.Fatalf("data lost at close: %q", got)
-	}
-	if !cb.EOF() {
-		t.Fatal("receiver did not see EOF")
-	}
-	cb.Close()
-	p.k.RunFor(2 * sim.Second)
-	if ca.State() != StateClosed || cb.State() != StateClosed {
-		t.Fatalf("states after mutual close: %v / %v", ca.State(), cb.State())
-	}
+// rst delivers an RST to c's stack as if from c's peer, with the peer's
+// current sequence numbers.
+func (p *pair) rst(c *Conn) {
+	k, s := c.Key(), c.stack
+	s.Deliver(netsim.Packet{Src: k.RemoteAddr, Dst: s.Addr(), SrcID: p.fabric.Endpoint(k.RemoteAddr), Size: HeaderSize, Payload: &Segment{
+		SrcPort: k.RemotePort, DstPort: k.LocalPort, Flags: FlagRST, Seq: c.rcvNxt, Ack: c.sndNxt,
+	}})
 }
 
-func TestWriteAfterCloseFails(t *testing.T) {
+func TestPeerRSTResets(t *testing.T) {
 	p := newPair(t, DefaultConfig())
-	ca, _ := p.connect(t)
-	ca.Close()
-	if err := ca.Write([]byte("x")); err != ErrClosed {
-		t.Fatalf("Write after Close = %v, want ErrClosed", err)
-	}
-}
-
-func TestAbortSendsRST(t *testing.T) {
-	p := newPair(t, DefaultConfig())
-	ca, cb := p.connect(t)
+	_, cb := p.connect(t)
 	resets := traceResets(p.sb)
 	woken := false
 	cb.Notify = func() { woken = true }
-	ca.Abort()
-	p.k.RunFor(sim.Second)
+	p.rst(cb)
 	if cb.State() != StateReset || !woken {
 		t.Fatalf("peer state = %v, woken %v; want a wake-up into Reset", cb.State(), woken)
 	}
@@ -655,7 +635,7 @@ func TestFlagsString(t *testing.T) {
 func TestConnStateStrings(t *testing.T) {
 	for s, want := range map[State]string{
 		StateSynSent: "SynSent", StateSynRcvd: "SynRcvd", StateEstablished: "Established",
-		StateClosing: "Closing", StateClosed: "Closed", StateReset: "Reset",
+		StateReset: "Reset",
 	} {
 		if s.String() != want {
 			t.Fatalf("State(%d).String() = %q", int(s), s.String())
@@ -689,10 +669,11 @@ func TestStackNeverRebindsAKey(t *testing.T) {
 	}
 	ca, cb := p.connect(t)
 	check("established")
-	ca.Abort()
+	p.rst(ca)
+	p.rst(cb)
 	p.k.RunFor(sim.Second)
-	if ca.State() != StateClosed || cb.State() != StateReset {
-		t.Fatalf("states %v/%v after abort, want Closed/Reset", ca.State(), cb.State())
+	if ca.State() != StateReset || cb.State() != StateReset {
+		t.Fatalf("states %v/%v after peer RSTs, want Reset/Reset", ca.State(), cb.State())
 	}
 	check("reset")
 	// A fresh SYN on the dead connection's exact key.

@@ -26,7 +26,7 @@ type ballastProg struct {
 
 func (p *ballastProg) Next(api *guest.API, res guest.Result) guest.Op {
 	p.I++
-	return &guest.SleepOp{Duration: sim.Second}
+	return &guest.ComputeOp{Duration: sim.Second}
 }
 
 // benchCluster boots doms domains, each holding stateBytes of guest
@@ -109,7 +109,7 @@ func BenchmarkLSCSaveSet(b *testing.B) {
 // saveSetImageBytes pins one save set's image bytes exactly. The image
 // codec writes no type descriptors and orders map entries by key, so the
 // encoded length is a pure function of guest state.
-const saveSetImageBytes = 8389888
+const saveSetImageBytes = 8389896
 
 // TestLSCSaveSetImageBytes is the image-size gate for one LSC save set
 // of BenchmarkLSCSaveSet's shape.
