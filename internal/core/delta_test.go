@@ -315,8 +315,9 @@ func TestFailedStoreWriteReleasesVC(t *testing.T) {
 // LSC migration, a live migration's stop) runs here under the naive
 // coordinator, whose serial dispatch leaves a window in which vm00 has
 // paused and its siblings still run. Crashing vm00's host in that window,
-// or running a guest no image can encode, must fail the round, store no
-// key, and hand the VC back Ready with every surviving domain running.
+// running a guest no image can encode, or crashing a live migration's
+// target during pre-copy must fail the round, store no key, and hand the
+// VC back Ready with every surviving domain running.
 func TestFailedCutReleasesVC(t *testing.T) {
 	type op func(tb *testbed, vc *VirtualCluster, done func(ok bool, reason string)) error
 	checkpoint := func(tb *testbed, vc *VirtualCluster, done func(bool, string)) error {
@@ -328,20 +329,26 @@ func TestFailedCutReleasesVC(t *testing.T) {
 	live := func(tb *testbed, vc *VirtualCluster, done func(bool, string)) error {
 		return tb.co.LiveMigrate(vc, tb.site.UpNodes("beta"), func(r *LiveMigrationResult) { done(r.OK, r.Reason) })
 	}
+	const (
+		crashSource = iota // crash vm00's host once vm00 has paused
+		crashTarget        // crash a target's host once pre-copy has started
+		unencodable        // run a guest no image can encode
+	)
 	const crashed = "cut-vm00: domain is Destroyed"
 	for _, row := range []struct {
 		name  string
 		cont  bool
-		crash bool // crash vm00's host mid-cut; otherwise the guest is unencodable
+		fault int
 		op    op
 		want  string
 	}{
-		{"checkpoint-continue/crash", true, true, checkpoint, crashed},
-		{"checkpoint-cycle/crash", false, true, checkpoint, crashed},
-		{"migrate/crash", false, true, migrate, crashed},
-		{"live-migrate/crash", false, true, live, crashed},
-		{"checkpoint/unencodable", true, false, checkpoint, "is not registered"},
-		{"live-migrate/unencodable", false, false, live, "is not registered"},
+		{"checkpoint-continue/crash", true, crashSource, checkpoint, crashed},
+		{"checkpoint-cycle/crash", false, crashSource, checkpoint, crashed},
+		{"migrate/crash", false, crashSource, migrate, crashed},
+		{"live-migrate/crash", false, crashSource, live, crashed},
+		{"live-migrate/target-down", false, crashTarget, live, "node beta-n00 is down"},
+		{"checkpoint/unencodable", true, unencodable, checkpoint, "is not registered"},
+		{"live-migrate/unencodable", false, unencodable, live, "is not registered"},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := DefaultNaiveLSC()
@@ -350,10 +357,10 @@ func TestFailedCutReleasesVC(t *testing.T) {
 			vc := tb.allocate(t, "cut", 4, guest.WatchdogConfig{})
 			vc.LaunchMPI(6000, func(int) mpi.App {
 				halo := hpcc.NewHalo(6000, 20*sim.Millisecond, 1024)
-				if row.crash {
-					return halo
+				if row.fault == unencodable {
+					return unregisteredApp{halo}
 				}
-				return unregisteredApp{halo}
+				return halo
 			})
 			tb.k.RunFor(sim.Second)
 			var ok, reported bool
@@ -361,7 +368,10 @@ func TestFailedCutReleasesVC(t *testing.T) {
 			if err := row.op(tb, vc, func(o bool, r string) { ok, reported, reason = o, true, r }); err != nil {
 				t.Fatal(err)
 			}
-			if row.crash {
+			switch row.fault {
+			case crashTarget:
+				tb.site.UpNodes("beta")[0].Fail()
+			case crashSource:
 				doms := vc.Domains()
 				for doms[0].State() == vm.StateRunning {
 					tb.k.RunFor(sim.Millisecond)
@@ -387,7 +397,7 @@ func TestFailedCutReleasesVC(t *testing.T) {
 				t.Fatalf("VC %v after the failed cut, want Ready", vc.State())
 			}
 			for i, d := range vc.Domains() {
-				if i == 0 && row.crash {
+				if i == 0 && row.fault == crashSource {
 					continue
 				}
 				if d.State() != vm.StateRunning {

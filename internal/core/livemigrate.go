@@ -46,7 +46,9 @@ type LiveMigrationResult struct {
 // executing during the bulk transfer; only the final residual copy
 // happens inside the coordinated pause. The VC is Migrating from here
 // until switch-over or failure, so no checkpoint or other migration can
-// start on it meanwhile.
+// start on it meanwhile. A migration that fails before switch-over,
+// including one whose target goes down, leaves the VC Ready on its
+// source nodes.
 //
 // Under a Delta coordinator the first round is WAN-aware: RAM chunks
 // the page table has never seen dirtied (golden-image template and
@@ -206,14 +208,29 @@ func (c *Coordinator) liveFinal(vc *VirtualCluster, residuals []liveResidual, ta
 	// Every image carries its page table, so the restored domains keep
 	// their chunk lineage: the next delta epoch at the destination
 	// dedups against everything transferred before the move.
-	images := c.capture(vc, &res.Reason)
-	if images == nil {
+	fail := func() {
 		release(vc)
 		res.TotalTime = k.Now() - start
 		done(res)
+	}
+	images := c.capture(vc, &res.Reason)
+	if images == nil {
+		fail()
 		return
 	}
 	k.After(final, func() {
+		// Live migration stores no image: until the targets hold their
+		// domains, the paused sources are the only copy. So every target
+		// must admit its domain, as RestoreDomain will, before any source
+		// is torn down; a target that went down or filled up during the
+		// copy fails the move, and the VC resumes where it ran.
+		for i, img := range images {
+			if err := c.mgr.hvs[targets[i].ID()].Admit(img.DomainName, img.RAMBytes); err != nil {
+				res.Reason = err.Error()
+				fail()
+				return
+			}
+		}
 		vc.Teardown()
 		c.materialize(vc, images, targets, &RestoreResult{VC: vc.spec.Name}, func(rr *RestoreResult) {
 			if rr.OK {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -49,4 +50,39 @@ func BenchmarkE2EventRate(b *testing.B) {
 	eventsPerSec := float64(totalEvents) / totalWall.Seconds()
 	b.ReportMetric(nsPerEvent, "ns/event")
 	b.ReportMetric(eventsPerSec/1e6, "Mevents/s")
+}
+
+// BenchmarkParallelSpeedup measures E2 at trials=8 with a serial pool
+// (GOMAXPROCS=1) against one worker per core, and reports the wall-clock
+// speedup. On a single-core runner the speedup is ~1.0 by construction;
+// the acceptance target (≥2× on a 4-core runner) is read from the
+// reported metric, not asserted here.
+//
+// Run it alone (it is deliberately heavy):
+//
+//	go test -run '^$' -bench BenchmarkParallelSpeedup -benchtime 1x ./internal/experiments
+func BenchmarkParallelSpeedup(b *testing.B) {
+	const seed, trials = 20070917, 8
+	workers := runtime.NumCPU()
+	run := func(procs int) time.Duration {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		start := time.Now()
+		if _, err := Run("E2", Options{Seed: seed, Trials: trials}); err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(start)
+	}
+
+	var serial, parallel time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serial += run(1)
+		parallel += run(workers)
+	}
+	b.StopTimer()
+
+	speedup := float64(serial) / float64(parallel)
+	b.ReportMetric(speedup, "speedup")
+	b.ReportMetric(serial.Seconds()/float64(b.N), "serial-s/op")
+	b.ReportMetric(parallel.Seconds()/float64(b.N), "parallel-s/op")
 }

@@ -56,7 +56,7 @@ func runE2(opts Options) *Result {
 	hpccTrials := 3
 	if opts.Trials > 0 && opts.Trials < hpccTrials {
 		// A small explicit -trials request scales the verified HPCC matrix
-		// down too (the replay-digest test runs E2 twice and wants the
+		// down too (the determinism tests run E2 four times and want the
 		// cheapest run that still exercises every code path once).
 		hpccTrials = opts.Trials
 	}

@@ -167,21 +167,7 @@ func runParallelHPCC(seed int64, virt bool, kind string) sim.Time {
 	} else {
 		oses := b.nativeOSes(4)
 		pids := mpi.Launch(oses, 6000, makeApp)
-		deadline := b.Kernel.Now() + 4*sim.Hour
-		for b.Kernel.Now() < deadline {
-			all := true
-			for i, o := range oses {
-				p, _ := o.Proc(pids[i])
-				if !p.Exited() {
-					all = false
-					break
-				}
-			}
-			if all {
-				break
-			}
-			b.Kernel.RunFor(sim.Second)
-		}
+		b.Kernel.RunFor(4 * sim.Hour)
 		for i, o := range oses {
 			p, _ := o.Proc(pids[i])
 			if !p.Exited() || p.ExitCode() != 0 {
@@ -190,21 +176,15 @@ func runParallelHPCC(seed int64, virt bool, kind string) sim.Time {
 			apps = append(apps, p.Program().(*mpi.Driver).App)
 		}
 	}
+	if !hpcc.Verified(apps[0]) {
+		panic(kind + " verification failed")
+	}
 	switch a := apps[0].(type) {
 	case *hpcc.HPL:
-		if !a.Passed {
-			panic("hpl verification failed")
-		}
 		return a.WallTime()
 	case *hpcc.PTRANS:
-		if !a.Passed {
-			panic("ptrans verification failed")
-		}
 		return a.WallTime()
 	case *hpcc.RandomAccess:
-		if !a.Verified {
-			panic("randomaccess verification failed")
-		}
 		return a.WallTime()
 	}
 	panic("unknown app")

@@ -19,21 +19,6 @@ import (
 // deterministic barriers, and each partition's trace is appended whole,
 // in partition order — never in goroutine arrival order.
 
-// diffTraces fails with the first diverging JSONL line.
-func diffTraces(t *testing.T, label string, a, b []byte) {
-	t.Helper()
-	if bytes.Equal(a, b) {
-		return
-	}
-	la, lb := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
-	for i := 0; i < len(la) && i < len(lb); i++ {
-		if !bytes.Equal(la[i], lb[i]) {
-			t.Fatalf("%s: JSONL trace diverges at line %d:\n  a: %s\n  b: %s", label, i+1, la[i], lb[i])
-		}
-	}
-	t.Fatalf("%s: JSONL traces differ in length: %d vs %d lines", label, len(la), len(lb))
-}
-
 // TestPartitionedMatchesSerial: the multi-DC partitioned scale run at
 // sub-kernel worker counts 1, 2 and 4 — traces and every reported stat
 // must be identical, with real cross-partition traffic flowing

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -12,35 +11,13 @@ import (
 	"dvc/internal/guest"
 	"dvc/internal/hpcc"
 	"dvc/internal/mpi"
-	"dvc/internal/obs"
 	"dvc/internal/sim"
 )
 
-// These tests are the executable form of the kernel's core promise
-// ("reproducible bit for bit", internal/sim/sim.go): run a reference
-// scenario twice with the same seed and require byte-identical serialized
-// metrics and identical event digests. They run as part of the default
-// `go test ./...` (tier-1) and again under `go test -race ./...` in CI,
-// where the race detector doubles as proof that no hidden concurrency
-// has crept into the replayed path.
-
-// e2MetricsDigest runs a scaled-down E2 (the paper's LSC checkpoint
-// experiment) and hashes every byte the experiment serializes: tables,
-// check lines, details.
-func e2MetricsDigest(t *testing.T, seed int64) string {
-	t.Helper()
-	var buf bytes.Buffer
-	res, err := Run("E2", Options{Seed: seed, Trials: 1, Out: &buf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := sha256.New()
-	h.Write(buf.Bytes())
-	for _, c := range res.Checks {
-		fmt.Fprintf(h, "check %s ok=%v detail=%s\n", c.Name, c.OK, c.Detail)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
+// These tests replay LSC checkpoints run directly on a bed: the same
+// seed twice must give identical event digests and identical image
+// bytes. E2's own replay, pool-size and trace checks are in
+// e2runs_test.go.
 
 // lscEventDigest runs one LSC checkpoint trial directly on a bed and
 // hashes the event-level trace evidence: how many kernel events fired,
@@ -96,96 +73,12 @@ func lscEventDigest(t *testing.T, seed int64) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// firstReplay is the digest of the first run of a replay pair at
-// refSeed, memoized so TestSeedReplayDigestsMatchPinnedBaseline checks
-// the pinned values against that run instead of making a third. kind is
-// "metrics", "trace" or "event".
-func firstReplay(t *testing.T, kind string) string {
-	return cached("replay/"+kind, func() string {
-		switch kind {
-		case "metrics":
-			return e2MetricsDigest(t, refSeed)
-		case "trace":
-			d, _ := e2TraceDigest(t, refSeed)
-			return d
-		default:
-			return lscEventDigest(t, refSeed)
-		}
-	})
-}
-
-// TestSeedReplayMetricsDigest: same seed, twice, byte-identical metrics.
-func TestSeedReplayMetricsDigest(t *testing.T) {
-	const seed = refSeed
-	first := firstReplay(t, "metrics")
-	second := e2MetricsDigest(t, seed)
-	if first != second {
-		t.Fatalf("E2 serialized metrics diverged between two runs with seed %d:\n  run 1: %s\n  run 2: %s",
-			seed, first, second)
-	}
-}
-
-// e2TraceDigest runs the scaled-down E2 with a fresh tracer attached and
-// hashes the serialized JSONL event trace, returning the digest and the
-// trace bytes.
-func e2TraceDigest(t *testing.T, seed int64) (string, []byte) {
-	t.Helper()
-	var buf bytes.Buffer
-	tr := obs.NewTracerWithSink(obs.NewJSONLSink(&buf, 0))
-	if _, err := Run("E2", Options{Seed: seed, Trials: 1, Tracer: tr}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	h := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(h[:]), buf.Bytes()
-}
-
-// TestSeedReplayTraceDigest: the full observability trace — every event
-// the instrumented layers emit, in emission order, serialized to JSONL —
-// must be byte-identical across two same-seed runs, and must actually
-// contain the event families E2 exercises (LSC epochs and stores, VM
-// pause/save/restore). A different seed must diverge, proving the trace
-// observes the run rather than a constant schedule.
-func TestSeedReplayTraceDigest(t *testing.T) {
-	const seed = refSeed
-	first := firstReplay(t, "trace")
-	second, raw := e2TraceDigest(t, seed)
-	if first != second {
-		t.Fatalf("JSONL trace diverged between two runs with seed %d:\n  run 1: %s\n  run 2: %s",
-			seed, first, second)
-	}
-	if other, _ := e2TraceDigest(t, seed+1); other == first {
-		t.Fatalf("trace digest for seed %d equals seed %d: trace is not sensitive to the run", seed, seed+1)
-	}
-	for _, want := range []string{
-		`"ev":"lsc.epoch"`,
-		`"ev":"lsc.store"`,
-		`"ev":"vm.pause"`,
-		`"ev":"vm.save"`,
-		`"ev":"vm.restore"`,
-	} {
-		if !bytes.Contains(raw, []byte(want)) {
-			t.Errorf("trace is missing %s events", want)
-		}
-	}
-	// And the JSONL must round-trip through the reader.
-	n := 0
-	if err := obs.DecodeJSONL(bytes.NewReader(raw), func(*obs.Record) error { n++; return nil }); err != nil {
-		t.Fatalf("re-reading own trace: %v", err)
-	}
-	if n == 0 {
-		t.Fatal("trace round-tripped to zero records")
-	}
-}
-
 // TestSeedReplayEventDigest: same seed, twice, identical kernel-level
 // event digests; a different seed must (overwhelmingly) diverge, proving
 // the digest actually observes the run.
 func TestSeedReplayEventDigest(t *testing.T) {
 	const seed = refSeed
-	first := firstReplay(t, "event")
+	first := lscEventDigest(t, seed)
 	second := lscEventDigest(t, seed)
 	if first != second {
 		t.Fatalf("event digest diverged between two runs with seed %d:\n  run 1: %s\n  run 2: %s",
@@ -261,23 +154,20 @@ func TestSeedReplayImageBytes(t *testing.T) {
 // The trace digest was re-pinned once since, when the kernel probe was
 // deleted: the new trace is the old one with every sim.probe record
 // removed and seq/span renumbered, byte for byte.
+// TestSeedReplayMetricsDigest and TestSeedReplayTraceDigest check the
+// two E2 digests on run A.
 const (
 	pinnedE2MetricsDigest = "118959d6fd036deb649a5640544155fe10f84c339189c9c36a119f39b3e5086d"
 	pinnedE2TraceDigest   = "b43271bc564e35c49375031200a008cdb6471832c5a514a2d06085b55b242987"
 	pinnedLSCEventDigest  = "83070258c20fbfcba8993713719d015a5de36b9030aea1d13005322c99ba73ff"
 )
 
-// TestSeedReplayDigestsMatchPinnedBaseline: the digests are not merely
-// self-consistent across two runs — they equal the recorded pre-rewrite
-// baseline, proving the data-plane rewrite is behaviour-preserving.
+// TestSeedReplayDigestsMatchPinnedBaseline: the LSC event digest is not
+// merely self-consistent across two runs — it equals the recorded
+// pre-rewrite baseline, proving the data-plane rewrite is
+// behaviour-preserving.
 func TestSeedReplayDigestsMatchPinnedBaseline(t *testing.T) {
-	if got := firstReplay(t, "metrics"); got != pinnedE2MetricsDigest {
-		t.Errorf("E2 metrics digest moved off the pinned baseline:\n  got  %s\n  want %s", got, pinnedE2MetricsDigest)
-	}
-	if got := firstReplay(t, "trace"); got != pinnedE2TraceDigest {
-		t.Errorf("E2 JSONL trace digest moved off the pinned baseline:\n  got  %s\n  want %s", got, pinnedE2TraceDigest)
-	}
-	if got := firstReplay(t, "event"); got != pinnedLSCEventDigest {
+	if got := lscEventDigest(t, refSeed); got != pinnedLSCEventDigest {
 		t.Errorf("LSC event digest moved off the pinned baseline:\n  got  %s\n  want %s", got, pinnedLSCEventDigest)
 	}
 }

@@ -18,9 +18,11 @@ import (
 )
 
 // Verified reports whether one rank's application verified: a halo
-// finished its rounds, HPL and PTRANS passed their numerical checks. Any
-// other application never verifies. HPL and PTRANS exit 0 whether or
-// not their check passed, so a finished job is not a verified one.
+// finished its rounds, HPL and PTRANS passed their numerical checks, and
+// RandomAccess found its table slice as the update stream predicts. Any
+// other application never verifies. HPL, PTRANS and RandomAccess exit 0
+// whether or not their check passed, so a finished job is not a verified
+// one.
 func Verified(app mpi.App) bool {
 	switch a := app.(type) {
 	case *Halo:
@@ -29,6 +31,8 @@ func Verified(app mpi.App) bool {
 		return a.Passed
 	case *PTRANS:
 		return a.Passed
+	case *RandomAccess:
+		return a.Verified
 	}
 	return false
 }

@@ -307,6 +307,8 @@ func TestVerified(t *testing.T) {
 		{"HPL that failed its check", &HPL{Finished: true}, false},
 		{"PTRANS that passed", &PTRANS{Finished: true, Passed: true}, true},
 		{"PTRANS that failed its check", &PTRANS{Finished: true}, false},
+		{"RandomAccess that verified", &RandomAccess{Finished: true, Verified: true}, true},
+		{"RandomAccess that failed its check", &RandomAccess{Finished: true}, false},
 		{"ping-pong", NewPingPong(64, 1), false},
 	} {
 		if got := Verified(c.app); got != c.want {

@@ -49,7 +49,7 @@ func (s *memSink) Flush() error { return nil }
 // encoded line per record, flushed whenever the buffer fills. It is the
 // trace's one encoder, so peak tracer memory is O(bufSize) however long
 // the run, and the bytes do not depend on the buffer size or on the
-// trial-pool size (TestParallelMatchesSerial streams a 4-worker run
+// trial-pool size (TestStreamedTraceMatchesSerial streams a 4-worker run
 // through a 4096-byte buffer and compares it with the serial run).
 type JSONLSink struct {
 	bw  *bufio.Writer

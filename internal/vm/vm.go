@@ -342,7 +342,11 @@ func (h *Hypervisor) FreeRAM() int64 {
 	return free
 }
 
-func (h *Hypervisor) admit(name string, ram int64) error {
+// Admit reports why this node would refuse a domain named name with ram
+// bytes of RAM, or nil if it would take one: the node must be up, the
+// name free and the RAM available. CreateDomain and RestoreDomain apply
+// this rule; Admit only checks it.
+func (h *Hypervisor) Admit(name string, ram int64) error {
 	if ram < 0 {
 		return fmt.Errorf("vm: %s: negative RAM %d", name, ram)
 	}
@@ -361,7 +365,7 @@ func (h *Hypervisor) admit(name string, ram int64) error {
 // CreateDomain boots a fresh domain. onReady fires when the guest OS is
 // up (after BootTime); the returned domain is in Booting until then.
 func (h *Hypervisor) CreateDomain(name string, addr netsim.Addr, ram int64, wd guest.WatchdogConfig, onReady func(*Domain)) (*Domain, error) {
-	if err := h.admit(name, ram); err != nil {
+	if err := h.Admit(name, ram); err != nil {
 		return nil, err
 	}
 	d := &Domain{name: name, addr: addr, ram: ram, hv: h, state: StateBooting}
@@ -400,7 +404,7 @@ func (h *Hypervisor) CreateDomain(name string, addr netsim.Addr, ram int64, wd g
 // RAM, or one that fails its checksum, its page-table check or the guest
 // image decoder, is refused with an error.
 func (h *Hypervisor) RestoreDomain(img *Image) (*Domain, error) {
-	if err := h.admit(img.DomainName, img.RAMBytes); err != nil {
+	if err := h.Admit(img.DomainName, img.RAMBytes); err != nil {
 		return nil, err
 	}
 	if _, attached := h.fabric.Lookup(img.Addr); attached {
