@@ -15,8 +15,11 @@ import (
 func TestScenariosAtSeed42(t *testing.T) {
 	want := map[string][]string{
 		"checkpoint": {
+			"cluster alpha: 8 nodes",
+			"job1 ready on alpha-n00 alpha-n01 alpha-n02 alpha-n03",
 			"job1 checkpoint gen 0: skew 2.139274ms, downtime 10.752176275s",
 			"[t=57.521728847s] job1 done=true: 4 ok, 0 failed, 0 running",
+			"job1: all 4 ranks succeeded and verified",
 		},
 		"recover": {
 			"job1 running ptrans(N=32, reps=20000)",
@@ -27,6 +30,7 @@ func TestScenariosAtSeed42(t *testing.T) {
 		},
 		"migrate": {
 			"job1 migrated to beta: downtime 10.752957671s",
+			"placement=[beta-n00 beta-n01 beta-n02 beta-n03]",
 			"[t=39.75332394s] NODE alpha-n00 CRASHED",
 			"[t=2m40.319671127s] job1 done=true: 4 ok, 0 failed, 0 running",
 			"job1: all 4 ranks succeeded and verified",
@@ -34,6 +38,7 @@ func TestScenariosAtSeed42(t *testing.T) {
 		"livemigrate": {
 			"job1 live-migrated to beta: downtime 780.074139ms after 3 rounds",
 			"[t=3m11.868578124s] job1 done=true: 4 ok, 0 failed, 0 running",
+			"job1: all 4 ranks succeeded and verified",
 		},
 		"span": {
 			"wide ready on alpha-n00 alpha-n01 alpha-n02 alpha-n03 alpha-n04 alpha-n05 beta-n00 beta-n01 beta-n02 beta-n03",

@@ -99,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var modulePkgs []*analysis.Package
 	for _, pkg := range pkgs {
-		if analysis.InModule(pkg.PkgPath) {
+		if analysis.InModule(pkg.Types.Path()) {
 			modulePkgs = append(modulePkgs, pkg)
 		}
 	}
@@ -116,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var findings []finding
 	for _, pkg := range modulePkgs {
-		analyzers := analysis.AnalyzersFor(pkg.PkgPath)
+		analyzers := analysis.AnalyzersFor(pkg.Types.Path())
 		if only != nil {
 			var filtered []*analysis.Analyzer
 			for _, a := range analyzers {
@@ -131,7 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			for i, a := range analyzers {
 				names[i] = a.Name
 			}
-			fmt.Fprintf(stderr, "dvclint: %s [%s]\n", pkg.PkgPath, strings.Join(names, " "))
+			fmt.Fprintf(stderr, "dvclint: %s [%s]\n", pkg.Types.Path(), strings.Join(names, " "))
 		}
 		diags, err := analysis.Run(pkg, analyzers)
 		if err != nil {

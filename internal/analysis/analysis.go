@@ -68,12 +68,7 @@ type Analyzer struct {
 // Pass carries one analyzer's view of one type-checked package.
 type Pass struct {
 	Analyzer *Analyzer
-
-	// PkgPath is the package's import path (e.g. "dvc/internal/sim").
-	PkgPath string
-	Fset    *token.FileSet
-	Files   []*ast.File
-	Pkg     *types.Package
+	Files    []*ast.File
 	// TypesInfo has Types, Defs, Uses and Selections populated.
 	TypesInfo *types.Info
 
@@ -99,11 +94,10 @@ type Diagnostic struct {
 // Package bundles the inputs shared by every analyzer run over one
 // package. internal/analysis/loader constructs it.
 type Package struct {
-	PkgPath string
-	Fset    *token.FileSet
-	Files   []*ast.File
-	Types   *types.Package
-	Info    *types.Info
+	Fset  *token.FileSet
+	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
 }
 
 // NewInfo returns a types.Info with all the maps analyzers rely on
@@ -135,15 +129,12 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		ran[a.Name] = true
 		pass := &Pass{
 			Analyzer:  a,
-			PkgPath:   pkg.PkgPath,
-			Fset:      pkg.Fset,
 			Files:     pkg.Files,
-			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
 			diags:     &diags,
 		}
 		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.PkgPath, err)
+			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Types.Path(), err)
 		}
 	}
 	allows := collectAllows(pkg.Fset, pkg.Files)

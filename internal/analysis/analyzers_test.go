@@ -170,7 +170,7 @@ func loadSource(t *testing.T, src string) *analysis.Package {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &analysis.Package{PkgPath: "p", Fset: fset, Files: files, Types: tpkg, Info: info}
+	return &analysis.Package{Fset: fset, Files: files, Types: tpkg, Info: info}
 }
 
 // TestAllowRequiresJustification pins the directive-parser contract from

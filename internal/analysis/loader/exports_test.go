@@ -36,20 +36,8 @@ func TestEveryExportHasANonTestCaller(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping the two-module export scan in -short mode")
 	}
-	root, err := loader.ModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pkgs []*analysis.Package
-	for _, dir := range []string{root, filepath.Join(root, "perfbench")} {
-		loaded, err := loader.Load(dir, "./...")
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkgs = append(pkgs, loaded...)
-	}
 	unused := map[string]bool{}
-	for _, key := range unusedExports(pkgs) {
+	for _, key := range unusedExports(loadModules(t)) {
 		unused[key] = true
 		if _, ok := keptExports[key]; !ok {
 			t.Errorf("%s has no non-test use: delete it, or move it into the tests that use it", key)
@@ -63,6 +51,32 @@ func TestEveryExportHasANonTestCaller(t *testing.T) {
 			t.Errorf("keptExports[%q] gives no reason", key)
 		}
 	}
+}
+
+// modules is the non-test load of both modules (. and perfbench), made
+// by the first gate that needs it and shared by the others.
+var modules []*analysis.Package
+
+// loadModules returns modules, loading it on first use.
+func loadModules(t *testing.T) []*analysis.Package {
+	t.Helper()
+	if modules != nil {
+		return modules
+	}
+	root, err := loader.ModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkgs []*analysis.Package
+	for _, dir := range []string{root, filepath.Join(root, "perfbench")} {
+		loaded, err := loader.Load(dir, "./...")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, loaded...)
+	}
+	modules = pkgs
+	return modules
 }
 
 // unusedExports returns the keys (import path, receiver, name) of the
@@ -82,7 +96,7 @@ func unusedExports(pkgs []*analysis.Package) []string {
 					continue
 				}
 				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if ok && fn.Exported() && pkg.PkgPath != "dvc" && !implemented[exportKey(fn)] {
+				if ok && fn.Exported() && pkg.Types.Path() != "dvc" && !implemented[exportKey(fn)] {
 					declared[exportKey(fn)] = true
 				}
 			}

@@ -38,7 +38,6 @@ type listPackage struct {
 	GoFiles    []string
 	Standard   bool
 	DepOnly    bool
-	Incomplete bool
 	Error      *struct{ Err string }
 }
 
@@ -129,7 +128,7 @@ func exportImporter(fset *token.FileSet, exports map[string]string) types.Import
 // the target packages (named by the patterns) and an export-data index
 // covering the whole dependency graph.
 func goList(dir string, patterns []string) ([]*listPackage, map[string]string, error) {
-	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,Export,GoFiles,Standard,DepOnly,Incomplete,Error", "--"}, patterns...)
+	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,Export,GoFiles,Standard,DepOnly,Error", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
@@ -182,11 +181,10 @@ func typeCheck(fset *token.FileSet, imp types.Importer, p *listPackage) (*analys
 		return nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
 	}
 	return &analysis.Package{
-		PkgPath: p.ImportPath,
-		Fset:    fset,
-		Files:   files,
-		Types:   tpkg,
-		Info:    info,
+		Fset:  fset,
+		Files: files,
+		Types: tpkg,
+		Info:  info,
 	}, nil
 }
 

@@ -19,7 +19,7 @@ func TestLoadSimPackage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgs) != 1 || pkgs[0].PkgPath != "dvc/internal/sim" {
+	if len(pkgs) != 1 || pkgs[0].Types.Path() != "dvc/internal/sim" {
 		t.Fatalf("want exactly dvc/internal/sim, got %v", pkgs)
 	}
 	pkg := pkgs[0]
@@ -51,10 +51,10 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 	clean := true
 	for _, pkg := range pkgs {
-		if !analysis.InModule(pkg.PkgPath) {
+		if !analysis.InModule(pkg.Types.Path()) {
 			continue
 		}
-		diags, err := analysis.Run(pkg, analysis.AnalyzersFor(pkg.PkgPath))
+		diags, err := analysis.Run(pkg, analysis.AnalyzersFor(pkg.Types.Path()))
 		if err != nil {
 			t.Fatal(err)
 		}

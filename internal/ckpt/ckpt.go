@@ -58,8 +58,6 @@ type Requirements struct {
 	// TransparentParallel: arbitrary *parallel* jobs checkpoint without
 	// any of the above. Only the VM level achieves this (§2.1).
 	TransparentParallel bool
-	// SavesKernelState: open files, sockets, kernel buffers survive.
-	SavesKernelState bool
 }
 
 // Requirements returns the method's demands.
@@ -70,9 +68,9 @@ func (m Method) Requirements() Requirements {
 	case UserLevel:
 		return Requirements{Relink: true}
 	case KernelLevel:
-		return Requirements{KernelModule: true, SavesKernelState: true}
+		return Requirements{KernelModule: true}
 	default:
-		return Requirements{TransparentParallel: true, SavesKernelState: true}
+		return Requirements{TransparentParallel: true}
 	}
 }
 

@@ -44,15 +44,6 @@ func TestTransparencyOrdering(t *testing.T) {
 	}
 }
 
-func TestKernelStatePreservation(t *testing.T) {
-	if AppLevel.Requirements().SavesKernelState || UserLevel.Requirements().SavesKernelState {
-		t.Fatal("app/user level cannot save kernel state")
-	}
-	if !KernelLevel.Requirements().SavesKernelState || !VMLevel.Requirements().SavesKernelState {
-		t.Fatal("kernel/VM level must save kernel state")
-	}
-}
-
 func TestVMLevelSizeIsRAMNotWorkingSet(t *testing.T) {
 	small := DefaultFootprint(1<<20, 2<<30) // tiny app, 2GiB guest
 	if VMLevel.ImageBytes(small) != 2<<30 {

@@ -35,7 +35,7 @@ func newTestbed(t *testing.T, seed int64, clusters map[string]int, lsc LSCConfig
 	}
 	site.NTP.Start()
 	e := NewEnv(site, lsc)
-	return &testbed{k: k, site: site, store: e.Store, mgr: e.Manager, co: e.Coord}
+	return &testbed{k: k, site: site, store: e.Manager.Store(), mgr: e.Manager, co: e.Coord}
 }
 
 // allocate boots a VC and runs until it is ready.
@@ -262,6 +262,39 @@ func TestHealthCheckSurvivesSleeperDeath(t *testing.T) {
 	}
 	if res.Attempts < 2 {
 		t.Fatalf("expected retries with 40%% sleeper death over 6 nodes, got %d attempts", res.Attempts)
+	}
+}
+
+// TestHealthCheckRetryHoldsVC checks that a VC waiting out a
+// health-check retry takes no second operation: it stays Paused from the
+// first attempt until the round reports, and is Ready again after.
+func TestHealthCheckRetryHoldsVC(t *testing.T) {
+	cfg := DefaultNTPLSC()
+	cfg.SleeperFailProb = 1.0
+	cfg.HealthCheck = true
+	cfg.HealthRetries = 3
+	tb := newTestbed(t, 7, map[string]int{"alpha": 4, "beta": 4}, cfg)
+	vc, err := tb.mgr.Allocate(VCSpec{Name: "hold", Nodes: 4, VMRAM: testVMRAM, Clusters: []string{"alpha"}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.k.RunFor(30 * sim.Second)
+	var res *CheckpointResult
+	if err := tb.co.Checkpoint(vc, func(r *CheckpointResult) { res = r }); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.co.Checkpoint(vc, func(*CheckpointResult) {}); err == nil {
+		t.Error("a second checkpoint was accepted during the health-checked round")
+	}
+	if err := tb.co.LiveMigrate(vc, tb.site.UpNodes("beta"), func(*LiveMigrationResult) {}); err == nil {
+		t.Error("a live migration was accepted during the health-checked round")
+	}
+	tb.k.RunFor(time60())
+	if res == nil || res.OK {
+		t.Fatalf("round with every sleeper dead should fail: %+v", res)
+	}
+	if vc.State() != VCReady {
+		t.Fatalf("VC is %v after the failed round, want Ready", vc.State())
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 type Env struct {
 	Kernel  *sim.Kernel
 	Site    *phys.Site
-	Store   *storage.Store
 	Manager *Manager
 	Coord   *Coordinator
 }
@@ -27,9 +26,8 @@ type Env struct {
 // configurations and an lsc coordinator.
 func NewEnv(site *phys.Site, lsc LSCConfig) *Env {
 	k := site.Kernel
-	store := storage.New(k, storage.DefaultConfig())
-	mgr := NewManager(k, site, store, vm.DefaultXenConfig())
-	return &Env{Kernel: k, Site: site, Store: store, Manager: mgr, Coord: NewCoordinator(mgr, lsc)}
+	mgr := NewManager(k, site, storage.New(k, storage.DefaultConfig()), vm.DefaultXenConfig())
+	return &Env{Kernel: k, Site: site, Manager: mgr, Coord: NewCoordinator(mgr, lsc)}
 }
 
 // SetTracer attaches t to every layer (hypervisors, transport, fabric,

@@ -156,7 +156,7 @@ func NewCoordinator(mgr *Manager, cfg LSCConfig) *Coordinator {
 
 // tr returns the manager's tracer (nil when tracing is off; every obs
 // method is nil-receiver safe).
-func (c *Coordinator) tr() *obs.Tracer { return c.mgr.tracer }
+func (c *Coordinator) tr() *obs.Tracer { return c.mgr.host.Tracer }
 
 // imageKey is the storage key for one domain of one generation.
 func imageKey(vcName string, gen int, domain string) string {
@@ -233,6 +233,9 @@ func (c *Coordinator) checkpointTo(vc *VirtualCluster, targets []*phys.Node, don
 	res.span = c.tr().Begin(c.mgr.kernel.Now(), obs.EvLSCEpoch, "", vc.spec.Name, "epoch",
 		obs.Int("gen", int64(res.Generation)), obs.Str("mode", c.cfg.Mode.String()), obs.Str("kind", kind))
 	c.tr().Inc("lsc.attempts", 1)
+	// The VC is held Paused from here, through any health-check retry,
+	// so it takes no second operation until this round reports.
+	vc.state = VCPaused
 	c.attempt(vc, res, 1, done)
 	return nil
 }
@@ -247,7 +250,7 @@ func (c *Coordinator) attempt(vc *VirtualCluster, res *CheckpointResult, attempt
 	// one has died, retrying with fresh processes.
 	if c.cfg.HealthCheck && slices.Min(plan) < 0 {
 		if attempt > c.cfg.HealthRetries {
-			c.finishFail(res, "health check: sleeper dead and retries exhausted", done)
+			c.releaseFail(vc, res, "health check: sleeper dead and retries exhausted", done)
 			return
 		}
 		// Abort before anything paused; retry after a beat.
@@ -272,7 +275,7 @@ func (c *Coordinator) attempt(vc *VirtualCluster, res *CheckpointResult, attempt
 		scheduled++
 	}
 	if scheduled == 0 {
-		c.finishFail(res, "no sleeper survived", done)
+		c.releaseFail(vc, res, "no sleeper survived", done)
 		return
 	}
 	res.SaveSkew = last - first
@@ -283,7 +286,6 @@ func (c *Coordinator) attempt(vc *VirtualCluster, res *CheckpointResult, attempt
 		res.Reason = fmt.Sprintf("%d vm(s) never saved (sleeper died)", missing)
 	}
 
-	vc.state = VCPaused
 	c.fanOut(vc, plan, func(d *vm.Domain) { pause(d, &res.Reason) }, func() {
 		c.afterPaused(vc, res, first, done)
 	})
@@ -562,9 +564,9 @@ func (c *Coordinator) finishOK(vc *VirtualCluster, res *CheckpointResult, done f
 	done(res)
 }
 
-// releaseFail ends a round that failed after the save set paused: every
-// paused domain is resumed and the VC handed back Ready, so it can
-// checkpoint again, and the round reports reason.
+// releaseFail ends a failed round: every paused domain is resumed (none
+// is when the round failed before its cut) and the VC handed back Ready,
+// so it can checkpoint again, and the round reports reason.
 func (c *Coordinator) releaseFail(vc *VirtualCluster, res *CheckpointResult, reason string, done func(*CheckpointResult)) {
 	release(vc)
 	c.finishFail(res, reason, done)

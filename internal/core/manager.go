@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"dvc/internal/guest"
 	"dvc/internal/mpi"
@@ -169,9 +168,7 @@ type Manager struct {
 	kernel *sim.Kernel
 	site   *phys.Site
 	store  *storage.Store
-	xen    vm.XenConfig
-	tcpCfg tcp.Config
-	tracer *obs.Tracer
+	host   vm.Host // shared by pointer with every hypervisor
 
 	hvs map[string]*vm.Hypervisor
 	vcs map[string]*VirtualCluster
@@ -183,14 +180,11 @@ func NewManager(k *sim.Kernel, site *phys.Site, store *storage.Store, xen vm.Xen
 		kernel: k,
 		site:   site,
 		store:  store,
-		xen:    xen,
-		tcpCfg: tcp.DefaultConfig(),
+		host:   vm.Host{Xen: xen, TCP: tcp.DefaultConfig()},
 		hvs:    make(map[string]*vm.Hypervisor),
 		vcs:    make(map[string]*VirtualCluster),
 	}
-	for _, n := range site.Nodes() {
-		m.hvs[n.ID()] = vm.NewHypervisor(k, site.Fabric, n, xen)
-	}
+	m.AdoptNodes()
 	return m
 }
 
@@ -199,48 +193,22 @@ func NewManager(k *sim.Kernel, site *phys.Site, store *storage.Store, xen vm.Xen
 func (m *Manager) AdoptNodes() {
 	for _, n := range m.site.Nodes() {
 		if _, ok := m.hvs[n.ID()]; !ok {
-			h := vm.NewHypervisor(m.kernel, m.site.Fabric, n, m.xen)
-			h.SetTCPConfig(m.tcpCfg)
-			h.SetTracer(m.tracer)
-			m.hvs[n.ID()] = h
+			m.hvs[n.ID()] = vm.NewHypervisor(m.kernel, m.site.Fabric, n, &m.host)
 		}
 	}
 }
 
-// SetTracer attaches an observability tracer (nil disables tracing) and
-// propagates it to every hypervisor and to the site fabric. Like
-// SetTCPConfig, the fan-out walks hypervisors in sorted node-ID order so
-// nothing observable depends on map order (dvclint: mapiter).
+// SetTracer attaches an observability tracer (nil disables tracing) to
+// the hypervisors' shared settings, the site fabric and the store.
 func (m *Manager) SetTracer(t *obs.Tracer) {
-	m.tracer = t
+	m.host.Tracer = t
 	m.site.Fabric.SetTracer(t)
 	m.store.SetTracer(t)
-	ids := make([]string, 0, len(m.hvs))
-	for id := range m.hvs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		m.hvs[id].SetTracer(t)
-	}
 }
 
-// SetTCPConfig overrides guest transport configuration (experiments use
-// this to shrink retry budgets). Hypervisors are updated in sorted
-// node-ID order: the call reaches into guest transport stacks, and
-// applying it in randomized map order would leak that order into any
-// side effects (dvclint: mapiter).
-func (m *Manager) SetTCPConfig(cfg tcp.Config) {
-	m.tcpCfg = cfg
-	ids := make([]string, 0, len(m.hvs))
-	for id := range m.hvs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		m.hvs[id].SetTCPConfig(cfg)
-	}
-}
+// SetTCPConfig overrides the transport configuration of guests booted
+// from now on (experiments use this to shrink retry budgets).
+func (m *Manager) SetTCPConfig(cfg tcp.Config) { m.host.TCP = cfg }
 
 // Kernel returns the simulation kernel.
 func (m *Manager) Kernel() *sim.Kernel { return m.kernel }

@@ -86,15 +86,14 @@ func runE4(opts Options) *Result {
 		}
 		return out
 	})
-	type key struct {
-		name     string
-		interval sim.Time
+	results := map[string]map[sim.Time]outcome{} // by workload, then interval
+	for _, w := range workloads {
+		results[w] = map[sim.Time]outcome{}
 	}
-	results := map[key]outcome{}
 	for i, c := range cells {
 		o := outs[i][0]
-		results[key{c.workload, c.interval}] = o
-		base := results[key{c.workload, 0}]
+		results[c.workload][c.interval] = o
+		base := results[c.workload][0]
 		label := "none"
 		if c.interval > 0 {
 			label = c.interval.String()
@@ -106,9 +105,9 @@ func runE4(opts Options) *Result {
 	}
 	res.table(tbl, opts.out())
 
-	hplNone := results[key{"hpl-N160", 0}]
-	hpl15 := results[key{"hpl-N160", 15 * sim.Second}]
-	pt30 := results[key{"ptrans-N64", 30 * sim.Second}]
+	hplNone := results["hpl-N160"][0]
+	hpl15 := results["hpl-N160"][15*sim.Second]
+	pt30 := results["ptrans-N64"][30*sim.Second]
 	wallCPUDiff := hplNone.wall - hplNone.cpu
 	if wallCPUDiff < 0 {
 		wallCPUDiff = -wallCPUDiff
@@ -123,9 +122,9 @@ func runE4(opts Options) *Result {
 		hpl15.wall.Seconds() > 1.2*hpl15.cpu.Seconds(),
 		"wall/cpu = %.2f", hpl15.wall.Seconds()/hpl15.cpu.Seconds())
 	res.check("denser checkpoints cost more",
-		hpl15.wall > results[key{"hpl-N160", 30 * sim.Second}].wall,
-		"15s: %v vs 30s: %v", hpl15.wall, results[key{"hpl-N160", 30 * sim.Second}].wall)
-	res.check("ptrans also slowed", pt30.wall > results[key{"ptrans-N64", 0}].wall && pt30.ckpts > 0,
-		"wall %v vs %v", pt30.wall, results[key{"ptrans-N64", 0}].wall)
+		hpl15.wall > results["hpl-N160"][30*sim.Second].wall,
+		"15s: %v vs 30s: %v", hpl15.wall, results["hpl-N160"][30*sim.Second].wall)
+	res.check("ptrans also slowed", pt30.wall > results["ptrans-N64"][0].wall && pt30.ckpts > 0,
+		"wall %v vs %v", pt30.wall, results["ptrans-N64"][0].wall)
 	return res
 }

@@ -72,8 +72,7 @@ func RunScalePartitioned(seed int64, spec ScaleSpec, workers int, tr *obs.Tracer
 	if spec.DCs < 2 {
 		return nil, fmt.Errorf("experiments: partitioned scale needs >= 2 datacenters, got %d", spec.DCs)
 	}
-	topoSpec := spec.Topo()
-	la, err := phys.ZoneLookahead(topoSpec)
+	la, err := phys.ZoneLookahead(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +104,7 @@ func RunScalePartitioned(seed int64, spec ScaleSpec, workers int, tr *obs.Tracer
 		// partition's draw order.
 		k := sim.NewKernel(seed + int64(d)*1_000_003)
 		site := phys.DefaultSite(k)
-		if _, err := phys.BuildTopo(site, topoSpec, d); err != nil {
+		if _, err := phys.BuildTopo(site, spec, d); err != nil {
 			o.err = err
 			return
 		}

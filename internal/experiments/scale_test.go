@@ -90,7 +90,7 @@ func substrateBytesPerNode(spec ScaleSpec) float64 {
 	runtime.ReadMemStats(&before)
 	k := sim.NewKernel(1)
 	site := phys.DefaultSite(k)
-	if _, err := phys.BuildTopo(site, spec.Topo()); err != nil {
+	if _, err := phys.BuildTopo(site, spec); err != nil {
 		panic(err)
 	}
 	store := storage.New(k, storage.DefaultConfig())

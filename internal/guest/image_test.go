@@ -15,7 +15,7 @@ import (
 func imageSnap() *Snapshot {
 	log := make([]LogEntry, 300)
 	for i := range log {
-		log[i] = LogEntry{Jiffies: sim.Time(i), Wall: sim.Time(i), Msg: fmt.Sprintf("entry %d", i)}
+		log[i] = LogEntry{Msg: fmt.Sprintf("entry %d", i)}
 	}
 	return &Snapshot{
 		Procs: []ProcSnapshot{
@@ -29,7 +29,6 @@ func imageSnap() *Snapshot {
 			4: {LocalPort: 9001, RemoteAddr: "peer-b", RemotePort: 80},
 			5: {LocalPort: 9002, RemoteAddr: "peer-c", RemotePort: 80},
 		},
-		NextFD: 6,
 		Accepts: map[uint16][]tcp.ConnKey{
 			80: {{LocalPort: 80, RemoteAddr: "client", RemotePort: 5000}},
 			81: nil,

@@ -85,7 +85,7 @@ func (op *SendOp) poll(o *OS, p *Process) (Result, bool) {
 		return Result{Err: tcp.ErrReset}, true
 	}
 	if c.SendBacklog() <= o.stack.Config().SendWindow {
-		return Result{N: op.Len}, true
+		return Result{}, true
 	}
 	return Result{}, false
 }
@@ -104,7 +104,7 @@ func (op *RecvOp) poll(o *OS, p *Process) (Result, bool) {
 		return Result{Err: tcp.ErrClosed}, true
 	}
 	if c.Readable() >= op.N {
-		return Result{Data: c.Read(op.N), N: op.N}, true
+		return Result{Data: c.Read(op.N)}, true
 	}
 	if c.State() == tcp.StateReset {
 		return Result{Err: tcp.ErrReset}, true

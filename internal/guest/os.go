@@ -37,7 +37,6 @@ type PID int
 type Result struct {
 	Data []byte // Recv payload
 	FD   int    // Connect/Accept file descriptor
-	N    int    // generic count
 	Err  error  // operation failed (e.g. connection reset)
 }
 
@@ -174,9 +173,7 @@ func (p *Process) Program() Program { return p.prog }
 
 // LogEntry is one guest kernel log line.
 type LogEntry struct {
-	Wall    sim.Time
-	Jiffies sim.Time
-	Msg     string
+	Msg string
 }
 
 // WatchdogConfig tunes the guest software watchdog daemon.
@@ -287,11 +284,7 @@ func (o *OS) Jiffies() sim.Time {
 
 // Logf appends to the kernel log.
 func (o *OS) Logf(format string, args ...any) {
-	o.log = append(o.log, LogEntry{
-		Wall:    o.wallClock(),
-		Jiffies: o.Jiffies(),
-		Msg:     fmt.Sprintf(format, args...),
-	})
+	o.log = append(o.log, LogEntry{Msg: fmt.Sprintf(format, args...)})
 }
 
 // KernelLog returns the guest kernel log.

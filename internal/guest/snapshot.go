@@ -33,7 +33,6 @@ type Snapshot struct {
 	Procs     []ProcSnapshot
 	NextPID   PID
 	FDs       map[int]tcp.ConnKey
-	NextFD    int
 	Accepts   map[uint16][]tcp.ConnKey
 	Listens   []uint16
 	Log       []LogEntry
@@ -54,7 +53,6 @@ func (o *OS) Snapshot() *Snapshot {
 	s := &Snapshot{
 		NextPID:   o.nextPID,
 		FDs:       make(map[int]tcp.ConnKey, len(o.fds)),
-		NextFD:    firstFD + len(o.fds),
 		Accepts:   make(map[uint16][]tcp.ConnKey, len(o.accepts)),
 		Listens:   append([]uint16(nil), o.listens...),
 		Log:       append([]LogEntry(nil), o.log...),

@@ -25,7 +25,6 @@ type Halo struct {
 	Finished bool
 
 	StartWall, EndWall sim.Time
-	StartJiff, EndJiff sim.Time
 }
 
 // haloZeros is the shared body of every halo message up to its size. No
@@ -63,11 +62,11 @@ func (h *Halo) Step(c mpi.Ctx, prev mpi.Op) mpi.Op {
 	for {
 		switch h.PC {
 		case 0:
-			h.StartWall, h.StartJiff = c.WallClock(), c.Jiffies()
+			h.StartWall = c.WallClock()
 			h.PC = 1
 		case 1:
 			if h.I >= h.Rounds {
-				h.EndWall, h.EndJiff = c.WallClock(), c.Jiffies()
+				h.EndWall = c.WallClock()
 				h.Finished = true
 				return nil
 			}

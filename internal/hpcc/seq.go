@@ -63,7 +63,7 @@ type PingPong struct {
 	I    int
 	Done bool
 
-	StartJiff, EndJiff sim.Time
+	StartJiff sim.Time
 	// Results on rank 0.
 	AvgRTT    sim.Time
 	Bandwidth float64 // bytes/s, one direction, from timed phase

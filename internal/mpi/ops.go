@@ -154,7 +154,6 @@ type RecvMsg struct {
 	Tag  int
 	Data []byte
 	PC   int
-	N    int
 }
 
 // recv constructs a tagged receive on the heap, for a collective's
@@ -176,7 +175,6 @@ func (op *RecvMsg) step(rt *Runtime, api *guest.API, res guest.Result) (guest.Op
 			rt.Fail("recv from %d: tag %d, want %d", op.From, tag, op.Tag)
 			return nil, true
 		}
-		op.N = n
 		if n == 0 {
 			op.Data = []byte{}
 			return nil, true
@@ -201,7 +199,6 @@ const (
 // 0 followed by a token broadcast.
 type Barrier struct {
 	PC  int
-	J   int
 	Sub Op
 }
 

@@ -117,8 +117,7 @@ type Stats struct {
 type Port struct {
 	fabric  *Fabric
 	id      EndpointID // 0 once detached
-	addr    Addr
-	cluster int32 // interned cluster index
+	cluster int32      // interned cluster index
 	handler Handler
 
 	// ExtraLatency and BandwidthFactor model para-virtualised I/O: Xen's
@@ -303,7 +302,7 @@ func (f *Fabric) Attach(addr Addr, cluster string, h Handler) *Port {
 	if f.byID[id] != nil {
 		panic(fmt.Sprintf("netsim: duplicate attach of %q", addr))
 	}
-	p := &Port{fabric: f, id: id, addr: addr, cluster: ci, handler: h}
+	p := &Port{fabric: f, id: id, cluster: ci, handler: h}
 	f.byID[id] = p
 	f.up[id] = true
 	f.busy[id] = 0

@@ -36,21 +36,11 @@ import (
 type Spec struct {
 	// RAMBytes is physical memory; it bounds the RAM of hosted VMs.
 	RAMBytes int64
-	// DiskBandwidth is the local/staging disk bandwidth in bytes/s,
-	// which paces checkpoint image dumps.
-	DiskBandwidth float64
-	// GFlops is the node's compute rate, used by workloads to convert
-	// flop counts into compute time.
-	GFlops float64
 }
 
 // DefaultSpec matches a 2007-era dual-socket cluster node.
 func DefaultSpec() Spec {
-	return Spec{
-		RAMBytes:      4 << 30,
-		DiskBandwidth: 60e6,
-		GFlops:        10,
-	}
+	return Spec{RAMBytes: 4 << 30}
 }
 
 // Node is one physical machine: a handle into the Site's

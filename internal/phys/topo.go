@@ -24,6 +24,15 @@ type TopoSpec struct {
 	HostsPerCluster int
 }
 
+// Nodes is the generated node count.
+func (t TopoSpec) Nodes() int { return t.DCs * t.ClustersPerDC * t.HostsPerCluster }
+
+// String names the shape DCs x clusters per DC x hosts per cluster, as
+// in 4x5x13.
+func (t TopoSpec) String() string {
+	return fmt.Sprintf("%dx%dx%d", t.DCs, t.ClustersPerDC, t.HostsPerCluster)
+}
+
 // validate checks the counts.
 func (t TopoSpec) validate() error {
 	if t.DCs <= 0 || t.ClustersPerDC <= 0 || t.HostsPerCluster <= 0 {

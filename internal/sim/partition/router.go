@@ -15,7 +15,6 @@ import (
 // packet as a timestamped inter-kernel message; the destination fabric
 // completes it with InjectDelivery when the message executes.
 type NetMap struct {
-	c       *Coordinator
 	routes  map[netsim.Addr]netRoute
 	fabrics []*netsim.Fabric // indexed by partition id; each written by its own driver in Bind
 }
@@ -28,7 +27,6 @@ type netRoute struct {
 // NewNetMap creates an empty directory for the coordinator's partitions.
 func NewNetMap(c *Coordinator) *NetMap {
 	return &NetMap{
-		c:       c,
 		routes:  make(map[netsim.Addr]netRoute),
 		fabrics: make([]*netsim.Fabric, len(c.Partitions())),
 	}

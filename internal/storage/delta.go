@@ -73,7 +73,7 @@ func (p *chunkPool) lineage(id uint64, n int) [][]privateChunk {
 // a concurrent Delete of a prior generation can never let GC reclaim
 // chunks an in-flight write depends on.
 func (p *chunkPool) pin(pt *vm.PageTable) WriteInfo {
-	info := WriteInfo{Chunks: len(pt.Versions)}
+	var info WriteInfo
 	var slots [][]privateChunk // this lineage's, fetched at its first private chunk
 	for ci := range pt.Versions {
 		key, size := pt.Chunk(ci)

@@ -27,7 +27,7 @@ func newOracle(t *testing.T) *oraclePool {
 }
 
 func (o *oraclePool) pin(pt *vm.PageTable) WriteInfo {
-	info := WriteInfo{Chunks: len(pt.Versions)}
+	var info WriteInfo
 	for ci := range pt.Versions {
 		key, size := pt.Chunk(ci)
 		info.Logical += size

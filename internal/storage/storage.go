@@ -46,10 +46,9 @@ func DefaultConfig() Config {
 // (Image.Delta) holds references on the modelled chunks its table
 // names in the shared pool.
 type Object struct {
-	Key      string
-	Size     int64
-	Image    *vm.Image
-	StoredAt sim.Time
+	Key   string
+	Size  int64
+	Image *vm.Image
 }
 
 type transfer struct {
@@ -182,7 +181,6 @@ func (s *Store) begin(size int64, onDone func()) {
 type WriteInfo struct {
 	Logical     int64 // bytes the object describes (all of guest RAM)
 	Sent        int64 // bytes transferred
-	Chunks      int   // chunks in the page table
 	DedupChunks int   // chunks the pool already held
 	NewChunks   int   // chunks transferred
 }
@@ -222,7 +220,7 @@ func (s *Store) Write(key string, img *vm.Image, onDone func()) (WriteInfo, erro
 	s.BytesWritten += uint64(info.Sent)
 	s.begin(info.Sent, func() {
 		s.releaseObject(s.objects[key])
-		s.objects[key] = &Object{Key: key, Size: info.Logical, Image: img, StoredAt: s.kernel.Now()}
+		s.objects[key] = &Object{Key: key, Size: info.Logical, Image: img}
 		if onDone != nil {
 			onDone()
 		}

@@ -125,7 +125,7 @@ func RestoreStack(k *sim.Kernel, fabric *netsim.Fabric, snap *StackSnapshot) *St
 	s.SegmentsSent = snap.SegmentsSent
 	s.SegmentsRcvd = snap.SegmentsRcvd
 	for _, port := range snap.ListenerPorts {
-		s.listeners[port] = &Listener{Port: port}
+		s.listeners[port] = &Listener{}
 	}
 	for _, cs := range snap.Conns {
 		c := &Conn{

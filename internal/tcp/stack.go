@@ -27,7 +27,6 @@ type Stats struct {
 
 // Listener accepts incoming connections on a local port.
 type Listener struct {
-	Port uint16
 	// OnAccept fires when an incoming connection reaches Established.
 	OnAccept func(*Conn)
 }
@@ -163,7 +162,7 @@ func (s *Stack) Listen(port uint16, onAccept func(*Conn)) *Listener {
 	if _, dup := s.listeners[port]; dup {
 		panic(fmt.Sprintf("tcp: duplicate listen on %s:%d", s.addr, port))
 	}
-	l := &Listener{Port: port, OnAccept: onAccept}
+	l := &Listener{OnAccept: onAccept}
 	s.listeners[port] = l
 	return l
 }

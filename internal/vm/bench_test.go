@@ -38,8 +38,9 @@ func benchCluster(tb testing.TB, doms, stateBytes int) []*Domain {
 	site := phys.NewSite(k, clock.DefaultConfig(), clock.DefaultNTPConfig())
 	nodes := site.AddCluster("alpha", doms, phys.DefaultSpec(), netsim.EthernetGigE())
 	out := make([]*Domain, doms)
+	host := defaultHost()
 	for i, n := range nodes {
-		h := NewHypervisor(k, f, n, DefaultXenConfig())
+		h := NewHypervisor(k, f, n, host)
 		d, err := h.CreateDomain(fmt.Sprintf("d%d", i), netsim.Addr(fmt.Sprintf("vm%d", i)), 1<<30, guest.WatchdogConfig{}, nil)
 		if err != nil {
 			tb.Fatal(err)
@@ -109,7 +110,7 @@ func BenchmarkLSCSaveSet(b *testing.B) {
 // saveSetImageBytes pins one save set's image bytes exactly. The image
 // codec writes no type descriptors and orders map entries by key, so the
 // encoded length is a pure function of guest state.
-const saveSetImageBytes = 8389896
+const saveSetImageBytes = 8389880
 
 // TestLSCSaveSetImageBytes is the image-size gate for one LSC save set
 // of BenchmarkLSCSaveSet's shape.

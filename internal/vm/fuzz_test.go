@@ -37,7 +37,7 @@ func FuzzRestoreDomain(f *testing.F) {
 			img.Pages.RAM = tableRAM
 			img.Pages.Cursor = cursor
 		}
-		limit := h.node.Spec().RAMBytes - h.cfg.Dom0Reserve
+		limit := h.node.Spec().RAMBytes - h.host.Xen.Dom0Reserve
 		checkRAM := func(when string) {
 			if free := h.FreeRAM(); free > limit {
 				t.Fatalf("%s: FreeRAM %d exceeds the %d bytes the node can host", when, free, limit)

@@ -201,7 +201,7 @@ func (t *PageTable) Clone() *PageTable {
 // any observable state.
 func (d *Domain) ensurePages() *PageTable {
 	if d.pages == nil {
-		d.pages = newPageTable(d.name, d.ram, d.hv.cfg.TemplateBytes)
+		d.pages = newPageTable(d.name, d.ram, d.hv.host.Xen.TemplateBytes)
 	}
 	return d.pages
 }

@@ -201,7 +201,7 @@ func (d *Domain) Pause() error {
 	d.os.Freeze()
 	d.port.SetUp(false)
 	d.hv.trace(obs.EvVMPause, d.name, "pause")
-	d.hv.tracer.Inc("vm.pauses", 1)
+	d.hv.host.Tracer.Inc("vm.pauses", 1)
 	return nil
 }
 
@@ -215,7 +215,7 @@ func (d *Domain) Unpause() error {
 	d.os.Thaw()
 	d.hv.trace(obs.EvVMUnpause, d.name, "unpause",
 		obs.Dur("paused_ns", d.hv.kernel.Now()-d.pausedAt))
-	d.hv.tracer.Inc("vm.unpauses", 1)
+	d.hv.host.Tracer.Inc("vm.unpauses", 1)
 	return nil
 }
 
@@ -241,7 +241,7 @@ func (d *Domain) Capture(delta bool) (*Image, error) {
 	}
 	dirty := d.fold()
 	d.hv.trace(obs.EvVMSave, d.name, "save", obs.Int("ram", d.ram))
-	d.hv.tracer.Inc("vm.saves", 1)
+	d.hv.host.Tracer.Inc("vm.saves", 1)
 	return &Image{
 		DomainName:   d.name,
 		Addr:         d.addr,
@@ -274,43 +274,46 @@ func (d *Domain) Destroy() {
 	d.hv.trace(obs.EvVMDestroy, d.name, "destroy")
 }
 
+// Host is the settings every hypervisor of a site shares. One record
+// serves all of them by pointer, so a change reaches every node at once
+// and no copy can fall behind.
+type Host struct {
+	// Xen holds the hypervisor overheads.
+	Xen XenConfig
+	// TCP is the transport configuration given to new guests.
+	TCP tcp.Config
+	// Tracer (nil when tracing is off) receives domain lifecycle
+	// transitions as vm.* events on the (node, domain) timeline; new and
+	// restored guest stacks inherit it.
+	Tracer *obs.Tracer
+}
+
 // Hypervisor is the per-node VMM.
 type Hypervisor struct {
 	kernel  *sim.Kernel
 	fabric  *netsim.Fabric
 	node    *phys.Node
-	cfg     XenConfig
-	tcpCfg  tcp.Config
+	host    *Host
 	domains map[string]*Domain
-	tracer  *obs.Tracer
 }
 
-// NewHypervisor installs a hypervisor on a node. If the node crashes, all
-// hosted domains are destroyed.
-func NewHypervisor(k *sim.Kernel, fabric *netsim.Fabric, node *phys.Node, cfg XenConfig) *Hypervisor {
+// NewHypervisor installs a hypervisor on a node, reading its settings
+// from host. If the node crashes, all hosted domains are destroyed.
+func NewHypervisor(k *sim.Kernel, fabric *netsim.Fabric, node *phys.Node, host *Host) *Hypervisor {
 	h := &Hypervisor{
 		kernel:  k,
 		fabric:  fabric,
 		node:    node,
-		cfg:     cfg,
-		tcpCfg:  tcp.DefaultConfig(),
+		host:    host,
 		domains: make(map[string]*Domain),
 	}
 	node.OnCrash(h.killAll)
 	return h
 }
 
-// SetTCPConfig overrides the transport configuration given to new guests.
-func (h *Hypervisor) SetTCPConfig(cfg tcp.Config) { h.tcpCfg = cfg }
-
-// SetTracer attaches an observability tracer (nil disables tracing).
-// Domain lifecycle transitions become vm.* events on the (node, domain)
-// timeline, and new/restored guest stacks inherit the tracer.
-func (h *Hypervisor) SetTracer(t *obs.Tracer) { h.tracer = t }
-
 // trace emits one domain-lifecycle instant event.
 func (h *Hypervisor) trace(typ obs.EventType, dom, name string, kv ...obs.KV) {
-	h.tracer.Emit(h.kernel.Now(), typ, h.node.ID(), dom, name, kv...)
+	h.host.Tracer.Emit(h.kernel.Now(), typ, h.node.ID(), dom, name, kv...)
 }
 
 func (h *Hypervisor) killAll() {
@@ -335,7 +338,7 @@ func (h *Hypervisor) Domains() []*Domain {
 
 // FreeRAM reports RAM available for new domains.
 func (h *Hypervisor) FreeRAM() int64 {
-	free := h.node.Spec().RAMBytes - h.cfg.Dom0Reserve
+	free := h.node.Spec().RAMBytes - h.host.Xen.Dom0Reserve
 	for _, d := range h.domains {
 		free -= d.ram
 	}
@@ -380,19 +383,19 @@ func (h *Hypervisor) CreateDomain(name string, addr netsim.Addr, ram int64, wd g
 		if d.state != StateBooting || !h.node.Up() {
 			return
 		}
-		stack := tcp.NewStack(h.kernel, h.fabric, addr, h.tcpCfg)
-		stack.SetTracer(h.tracer, h.node.ID(), name)
+		stack := tcp.NewStack(h.kernel, h.fabric, addr, h.host.TCP)
+		stack.SetTracer(h.host.Tracer, h.node.ID(), name)
 		d.port = h.fabric.Attach(addr, h.node.Cluster(), stack.Deliver)
-		d.port.ExtraLatency = h.cfg.NetExtraLatency
-		d.port.BandwidthFactor = h.cfg.NetBandwidthFactor
-		d.os = guest.New(h.kernel, stack, h.node.Clock().Read, h.cfg.CPUOverhead, wd)
+		d.port.ExtraLatency = h.host.Xen.NetExtraLatency
+		d.port.BandwidthFactor = h.host.Xen.NetBandwidthFactor
+		d.os = guest.New(h.kernel, stack, h.node.Clock().Read, h.host.Xen.CPUOverhead, wd)
 		d.state = StateRunning
 		h.trace(obs.EvVMBoot, name, "boot", obs.Int("ram", ram))
 		if onReady != nil {
 			onReady(d)
 		}
 	})
-	boot.Reset(h.cfg.BootTime)
+	boot.Reset(h.host.Xen.BootTime)
 	return d, nil
 }
 
@@ -422,8 +425,8 @@ func (h *Hypervisor) RestoreDomain(img *Image) (*Domain, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vm: restore %s: %w", img.DomainName, err)
 	}
-	os := guest.Restore(h.kernel, h.fabric, snap, h.node.Clock().Read, h.cfg.CPUOverhead)
-	os.Stack().SetTracer(h.tracer, h.node.ID(), img.DomainName)
+	os := guest.Restore(h.kernel, h.fabric, snap, h.node.Clock().Read, h.host.Xen.CPUOverhead)
+	os.Stack().SetTracer(h.host.Tracer, h.node.ID(), img.DomainName)
 	d := &Domain{name: img.DomainName, addr: img.Addr, ram: img.RAMBytes, hv: h, os: os, state: StatePaused, dirtyRate: img.DirtyRate}
 	// The restored guest's active time continues from the snapshot's
 	// jiffies, and the image already holds everything written up to the
@@ -435,12 +438,12 @@ func (h *Hypervisor) RestoreDomain(img *Image) (*Domain, error) {
 	d.cleanMark = os.Jiffies()
 	d.pages = img.Pages.Clone()
 	d.port = h.fabric.Attach(img.Addr, h.node.Cluster(), os.Stack().Deliver)
-	d.port.ExtraLatency = h.cfg.NetExtraLatency
-	d.port.BandwidthFactor = h.cfg.NetBandwidthFactor
+	d.port.ExtraLatency = h.host.Xen.NetExtraLatency
+	d.port.BandwidthFactor = h.host.Xen.NetBandwidthFactor
 	d.port.SetUp(false)
 	h.domains[img.DomainName] = d
 	h.trace(obs.EvVMRestore, img.DomainName, "restore", obs.Int("ram", img.RAMBytes))
-	h.tracer.Inc("vm.restores", 1)
+	h.host.Tracer.Inc("vm.restores", 1)
 	return d, nil
 }
 

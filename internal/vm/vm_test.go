@@ -47,11 +47,15 @@ func newEnv(t *testing.T, nodes int) *env {
 	site := phys.DefaultSite(k)
 	ns := site.AddCluster("c", nodes, phys.DefaultSpec(), netsim.EthernetGigE())
 	e := &env{k: k, site: site, hvs: make(map[string]*Hypervisor)}
+	host := defaultHost()
 	for _, n := range ns {
-		e.hvs[n.ID()] = NewHypervisor(k, site.Fabric, n, DefaultXenConfig())
+		e.hvs[n.ID()] = NewHypervisor(k, site.Fabric, n, host)
 	}
 	return e
 }
+
+// defaultHost returns the settings a Manager starts its hypervisors with.
+func defaultHost() *Host { return &Host{Xen: DefaultXenConfig(), TCP: tcp.DefaultConfig()} }
 
 func (e *env) hv(i int) *Hypervisor { return e.hvs[e.site.Nodes()[i].ID()] }
 
@@ -320,8 +324,9 @@ func TestRestoreAcrossClusters(t *testing.T) {
 	site := phys.DefaultSite(k)
 	a := site.AddCluster("a", 1, phys.DefaultSpec(), netsim.EthernetGigE())[0]
 	b := site.AddCluster("b", 1, phys.DefaultSpec(), netsim.EthernetGigE())[0]
-	ha := NewHypervisor(k, site.Fabric, a, DefaultXenConfig())
-	hb := NewHypervisor(k, site.Fabric, b, DefaultXenConfig())
+	host := defaultHost()
+	ha := NewHypervisor(k, site.Fabric, a, host)
+	hb := NewHypervisor(k, site.Fabric, b, host)
 	prog := &workerProg{Rounds: 60, Dur: sim.Second}
 	var d *Domain
 	ha.CreateDomain("vm0", "vm0", 1<<30, guest.WatchdogConfig{}, func(dom *Domain) {

@@ -83,7 +83,6 @@ type BSPApp struct {
 
 	I     int
 	Phase int
-	Done  bool
 }
 
 // NewBSPApp builds a BSP app doing `work` of compute in ~10s slices.
@@ -100,7 +99,6 @@ func NewBSPApp(work sim.Time) *BSPApp {
 func (a *BSPApp) Step(c mpi.Ctx, prev mpi.Op) mpi.Op {
 	for {
 		if a.I >= a.Slices {
-			a.Done = true
 			return nil
 		}
 		if a.Phase == 0 {
