@@ -4,15 +4,13 @@
 //
 //	go run ./cmd/dvclint ./...                        # whole module
 //	go run ./cmd/dvclint -run mapiter ./internal/sim
-//	go run ./cmd/dvclint -write-manifest STATE_MANIFEST.txt ./...
-//	go run ./cmd/dvclint -manifest STATE_MANIFEST.txt ./...   # fail if stale
 //	go run ./cmd/dvclint -list
 //
 // dvclint is a multichecker in the golang.org/x/tools sense, built on the
 // repo's own dependency-free framework (internal/analysis). It enforces
 // the determinism invariants documented in DESIGN.md: nowallclock,
-// noglobalrand, mapiter, noconcurrency, snapshotstate, noalloc and
-// fleetscope. Findings can be waived line-by-line with a mandatory
+// noglobalrand, mapiter, noconcurrency, noalloc and fleetscope.
+// Findings can be waived line-by-line with a mandatory
 // justification:
 //
 //	//lint:allow <analyzer>[,<analyzer>] <why this is safe>
@@ -23,13 +21,12 @@
 // (file, line, analyzer, column, message), so output diffs cleanly
 // across runs and machines.
 //
-// Exit status is 0 when the tree is clean, 1 when there are findings
-// (or the manifest is stale), 2 on usage or load errors.
+// Exit status is 0 when the tree is clean, 1 when there are findings,
+// 2 on usage or load errors.
 package main
 
 import (
 	"bufio"
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -50,11 +47,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dvclint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		runOnly       = fs.String("run", "", "comma-separated analyzer names to run (default: all that apply per package)")
-		list          = fs.Bool("list", false, "list analyzers and exit")
-		verbose       = fs.Bool("v", false, "report the packages checked")
-		manifestPath  = fs.String("manifest", "", "fail if this checkpoint state manifest is out of date")
-		writeManifest = fs.String("write-manifest", "", "write the checkpoint state manifest and exit")
+		runOnly = fs.String("run", "", "comma-separated analyzer names to run (default: all that apply per package)")
+		list    = fs.Bool("list", false, "list analyzers and exit")
+		verbose = fs.Bool("v", false, "report the packages checked")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: dvclint [flags] [packages]\n\nDeterminism lint for the DVC simulation core.\n\n")
@@ -97,25 +92,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var modulePkgs []*analysis.Package
-	for _, pkg := range pkgs {
-		if analysis.InModule(pkg.Types.Path()) {
-			modulePkgs = append(modulePkgs, pkg)
-		}
-	}
-
-	// Manifest modes operate on the same loaded packages as the lint run,
-	// so the golden file always reflects exactly what the suite saw.
-	if *writeManifest != "" {
-		if err := os.WriteFile(*writeManifest, analysis.StateManifest(modulePkgs), 0o644); err != nil {
-			fmt.Fprintf(stderr, "dvclint: %v\n", err)
-			return 2
-		}
-		return 0
-	}
-
 	var findings []finding
-	for _, pkg := range modulePkgs {
+	for _, pkg := range pkgs {
+		if !analysis.InModule(pkg.Types.Path()) {
+			continue
+		}
 		analyzers := analysis.AnalyzersFor(pkg.Types.Path())
 		if only != nil {
 			var filtered []*analysis.Analyzer
@@ -155,26 +136,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	status := 0
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "dvclint: %d finding(s)\n", len(findings))
-		status = 1
+		return 1
 	}
-
-	if *manifestPath != "" {
-		want := analysis.StateManifest(modulePkgs)
-		got, err := os.ReadFile(*manifestPath)
-		if err != nil {
-			fmt.Fprintf(stderr, "dvclint: %v (generate it with -write-manifest %s)\n", err, *manifestPath)
-			return 2
-		}
-		if !bytes.Equal(got, want) {
-			fmt.Fprintf(stderr, "dvclint: %s is stale: checkpoint state changed; regenerate with\n  go run ./cmd/dvclint -write-manifest %s ./...\nand review the diff as a checkpoint-format change\n",
-				*manifestPath, *manifestPath)
-			status = 1
-		}
-	}
-	return status
+	return 0
 }
 
 // relPath rewrites an absolute source path to be module-root-relative

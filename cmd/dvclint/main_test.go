@@ -13,10 +13,10 @@ func TestListNamesEveryAnalyzer(t *testing.T) {
 		t.Fatalf("exit %d: %s", code, stderr.String())
 	}
 	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
-	if len(lines) != 7 {
-		t.Fatalf("-list printed %d analyzers, want 7:\n%s", len(lines), stdout.String())
+	if len(lines) != 6 {
+		t.Fatalf("-list printed %d analyzers, want 6:\n%s", len(lines), stdout.String())
 	}
-	for _, name := range []string{"nowallclock", "noglobalrand", "mapiter", "noconcurrency", "snapshotstate", "noalloc", "fleetscope"} {
+	for _, name := range []string{"nowallclock", "noglobalrand", "mapiter", "noconcurrency", "noalloc", "fleetscope"} {
 		if !strings.Contains(stdout.String(), name+" ") {
 			t.Errorf("-list does not name %s:\n%s", name, stdout.String())
 		}
@@ -25,13 +25,16 @@ func TestListNamesEveryAnalyzer(t *testing.T) {
 
 // TestRemovedOptionsAreUsageErrors: //lint:allow is the one waiver and
 // text the one output, so a baseline file, an output format or an output
-// file is a usage error.
+// file is a usage error; the checkpoint state manifest is the image
+// codec's tests' to check, so the manifest options are too.
 func TestRemovedOptionsAreUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-format", "json", "./internal/fleet"},
 		{"-format", "sarif", "./internal/fleet"},
 		{"-o", "f", "./internal/fleet"},
 		{"-baseline", "f", "./internal/fleet"},
+		{"-manifest", "STATE_MANIFEST.txt", "./internal/fleet"},
+		{"-write-manifest", "STATE_MANIFEST.txt", "./internal/fleet"},
 	} {
 		if code := run(args, &bytes.Buffer{}, &bytes.Buffer{}); code != 2 {
 			t.Errorf("dvclint %v: exit %d, want 2", args, code)
@@ -55,10 +58,10 @@ func sample() []finding {
 	// Deliberately out of order on every sort key.
 	return []finding{
 		{File: "internal/sim/sim.go", Line: 40, Col: 2, Analyzer: "noalloc", Message: "z message"},
-		{File: "internal/guest/snapshot.go", Line: 12, Col: 9, Analyzer: "snapshotstate", Message: "m1"},
+		{File: "internal/experiments/experiments.go", Line: 12, Col: 9, Analyzer: "fleetscope", Message: "m1"},
 		{File: "internal/sim/sim.go", Line: 40, Col: 2, Analyzer: "mapiter", Message: "a message"},
 		{File: "internal/sim/sim.go", Line: 7, Col: 1, Analyzer: "noalloc", Message: "m2"},
-		{File: "internal/guest/snapshot.go", Line: 12, Col: 3, Analyzer: "snapshotstate", Message: "m3"},
+		{File: "internal/experiments/experiments.go", Line: 12, Col: 3, Analyzer: "fleetscope", Message: "m3"},
 	}
 }
 
@@ -72,8 +75,8 @@ func TestSortOrder(t *testing.T) {
 		got = append(got, strings.Join([]string{f.File, f.Analyzer, f.Message}, "|"))
 	}
 	want := []string{
-		"internal/guest/snapshot.go|snapshotstate|m3",
-		"internal/guest/snapshot.go|snapshotstate|m1",
+		"internal/experiments/experiments.go|fleetscope|m3",
+		"internal/experiments/experiments.go|fleetscope|m1",
 		"internal/sim/sim.go|noalloc|m2",
 		"internal/sim/sim.go|mapiter|a message",
 		"internal/sim/sim.go|noalloc|z message",

@@ -6,18 +6,13 @@
 // conventions the rest of the tree follows: virtual time instead of the
 // host clock, explicit *rand.Rand plumbing instead of the global source,
 // sorted map iteration wherever order can leak into event scheduling or
-// output, no hidden concurrency inside the deterministic core, and
-// codec-safe checkpoint state. This package turns each convention into a
-// static analyzer:
+// output, and no hidden concurrency inside the deterministic core. This
+// package turns each convention into a static analyzer:
 //
 //	nowallclock   - no time.Now/Sleep/After/... inside simulation packages
 //	noglobalrand  - no package-level math/rand (rand.Intn, rand.Seed, ...)
 //	mapiter       - no effectful iteration over maps in unspecified order
 //	noconcurrency - no goroutines/channels/sync in the deterministic core
-//	snapshotstate - no checkpoint field the image codec would reject,
-//	                anywhere reachable from //dvc:checkpoint-root types and
-//	                imgcodec payloads; also generates the committed
-//	                STATE_MANIFEST.txt golden file
 //	noalloc       - no allocating constructs in //dvc:hotpath functions
 //	fleetscope    - fleet worker closures must not capture kernel state
 //

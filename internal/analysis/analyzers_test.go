@@ -5,7 +5,6 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
 	"strings"
 	"testing"
 
@@ -20,100 +19,10 @@ func TestNoGlobalRand(t *testing.T)  { runFixture(t, analysis.NoGlobalRand, "nog
 func TestMapIter(t *testing.T)       { runFixture(t, analysis.MapIter, "mapiter") }
 func TestNoConcurrency(t *testing.T) { runFixture(t, analysis.NoConcurrency, "noconcurrency") }
 
-// The dvclint v2 analyzers: whole-type-graph reachability, hot-path
-// allocation, and fleet capture scope.
+// The dvclint v2 analyzers: hot-path allocation and fleet capture scope.
 
-func TestSnapshotState(t *testing.T) { runFixture(t, analysis.SnapshotState, "snapshotstate") }
-func TestNoAlloc(t *testing.T)       { runFixture(t, analysis.NoAlloc, "noalloc") }
-func TestFleetScope(t *testing.T)    { runFixture(t, analysis.FleetScope, "fleetscope") }
-
-// snapshotDiags runs snapshotstate over its fixture and returns a lookup
-// from a fragment of a source line (which must match exactly one line)
-// to the messages reported on that line.
-func snapshotDiags(t *testing.T) func(fragment string) []string {
-	t.Helper()
-	pkg := loadFixture(t, "snapshotstate")
-	diags, err := analysis.Run(pkg, []*analysis.Analyzer{analysis.SnapshotState})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type key struct {
-		file string
-		line int
-	}
-	byLine := make(map[key][]string)
-	for _, d := range diags {
-		p := pkg.Fset.Position(d.Pos)
-		byLine[key{p.Filename, p.Line}] = append(byLine[key{p.Filename, p.Line}], d.Message)
-	}
-	return func(fragment string) []string {
-		t.Helper()
-		var at []key
-		for _, f := range pkg.Files {
-			name := pkg.Fset.Position(f.Pos()).Filename
-			src, err := os.ReadFile(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, line := range strings.Split(string(src), "\n") {
-				if strings.Contains(line, fragment) {
-					at = append(at, key{name, i + 1})
-				}
-			}
-		}
-		if len(at) != 1 {
-			t.Fatalf("fragment %q matches %d fixture lines, want 1", fragment, len(at))
-		}
-		return byLine[at[0]]
-	}
-}
-
-// TestGobSafe checks that the call-site checks of the retired gobsafe
-// analyzer live on in snapshotstate: every imgcodec call its fixture
-// flagged is reported at the call, naming the same field, and a call
-// whose argument is interface-typed stays quiet.
-func TestGobSafe(t *testing.T) {
-	at := snapshotDiags(t)
-	for _, c := range []struct {
-		call string
-		want []string
-	}{
-		{"imgcodec.Register(&Hidden{})", []string{"Hidden.cursor", "Hidden.pending"}},
-		{"imgcodec.Register(&Unencodable{})", []string{"Unencodable.Resume contains a func", "Unencodable.Wake contains a chan"}},
-		{"imgcodec.Register(&SelfMarshal{})", []string{"SelfMarshal.secret"}},
-		{"imgcodec.Register(&Keyed{})", []string{"Keyed.ByPair contains a map keyed by [2]int"}},
-		{"err := imgcodec.Decode(b, h)", []string{"Hidden.cursor", "Hidden.pending"}},
-		{"err := imgcodec.Encode(buf, h)", []string{"Hidden.cursor", "Hidden.pending"}},
-		{"imgcodec.Append(nil, clean)", nil},
-		{"imgcodec.Append(nil, v)", nil},
-	} {
-		got := at(c.call)
-		if len(got) != len(c.want) {
-			t.Errorf("%s: got %d diagnostic(s) %q, want %d", c.call, len(got), got, len(c.want))
-			continue
-		}
-		for i, w := range c.want {
-			if !strings.Contains(got[i], w) {
-				t.Errorf("%s: diagnostic %d is %q, want it to name %q", c.call, i, got[i], w)
-			}
-		}
-	}
-}
-
-// TestSnapshotStateCatchesWhatGobsafeMisses proves the closure view
-// strictly extends the call-site view: the only codec call that writes
-// Image passes `any`, so the call reports nothing, while the declared
-// root still reaches the nested unexported field.
-func TestSnapshotStateCatchesWhatGobsafeMisses(t *testing.T) {
-	at := snapshotDiags(t)
-	if got := at("imgcodec.Append(nil, v)"); len(got) != 0 {
-		t.Fatalf("the interface-typed codec call unexpectedly reports %q", got)
-	}
-	got := at("type Image struct")
-	if len(got) != 1 || !strings.Contains(got[0], "Header.dirty") {
-		t.Fatalf("Image root reports %q, want one diagnostic naming Header.dirty", got)
-	}
-}
+func TestNoAlloc(t *testing.T)    { runFixture(t, analysis.NoAlloc, "noalloc") }
+func TestFleetScope(t *testing.T) { runFixture(t, analysis.FleetScope, "fleetscope") }
 
 func TestByName(t *testing.T) {
 	for _, a := range analysis.All() {
@@ -127,8 +36,8 @@ func TestByName(t *testing.T) {
 }
 
 func TestAllCount(t *testing.T) {
-	if got := len(analysis.All()); got != 7 {
-		t.Errorf("suite has %d analyzers, want 7 (four v1 checks plus snapshotstate, noalloc, fleetscope)", got)
+	if got := len(analysis.All()); got != 6 {
+		t.Errorf("suite has %d analyzers, want 6 (four v1 checks plus noalloc, fleetscope)", got)
 	}
 }
 
@@ -142,11 +51,11 @@ func TestScoping(t *testing.T) {
 	if analysis.IsSimPackage("dvc/internal/fleet") {
 		t.Error("internal/fleet is the sanctioned concurrency package and must not be a sim package (see simPackages in rules.go)")
 	}
-	if got := len(analysis.AnalyzersFor("dvc/internal/core")); got != 7 {
-		t.Errorf("sim packages get all 7 analyzers, got %d", got)
+	if got := len(analysis.AnalyzersFor("dvc/internal/core")); got != 6 {
+		t.Errorf("sim packages get all 6 analyzers, got %d", got)
 	}
-	if got := len(analysis.AnalyzersFor("dvc/cmd/dvctrace")); got != 5 {
-		t.Errorf("cmd packages get 5 analyzers, got %d", got)
+	if got := len(analysis.AnalyzersFor("dvc/cmd/dvctrace")); got != 4 {
+		t.Errorf("cmd packages get 4 analyzers, got %d", got)
 	}
 	if !analysis.InModule("dvc") || !analysis.InModule("dvc/internal/sim") || analysis.InModule("fmt") {
 		t.Error("InModule misclassifies")

@@ -36,25 +36,15 @@ import (
 // // want comments through t.
 func runFixture(t *testing.T, a *analysis.Analyzer, pkg string) {
 	t.Helper()
-	p := loadFixture(t, pkg)
+	p, err := loader.LoadDir(filepath.Join("testdata", "src", pkg), pkg)
+	if err != nil {
+		t.Fatalf("fixture %s: %v", pkg, err)
+	}
 	diags, err := analysis.Run(p, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("fixture %s: %v", pkg, err)
 	}
 	checkWants(t, p.Fset, p.Files, diags)
-}
-
-// loadFixture parses and type-checks the fixture package
-// testdata/src/<pkg>, for tests that need to inspect an analyzer's
-// diagnostics directly (e.g. which codec call sites snapshotstate
-// reports) rather than match // want comments.
-func loadFixture(t *testing.T, pkg string) *analysis.Package {
-	t.Helper()
-	p, err := loader.LoadDir(filepath.Join("testdata", "src", pkg), pkg)
-	if err != nil {
-		t.Fatalf("fixture %s: %v", pkg, err)
-	}
-	return p
 }
 
 type wantKey struct {

@@ -5,8 +5,7 @@ import "strings"
 // All returns every analyzer in the suite, in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		NoWallClock, NoGlobalRand, MapIter, NoConcurrency, SnapshotState,
-		NoAlloc, FleetScope,
+		NoWallClock, NoGlobalRand, MapIter, NoConcurrency, NoAlloc, FleetScope,
 	}
 }
 
@@ -91,11 +90,11 @@ func IsSimPackage(pkgPath string) bool { return simPackages[pkgPath] }
 
 // AnalyzersFor returns the analyzers that apply to a package.
 //
-//   - noglobalrand, mapiter, snapshotstate, noalloc and fleetscope run
-//     over every package in the module: a CLI that draws from the global
-//     rand source or prints in map order still breaks reproducible trace
-//     generation; checkpoint roots, //dvc:hotpath functions and fleet
-//     call sites carry their obligations wherever they are declared.
+//   - noglobalrand, mapiter, noalloc and fleetscope run over every
+//     package in the module: a CLI that draws from the global rand
+//     source or prints in map order still breaks reproducible trace
+//     generation; //dvc:hotpath functions and fleet call sites carry
+//     their obligations wherever they are declared.
 //   - nowallclock and noconcurrency are restricted to the simulation
 //     packages; cmd/ binaries are the sanctioned home for wall-clock
 //     progress reporting and (hypothetical) concurrency.
@@ -104,7 +103,7 @@ func IsSimPackage(pkgPath string) bool { return simPackages[pkgPath] }
 // non-test GoFiles, which is the _test.go wall-clock allowlist from the
 // determinism spec.
 func AnalyzersFor(pkgPath string) []*Analyzer {
-	out := []*Analyzer{NoGlobalRand, MapIter, SnapshotState, NoAlloc, FleetScope}
+	out := []*Analyzer{NoGlobalRand, MapIter, NoAlloc, FleetScope}
 	if IsSimPackage(pkgPath) {
 		out = append(out, NoWallClock, NoConcurrency)
 	}

@@ -24,11 +24,10 @@ type ProcSnapshot struct {
 }
 
 // Snapshot is the pure-data image of a whole guest OS: the payload of a
-// whole-VM checkpoint. Everything in it round-trips through the image codec;
-// the checkpoint-root directive puts its full field closure under
-// snapshotstate's reachability check and into STATE_MANIFEST.txt.
-//
-//dvc:checkpoint-root
+// whole-VM checkpoint. Everything in it round-trips through the image
+// codec: schemaHash compiles its whole closure at init, so a field the
+// codec rejects panics there, naming its path. Its closure is a root of
+// STATE_MANIFEST.txt (see the imgcodec tests).
 type Snapshot struct {
 	Procs     []ProcSnapshot
 	NextPID   PID

@@ -27,9 +27,11 @@
 //	                     nil), its 32-bit plan hash (LE), then the value
 //
 // Every other kind (arrays, float32, int8/16/32, uint, uint8 outside
-// []byte, uintptr, string map keys, func, chan, ...) is rejected with an
-// error naming it; dvclint's snapshotstate check flags the same kinds
-// in checkpoint state before anything runs.
+// []byte, uintptr, string map keys, func, chan, ...) is rejected when the
+// plan compiles, with an error naming the kind and the path of struct
+// fields that reaches it. These rules live here only: guest compiles
+// its image schema and Register each payload at init, so a checkpoint
+// field the codec rejects panics before anything runs.
 //
 // Decoding conventions: empty slices, maps and ropes decode as nil, and a
 // zero float struct field, -0 included, decodes as +0. Restored guests,
@@ -180,7 +182,7 @@ func planFor(t reflect.Type) (*plan, error) {
 	b := compiler{building: make(map[reflect.Type]*plan)}
 	p, err := b.build(t)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("imgcodec: %w", err)
 	}
 	for _, bp := range b.order {
 		plans.Store(bp.typ, bp)
@@ -243,7 +245,7 @@ func (b *compiler) compile(p *plan) error {
 	case reflect.Interface:
 		p.enc, p.dec = ifaceOps(t)
 	default:
-		return fmt.Errorf("imgcodec: cannot encode %s of kind %s", t, t.Kind())
+		return fmt.Errorf("cannot encode %s of kind %s", t, t.Kind())
 	}
 	return nil
 }
@@ -535,7 +537,7 @@ func (b *compiler) compileMap(p *plan) error {
 	case reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		keyCmp = func(a, b reflect.Value) int { return cmp.Compare(a.Uint(), b.Uint()) }
 	default:
-		return fmt.Errorf("imgcodec: map %s: cannot encode keys of kind %s", t, kt.Kind())
+		return fmt.Errorf("map %s: cannot encode keys of kind %s", t, kt.Kind())
 	}
 	kp, err := b.build(kt)
 	if err != nil {
@@ -619,11 +621,11 @@ func (b *compiler) compileStruct(p *plan) error {
 			continue
 		}
 		if !sf.IsExported() {
-			return fmt.Errorf("imgcodec: %s.%s is unexported and would not survive save/restore", t, sf.Name)
+			return fmt.Errorf("%s.%s is unexported and would not survive save/restore", t, sf.Name)
 		}
 		fp, err := b.build(sf.Type)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s.%s: %w", t, sf.Name, err)
 		}
 		f := field{off: sf.Offset, p: fp}
 		if sf.Type.Kind() == reflect.Float64 {

@@ -1,19 +1,22 @@
 package imgcodec_test
 
 import (
-	"bufio"
+	"flag"
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
-	_ "dvc/internal/guest"
+	"dvc/internal/guest"
 	_ "dvc/internal/hpcc"
 	"dvc/internal/imgcodec"
 	_ "dvc/internal/mpi"
 	"dvc/internal/payload"
+	"dvc/internal/tcp"
+	"dvc/internal/vm"
 	_ "dvc/internal/workload"
 )
 
@@ -189,42 +192,181 @@ func TestRegisteredPayloadsRoundTrip(t *testing.T) {
 	}
 }
 
-// checkpointRootDirectives are the STATE_MANIFEST.txt roots declared by
-// //dvc:checkpoint-root rather than by imgcodec.Register.
-var checkpointRootDirectives = []string{
-	"dvc/internal/guest.Snapshot",
-	"dvc/internal/tcp.StackSnapshot",
-	"dvc/internal/vm.Image",
-}
+// manifestRoots are the STATE_MANIFEST.txt roots that are not registered
+// payloads: the image types the codec encodes or hashes directly.
+var manifestRoots = []any{&guest.Snapshot{}, &tcp.StackSnapshot{}, &vm.Image{}}
 
-// TestRegisteredMatchesManifest: the codec's registered names are exactly
-// the interface-payload roots STATE_MANIFEST.txt lists.
+var updateGolden = flag.Bool("update-golden", false, "rewrite STATE_MANIFEST.txt from the codec's view of the types")
+
+const manifestHeader = `# STATE_MANIFEST.txt — checkpoint state closure, generated by the image codec's tests.
+# Every (type, field) below participates in a checkpoint image: it is
+# reachable from a manifest root or an imgcodec.Register payload.
+# Regenerate with: go test ./internal/imgcodec -run TestRegisteredMatchesManifest -update-golden
+# go test ./... diffs this file; review changes as checkpoint-format changes.
+`
+
+// TestRegisteredMatchesManifest: STATE_MANIFEST.txt is the codec's view
+// of checkpoint state. Its roots are manifestRoots and every registered
+// payload, each of which must compile under the codec's rules; its state
+// is every (type, field) their plans reach.
 func TestRegisteredMatchesManifest(t *testing.T) {
-	f, err := os.Open("../../STATE_MANIFEST.txt")
+	names, types := payloads()
+	roots := make(map[string]reflect.Type)
+	for _, name := range names {
+		roots[name] = types[name]
+	}
+	for _, v := range manifestRoots {
+		rt := reflect.TypeOf(v).Elem()
+		roots[rt.PkgPath()+"."+rt.Name()] = rt
+	}
+	seen := make(map[reflect.Type]bool)
+	state := make(map[string]bool)
+	for name, rt := range roots {
+		if _, err := imgcodec.SchemaHash(reflect.New(rt).Interface()); err != nil {
+			t.Errorf("root %s: %v", name, err)
+		}
+		walkState(rt, seen, state)
+	}
+	got := manifestHeader + "\n[roots]\n" + sortedLines(roots) + "\n[state]\n" + sortedLines(state)
+
+	const path = "../../STATE_MANIFEST.txt"
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	var roots []string
-	inRoots := false
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "["):
-			inRoots = line == "[roots]"
-		case inRoots && line != "":
-			roots = append(roots, line)
+	if got != string(want) {
+		t.Fatalf("STATE_MANIFEST.txt is stale (+ missing from it, - no longer state); review the change as a checkpoint-format change and rerun with -update-golden:\n%s",
+			lineDiff(string(want), got))
+	}
+}
+
+// walkState adds a manifest line for every struct field reachable from t
+// through pointers, slices, maps and fields. payload.Bytes is encoded
+// whole, and an interface's payloads are roots of their own.
+func walkState(t reflect.Type, seen map[reflect.Type]bool, state map[string]bool) {
+	for t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	if seen[t] || t == reflect.TypeFor[payload.Bytes]() {
+		return
+	}
+	seen[t] = true
+	switch t.Kind() {
+	case reflect.Slice:
+		walkState(t.Elem(), seen, state)
+	case reflect.Map:
+		walkState(t.Key(), seen, state)
+		walkState(t.Elem(), seen, state)
+	case reflect.Struct:
+		for i := range t.NumField() {
+			f := t.Field(i)
+			if f.Name == "_" {
+				continue
+			}
+			line := goTypeString(t) + "." + f.Name + "\t" + goTypeString(f.Type)
+			if f.Type.Kind() == reflect.Interface {
+				line += "\t(interface: concrete payloads are imgcodec.Register roots)"
+			} else {
+				walkState(f.Type, seen, state)
+			}
+			state[line] = true
 		}
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+}
+
+// goTypeString renders t as go/types prints it: named types qualified by
+// package path, and uint8 as byte (the codec takes it only in []byte).
+func goTypeString(t reflect.Type) string {
+	switch {
+	case t.PkgPath() != "":
+		return t.PkgPath() + "." + t.Name()
+	case t == reflect.TypeFor[byte]():
+		return "byte"
+	case t.Name() != "":
+		return t.Name()
 	}
-	names, _ := payloads()
-	want := append(append([]string(nil), names...), checkpointRootDirectives...)
-	sort.Strings(want)
-	sort.Strings(roots)
-	if !reflect.DeepEqual(roots, want) {
-		t.Fatalf("manifest roots and registered payloads differ:\nmanifest %v\nexpected %v", roots, want)
+	switch t.Kind() {
+	case reflect.Pointer:
+		return "*" + goTypeString(t.Elem())
+	case reflect.Slice:
+		return "[]" + goTypeString(t.Elem())
+	case reflect.Map:
+		return "map[" + goTypeString(t.Key()) + "]" + goTypeString(t.Elem())
+	}
+	return t.String()
+}
+
+// sortedLines renders a set's keys one per line, sorted.
+func sortedLines[V any](set map[string]V) string {
+	keys := make([]string, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, "\n") + "\n"
+}
+
+// lineDiff lists the lines only gen has (+) and those only file has (-).
+func lineDiff(file, gen string) string {
+	fileLines, genLines := strings.Split(file, "\n"), strings.Split(gen, "\n")
+	var out []string
+	for _, l := range genLines {
+		if !slices.Contains(fileLines, l) {
+			out = append(out, "+ "+l)
+		}
+	}
+	for _, l := range fileLines {
+		if !slices.Contains(genLines, l) {
+			out = append(out, "- "+l)
+		}
+	}
+	return strings.Join(out, "\n")
+}
+
+// Leaves the codec rejects, for TestRegisterNamesFieldPath.
+type (
+	hiddenLeaf   struct{ n int }
+	funcLeaf     struct{ F func() }
+	chanLeaf     struct{ C chan int }
+	arrayKeyLeaf struct{ M map[[2]int]int }
+)
+
+// viaPtr, viaSlice and viaMap hold a leaf three levels down.
+type (
+	viaPtr[L any]   struct{ P *viaSlice[L] }
+	viaSlice[L any] struct{ S []viaMap[L] }
+	viaMap[L any]   struct{ M map[int]L }
+)
+
+// TestRegisterNamesFieldPath: a payload whose closure holds a field the
+// codec rejects panics in Register, naming the path of struct fields
+// that reaches it, through pointers, slices and maps.
+func TestRegisterNamesFieldPath(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		leaf string
+	}{
+		{&viaPtr[hiddenLeaf]{}, "hiddenLeaf.n is unexported and would not survive save/restore"},
+		{&viaPtr[funcLeaf]{}, "funcLeaf.F: cannot encode func() of kind func"},
+		{&viaPtr[chanLeaf]{}, "chanLeaf.C: cannot encode chan int of kind chan"},
+		{&viaPtr[arrayKeyLeaf]{}, "arrayKeyLeaf.M: map map[[2]int]int: cannot encode keys of kind array"},
+	} {
+		top := reflect.TypeOf(c.v).Elem()
+		mid := top.Field(0).Type.Elem()
+		low := mid.Field(0).Type.Elem()
+		want := fmt.Sprintf("imgcodec: %s.P: %s.S: %s.M: imgcodec_test.%s", top, mid, low, c.leaf)
+		got := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			imgcodec.Register(c.v)
+			return
+		}()
+		if got != want {
+			t.Errorf("Register(%T) panicked with\n%s\nwant\n%s", c.v, got, want)
+		}
 	}
 }

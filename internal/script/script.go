@@ -191,13 +191,23 @@ func (in *Interpreter) duration(s string) (dvc.Time, error) {
 	return dvc.Time(d.Nanoseconds()), nil
 }
 
+// Script input is untrusted, and each bound below caps an allocation
+// sized by an argument. maxClusterNodes is the largest site the
+// repository builds (SCALE -full: 10 datacenters x 10 clusters x 26
+// hosts); maxMatrixOrder caps the N*N float64s HPL's rank 0 gathers at
+// 128 MiB.
+const (
+	maxClusterNodes = 2600
+	maxMatrixOrder  = 4096
+)
+
 func (in *Interpreter) cmdCluster(args []string) error {
-	if len(args) < 2 {
+	if len(args) < 2 || len(args) > 3 {
 		return in.errf("usage: cluster <name> <nodes> [stack]")
 	}
 	n, err := strconv.Atoi(args[1])
-	if err != nil || n <= 0 {
-		return in.errf("bad node count %q", args[1])
+	if err != nil || n <= 0 || n > maxClusterNodes {
+		return in.errf("bad node count %q (want 1 to %d)", args[1], maxClusterNodes)
 	}
 	if in.sim.Site().Cluster(args[0]) != nil {
 		return in.errf("duplicate cluster %q", args[0])
@@ -290,13 +300,16 @@ func (in *Interpreter) cmdRun(args []string) error {
 func (in *Interpreter) makeApp(kind string, args []string) (func(int) dvc.App, string, error) {
 	var bad error // the first argument that failed to parse
 	given := func(i int) bool { return i < len(args) && bad == nil }
-	intArg := func(i int, what string, def, least int) int {
+	intArg := func(i int, what string, def, least, most int) int {
 		if !given(i) {
 			return def
 		}
 		v, err := strconv.Atoi(args[i])
-		if err != nil || v < least {
+		switch {
+		case err != nil || v < least:
 			bad = in.errf("run %s: bad %s %q (want an integer >= %d)", kind, what, args[i], least)
+		case v > most:
+			bad = in.errf("run %s: %s %d exceeds %d", kind, what, v, most)
 		}
 		return v
 	}
@@ -315,13 +328,13 @@ func (in *Interpreter) makeApp(kind string, args []string) (func(int) dvc.App, s
 	)
 	switch kind {
 	case "halo":
-		rounds := intArg(0, "round count", 5000, 1)
+		rounds := intArg(0, "round count", 5000, 1, math.MaxInt)
 		period := durationArg(1, 20*dvc.Millisecond)
-		msg := intArg(2, "message size", 2048, 0)
+		msg := intArg(2, "message size", 2048, 0, math.MaxInt)
 		app = func(int) dvc.App { return dvc.NewHalo(rounds, period, msg) }
 		desc, maxArgs = fmt.Sprintf("halo(rounds=%d, period=%v, msg=%dB)", rounds, period, msg), 3
 	case "hpl":
-		n := intArg(0, "matrix order", 128, 1)
+		n := intArg(0, "matrix order", 128, 1, maxMatrixOrder)
 		gf := 2e-5
 		if given(1) {
 			v, err := strconv.ParseFloat(args[1], 64)
@@ -333,8 +346,8 @@ func (in *Interpreter) makeApp(kind string, args []string) (func(int) dvc.App, s
 		app = func(int) dvc.App { return dvc.NewHPL(n, 42, gf) }
 		desc, maxArgs = fmt.Sprintf("hpl(N=%d, %g GF/s)", n, gf), 2
 	case "ptrans":
-		n := intArg(0, "matrix order", 32, 1)
-		reps := intArg(1, "repetition count", 500, 1)
+		n := intArg(0, "matrix order", 32, 1, maxMatrixOrder)
+		reps := intArg(1, "repetition count", 500, 1, math.MaxInt)
 		app = func(int) dvc.App { return dvc.NewPTRANS(n, 42, reps, 10) }
 		desc, maxArgs = fmt.Sprintf("ptrans(N=%d, reps=%d)", n, reps), 2
 	default:

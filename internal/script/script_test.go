@@ -119,6 +119,10 @@ func TestBadArgumentsAreLineErrors(t *testing.T) {
 		"run j ptrans 0",
 		"run j ptrans 24 -5",
 		"cluster alpha 4",
+		"cluster beta 2601",
+		"cluster beta 4 rhel4-mpich extra",
+		"run j hpl 4097",
+		"run j ptrans 4097",
 		"advance -5s",
 		"wait j -1s",
 		"start now",

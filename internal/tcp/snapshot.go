@@ -34,11 +34,9 @@ type ConnSnapshot struct {
 }
 
 // StackSnapshot is the pure-data image of a whole stack. guest.Snapshot
-// reaches it (Snapshot.Stack), so it is already inside that root's
-// closure; declaring it a root here too means a field added in this
-// package is flagged at this declaration, not two packages away.
-//
-//dvc:checkpoint-root
+// reaches it (Snapshot.Stack), so the image codec holds every field here
+// to its rules when guest compiles its schema at init; STATE_MANIFEST.txt
+// lists it as a root of its own.
 type StackSnapshot struct {
 	Addr          netsim.Addr
 	Config        Config

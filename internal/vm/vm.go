@@ -92,9 +92,8 @@ func (s DomainState) String() string {
 // the one-chunk payload rope guest.EncodeImagePayload builds — the image
 // is immutable from the moment it is captured (the checksum enforces as
 // much at restore time), so its bytes are shared, never copied, as the
-// image moves through the store and restore paths.
-//
-//dvc:checkpoint-root
+// image moves through the store and restore paths. It is a root of
+// STATE_MANIFEST.txt, whose test holds it to the image codec's rules.
 type Image struct {
 	DomainName string
 	Addr       netsim.Addr
